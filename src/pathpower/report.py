@@ -22,22 +22,21 @@ from .grid import PathPower, VertexSet, induced_max_degree
 from .search import (
     SearchBudget,
     brute_force_f,
-    degree_bound_check,
     lower_bound_even,
     max_independent_set,
     theoretical_f_value,
 )
 from .signed import SignedMatrix, check_support, principal_submatrix, signed_grid_matrix, square_identity_check
 from .spectral import (
+    bareiss_det,
     beta,
     charpoly_base_square_check,
+    composed_square_spectrum,
     eigenvalues_sym,
     fg_identity_check,
     interlacing_check,
-    min_positive_eig_even,
-    nonsingularity_check_even,
+    multiset_distance,
     odd3_spectrum_check,
-    square_compose_check,
     symmetry_check,
 )
 
@@ -75,37 +74,6 @@ class Report:
 def subseed(name: str, seed: int) -> int:
     digest = hashlib.sha256(f"{name}:{seed}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def _bisect_float(fn: Callable[[float], float], lo: float, hi: float, width: float = 1e-13) -> float:
-    """Plain interval halving on a float predicate sign change."""
-    flo = fn(lo)
-    if flo == 0:
-        return lo
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = fn(mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
-def _first_sign_change_root(fn: Callable[[float], float], step: float = 1e-4) -> float:
-    x = step
-    prev = fn(0.0)
-    while x <= 4.0:
-        cur = fn(x)
-        if cur == 0:
-            return x
-        if (cur > 0) != (prev > 0):
-            return _bisect_float(fn, x - step, x)
-        prev = cur
-        x += step
-    raise RuntimeError("no sign change located")
 
 
 # ------------------------------- the checks --------------------------------
@@ -178,10 +146,10 @@ def _check_polynomials(cfg: dict) -> tuple[bool, dict]:
     details["beta_2_gap"] = abs(b2 - closed)
     ok = ok and abs(b2 - closed) <= 1e-10
     b3 = beta(3, 1e-12)
-    oracle = _first_sign_change_root(lambda x: ((x - 5.0) * x + 6.0) * x - 1.0)
+    closed = 4.0 * math.sin(math.pi / 14.0) ** 2
     details["beta_3"] = b3
-    details["beta_3_gap"] = abs(b3 - oracle)
-    ok = ok and abs(b3 - oracle) <= 1e-10
+    details["beta_3_gap"] = abs(b3 - closed)
+    ok = ok and abs(b3 - closed) <= 1e-10
     fg_bad = [n for n in range(1, 51) if not fg_identity_check(n)]
     details["fg_identity_failures"] = fg_bad
     ok = ok and not fg_bad
@@ -194,18 +162,22 @@ def _check_polynomials(cfg: dict) -> tuple[bool, dict]:
 def _check_even_spectra(cfg: dict) -> tuple[bool, dict]:
     rows = []
     ok = True
+    tol = cfg["tol"]
     for n in (1, 2, 3):
         bn = beta(n, 1e-12)
         for k in (1, 2, 3):
             if (2 * n) ** k > cfg["max_size"]:
                 continue
-            got = min_positive_eig_even(n, k, group_tol=cfg["tol"])
+            dense = signed_grid_matrix(2 * n, k).to_dense()
+            rep = eigenvalues_sym(dense, group_tol=tol)
+            got = rep.min_positive
             want = math.sqrt(k * bn)
-            rep = eigenvalues_sym(signed_grid_matrix(2 * n, k).to_dense(), group_tol=cfg["tol"])
-            nonsing = nonsingularity_check_even(n, k, group_tol=cfg["tol"])
-            sym = symmetry_check(rep, cfg["tol"])
-            compose_ok, dist = square_compose_check(2 * n, k, tol=1e-7, group_tol=cfg["tol"])
-            row_ok = abs(got - want) <= cfg["tol"] and nonsing and sym and compose_ok
+            nonsing = min(abs(v) for v in rep.eigenvalues) > tol
+            if k == 1:  # settled exactly: the tridiagonal base has determinant +-1
+                nonsing = nonsing and abs(bareiss_det(dense.tolist())) == 1
+            composed = composed_square_spectrum(2 * n, k, group_tol=tol)
+            dist = multiset_distance([v * v for v in rep.eigenvalues], composed.eigenvalues)
+            row_ok = abs(got - want) <= tol and nonsing and symmetry_check(rep, tol) and dist <= 1e-7
             rows.append([n, k, got, want, dist, row_ok])
             ok = ok and row_ok
     return ok and bool(rows), {"rows": rows}
@@ -248,15 +220,16 @@ def _check_degree_eigenvalue_chain(cfg: dict) -> tuple[bool, dict]:
             continue
         g = PathPower(m, k)
         a = signed_grid_matrix(m, k)
-        dense = a.to_dense()
+        host = eigenvalues_sym(a.to_dense())
         target = alpha_formula(m, k) + 1
         rng = random.Random(subseed(f"chain:{m}:{k}", cfg["seed"]))
         bound_fail = inter_fail = 0
         for _ in range(trials):
             s = VertexSet(m, k, ranks=rng.sample(range(g.n_vertices), target))
-            if not degree_bound_check(a, s, cfg["tol"]):
+            sub = eigenvalues_sym(principal_submatrix(a, s))
+            if induced_max_degree(s, g) < sub.eigenvalues[-1] - cfg["tol"]:
                 bound_fail += 1
-            if not interlacing_check(dense, principal_submatrix(a, s), cfg["tol"]):
+            if not interlacing_check(host, sub, cfg["tol"]):
                 inter_fail += 1
         rows.append([m, k, trials, bound_fail, inter_fail])
         ok = ok and bound_fail == 0 and inter_fail == 0

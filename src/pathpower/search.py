@@ -11,6 +11,7 @@ worker count (witnesses may differ, values may not).
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,7 +139,15 @@ def max_independent_set(g: PathPower, budget: SearchBudget = DEFAULT_BUDGET) -> 
     return MisResult(size=size, witness=witness, proven=not truncated, nodes_examined=nodes)
 
 
-def _scan_task(adj, target, stop_at, max_nodes, time_limit, lead):
+def _scan_task(adj, target, stop_at, max_nodes, deadline, lead):
+    """Scan with the time left until the absolute wall-clock deadline (None
+    for none); a task that starts past it returns truncated with 0 nodes.
+    The deadline is wall-clock time because worker processes compare it."""
+    time_limit = None
+    if deadline is not None:
+        time_limit = deadline - time.time()
+        if time_limit <= 0:
+            return None, 0, 0, True, False
     return _kernels.scan_min_induced_degree(
         adj, target, stop_at=stop_at, max_nodes=max_nodes, time_limit=time_limit, lead=lead
     )
@@ -173,6 +182,7 @@ def brute_force_f(
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
+    deadline = None if budget.max_seconds is None else time.time() + budget.max_seconds
     mis = max_independent_set(g, budget)
     if not mis.proven:
         raise UnprovenAlphaError(f"independence number of [{g.m}]^{g.k} not settled within budget")
@@ -186,14 +196,14 @@ def brute_force_f(
     leads = list(range(0, g.n_vertices - target + 1))
     if budget.workers == 1 or len(leads) == 1:
         best, mask, nodes, truncated, _early = _scan_task(
-            adj, target, stop_at, budget.max_subsets, budget.max_seconds, -1
+            adj, target, stop_at, budget.max_subsets, deadline, -1
         )
     else:
         per_task_nodes = max(1, budget.max_subsets // len(leads))
         best, mask, nodes, truncated = None, 0, 0, False
         with ProcessPoolExecutor(max_workers=budget.workers) as pool:
             pending = {
-                pool.submit(_scan_task, adj, target, stop_at, per_task_nodes, budget.max_seconds, lead)
+                pool.submit(_scan_task, adj, target, stop_at, per_task_nodes, deadline, lead)
                 for lead in leads
             }
             settled_early = False
@@ -234,18 +244,13 @@ def lower_bound_even(n: int, k: int) -> int:
     """Degree floor ceil(sqrt(k * beta(n))) for even path length 2n.
 
     The ceiling is guard-banded: if the square root lands within 1e-9 of
-    an integer, beta is recomputed ten times tighter and the side of the
-    integer is then settled exactly (is beta(n) above or below t*t/k) with
-    integer sign arithmetic, so the rounding can never be off by one.
+    an integer t, the side of t is settled exactly (is beta(n) above or
+    below t*t/k) with integer sign arithmetic, so the rounding can never be
+    off by one.
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    tol = 1e-12
-    root = math.sqrt(k * beta(n, tol))
-    t = round(root)
-    if abs(root - t) >= 1e-9:
-        return math.ceil(root)
-    root = math.sqrt(k * beta(n, tol / 10))
+    root = math.sqrt(k * beta(n, 1e-12))
     t = round(root)
     if abs(root - t) >= 1e-9:
         return math.ceil(root)

@@ -14,6 +14,7 @@ callers densify only for numerical spectra.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -217,14 +218,19 @@ def principal_submatrix(a: SignedMatrix, s: VertexSet) -> np.ndarray:
     return out
 
 
+_MM_PARAMS = re.compile(r"% pathpower m=(\d+) k=(\d+) parity=(odd3|even2n)")
+
+
 def write_matrix_market(a: SignedMatrix, target: str | IO[str]) -> None:
     """Write the matrix in Matrix Market coordinate format.
 
     1-based indices, integer values, symmetric header; one entry per edge
-    (lower triangle).
+    (lower triangle).  A comment line records m, k and the parity tag, which
+    the dimension m^k alone does not determine (64 = 2^6 = 4^3 = 8^2).
     """
     lower = sorted((i, j, v) for (i, j), v in a.entries.items() if i > j)
     lines = ["%%MatrixMarket matrix coordinate integer symmetric"]
+    lines.append(f"% pathpower m={a.m} k={a.k} parity={a.parity_tag}")
     lines.append(f"{a.dim} {a.dim} {len(lower)}")
     lines.extend(f"{i + 1} {j + 1} {v}" for i, j, v in lower)
     text = "\n".join(lines) + "\n"
@@ -236,16 +242,27 @@ def write_matrix_market(a: SignedMatrix, target: str | IO[str]) -> None:
 
 
 def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
-    """Read back a matrix written by write_matrix_market (round-trip aid)."""
+    """Read back a matrix written by write_matrix_market (round-trip aid).
+
+    Raises ValueError when the m, k and parity comment line is missing or
+    disagrees with the dimension.
+    """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = source.read()
+    params = next((p for p in map(_MM_PARAMS.fullmatch, text.splitlines()) if p), None)
+    if params is None:
+        raise ValueError("no '% pathpower m=.. k=.. parity=..' line: the dimension alone does not fix m and k")
+    m, k, tag = int(params[1]), int(params[2]), params[3]
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("%")]
     dim, _, count = (int(t) for t in lines[0].split())
+    m_fits_tag = m == 3 if tag == "odd3" else m >= 2 and m % 2 == 0
+    if not m_fits_tag or not 1 <= k <= dim.bit_length() or dim != m**k:
+        raise ValueError(f"parameters m={m} k={k} parity={tag} do not fit dimension {dim}")
     entries: Entries = {}
     for ln in lines[1 : count + 1]:
         i, j, v = (int(t) for t in ln.split())
         _put(entries, i - 1, j - 1, v)
-    return SignedMatrix(dim=dim, entries=entries, parity_tag="unknown", n=0, k=0)
+    return SignedMatrix(dim=dim, entries=entries, parity_tag=tag, n=m // 2, k=k)

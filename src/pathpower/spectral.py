@@ -1,10 +1,12 @@
 """Integer polynomial recurrences, root isolation, and spectral verifiers.
 
 Exact layer: the polynomial family p_j = (x - 2) p_(j-1) - p_(j-2) with two
-seed choices (poly_f, poly_g), characteristic polynomials by fraction-free
-determinants plus interpolation at integer points, and the smallest positive
-root of poly_g isolated with exact integer sign evaluations before a final
-bisection.
+seed choices (poly_f, poly_g), and characteristic polynomials by
+fraction-free determinants plus interpolation at integer points.
+
+Root isolation: the closed-form roots of poly_g(n) place rational cut points
+between them; exact integer signs at the cuts prove one root per interval,
+and an exact rational bisection narrows the first to the smallest root.
 
 Numerical layer: dense symmetric eigensolves with a residual contract,
 tolerance-grouped spectrum reports, Kronecker-sum composition, and the
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import pi, sin, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -128,54 +130,48 @@ def _sign_at_rational(coeffs: Sequence[int], num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def poly_g_roots(n: int) -> list[float]:
+    """The n roots of poly_g(n) in closed form, ascending, as floats.
+
+    The signed base path on 2n vertices has the spectrum of the plain path,
+    2 cos(j pi / (2n + 1)), so the roots of poly_g(n), the squared
+    eigenvalues, are 4 sin^2((2j - 1) pi / (4n + 2)) for j = 1..n.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return [4.0 * sin((2 * j - 1) * pi / (4 * n + 2)) ** 2 for j in range(1, n + 1)]
+
+
 def beta(n: int, tol: float = 1e-12) -> float:
     """Smallest positive root of poly_g(n), within +-tol.
 
-    All n roots lie in (0, 4): the value at 0 is +-1 and never 0, so the
-    scan walks a rational grid over (0, 4], verifies that exactly n sign
-    changes (or exact hits) appear, and refines the grid tenfold on a
-    shortfall instead of failing silently.  The first bracket is then
-    bisected in exact rational arithmetic; only the final midpoint is
-    rounded to float.
+    Certificate: the exact sign of poly_g(n) must change across each of the
+    n intervals cut at 0, midway between neighbouring closed-form roots, and
+    4; otherwise BracketingError.  A degree-n polynomial then has exactly one
+    root per interval, so the first holds the smallest, which is bisected in
+    exact rationals; only the final midpoint is rounded to float.  At most
+    n + 1 + ceil(log2(4 / tol)) sign evaluations.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if tol <= 0:
         raise ValueError(f"need tol > 0, got {tol}")
     coeffs = poly_g(n).coeffs
+    roots = poly_g_roots(n)
+    cuts = [Fraction(0)] + [Fraction((a + b) / 2) for a, b in zip(roots, roots[1:])] + [Fraction(4)]
+    signs = [_sign_at_rational(coeffs, c.numerator, c.denominator) for c in cuts]
+    if (
+        len(coeffs) - 1 != len(roots)
+        or any(a >= b for a, b in zip(cuts, cuts[1:]))
+        or any(a * b >= 0 for a, b in zip(signs, signs[1:]))
+    ):
+        raise BracketingError(
+            f"poly_g({n}) of degree {len(coeffs) - 1} does not change sign across "
+            f"the {len(roots)} closed-form intervals: signs {signs}"
+        )
 
-    first = None
-    den = 1000
-    for _ in range(4):
-        prev_sign: int | None = _sign_at_rational(coeffs, 0, 1)
-        count = 0
-        first = None
-        for i in range(1, 4 * den + 1):
-            s = _sign_at_rational(coeffs, i, den)
-            if s == 0:
-                count += 1
-                if first is None:
-                    first = ("hit", i, den)
-                prev_sign = None
-            elif prev_sign is None:
-                prev_sign = s
-            elif s != prev_sign:
-                count += 1
-                if first is None:
-                    first = ("bracket", i, den)
-                prev_sign = s
-        if count == n:
-            break
-        den *= 10
-    else:
-        raise BracketingError(f"expected {n} sign changes of poly_g({n}) in (0, 4], found {count}")
-
-    kind, i, den = first
-    if kind == "hit":
-        return i / den
-    lo = Fraction(i - 1, den)
-    hi = Fraction(i, den)
-    sign_lo = _sign_at_rational(coeffs, lo.numerator, lo.denominator)
+    lo, hi = cuts[0], cuts[1]
+    sign_lo = signs[0]
     while hi - lo > tol:
         mid = (lo + hi) / 2
         s = _sign_at_rational(coeffs, mid.numerator, mid.denominator)
@@ -376,20 +372,17 @@ def symmetry_check(s: SpectrumReport, tol: float = DEFAULT_GROUP_TOL) -> bool:
     return s.symmetry_defect <= tol
 
 
-def interlacing_check(a_mat, b_mat, tol: float = DEFAULT_GROUP_TOL) -> bool:
-    """Eigenvalue interlacing between a symmetric matrix and a principal
-    submatrix: lambda_i >= mu_i >= lambda_(n-m+i) within tol, both sorted
-    descending."""
-    big = np.sort(np.linalg.eigvalsh(np.asarray(a_mat, dtype=float)))[::-1]
-    small = np.sort(np.linalg.eigvalsh(np.asarray(b_mat, dtype=float)))[::-1]
+def interlacing_check(host: SpectrumReport, sub: SpectrumReport, tol: float = DEFAULT_GROUP_TOL) -> bool:
+    """Eigenvalue interlacing between the spectrum of a symmetric matrix and
+    that of a principal submatrix: lambda_i >= mu_i >= lambda_(n-m+i) within
+    tol, both sorted descending."""
+    big = host.eigenvalues[::-1]
+    small = sub.eigenvalues[::-1]
     n = len(big)
     m = len(small)
     if m > n:
         raise DimensionMismatchError("submatrix larger than the host matrix")
-    for i in range(m):
-        if not (big[i] + tol >= small[i] >= big[n - m + i] - tol):
-            return False
-    return True
+    return all(big[i] + tol >= small[i] >= big[n - m + i] - tol for i in range(m))
 
 
 def min_positive_eig_even(

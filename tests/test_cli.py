@@ -3,6 +3,7 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
 from pathpower import SignedMatrix, VertexSet, read_matrix_market
@@ -89,7 +90,7 @@ def test_matrix_to_stdout(capsys):
     assert run_cli("matrix", "--parity", "odd3", "--k", "1") == 0
     out = capsys.readouterr().out
     assert out.startswith("%%MatrixMarket matrix coordinate integer symmetric")
-    assert out.splitlines()[1] == "3 3 2"
+    assert out.splitlines()[1:3] == ["% pathpower m=3 k=1 parity=odd3", "3 3 2"]
 
 
 def test_alpha_command_brute_match(capsys):
@@ -150,6 +151,23 @@ def test_verify_all_cli_quick(capsys, tmp_path):
     assert len(doc["checks"]) == 9
     assert all(c["passed"] for c in doc["checks"])
     assert doc["config"]["max_size"] == 9
+
+
+def test_verify_all_dense_solve_count(monkeypatch):
+    calls = []
+
+    def counted(solve):
+        def wrapper(*args, **kwargs):
+            calls.append(solve.__name__)
+            return solve(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    report = run_verify_all()
+    assert report.passed
+    assert 0 < len(calls) <= 630
 
 
 def test_report_determinism():

@@ -1,7 +1,10 @@
 """The exact oracles: independence number and the induced-degree minimum."""
 
+import math
 import random
+import time
 
+import mpmath
 import pytest
 
 from pathpower import (
@@ -20,6 +23,7 @@ from pathpower import (
     signed_grid_matrix,
     theoretical_f_value,
 )
+from pathpower.search import _scan_task
 
 
 @pytest.mark.parametrize("m,k,expected", [(3, 2, 5), (2, 3, 4), (5, 2, 13)])
@@ -89,6 +93,15 @@ def test_budget_truncation_flags_upper_bound():
     assert res.value is None or res.value >= 2
 
 
+def test_parallel_deadline_bounds_wall_time():
+    t0 = time.perf_counter()
+    res = brute_force_f(PathPower(3, 4), budget=SearchBudget(workers=2, max_seconds=0.5))
+    assert time.perf_counter() - t0 < 3.0
+    assert res.kind == "upper-unproven"
+    adj = PathPower(2, 2).adjacency_masks()
+    assert _scan_task(adj, 3, 1, None, time.time() - 1.0, 0) == (None, 0, 0, True, False)
+
+
 def test_unproven_alpha_raises():
     with pytest.raises(UnprovenAlphaError):
         brute_force_f(PathPower(3, 2), budget=SearchBudget(max_seconds=1e-9))
@@ -124,8 +137,6 @@ def test_degree_bound_randomized():
 
 
 def test_lower_bound_even_hypercube_column():
-    import math
-
     for k in range(1, 26):
         assert lower_bound_even(1, k) == math.isqrt(k - 1) + 1
 
@@ -135,6 +146,18 @@ def test_lower_bound_even_values():
     assert lower_bound_even(2, 7) == 2
     with pytest.raises(ValueError):
         lower_bound_even(0, 1)
+
+
+@mpmath.workdps(50)
+def test_lower_bound_even_matches_mpmath():
+    for n in range(1, 13):
+        beta_n = 4 * mpmath.sin(mpmath.pi / (4 * n + 2)) ** 2
+        for k in range(1, 101):
+            root = mpmath.sqrt(k * beta_n)
+            nearest = mpmath.nint(root)
+            exact_square = abs(root - nearest) < mpmath.mpf(10) ** -40  # only n = 1, k a square
+            want = int(nearest) if exact_square else int(mpmath.ceil(root))
+            assert lower_bound_even(n, k) == want, (n, k)
 
 
 @pytest.mark.parametrize(

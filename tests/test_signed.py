@@ -139,11 +139,37 @@ def test_matrix_market_roundtrip():
     text = buf.getvalue()
     lines = text.splitlines()
     assert lines[0] == "%%MatrixMarket matrix coordinate integer symmetric"
-    dim, dim2, nnz = (int(t) for t in lines[1].split())
+    assert lines[1] == "% pathpower m=4 k=2 parity=even2n"
+    dim, dim2, nnz = (int(t) for t in lines[2].split())
     assert (dim, dim2) == (16, 16)
-    assert nnz == a.nnz // 2 == len(lines) - 2
-    i, j, v = (int(t) for t in lines[2].split())
+    assert nnz == a.nnz // 2 == len(lines) - 3
+    i, j, v = (int(t) for t in lines[3].split())
     assert i > j >= 1 and v in (-1, 1)  # 1-based lower triangle
     back = read_matrix_market(io.StringIO(text))
     assert back.dim == a.dim
     assert back.entries == a.entries
+
+
+@pytest.mark.parametrize("m,k", [(4, 2), (3, 3), (2, 6)])
+def test_matrix_market_roundtrip_keeps_parameters(m, k):
+    a = signed_grid_matrix(m, k)
+    buf = io.StringIO()
+    write_matrix_market(a, buf)
+    back = read_matrix_market(io.StringIO(buf.getvalue()))
+    assert (back.m, back.k, back.n, back.parity_tag) == (a.m, a.k, a.n, a.parity_tag)
+    assert back.entries == a.entries
+    g = back.graph()
+    assert (g.m, g.k) == (m, k)
+    assert check_support(back, g)
+
+
+def test_matrix_market_rejects_missing_or_wrong_parameters():
+    buf = io.StringIO()
+    write_matrix_market(signed_grid_matrix(2, 6), buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    with pytest.raises(ValueError):
+        read_matrix_market(io.StringIO("".join(lines[:1] + lines[2:])))  # 64 = 2^6 = 4^3 = 8^2
+    for wrong in ("m=4 k=2 parity=even2n", "m=3 k=3 parity=even2n", "m=8 k=2 parity=odd3"):
+        text = "".join(lines[:1] + [f"% pathpower {wrong}\n"] + lines[2:])
+        with pytest.raises(ValueError):
+            read_matrix_market(io.StringIO(text))

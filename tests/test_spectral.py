@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import pathpower.spectral as spectral
 from pathpower import (
+    BracketingError,
     IntPolynomial,
     SizeCapError,
     VertexSet,
@@ -117,6 +119,57 @@ def test_beta_against_numpy_roots(n):
     roots = np.roots(list(reversed(poly_g(n).coeffs)))
     real_pos = sorted(r.real for r in roots if abs(r.imag) < 1e-9 and r.real > 1e-9)
     assert abs(beta(n, 1e-12) - real_pos[0]) <= 1e-6
+
+
+@pytest.mark.parametrize("n", range(1, 81))
+def test_beta_matches_closed_form(n):
+    assert abs(beta(n, 1e-12) - 4.0 * math.sin(math.pi / (4 * n + 2)) ** 2) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_beta_matches_squared_base_eigvalsh(n):
+    base = signed_grid_matrix(2 * n, 1).to_dense()
+    smallest = np.linalg.eigvalsh((base @ base).astype(float))[0]
+    assert abs(beta(n, 1e-12) - smallest) <= 1e-10
+
+
+def test_beta_sign_evaluation_count(monkeypatch):
+    calls = []
+    exact_sign = spectral._sign_at_rational
+
+    def counting(coeffs, num, den):
+        calls.append(num)
+        return exact_sign(coeffs, num, den)
+
+    monkeypatch.setattr(spectral, "_sign_at_rational", counting)
+    for n in (1, 2, 3, 10, 40, 80):
+        for tol in (1e-6, 1e-12, 1e-13):
+            calls.clear()
+            beta(n, tol)
+            assert len(calls) <= n + 1 + math.ceil(math.log2(4 / tol)), (n, tol, len(calls))
+
+
+def test_beta_rejects_tampered_certificate(monkeypatch):
+    true_roots = spectral.poly_g_roots
+
+    # shifted roots: the first interval then holds two roots, the last none
+    monkeypatch.setattr(spectral, "poly_g_roots", lambda n: true_roots(n)[1:] + [3.99])
+    with pytest.raises(BracketingError):
+        beta(3)
+    # unsorted roots give overlapping intervals
+    monkeypatch.setattr(spectral, "poly_g_roots", lambda n: true_roots(n)[::-1])
+    with pytest.raises(BracketingError):
+        beta(3)
+    monkeypatch.setattr(spectral, "poly_g_roots", true_roots)
+
+    # changed constant coefficient: x^3 - 5x^2 + 6x + 1 has a negative root
+    monkeypatch.setattr(spectral, "poly_g", lambda n: IntPolynomial((1, 6, -5, 1)))
+    with pytest.raises(BracketingError):
+        beta(3)
+    # a degree above the root count: n sign changes no longer prove anything
+    monkeypatch.setattr(spectral, "poly_g", lambda n: poly_g(n) * IntPolynomial((5, 1)))
+    with pytest.raises(BracketingError):
+        beta(3)
 
 
 def test_beta_validation():
@@ -241,11 +294,11 @@ def test_spectrum_symmetry_of_built_matrices():
 
 
 def test_interlacing_examples():
-    a = signed_grid_matrix(3, 1).to_dense()
+    a = eigenvalues_sym(signed_grid_matrix(3, 1).to_dense())
     assert interlacing_check(a, a)
     sub = principal_submatrix(signed_grid_matrix(3, 1), VertexSet(3, 1, ranks=[0, 1]))
-    assert interlacing_check(a, sub)
-    assert not interlacing_check(a, np.array([[5.0]]))
+    assert interlacing_check(a, eigenvalues_sym(sub))
+    assert not interlacing_check(a, eigenvalues_sym(np.array([[5.0]])))
 
 
 def test_interlacing_randomized_submatrices():
@@ -253,11 +306,11 @@ def test_interlacing_randomized_submatrices():
 
     rng = random.Random(20240)
     a = signed_grid_matrix(4, 2)
-    dense = a.to_dense()
+    host = eigenvalues_sym(a.to_dense())
     for _ in range(100):
         size = rng.randint(1, 15)
         s = VertexSet(4, 2, ranks=rng.sample(range(16), size))
-        assert interlacing_check(dense, principal_submatrix(a, s), 1e-8)
+        assert interlacing_check(host, eigenvalues_sym(principal_submatrix(a, s)), 1e-8)
 
 
 @pytest.mark.parametrize("m,k", [(2, 2), (2, 3), (4, 2), (6, 2), (3, 2), (3, 3)])
