@@ -3,10 +3,10 @@
 These are the hot loops behind the exact oracles: a lexicographic scan over
 fixed-size vertex subsets minimizing the induced maximum degree, and a
 branch-and-bound maximum-independent-set solver.  Masks are plain Python
-integers, so any graph size works; pathpower._speedups provides compiled
-equivalents for graphs that fit in 64-bit masks.
+integers, so any graph size works; the scan has a compiled twin in _scan.c
+for graphs of at most 256 vertices (see pathpower._kernels).
 
-Both kernels return plain tuples so the compiled versions can mirror the
+Both kernels return plain tuples, so the compiled scan can mirror the
 contract exactly:
 
     scan_min_induced_degree -> (best, witness_mask, nodes, truncated, early)

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from . import __version__ as _version
+from . import _kernels
 from .constructions import alpha_formula, low_degree_witness_set
 from .grid import PathPower, VertexSet, induced_max_degree
 from .search import (
@@ -33,7 +34,7 @@ from .spectral import (
     charpoly_base_square_check,
     composed_square_spectrum,
     eigenvalues_sym,
-    fg_identity_check,
+    fg_identity_failures,
     interlacing_check,
     multiset_distance,
     odd3_spectrum_check,
@@ -150,7 +151,7 @@ def _check_polynomials(cfg: dict) -> tuple[bool, dict]:
     details["beta_3"] = b3
     details["beta_3_gap"] = abs(b3 - closed)
     ok = ok and abs(b3 - closed) <= 1e-10
-    fg_bad = [n for n in range(1, 51) if not fg_identity_check(n)]
+    fg_bad = fg_identity_failures(50)
     details["fg_identity_failures"] = fg_bad
     ok = ok and not fg_bad
     cp_bad = [n for n in range(1, 9) if not charpoly_base_square_check(n)]
@@ -311,6 +312,8 @@ def run_verify_all(
         "workers": cfg["budget"].workers,
         "chain_trials": chain_trials,
         "tampered": tamper is not None,
+        "have_speedups": _kernels.HAVE_SPEEDUPS,
+        "kernel_backend": _kernels.BACKEND_REASON,
     }
     t0 = time.perf_counter()
     checks = []

@@ -5,14 +5,18 @@ Both oracles are budgeted: exceeding the node cap or the deadline yields a
 result flagged as unproven, never a silently wrong value.  The subset scan
 can be partitioned across worker processes by the smallest member of the
 subset; the combined value is a min-reduction and does not depend on the
-worker count (witnesses may differ, values may not).
+worker count (witnesses may differ, values may not).  The workers are
+started with the spawn method, so a calling script keeps its top-level code
+under `if __name__ == "__main__":`; a lead that reaches the floor terminates
+the others.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import multiprocessing
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -201,27 +205,19 @@ def brute_force_f(
     else:
         per_task_nodes = max(1, budget.max_subsets // len(leads))
         best, mask, nodes, truncated = None, 0, 0, False
-        with ProcessPoolExecutor(max_workers=budget.workers) as pool:
-            pending = {
-                pool.submit(_scan_task, adj, target, stop_at, per_task_nodes, deadline, lead)
-                for lead in leads
-            }
-            settled_early = False
-            while pending and not settled_early:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    value, fmask, fnodes, ftrunc, fearly = fut.result()
-                    nodes += fnodes
-                    truncated = truncated or ftrunc
-                    if value is not None and (best is None or value < best):
-                        best, mask = value, fmask
-                    if fearly:
-                        # the global floor was achieved; nothing can beat it
-                        settled_early = True
-            if settled_early:
-                for fut in pending:
-                    fut.cancel()
-                truncated = False
+        task = functools.partial(_scan_task, adj, target, stop_at, per_task_nodes, deadline)
+        with multiprocessing.get_context("spawn").Pool(min(budget.workers, len(leads))) as pool:
+            for value, fmask, fnodes, ftrunc, fearly in pool.imap_unordered(task, leads):
+                nodes += fnodes
+                truncated = truncated or ftrunc
+                if value is not None and (best is None or value < best):
+                    best, mask = value, fmask
+                if fearly:
+                    # the global floor was achieved; nothing can beat it, so
+                    # stop the leads still running as well as the queued ones
+                    pool.terminate()
+                    truncated = False
+                    break
 
     if best is None:
         return FSearchResult(value=None, witness=None, kind="upper-unproven", subsets_examined=nodes)

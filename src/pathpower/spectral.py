@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import pi, sin, sqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -83,23 +84,28 @@ class IntPolynomial:
 
 
 _X_MINUS_2 = IntPolynomial((-2, 1))
+_F_SEED = (-2, 1)  # poly_f(1) = x - 2
+_G_SEED = (-1, 1)  # poly_g(1) = x - 1
+
+
+def _recurrence_terms(seed1: tuple[int, ...]) -> Iterator[IntPolynomial]:
+    """p_0 = 1, p_1 = seed1, then p_j = (x - 2) p_(j-1) - p_(j-2), without end."""
+    p_prev, p = IntPolynomial((1,)), IntPolynomial(seed1)
+    yield p_prev
+    while True:
+        yield p
+        p_prev, p = p, _X_MINUS_2 * p - p_prev
 
 
 def _recurrence(n: int, seed1: tuple[int, ...]) -> IntPolynomial:
-    p_prev = IntPolynomial((1,))
-    if n == 0:
-        return p_prev
-    p = IntPolynomial(seed1)
-    for _ in range(n - 1):
-        p_prev, p = p, _X_MINUS_2 * p - p_prev
-    return p
+    return next(islice(_recurrence_terms(seed1), n, None))
 
 
 def poly_f(n: int) -> IntPolynomial:
     """Family member with seeds 1 and x - 2."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return _recurrence(n, (-2, 1))
+    return _recurrence(n, _F_SEED)
 
 
 def poly_g(n: int) -> IntPolynomial:
@@ -107,7 +113,7 @@ def poly_g(n: int) -> IntPolynomial:
     characteristic polynomial of the squared even base matrix."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return _recurrence(n, (-1, 1))
+    return _recurrence(n, _G_SEED)
 
 
 def fg_identity_check(n: int) -> bool:
@@ -115,6 +121,21 @@ def fg_identity_check(n: int) -> bool:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return poly_g(n) == poly_f(n) + poly_f(n - 1)
+
+
+def fg_identity_failures(n_max: int) -> list[int]:
+    """The n in 1..n_max where fg_identity_check(n) fails, from one walk of
+    both recurrences instead of rebuilding them for each n."""
+    f_terms, g_terms = _recurrence_terms(_F_SEED), _recurrence_terms(_G_SEED)
+    f_prev = next(f_terms)
+    next(g_terms)
+    failures = []
+    for n in range(1, n_max + 1):
+        f, g = next(f_terms), next(g_terms)
+        if g != f + f_prev:
+            failures.append(n)
+        f_prev = f
+    return failures
 
 
 # ----------------------------- root isolation ------------------------------

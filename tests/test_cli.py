@@ -203,3 +203,12 @@ def test_subseed_stability():
     assert subseed("x", 1) == subseed("x", 1)
     assert subseed("x", 1) != subseed("y", 1)
     assert subseed("x", 1) != subseed("x", 2)
+
+
+def test_report_config_names_the_kernel_backend():
+    from pathpower import _kernels
+
+    config = run_verify_all(max_size=9, chain_trials=5).to_dict()["config"]
+    assert config["kernel_backend"] == _kernels.BACKEND_REASON
+    assert config["have_speedups"] is _kernels.HAVE_SPEEDUPS
+    assert config["kernel_backend"].split(":")[0] == ("compiled" if _kernels.HAVE_SPEEDUPS else "pure")

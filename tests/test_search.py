@@ -23,6 +23,7 @@ from pathpower import (
     signed_grid_matrix,
     theoretical_f_value,
 )
+from pathpower import _kernels
 from pathpower.search import _scan_task
 
 
@@ -100,6 +101,17 @@ def test_parallel_deadline_bounds_wall_time():
     assert res.kind == "upper-unproven"
     adj = PathPower(2, 2).adjacency_masks()
     assert _scan_task(adj, 3, 1, None, time.time() - 1.0, 0) == (None, 0, 0, True, False)
+
+
+def test_early_exit_stops_running_leads(monkeypatch):
+    # On the pure kernel lead 1 reaches the floor 3 in 23,544 nodes, while
+    # lead 0 alone runs 2.5M nodes (seconds); the early exit must stop it.
+    monkeypatch.setenv("PATHPOWER_PURE", "1")  # read by the worker processes at import
+    monkeypatch.setattr(_kernels, "_lib", None)
+    t0 = time.perf_counter()
+    res = brute_force_f(PathPower(2, 6), budget=SearchBudget(workers=2))
+    assert time.perf_counter() - t0 < 1.5
+    assert res.kind == "exact" and res.value == 3
 
 
 def test_unproven_alpha_raises():

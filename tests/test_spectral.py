@@ -68,6 +68,14 @@ def test_fg_identity(n):
     assert fg_identity_check(n)
 
 
+def test_fg_identity_failures_walks_each_n(monkeypatch):
+    assert spectral.fg_identity_failures(50) == [n for n in range(1, 51) if not fg_identity_check(n)] == []
+    assert spectral.fg_identity_failures(0) == []
+    # negative control: with poly_g seeded like poly_f the identity fails everywhere
+    monkeypatch.setattr(spectral, "_G_SEED", spectral._F_SEED)
+    assert spectral.fg_identity_failures(50) == list(range(1, 51))
+
+
 def test_beta_one_is_exact():
     assert beta(1) == 1.0
 
