@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import platform
 import random
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from . import __version__ as _version
 from . import _kernels
@@ -30,14 +34,15 @@ from .search import (
 from .signed import SignedMatrix, check_support, principal_submatrix, signed_grid_matrix, square_identity_check
 from .spectral import (
     bareiss_det,
+    base_square_spectrum,
     beta,
     charpoly_base_square_check,
-    composed_square_spectrum,
     eigenvalues_sym,
     fg_identity_failures,
     interlacing_check,
+    kron_sum_spectrum,
     multiset_distance,
-    odd3_spectrum_check,
+    odd3_spectrum_checks,
     symmetry_check,
 )
 
@@ -123,17 +128,12 @@ def _check_odd_exact_values(cfg: dict) -> tuple[bool, dict]:
 
 
 def _check_odd3_spectra(cfg: dict) -> tuple[bool, dict]:
-    rows = []
-    ok = True
-    for k in range(1, 6):
-        if 3**k > cfg["max_size"]:
-            continue
-        r = odd3_spectrum_check(k, cfg["tol"])
-        rows.append(
-            [k, r.zero_multiplicity, r.min_positive, r.symmetry_defect, r.closure_defect, r.passed]
-        )
-        ok = ok and r.passed
-    return ok and bool(rows), {"rows": rows}
+    k_max = max((k for k in range(1, 6) if 3**k <= cfg["max_size"]), default=0)
+    rows = [
+        [r.k, r.zero_multiplicity, r.min_positive, r.symmetry_defect, r.closure_defect, r.passed]
+        for r in odd3_spectrum_checks(k_max, cfg["tol"])
+    ]
+    return bool(rows) and all(row[-1] for row in rows), {"rows": rows}
 
 
 def _check_polynomials(cfg: dict) -> tuple[bool, dict]:
@@ -168,7 +168,11 @@ def _check_even_spectra(cfg: dict) -> tuple[bool, dict]:
         bn = beta(n, 1e-12)
         for k in (1, 2, 3):
             if (2 * n) ** k > cfg["max_size"]:
-                continue
+                break
+            if k == 1:  # the base square is solved once per n; each level adds one Kronecker sum
+                base = composed = base_square_spectrum(2 * n, group_tol=tol)
+            else:
+                composed = kron_sum_spectrum(composed, base)
             dense = signed_grid_matrix(2 * n, k).to_dense()
             rep = eigenvalues_sym(dense, group_tol=tol)
             got = rep.min_positive
@@ -176,7 +180,6 @@ def _check_even_spectra(cfg: dict) -> tuple[bool, dict]:
             nonsing = min(abs(v) for v in rep.eigenvalues) > tol
             if k == 1:  # settled exactly: the tridiagonal base has determinant +-1
                 nonsing = nonsing and abs(bareiss_det(dense.tolist())) == 1
-            composed = composed_square_spectrum(2 * n, k, group_tol=tol)
             dist = multiset_distance([v * v for v in rep.eigenvalues], composed.eigenvalues)
             row_ok = abs(got - want) <= tol and nonsing and symmetry_check(rep, tol) and dist <= 1e-7
             rows.append([n, k, got, want, dist, row_ok])
@@ -314,6 +317,9 @@ def run_verify_all(
         "tampered": tamper is not None,
         "have_speedups": _kernels.HAVE_SPEEDUPS,
         "kernel_backend": _kernels.BACKEND_REASON,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "cpu_count": os.cpu_count(),
     }
     t0 = time.perf_counter()
     checks = []

@@ -7,9 +7,13 @@ sign-alternating identity blocks on the off-diagonals:
 
     A(j+1) = D ⊗ A(j) + B ⊗ I,   D = diag(+1, -1, ...),  B = base matrix.
 
-Supported parities: m = 3 ("odd3") and even m = 2n ("even2n").  Construction
-and the squared-matrix decomposition stay in exact sparse integer form;
-callers densify only for numerical spectra.
+Supported parities: m = 3 ("odd3") and even m = 2n ("even2n").  A matrix is
+kept as sorted integer COO arrays: parallel int64 arrays rows, cols and vals,
+each edge stored in both directions, ordered by (row, col), so the key
+row * dim + col increases strictly.  Every operation here (the block
+extension, the support check, the exact square and its Kronecker identity)
+works on whole arrays in int64, which is exact: entries are +-1 and a row has
+at most 2k nonzeros.  Callers densify only for numerical spectra.
 """
 
 from __future__ import annotations
@@ -23,20 +27,21 @@ import numpy as np
 from .errors import DimensionMismatchError, SizeCapError
 from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet
 
-Entries = dict[tuple[int, int], int]
-
 
 @dataclass
 class SignedMatrix:
     """Symmetric sparse matrix with entries in {-1, +1} and zero diagonal.
 
-    entries stores both (i, j) and (j, i) for O(1) lookup.  parity_tag is
-    "odd3" (m = 3) or "even2n" (m = 2n); n and k record the parameters the
-    matrix was built from.
+    rows, cols and vals are parallel int64 arrays holding every nonzero
+    (both (i, j) and (j, i)), sorted by (row, col).  parity_tag is "odd3"
+    (m = 3) or "even2n" (m = 2n); n and k record the parameters the matrix
+    was built from.
     """
 
     dim: int
-    entries: Entries
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     parity_tag: str
     n: int
     k: int
@@ -45,60 +50,40 @@ class SignedMatrix:
     def __post_init__(self) -> None:
         self.m = 3 if self.parity_tag == "odd3" else 2 * self.n
 
+    def keys(self) -> np.ndarray:
+        """row * dim + col of every stored nonzero, in storage order."""
+        return self.rows * self.dim + self.cols
+
     def entry(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
+        lo, hi = np.searchsorted(self.rows, (i, i + 1))
+        p = lo + int(np.searchsorted(self.cols[lo:hi], j))
+        return int(self.vals[p]) if p < hi and self.cols[p] == j else 0
 
     @property
     def nnz(self) -> int:
         """Number of stored (directed) nonzeros; twice the edge count."""
-        return len(self.entries)
+        return len(self.vals)
 
     def graph(self, size_cap: int = DEFAULT_SIZE_CAP) -> PathPower:
         return PathPower(self.m, self.k, size_cap=size_cap)
 
     def to_dense(self, dtype=np.int64) -> np.ndarray:
         a = np.zeros((self.dim, self.dim), dtype=dtype)
-        for (i, j), v in self.entries.items():
-            a[i, j] = v
+        a[self.rows, self.cols] = self.vals
         return a
 
-    def rows(self) -> list[list[tuple[int, int]]]:
-        """Adjacency-list view: rows()[i] is a list of (j, value) pairs."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
-        for (i, j), v in self.entries.items():
-            out[i].append((j, v))
-        return out
+
+def _from_edges(dim: int, i: np.ndarray, j: np.ndarray, v: np.ndarray, tag: str, n: int, k: int) -> SignedMatrix:
+    """The symmetric matrix with entry v at (i, j) and (j, i), sorted by (row, col)."""
+    rows = np.concatenate((i, j))
+    cols = np.concatenate((j, i))
+    order = np.argsort(rows * dim + cols)
+    return SignedMatrix(dim, rows[order], cols[order], np.concatenate((v, v))[order], tag, n, k)
 
 
-def _put(entries: Entries, i: int, j: int, v: int) -> None:
-    entries[(i, j)] = v
-    entries[(j, i)] = v
-
-
-def _base_entries(m: int) -> Entries:
-    """Signed path on m vertices: edge (i, i+1) carries (-1)^(i-1), 1-based."""
-    entries: Entries = {}
-    for i in range(m - 1):  # 0-based edge index
-        _put(entries, i, i + 1, 1 if i % 2 == 0 else -1)
-    return entries
-
-
-def _extend(prev: Entries, prev_dim: int, m: int) -> Entries:
-    """One block step: alternating +/- copies of prev on the diagonal,
-    alternating +/-I on the off-diagonals, both starting positive."""
-    out: Entries = {}
-    for a in range(m):
-        off = a * prev_dim
-        sign = 1 if a % 2 == 0 else -1
-        for (i, j), v in prev.items():
-            out[(off + i, off + j)] = sign * v
-    for a in range(m - 1):
-        t = 1 if a % 2 == 0 else -1
-        lo = a * prev_dim
-        hi = (a + 1) * prev_dim
-        for i in range(prev_dim):
-            _put(out, lo + i, hi + i, t)
-    return out
+def _alternating(count: int) -> np.ndarray:
+    """+1, -1, +1, ... of the given length."""
+    return 1 - 2 * (np.arange(count, dtype=np.int64) % 2)
 
 
 def signed_grid_matrix(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> SignedMatrix:
@@ -109,72 +94,96 @@ def signed_grid_matrix(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Sign
         raise ValueError(f"need m >= 2 and k >= 1, got m={m}, k={k}")
     if m**k > size_cap:
         raise SizeCapError(f"m^k = {m**k} exceeds the size cap {size_cap}")
-    entries = _base_entries(m)
+    # Edges (lo, hi) with lo < hi.  Base: edge (i, i+1) carries (-1)^i, 0-based.
+    lo = np.arange(m - 1, dtype=np.int64)
+    hi = lo + 1
+    v = _alternating(m - 1)
+    signs = _alternating(m)
     dim = m
     for _ in range(k - 1):
-        entries = _extend(entries, dim, m)
+        # Block a holds (-1)^a times the previous edges; blocks a and a + 1
+        # are joined by (-1)^a times the identity.
+        offsets = (np.arange(m, dtype=np.int64) * dim)[:, None]
+        ident = np.arange((m - 1) * dim, dtype=np.int64)
+        lo = np.concatenate(((offsets + lo).ravel(), ident))
+        hi = np.concatenate(((offsets + hi).ravel(), ident + dim))
+        v = np.concatenate(((signs[:, None] * v).ravel(), np.repeat(signs[:-1], dim)))
         dim *= m
     tag = "odd3" if m == 3 else "even2n"
-    return SignedMatrix(dim=dim, entries=entries, parity_tag=tag, n=m // 2, k=k)
+    return _from_edges(dim, lo, hi, v, tag, m // 2, k)
+
+
+def _adjacency_keys(g: PathPower) -> np.ndarray:
+    """Sorted keys r * n + s of every ordered adjacent pair of g, from digits.
+
+    Row r's neighbours r - m^(k-1) < ... < r - 1 < r + 1 < ... < r + m^(k-1)
+    are laid out in that order, so the row-major selection is already sorted.
+    """
+    n = g.n_vertices
+    r = np.arange(n, dtype=np.int64)[:, None]
+    w = g.m ** np.arange(g.k, dtype=np.int64)
+    digit = (r // w) % g.m
+    steps = np.concatenate((-w[::-1], w))
+    valid = np.concatenate(((digit > 0)[:, ::-1], digit < g.m - 1), axis=1)
+    return (r * n + r + steps)[valid]
 
 
 def check_support(a: SignedMatrix, g: PathPower) -> bool:
     """True iff the nonzero pattern of a equals the adjacency of g exactly.
 
-    Checks both inclusions: every edge carries a +-1 entry, the total count
-    of stored nonzeros is twice the edge count (so there is nothing extra),
-    the diagonal is empty, and the entries are symmetric.
+    The stored keys must equal, in storage order, the sorted keys of the
+    grid's adjacent pairs (computed from digits, not by the builder).  That
+    rules out missing, extra, duplicated and diagonal entries and unsorted
+    storage.  Every value must be +-1, and (i, j) and (j, i) must carry the
+    same value.
     """
     if a.dim != g.n_vertices:
         raise DimensionMismatchError(f"matrix dim {a.dim} vs graph size {g.n_vertices}")
-    seen = 0
-    for r in range(g.n_vertices):
-        for s in g.neighbor_ranks(r):
-            v = a.entries.get((r, s), 0)
-            if v not in (-1, 1):
-                return False
-            if v != a.entries.get((s, r), 0):
-                return False
-            seen += 1
-    if seen != 2 * g.edge_count:
+    if not len(a.rows) == len(a.cols) == len(a.vals):
         return False
-    if len(a.entries) != seen:
+    if not np.array_equal(a.keys(), _adjacency_keys(g)):
         return False
-    return all(i != j for (i, j) in a.entries)
+    if not np.all(np.abs(a.vals) == 1):
+        return False
+    # The key set is symmetric, so sorting the transposed keys pairs each
+    # entry with its mirror image.
+    mirror = np.argsort(a.cols * a.dim + a.rows)
+    return bool(np.array_equal(a.vals[mirror], a.vals))
 
 
-def _sparse_square(a: SignedMatrix) -> Entries:
-    """Exact integer A @ A as a sparse map, zero results dropped."""
-    rows = a.rows()
-    out: Entries = {}
-    for i in range(a.dim):
-        acc: dict[int, int] = {}
-        for l, v in rows[i]:
-            for j, w in rows[l]:
-                acc[j] = acc.get(j, 0) + v * w
-        for j, s in acc.items():
-            if s:
-                out[(i, j)] = s
-    return out
+def _canonical(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the values of equal keys and drop zero sums: sorted (key, value) arrays."""
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(vals, first)
+    keep = sums != 0
+    return keys[first][keep], sums[keep]
 
 
-def _kron_identity_left(b: Entries, copies: int, width: int) -> Entries:
-    """I_copies ⊗ B for a sparse B of dimension width."""
-    out: Entries = {}
-    for a in range(copies):
-        off = a * width
-        for (i, j), v in b.items():
-            out[(off + i, off + j)] = v
-    return out
+def _sparse_square(a: SignedMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Exact integer A @ A as sorted (key, value) arrays, zero sums dropped.
+
+    Each stored entry (i, l, v) is expanded against CSR row l: one product
+    v * w per entry (l, j, w), keyed i * dim + j.
+    """
+    indptr = np.searchsorted(a.rows, np.arange(a.dim + 1))
+    counts = indptr[a.cols + 1] - indptr[a.cols]
+    total = int(counts.sum())
+    # Position of each product's (l, j, w) in the arrays: row l's start plus
+    # the product's offset within its run.
+    run_start = np.cumsum(counts) - counts
+    pos = np.arange(total) + np.repeat(indptr[a.cols] - run_start, counts)
+    keys = np.repeat(a.rows, counts) * a.dim + a.cols[pos]
+    return _canonical(keys, np.repeat(a.vals, counts) * a.vals[pos])
 
 
-def _kron_identity_right(c: Entries, width: int) -> Entries:
-    """C ⊗ I_width for a sparse C."""
-    out: Entries = {}
-    for (i, j), v in c.items():
-        for a in range(width):
-            out[(i * width + a, j * width + a)] = v
-    return out
+def dense_square(a: SignedMatrix) -> np.ndarray:
+    """Exact integer A @ A as a dense int64 array, from the sparse square."""
+    keys, vals = _sparse_square(a)
+    out = np.zeros(a.dim * a.dim, dtype=np.int64)
+    out[keys] = vals
+    return out.reshape(a.dim, a.dim)
 
 
 def square_identity_check(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> bool:
@@ -182,39 +191,45 @@ def square_identity_check(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> b
 
     The identity is stated with last-coordinate-major ranks: the lone base
     square acts on the last coordinate (the block index).  Valid for both
-    supported parities; requires k >= 2.
+    supported parities; requires k >= 2.  Both sides are compared as
+    canonical sorted (key, value) arrays.
     """
     if k < 2:
         raise ValueError(f"the square identity needs k >= 2, got k = {k}")
     ak = signed_grid_matrix(m, k, size_cap)
     prev = signed_grid_matrix(m, k - 1, size_cap)
     a1 = signed_grid_matrix(m, 1, size_cap)
-    lhs = _sparse_square(ak)
-    rhs = _kron_identity_left(_sparse_square(prev), m, prev.dim)
-    for key, v in _kron_identity_right(_sparse_square(a1), prev.dim).items():
-        s = rhs.get(key, 0) + v
-        if s:
-            rhs[key] = s
-        else:
-            rhs.pop(key, None)
-    return lhs == rhs
+    d, dim = prev.dim, ak.dim
+    lhs_keys, lhs_vals = _sparse_square(ak)
+    # I_m ⊗ P: block a holds P at offset a * d on both axes.
+    p_keys, p_vals = _sparse_square(prev)
+    p_rows, p_cols = np.divmod(p_keys, d)
+    offsets = (np.arange(m, dtype=np.int64) * d)[:, None]
+    left_keys = ((offsets + p_rows) * dim + offsets + p_cols).ravel()
+    left_vals = np.tile(p_vals, m)
+    # C ⊗ I_d: entry (i, j) of C lands on (i * d + t, j * d + t) for each t.
+    c_keys, c_vals = _sparse_square(a1)
+    c_rows, c_cols = np.divmod(c_keys, m)
+    t = np.arange(d, dtype=np.int64)
+    right_keys = ((c_rows[:, None] * d + t) * dim + c_cols[:, None] * d + t).ravel()
+    right_vals = np.repeat(c_vals, d)
+    rhs_keys, rhs_vals = _canonical(np.concatenate((left_keys, right_keys)), np.concatenate((left_vals, right_vals)))
+    return bool(np.array_equal(lhs_keys, rhs_keys) and np.array_equal(lhs_vals, rhs_vals))
 
 
 def principal_submatrix(a: SignedMatrix, s: VertexSet) -> np.ndarray:
     """Dense symmetric submatrix on the rows and columns of s, sorted by rank."""
     if len(s) == 0:
         raise ValueError("principal submatrix of an empty vertex set")
-    idx = s.ranks()
+    idx = np.array(s.ranks(), dtype=np.int64)
     if idx[-1] >= a.dim:
         raise DimensionMismatchError(f"rank {idx[-1]} outside matrix of dim {a.dim}")
-    size = len(idx)
-    out = np.zeros((size, size), dtype=np.int64)
-    for p, i in enumerate(idx):
-        for q in range(p + 1, size):
-            v = a.entries.get((i, idx[q]), 0)
-            if v:
-                out[p, q] = v
-                out[q, p] = v
+    pos = np.full(a.dim, -1, dtype=np.int64)
+    pos[idx] = np.arange(len(idx))
+    p, q = pos[a.rows], pos[a.cols]
+    inside = (p >= 0) & (q >= 0)
+    out = np.zeros((len(idx), len(idx)), dtype=np.int64)
+    out[p[inside], q[inside]] = a.vals[inside]
     return out
 
 
@@ -228,11 +243,12 @@ def write_matrix_market(a: SignedMatrix, target: str | IO[str]) -> None:
     (lower triangle).  A comment line records m, k and the parity tag, which
     the dimension m^k alone does not determine (64 = 2^6 = 4^3 = 8^2).
     """
-    lower = sorted((i, j, v) for (i, j), v in a.entries.items() if i > j)
+    lower = a.rows > a.cols  # storage order sorts these by (i, j)
+    entries = zip(a.rows[lower].tolist(), a.cols[lower].tolist(), a.vals[lower].tolist())
     lines = ["%%MatrixMarket matrix coordinate integer symmetric"]
     lines.append(f"% pathpower m={a.m} k={a.k} parity={a.parity_tag}")
-    lines.append(f"{a.dim} {a.dim} {len(lower)}")
-    lines.extend(f"{i + 1} {j + 1} {v}" for i, j, v in lower)
+    lines.append(f"{a.dim} {a.dim} {int(lower.sum())}")
+    lines.extend(f"{i + 1} {j + 1} {v}" for i, j, v in entries)
     text = "\n".join(lines) + "\n"
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8") as fh:
@@ -245,7 +261,8 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
     """Read back a matrix written by write_matrix_market (round-trip aid).
 
     Raises ValueError when the m, k and parity comment line is missing or
-    disagrees with the dimension.
+    disagrees with the dimension, or when an index lies outside 1..dim
+    (index arrays would otherwise wrap a 0 around to the last row).
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -261,8 +278,7 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
     m_fits_tag = m == 3 if tag == "odd3" else m >= 2 and m % 2 == 0
     if not m_fits_tag or not 1 <= k <= dim.bit_length() or dim != m**k:
         raise ValueError(f"parameters m={m} k={k} parity={tag} do not fit dimension {dim}")
-    entries: Entries = {}
-    for ln in lines[1 : count + 1]:
-        i, j, v = (int(t) for t in ln.split())
-        _put(entries, i - 1, j - 1, v)
-    return SignedMatrix(dim=dim, entries=entries, parity_tag=tag, n=m // 2, k=k)
+    ijv = np.array([[int(t) for t in ln.split()] for ln in lines[1 : count + 1]], dtype=np.int64).reshape(-1, 3)
+    if np.any((ijv[:, :2] < 1) | (ijv[:, :2] > dim)):
+        raise ValueError(f"an entry index lies outside 1..{dim}")
+    return _from_edges(dim, ijv[:, 0] - 1, ijv[:, 1] - 1, ijv[:, 2], tag, m // 2, k)

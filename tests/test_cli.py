@@ -39,7 +39,7 @@ def test_matrix_roundtrip(tmp_path):
     assert run_cli("matrix", "--parity", "even", "--n", "2", "--k", "2", "--out", str(out)) == 0
     back = read_matrix_market(str(out))
     assert back.dim == 16
-    assert len(back.entries) == 48
+    assert back.nnz == 48
 
 
 def test_matrix_parity_flag_validation():
@@ -167,7 +167,7 @@ def test_verify_all_dense_solve_count(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
     report = run_verify_all()
     assert report.passed
-    assert 0 < len(calls) <= 630
+    assert 0 < len(calls) <= 620
 
 
 def test_report_determinism():
@@ -188,21 +188,35 @@ def test_report_determinism():
 
 def test_report_negative_control():
     def tamper(a: SignedMatrix) -> SignedMatrix:
-        key = next(iter(a.entries))
-        a.entries.pop(key)
-        a.entries.pop((key[1], key[0]))
+        mirror = np.flatnonzero((a.rows == a.cols[0]) & (a.cols == a.rows[0]))
+        keep = np.ones(a.nnz, dtype=bool)
+        keep[[0, *mirror]] = False  # drop one edge in both directions
+        a.rows, a.cols, a.vals = a.rows[keep], a.cols[keep], a.vals[keep]
         return a
 
     report = run_verify_all(max_size=9, chain_trials=5, tamper=tamper)
     assert not report.passed
-    failed = [c.name for c in report.checks if not c.passed]
-    assert failed == ["integer-structure"]
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["integer-structure"]
+    details = failed[0].details
+    assert "error" not in details
+    assert [row[2] for row in details["support"]] == [False] + [True] * (len(details["support"]) - 1)
 
 
 def test_subseed_stability():
     assert subseed("x", 1) == subseed("x", 1)
     assert subseed("x", 1) != subseed("y", 1)
     assert subseed("x", 1) != subseed("x", 2)
+
+
+def test_report_config_records_the_environment():
+    import os
+    import platform
+
+    config = run_verify_all(max_size=9, chain_trials=5).to_dict()["config"]
+    assert config["python_version"] == platform.python_version()
+    assert config["numpy_version"] == np.__version__
+    assert config["cpu_count"] == os.cpu_count()
 
 
 def test_report_config_names_the_kernel_backend():

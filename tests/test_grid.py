@@ -1,9 +1,10 @@
 """Vertex ranking, adjacency, and induced-degree queries on [m]^k."""
 
 import json
+import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathpower import (
@@ -112,6 +113,45 @@ def test_induced_max_degree_examples():
     assert induced_max_degree(all32, G32) == 4
     with pytest.raises(ValueError):
         induced_max_degree(VertexSet(3, 1), p3)
+    with pytest.raises(SizeCapError):
+        induced_max_degree(VertexSet(2, 17, ranks=[0]))
+
+
+def _naive_induced_max_degree(s: VertexSet, g: PathPower) -> int:
+    return max(sum(nb in s for nb in g.neighbor_ranks(r)) for r in s)
+
+
+@st.composite
+def _grid_and_set(draw):
+    m = draw(st.integers(min_value=2, max_value=7))
+    k = draw(st.integers(min_value=1, max_value=6))
+    k = min(k, max(1, int(math.log(700, m))))  # keep m^k small enough for the naive count
+    n = m**k
+    kind = draw(st.sampled_from(["random", "singleton", "full", "word-boundary"]))
+    if kind == "singleton":
+        ranks = [draw(st.integers(min_value=0, max_value=n - 1))]
+    elif kind == "full":
+        ranks = list(range(n))
+    elif kind == "word-boundary" and n > 64:
+        # ranks just below and above multiples of 64, where bitset words meet
+        cuts = draw(st.lists(st.sampled_from(range(64, n, 64)), min_size=1))
+        ranks = sorted({r for c in cuts for r in range(c - 3, min(c + 3, n))})
+    else:
+        ranks = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=n))
+    return m, k, ranks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_and_set())
+def test_induced_max_degree_matches_naive_count(case):
+    m, k, ranks = case
+    g = PathPower(m, k)
+    s = VertexSet(m, k, ranks=ranks)
+    assert induced_max_degree(s, g) == induced_max_degree(s) == _naive_induced_max_degree(s, g)
+    if len(s) == 1:
+        assert induced_max_degree(s, g) == 0
+    if len(s) == g.n_vertices:
+        assert induced_max_degree(s, g) == (2 * k if m >= 3 else k)
 
 
 def test_vertex_set_basics():

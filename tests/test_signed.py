@@ -8,6 +8,7 @@ import pytest
 from pathpower import (
     DimensionMismatchError,
     PathPower,
+    SignedMatrix,
     SizeCapError,
     VertexSet,
     check_support,
@@ -17,6 +18,20 @@ from pathpower import (
     square_identity_check,
     write_matrix_market,
 )
+from pathpower.signed import _sparse_square
+
+
+def _same_arrays(a: SignedMatrix, b: SignedMatrix) -> bool:
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("rows", "cols", "vals"))
+
+
+def _mirror(a: SignedMatrix, p: int) -> int:
+    """Storage position of the transpose of entry p."""
+    return int(np.flatnonzero((a.rows == a.cols[p]) & (a.cols == a.rows[p]))[0])
+
+
+def _keep(a: SignedMatrix, keep: np.ndarray) -> None:
+    a.rows, a.cols, a.vals = a.rows[keep], a.cols[keep], a.vals[keep]
 
 
 def test_base_matrix_three():
@@ -87,16 +102,16 @@ def test_support_matches_adjacency(m, k):
     g = PathPower(m, k)
     assert check_support(a, g)
     assert a.nnz == 2 * k * (m - 1) * m ** (k - 1)
-    assert all(v in (-1, 1) for v in a.entries.values())
-    assert all(a.entry(j, i) == v for (i, j), v in a.entries.items())
+    assert np.all(np.abs(a.vals) == 1)
+    assert all(a.entry(j, i) == v for i, j, v in zip(a.rows.tolist(), a.cols.tolist(), a.vals.tolist()))
 
 
 def test_support_detects_tampering():
     a = signed_grid_matrix(3, 2)
     g = PathPower(3, 2)
-    key = next(iter(a.entries))
-    a.entries.pop(key)
-    a.entries.pop((key[1], key[0]))
+    keep = np.ones(a.nnz, dtype=bool)
+    keep[[0, _mirror(a, 0)]] = False  # drop one edge in both directions
+    _keep(a, keep)
     assert not check_support(a, g)
     with pytest.raises(DimensionMismatchError):
         check_support(signed_grid_matrix(3, 1), g)
@@ -104,9 +119,50 @@ def test_support_detects_tampering():
 
 def test_support_detects_extra_entry():
     a = signed_grid_matrix(2, 2)
-    a.entries[(0, 3)] = 1
-    a.entries[(3, 0)] = 1
+    for i, j in ((0, 3), (3, 0)):  # inserted where they sort, so only the extra key is wrong
+        p = int(np.searchsorted(a.keys(), i * a.dim + j))
+        a.rows, a.cols, a.vals = np.insert(a.rows, p, i), np.insert(a.cols, p, j), np.insert(a.vals, p, 1)
+    assert np.all(np.diff(a.keys()) > 0) and np.all(np.abs(a.vals) == 1)
     assert not check_support(a, PathPower(2, 2))
+
+
+def _flip_one_direction(a):
+    a.vals[0] = -a.vals[0]
+    return "symmetry"
+
+
+def _value_two(a):
+    a.vals[[0, _mirror(a, 0)]] = 2
+    return "values"
+
+
+def _duplicate_for_missing(a):
+    a.rows[1], a.cols[1] = a.rows[0], a.cols[0]  # key 1 is gone, key 0 is stored twice
+    return "keys"
+
+
+def _unsorted(a):
+    order = np.arange(a.nnz)
+    order[[0, 1]] = [1, 0]
+    _keep(a, order)
+    return "order"
+
+
+@pytest.mark.parametrize("tamper", [_flip_one_direction, _value_two, _duplicate_for_missing, _unsorted])
+def test_support_rejects_tampered_arrays(tamper):
+    a = signed_grid_matrix(3, 2)
+    g = PathPower(3, 2)
+    good = set(zip(a.keys().tolist(), a.vals.tolist()))
+    broken = tamper(a)
+    keys = a.keys()
+    # Each tamper breaks one property and keeps the others, so the rejection
+    # below can only come from the property named.
+    assert (broken == "keys") == (set(keys.tolist()) != {k for k, _ in good})
+    assert (broken == "values") == (not np.all(np.abs(a.vals) == 1))
+    assert (broken == "order") == (not np.all(np.diff(keys) >= 0))
+    if broken == "order":
+        assert set(zip(keys.tolist(), a.vals.tolist())) == good
+    assert not check_support(a, g)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6])
@@ -147,7 +203,7 @@ def test_matrix_market_roundtrip():
     assert i > j >= 1 and v in (-1, 1)  # 1-based lower triangle
     back = read_matrix_market(io.StringIO(text))
     assert back.dim == a.dim
-    assert back.entries == a.entries
+    assert _same_arrays(back, a)
 
 
 @pytest.mark.parametrize("m,k", [(4, 2), (3, 3), (2, 6)])
@@ -157,7 +213,7 @@ def test_matrix_market_roundtrip_keeps_parameters(m, k):
     write_matrix_market(a, buf)
     back = read_matrix_market(io.StringIO(buf.getvalue()))
     assert (back.m, back.k, back.n, back.parity_tag) == (a.m, a.k, a.n, a.parity_tag)
-    assert back.entries == a.entries
+    assert _same_arrays(back, a)
     g = back.graph()
     assert (g.m, g.k) == (m, k)
     assert check_support(back, g)
@@ -173,3 +229,63 @@ def test_matrix_market_rejects_missing_or_wrong_parameters():
         text = "".join(lines[:1] + [f"% pathpower {wrong}\n"] + lines[2:])
         with pytest.raises(ValueError):
             read_matrix_market(io.StringIO(text))
+
+
+def test_matrix_market_rejects_out_of_range_index():
+    buf = io.StringIO()
+    write_matrix_market(signed_grid_matrix(2, 6), buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    for bad_entry in ("1 0 1\n", "65 1 1\n"):  # index 0 would wrap to the last row
+        with pytest.raises(ValueError):
+            read_matrix_market(io.StringIO("".join(lines[:3] + [bad_entry] + lines[4:])))
+
+
+def _closed_form_edges(m: int, k: int) -> dict[tuple[int, int], int]:
+    """Each edge (r, r + m^i) of [m]^k with its sign (-1)^(d_i + sum_{j>i} d_j),
+    d the digits of the lower endpoint r (digit 0 least significant)."""
+    edges = {}
+    for r in range(m**k):
+        digits = [(r // m**i) % m for i in range(k)]
+        for i in range(k):
+            if digits[i] < m - 1:
+                edges[(r, r + m**i)] = (-1) ** sum(digits[i:])
+    return edges
+
+
+@pytest.mark.parametrize(
+    "m,k", [(m, k) for m in (2, 3, 4, 6, 8) for k in range(1, 13) if m**k <= 4096]
+)
+def test_signs_match_closed_form(m, k):
+    a = signed_grid_matrix(m, k)
+    edges = _closed_form_edges(m, k)
+    stored = dict(zip(zip(a.rows.tolist(), a.cols.tolist()), a.vals.tolist()))
+    assert a.nnz == len(stored) == 2 * len(edges)
+    for (r, s), sign in edges.items():
+        assert stored[(r, s)] == stored[(s, r)] == sign
+
+
+def _square_as_dict(a: SignedMatrix) -> dict[int, int]:
+    keys, vals = _sparse_square(a)
+    assert np.all(np.diff(keys) > 0) and np.all(vals != 0)
+    return dict(zip(keys.tolist(), vals.tolist()))
+
+
+# numpy's integer matmul does not use BLAS (a 1024-dim product takes seconds),
+# so the dense int64 oracle stops at 512; the scipy test covers larger sizes.
+@pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (2, 5), (3, 5), (4, 4), (6, 3), (2, 9), (8, 3)])
+def test_sparse_square_matches_dense_product(m, k):
+    a = signed_grid_matrix(m, k)
+    d = a.to_dense()
+    want = d @ d
+    nz = np.flatnonzero(want)
+    assert _square_as_dict(a) == dict(zip(nz.tolist(), want.ravel()[nz].tolist()))
+
+
+@pytest.mark.parametrize("m,k", [(3, 8), (2, 12)])
+def test_sparse_square_matches_scipy(m, k):
+    sparse = pytest.importorskip("scipy.sparse")
+    a = signed_grid_matrix(m, k)
+    sq = sparse.csr_matrix((a.vals, (a.rows, a.cols)), shape=(a.dim, a.dim), dtype=np.int64)
+    sq = (sq @ sq).tocoo()
+    want = {int(i) * a.dim + int(j): int(v) for i, j, v in zip(sq.row, sq.col, sq.data) if v}
+    assert _square_as_dict(a) == want
