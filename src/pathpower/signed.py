@@ -50,6 +50,15 @@ class SignedMatrix:
     def __post_init__(self) -> None:
         self.m = 3 if self.parity_tag == "odd3" else 2 * self.n
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SignedMatrix):
+            return NotImplemented
+        params = (self.dim, self.parity_tag, self.n, self.k) == (other.dim, other.parity_tag, other.n, other.k)
+        return params and all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in ((self.rows, other.rows), (self.cols, other.cols), (self.vals, other.vals))
+        )
+
     def keys(self) -> np.ndarray:
         """row * dim + col of every stored nonzero, in storage order."""
         return self.rows * self.dim + self.cols

@@ -21,10 +21,6 @@ from pathpower import (
 from pathpower.signed import _sparse_square
 
 
-def _same_arrays(a: SignedMatrix, b: SignedMatrix) -> bool:
-    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("rows", "cols", "vals"))
-
-
 def _mirror(a: SignedMatrix, p: int) -> int:
     """Storage position of the transpose of entry p."""
     return int(np.flatnonzero((a.rows == a.cols[p]) & (a.cols == a.rows[p]))[0])
@@ -162,6 +158,7 @@ def test_support_rejects_tampered_arrays(tamper):
     assert (broken == "order") == (not np.all(np.diff(keys) >= 0))
     if broken == "order":
         assert set(zip(keys.tolist(), a.vals.tolist())) == good
+    assert a != signed_grid_matrix(3, 2)
     assert not check_support(a, g)
 
 
@@ -203,7 +200,7 @@ def test_matrix_market_roundtrip():
     assert i > j >= 1 and v in (-1, 1)  # 1-based lower triangle
     back = read_matrix_market(io.StringIO(text))
     assert back.dim == a.dim
-    assert _same_arrays(back, a)
+    assert back == a
 
 
 @pytest.mark.parametrize("m,k", [(4, 2), (3, 3), (2, 6)])
@@ -213,7 +210,7 @@ def test_matrix_market_roundtrip_keeps_parameters(m, k):
     write_matrix_market(a, buf)
     back = read_matrix_market(io.StringIO(buf.getvalue()))
     assert (back.m, back.k, back.n, back.parity_tag) == (a.m, a.k, a.n, a.parity_tag)
-    assert _same_arrays(back, a)
+    assert back == a
     g = back.graph()
     assert (g.m, g.k) == (m, k)
     assert check_support(back, g)
