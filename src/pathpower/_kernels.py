@@ -1,16 +1,17 @@
 """Kernel dispatch: the compiled subset scan when available, pure Python
-otherwise.
+otherwise.  The scan is the only search kernel; the independence number is
+proved by certificate in pathpower.search.
 
 At import the scan kernel `_scan.c` is compiled with the system C compiler
 into `__pycache__/_scan-<hash>.so`, where the hash covers the source and the
 compiler flags, and loaded with ctypes.  Later imports load the cached
 library.  Any failure (no compiler, a failed or timed-out build, a cache
 directory that cannot be written, a library that does not load) selects the
-pure-Python kernels instead, and BACKEND_REASON says which backend was
+pure-Python kernel instead, and BACKEND_REASON says which backend was
 chosen and why.  The compiled scan handles graphs of at most 256 vertices;
-larger graphs, and the independent-set solver, always use the pure kernels,
-whose Python-int masks have no width limit.  Set PATHPOWER_PURE=1 in the
-environment to force the pure path.
+larger graphs always use the pure kernel, whose Python-int masks have no
+width limit.  Set PATHPOWER_PURE=1 in the environment to force the pure
+path.
 """
 
 from __future__ import annotations
@@ -166,17 +167,6 @@ def scan_min_induced_degree(
     )
 
 
-def solve_max_independent_set(
-    adj: list[int],
-    max_nodes: int | None = None,
-    time_limit: float | None = None,
-    seed_mask: int = 0,
-):
-    """The pure branch-and-bound solver: every graph the library builds
-    settles at or near its root node, so it has no compiled twin."""
-    return _kernels_py.solve_max_independent_set(
-        adj,
-        -1 if max_nodes is None else max_nodes,
-        0.0 if time_limit is None else time_limit,
-        seed_mask,
-    )
+# perfbench/spans.py still resolves this name when it installs its tracer.
+def solve_max_independent_set(*args, **kwargs):
+    raise NotImplementedError("the independence number is proved by certificate: use search.max_independent_set")

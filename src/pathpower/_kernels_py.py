@@ -1,16 +1,14 @@
-"""Pure-Python search kernels over bitmask adjacency.
+"""Pure-Python search kernel over bitmask adjacency.
 
-These are the hot loops behind the exact oracles: a lexicographic scan over
-fixed-size vertex subsets minimizing the induced maximum degree, and a
-branch-and-bound maximum-independent-set solver.  Masks are plain Python
-integers, so any graph size works; the scan has a compiled twin in _scan.c
-for graphs of at most 256 vertices (see pathpower._kernels).
+This is the hot loop behind the induced-degree oracle: a lexicographic scan
+over fixed-size vertex subsets minimizing the induced maximum degree.  Masks
+are plain Python integers, so any graph size works; the scan has a compiled
+twin in _scan.c for graphs of at most 256 vertices (see pathpower._kernels).
 
-Both kernels return plain tuples, so the compiled scan can mirror the
-contract exactly:
+It returns a plain tuple, so the compiled scan can mirror the contract
+exactly:
 
     scan_min_induced_degree -> (best, witness_mask, nodes, truncated, early)
-    solve_max_independent_set -> (best_size, witness_mask, nodes, truncated)
 """
 
 from __future__ import annotations
@@ -131,99 +129,3 @@ def scan_min_induced_degree(
     if best == sentinel:
         return None, 0, nodes, truncated, early
     return best, best_mask, nodes, truncated, early
-
-
-def _greedy_matching_bound(adj: list[int], cand: int, count: int) -> int:
-    """Upper bound on the independence number of the induced candidates:
-    a greedy matching covers each independent vertex pair at most once, so
-    alpha <= count - pairs."""
-    matched = 0
-    pairs = 0
-    mm = cand
-    while mm:
-        lsb = mm & -mm
-        mm ^= lsb
-        if matched & lsb:
-            continue
-        v = lsb.bit_length() - 1
-        free = adj[v] & cand & ~matched
-        if free:
-            w = free & -free
-            matched |= lsb | w
-            pairs += 1
-            mm &= ~w
-    return count - pairs
-
-
-def solve_max_independent_set(
-    adj: list[int],
-    max_nodes: int = -1,
-    time_limit: float = 0.0,
-    seed_mask: int = 0,
-):
-    """Branch-and-bound maximum independent set over bitmask adjacency.
-
-    seed_mask is a known independent set providing the initial incumbent
-    (pass 0 for none).  Branching picks the candidate of maximum degree;
-    include-branch is explored first.  Vertices isolated within the
-    candidate set are taken greedily since nothing conflicts with them.
-
-    Returns (best_size, witness_mask, nodes, truncated).
-    """
-    n = len(adj)
-    full = (1 << n) - 1
-    best_mask = seed_mask
-    best = seed_mask.bit_count()
-    nodes = 0
-    truncated = False
-    deadline = time.monotonic() + time_limit if time_limit > 0 else None
-
-    stack = [(full, 0)]
-    while stack:
-        if max_nodes >= 0 and nodes >= max_nodes:
-            truncated = True
-            break
-        if deadline is not None and nodes & _CHECK_MASK == 0 and time.monotonic() > deadline:
-            truncated = True
-            break
-        nodes += 1
-        cand, chosen = stack.pop()
-
-        iso = 0
-        mm = cand
-        while mm:
-            lsb = mm & -mm
-            if adj[lsb.bit_length() - 1] & cand == 0:
-                iso |= lsb
-            mm ^= lsb
-        if iso:
-            chosen |= iso
-            cand ^= iso
-        if cand == 0:
-            size = chosen.bit_count()
-            if size > best:
-                best = size
-                best_mask = chosen
-            continue
-
-        count = cand.bit_count()
-        size = chosen.bit_count()
-        if size + _greedy_matching_bound(adj, cand, count) <= best:
-            continue
-
-        pivot = -1
-        pivot_deg = -1
-        mm = cand
-        while mm:
-            lsb = mm & -mm
-            v = lsb.bit_length() - 1
-            d = (adj[v] & cand).bit_count()
-            if d > pivot_deg:
-                pivot_deg = d
-                pivot = v
-            mm ^= lsb
-        bit = 1 << pivot
-        stack.append((cand ^ bit, chosen))
-        stack.append((cand & ~(adj[pivot] | bit), chosen | bit))
-
-    return best, best_mask, nodes, truncated

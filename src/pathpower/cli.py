@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -124,7 +125,7 @@ def cmd_alpha(args, parser) -> int:
     doc = {"m": args.m, "k": args.k, "alpha": alpha_formula(args.m, args.k)}
     if args.brute:
         g = PathPower(args.m, args.k, size_cap=args.size_cap)
-        res = max_independent_set(g, _budget_from(args))
+        res = max_independent_set(g)
         doc["brute"] = res.size
         doc["proven"] = res.proven
         doc["witness"] = res.witness.ranks()
@@ -193,6 +194,7 @@ def cmd_export_table(args, parser) -> int:
     return 0
 
 
+@functools.cache  # the argparse tree is cyclic garbage once dropped; build it once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathpower",
@@ -234,12 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_beta)
 
-    p = sub.add_parser("alpha", help="independence number, optionally brute-forced")
+    p = sub.add_parser("alpha", help="independence number, optionally proved by certificate")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--brute", action="store_true")
+    p.add_argument("--brute", action="store_true", help="check the alternating set and snake matching certificate")
     p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
-    _add_budget_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_alpha)
 

@@ -24,6 +24,3 @@ class BracketingError(PathPowerError, RuntimeError):
 class EigenSolveError(PathPowerError, RuntimeError):
     """Symmetric eigensolve did not meet its residual contract."""
 
-
-class UnprovenAlphaError(PathPowerError, RuntimeError):
-    """Search budget was exhausted before the independence number was settled."""

@@ -92,7 +92,7 @@ def _check_independence_numbers(cfg: dict) -> tuple[bool, dict]:
         if m**k > cfg["max_size"]:
             continue
         g = PathPower(m, k)
-        mis = max_independent_set(g, cfg["budget"])
+        mis = max_independent_set(g)
         expected = alpha_formula(m, k)
         ran.append([m, k, mis.size])
         if not (mis.proven and mis.size == expected == (m**k + 1) // 2):

@@ -1,9 +1,14 @@
-"""Exact search oracles: maximum independent set and the minimum induced
-maximum degree over subsets one (or s) larger than the independence number.
+"""Exact oracles: the independence number, proved by a checked
+certificate, and the minimum induced maximum degree over subsets one (or s)
+larger than it, by budgeted search.
 
-Both oracles are budgeted: exceeding the node cap or the deadline yields a
-result flagged as unproven, never a silently wrong value.  The subset scan
-can be partitioned across worker processes by the smallest member of the
+The independence number of [m]^k needs no search: the alternating set is
+independent, and every second edge of the snake-order Hamiltonian path is
+a matching that bounds alpha from above; both are checked in linear time.
+
+The subset scan is budgeted: exceeding the node cap or the deadline yields a
+result flagged as unproven, never a silently wrong value.  It can be
+partitioned across worker processes by the smallest member of the
 subset; the combined value is a min-reduction and does not depend on the
 worker count (witnesses may differ, values may not).  The workers are
 started with the spawn method, so a calling script keeps its top-level code
@@ -20,8 +25,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import _kernels
-from .errors import UnprovenAlphaError
+from .constructions import alternating_independent_set, is_independent
 from .grid import PathPower, VertexSet, induced_max_degree
 from .signed import SignedMatrix, principal_submatrix
 from .spectral import beta, beta_side_of, eigenvalues_sym
@@ -29,7 +36,7 @@ from .spectral import beta, beta_side_of, eigenvalues_sym
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Resource limits for the oracles.
+    """Resource limits for the subset scan.
 
     max_subsets caps the number of search nodes (partial subsets examined),
     max_seconds is a wall-clock deadline (None for no deadline), workers is
@@ -72,75 +79,63 @@ class FSearchResult:
         return self.kind == "exact"
 
 
-def _degeneracy_order(adj: list[int]) -> list[int]:
-    """Repeatedly remove a minimum-degree vertex (lowest index on ties)."""
-    n = len(adj)
-    remaining = (1 << n) - 1
-    order = []
-    for _ in range(n):
-        best_v = -1
-        best_d = n + 1
-        mm = remaining
-        while mm:
-            lsb = mm & -mm
-            v = lsb.bit_length() - 1
-            d = (adj[v] & remaining).bit_count()
-            if d < best_d:
-                best_d = d
-                best_v = v
-            mm ^= lsb
-        order.append(best_v)
-        remaining ^= 1 << best_v
-    return order
+def _snake_order(m: int, k: int) -> np.ndarray:
+    """The ranks of [m]^k in boustrophedon order, a Hamiltonian path.
 
-
-def _greedy_independent(adj: list[int], order: list[int]) -> int:
-    taken = 0
-    blocked = 0
-    for v in order:
-        bit = 1 << v
-        if blocked & bit:
-            continue
-        taken |= bit
-        blocked |= bit | adj[v]
-    return taken
-
-
-def max_independent_set(g: PathPower, budget: SearchBudget = DEFAULT_BUDGET) -> MisResult:
-    """Exact independence number of g with a witness set.
-
-    Branch and bound over bitmask candidates; vertices are relabeled into
-    degeneracy order first and a greedy pass seeds the incumbent.  A
-    truncated run reports proven=False and the best set found so far.
+    Each level lays out m blocks over the new last coordinate, the previous
+    order in even blocks and its reverse in odd ones, so the last rank of a
+    block and the first of the next differ only in that coordinate.
     """
-    adj = g.adjacency_masks()
-    n = g.n_vertices
-    if n <= 2048:
-        order = _degeneracy_order(adj)
-    else:
-        order = list(range(n))  # keep setup cost flat; the budget governs the search
-    position = {v: i for i, v in enumerate(order)}
-    relabeled = [0] * n
-    for v in range(n):
-        acc = 0
-        mm = adj[v]
-        while mm:
-            lsb = mm & -mm
-            acc |= 1 << position[lsb.bit_length() - 1]
-            mm ^= lsb
-        relabeled[position[v]] = acc
-    seed = _greedy_independent(relabeled, list(range(n)))
+    blocks = np.arange(m, dtype=np.int64)[:, None]
+    path = blocks.ravel()
+    for _ in range(k - 1):
+        path = (np.where(blocks % 2 == 0, path, path[::-1]) + path.size * blocks).ravel()
+    return path
 
-    size, mask, nodes, truncated = _kernels.solve_max_independent_set(
-        relabeled, budget.max_subsets, budget.max_seconds, seed_mask=seed
+
+def _is_grid_edge(g: PathPower, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Elementwise: are ranks u and v adjacent in g?  Decided from digits:
+    they differ by w = m^i and the lower one's digit i is below m - 1."""
+    lo = np.minimum(u, v)
+    gap = np.abs(u - v)
+    edge = np.zeros(lo.shape, dtype=bool)
+    w = 1
+    for _ in range(g.k):
+        edge |= (gap == w) & ((lo // w) % g.m < g.m - 1)
+        w *= g.m
+    return edge
+
+
+def alpha_certificate_holds(g: PathPower, independent: VertexSet, path: np.ndarray) -> bool:
+    """True iff independent and path prove alpha(g) = len(independent).
+
+    The set must be independent (the lower bound) and the path a
+    permutation of the ranks whose pairs (path[2i], path[2i+1]) are edges:
+    those floor(n/2) disjoint edges form a matching M, and an independent
+    set holds at most one end of each, so alpha <= n - |M| (the upper
+    bound).  The two bounds meet when len(independent) = n - floor(n/2).
+    """
+    n = g.n_vertices
+    pairs = n // 2
+    return (
+        is_independent(independent, g)
+        and path.shape == (n,)
+        and np.array_equal(np.sort(path), np.arange(n))
+        and bool(_is_grid_edge(g, path[0 : 2 * pairs : 2], path[1 : 2 * pairs : 2]).all())
+        and len(independent) == n - pairs
     )
-    witness = VertexSet(g.m, g.k)
-    mm = mask
-    while mm:
-        lsb = mm & -mm
-        witness.add(order[lsb.bit_length() - 1])
-        mm ^= lsb
-    return MisResult(size=size, witness=witness, proven=not truncated, nodes_examined=nodes)
+
+
+def max_independent_set(g: PathPower) -> MisResult:
+    """Independence number of g with a witness set, proved by certificate.
+
+    The witness is the alternating set; the snake order supplies the
+    matching that bounds alpha from above (see alpha_certificate_holds).
+    Linear in the vertex count, and no adjacency masks are built.
+    """
+    witness = alternating_independent_set(g.m, g.k, size_cap=g.n_vertices)
+    proven = alpha_certificate_holds(g, witness, _snake_order(g.m, g.k))
+    return MisResult(size=len(witness), witness=witness, proven=proven, nodes_examined=0)
 
 
 def _scan_task(adj, target, stop_at, max_nodes, deadline, lead):
@@ -174,8 +169,8 @@ def brute_force_f(
     """Exact minimum of the induced maximum degree over subsets of size
     alpha(g) + s, with an achieving witness.
 
-    The independence number is established by the branch-and-bound oracle
-    first (UnprovenAlphaError if the budget cannot settle it).  stop_at is
+    The independence number comes from the certificate of
+    max_independent_set; its time counts against the deadline.  stop_at is
     a proven lower bound on the answer: the scan stops as soon as a subset
     achieves it, turning bound plus witness into an exact value.  Defaults
     to 1, raised to the spectral floor for even path lengths; pass 0 to
@@ -187,9 +182,7 @@ def brute_force_f(
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     deadline = None if budget.max_seconds is None else time.time() + budget.max_seconds
-    mis = max_independent_set(g, budget)
-    if not mis.proven:
-        raise UnprovenAlphaError(f"independence number of [{g.m}]^{g.k} not settled within budget")
+    mis = max_independent_set(g)
     target = mis.size + s
     if target > g.n_vertices:
         raise ValueError(f"alpha + s = {target} exceeds {g.n_vertices} vertices")

@@ -1,6 +1,7 @@
 """Command-line surface and the verify-all report machinery."""
 
 import copy
+import gc
 import json
 
 import numpy as np
@@ -97,6 +98,36 @@ def test_alpha_command_brute_match(capsys):
     assert run_cli("alpha", "--m", "3", "--k", "2", "--brute") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["alpha"] == 5 and doc["brute"] == 5 and doc["match"] is True
+
+
+def test_alpha_command_brute_at_the_cap(capsys):
+    assert run_cli("alpha", "--m", "4", "--k", "8", "--brute") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["alpha"] == doc["brute"] == len(doc["witness"]) == 32768
+    assert doc["proven"] is True and doc["match"] is True
+
+
+@pytest.mark.parametrize("flag", ["--max-seconds", "--max-subsets", "--workers"])
+def test_alpha_has_no_search_budget(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("alpha", "--m", "3", "--k", "2", flag, "1")
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_repeated_main_leaves_little_cyclic_garbage(capsys):
+    run_cli("beta", "--n", "2")
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_cli("beta", "--n", "2")
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert garbage < 100
 
 
 def test_f_command_theory_and_brute(capsys):

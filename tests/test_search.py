@@ -5,14 +5,15 @@ import random
 import time
 
 import mpmath
+import numpy as np
 import pytest
 
 from pathpower import (
     PathPower,
     SearchBudget,
-    UnprovenAlphaError,
     VertexSet,
     alpha_formula,
+    alternating_independent_set,
     brute_force_f,
     degree_bound_check,
     induced_max_degree,
@@ -24,7 +25,7 @@ from pathpower import (
     theoretical_f_value,
 )
 from pathpower import _kernels
-from pathpower.search import _scan_task
+from pathpower.search import _is_grid_edge, _scan_task, _snake_order, alpha_certificate_holds
 
 
 @pytest.mark.parametrize("m,k,expected", [(3, 2, 5), (2, 3, 4), (5, 2, 13)])
@@ -34,6 +35,72 @@ def test_max_independent_set_values(m, k, expected):
     assert res.size == expected
     assert len(res.witness) == expected
     assert is_independent(res.witness)
+
+
+def _certificate(m, k):
+    return PathPower(m, k), alternating_independent_set(m, k), _snake_order(m, k)
+
+
+@pytest.mark.parametrize("m,k", [(2, 1), (2, 3), (3, 2), (4, 2), (3, 3), (5, 1)])
+def test_grid_edge_from_digits_matches_neighbor_ranks(m, k):
+    g = PathPower(m, k)
+    u, v = np.divmod(np.arange(g.n_vertices**2, dtype=np.int64), g.n_vertices)
+    want = np.array([int(b) in g.neighbor_ranks(int(a)) for a, b in zip(u, v)])
+    assert np.array_equal(_is_grid_edge(g, u, v), want)
+
+
+@pytest.mark.parametrize("m,k", [(2, 1), (2, 4), (3, 2), (4, 3), (5, 2)])
+def test_snake_is_a_hamiltonian_path(m, k):
+    g, _, path = _certificate(m, k)
+    assert path.dtype == np.int64 and sorted(path.tolist()) == list(range(g.n_vertices))
+    assert all(int(b) in g.neighbor_ranks(int(a)) for a, b in zip(path, path[1:]))
+
+
+@pytest.mark.parametrize("m,k", [(2, 2), (3, 2), (4, 3), (5, 2), (2, 5)])
+def test_alpha_certificate_rejects_tampered_inputs(m, k):
+    # Each tamper but the last two breaks exactly one of the four checks.
+    g, independent, path = _certificate(m, k)
+    assert alpha_certificate_holds(g, independent, path)
+
+    crossed = path.copy()
+    crossed[[1, 2]] = crossed[[2, 1]]  # pairs (p0, p2) and (p1, p3): two steps apart, never adjacent
+    assert not alpha_certificate_holds(g, independent, crossed)
+
+    repeated = path.copy()
+    repeated[3] = repeated[1]  # pair (p2, p1) is still an edge
+    assert not alpha_certificate_holds(g, independent, repeated)
+
+    swapped = independent.copy()
+    swapped.discard(independent.ranks()[-1])
+    swapped.add(1)  # rank 0 is a member and rank 1 its neighbour
+    assert len(swapped) == len(independent)
+    assert not alpha_certificate_holds(g, swapped, path)
+
+    shrunk = independent.copy()
+    shrunk.discard(0)
+    assert is_independent(shrunk)
+    assert not alpha_certificate_holds(g, shrunk, path)
+
+    grown = independent.copy()
+    grown.add(1)
+    assert not alpha_certificate_holds(g, grown, path)
+
+    doubled = path.copy()
+    doubled[1] = doubled[0]
+    assert not alpha_certificate_holds(g, independent, doubled)
+
+
+@pytest.mark.parametrize("m,k", [(4, 8), (2, 16), (3, 10)])
+def test_alpha_at_the_cap_builds_no_masks(monkeypatch, m, k):
+    def refuse(self):
+        raise AssertionError("adjacency masks built")
+
+    monkeypatch.setattr(PathPower, "adjacency_masks", refuse)
+    t0 = time.perf_counter()
+    res = max_independent_set(PathPower(m, k))
+    assert time.perf_counter() - t0 < 1.0
+    assert res.proven and res.size == alpha_formula(m, k) == len(res.witness)
+    assert res.nodes_examined == 0
 
 
 def test_oracle_agrees_with_formula_small_grid():
@@ -114,9 +181,9 @@ def test_early_exit_stops_running_leads(monkeypatch):
     assert res.kind == "exact" and res.value == 3
 
 
-def test_unproven_alpha_raises():
-    with pytest.raises(UnprovenAlphaError):
-        brute_force_f(PathPower(3, 2), budget=SearchBudget(max_seconds=1e-9))
+def test_tiny_deadline_returns_upper_unproven():
+    res = brute_force_f(PathPower(3, 2), budget=SearchBudget(max_seconds=1e-9))
+    assert res.kind == "upper-unproven" and res.value is None
 
 
 def test_oversized_subset_rejected():

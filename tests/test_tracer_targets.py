@@ -1,0 +1,27 @@
+"""The benchmark's tracer wraps library functions by name; every name it
+lists must still exist, or `perfbench/run.py --trace 1` fails at install."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _spans_module():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _spans_module()
+
+
+@pytest.mark.parametrize("module_name,path", [(t[0], t[1]) for t in spans.TARGETS])
+def test_tracer_target_resolves(module_name, path):
+    importlib.import_module(module_name)
+    owner, leaf = spans._resolve(module_name, path)
+    assert callable(getattr(owner, leaf))
