@@ -11,7 +11,8 @@ pure-Python kernel instead, and BACKEND_REASON says which backend was
 chosen and why.  The compiled scan handles graphs of at most 256 vertices;
 larger graphs always use the pure kernel, whose Python-int masks have no
 width limit.  Set PATHPOWER_PURE=1 in the environment to force the pure
-path.
+path.  ctypes releases the interpreter lock around the compiled scan, so
+threads sharing one search state scan in parallel.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _load(cache_dir: Path):
         ctypes.c_int,  # stop_at
         ctypes.c_longlong,  # max_nodes
         ctypes.c_double,  # time_limit
-        ctypes.c_int,  # lead
+        ctypes.POINTER(ctypes.c_longlong),  # shared: next lead, best of any thread
         ctypes.POINTER(ctypes.c_longlong),  # out: best, nodes, truncated, early
         ctypes.POINTER(ctypes.c_uint64),  # out: witness mask
     ]
@@ -126,26 +127,30 @@ def backend_for(n_vertices: int) -> str:
     return "pure"
 
 
-def _scan_compiled(adj, target, stop_at, max_nodes, time_limit, lead):
+def _scan_compiled(adj, target, stop_at, max_nodes, time_limit, shared):
     """The compiled scan, with the pure kernel's arguments and result."""
     n = len(adj)
     if n > COMPILED_MAX_VERTICES:
         raise ValueError(f"compiled scan is limited to {COMPILED_MAX_VERTICES} vertices, got {n}")
     if not 0 < target <= n:
         raise ValueError(f"subset size {target} outside 1..{n}")
-    if lead >= 0 and lead > n - target:
-        return None, 0, 0, False, False
+    if shared is None:
+        shared = (ctypes.c_longlong * 2)(0, target + 1)
     words = (n + 63) // 64
     rows = (ctypes.c_uint64 * (n * words))(*[(row >> (64 * w)) & _WORD_MASK for row in adj for w in range(words)])
     out = (ctypes.c_longlong * 4)()
     mask_words = (ctypes.c_uint64 * words)()
-    if _lib.pp_scan(rows, n, words, target, stop_at, max_nodes, time_limit, lead, out, mask_words):
-        raise ValueError(f"compiled scan rejected n={n}, target={target}, lead={lead}")
+    if _lib.pp_scan(rows, n, words, target, stop_at, max_nodes, time_limit, shared, out, mask_words):
+        raise ValueError(f"compiled scan rejected n={n}, target={target}, next lead={shared[0]}")
     best, nodes, truncated, early = out
-    if best == target + 1:
-        return None, 0, nodes, bool(truncated), bool(early)
     mask = sum(word << (64 * w) for w, word in enumerate(mask_words))
-    return best, mask, nodes, bool(truncated), bool(early)
+    return best if mask else None, mask, nodes, bool(truncated), bool(early)
+
+
+def _scan(adj, *args):
+    """The kernel that fits the graph, with the kernels' own arguments."""
+    impl = _scan_compiled if backend_for(len(adj)) == "compiled" else _kernels_py.scan_min_induced_degree
+    return impl(adj, *args)
 
 
 def scan_min_induced_degree(
@@ -154,17 +159,11 @@ def scan_min_induced_degree(
     stop_at: int = 1,
     max_nodes: int | None = None,
     time_limit: float | None = None,
-    lead: int = -1,
+    shared=None,
 ):
-    impl = _scan_compiled if backend_for(len(adj)) == "compiled" else _kernels_py.scan_min_induced_degree
-    return impl(
-        adj,
-        target,
-        stop_at,
-        -1 if max_nodes is None else max_nodes,
-        0.0 if time_limit is None else time_limit,
-        lead,
-    )
+    max_nodes = -1 if max_nodes is None else max_nodes
+    time_limit = 0.0 if time_limit is None else time_limit
+    return _scan(adj, target, stop_at, max_nodes, time_limit, shared)
 
 
 # perfbench/spans.py still resolves this name when it installs its tracer.

@@ -13,9 +13,11 @@ exactly:
 
 from __future__ import annotations
 
+import threading
 import time
 
-_CHECK_MASK = 2047  # consult the clock every 2048 nodes
+_CHECK_MASK = 2047  # consult the clock and the shared best every 2048 nodes
+_SHARED_LOCK = threading.Lock()  # makes each update of a shared state one atomic step
 
 
 def scan_min_induced_degree(
@@ -24,7 +26,7 @@ def scan_min_induced_degree(
     stop_at: int = 1,
     max_nodes: int = -1,
     time_limit: float = 0.0,
-    lead: int = -1,
+    shared=None,
 ):
     """Minimum induced max degree over all target-subsets, by pruned scan.
 
@@ -33,21 +35,25 @@ def scan_min_induced_degree(
     incumbent best, since supersets can only do worse.  A completed subset
     scoring at or below stop_at ends the search (early exit); stop_at <= -1
     disables that.  max_nodes < 0 means unbounded; time_limit <= 0 means no
-    deadline.  lead >= 0 restricts the scan to subsets whose smallest member
-    is exactly lead (the unit of multi-worker partitioning).
+    deadline.  shared, a `ctypes.c_longlong * 2` that threads scanning one
+    search pass to each call, holds [next lead, best degree completed by any
+    thread]; None is a fresh state that scans every lead.  The scan takes
+    the next lead (smallest member) atomically at level 0 and stops when it
+    passes n - target.  Every 2048 nodes it adopts a lower shared best,
+    dropping its own witness, and stops (truncated) once that is at or
+    below stop_at.  A completed subset lowers the shared best.
 
     Returns (best, witness_mask, nodes, truncated, early); best is None when
-    the budget ran out before any subset was completed.
+    this scan holds no witness.
     """
     n = len(adj)
     if not 0 < target <= n:
         raise ValueError(f"subset size {target} outside 1..{n}")
-    if lead >= 0 and lead > n - target:
-        return None, 0, 0, False, False
+    if shared is None:
+        shared = [0, target + 1]
     deadline = time.monotonic() + time_limit if time_limit > 0 else None
 
-    sentinel = target + 1  # exceeds any induced degree on target vertices
-    best = sentinel
+    best = target + 1  # exceeds any induced degree on target vertices
     best_mask = 0
     nodes = 0
     truncated = False
@@ -60,17 +66,27 @@ def scan_min_induced_degree(
     last_level = target - 1
 
     level = 0
-    v = lead if lead >= 0 else 0
+    v = 0
     while True:
-        hi = lead if (lead >= 0 and level == 0) else n - target + level
+        hi = n - target + level
         placed = False
-        while v <= hi:
+        while True:
+            if level == 0:
+                with _SHARED_LOCK:
+                    v = shared[0]
+                    shared[0] = v + 1
+            if v > hi:
+                break
             if max_nodes >= 0 and nodes >= max_nodes:
                 truncated = True
                 break
-            if deadline is not None and nodes & _CHECK_MASK == 0 and time.monotonic() > deadline:
-                truncated = True
-                break
+            if nodes & _CHECK_MASK == 0:
+                if shared[1] < best:  # another thread completed a better subset
+                    best, best_mask = shared[1], 0
+                    truncated = best <= stop_at
+                if truncated or (deadline is not None and time.monotonic() > deadline):
+                    truncated = True
+                    break
             nodes += 1
             nb = adj[v] & chosen
             cm = maxes[level - 1] if level else 0
@@ -90,6 +106,8 @@ def scan_min_induced_degree(
             if level == last_level:
                 best = cm
                 best_mask = chosen | (1 << v)
+                with _SHARED_LOCK:
+                    shared[1] = min(shared[1], best)
                 if stop_at >= 0 and best <= stop_at:
                     early = True
                     break
@@ -126,6 +144,6 @@ def scan_min_induced_degree(
         deg[w] = 0
         v = w + 1
 
-    if best == sentinel:
+    if not best_mask:
         return None, 0, nodes, truncated, early
     return best, best_mask, nodes, truncated, early

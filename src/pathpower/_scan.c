@@ -1,11 +1,12 @@
 /* Compiled twin of pathpower._kernels_py.scan_min_induced_degree for graphs
  * of at most 256 vertices.
  *
- * Same algorithm, visit order, node accounting, lead, node-cap and stop-at
- * rules as the pure kernel, whose docstring is the contract.
+ * Same algorithm, visit order, node accounting, shared-state, node-cap and
+ * stop-at rules as the pure kernel, whose docstring is the contract.
  * pathpower._kernels compiles this file into a shared library and calls it
- * through ctypes.  A row or mask is `words` 64-bit words, least significant
- * first: vertex v is bit v % 64 of word v / 64.
+ * through ctypes, which releases the interpreter lock, so threads sharing one
+ * state scan in parallel.  A row or mask is `words` 64-bit words, least
+ * significant first: vertex v is bit v % 64 of word v / 64.
  */
 #define _POSIX_C_SOURCE 199309L
 
@@ -25,15 +26,16 @@ static double monotonic_now(void)
 }
 
 /* Scan the target-subsets of the n-vertex graph adj (n rows of `words`
- * words).  Writes best (target + 1 when no subset was completed), nodes,
- * truncated and early to out[0..3], and the witness to best_mask.  Returns
- * 0, or -1 when a size is out of range (the caller checks them first). */
+ * words) with the search state shared = [next lead, best of any thread].
+ * Writes best, nodes, truncated and early to out[0..3], and the witness
+ * (zero when this scan holds none) to best_mask.  Returns 0, or -1 when a
+ * size or the next lead is out of range (the caller checks sizes first). */
 int pp_scan(const uint64_t *adj, int n, int words, int target, int stop_at,
-            long long max_nodes, double time_limit, int lead,
+            long long max_nodes, double time_limit, long long *shared,
             long long *out, uint64_t *best_mask)
 {
     if (n < 1 || n > MAX_VERTICES || words != (n + 63) / 64 || target < 1 || target > n
-        || lead > n - target)
+        || __atomic_load_n(&shared[0], __ATOMIC_RELAXED) < 0)
         return -1;
 
     int deg[MAX_VERTICES] = {0};
@@ -48,21 +50,35 @@ int pp_scan(const uint64_t *adj, int n, int words, int target, int stop_at,
     long long nodes = 0;
     int truncated = 0, early = 0;
     int last_level = target - 1;
-    int level = 0, v = lead >= 0 ? lead : 0;
+    int level = 0, v = 0;
     int dv = 0, cm = 0;
     memset(best_mask, 0, sizeof(uint64_t) * (size_t)words);
 
     for (;;) {
-        int hi = (lead >= 0 && level == 0) ? lead : n - target + level;
+        int hi = n - target + level;
         int placed = 0;
-        while (v <= hi) {
+        for (;;) {
+            if (level == 0) {
+                long long lead = __atomic_fetch_add(&shared[0], 1, __ATOMIC_RELAXED);
+                v = lead <= hi ? (int)lead : hi + 1;
+            }
+            if (v > hi)
+                break;
             if (max_nodes >= 0 && nodes >= max_nodes) {
                 truncated = 1;
                 break;
             }
-            if (has_deadline && (nodes & CHECK_MASK) == 0 && monotonic_now() > deadline) {
-                truncated = 1;
-                break;
+            if ((nodes & CHECK_MASK) == 0) {
+                long long seen = __atomic_load_n(&shared[1], __ATOMIC_RELAXED);
+                if (seen < best) { /* another thread completed a better subset */
+                    best = (int)seen;
+                    memset(best_mask, 0, sizeof(uint64_t) * (size_t)words);
+                    truncated = best <= stop_at;
+                }
+                if (truncated || (has_deadline && monotonic_now() > deadline)) {
+                    truncated = 1;
+                    break;
+                }
             }
             nodes++;
             const uint64_t *row = adj + (size_t)v * words;
@@ -88,6 +104,10 @@ int pp_scan(const uint64_t *adj, int n, int words, int target, int stop_at,
                 best = cm;
                 memcpy(best_mask, chosen, sizeof(uint64_t) * (size_t)words);
                 best_mask[v >> 6] |= (uint64_t)1 << (v & 63);
+                long long seen = __atomic_load_n(&shared[1], __ATOMIC_RELAXED);
+                while (best < seen && !__atomic_compare_exchange_n(&shared[1], &seen, best, 1,
+                                                                   __ATOMIC_RELAXED, __ATOMIC_RELAXED))
+                    ;
                 if (stop_at >= 0 && best <= stop_at) {
                     early = 1;
                     break;

@@ -50,7 +50,7 @@ def _budget_from(args) -> SearchBudget:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, default=1, help="worker processes for the subset scan")
+    p.add_argument("--workers", type=int, default=1, help="worker threads for the subset scan")
     p.add_argument("--max-subsets", type=int, default=100_000_000, help="search node cap")
     p.add_argument("--max-seconds", type=float, default=None, help="search deadline in seconds")
 
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--brute", action="store_true", help="search instead of quoting the established value")
-    p.add_argument("--stop-at", type=int, default=None, help="proven floor for early exit; 0 forces full enumeration")
+    p.add_argument("--stop-at", type=int, default=None, help="stop at this degree (exact if <= the floor); 0 scans all")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
     _add_budget_flags(p)

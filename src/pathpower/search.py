@@ -7,21 +7,19 @@ independent, and every second edge of the snake-order Hamiltonian path is
 a matching that bounds alpha from above; both are checked in linear time.
 
 The subset scan is budgeted: exceeding the node cap or the deadline yields a
-result flagged as unproven, never a silently wrong value.  It can be
-partitioned across worker processes by the smallest member of the
-subset; the combined value is a min-reduction and does not depend on the
-worker count (witnesses may differ, values may not).  The workers are
-started with the spawn method, so a calling script keeps its top-level code
-under `if __name__ == "__main__":`; a lead that reaches the floor terminates
-the others.
+result flagged as unproven, never a silently wrong value.  Several worker
+threads can share one scan: each takes the next smallest member (lead) in
+turn and prunes against the best degree any of them has completed, and a
+thread that reaches the floor stops the others.  The value does not depend
+on the worker count (witnesses may differ, values may not).
 """
 
 from __future__ import annotations
 
-import functools
+import ctypes
 import math
-import multiprocessing
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,9 +36,9 @@ from .spectral import beta, beta_side_of, eigenvalues_sym
 class SearchBudget:
     """Resource limits for the subset scan.
 
-    max_subsets caps the number of search nodes (partial subsets examined),
-    max_seconds is a wall-clock deadline (None for no deadline), workers is
-    the process count for the subset scan.
+    max_subsets caps the number of search nodes (partial subsets examined)
+    summed over all workers, max_seconds is a wall-clock deadline (None for
+    no deadline), workers is the thread count for the subset scan.
     """
 
     max_subsets: int = 100_000_000
@@ -138,20 +136,6 @@ def max_independent_set(g: PathPower) -> MisResult:
     return MisResult(size=len(witness), witness=witness, proven=proven, nodes_examined=0)
 
 
-def _scan_task(adj, target, stop_at, max_nodes, deadline, lead):
-    """Scan with the time left until the absolute wall-clock deadline (None
-    for none); a task that starts past it returns truncated with 0 nodes.
-    The deadline is wall-clock time because worker processes compare it."""
-    time_limit = None
-    if deadline is not None:
-        time_limit = deadline - time.time()
-        if time_limit <= 0:
-            return None, 0, 0, True, False
-    return _kernels.scan_min_induced_degree(
-        adj, target, stop_at=stop_at, max_nodes=max_nodes, time_limit=time_limit, lead=lead
-    )
-
-
 def _auto_stop_at(g: PathPower) -> int:
     # A subset larger than the independence number always contains an edge,
     # so 1 is a universal floor; even path lengths have the spectral floor.
@@ -170,53 +154,56 @@ def brute_force_f(
     alpha(g) + s, with an achieving witness.
 
     The independence number comes from the certificate of
-    max_independent_set; its time counts against the deadline.  stop_at is
-    a proven lower bound on the answer: the scan stops as soon as a subset
-    achieves it, turning bound plus witness into an exact value.  Defaults
-    to 1, raised to the spectral floor for even path lengths; pass 0 to
-    force full enumeration.
+    max_independent_set; its time counts against the deadline.  The scan
+    stops as soon as a subset reaches stop_at.  Defaults to the proven
+    floor: 1, raised to the spectral floor for even path lengths; pass 0 to
+    force full enumeration.  An early exit is exact only at or below the
+    proven floor, where bound plus witness settle the value; a higher
+    stop_at gives an upper-unproven result.
 
-    Under a single worker the witness is the lexicographically smallest
-    achieving subset; with several workers only the value is deterministic.
+    The scan runs on min(workers, leads) threads sharing one search, each
+    with an equal share of max_subsets.  Under a single worker the witness
+    is the lexicographically smallest achieving subset; with several
+    workers only the value is deterministic.
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
-    deadline = None if budget.max_seconds is None else time.time() + budget.max_seconds
+    deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
     mis = max_independent_set(g)
     target = mis.size + s
     if target > g.n_vertices:
         raise ValueError(f"alpha + s = {target} exceeds {g.n_vertices} vertices")
+    floor = _auto_stop_at(g)
     if stop_at is None:
-        stop_at = _auto_stop_at(g)
+        stop_at = floor
 
     adj = g.adjacency_masks()
-    leads = list(range(0, g.n_vertices - target + 1))
-    if budget.workers == 1 or len(leads) == 1:
-        best, mask, nodes, truncated, _early = _scan_task(
-            adj, target, stop_at, budget.max_subsets, deadline, -1
-        )
-    else:
-        per_task_nodes = max(1, budget.max_subsets // len(leads))
-        best, mask, nodes, truncated = None, 0, 0, False
-        task = functools.partial(_scan_task, adj, target, stop_at, per_task_nodes, deadline)
-        with multiprocessing.get_context("spawn").Pool(min(budget.workers, len(leads))) as pool:
-            for value, fmask, fnodes, ftrunc, fearly in pool.imap_unordered(task, leads):
-                nodes += fnodes
-                truncated = truncated or ftrunc
-                if value is not None and (best is None or value < best):
-                    best, mask = value, fmask
-                if fearly:
-                    # the global floor was achieved; nothing can beat it, so
-                    # stop the leads still running as well as the queued ones
-                    pool.terminate()
-                    truncated = False
-                    break
+    threads = min(budget.workers, g.n_vertices - target + 1)
+    shared = (ctypes.c_longlong * 2)(0, target + 1)  # next lead, best of any thread
 
-    if best is None:
+    def scan(kernel):
+        time_limit = 0.0 if deadline is None else deadline - time.monotonic()
+        if deadline is not None and time_limit <= 0:
+            return None, 0, 0, True, False
+        return kernel(adj, target, stop_at, budget.max_subsets // threads, time_limit, shared)
+
+    if threads == 1:
+        results = [scan(_kernels.scan_min_induced_degree)]
+    else:
+        # Threads call the untraced body: a tracer such as perfbench's keeps
+        # one span stack per process, which concurrent spans would corrupt.
+        with ThreadPoolExecutor(threads) as pool:
+            results = list(pool.map(lambda _: scan(_kernels._scan), range(threads)))
+
+    nodes = sum(r[2] for r in results)
+    found = [r for r in results if r[0] is not None]
+    if not found:
         return FSearchResult(value=None, witness=None, kind="upper-unproven", subsets_examined=nodes)
-    witness = VertexSet(g.m, g.k, bits=mask)
-    kind = "exact" if not truncated else "upper-unproven"
-    return FSearchResult(value=best, witness=witness, kind=kind, subsets_examined=nodes)
+    best, mask, *_ = min(found)
+    early = any(r[4] for r in results)
+    proven = best <= floor if early else not any(r[3] for r in results)
+    kind = "exact" if proven else "upper-unproven"
+    return FSearchResult(value=best, witness=VertexSet(g.m, g.k, bits=mask), kind=kind, subsets_examined=nodes)
 
 
 def degree_bound_check(a: SignedMatrix, s: VertexSet, tol: float = 1e-8) -> bool:

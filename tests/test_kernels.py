@@ -1,12 +1,14 @@
 """Parity between the pure-Python kernels and the compiled scan, and the
 loader that builds the compiled scan."""
 
+import ctypes
 import os
 import random
 import shutil
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -24,9 +26,22 @@ def _grid_adj(m, k):
     return PathPower(m, k).adjacency_masks()
 
 
-def _both(adj, target, stop, max_nodes=-1, time_limit=0.0, lead=-1):
-    args = (adj, target, stop, max_nodes, time_limit, lead)
-    return _kernels_py.scan_min_induced_degree(*args), _kernels._scan_compiled(*args)
+def _shared(lead, best):
+    """A shared search state: [next lead, best degree completed by any thread]."""
+    return (ctypes.c_longlong * 2)(lead, best)
+
+
+def _both(adj, target, stop, max_nodes=-1, time_limit=0.0, lead=0):
+    # each kernel gets its own state, so both scan from the same lead
+    def run(kernel):
+        return kernel(adj, target, stop, max_nodes, time_limit, _shared(lead, target + 1))
+
+    return run(_kernels_py.scan_min_induced_degree), run(_kernels._scan_compiled)
+
+
+def _kernels_to_test():
+    kernels = [_kernels_py.scan_min_induced_degree]
+    return kernels + [_kernels._scan_compiled] if _kernels.HAVE_SPEEDUPS else kernels
 
 
 @compiled
@@ -56,10 +71,12 @@ def test_scan_parity(m, k, stop, max_nodes):
 
 @compiled
 def test_scan_parity_every_lead():
+    # a single-thread scan whose next lead is preset to j visits leads j..n-target
     adj = _grid_adj(3, 2)
-    for lead in range(-1, 9 - 6 + 2):  # the last lead is out of range
+    for lead in range(0, 9 - 6 + 2):  # the last lead is out of range
         pure, fast = _both(adj, 6, 0, lead=lead)
         assert pure == fast, lead
+    assert fast == (None, 0, 0, False, False)
 
 
 @compiled
@@ -74,11 +91,11 @@ def test_scan_parity_node_cap(max_nodes):
 def test_scan_deadline_stops_at_a_clock_check():
     adj = _grid_adj(3, 4)
     target = alpha_formula(3, 4) + 1
-    fast = _kernels._scan_compiled(adj, target, 0, -1, 1e-4, -1)
+    fast = _kernels._scan_compiled(adj, target, 0, -1, 1e-4, None)
     nodes = fast[2]
     assert fast[3] and nodes % 2048 == 0
     # the scan is deterministic up to the node where the clock stopped it
-    assert fast == _kernels_py.scan_min_induced_degree(adj, target, 0, nodes, 0.0, -1)
+    assert fast == _kernels_py.scan_min_induced_degree(adj, target, 0, nodes, 0.0, None)
 
 
 def _random_graph(rng, n, p):
@@ -132,6 +149,13 @@ def test_compiled_node_cap_on_81_vertices():
     assert res.subsets_examined == 1_000_000
 
 
+@compiled
+def test_compiled_floor_exit_node_count():
+    res = brute_force_f(PathPower(2, 6))  # the spectral floor 3 ends the scan
+    assert res.kind == "exact" and res.value == 3
+    assert res.subsets_examined == 2_548_999
+
+
 @pytest.mark.parametrize("m,k", [(3, 2), (2, 4), (4, 2), (5, 2), (7, 1)])
 def test_mis_parity(m, k):
     res = max_independent_set(PathPower(m, k))
@@ -140,32 +164,68 @@ def test_mis_parity(m, k):
 
 def test_scan_truncation_and_none_value():
     adj = _grid_adj(3, 2)
-    best, mask, nodes, truncated, early = _kernels_py.scan_min_induced_degree(adj, 6, 0, 3, 0.0, -1)
+    best, mask, nodes, truncated, early = _kernels_py.scan_min_induced_degree(adj, 6, 0, 3, 0.0, None)
     assert truncated and nodes <= 3
     assert best is None and mask == 0
 
 
+def _threads_on_one_state(kernel, adj, target, stop, threads, max_nodes=-1):
+    shared = _shared(0, target + 1)
+    with ThreadPoolExecutor(threads) as pool:
+        results = list(pool.map(lambda _: kernel(adj, target, stop, max_nodes, 0.0, shared), range(threads)))
+    return results, shared
+
+
 def test_scan_lead_partition_min_reduction():
-    adj = _grid_adj(3, 2)
-    done = _kernels_py.scan_min_induced_degree(adj, 6, 0, -1, 0.0, -1)
-    per_lead = [
-        _kernels_py.scan_min_induced_degree(adj, 6, 0, -1, 0.0, lead)
-        for lead in range(0, 9 - 6 + 1)
-    ]
-    values = [r[0] for r in per_lead if r[0] is not None]
-    assert min(values) == done[0] == 2
-    # leads tile the tree, but each restart prunes with a fresh incumbent
-    assert sum(r[2] for r in per_lead) >= done[2]
+    adj = _grid_adj(3, 3)
+    n, target = 27, alpha_formula(3, 3) + 1
+    for kernel in _kernels_to_test():
+        done = kernel(adj, target, 0, -1, 0.0, None)
+        results, shared = _threads_on_one_state(kernel, adj, target, 0, 2)
+        held = [r for r in results if r[0] is not None]
+        assert min(held)[0] == done[0] == shared[1] == 2, kernel
+        assert not any(r[3] or r[4] for r in results)
+        # every lead was taken once, and each thread took one past the last
+        assert shared[0] == n - target + 1 + 2
 
 
 def test_scan_lead_out_of_range():
     adj = _grid_adj(3, 1)
-    assert _kernels_py.scan_min_induced_degree(adj, 3, 0, -1, 0.0, 2) == (None, 0, 0, False, False)
+    for kernel in _kernels_to_test():
+        assert kernel(adj, 3, 0, -1, 0.0, _shared(1, 4)) == (None, 0, 0, False, False)  # n - target = 0
+
+
+def test_scan_adopts_a_better_shared_best():
+    # another thread already completed a degree-2 subset: with stop_at 2 the
+    # scan stops at its first clock check, and with stop_at 0 it prunes
+    # against 2 and holds no witness of its own
+    adj = _grid_adj(3, 2)
+    for kernel in _kernels_to_test():
+        assert kernel(adj, 6, 2, -1, 0.0, _shared(0, 2)) == (None, 0, 0, True, False)
+        best, mask, nodes, truncated, early = kernel(adj, 6, 0, -1, 0.0, _shared(0, 2))
+        assert (best, mask, truncated, early) == (None, 0, False, False)
+        assert nodes <= kernel(adj, 6, 0, -1, 0.0, None)[2]
+
+
+def test_threads_take_every_lead_once():
+    # On an edgeless graph with target 1 each lead is one node whatever the
+    # incumbent, so a lead taken twice or skipped changes the node total.
+    n = 3000
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for kernel in _kernels_to_test():
+            adj = [0] * (n if kernel is _kernels_py.scan_min_induced_degree else 256)
+            results, shared = _threads_on_one_state(kernel, adj, 1, -1, 4)
+            assert sum(r[2] for r in results) == len(adj), kernel
+            assert shared[0] == len(adj) + 4 and shared[1] == 0
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_scan_witness_is_first_achiever():
     adj = _grid_adj(4, 1)
-    best, mask, *_ = _kernels_py.scan_min_induced_degree(adj, 3, 0, -1, 0.0, -1)
+    best, mask, *_ = _kernels_py.scan_min_induced_degree(adj, 3, 0, -1, 0.0, None)
     assert best == 1
     assert mask == 0b1011  # ranks {0, 1, 3}
 
@@ -221,13 +281,14 @@ def test_pure_scan_handles_wide_graphs():
 @compiled
 def test_compiled_rejects_wide_graphs():
     with pytest.raises(ValueError):
-        _kernels._scan_compiled([0] * 257, 3, 1, -1, 0.0, -1)
-    # the library checks the sizes again itself
+        _kernels._scan_compiled([0] * 257, 3, 1, -1, 0.0, None)
+    # the library checks the sizes and the next lead again itself
     words = 5
-    rows = (_kernels.ctypes.c_uint64 * (257 * words))()
-    out = (_kernels.ctypes.c_longlong * 4)()
-    mask = (_kernels.ctypes.c_uint64 * words)()
-    assert _kernels._lib.pp_scan(rows, 257, words, 3, 1, -1, 0.0, -1, out, mask) == -1
+    rows = (ctypes.c_uint64 * (257 * words))()
+    out = (ctypes.c_longlong * 4)()
+    mask = (ctypes.c_uint64 * words)()
+    assert _kernels._lib.pp_scan(rows, 257, words, 3, 1, -1, 0.0, _shared(0, 4), out, mask) == -1
+    assert _kernels._lib.pp_scan(rows, 256, 4, 3, 1, -1, 0.0, _shared(-1, 4), out, mask) == -1
 
 
 # ---------------------------------- loader ----------------------------------
@@ -309,10 +370,10 @@ def test_build_then_cache(tmp_path):
     lib, why = _kernels._load(tmp_path)
     assert why.startswith("compiled: cached")
     assert [p.suffix for p in tmp_path.iterdir()] == [".so"]  # no temporary file is left
-    out = (_kernels.ctypes.c_longlong * 4)()
-    mask = (_kernels.ctypes.c_uint64 * 1)()
-    rows = (_kernels.ctypes.c_uint64 * 3)(0b010, 0b101, 0b010)  # the path on 3 vertices
-    assert lib.pp_scan(rows, 3, 1, 3, 0, -1, 0.0, -1, out, mask) == 0
+    out = (ctypes.c_longlong * 4)()
+    mask = (ctypes.c_uint64 * 1)()
+    rows = (ctypes.c_uint64 * 3)(0b010, 0b101, 0b010)  # the path on 3 vertices
+    assert lib.pp_scan(rows, 3, 1, 3, 0, -1, 0.0, _shared(0, 4), out, mask) == 0
     assert list(out) == [2, 3, 0, 0] and mask[0] == 0b111
 
 

@@ -25,7 +25,9 @@ from pathpower import (
     theoretical_f_value,
 )
 from pathpower import _kernels
-from pathpower.search import _is_grid_edge, _scan_task, _snake_order, alpha_certificate_holds
+from pathpower.search import _is_grid_edge, _snake_order, alpha_certificate_holds
+
+compiled = pytest.mark.skipif(not _kernels.HAVE_SPEEDUPS, reason=_kernels.BACKEND_REASON)
 
 
 @pytest.mark.parametrize("m,k,expected", [(3, 2, 5), (2, 3, 4), (5, 2, 13)])
@@ -155,6 +157,61 @@ def test_parallel_value_matches_single_worker():
     assert single.kind == multi.kind == "exact"
 
 
+def _on_backend(monkeypatch, backend):
+    if backend == "pure":
+        monkeypatch.setattr(_kernels, "_lib", None)
+    elif not _kernels.HAVE_SPEEDUPS:
+        pytest.skip(_kernels.BACKEND_REASON)
+
+
+# the benchmark's search jobs of the same names: (m, k, s, stop_at)
+_JOBS = {
+    "full-6^2": (6, 2, 1, 0),
+    "full-3^3": (3, 3, 1, 0),
+    "floor-2^6": (2, 6, 1, None),
+    "floor-4^3": (4, 3, 1, None),
+    "floor-5^2-s2": (5, 2, 2, None),
+    "floor-3^3-s2": (3, 3, 2, None),
+}
+_SLOW_ON_PURE = ("full-6^2", "floor-2^6")  # seconds on the pure kernel
+
+
+@pytest.mark.parametrize(
+    "backend,job", [(b, j) for b in ("compiled", "pure") for j in _JOBS if b == "compiled" or j not in _SLOW_ON_PURE]
+)
+def test_two_workers_match_one(monkeypatch, backend, job):
+    _on_backend(monkeypatch, backend)
+    m, k, s, stop_at = _JOBS[job]
+    g = PathPower(m, k)
+    single = brute_force_f(g, s, SearchBudget(workers=1), stop_at=stop_at)
+    multi = brute_force_f(g, s, SearchBudget(workers=2), stop_at=stop_at)
+    assert (multi.value, multi.kind) == (single.value, single.kind)
+    assert single.kind == "exact" and induced_max_degree(multi.witness) == multi.value
+
+
+@compiled
+def test_two_workers_prove_7x7():
+    # every lead once, pruned against one shared incumbent, within one budget
+    res = brute_force_f(PathPower(7, 2), budget=SearchBudget(workers=2), stop_at=0)
+    assert res.kind == "exact" and res.value == 1
+
+
+@compiled
+def test_two_workers_share_the_node_cap():
+    budget = SearchBudget(max_subsets=1_000_000, workers=2)
+    res = brute_force_f(PathPower(3, 4), budget=budget, stop_at=0)
+    assert res.kind == "upper-unproven" and 0 < res.subsets_examined <= 1_000_000
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_inflated_stop_at_is_not_exact(workers):
+    # full enumeration gives 2; a caller's floor of 4 is no proof
+    g = PathPower(6, 2)
+    res = brute_force_f(g, budget=SearchBudget(workers=workers), stop_at=4)
+    assert res.kind == "upper-unproven" and 2 <= res.value <= 4
+    assert induced_max_degree(res.witness) == res.value
+
+
 def test_budget_truncation_flags_upper_bound():
     res = brute_force_f(PathPower(3, 2), budget=SearchBudget(max_subsets=40), stop_at=0)
     assert res.kind == "upper-unproven"
@@ -166,19 +223,22 @@ def test_parallel_deadline_bounds_wall_time():
     res = brute_force_f(PathPower(3, 4), budget=SearchBudget(workers=2, max_seconds=0.5))
     assert time.perf_counter() - t0 < 3.0
     assert res.kind == "upper-unproven"
-    adj = PathPower(2, 2).adjacency_masks()
-    assert _scan_task(adj, 3, 1, None, time.time() - 1.0, 0) == (None, 0, 0, True, False)
+    # a deadline already past when the threads start: no node is examined
+    res = brute_force_f(PathPower(2, 2), budget=SearchBudget(workers=2, max_seconds=1e-9))
+    assert (res.value, res.kind, res.subsets_examined) == (None, "upper-unproven", 0)
 
 
 def test_early_exit_stops_running_leads(monkeypatch):
-    # On the pure kernel lead 1 reaches the floor 3 in 23,544 nodes, while
-    # lead 0 alone runs 2.5M nodes (seconds); the early exit must stop it.
-    monkeypatch.setenv("PATHPOWER_PURE", "1")  # read by the worker processes at import
-    monkeypatch.setattr(_kernels, "_lib", None)
-    t0 = time.perf_counter()
-    res = brute_force_f(PathPower(2, 6), budget=SearchBudget(workers=2))
-    assert time.perf_counter() - t0 < 1.5
-    assert res.kind == "exact" and res.value == 3
+    # Lead 1 reaches the floor 3 in 23,544 nodes, while lead 0 alone runs
+    # 2.5M nodes (seconds on the pure kernel); the early exit must stop it.
+    for backend in ["pure", "compiled"] if _kernels.HAVE_SPEEDUPS else ["pure"]:
+        with monkeypatch.context() as patch:
+            _on_backend(patch, backend)
+            assert _kernels.backend_for(64) == backend
+            t0 = time.perf_counter()
+            res = brute_force_f(PathPower(2, 6), budget=SearchBudget(workers=2))
+            assert time.perf_counter() - t0 < 1.5
+            assert res.kind == "exact" and res.value == 3
 
 
 def test_tiny_deadline_returns_upper_unproven():
