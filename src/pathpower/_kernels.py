@@ -29,6 +29,11 @@ from pathlib import Path
 from . import _kernels_py
 
 COMPILED_MAX_VERTICES = 256
+# Array types made once: a ctypes type made per call is cyclic garbage.
+SharedState = ctypes.c_longlong * 2
+_Words = ctypes.c_uint64 * (COMPILED_MAX_VERTICES // 64)
+_Rows = ctypes.c_uint64 * (COMPILED_MAX_VERTICES * COMPILED_MAX_VERTICES // 64)
+_Counts = ctypes.c_longlong * 4
 _WORD_MASK = (1 << 64) - 1
 _SOURCE = Path(__file__).with_name("_scan.c")
 _CACHE_DIR = _SOURCE.parent / "__pycache__"
@@ -135,11 +140,11 @@ def _scan_compiled(adj, target, stop_at, max_nodes, time_limit, shared):
     if not 0 < target <= n:
         raise ValueError(f"subset size {target} outside 1..{n}")
     if shared is None:
-        shared = (ctypes.c_longlong * 2)(0, target + 1)
+        shared = SharedState(0, target + 1)
     words = (n + 63) // 64
-    rows = (ctypes.c_uint64 * (n * words))(*[(row >> (64 * w)) & _WORD_MASK for row in adj for w in range(words)])
-    out = (ctypes.c_longlong * 4)()
-    mask_words = (ctypes.c_uint64 * words)()
+    rows = _Rows(*[(row >> (64 * w)) & _WORD_MASK for row in adj for w in range(words)])
+    out = _Counts()
+    mask_words = _Words()
     if _lib.pp_scan(rows, n, words, target, stop_at, max_nodes, time_limit, shared, out, mask_words):
         raise ValueError(f"compiled scan rejected n={n}, target={target}, next lead={shared[0]}")
     best, nodes, truncated, early = out

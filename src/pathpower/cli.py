@@ -20,13 +20,7 @@ from .grid import DEFAULT_SIZE_CAP, PathPower
 from .report import DEFAULT_MAX_SIZE, DEFAULT_SEED, DEFAULT_TOL, export_table, run_verify_all
 from .search import SearchBudget, brute_force_f, max_independent_set, theoretical_f_value
 from .signed import signed_grid_matrix, write_matrix_market
-from .spectral import (
-    beta,
-    composed_square_spectrum,
-    eigenvalues_sym,
-    multiset_distance,
-    signed_spectrum_from_squares,
-)
+from .spectral import DEFAULT_EIG_DIM_CAP, beta, closed_form_spectrum, eigenvalues_sym, multiset_distance
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -62,26 +56,18 @@ def _parity_to_m(args, parser: argparse.ArgumentParser) -> int:
         return 3
     if args.n is None:
         parser.error("--parity even requires --n")
-    if args.n < 1:
-        parser.error("--n must be >= 1")
     return 2 * args.n
 
 
 def cmd_construct(args, parser) -> int:
-    try:
-        s = build_construction(args.kind, args.m, args.k, size_cap=args.size_cap)
-    except ValueError as exc:
-        parser.error(str(exc))
+    s = build_construction(args.kind, args.m, args.k, size_cap=args.size_cap)
     _emit_json(s.to_dict(), args.out)
     return 0
 
 
 def cmd_matrix(args, parser) -> int:
     m = _parity_to_m(args, parser)
-    try:
-        a = signed_grid_matrix(m, args.k, size_cap=args.size_cap)
-    except ValueError as exc:
-        parser.error(str(exc))
+    a = signed_grid_matrix(m, args.k, size_cap=args.size_cap)
     if args.out:
         write_matrix_market(a, args.out)
     else:
@@ -93,16 +79,13 @@ def cmd_matrix(args, parser) -> int:
 
 def cmd_spectrum(args, parser) -> int:
     m = _parity_to_m(args, parser)
-    want_compose = args.compose
-    want_dense = args.dense or not args.compose
     doc: dict = {"parity": args.parity, "n": args.n, "k": args.k, "group_tol": args.tol}
     dense_rep = composed_rep = None
-    if want_dense:
-        a = signed_grid_matrix(m, args.k, size_cap=args.size_cap)
+    if args.dense or not args.compose:
+        a = signed_grid_matrix(m, args.k, size_cap=min(args.size_cap, DEFAULT_EIG_DIM_CAP))
         dense_rep = eigenvalues_sym(a.to_dense(), group_tol=args.tol)
-    if want_compose:
-        squares = composed_square_spectrum(m, args.k, group_tol=args.tol)
-        composed_rep = signed_spectrum_from_squares(squares, group_tol=args.tol)
+    if args.compose:
+        composed_rep = closed_form_spectrum(m, args.k, group_tol=args.tol, size_cap=args.size_cap)
     primary = dense_rep or composed_rep
     doc["eigenvalues"] = list(primary.eigenvalues)
     doc["min_positive"] = primary.min_positive
@@ -115,8 +98,6 @@ def cmd_spectrum(args, parser) -> int:
 
 
 def cmd_beta(args, parser) -> int:
-    if args.n < 1:
-        parser.error("--n must be >= 1")
     _emit_json({"n": args.n, "beta": beta(args.n, args.tol), "tol": args.tol}, args.out)
     return 0
 
@@ -223,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parity", required=True, choices=["odd3", "even"])
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--compose", action="store_true", help="compose from the base spectrum instead of a dense solve")
+    p.add_argument("--compose", action="store_true", help="the closed form instead of a dense solve")
     p.add_argument("--dense", action="store_true", help="with --compose: also solve densely and compare")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
@@ -285,7 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except ValueError as exc:  # bad parameters or a size cap: a usage error, exit 2
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

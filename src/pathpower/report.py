@@ -34,15 +34,17 @@ from .search import (
 from .signed import SignedMatrix, check_support, principal_submatrix, signed_grid_matrix, square_identity_check
 from .spectral import (
     bareiss_det,
-    base_square_spectrum,
+    base_certificate_holds,
+    base_matrices,
+    base_square_charpoly,
     beta,
-    charpoly_base_square_check,
+    charpoly_exact,
+    closed_form_spectrum,
     eigenvalues_sym,
     fg_identity_failures,
     interlacing_check,
-    kron_sum_spectrum,
     multiset_distance,
-    odd3_spectrum_checks,
+    odd3_spectrum_check,
     symmetry_check,
 )
 
@@ -130,8 +132,8 @@ def _check_odd_exact_values(cfg: dict) -> tuple[bool, dict]:
 def _check_odd3_spectra(cfg: dict) -> tuple[bool, dict]:
     k_max = max((k for k in range(1, 6) if 3**k <= cfg["max_size"]), default=0)
     rows = [
-        [r.k, r.zero_multiplicity, r.min_positive, r.symmetry_defect, r.closure_defect, r.passed]
-        for r in odd3_spectrum_checks(k_max, cfg["tol"])
+        [r.k, r.zero_multiplicity, r.min_positive, r.symmetry_defect, r.closed_form_defect, r.passed]
+        for r in (odd3_spectrum_check(k, cfg["tol"]) for k in range(1, k_max + 1))
     ]
     return bool(rows) and all(row[-1] for row in rows), {"rows": rows}
 
@@ -154,9 +156,17 @@ def _check_polynomials(cfg: dict) -> tuple[bool, dict]:
     fg_bad = fg_identity_failures(50)
     details["fg_identity_failures"] = fg_bad
     ok = ok and not fg_bad
-    cp_bad = [n for n in range(1, 9) if not charpoly_base_square_check(n)]
+    # One charpoly of B^2 per base serves the charpoly check and the certificate.
+    cp_bad, certificates = [], []
+    for m in (3, *range(2, 17, 2)):
+        b, d = base_matrices(m)
+        charpoly = charpoly_exact(b @ b)
+        if m % 2 == 0 and charpoly != base_square_charpoly(m):
+            cp_bad.append(m // 2)
+        certificates.append([m, base_certificate_holds(b, d, charpoly)])
     details["charpoly_failures"] = cp_bad
-    ok = ok and not cp_bad
+    details["base_certificate"] = certificates
+    ok = ok and not cp_bad and all(holds for _, holds in certificates)
     return ok, details
 
 
@@ -169,10 +179,6 @@ def _check_even_spectra(cfg: dict) -> tuple[bool, dict]:
         for k in (1, 2, 3):
             if (2 * n) ** k > cfg["max_size"]:
                 break
-            if k == 1:  # the base square is solved once per n; each level adds one Kronecker sum
-                base = composed = base_square_spectrum(2 * n, group_tol=tol)
-            else:
-                composed = kron_sum_spectrum(composed, base)
             dense = signed_grid_matrix(2 * n, k).to_dense()
             rep = eigenvalues_sym(dense, group_tol=tol)
             got = rep.min_positive
@@ -180,7 +186,7 @@ def _check_even_spectra(cfg: dict) -> tuple[bool, dict]:
             nonsing = min(abs(v) for v in rep.eigenvalues) > tol
             if k == 1:  # settled exactly: the tridiagonal base has determinant +-1
                 nonsing = nonsing and abs(bareiss_det(dense.tolist())) == 1
-            dist = multiset_distance([v * v for v in rep.eigenvalues], composed.eigenvalues)
+            dist = multiset_distance(rep.eigenvalues, closed_form_spectrum(2 * n, k, tol).eigenvalues)
             row_ok = abs(got - want) <= tol and nonsing and symmetry_check(rep, tol) and dist <= 1e-7
             rows.append([n, k, got, want, dist, row_ok])
             ok = ok and row_ok

@@ -16,7 +16,6 @@ on the worker count (witnesses may differ, values may not).
 
 from __future__ import annotations
 
-import ctypes
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -179,7 +178,7 @@ def brute_force_f(
 
     adj = g.adjacency_masks()
     threads = min(budget.workers, g.n_vertices - target + 1)
-    shared = (ctypes.c_longlong * 2)(0, target + 1)  # next lead, best of any thread
+    shared = _kernels.SharedState(0, target + 1)  # next lead, best of any thread
 
     def scan(kernel):
         time_limit = 0.0 if deadline is None else deadline - time.monotonic()

@@ -95,14 +95,19 @@ def _alternating(count: int) -> np.ndarray:
     return 1 - 2 * (np.arange(count, dtype=np.int64) % 2)
 
 
-def signed_grid_matrix(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> SignedMatrix:
-    """Recursive signed matrix of [m]^k for m = 3 or even m."""
+def check_signed_params(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> None:
+    """ValueError unless a signed matrix of [m]^k exists; SizeCapError above size_cap."""
     if m != 3 and m % 2 == 1:
         raise ValueError(f"signed matrices exist for m = 3 or even m, got m = {m}")
     if m < 2 or k < 1:
         raise ValueError(f"need m >= 2 and k >= 1, got m={m}, k={k}")
     if m**k > size_cap:
         raise SizeCapError(f"m^k = {m**k} exceeds the size cap {size_cap}")
+
+
+def signed_grid_matrix(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> SignedMatrix:
+    """Recursive signed matrix of [m]^k for m = 3 or even m."""
+    check_signed_params(m, k, size_cap)
     # Edges (lo, hi) with lo < hi.  Base: edge (i, i+1) carries (-1)^i, 0-based.
     lo = np.arange(m - 1, dtype=np.int64)
     hi = lo + 1
@@ -270,8 +275,9 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
     """Read back a matrix written by write_matrix_market (round-trip aid).
 
     Raises ValueError when the m, k and parity comment line is missing or
-    disagrees with the dimension, or when an index lies outside 1..dim
-    (index arrays would otherwise wrap a 0 around to the last row).
+    disagrees with the dimension, when the entry lines are more or fewer than
+    the size line counts, or when an index lies outside 1..dim (index arrays
+    would otherwise wrap a 0 around to the last row).
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -287,7 +293,9 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
     m_fits_tag = m == 3 if tag == "odd3" else m >= 2 and m % 2 == 0
     if not m_fits_tag or not 1 <= k <= dim.bit_length() or dim != m**k:
         raise ValueError(f"parameters m={m} k={k} parity={tag} do not fit dimension {dim}")
-    ijv = np.array([[int(t) for t in ln.split()] for ln in lines[1 : count + 1]], dtype=np.int64).reshape(-1, 3)
+    if len(lines) - 1 != count:
+        raise ValueError(f"{len(lines) - 1} entry lines, but the size line counts {count}")
+    ijv = np.array([[int(t) for t in ln.split()] for ln in lines[1:]], dtype=np.int64).reshape(-1, 3)
     if np.any((ijv[:, :2] < 1) | (ijv[:, :2] > dim)):
         raise ValueError(f"an entry index lies outside 1..{dim}")
     return _from_edges(dim, ijv[:, 0] - 1, ijv[:, 1] - 1, ijv[:, 2], tag, m // 2, k)

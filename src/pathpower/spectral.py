@@ -9,23 +9,25 @@ between them; exact integer signs at the cuts prove one root per interval,
 and an exact rational bisection narrows the first to the smallest root.
 
 Numerical layer: dense symmetric eigensolves with a residual contract,
-tolerance-grouped spectrum reports, Kronecker-sum composition, and the
-interlacing / symmetry / nonsingularity checks used by the verifiers.
+tolerance-grouped spectrum reports, the closed-form spectrum of every level
+(certified on the base matrices) that each dense solve is compared with,
+and the interlacing / symmetry / nonsingularity checks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from math import pi, sin, sqrt
+from itertools import combinations_with_replacement, islice
+from math import factorial, pi, sin, sqrt
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import BracketingError, DimensionMismatchError, EigenSolveError, SizeCapError
 from .grid import DEFAULT_SIZE_CAP
-from .signed import dense_square, signed_grid_matrix
+from .signed import check_signed_params, dense_square, signed_grid_matrix
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_GROUP_TOL = 1e-8
@@ -166,6 +168,25 @@ def poly_g_roots(n: int) -> list[float]:
     return [4.0 * sin((2 * j - 1) * pi / (4 * n + 2)) ** 2 for j in range(1, n + 1)]
 
 
+def _bracket_g_roots(n: int) -> tuple[tuple[int, ...], list[float], list[Fraction], list[int]]:
+    """(coefficients, closed-form roots, cuts, signs at the cuts) of poly_g(n),
+    once the sign certificate described in beta holds; else BracketingError."""
+    coeffs = poly_g(n).coeffs
+    roots = poly_g_roots(n)
+    cuts = [Fraction(0)] + [Fraction((a + b) / 2) for a, b in zip(roots, roots[1:])] + [Fraction(4)]
+    signs = [_sign_at_rational(coeffs, c.numerator, c.denominator) for c in cuts]
+    if (
+        len(coeffs) - 1 != len(roots)
+        or any(a >= b for a, b in zip(cuts, cuts[1:]))
+        or any(a * b >= 0 for a, b in zip(signs, signs[1:]))
+    ):
+        raise BracketingError(
+            f"poly_g({n}) of degree {len(coeffs) - 1} does not change sign across "
+            f"the {len(roots)} closed-form intervals: signs {signs}"
+        )
+    return coeffs, roots, cuts, signs
+
+
 def beta(n: int, tol: float = 1e-12) -> float:
     """Smallest positive root of poly_g(n), within +-tol.
 
@@ -180,19 +201,7 @@ def beta(n: int, tol: float = 1e-12) -> float:
         raise ValueError(f"need n >= 1, got {n}")
     if tol <= 0:
         raise ValueError(f"need tol > 0, got {tol}")
-    coeffs = poly_g(n).coeffs
-    roots = poly_g_roots(n)
-    cuts = [Fraction(0)] + [Fraction((a + b) / 2) for a, b in zip(roots, roots[1:])] + [Fraction(4)]
-    signs = [_sign_at_rational(coeffs, c.numerator, c.denominator) for c in cuts]
-    if (
-        len(coeffs) - 1 != len(roots)
-        or any(a >= b for a, b in zip(cuts, cuts[1:]))
-        or any(a * b >= 0 for a, b in zip(signs, signs[1:]))
-    ):
-        raise BracketingError(
-            f"poly_g({n}) of degree {len(coeffs) - 1} does not change sign across "
-            f"the {len(roots)} closed-form intervals: signs {signs}"
-        )
+    coeffs, _, cuts, signs = _bracket_g_roots(n)
 
     lo, hi = cuts[0], cuts[1]
     sign_lo = signs[0]
@@ -294,12 +303,19 @@ def charpoly_exact(mat) -> IntPolynomial:
     return IntPolynomial(tuple(out))
 
 
+def base_square_charpoly(m: int) -> IntPolynomial:
+    """det(xI - B^2) as it must be: x (x - 2)^2 for m = 3, poly_g(m / 2)^2 for even m."""
+    if m == 3:
+        return IntPolynomial((0, 4, -4, 1))
+    g = poly_g(m // 2)
+    return g * g
+
+
 def charpoly_base_square_check(n: int) -> bool:
     """Exact check: charpoly of the squared even base matrix equals poly_g(n)^2."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    g = poly_g(n)
-    return charpoly_exact(dense_square(signed_grid_matrix(2 * n, 1))) == g * g
+    return charpoly_exact(dense_square(signed_grid_matrix(2 * n, 1))) == base_square_charpoly(2 * n)
 
 
 # ----------------------------- spectrum reports ----------------------------
@@ -310,7 +326,6 @@ class SpectrumReport:
     """Sorted eigenvalues with tolerance-grouped summary statistics."""
 
     eigenvalues: tuple[float, ...]
-    group_tol: float
     zero_multiplicity: int
     min_positive: float | None
     symmetry_defect: float
@@ -331,7 +346,6 @@ def spectrum_report(values, group_tol: float = DEFAULT_GROUP_TOL) -> SpectrumRep
         defect = max(defect, abs(vals[i] + vals[n - 1 - i]))
     return SpectrumReport(
         eigenvalues=tuple(vals),
-        group_tol=group_tol,
         zero_multiplicity=zero_mult,
         min_positive=min_pos,
         symmetry_defect=defect,
@@ -350,11 +364,11 @@ def eigenvalues_sym(
     satisfy ||M x - lambda x|| <= residual_tol * ||M||_F and the assembled
     Q Lambda Q^T must reproduce M to 1e-9 * ||M||_F, else EigenSolveError.
     """
+    if len(mat) > dim_cap:  # before the float copy is made
+        raise SizeCapError(f"dim {len(mat)} exceeds eigensolver cap {dim_cap}")
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("eigenvalues_sym expects a square matrix")
-    if m.shape[0] > dim_cap:
-        raise SizeCapError(f"dim {m.shape[0]} exceeds eigensolver cap {dim_cap}")
     if m.size and np.max(np.abs(m - m.T)) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
     w, q = np.linalg.eigh(m)
@@ -369,14 +383,6 @@ def eigenvalues_sym(
     return spectrum_report(w.tolist(), group_tol)
 
 
-def kron_sum_spectrum(sa: SpectrumReport, sb: SpectrumReport) -> SpectrumReport:
-    """Multiset of all pairwise sums, the spectrum of I (x) A + B (x) I."""
-    a = np.array(sa.eigenvalues)
-    b = np.array(sb.eigenvalues)
-    sums = np.add.outer(a, b).ravel()
-    return spectrum_report(sums.tolist(), max(sa.group_tol, sb.group_tol))
-
-
 def multiset_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """Max pointwise gap between two sorted multisets; inf on size mismatch."""
     if len(a) != len(b):
@@ -384,6 +390,55 @@ def multiset_distance(a: Sequence[float], b: Sequence[float]) -> float:
     sa = sorted(a)
     sb = sorted(b)
     return max((abs(x - y) for x, y in zip(sa, sb)), default=0.0)
+
+
+# ------------------- base certificate and closed form ----------------------
+
+
+def base_matrices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, D) of the builder's block step A_k = D ⊗ A_(k-1) + B ⊗ I, dense:
+    B is its level-1 matrix, and D is read off its level-2 matrix, whose
+    block (a, c) holds D[a, c] B + B[a, c] I, at entry (0, 1) of each block."""
+    b = signed_grid_matrix(m, 1).to_dense()
+    return b, signed_grid_matrix(m, 2).to_dense()[::m, 1::m] * b[0, 1]
+
+
+def base_certificate_holds(b: np.ndarray, d: np.ndarray, charpoly: IntPolynomial) -> bool:
+    """Exact checks on the block step's base, charpoly being det(xI - B^2):
+    D^2 = I and DB + BD = 0, which give A_k^2 = I ⊗ A_(k-1)^2 + B^2 ⊗ I for
+    every k, and charpoly = base_square_charpoly(m)."""
+    eye = np.eye(len(b), dtype=np.int64)
+    return np.array_equal(d @ d, eye) and not np.any(d @ b + b @ d) and charpoly == base_square_charpoly(len(b))
+
+
+def base_certificate(m: int) -> bool:
+    """base_certificate_holds on the builder's base matrices for m."""
+    b, d = base_matrices(m)
+    return base_certificate_holds(b, d, charpoly_exact(b @ b))
+
+
+def closed_form_spectrum(
+    m: int, k: int, group_tol: float = DEFAULT_GROUP_TOL, size_cap: int = DEFAULT_SIZE_CAP
+) -> SpectrumReport:
+    """Spectrum of the level-k signed matrix of [m]^k, with no eigensolve.
+
+    By base_certificate, A_k^2 has the sums of k eigenvalues of B^2: j_i
+    copies of its distinct value mu_i, of multiplicity c_i, give sum j_i mu_i
+    k! / prod j_i! * prod c_i^j_i times.  B^2 has 0 once and 2 twice for
+    m = 3, and each root of poly_g(m / 2) twice for even m.  The support is
+    bipartite (check_support), so each s > 0 splits evenly into +-sqrt(s).
+    SizeCapError above size_cap, before any value is expanded.
+    """
+    check_signed_params(m, k, size_cap)
+    base = [(0.0, 1), (2.0, 2)] if m == 3 else [(root, 2) for root in _bracket_g_roots(m // 2)[1]]
+    values: list[float] = []
+    for pick in combinations_with_replacement(range(len(base)), k):
+        mult = factorial(k)
+        for i, j in Counter(pick).items():
+            mult = mult // factorial(j) * base[i][1] ** j
+        root = sqrt(sum(base[i][0] for i in pick))
+        values.extend([root, -root] * (mult // 2) if root else [0.0] * mult)
+    return spectrum_report(values, group_tol)
 
 
 # ------------------------------- verifiers ---------------------------------
@@ -414,7 +469,7 @@ def min_positive_eig_even(
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> float:
     """Smallest positive eigenvalue of the even signed matrix on [2n]^k."""
-    a = signed_grid_matrix(2 * n, k, size_cap)
+    a = signed_grid_matrix(2 * n, k, min(size_cap, DEFAULT_EIG_DIM_CAP))
     rep = eigenvalues_sym(a.to_dense(), group_tol=group_tol)
     if rep.min_positive is None:
         raise EigenSolveError("no positive eigenvalue found")
@@ -427,7 +482,7 @@ def nonsingularity_check_even(n: int, k: int, group_tol: float = DEFAULT_GROUP_T
     For k = 1 the check is additionally settled in exact arithmetic: the
     tridiagonal base has determinant +-1.
     """
-    a = signed_grid_matrix(2 * n, k)
+    a = signed_grid_matrix(2 * n, k, DEFAULT_EIG_DIM_CAP)
     rep = eigenvalues_sym(a.to_dense(), group_tol=group_tol)
     ok = rep.zero_multiplicity == 0 and min(abs(v) for v in rep.eigenvalues) > group_tol
     if k == 1:
@@ -441,79 +496,41 @@ class Odd3SpectrumResult:
     zero_multiplicity: int
     min_positive: float | None
     symmetry_defect: float
-    closure_defect: float
+    closed_form_defect: float
     passed: bool
 
 
-def _odd3_result(k: int, rep: SpectrumReport, prev: SpectrumReport | None, tol: float) -> Odd3SpectrumResult:
-    """Judge the level-k spectrum rep against the closure of level k - 1 (prev)."""
-    if prev is None:
-        expected = [-sqrt(2.0), 0.0, sqrt(2.0)]
-    else:
-        expected = list(prev.eigenvalues)
-        for lam in prev.eigenvalues:
-            grown = sqrt(2.0 + lam * lam)
-            expected.extend((grown, -grown))
-    closure = multiset_distance(rep.eigenvalues, expected)
+def odd3_spectrum_check(k: int, tol: float = DEFAULT_GROUP_TOL) -> Odd3SpectrumResult:
+    """Verify the spectral facts of the m = 3 family on one dense solve:
+    zero eigenvalue of multiplicity exactly 1, minimum positive eigenvalue
+    sqrt(2), a symmetric spectrum, and agreement with closed_form_spectrum.
+    """
+    rep = eigenvalues_sym(signed_grid_matrix(3, k, DEFAULT_EIG_DIM_CAP).to_dense(), group_tol=tol)
+    defect = multiset_distance(rep.eigenvalues, closed_form_spectrum(3, k, tol).eigenvalues)
     passed = (
         rep.zero_multiplicity == 1
         and rep.min_positive is not None
         and abs(rep.min_positive - sqrt(2.0)) <= tol
         and rep.symmetry_defect <= tol
-        and closure <= tol
+        and defect <= tol
     )
     return Odd3SpectrumResult(
         k=k,
         zero_multiplicity=rep.zero_multiplicity,
         min_positive=rep.min_positive,
         symmetry_defect=rep.symmetry_defect,
-        closure_defect=closure,
+        closed_form_defect=defect,
         passed=passed,
     )
-
-
-def _odd3_spectrum(k: int, tol: float) -> SpectrumReport:
-    return eigenvalues_sym(signed_grid_matrix(3, k).to_dense(), group_tol=tol)
-
-
-def odd3_spectrum_check(k: int, tol: float = DEFAULT_GROUP_TOL) -> Odd3SpectrumResult:
-    """Verify the three spectral facts of the m = 3 signed matrix family.
-
-    zero eigenvalue of multiplicity exactly 1, minimum positive eigenvalue
-    sqrt(2), and the one-step closure rule: the spectrum at level k equals
-    {lambda} U {+-sqrt(2 + lambda^2)} over the spectrum at level k - 1.
-    """
-    rep = _odd3_spectrum(k, tol)  # the larger solve first: the reverse order raised peak RSS 14 MB at k = 7
-    return _odd3_result(k, rep, _odd3_spectrum(k - 1, tol) if k > 1 else None, tol)
-
-
-def odd3_spectrum_checks(k_max: int, tol: float = DEFAULT_GROUP_TOL) -> list[Odd3SpectrumResult]:
-    """odd3_spectrum_check(k) for k = 1..k_max, solving each level once."""
-    results = []
-    prev = None
-    for k in range(1, k_max + 1):
-        rep = _odd3_spectrum(k, tol)
-        results.append(_odd3_result(k, rep, prev, tol))
-        prev = rep
-    return results
 
 
 # --------------------------- spectrum composition --------------------------
 
 
-def base_square_spectrum(m: int, group_tol: float = DEFAULT_GROUP_TOL) -> SpectrumReport:
-    """Spectrum of the squared base matrix on the m-vertex path."""
-    return eigenvalues_sym(dense_square(signed_grid_matrix(m, 1)), group_tol=group_tol)
-
-
 def composed_square_spectrum(m: int, k: int, group_tol: float = DEFAULT_GROUP_TOL) -> SpectrumReport:
-    """Spectrum of the squared level-k matrix by k-fold Kronecker-sum
-    composition of the base square spectrum (no dense level-k solve)."""
-    s1 = base_square_spectrum(m, group_tol)
-    s = s1
-    for _ in range(k - 1):
-        s = kron_sum_spectrum(s, s1)
-    return s
+    """Spectrum of the squared level-k matrix: the squares of
+    closed_form_spectrum (no dense level-k solve)."""
+    return spectrum_report([v * v for v in closed_form_spectrum(m, k, group_tol).eigenvalues], group_tol)
 
 
 def square_compose_check(
@@ -524,32 +541,9 @@ def square_compose_check(
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> tuple[bool, float]:
     """Compare the dense spectrum of the squared level-k matrix against the
-    Kronecker composition, as sorted multisets.  Returns (ok, distance).
-    The square is formed exactly in sparse integers, then densified."""
-    dense = eigenvalues_sym(dense_square(signed_grid_matrix(m, k, size_cap)), group_tol=group_tol)
+    closed form, as sorted multisets.  Returns (ok, distance).  The square
+    is formed exactly in sparse integers, then densified."""
+    dense = eigenvalues_sym(dense_square(signed_grid_matrix(m, k, min(size_cap, DEFAULT_EIG_DIM_CAP))), group_tol)
     composed = composed_square_spectrum(m, k, group_tol)
     dist = multiset_distance(dense.eigenvalues, composed.eigenvalues)
     return dist <= tol, dist
-
-
-def signed_spectrum_from_squares(
-    squares: SpectrumReport, group_tol: float = DEFAULT_GROUP_TOL, pair_tol: float = 1e-6
-) -> SpectrumReport:
-    """Reconstruct a symmetric signed spectrum from the multiset of its squares.
-
-    Values below group_tol map to zeros; the remaining values must pair up
-    (even multiplicities) and each pair contributes +-sqrt(value).
-    """
-    vals = sorted(squares.eigenvalues)
-    zeros = [v for v in vals if v < group_tol]
-    pos = [v for v in vals if v >= group_tol]
-    if len(pos) % 2 != 0:
-        raise ValueError("positive square values do not pair up")
-    out = [0.0] * len(zeros)
-    for i in range(0, len(pos), 2):
-        lo, hi = pos[i], pos[i + 1]
-        if hi - lo > pair_tol * max(1.0, hi):
-            raise ValueError(f"unpaired square values {lo} vs {hi}")
-        root = sqrt((lo + hi) / 2.0)
-        out.extend((root, -root))
-    return spectrum_report(out, group_tol)

@@ -62,6 +62,24 @@ def test_unknown_flag_and_command_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["f", "--m", "3", "--k", "2", "--s", "10", "--brute"],  # alpha + s above the vertex count
+        ["f", "--m", "1", "--k", "2"],
+        ["alpha", "--m", "1", "--k", "2"],
+        ["f", "--m", "2", "--k", "17", "--brute"],  # over the size cap
+        ["spectrum", "--parity", "odd3", "--k", "0"],
+        ["spectrum", "--parity", "odd3", "--k", "0", "--compose"],
+    ],
+)
+def test_invalid_input_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_beta_command(tmp_path, capsys):
     assert run_cli("beta", "--n", "2") == 0
     doc = json.loads(capsys.readouterr().out)
@@ -182,6 +200,8 @@ def test_verify_all_cli_quick(capsys, tmp_path):
     assert len(doc["checks"]) == 9
     assert all(c["passed"] for c in doc["checks"])
     assert doc["config"]["max_size"] == 9
+    certificates = doc["checks"][3]["details"]["base_certificate"]
+    assert certificates == [[m, True] for m in (3, 2, 4, 6, 8, 10, 12, 14, 16)]
 
 
 def test_verify_all_dense_solve_count(monkeypatch):
@@ -198,7 +218,7 @@ def test_verify_all_dense_solve_count(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
     report = run_verify_all()
     assert report.passed
-    assert 0 < len(calls) <= 620
+    assert 0 < len(calls) <= 617
 
 
 def test_report_determinism():

@@ -156,6 +156,25 @@ def test_compiled_floor_exit_node_count():
     assert res.subsets_examined == 2_548_999
 
 
+@compiled
+def test_compiled_search_leaves_no_cyclic_garbage():
+    import gc
+
+    g = PathPower(3, 2)
+    brute_force_f(g)  # first call: the ctypes array types are made once
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        brute_force_f(g)
+        brute_force_f(g, budget=SearchBudget(workers=2))
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
+
+
 @pytest.mark.parametrize("m,k", [(3, 2), (2, 4), (4, 2), (5, 2), (7, 1)])
 def test_mis_parity(m, k):
     res = max_independent_set(PathPower(m, k))

@@ -228,6 +228,17 @@ def test_matrix_market_rejects_missing_or_wrong_parameters():
             read_matrix_market(io.StringIO(text))
 
 
+def test_matrix_market_rejects_a_truncated_file():
+    buf = io.StringIO()
+    write_matrix_market(signed_grid_matrix(4, 2), buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    assert read_matrix_market(io.StringIO("".join(lines))).nnz == 48
+    with pytest.raises(ValueError):
+        read_matrix_market(io.StringIO("".join(lines[:-5])))
+    with pytest.raises(ValueError):
+        read_matrix_market(io.StringIO("".join(lines + ["1 2 1\n"])))
+
+
 def test_matrix_market_rejects_out_of_range_index():
     buf = io.StringIO()
     write_matrix_market(signed_grid_matrix(2, 6), buf)

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -12,14 +13,17 @@ from pathpower import (
     IntPolynomial,
     SizeCapError,
     VertexSet,
+    SignedMatrix,
     bareiss_det,
+    base_certificate,
     beta,
     charpoly_base_square_check,
     charpoly_exact,
+    closed_form_spectrum,
+    composed_square_spectrum,
     eigenvalues_sym,
     fg_identity_check,
     interlacing_check,
-    kron_sum_spectrum,
     min_positive_eig_even,
     multiset_distance,
     nonsingularity_check_even,
@@ -28,12 +32,11 @@ from pathpower import (
     poly_g,
     principal_submatrix,
     signed_grid_matrix,
-    signed_spectrum_from_squares,
     spectrum_report,
     square_compose_check,
     symmetry_check,
 )
-from pathpower.spectral import beta_side_of
+from pathpower.spectral import base_certificate_holds, base_matrices, beta_side_of
 
 SQRT2 = math.sqrt(2.0)
 
@@ -263,11 +266,15 @@ def test_spectrum_report_statistics():
 
 
 def test_kron_sum_spectrum():
-    sa = spectrum_report([0.0])
-    sb = spectrum_report([-1.5, 2.0])
-    assert kron_sum_spectrum(sa, sb).eigenvalues == (-1.5, 2.0)
-    pair = spectrum_report([-1.0, 1.0])
-    assert kron_sum_spectrum(pair, pair).eigenvalues == (-2.0, 0.0, 0.0, 2.0)
+    # the closed form's squares are the k-fold Kronecker sums of the
+    # spectrum of the base square, here summed by the test itself
+    for m, k in [(2, 3), (3, 3), (4, 3), (6, 2), (8, 2)]:
+        b = signed_grid_matrix(m, 1).to_dense()
+        base = np.linalg.eigvalsh((b @ b).astype(float))
+        sums = base
+        for _ in range(k - 1):
+            sums = np.add.outer(sums, base).ravel()
+        assert multiset_distance(composed_square_spectrum(m, k).eigenvalues, sums.tolist()) <= 1e-9, (m, k)
 
 
 def test_min_positive_even_values():
@@ -281,7 +288,7 @@ def test_odd3_spectrum_checks():
     r1 = odd3_spectrum_check(1)
     assert r1.passed and r1.zero_multiplicity == 1
     r2 = odd3_spectrum_check(2)
-    assert r2.passed
+    assert r2.passed and r2.closed_form_defect <= 1e-9
     rep = eigenvalues_sym(signed_grid_matrix(3, 2).to_dense())
     hand = sorted([0.0, SQRT2, SQRT2, -SQRT2, -SQRT2, 2.0, 2.0, -2.0, -2.0])
     assert multiset_distance(rep.eigenvalues, hand) <= 1e-8
@@ -328,12 +335,120 @@ def test_square_spectrum_composition(m, k):
 
 
 def test_signed_spectrum_reconstruction_from_squares():
+    # the closed form splits each square s > 0 evenly into +-sqrt(s)
     for m, k in [(2, 2), (4, 2), (3, 2)]:
-        a = signed_grid_matrix(m, k).to_dense()
-        squares = eigenvalues_sym(a @ a)
-        rebuilt = signed_spectrum_from_squares(squares)
-        direct = eigenvalues_sym(a)
-        assert multiset_distance(rebuilt.eigenvalues, direct.eigenvalues) <= 1e-7
+        closed = closed_form_spectrum(m, k)
+        direct = eigenvalues_sym(signed_grid_matrix(m, k).to_dense())
+        assert multiset_distance(closed.eigenvalues, direct.eigenvalues) <= 1e-9
+
+
+# ------------------------- base certificate and closed form -----------------
+
+
+@pytest.mark.parametrize("m", [3, 2, 4, 6, 8, 10, 12, 14, 16])
+def test_base_certificate_holds_for_the_builder(m):
+    assert base_certificate(m)
+    b, d = base_matrices(m)
+    assert np.array_equal(d, np.diag([(-1) ** a for a in range(m)]))
+    assert np.array_equal(b, signed_grid_matrix(m, 1).to_dense())
+
+
+def test_base_certificate_negative_controls():
+    b, d = base_matrices(4)
+    charpoly = charpoly_exact(b @ b)
+    assert base_certificate_holds(b, d, charpoly)
+
+    equal_neighbours = d.copy()
+    equal_neighbours[1, 1] = 1  # D = diag(+1, +1, +1, -1)
+    assert not base_certificate_holds(b, equal_neighbours, charpoly)
+
+    off_path = b.copy()
+    off_path[0, 2] = off_path[2, 0] = 1
+    assert not base_certificate_holds(off_path, d, charpoly_exact(off_path @ off_path))
+
+    assert not base_certificate_holds(b, d, charpoly * IntPolynomial((1, 1)))
+    assert not base_certificate_holds(b, d, charpoly + IntPolynomial((1,)))
+
+    # Not a negative control: every signing of a path anticommutes with the
+    # alternating D and has the path's spectrum, so a flipped sign passes.
+    flipped = b.copy()
+    flipped[1, 2] = flipped[2, 1] = -flipped[1, 2]
+    assert base_certificate_holds(flipped, d, charpoly_exact(flipped @ flipped))
+
+
+def test_base_certificate_reads_d_from_the_builder(monkeypatch):
+    build = spectral.signed_grid_matrix
+
+    def tampered(m, k, *args):
+        a = build(m, k, *args)
+        if k == 2:  # diagonal block 1 keeps its sign: D = diag(+1, +1, +1, -1)
+            a.vals = np.where((a.rows // m == 1) & (a.cols // m == 1), -a.vals, a.vals)
+        return a
+
+    monkeypatch.setattr(spectral, "signed_grid_matrix", tampered)
+    assert np.array_equal(base_matrices(4)[1], np.diag([1, 1, 1, -1]))
+    assert not base_certificate(4)
+
+
+@pytest.mark.parametrize(
+    "m,k", [(m, k) for m in (2, 3, 4, 6, 8) for k in range(1, 11) if m**k <= 1296]
+)
+def test_closed_form_matches_eigvalsh(m, k):
+    dense = np.linalg.eigvalsh(signed_grid_matrix(m, k).to_dense().astype(float))
+    closed = closed_form_spectrum(m, k)
+    assert closed.dim == m**k
+    assert multiset_distance(closed.eigenvalues, dense.tolist()) <= 1e-9
+
+
+def test_closed_form_odd3_multiplicities_without_a_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the closed form must not solve")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+    for k in range(1, 11):
+        rep = closed_form_spectrum(3, k)
+        assert rep.zero_multiplicity == 1 and rep.eigenvalues.count(0.0) == 1
+        assert rep.min_positive == SQRT2 and rep.symmetry_defect == 0.0
+        for j in range(1, k + 1):
+            want = comb(k, j) * 2 ** (j - 1)
+            for sign in (1, -1):
+                got = sum(1 for v in rep.eigenvalues if abs(v - sign * math.sqrt(2 * j)) <= 1e-12)
+                assert got == want, (k, j, sign)
+
+
+def test_closed_form_size_cap_and_parameters():
+    with pytest.raises(SizeCapError):
+        closed_form_spectrum(2, 17)
+    with pytest.raises(SizeCapError):
+        closed_form_spectrum(4, 3, size_cap=63)
+    assert closed_form_spectrum(4, 3, size_cap=64).dim == 64
+    for m, k in [(5, 2), (1, 2), (3, 0)]:
+        with pytest.raises(ValueError):
+            closed_form_spectrum(m, k)
+
+
+def test_size_caps_refuse_before_densifying(monkeypatch):
+    from pathpower import signed
+    from pathpower.cli import main
+
+    def no_densify(*args, **kwargs):
+        raise AssertionError("densified an input above the eigensolver cap")
+
+    monkeypatch.setattr(SignedMatrix, "to_dense", no_densify)
+    monkeypatch.setattr(signed, "dense_square", no_densify)
+    monkeypatch.setattr(spectral, "dense_square", no_densify)
+    for call in (
+        lambda: min_positive_eig_even(1, 13),
+        lambda: nonsingularity_check_even(1, 13),
+        lambda: odd3_spectrum_check(8),
+        lambda: square_compose_check(2, 13),
+    ):
+        with pytest.raises(SizeCapError):
+            call()
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--parity", "even", "--n", "1", "--k", "13"])
+    assert exc.value.code == 2
 
 
 def test_multiset_distance_mismatched_sizes():
