@@ -20,7 +20,7 @@ from .grid import DEFAULT_SIZE_CAP, PathPower
 from .report import DEFAULT_MAX_SIZE, DEFAULT_SEED, DEFAULT_TOL, export_table, run_verify_all
 from .search import SearchBudget, brute_force_f, max_independent_set, theoretical_f_value
 from .signed import signed_grid_matrix, write_matrix_market
-from .spectral import DEFAULT_EIG_DIM_CAP, beta, closed_form_spectrum, eigenvalues_sym, multiset_distance
+from .spectral import DEFAULT_EIG_DIM_CAP, beta, closed_form_spectrum, multiset_distance, signed_spectra
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -83,7 +83,7 @@ def cmd_spectrum(args, parser) -> int:
     dense_rep = composed_rep = None
     if args.dense or not args.compose:
         a = signed_grid_matrix(m, args.k, size_cap=min(args.size_cap, DEFAULT_EIG_DIM_CAP))
-        dense_rep = eigenvalues_sym(a.to_dense(), group_tol=args.tol)
+        (dense_rep,) = signed_spectra(a, group_tol=args.tol)
     if args.compose:
         composed_rep = closed_form_spectrum(m, args.k, group_tol=args.tol, size_cap=args.size_cap)
     primary = dense_rep or composed_rep
@@ -116,6 +116,8 @@ def cmd_alpha(args, parser) -> int:
 
 
 def cmd_f(args, parser) -> int:
+    if args.s != 1 and not args.brute:
+        raise ValueError(f"the established value is for alpha + 1 vertices; --s {args.s} needs --brute")
     doc: dict = {"m": args.m, "k": args.k, "s": args.s, "seed": args.seed}
     theory = theoretical_f_value(args.m, args.k)
     doc["theory"] = {"kind": theory.kind, "value": theory.value}
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("f", help="minimum induced max degree at alpha + s vertices")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--s", type=int, default=1, help="vertices beyond alpha; other than 1 needs --brute")
     p.add_argument("--brute", action="store_true", help="search instead of quoting the established value")
     p.add_argument("--stop-at", type=int, default=None, help="stop at this degree (exact if <= the floor); 0 scans all")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -14,8 +14,10 @@ import math
 import os
 import platform
 import random
+import re
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -31,7 +33,7 @@ from .search import (
     max_independent_set,
     theoretical_f_value,
 )
-from .signed import SignedMatrix, check_support, principal_submatrix, signed_grid_matrix, square_identity_check
+from .signed import SignedMatrix, check_support, signed_grid_matrix, square_identity_check
 from .spectral import (
     bareiss_det,
     base_certificate_holds,
@@ -40,17 +42,18 @@ from .spectral import (
     beta,
     charpoly_exact,
     closed_form_spectrum,
-    eigenvalues_sym,
     fg_identity_failures,
     interlacing_check,
     multiset_distance,
     odd3_spectrum_check,
+    signed_spectra,
     symmetry_check,
 )
 
 DEFAULT_SEED = 0x50335035  # the bytes "P3P5"
 DEFAULT_MAX_SIZE = 729
 DEFAULT_TOL = 1e-8
+CHECKOUT_ROOT = Path(__file__).resolve().parents[2]  # the checkout's root, when run from src/
 
 ALPHA_GRID = (
     [(2, k) for k in range(1, 6)]
@@ -77,6 +80,26 @@ class Report:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def git_revision(root: Path = CHECKOUT_ROOT) -> str | None:
+    """The commit checked out at root, read from .git/HEAD and the ref it
+    names (a loose ref file, else a line of packed-refs) without starting
+    git; None when root holds no .git directory or the ref does not resolve
+    to a commit id."""
+    git = root / ".git"
+    try:
+        head = (git / "HEAD").read_text(encoding="utf-8").strip()
+        if head.startswith("ref: "):
+            ref = head[len("ref: ") :]
+            if (git / ref).is_file():
+                head = (git / ref).read_text(encoding="utf-8").strip()
+            else:
+                packed = (git / "packed-refs").read_text(encoding="utf-8").splitlines()
+                head = next((line.split()[0] for line in packed if line.endswith(" " + ref)), "")
+    except OSError:
+        return None
+    return head if re.fullmatch(r"[0-9a-f]{40}|[0-9a-f]{64}", head) else None
 
 
 def subseed(name: str, seed: int) -> int:
@@ -179,13 +202,13 @@ def _check_even_spectra(cfg: dict) -> tuple[bool, dict]:
         for k in (1, 2, 3):
             if (2 * n) ** k > cfg["max_size"]:
                 break
-            dense = signed_grid_matrix(2 * n, k).to_dense()
-            rep = eigenvalues_sym(dense, group_tol=tol)
+            a = signed_grid_matrix(2 * n, k)
+            (rep,) = signed_spectra(a, group_tol=tol)
             got = rep.min_positive
             want = math.sqrt(k * bn)
             nonsing = min(abs(v) for v in rep.eigenvalues) > tol
             if k == 1:  # settled exactly: the tridiagonal base has determinant +-1
-                nonsing = nonsing and abs(bareiss_det(dense.tolist())) == 1
+                nonsing = nonsing and abs(bareiss_det(a.to_dense().tolist())) == 1
             dist = multiset_distance(rep.eigenvalues, closed_form_spectrum(2 * n, k, tol).eigenvalues)
             row_ok = abs(got - want) <= tol and nonsing and symmetry_check(rep, tol) and dist <= 1e-7
             rows.append([n, k, got, want, dist, row_ok])
@@ -230,13 +253,13 @@ def _check_degree_eigenvalue_chain(cfg: dict) -> tuple[bool, dict]:
             continue
         g = PathPower(m, k)
         a = signed_grid_matrix(m, k)
-        host = eigenvalues_sym(a.to_dense())
         target = alpha_formula(m, k) + 1
         rng = random.Random(subseed(f"chain:{m}:{k}", cfg["seed"]))
+        sets = [VertexSet(m, k, ranks=rng.sample(range(g.n_vertices), target)) for _ in range(trials)]
+        (host,) = signed_spectra(a)
+        subs = signed_spectra(a, sets)
         bound_fail = inter_fail = 0
-        for _ in range(trials):
-            s = VertexSet(m, k, ranks=rng.sample(range(g.n_vertices), target))
-            sub = eigenvalues_sym(principal_submatrix(a, s))
+        for s, sub in zip(sets, subs):
             if induced_max_degree(s, g) < sub.eigenvalues[-1] - cfg["tol"]:
                 bound_fail += 1
             if not interlacing_check(host, sub, cfg["tol"]):
@@ -326,6 +349,7 @@ def run_verify_all(
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         "cpu_count": os.cpu_count(),
+        "git_revision": git_revision(),
     }
     t0 = time.perf_counter()
     checks = []

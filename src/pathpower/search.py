@@ -27,8 +27,8 @@ import numpy as np
 from . import _kernels
 from .constructions import alternating_independent_set, is_independent
 from .grid import PathPower, VertexSet, induced_max_degree
-from .signed import SignedMatrix, principal_submatrix
-from .spectral import beta, beta_side_of, eigenvalues_sym
+from .signed import SignedMatrix
+from .spectral import beta, beta_side_of, signed_spectra
 
 
 @dataclass(frozen=True)
@@ -210,9 +210,8 @@ def degree_bound_check(a: SignedMatrix, s: VertexSet, tol: float = 1e-8) -> bool
     of the principal submatrix of a on s, within tol."""
     g = a.graph()
     delta = induced_max_degree(s, g)
-    sub = principal_submatrix(a, s)
-    top = max(eigenvalues_sym(sub).eigenvalues)
-    return delta >= top - tol
+    (sub,) = signed_spectra(a, [s])
+    return delta >= sub.eigenvalues[-1] - tol
 
 
 def lower_bound_even(n: int, k: int) -> int:

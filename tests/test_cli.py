@@ -66,6 +66,8 @@ def test_unknown_flag_and_command_exit_2(capsys):
     "argv",
     [
         ["f", "--m", "3", "--k", "2", "--s", "10", "--brute"],  # alpha + s above the vertex count
+        ["f", "--m", "3", "--k", "2", "--s", "10"],  # the quoted value holds only for s = 1
+        ["f", "--m", "4", "--k", "2", "--s", "2"],
         ["f", "--m", "1", "--k", "2"],
         ["alpha", "--m", "1", "--k", "2"],
         ["f", "--m", "2", "--k", "17", "--brute"],  # over the size cap
@@ -205,20 +207,23 @@ def test_verify_all_cli_quick(capsys, tmp_path):
 
 
 def test_verify_all_dense_solve_count(monkeypatch):
+    # One entry per LAPACK call, holding the number of matrices it solved:
+    # a stacked (g, p, q) argument is g matrices in one call.
     calls = []
 
     def counted(solve):
-        def wrapper(*args, **kwargs):
-            calls.append(solve.__name__)
-            return solve(*args, **kwargs)
+        def wrapper(mat, *args, **kwargs):
+            calls.append(1 if np.ndim(mat) == 2 else len(mat))
+            return solve(mat, *args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    for name in ("svd", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     report = run_verify_all()
     assert report.passed
-    assert 0 < len(calls) <= 617
+    assert 0 < sum(calls) <= 617  # matrices solved
+    assert 0 < len(calls) <= 28  # LAPACK calls: the chain's 600 submatrices share a few batched SVDs
 
 
 def test_report_determinism():
@@ -268,6 +273,50 @@ def test_report_config_records_the_environment():
     assert config["python_version"] == platform.python_version()
     assert config["numpy_version"] == np.__version__
     assert config["cpu_count"] == os.cpu_count()
+
+
+def test_git_revision_reads_head_and_its_ref(tmp_path):
+    from pathpower.report import git_revision
+
+    sha, other = "1" * 40, "2" * 40
+    git = tmp_path / ".git"
+    assert git_revision(tmp_path) is None  # not a checkout
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    assert git_revision(tmp_path) is None  # a branch with no commit yet
+    (git / "packed-refs").write_text(
+        f"# pack-refs with: peeled fully-peeled sorted\n{other} refs/heads/topic/main\n{sha} refs/heads/main\n^{other}\n"
+    )
+    assert git_revision(tmp_path) == sha
+    (git / "refs" / "heads" / "main").write_text(other + "\n")  # a loose ref overrides packed-refs
+    assert git_revision(tmp_path) == other
+    (git / "HEAD").write_text(sha + "\n")  # detached
+    assert git_revision(tmp_path) == sha
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    (git / "refs" / "heads" / "main").write_text("not a commit id\n")
+    assert git_revision(tmp_path) is None
+
+
+def test_report_config_git_revision_matches_git():
+    import shutil
+    import subprocess
+    from pathlib import Path
+
+    from pathpower.report import CHECKOUT_ROOT
+
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    config = run_verify_all(max_size=9, chain_trials=5).to_dict()["config"]
+    done = subprocess.run(
+        ["git", "-C", str(CHECKOUT_ROOT), "rev-parse", "--show-toplevel", "HEAD"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    lines = done.stdout.split()
+    # Only a .git directory at the root of the source tree is read.
+    checkout = done.returncode == 0 and Path(lines[0]).resolve() == CHECKOUT_ROOT and (CHECKOUT_ROOT / ".git").is_dir()
+    assert config["git_revision"] == (lines[1] if checkout else None)
 
 
 def test_report_config_names_the_kernel_backend():

@@ -6,10 +6,14 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathpower.spectral as spectral
 from pathpower import (
     BracketingError,
+    DimensionMismatchError,
+    EigenSolveError,
     IntPolynomial,
     SizeCapError,
     VertexSet,
@@ -32,6 +36,7 @@ from pathpower import (
     poly_g,
     principal_submatrix,
     signed_grid_matrix,
+    signed_spectra,
     spectrum_report,
     square_compose_check,
     symmetry_check,
@@ -453,3 +458,171 @@ def test_size_caps_refuse_before_densifying(monkeypatch):
 
 def test_multiset_distance_mismatched_sizes():
     assert multiset_distance([1.0], [1.0, 2.0]) == float("inf")
+
+
+# ------------------------ bipartite solve of signed matrices -----------------
+
+
+def _eigvalsh_and_norm(dense):
+    dense = np.asarray(dense, dtype=float)
+    return np.linalg.eigvalsh(dense), float(np.linalg.norm(dense))
+
+
+@pytest.mark.parametrize(
+    "m,k", [(m, k) for m in (2, 3, 4, 6, 8) for k in range(1, 11) if m**k <= 1296]
+)
+def test_signed_spectra_match_eigvalsh(m, k):
+    a = signed_grid_matrix(m, k)
+    want, fro = _eigvalsh_and_norm(a.to_dense())
+    (rep,) = signed_spectra(a)
+    assert rep.dim == m**k
+    assert np.max(np.abs(np.array(rep.eigenvalues) - want)) <= 1e-12 * fro
+
+
+def _colour(m, r):
+    return sum((r // m**i) % m for i in range(10)) % 2
+
+
+@st.composite
+def _grid_and_sets(draw):
+    m, k = draw(st.sampled_from([(3, 1), (2, 3), (3, 2), (4, 2), (2, 4), (3, 3), (6, 2)]))
+    n = m**k
+    ranks = st.integers(0, n - 1)
+    one_colour = st.integers(0, 1).flatmap(
+        lambda c: st.sets(st.sampled_from([r for r in range(n) if _colour(m, r) == c]), min_size=1)
+    )
+    kinds = st.one_of(st.sets(ranks, min_size=1), one_colour, ranks.map(lambda r: {r}))
+    return m, k, draw(st.lists(kinds, min_size=1, max_size=12))
+
+
+@settings(max_examples=60)
+@given(_grid_and_sets())
+def test_signed_spectra_of_principal_submatrices(case):
+    m, k, rank_sets = case
+    a = signed_grid_matrix(m, k)
+    sets = [VertexSet(m, k, ranks=r) for r in rank_sets]
+    reps = signed_spectra(a, sets)
+    assert len(reps) == len(sets)
+    for s, rep in zip(sets, reps):
+        want, fro = _eigvalsh_and_norm(principal_submatrix(a, s))
+        assert rep.dim == len(s)
+        assert np.max(np.abs(np.array(rep.eigenvalues) - want)) <= 1e-12 * fro
+
+
+def test_signed_spectra_mixed_splits_in_one_batch():
+    # [3]^2: ranks 0, 2, 4, 6, 8 have even digit sums, 1, 3, 5, 7 odd.
+    a = signed_grid_matrix(3, 2)
+    rank_sets = [[4], [1, 3, 5, 7], [0, 1, 2], [1, 4, 7], [0, 1, 3, 4], list(range(9)), [3, 4, 5, 0, 8]]
+    reps = signed_spectra(a, [VertexSet(3, 2, ranks=r) for r in rank_sets])
+    for r, rep in zip(rank_sets, reps):
+        want, fro = _eigvalsh_and_norm(principal_submatrix(a, VertexSet(3, 2, ranks=r)))
+        assert np.max(np.abs(np.array(rep.eigenvalues) - want)) <= 1e-12 * fro
+    assert reps[0].eigenvalues == (0.0,) and reps[1].eigenvalues == (0.0,) * 4
+
+
+def test_signed_matrices_are_never_solved_by_eigh(monkeypatch):
+    from pathpower.report import DEFAULT_SEED, _check_degree_eigenvalue_chain
+    from pathpower.search import degree_bound_check
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("a signed matrix went to eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigh)
+    assert odd3_spectrum_check(6).passed
+    assert min_positive_eig_even(2, 3) == pytest.approx(math.sqrt(3 * beta(2)), abs=1e-8)
+    assert nonsingularity_check_even(2, 2)
+    ok, details = _check_degree_eigenvalue_chain({"max_size": 729, "tol": 1e-8, "seed": DEFAULT_SEED})
+    assert ok and [row[2] for row in details["rows"]] == [200, 200, 200]
+    assert degree_bound_check(signed_grid_matrix(3, 2), VertexSet(3, 2, ranks=[0, 1, 2, 4, 6, 8]))
+
+
+def _tampered(a, rows, cols, vals):
+    return SignedMatrix(a.dim, rows, cols, vals, a.parity_tag, a.n, a.k)
+
+
+def test_signed_spectra_reject_a_matrix_that_is_not_signed_bipartite():
+    a = signed_grid_matrix(3, 2)
+    assert signed_spectra(_tampered(a, a.rows[::-1], a.cols[::-1], a.vals[::-1]))[0] == signed_spectra(a)[0]
+
+    # Ranks 0 and 2 of [3]^2 both have even digit sums.
+    rows, cols = np.append(a.rows, [0, 2]), np.append(a.cols, [2, 0])
+    with pytest.raises(ValueError, match="parity"):
+        signed_spectra(_tampered(a, rows, cols, np.append(a.vals, [1, 1])))
+    flipped = a.vals.copy()
+    flipped[0] = -flipped[0]
+    with pytest.raises(ValueError, match="symmetric"):
+        signed_spectra(_tampered(a, a.rows, a.cols, flipped))
+    one_way = np.ones(a.nnz, dtype=bool)
+    one_way[0] = False
+    with pytest.raises(ValueError, match="symmetric"):
+        signed_spectra(_tampered(a, a.rows[one_way], a.cols[one_way], a.vals[one_way]))
+    twice = np.append(np.arange(a.nnz), [0, np.flatnonzero((a.rows == a.cols[0]) & (a.cols == a.rows[0]))[0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        signed_spectra(_tampered(a, a.rows[twice], a.cols[twice], a.vals[twice]))
+    with pytest.raises(ValueError, match="outside"):
+        signed_spectra(_tampered(a, np.append(a.rows, [-1, 1]), np.append(a.cols, [1, -1]), np.append(a.vals, [1, 1])))
+
+
+def _svd_tampered_by(monkeypatch, tamper):
+    solve = np.linalg.svd
+
+    def svd(c, *args, **kwargs):
+        return tamper(*solve(c, *args, **kwargs))
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+
+
+def _shift_sigma(u, sv, vt):
+    sv = sv.copy()
+    sv[0, 0] += 1e-6
+    return u, sv, vt
+
+
+def _shift_pair_vector(u, sv, vt):
+    u = u.copy()
+    u[0, 0, 0] += 1e-6
+    return u, sv, vt
+
+
+def _shift_zero_vector(u, sv, vt):
+    u = u.copy()
+    u[0, 0, -1] += 1e-6  # the last column of U spans part of the kernel of C^T when p > q
+    return u, sv, vt
+
+
+def _drop_zero_vector(u, sv, vt):
+    return u[:, :, :-1], sv, vt
+
+
+@pytest.mark.parametrize("tamper", [_shift_sigma, _shift_pair_vector, _shift_zero_vector, _drop_zero_vector])
+def test_signed_spectra_contract_negative_controls(monkeypatch, tamper):
+    a = signed_grid_matrix(3, 3)  # p = 14, q = 13: one zero pair
+    assert signed_spectra(a)[0].zero_multiplicity == 1
+    _svd_tampered_by(monkeypatch, tamper)
+    with pytest.raises(EigenSolveError):
+        signed_spectra(a)
+    with pytest.raises(EigenSolveError):
+        signed_spectra(a, [VertexSet(3, 3, ranks=range(27)), VertexSet(3, 3, ranks=range(9))])
+
+
+def test_signed_spectra_refuse_over_cap_before_allocating(monkeypatch):
+    big = signed_grid_matrix(2, 13)  # dimension 8,192
+
+    def no_zeros(*args, **kwargs):
+        raise AssertionError("allocated for an input above the eigensolver cap")
+
+    monkeypatch.setattr(np, "zeros", no_zeros)
+    with pytest.raises(SizeCapError):
+        signed_spectra(big)
+    with pytest.raises(SizeCapError):
+        signed_spectra(big, [VertexSet(2, 13, ranks=[0]), VertexSet(2, 13, ranks=range(4097))])
+
+
+def test_signed_spectra_set_validation():
+    a = signed_grid_matrix(3, 2)
+    assert signed_spectra(a, []) == []
+    with pytest.raises(ValueError, match="empty"):
+        signed_spectra(a, [VertexSet(3, 2)])
+    with pytest.raises(DimensionMismatchError):
+        signed_spectra(a, [VertexSet(3, 3, ranks=[20])])
