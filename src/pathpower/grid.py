@@ -156,10 +156,6 @@ class VertexSet:
         if not 0 <= r < self.n_vertices:
             raise InvalidVertexError(f"rank {r} outside 0..{self.n_vertices - 1}")
 
-    @classmethod
-    def for_graph(cls, g: PathPower, ranks: Iterable[int] = ()) -> "VertexSet":
-        return cls(g.m, g.k, ranks)
-
     @property
     def bits(self) -> int:
         return self._bits

@@ -35,7 +35,6 @@ from .search import (
 )
 from .signed import SignedMatrix, check_support, signed_grid_matrix, square_identity_check
 from .spectral import (
-    bareiss_det,
     base_certificate_holds,
     base_matrices,
     base_square_charpoly,
@@ -208,7 +207,7 @@ def _check_even_spectra(cfg: dict) -> tuple[bool, dict]:
             want = math.sqrt(k * bn)
             nonsing = min(abs(v) for v in rep.eigenvalues) > tol
             if k == 1:  # settled exactly: the tridiagonal base has determinant +-1
-                nonsing = nonsing and abs(bareiss_det(a.to_dense().tolist())) == 1
+                nonsing = nonsing and abs(charpoly_exact(a.to_dense()).coeffs[0]) == 1
             dist = multiset_distance(rep.eigenvalues, closed_form_spectrum(2 * n, k, tol).eigenvalues)
             row_ok = abs(got - want) <= tol and nonsing and symmetry_check(rep, tol) and dist <= 1e-7
             rows.append([n, k, got, want, dist, row_ok])

@@ -235,9 +235,9 @@ def principal_submatrix(a: SignedMatrix, s: VertexSet) -> np.ndarray:
     """Dense symmetric submatrix on the rows and columns of s, sorted by rank."""
     if len(s) == 0:
         raise ValueError("principal submatrix of an empty vertex set")
+    if (s.m, s.k) != (a.m, a.k):
+        raise DimensionMismatchError(f"set over [{s.m}]^{s.k} vs matrix of [{a.m}]^{a.k}")
     idx = np.array(s.ranks(), dtype=np.int64)
-    if idx[-1] >= a.dim:
-        raise DimensionMismatchError(f"rank {idx[-1]} outside matrix of dim {a.dim}")
     pos = np.full(a.dim, -1, dtype=np.int64)
     pos[idx] = np.arange(len(idx))
     p, q = pos[a.rows], pos[a.cols]

@@ -1,8 +1,8 @@
 """Integer polynomial recurrences, root isolation, and spectral verifiers.
 
 Exact layer: the polynomial family p_j = (x - 2) p_(j-1) - p_(j-2) with two
-seed choices (poly_f, poly_g), and characteristic polynomials by
-fraction-free determinants plus interpolation at integer points.
+seed choices (poly_f, poly_g), and characteristic polynomials (and so
+determinants) by the Faddeev-LeVerrier recurrence in Python integers.
 
 Root isolation: the closed-form roots of poly_g(n) place rational cut points
 between them; exact integer signs at the cuts prove one root per interval,
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import BracketingError, DimensionMismatchError, EigenSolveError, SizeCapError
 from .grid import DEFAULT_SIZE_CAP, VertexSet
-from .signed import SignedMatrix, check_signed_params, dense_square, signed_grid_matrix
+from .signed import SignedMatrix, check_signed_params, check_support, dense_square, signed_grid_matrix
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_GROUP_TOL = 1e-8
@@ -250,70 +250,37 @@ def beta_side_of(n: int, q: Fraction) -> int:
 # ------------------------ exact characteristic polys -----------------------
 
 
-def bareiss_det(mat: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
-    a = [[int(v) for v in row] for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        if a[col][col] == 0:
-            for r in range(col + 1, n):
-                if a[r][col] != 0:
-                    a[col], a[r] = a[r], a[col]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[col][col]
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][col] * a[col][j]) // prev
-            a[i][col] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
 def charpoly_exact(mat) -> IntPolynomial:
     """Characteristic polynomial det(xI - M) of an integer matrix, exactly.
 
-    Evaluates the determinant at the integers 0..dim and interpolates in
-    rational arithmetic; the result must come out integral.
+    Faddeev-LeVerrier on an object array of Python integers: N_0 = 0,
+    c_d = 1, and for j = 1..d, N_j = M N_(j-1) + c_(d-j+1) I and
+    c_(d-j) = -tr(M N_j) / j.  Every N_j is an integer polynomial in M, so
+    each division is exact (ArithmeticError if not); det M = (-1)^d c_0.
+    ValueError unless M is square with integral entries.
     """
     m = np.asarray(mat)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("charpoly_exact expects a square matrix")
-    rows = [[int(v) for v in row] for row in m.tolist()]
-    d = len(rows)
-    xs = list(range(d + 1))
-    ys = []
-    for x in xs:
-        shifted = [[(x if i == j else 0) - rows[i][j] for j in range(d)] for i in range(d)]
-        ys.append(bareiss_det(shifted))
-
-    # Newton divided differences, then expansion to the monomial basis.
-    dd = [Fraction(y) for y in ys]
-    for level in range(1, d + 1):
-        for i in range(d, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
-    coeffs = [Fraction(0)] * (d + 1)
-    basis = [Fraction(1)]
-    for j, c in enumerate(dd):
-        for i, b in enumerate(basis):
-            coeffs[i] += c * b
-        new_basis = [Fraction(0)] * (len(basis) + 1)
-        for i, b in enumerate(basis):
-            new_basis[i] -= b * xs[j]
-            new_basis[i + 1] += b
-        basis = new_basis
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError(f"non-integer interpolated coefficient {c}")
-        out.append(int(c))
-    return IntPolynomial(tuple(out))
+    rows = m.tolist()
+    try:
+        ints = [[int(v) for v in row] for row in rows]
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != rows:
+        raise ValueError("charpoly_exact expects integral entries")
+    d = len(ints)
+    a = np.array(ints, dtype=object).reshape(d, d)
+    eye = np.eye(d, dtype=object)
+    coeffs = [0] * d + [1]
+    an = np.zeros((d, d), dtype=object)  # M N_(j-1)
+    for j in range(1, d + 1):
+        an = a @ (an + coeffs[d - j + 1] * eye)
+        trace = int(np.trace(an))
+        if trace % j:
+            raise ArithmeticError(f"trace {trace} of M N_{j} is not divisible by {j}")
+        coeffs[d - j] = -trace // j
+    return IntPolynomial(tuple(coeffs))
 
 
 def base_square_charpoly(m: int) -> IntPolynomial:
@@ -402,28 +369,6 @@ def _parity_colours(a: SignedMatrix) -> np.ndarray:
     return (r // a.m ** np.arange(a.k, dtype=np.int64) % a.m).sum(axis=1) % 2
 
 
-def _check_bipartite(a: SignedMatrix, colour: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stored entries sorted by (row, col), once every entry is in range,
-    stored once, joins opposite colours and equals its mirror entry, all
-    checked in integers; else ValueError."""
-    rows, cols, vals = a.rows, a.cols, a.vals
-    if len(rows) and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= a.dim):
-        raise ValueError(f"an entry index lies outside 0..{a.dim - 1}")
-    keys = rows * a.dim + cols
-    order = np.argsort(keys, kind="stable")
-    mirror_keys = cols * a.dim + rows
-    mirror = np.argsort(mirror_keys, kind="stable")
-    if np.any(colour[rows] == colour[cols]):
-        raise ValueError("an entry joins two vertices of equal digit-sum parity")
-    if (
-        np.any(keys[order][1:] == keys[order][:-1])
-        or not np.array_equal(keys[order], mirror_keys[mirror])
-        or not np.array_equal(vals[order], vals[mirror])
-    ):
-        raise ValueError("the stored entries are not symmetric")
-    return rows[order], cols[order], vals[order]
-
-
 def _check_svd_contract(c: np.ndarray, u: np.ndarray, sv: np.ndarray, vt: np.ndarray) -> None:
     """EigenSolveError unless every block of the stack c (g x p x q) meets
     the contract of eigenvalues_sym on A = [[0, C], [C^T, 0]], with
@@ -463,9 +408,10 @@ def signed_spectra(
     sets, with the residual contract of eigenvalues_sym, from the SVD of the
     off-diagonal block.
 
-    Vertices are coloured by the digit-sum parity of their ranks.  Every
-    stored entry must join opposite colours and equal its mirror entry,
-    checked in integers, else ValueError.  A dimension above
+    The stored entries must pass check_support on the matrix's grid, else
+    ValueError, and each set must lie in that grid, else
+    DimensionMismatchError.  The grid's edges join vertices of opposite
+    digit-sum parity, which colours them.  A dimension above
     DEFAULT_EIG_DIM_CAP raises SizeCapError before anything is built.  For
     each matrix, C holds the entries from its larger colour class (p rows,
     by rank) to its smaller (q columns), built straight from the stored
@@ -481,14 +427,16 @@ def signed_spectra(
         raise SizeCapError(f"dim {int(sizes.max())} exceeds eigensolver cap {DEFAULT_EIG_DIM_CAP}")
     if sizes.min() == 0:
         raise ValueError("principal submatrix of an empty vertex set")
-    colour = _parity_colours(a)
-    rows, cols, vals = _check_bipartite(a, colour)
+    if not check_support(a, a.graph(a.dim)):
+        raise ValueError(f"the stored entries are not a signed adjacency matrix of [{a.m}]^{a.k}")
     if sets is None:
         ranks = np.arange(a.dim, dtype=np.int64)
     else:
+        for s in sets:
+            if (s.m, s.k) != (a.m, a.k):
+                raise DimensionMismatchError(f"set over [{s.m}]^{s.k} vs matrix of [{a.m}]^{a.k}")
         ranks = np.array([r for s in sets for r in s.ranks()], dtype=np.int64)
-        if ranks.max() >= a.dim:
-            raise DimensionMismatchError(f"rank {int(ranks.max())} outside matrix of dim {a.dim}")
+    colour = _parity_colours(a)
     owner = np.repeat(np.arange(len(sizes)), sizes)  # the matrix of each member
 
     # Each member's position in its matrix's colour class, by rank.
@@ -508,16 +456,16 @@ def signed_spectra(
     # the member's stored row, and find each neighbour among the members by
     # its key owner * dim + rank (increasing, as ranks ascend within a set).
     row_members = np.flatnonzero(member_colour == row_colour[owner])
-    indptr = np.searchsorted(rows, np.arange(a.dim + 1))
+    indptr = np.searchsorted(a.rows, np.arange(a.dim + 1))
     start = indptr[ranks[row_members]]
     counts = indptr[ranks[row_members] + 1] - start
     src = np.repeat(row_members, counts)
     pos = np.arange(int(counts.sum())) + np.repeat(start - (np.cumsum(counts) - counts), counts)
     member_keys = owner * a.dim + ranks
-    wanted = owner[src] * a.dim + cols[pos]
+    wanted = owner[src] * a.dim + a.cols[pos]
     hit = np.minimum(np.searchsorted(member_keys, wanted), len(ranks) - 1)
     inside = member_keys[hit] == wanted
-    src, dst, entry_vals = src[inside], hit[inside], vals[pos][inside]
+    src, dst, entry_vals = src[inside], hit[inside], a.vals[pos][inside]
 
     spectra: list = [None] * len(sizes)
     for gp, gq in dict.fromkeys(zip(p.tolist(), q.tolist())):
@@ -641,7 +589,7 @@ def nonsingularity_check_even(n: int, k: int, group_tol: float = DEFAULT_GROUP_T
     (rep,) = signed_spectra(a, group_tol=group_tol)
     ok = rep.zero_multiplicity == 0 and min(abs(v) for v in rep.eigenvalues) > group_tol
     if k == 1:
-        ok = ok and abs(bareiss_det(a.to_dense().tolist())) == 1
+        ok = ok and abs(charpoly_exact(a.to_dense()).coeffs[0]) == 1
     return ok
 
 

@@ -18,7 +18,6 @@ from pathpower import (
     SizeCapError,
     VertexSet,
     SignedMatrix,
-    bareiss_det,
     base_certificate,
     beta,
     charpoly_base_square_check,
@@ -210,15 +209,60 @@ def test_smallest_roots_positive():
     print("smallest positive roots n=1..8:", [round(v, 10) for v in values])
 
 
+def _det(mat):
+    """det M = (-1)^d c_0, read off the exact characteristic polynomial."""
+    return (-1) ** len(mat) * charpoly_exact(mat).coeffs[0]
+
+
 def test_bareiss_determinants():
-    assert bareiss_det([[2]]) == 2
-    assert bareiss_det([[1, 2], [3, 4]]) == -2
-    assert bareiss_det([[1, 2], [2, 4]]) == 0
-    assert bareiss_det(np.eye(5, dtype=int).tolist()) == 1
+    assert _det([[2]]) == 2
+    assert _det([[1, 2], [3, 4]]) == -2
+    assert _det([[1, 2], [2, 4]]) == 0
+    assert _det(np.eye(5, dtype=int).tolist()) == 1
     rng = np.random.default_rng(7)
     for _ in range(10):
         m = rng.integers(-4, 5, size=(5, 5))
-        assert bareiss_det(m.tolist()) == round(float(np.linalg.det(m)))
+        assert _det(m.tolist()) == round(float(np.linalg.det(m)))
+
+
+def _oracle_cases():
+    """Seeded non-symmetric integer matrices with entries in -50..50, sizes
+    1..12, every third one made singular by repeating a row, plus the 1 x 1
+    and 12 x 12 zero matrices."""
+    rng = np.random.default_rng(2024)
+    cases = [np.zeros((1, 1), dtype=np.int64), np.zeros((12, 12), dtype=np.int64)]
+    for i in range(36):
+        d = 1 + i % 12
+        m = rng.integers(-50, 51, size=(d, d))
+        if i % 3 == 2 and d > 1:
+            m[-1] = m[0]
+        cases.append(m)
+    return cases
+
+
+def test_charpoly_exact_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in _oracle_cases():
+        want = sympy.Matrix(m.tolist()).charpoly().all_coeffs()[::-1]
+        assert charpoly_exact(m).coeffs == tuple(int(c) for c in want)
+        assert _det(m) == int(sympy.Matrix(m.tolist()).det())
+
+
+def test_charpoly_exact_refuses_non_integral_entries():
+    for mat in ([[0.5]], [[1.9, 0], [0, 1]], [[float("nan")]], [[float("inf")]], [[Fraction(1, 3)]]):
+        with pytest.raises(ValueError, match="integral"):
+            charpoly_exact(mat)
+    assert charpoly_exact([[2.0, 1.0], [1.0, 2.0]]).coeffs == (3, -4, 1)
+    assert charpoly_exact(np.zeros((0, 0), dtype=np.int64)).coeffs == (1,)
+    with pytest.raises(ValueError, match="square"):
+        charpoly_exact([[1, 2]])
+
+
+def test_charpoly_exact_refuses_an_inexact_division(monkeypatch):
+    trace = np.trace
+    monkeypatch.setattr(np, "trace", lambda a: trace(a) + 1)
+    with pytest.raises(ArithmeticError, match="not divisible by 2"):
+        charpoly_exact(np.zeros((2, 2), dtype=np.int64))
 
 
 def test_charpoly_exact_small_cases():
@@ -543,24 +587,27 @@ def _tampered(a, rows, cols, vals):
 
 def test_signed_spectra_reject_a_matrix_that_is_not_signed_bipartite():
     a = signed_grid_matrix(3, 2)
-    assert signed_spectra(_tampered(a, a.rows[::-1], a.cols[::-1], a.vals[::-1]))[0] == signed_spectra(a)[0]
+    not_signed = "not a signed adjacency matrix"
+    # SignedMatrix storage is sorted by (row, col).
+    with pytest.raises(ValueError, match=not_signed):
+        signed_spectra(_tampered(a, a.rows[::-1], a.cols[::-1], a.vals[::-1]))
 
     # Ranks 0 and 2 of [3]^2 both have even digit sums.
     rows, cols = np.append(a.rows, [0, 2]), np.append(a.cols, [2, 0])
-    with pytest.raises(ValueError, match="parity"):
+    with pytest.raises(ValueError, match=not_signed):
         signed_spectra(_tampered(a, rows, cols, np.append(a.vals, [1, 1])))
     flipped = a.vals.copy()
     flipped[0] = -flipped[0]
-    with pytest.raises(ValueError, match="symmetric"):
+    with pytest.raises(ValueError, match=not_signed):
         signed_spectra(_tampered(a, a.rows, a.cols, flipped))
     one_way = np.ones(a.nnz, dtype=bool)
     one_way[0] = False
-    with pytest.raises(ValueError, match="symmetric"):
+    with pytest.raises(ValueError, match=not_signed):
         signed_spectra(_tampered(a, a.rows[one_way], a.cols[one_way], a.vals[one_way]))
     twice = np.append(np.arange(a.nnz), [0, np.flatnonzero((a.rows == a.cols[0]) & (a.cols == a.rows[0]))[0]])
-    with pytest.raises(ValueError, match="symmetric"):
+    with pytest.raises(ValueError, match=not_signed):
         signed_spectra(_tampered(a, a.rows[twice], a.cols[twice], a.vals[twice]))
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=not_signed):
         signed_spectra(_tampered(a, np.append(a.rows, [-1, 1]), np.append(a.cols, [1, -1]), np.append(a.vals, [1, 1])))
 
 
@@ -626,3 +673,13 @@ def test_signed_spectra_set_validation():
         signed_spectra(a, [VertexSet(3, 2)])
     with pytest.raises(DimensionMismatchError):
         signed_spectra(a, [VertexSet(3, 3, ranks=[20])])
+
+
+def test_sets_of_another_grid_are_refused():
+    # Ranks 0..3 are a 4-cycle in [2]^6 but a path in [4]^3, the same 64 vertices.
+    a = signed_grid_matrix(4, 3)
+    other = VertexSet(2, 6, ranks=[0, 1, 2, 3])
+    with pytest.raises(DimensionMismatchError):
+        signed_spectra(a, [VertexSet(4, 3, ranks=[0, 1]), other])
+    with pytest.raises(DimensionMismatchError):
+        principal_submatrix(a, other)
