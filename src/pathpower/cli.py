@@ -18,7 +18,7 @@ from . import __version__
 from .constructions import CONSTRUCTION_KINDS, alpha_formula, build_construction
 from .grid import DEFAULT_SIZE_CAP, PathPower
 from .report import DEFAULT_MAX_SIZE, DEFAULT_SEED, DEFAULT_TOL, export_table, run_verify_all
-from .search import SearchBudget, brute_force_f, max_independent_set, theoretical_f_value
+from .search import SearchBudget, brute_force_f, degree_floor, max_independent_set, theoretical_f_value
 from .signed import signed_grid_matrix, write_matrix_market
 from .spectral import DEFAULT_EIG_DIM_CAP, beta, closed_form_spectrum, multiset_distance, signed_spectra
 
@@ -120,12 +120,22 @@ def cmd_f(args, parser) -> int:
         raise ValueError(f"the established value is for alpha + 1 vertices; --s {args.s} needs --brute")
     doc: dict = {"m": args.m, "k": args.k, "s": args.s, "seed": args.seed}
     theory = theoretical_f_value(args.m, args.k)
-    doc["theory"] = {"kind": theory.kind, "value": theory.value}
+    doc["theory"] = {
+        "kind": theory.kind,
+        "value": theory.value,
+        "floor_source": theory.source,
+        "witness": theory.witness,
+        "paper_lower": theory.paper_lower,
+    }
     if args.brute:
         g = PathPower(args.m, args.k, size_cap=args.size_cap)
-        res = brute_force_f(g, args.s, _budget_from(args), stop_at=args.stop_at)
+        # The scan itself, not the certificate: stop at the certified floor by default.
+        stop_at = degree_floor(g).value if args.stop_at is None else args.stop_at
+        res = brute_force_f(g, args.s, _budget_from(args), stop_at=stop_at)
         doc["value"] = res.value
         doc["kind"] = res.kind
+        doc["proof"] = res.proof
+        doc["stop_reason"] = res.stop_reason
         doc["witness"] = res.witness.ranks() if res.witness else None
         doc["subsets_examined"] = res.subsets_examined
     else:
@@ -232,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, default=1, help="vertices beyond alpha; other than 1 needs --brute")
     p.add_argument("--brute", action="store_true", help="search instead of quoting the established value")
-    p.add_argument("--stop-at", type=int, default=None, help="stop at this degree (exact if <= the floor); 0 scans all")
+    p.add_argument(
+        "--stop-at", type=int, default=None, help="stop the scan at this degree (default: the floor); 0 scans all"
+    )
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
     _add_budget_flags(p)

@@ -9,14 +9,22 @@ dimensional set and its complement in alternating order:
 * the low-degree witness family (odd m only): a set one larger than the
   independence number whose induced maximum degree stays at its k=1 value,
   2 when m = 3 and 1 when m >= 5.
+
+A third family, for even m, folds a Boolean function onto the grid instead
+(fold_and_of_ors): the AND-of-ORs of Chung, Furedi, Graham and Seymour,
+whose sensitivity ceil(sqrt(k)) bounds the induced degree of the folded set.
 """
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from .errors import SizeCapError
 from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, induced_max_degree
 
-CONSTRUCTION_KINDS = ("vk", "vkc", "xk", "xkc")
+CONSTRUCTION_KINDS = ("vk", "vkc", "xk", "xkc", "hk")
 
 
 def append_coordinate(s: VertexSet, a: int) -> VertexSet:
@@ -82,6 +90,51 @@ def low_degree_witness_set(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> 
     return s
 
 
+def sqrt_blocks(k: int) -> list[list[int]]:
+    """Coordinates 0..k-1 dealt round-robin into a = ceil(sqrt(k)) blocks,
+    so no block holds more than ceil(k / a) <= ceil(sqrt(k))."""
+    a = math.isqrt(k - 1) + 1
+    return [list(range(i, k, a)) for i in range(a)]
+
+
+def fold_and_of_ors(m: int, k: int, blocks: list[list[int]], size_cap: int = DEFAULT_SIZE_CAP) -> VertexSet:
+    """The AND over blocks of the OR within each block, folded onto [m]^k.
+
+    Coordinate i folds to the bit b_i = [digit_i >= 1], so only the step
+    between digits 0 and 1 flips it.  H = {x : g(b(x)) != parity(x)}, the
+    parity being the digit sum's.  A grid neighbour of x has the other
+    parity, so it lies in H with x exactly when the step flips a
+    coordinate on which g is sensitive at b(x): each x in H has at most
+    sensitivity(g) neighbours in H, and the same holds in the complement.
+    Returns H or its complement, whichever is larger, cut to its alpha + 1
+    smallest ranks when it has more; for even m and g of full degree it has
+    more than m^k / 2 members.  Built from digit arrays, with no loop over
+    vertices.
+    """
+    if m < 2 or k < 1:
+        raise ValueError(f"need m >= 2 and k >= 1, got m={m}, k={k}")
+    _check_cap(m, k, size_cap)
+    digits = np.arange(m**k, dtype=np.int64)[:, None] // m ** np.arange(k, dtype=np.int64) % m
+    g = np.ones(m**k, dtype=bool)
+    for block in blocks:
+        g &= (digits[:, block] >= 1).any(axis=1)
+    h = g != (digits.sum(axis=1) % 2 == 1)
+    if 2 * np.count_nonzero(h) < h.size:
+        h = ~h
+    h &= np.cumsum(h) <= alpha_formula(m, k) + 1
+    return VertexSet(m, k, bits=int.from_bytes(np.packbits(h, bitorder="little").tobytes(), "little"))
+
+
+def hk_witness_set(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> VertexSet:
+    """Witness set of size alpha + 1 with induced maximum degree at most
+    ceil(sqrt(k)); even m only.  fold_and_of_ors on sqrt_blocks(k): every
+    block has at most ceil(sqrt(k)) coordinates and there are ceil(sqrt(k))
+    blocks, so g's sensitivity is at most ceil(sqrt(k))."""
+    if m % 2:
+        raise ValueError(f"the folded witness is defined for even m, got m = {m}")
+    return fold_and_of_ors(m, k, sqrt_blocks(k), size_cap)
+
+
 def alpha_formula(m: int, k: int) -> int:
     """Independence number of [m]^k: ceil(m^k / 2), exact integers."""
     if m < 2 or k < 1:
@@ -100,10 +153,13 @@ def build_construction(kind: str, m: int, k: int, size_cap: int = DEFAULT_SIZE_C
     """Build one of the named set families.
 
     kind: "vk" alternating independent set, "vkc" its complement,
-    "xk" low-degree witness set (odd m), "xkc" its complement.
+    "xk" low-degree witness set (odd m), "xkc" its complement,
+    "hk" folded AND-of-ORs witness set (even m).
     """
     if kind not in CONSTRUCTION_KINDS:
         raise ValueError(f"unknown construction kind {kind!r}")
+    if kind == "hk":
+        return hk_witness_set(m, k, size_cap)
     if kind.startswith("v"):
         s = alternating_independent_set(m, k, size_cap)
     else:

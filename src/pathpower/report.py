@@ -24,11 +24,15 @@ import numpy as np
 
 from . import __version__ as _version
 from . import _kernels
-from .constructions import alpha_formula, low_degree_witness_set
+from .constructions import alpha_formula
 from .grid import PathPower, VertexSet, induced_max_degree
 from .search import (
     SearchBudget,
     brute_force_f,
+    degree_floor,
+    floor_witness,
+    hypercube_cells,
+    hypercube_cells_certificate_holds,
     lower_bound_even,
     max_independent_set,
     theoretical_f_value,
@@ -124,30 +128,47 @@ def _check_independence_numbers(cfg: dict) -> tuple[bool, dict]:
     return not mismatches and bool(ran), {"instances": ran, "mismatches": mismatches}
 
 
+def _f_search(m: int, k: int, cfg: dict) -> dict:
+    """A full enumeration of f([m]^k) at alpha + 1: the cross-check of a
+    certified value."""
+    res = brute_force_f(PathPower(m, k), 1, cfg["budget"], stop_at=0)
+    return {"value": res.value, "kind": res.kind, "subsets": res.subsets_examined}
+
+
+def _floor_row(m: int, k: int) -> list:
+    """[m, k, floor, source, witness family, witness size, witness degree]."""
+    g = PathPower(m, k)
+    floor = degree_floor(g)
+    family, witness = floor_witness(g)
+    return [m, k, floor.value, floor.source, family, len(witness), induced_max_degree(witness, g)]
+
+
 def _check_odd_exact_values(cfg: dict) -> tuple[bool, dict]:
     details: dict = {}
     ok = True
     for m, k, want in [(3, 1, 2), (3, 2, 2)]:
         if m**k > cfg["max_size"]:
             continue
-        res = brute_force_f(PathPower(m, k), 1, cfg["budget"])
-        details[f"f_search_{m}_{k}"] = {"value": res.value, "kind": res.kind, "subsets": res.subsets_examined}
-        ok = ok and res.kind == "exact" and res.value == want
+        res = details[f"f_search_{m}_{k}"] = _f_search(m, k, cfg)
+        ok = ok and res["kind"] == "exact" and res["value"] == want
     witness_rows = []
+    floor_rows = []
     for m, kmax, want in [(3, 5, 2), (5, 3, 1), (7, 3, 1)]:
         for k in range(1, kmax + 1):
             if m**k > cfg["max_size"]:
                 continue
-            x = low_degree_witness_set(m, k)
-            delta = induced_max_degree(x)
-            size_ok = len(x) == alpha_formula(m, k) + 1
-            witness_rows.append([m, k, delta, len(x)])
-            ok = ok and delta == want and size_ok
+            row = _floor_row(m, k)
+            _, _, floor, source, _, size, delta = row
+            size_ok = size == alpha_formula(m, k) + 1
+            witness_rows.append([m, k, delta, size])
+            floor_rows.append(row)
+            want_source = "odd3-spectral" if m == 3 else "independence"
+            ok = ok and delta == want == floor and source == want_source and size_ok
     details["witness_rows"] = witness_rows
+    details["floor_rows"] = floor_rows
     if 25 <= cfg["max_size"]:
-        res = brute_force_f(PathPower(5, 2), 1, cfg["budget"])
-        details["f_search_5_2"] = {"value": res.value, "kind": res.kind, "subsets": res.subsets_examined}
-        ok = ok and res.kind == "exact" and res.value == 1
+        res = details["f_search_5_2"] = _f_search(5, 2, cfg)
+        ok = ok and res["kind"] == "exact" and res["value"] == 1
     return ok, details
 
 
@@ -268,6 +289,23 @@ def _check_degree_eigenvalue_chain(cfg: dict) -> tuple[bool, dict]:
     return ok and bool(rows), {"rows": rows}
 
 
+def _cell_controls() -> dict:
+    """Tampered hypercube-cell maps, each of which the certificate must
+    refuse: a pairing shifted by one (singleton cells at the ends), two
+    cells merged, and an odd m, whose cells do not tile."""
+    g = PathPower(4, 2)
+    cells, labels = hypercube_cells(4, 2)
+    alpha = max_independent_set(g).size
+    axes = np.arange(2)
+    shifted = (np.arange(16)[:, None] // 4**axes % 4 + 1) // 2 @ 3**axes
+    odd = np.arange(9)[:, None] // 3**axes % 3
+    return {
+        "shifted_pairing": hypercube_cells_certificate_holds(g, shifted, labels, alpha),
+        "merged_cells": hypercube_cells_certificate_holds(g, np.where(cells == 1, 0, cells), labels, alpha),
+        "odd_m": hypercube_cells_certificate_holds(PathPower(3, 2), odd // 2 @ 2**axes, odd % 2 @ 2**axes, 5),
+    }
+
+
 def _check_hypercube_floor(cfg: dict) -> tuple[bool, dict]:
     bad = []
     for k in range(1, 26):
@@ -278,28 +316,40 @@ def _check_hypercube_floor(cfg: dict) -> tuple[bool, dict]:
     details: dict = {"floor_mismatches": bad}
     ok = not bad
     if 16 <= cfg["max_size"]:
-        res = brute_force_f(PathPower(2, 4), 1, cfg["budget"], stop_at=0)  # full enumeration
-        details["f_search_q4"] = {"value": res.value, "kind": res.kind, "subsets": res.subsets_examined}
-        ok = ok and res.kind == "exact" and res.value == 2
-    return ok, details
+        res = details["f_search_q4"] = _f_search(2, 4, cfg)
+        ok = ok and res["kind"] == "exact" and res["value"] == 2
+    # ceil(sqrt(k)) for every even m, certified by hypercube cells and met by the hk witness
+    cell_rows = [_floor_row(m, k) for m in (2, 4, 6) for k in range(1, 10) if m**k <= cfg["max_size"]]
+    for m, k, floor, source, _, size, delta in cell_rows:
+        want = math.isqrt(k - 1) + 1
+        ok = ok and floor == delta == want and source == "hypercube-cells" and size == alpha_formula(m, k) + 1
+    details["cell_floor_rows"] = cell_rows
+    if 16 <= cfg["max_size"]:
+        details["cell_controls"] = _cell_controls()
+        ok = ok and not any(details["cell_controls"].values())
+    return ok and bool(cell_rows), details
 
 
 def _check_even_floor_consistency(cfg: dict) -> tuple[bool, dict]:
     ok = True
     rows = []
+    certified = []
     instances = [(2, k) for k in range(1, 5)] + [(4, 1), (4, 2)]
     for m, k in instances:
         if m**k > cfg["max_size"]:
             continue
-        res = brute_force_f(PathPower(m, k), 1, cfg["budget"])
+        res = _f_search(m, k, cfg)
+        settled = brute_force_f(PathPower(m, k), 1, cfg["budget"])  # floor plus witness, no scan
         floor = lower_bound_even(m // 2, k)
-        good = res.kind == "exact" and res.value is not None and res.value >= floor
-        rows.append([m, k, res.value, floor, good])
+        good = res["kind"] == "exact" and res["value"] is not None and res["value"] >= floor
+        good = good and settled.kind == "exact" and settled.value == res["value"]
+        rows.append([m, k, res["value"], floor, good])
+        certified.append([m, k, settled.value, settled.proof])
         ok = ok and good
     if 4 <= cfg["max_size"]:
         p4 = next((r for r in rows if r[0] == 4 and r[1] == 1), None)
         ok = ok and p4 is not None and p4[2] == 1
-    return ok and bool(rows), {"rows": rows}
+    return ok and bool(rows), {"rows": rows, "certified": certified}
 
 
 _CHECKS = [
@@ -385,7 +435,9 @@ def export_table(
 
     kind "beta": smallest positive roots for n in n_range.
     kind "alpha": independence numbers over the (m, k) grid.
-    kind "bounds": established exact values / lower floors over the grid.
+    kind "bounds": f at alpha + 1 over the grid (theoretical_f_value): the
+    certified floor, exact where a witness meets it, with the floor's
+    source, the witness family and the paper's even-m floor paper_lower.
     Rows whose graph would exceed size_cap are marked skipped.
     """
     rows: list[dict] = []
@@ -404,5 +456,15 @@ def export_table(
                 rows.append({"m": m, "k": k, "alpha": alpha_formula(m, k)})
             else:
                 fv = theoretical_f_value(m, k)
-                rows.append({"m": m, "k": k, "kind": fv.kind, "value": fv.value})
+                rows.append(
+                    {
+                        "m": m,
+                        "k": k,
+                        "kind": fv.kind,
+                        "value": fv.value,
+                        "floor_source": fv.source,
+                        "witness": fv.witness,
+                        "paper_lower": fv.paper_lower,
+                    }
+                )
     return rows

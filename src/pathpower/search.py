@@ -1,10 +1,21 @@
 """Exact oracles: the independence number, proved by a checked
-certificate, and the minimum induced maximum degree over subsets one (or s)
-larger than it, by budgeted search.
+certificate, and the minimum induced maximum degree f over subsets one (or
+s) larger than it, settled by a certified floor and a witness where one
+meets it, else by budgeted search.
 
 The independence number of [m]^k needs no search: the alternating set is
 independent, and every second edge of the snake-order Hamiltonian path is
 a matching that bounds alpha from above; both are checked in linear time.
+
+degree_floor gives a lower bound on f from a checked certificate: 1 by
+independence, 2 for m = 3 from the base certificate and interlacing, and
+ceil(sqrt(k)) for even m from the hypercube cells that tile [2n]^k and
+Huang's theorem (2019) inside each cell.  The last is a consequence of
+Huang's theorem, not a claim of the paper, whose own even-m floor
+ceil(sqrt(k beta_n)) (lower_bound_even) it dominates.  A floor holds for
+every s >= 1, since adding vertices cannot lower the induced maximum
+degree.  At s = 1 a witness family (xk for odd m, hk for even m) meets the
+floor, so brute_force_f settles f with no scan at all.
 
 The subset scan is budgeted: exceeding the node cap or the deadline yields a
 result flagged as unproven, never a silently wrong value.  Several worker
@@ -16,19 +27,21 @@ on the worker count (witnesses may differ, values may not).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .constructions import alternating_independent_set, is_independent
-from .grid import PathPower, VertexSet, induced_max_degree
+from .constructions import alternating_independent_set, hk_witness_set, is_independent, low_degree_witness_set
+from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, induced_max_degree
 from .signed import SignedMatrix
-from .spectral import beta, beta_side_of, signed_spectra
+from .spectral import base_certificate, beta, beta_side_of, signed_spectra
 
 
 @dataclass(frozen=True)
@@ -66,10 +79,22 @@ class MisResult:
 
 @dataclass(frozen=True)
 class FSearchResult:
+    """A value of f with its witness, and how it was settled.
+
+    proof names what makes an exact value exact: "enumeration" (a scan that
+    ran to the end), "floor:<source>+witness:<family>" (a certified floor
+    met by a built witness, no scan) or "floor:<source>+scan" (a scan that
+    stopped early at or below the certified floor); None when upper-unproven.
+    stop_reason is "certificate", "exhausted", "floor-reached" (a subset
+    reached stop_at), "node-cap" or "deadline".
+    """
+
     value: int | None
     witness: VertexSet | None
     kind: str  # "exact" or "upper-unproven"
     subsets_examined: int
+    proof: str | None
+    stop_reason: str
 
     @property
     def proven(self) -> bool:
@@ -95,12 +120,9 @@ def _is_grid_edge(g: PathPower, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     they differ by w = m^i and the lower one's digit i is below m - 1."""
     lo = np.minimum(u, v)
     gap = np.abs(u - v)
-    edge = np.zeros(lo.shape, dtype=bool)
-    w = 1
-    for _ in range(g.k):
-        edge |= (gap == w) & ((lo // w) % g.m < g.m - 1)
-        w *= g.m
-    return edge
+    weights = g.m ** np.arange(g.k, dtype=np.int64)
+    w = weights[np.minimum(np.searchsorted(weights, gap), g.k - 1)]  # the weight m^i nearest above gap
+    return (gap == w) & (lo // w % g.m < g.m - 1)
 
 
 def alpha_certificate_holds(g: PathPower, independent: VertexSet, path: np.ndarray) -> bool:
@@ -135,12 +157,129 @@ def max_independent_set(g: PathPower) -> MisResult:
     return MisResult(size=len(witness), witness=witness, proven=proven, nodes_examined=0)
 
 
-def _auto_stop_at(g: PathPower) -> int:
-    # A subset larger than the independence number always contains an edge,
-    # so 1 is a universal floor; even path lengths have the spectral floor.
-    if g.m % 2 == 0:
-        return max(1, lower_bound_even(g.m // 2, g.k))
-    return 1
+class Floor(NamedTuple):
+    """A lower bound on f at alpha + s for every s >= 1, the name of its
+    certificate, and the checked inputs it rests on."""
+
+    value: int
+    source: str  # "independence", "odd3-spectral", "hypercube-cells"; "none" without a proven alpha
+    inputs: dict
+
+
+def hypercube_cells(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cell, label) of every rank of [m]^k, m even: cell = the digits // 2
+    read as a base-m/2 number, label = the digits % 2 read as k bits.  Two
+    members of a cell whose labels differ in bit i differ by 1 in
+    coordinate i alone, so each cell spans a hypercube Q^k."""
+    if m % 2:
+        raise ValueError(f"hypercube cells tile [m]^k for even m only, got m = {m}")
+    axes = np.arange(k, dtype=np.int64)
+    digits = np.arange(m**k, dtype=np.int64)[:, None] // m**axes % m
+    return digits // 2 @ (m // 2) ** axes, digits % 2 @ (1 << axes)
+
+
+def hypercube_cells_certificate_holds(g: PathPower, cells: np.ndarray, labels: np.ndarray, alpha: int) -> bool:
+    """True iff (cells, labels) prove f(g) >= ceil(sqrt(k)) at alpha + 1.
+
+    Checks, in linear time: every two cell-mates whose labels differ in one
+    bit are a grid edge, so each cell contains a hypercube Q^k (a (cell,
+    label) slot that no rank fills fails this, so the n ranks fill the n
+    slots once each and every cell has 2^k members); and the cells times
+    2^(k-1) make alpha.  Then alpha + 1 vertices put 2^(k-1) + 1
+    into one cell, and by Huang's theorem such a subset of Q^k induces a
+    degree of at least sqrt(k), which the grid's extra edges only raise.
+    """
+    n, width = g.n_vertices, 1 << g.k
+    if g.m % 2 or n % width or cells.shape != (n,) or labels.shape != (n,):
+        return False
+    n_cells = n // width
+    if cells.min() < 0 or cells.max() >= n_cells or labels.min() < 0 or labels.max() >= width:
+        return False
+    member = np.full(n, -1, dtype=np.int64)  # a slot (cell, label) no rank fills keeps -1, which is no grid edge
+    member[cells * width + labels] = np.arange(n)
+    member = member.reshape(n_cells, 1, width)
+    flips = np.arange(width) ^ (1 << np.arange(g.k))[:, None]  # [i, label]: label with bit i flipped
+    return bool(_is_grid_edge(g, member, member[:, 0, flips]).all()) and n_cells * (width // 2) == alpha
+
+
+@functools.cache  # a fixed m x m check: once per process
+def _base_certified(m: int) -> bool:
+    return base_certificate(m)
+
+
+def _odd3_floor_inputs(g: PathPower, alpha: int) -> dict | None:
+    """The inputs of the m = 3 spectral floor 2 when they hold, else None.
+
+    base_certificate(3) proves that B^2 has eigenvalues 0 once and 2 twice
+    and that A_k^2 has the sums of k of them, so A_k has 0 once and no
+    positive eigenvalue below sqrt(2); its spectrum is symmetric, so
+    (3^k + 1) / 2 eigenvalues are <= 0.  A principal submatrix on more rows
+    than that has, by interlacing, a top eigenvalue >= sqrt(2), and that
+    eigenvalue is at most the induced maximum degree, as every entry is
+    +-1 on a grid edge.  No dense solve is needed.
+    """
+    nonpositive = (g.n_vertices + 1) // 2
+    if not (_base_certified(3) and alpha + 1 > nonpositive):
+        return None
+    return {
+        "alpha": alpha,
+        "base_certificate": True,
+        "zero_multiplicity": 1,
+        "min_positive_square": 2,
+        "rows": alpha + 1,
+        "nonpositive": nonpositive,
+    }
+
+
+def degree_floor(g: PathPower, mis: MisResult | None = None) -> Floor:
+    """The best certified lower bound on f(g) at alpha + s, any s >= 1.
+
+    independence: 1, as alpha + 1 vertices hold an edge (alpha proved by
+    max_independent_set; pass its result as mis to reuse it).
+    odd3-spectral: 2 for m = 3 (_odd3_floor_inputs).
+    hypercube-cells: ceil(sqrt(k)) for even m (hypercube_cells and its
+    certificate; Huang's one spectral input, A_k^2 = kI on the hypercube,
+    is base_certificate(2)).
+    A certificate that fails leaves the next weaker floor; an unproven
+    alpha leaves the trivial floor 0.
+    """
+    mis = max_independent_set(g) if mis is None else mis
+    if not mis.proven:
+        return Floor(0, "none", {"alpha_certificate": False})
+    alpha = mis.size
+    if g.m == 3:
+        inputs = _odd3_floor_inputs(g, alpha)
+        if inputs is not None:
+            return Floor(2, "odd3-spectral", inputs)
+    elif g.m % 2 == 0:
+        cells, labels = hypercube_cells(g.m, g.k)
+        if _base_certified(2) and hypercube_cells_certificate_holds(g, cells, labels, alpha):
+            inputs = {
+                "alpha": alpha,
+                "cells": g.n_vertices >> g.k,
+                "cell_size": 1 << g.k,
+                "cell_certificate": True,
+                "huang_base_certificate": True,
+            }
+            return Floor(math.isqrt(g.k - 1) + 1, "hypercube-cells", inputs)
+    return Floor(1, "independence", {"alpha": alpha, "alpha_certificate": True})
+
+
+def floor_witness(g: PathPower) -> tuple[str, VertexSet]:
+    """(family, set) of the witness built to meet degree_floor at alpha + 1:
+    xk (low_degree_witness_set) for odd m, hk (hk_witness_set) for even m."""
+    if g.m % 2:
+        return "xk", low_degree_witness_set(g.m, g.k, size_cap=g.n_vertices)
+    return "hk", hk_witness_set(g.m, g.k, size_cap=g.n_vertices)
+
+
+def _witness_meets(g: PathPower, floor: Floor, target: int) -> tuple[str, VertexSet] | None:
+    """The floor witness when it has target members and induced maximum
+    degree equal to the floor (checked here), else None."""
+    family, witness = floor_witness(g)
+    if len(witness) == target and induced_max_degree(witness, g) == floor.value:
+        return family, witness
+    return None
 
 
 def brute_force_f(
@@ -153,12 +292,21 @@ def brute_force_f(
     alpha(g) + s, with an achieving witness.
 
     The independence number comes from the certificate of
-    max_independent_set; its time counts against the deadline.  The scan
-    stops as soon as a subset reaches stop_at.  Defaults to the proven
-    floor: 1, raised to the spectral floor for even path lengths; pass 0 to
-    force full enumeration.  An early exit is exact only at or below the
-    proven floor, where bound plus witness settle the value; a higher
-    stop_at gives an upper-unproven result.
+    max_independent_set and the floor from degree_floor; both count against
+    the deadline, except a floor needed only to judge an early stop.  With
+    stop_at None and s = 1 the certificate comes
+    first: floor_witness builds the witness, and when its size is alpha + 1
+    and its induced maximum degree equals the floor, that is the value
+    (stop_reason "certificate"), with no scan and no adjacency masks.  A
+    deadline already past returns upper-unproven before any witness is
+    built.
+
+    Otherwise the subset scan runs, and stops as soon as a subset reaches
+    stop_at, which defaults to the floor; pass 0 to force full enumeration.
+    An enumeration that runs to the end is exact.  A scan that stops early,
+    at stop_at or at the node cap or deadline, is exact only when its best
+    is at or below the certified floor, where floor plus witness settle the
+    value; above it the result is upper-unproven.
 
     The scan runs on min(workers, leads) threads sharing one search, each
     with an equal share of max_subsets.  Under a single worker the witness
@@ -172,19 +320,28 @@ def brute_force_f(
     target = mis.size + s
     if target > g.n_vertices:
         raise ValueError(f"alpha + s = {target} exceeds {g.n_vertices} vertices")
-    floor = _auto_stop_at(g)
+    floor = None  # computed when needed: for the default stop_at, or to judge an early stop
     if stop_at is None:
-        stop_at = floor
+        floor = degree_floor(g, mis)
+        if deadline is not None and time.monotonic() >= deadline:
+            return FSearchResult(None, None, "upper-unproven", 0, None, "deadline")
+        met = _witness_meets(g, floor, target) if s == 1 else None
+        if met is not None:
+            family, witness = met
+            proof = f"floor:{floor.source}+witness:{family}"
+            return FSearchResult(floor.value, witness, "exact", 0, proof, "certificate")
+        stop_at = floor.value
 
     adj = g.adjacency_masks()
     threads = min(budget.workers, g.n_vertices - target + 1)
+    share = budget.max_subsets // threads
     shared = _kernels.SharedState(0, target + 1)  # next lead, best of any thread
 
     def scan(kernel):
         time_limit = 0.0 if deadline is None else deadline - time.monotonic()
         if deadline is not None and time_limit <= 0:
             return None, 0, 0, True, False
-        return kernel(adj, target, stop_at, budget.max_subsets // threads, time_limit, shared)
+        return kernel(adj, target, stop_at, share, time_limit, shared)
 
     if threads == 1:
         results = [scan(_kernels.scan_min_induced_degree)]
@@ -195,14 +352,23 @@ def brute_force_f(
             results = list(pool.map(lambda _: scan(_kernels._scan), range(threads)))
 
     nodes = sum(r[2] for r in results)
+    if any(r[4] for r in results):
+        reason = "floor-reached"
+    elif any(r[3] for r in results):
+        reason = "node-cap" if any(r[2] >= share for r in results) else "deadline"
+    else:
+        reason = "exhausted"
     found = [r for r in results if r[0] is not None]
     if not found:
-        return FSearchResult(value=None, witness=None, kind="upper-unproven", subsets_examined=nodes)
+        return FSearchResult(None, None, "upper-unproven", nodes, None, reason)
     best, mask, *_ = min(found)
-    early = any(r[4] for r in results)
-    proven = best <= floor if early else not any(r[3] for r in results)
-    kind = "exact" if proven else "upper-unproven"
-    return FSearchResult(value=best, witness=VertexSet(g.m, g.k, bits=mask), kind=kind, subsets_examined=nodes)
+    if reason == "exhausted":
+        proof = "enumeration"
+    else:
+        floor = degree_floor(g, mis) if floor is None else floor
+        proof = f"floor:{floor.source}+scan" if best <= floor.value else None
+    kind = "upper-unproven" if proof is None else "exact"
+    return FSearchResult(best, VertexSet(g.m, g.k, bits=mask), kind, nodes, proof, reason)
 
 
 def degree_bound_check(a: SignedMatrix, s: VertexSet, tol: float = 1e-8) -> bool:
@@ -234,18 +400,42 @@ def lower_bound_even(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class FValue:
+    """Established value of f at alpha + 1.
+
+    kind "exact" when the certified floor is met by a witness checked with
+    induced_max_degree, else "lower" (the floor alone).  source names the
+    floor's certificate and witness the family that meets it (None when
+    lower).  paper_lower is the paper's own even-m floor ceil(sqrt(k
+    beta_n)) (None for odd m).
+    """
+
     kind: str  # "exact" or "lower"
     value: int
+    source: str
+    witness: str | None
+    paper_lower: int | None
 
 
 def theoretical_f_value(m: int, k: int) -> FValue:
-    """Established value of the minimum induced maximum degree at alpha + 1:
-    exactly 2 for m = 3, exactly 1 for odd m >= 5, and the spectral lower
-    bound for even m."""
+    """Established value of the minimum induced maximum degree at alpha + 1.
+
+    Up to the 65,536-vertex size cap it is degree_floor's value, exact once
+    floor_witness meets it: 2 for m = 3, 1 for odd m >= 5 and ceil(sqrt(k))
+    for even m.  Beyond the cap no certificate or witness is run, and the
+    row is a lower bound: the paper's ceil(sqrt(k beta_n)) for even m, the
+    independence floor 1 for odd m.
+    """
     if m < 2 or k < 1:
         raise ValueError(f"need m >= 2 and k >= 1, got m={m}, k={k}")
-    if m == 3:
-        return FValue(kind="exact", value=2)
-    if m % 2 == 1:
-        return FValue(kind="exact", value=1)
-    return FValue(kind="lower", value=lower_bound_even(m // 2, k))
+    paper = lower_bound_even(m // 2, k) if m % 2 == 0 else None
+    if m**k > DEFAULT_SIZE_CAP:
+        if paper is None:
+            return FValue("lower", 1, "independence", None, None)
+        return FValue("lower", paper, "paper-spectral", None, paper)
+    g = PathPower(m, k)
+    mis = max_independent_set(g)
+    floor = degree_floor(g, mis)
+    met = _witness_meets(g, floor, mis.size + 1)
+    if met is None:
+        return FValue("lower", floor.value, floor.source, None, paper)
+    return FValue("exact", floor.value, floor.source, met[0], paper)

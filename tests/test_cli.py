@@ -33,6 +33,9 @@ def test_construct_usage_errors():
     with pytest.raises(SystemExit) as exc:
         run_cli("construct", "--kind", "zz", "--m", "3", "--k", "2")
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("construct", "--kind", "hk", "--m", "3", "--k", "2")  # the folded witness needs even m
+    assert exc.value.code == 2
 
 
 def test_matrix_roundtrip(tmp_path):
@@ -160,7 +163,14 @@ def test_f_command_theory_and_brute(capsys):
     assert doc["value"] == 1 and doc["kind"] == "exact"
     assert doc["witness"] == [0, 1, 3]
     assert doc["subsets_examined"] > 0
-    assert doc["theory"] == {"kind": "lower", "value": 1}
+    assert doc["proof"] == "floor:hypercube-cells+scan" and doc["stop_reason"] == "floor-reached"
+    assert doc["theory"] == {
+        "kind": "exact",
+        "value": 1,
+        "floor_source": "hypercube-cells",
+        "witness": "hk",
+        "paper_lower": 1,
+    }
 
 
 def test_export_table_bounds_and_beta(capsys, tmp_path):
@@ -170,6 +180,10 @@ def test_export_table_bounds_and_beta(capsys, tmp_path):
     assert all(r["kind"] == "exact" and r["value"] == 2 for r in odd3)
     odd5 = [r for r in rows if r["m"] == 5]
     assert all(r["kind"] == "exact" and r["value"] == 1 for r in odd5)
+    even = [r for r in rows if r["m"] % 2 == 0]
+    assert all(r["kind"] == "exact" and r["witness"] == "hk" and r["floor_source"] == "hypercube-cells" for r in even)
+    assert [r["value"] for r in rows if r["m"] == 4] == [1, 2, 2]
+    assert [r["paper_lower"] for r in rows if r["m"] == 4] == [1, 1, 2]
 
     out = tmp_path / "beta.csv"
     assert run_cli("export-table", "--kind", "beta", "--n-max", "6", "--format", "csv", "--out", str(out)) == 0

@@ -1,16 +1,20 @@
 """The alternating independent sets and the low-degree witness sets."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pathpower import (
     PathPower,
+    SizeCapError,
     VertexSet,
     alpha_formula,
     alternating_independent_set,
     append_coordinate,
     build_construction,
+    hk_witness_set,
     induced_max_degree,
     is_independent,
     low_degree_witness_set,
@@ -129,5 +133,39 @@ def test_build_construction_kinds():
     assert build_construction("vk", 3, 2) == alternating_independent_set(3, 2)
     assert build_construction("vkc", 3, 2) == alternating_independent_set(3, 2).complement()
     assert build_construction("xk", 5, 1) == low_degree_witness_set(5, 1)
+    assert build_construction("hk", 4, 2) == hk_witness_set(4, 2)
     with pytest.raises(ValueError):
         build_construction("yk", 3, 2)
+
+
+def _naive_max_degree(s):
+    """Induced maximum degree by one membership test per neighbour."""
+    g = PathPower(s.m, s.k)
+    return max(sum(nb in s for nb in g.neighbor_ranks(r)) for r in s)
+
+
+@pytest.mark.parametrize(
+    "m,k",
+    [(2, k) for k in range(1, 17)]
+    + [(4, k) for k in range(1, 9)]
+    + [(6, 1), (6, 3), (6, 4), (6, 6), (8, 2), (8, 4), (10, 2), (16, 2), (16, 4)],
+)
+def test_hk_witness_meets_the_hypercube_floor(m, k):
+    h = hk_witness_set(m, k)
+    assert len(h) == alpha_formula(m, k) + 1
+    assert induced_max_degree(h) == math.isqrt(k - 1) + 1
+
+
+@pytest.mark.parametrize("m,k", [(4, 4), (2, 7), (6, 3), (4, 5)])
+def test_hk_witness_degree_by_neighbour_count(m, k):
+    h = hk_witness_set(m, k)
+    assert _naive_max_degree(h) == induced_max_degree(h) == math.isqrt(k - 1) + 1
+
+
+def test_hk_witness_rejects_odd_paths_and_the_size_cap():
+    with pytest.raises(ValueError):
+        hk_witness_set(3, 2)
+    with pytest.raises(ValueError):
+        hk_witness_set(2, 0)
+    with pytest.raises(SizeCapError):
+        hk_witness_set(2, 17)

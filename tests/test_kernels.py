@@ -144,14 +144,19 @@ def test_compiled_full_enumeration_node_counts(m, k, nodes):
 
 @compiled
 def test_compiled_node_cap_on_81_vertices():
+    # best 2 after 1M nodes is at the certified floor 2: exact although capped
     res = brute_force_f(PathPower(3, 4), budget=SearchBudget(max_subsets=1_000_000), stop_at=0)
-    assert res.kind == "upper-unproven" and res.value == 2
+    assert res.kind == "exact" and res.value == 2 and res.proof == "floor:odd3-spectral+scan"
+    assert res.subsets_examined == 1_000_000
+    # best 5 after 1M nodes stays above the floor 3
+    res = brute_force_f(PathPower(2, 7), budget=SearchBudget(max_subsets=1_000_000), stop_at=0)
+    assert res.kind == "upper-unproven" and res.value == 5
     assert res.subsets_examined == 1_000_000
 
 
 @compiled
 def test_compiled_floor_exit_node_count():
-    res = brute_force_f(PathPower(2, 6))  # the spectral floor 3 ends the scan
+    res = brute_force_f(PathPower(2, 6), stop_at=3)  # the floor 3 ends the scan
     assert res.kind == "exact" and res.value == 3
     assert res.subsets_examined == 2_548_999
 
@@ -161,12 +166,12 @@ def test_compiled_search_leaves_no_cyclic_garbage():
     import gc
 
     g = PathPower(3, 2)
-    brute_force_f(g)  # first call: the ctypes array types are made once
+    brute_force_f(g, stop_at=0)  # first call: the ctypes array types are made once
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        brute_force_f(g)
-        brute_force_f(g, budget=SearchBudget(workers=2))
+        brute_force_f(g, stop_at=0)
+        brute_force_f(g, budget=SearchBudget(workers=2), stop_at=0)
         gc.collect()
         garbage = list(gc.garbage)
     finally:

@@ -40,7 +40,7 @@ def test_only_a_single_worker_search_traces_the_kernel():
     try:
         for job, workers in enumerate((1, 2)):
             tracer.job = job
-            pathpower.brute_force_f(PathPower(3, 3), budget=SearchBudget(workers=workers))
+            pathpower.brute_force_f(PathPower(3, 3), budget=SearchBudget(workers=workers), stop_at=0)
     finally:
         tracer.uninstall()
     assert [span[4] for span in tracer.spans if span[0] == "search.scan_kernel"] == [0]
