@@ -18,7 +18,7 @@ from . import __version__
 from .constructions import CONSTRUCTION_KINDS, alpha_formula, build_construction
 from .grid import DEFAULT_SIZE_CAP, PathPower
 from .report import DEFAULT_MAX_SIZE, DEFAULT_SEED, DEFAULT_TOL, export_table, run_verify_all
-from .search import SearchBudget, brute_force_f, degree_floor, max_independent_set, theoretical_f_value
+from .search import SearchBudget, brute_force_f, max_independent_set, theoretical_f_value
 from .signed import signed_grid_matrix, write_matrix_market
 from .spectral import DEFAULT_EIG_DIM_CAP, beta, closed_form_spectrum, multiset_distance, signed_spectra
 
@@ -129,9 +129,7 @@ def cmd_f(args, parser) -> int:
     }
     if args.brute:
         g = PathPower(args.m, args.k, size_cap=args.size_cap)
-        # The scan itself, not the certificate: stop at the certified floor by default.
-        stop_at = degree_floor(g).value if args.stop_at is None else args.stop_at
-        res = brute_force_f(g, args.s, _budget_from(args), stop_at=stop_at)
+        res = brute_force_f(g, args.s, _budget_from(args), stop_at=args.stop_at, scan=True)
         doc["value"] = res.value
         doc["kind"] = res.kind
         doc["proof"] = res.proof

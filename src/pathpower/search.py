@@ -15,7 +15,8 @@ Huang's theorem, not a claim of the paper, whose own even-m floor
 ceil(sqrt(k beta_n)) (lower_bound_even) it dominates.  A floor holds for
 every s >= 1, since adding vertices cannot lower the induced maximum
 degree.  At s = 1 a witness family (xk for odd m, hk for even m) meets the
-floor, so brute_force_f settles f with no scan at all.
+floor, so a single-worker brute_force_f settles f with no scan at all;
+stop_at=0 forces the enumeration, and scan=True or several workers the scan.
 
 The subset scan is budgeted: exceeding the node cap or the deadline yields a
 result flagged as unproven, never a silently wrong value.  Several worker
@@ -159,7 +160,8 @@ def max_independent_set(g: PathPower) -> MisResult:
 
 class Floor(NamedTuple):
     """A lower bound on f at alpha + s for every s >= 1, the name of its
-    certificate, and the checked inputs it rests on."""
+    certificate, and the computed values it rests on (alpha, and the rows
+    and nonpositive eigenvalue count or the cell count and size)."""
 
     value: int
     source: str  # "independence", "odd3-spectral", "hypercube-cells"; "none" without a proven alpha
@@ -221,14 +223,7 @@ def _odd3_floor_inputs(g: PathPower, alpha: int) -> dict | None:
     nonpositive = (g.n_vertices + 1) // 2
     if not (_base_certified(3) and alpha + 1 > nonpositive):
         return None
-    return {
-        "alpha": alpha,
-        "base_certificate": True,
-        "zero_multiplicity": 1,
-        "min_positive_square": 2,
-        "rows": alpha + 1,
-        "nonpositive": nonpositive,
-    }
+    return {"alpha": alpha, "rows": alpha + 1, "nonpositive": nonpositive}
 
 
 def degree_floor(g: PathPower, mis: MisResult | None = None) -> Floor:
@@ -245,7 +240,7 @@ def degree_floor(g: PathPower, mis: MisResult | None = None) -> Floor:
     """
     mis = max_independent_set(g) if mis is None else mis
     if not mis.proven:
-        return Floor(0, "none", {"alpha_certificate": False})
+        return Floor(0, "none", {})
     alpha = mis.size
     if g.m == 3:
         inputs = _odd3_floor_inputs(g, alpha)
@@ -254,15 +249,9 @@ def degree_floor(g: PathPower, mis: MisResult | None = None) -> Floor:
     elif g.m % 2 == 0:
         cells, labels = hypercube_cells(g.m, g.k)
         if _base_certified(2) and hypercube_cells_certificate_holds(g, cells, labels, alpha):
-            inputs = {
-                "alpha": alpha,
-                "cells": g.n_vertices >> g.k,
-                "cell_size": 1 << g.k,
-                "cell_certificate": True,
-                "huang_base_certificate": True,
-            }
+            inputs = {"alpha": alpha, "cells": g.n_vertices >> g.k, "cell_size": 1 << g.k}
             return Floor(math.isqrt(g.k - 1) + 1, "hypercube-cells", inputs)
-    return Floor(1, "independence", {"alpha": alpha, "alpha_certificate": True})
+    return Floor(1, "independence", {"alpha": alpha})
 
 
 def floor_witness(g: PathPower) -> tuple[str, VertexSet]:
@@ -287,26 +276,29 @@ def brute_force_f(
     s: int = 1,
     budget: SearchBudget = DEFAULT_BUDGET,
     stop_at: int | None = None,
+    scan: bool = False,
 ) -> FSearchResult:
     """Exact minimum of the induced maximum degree over subsets of size
     alpha(g) + s, with an achieving witness.
 
     The independence number comes from the certificate of
     max_independent_set and the floor from degree_floor; both count against
-    the deadline, except a floor needed only to judge an early stop.  With
-    stop_at None and s = 1 the certificate comes
-    first: floor_witness builds the witness, and when its size is alpha + 1
+    the deadline, except a floor needed only to judge an early stop.  The
+    certificate comes first for a call with stop_at None, s = 1 and one
+    worker: floor_witness builds the witness, and when its size is alpha + 1
     and its induced maximum degree equals the floor, that is the value
     (stop_reason "certificate"), with no scan and no adjacency masks.  A
     deadline already past returns upper-unproven before any witness is
     built.
 
-    Otherwise the subset scan runs, and stops as soon as a subset reaches
-    stop_at, which defaults to the floor; pass 0 to force full enumeration.
-    An enumeration that runs to the end is exact.  A scan that stops early,
-    at stop_at or at the node cap or deadline, is exact only when its best
-    is at or below the certified floor, where floor plus witness settle the
-    value; above it the result is upper-unproven.
+    Otherwise the subset scan runs: always when scan is True, and for a
+    budget of several workers, which asks for the shared scan.  It stops as
+    soon as a subset reaches stop_at, which defaults to the floor; pass 0 to
+    force full enumeration.  An enumeration that runs to the end is exact.
+    A scan that stops early, at stop_at or at the node cap or deadline, is
+    exact only when its best is at or below the certified floor, where
+    floor plus witness settle the value; above it the result is
+    upper-unproven.
 
     The scan runs on min(workers, leads) threads sharing one search, each
     with an equal share of max_subsets.  Under a single worker the witness
@@ -323,14 +315,15 @@ def brute_force_f(
     floor = None  # computed when needed: for the default stop_at, or to judge an early stop
     if stop_at is None:
         floor = degree_floor(g, mis)
-        if deadline is not None and time.monotonic() >= deadline:
-            return FSearchResult(None, None, "upper-unproven", 0, None, "deadline")
-        met = _witness_meets(g, floor, target) if s == 1 else None
-        if met is not None:
-            family, witness = met
-            proof = f"floor:{floor.source}+witness:{family}"
-            return FSearchResult(floor.value, witness, "exact", 0, proof, "certificate")
         stop_at = floor.value
+        if s == 1 and not scan and budget.workers == 1:
+            if deadline is not None and time.monotonic() >= deadline:
+                return FSearchResult(None, None, "upper-unproven", 0, None, "deadline")
+            met = _witness_meets(g, floor, target)
+            if met is not None:
+                family, witness = met
+                proof = f"floor:{floor.source}+witness:{family}"
+                return FSearchResult(floor.value, witness, "exact", 0, proof, "certificate")
 
     adj = g.adjacency_masks()
     threads = min(budget.workers, g.n_vertices - target + 1)
@@ -380,17 +373,18 @@ def degree_bound_check(a: SignedMatrix, s: VertexSet, tol: float = 1e-8) -> bool
     return delta >= sub.eigenvalues[-1] - tol
 
 
-def lower_bound_even(n: int, k: int) -> int:
+def lower_bound_even(n: int, k: int, beta_n: float | None = None) -> int:
     """Degree floor ceil(sqrt(k * beta(n))) for even path length 2n.
 
     The ceiling is guard-banded: if the square root lands within 1e-9 of
     an integer t, the side of t is settled exactly (is beta(n) above or
     below t*t/k) with integer sign arithmetic, so the rounding can never be
-    off by one.
+    off by one.  beta_n, when given, is beta(n, 1e-12), isolated once by a
+    caller that needs the floor for many k.
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    root = math.sqrt(k * beta(n, 1e-12))
+    root = math.sqrt(k * (beta(n, 1e-12) if beta_n is None else beta_n))
     t = round(root)
     if abs(root - t) >= 1e-9:
         return math.ceil(root)
@@ -421,14 +415,18 @@ def theoretical_f_value(m: int, k: int) -> FValue:
 
     Up to the 65,536-vertex size cap it is degree_floor's value, exact once
     floor_witness meets it: 2 for m = 3, 1 for odd m >= 5 and ceil(sqrt(k))
-    for even m.  Beyond the cap no certificate or witness is run, and the
-    row is a lower bound: the paper's ceil(sqrt(k beta_n)) for even m, the
-    independence floor 1 for odd m.
+    for even m.  Beyond the cap no grid-sized certificate or witness is run,
+    and the row is a lower bound: the odd3 floor 2 for m = 3 (its base
+    certificate is 3 x 3), the paper's ceil(sqrt(k beta_n)) for even m and
+    the independence floor 1 for odd m >= 5.
     """
     if m < 2 or k < 1:
         raise ValueError(f"need m >= 2 and k >= 1, got m={m}, k={k}")
     paper = lower_bound_even(m // 2, k) if m % 2 == 0 else None
     if m**k > DEFAULT_SIZE_CAP:
+        if m == 3 and _base_certified(3):
+            # alpha + 1 exceeds (3^k + 1) / 2, the alternating set's size: the odd3 floor needs no grid
+            return FValue("lower", 2, "odd3-spectral", None, None)
         if paper is None:
             return FValue("lower", 1, "independence", None, None)
         return FValue("lower", paper, "paper-spectral", None, paper)

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from pathpower import SignedMatrix, VertexSet, read_matrix_market
+from pathpower import SignedMatrix, VertexSet, read_matrix_market, report, search
 from pathpower.cli import main
 from pathpower.report import export_table, run_verify_all, subseed
 
@@ -173,6 +173,22 @@ def test_f_command_theory_and_brute(capsys):
     }
 
 
+def test_f_command_beyond_the_cap(capsys):
+    assert run_cli("f", "--m", "3", "--k", "11") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["kind"], doc["value"], doc["theory"]["floor_source"]) == ("lower", 2, "odd3-spectral")
+
+
+def test_f_brute_certifies_alpha_once_in_the_search(capsys, monkeypatch):
+    calls = []
+    certify = search.max_independent_set
+    monkeypatch.setattr(search, "max_independent_set", lambda g: calls.append(1) or certify(g))
+    assert run_cli("f", "--m", "4", "--k", "2", "--brute") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["stop_reason"] == "floor-reached" and doc["subsets_examined"] > 0
+    assert len(calls) == 2  # one for the theory row, one for the search
+
+
 def test_export_table_bounds_and_beta(capsys, tmp_path):
     assert run_cli("export-table", "--kind", "bounds", "--m-min", "2", "--m-max", "5", "--k-max", "3") == 0
     rows = json.loads(capsys.readouterr().out)
@@ -238,6 +254,18 @@ def test_verify_all_dense_solve_count(monkeypatch):
     assert report.passed
     assert 0 < sum(calls) <= 617  # matrices solved
     assert 0 < len(calls) <= 28  # LAPACK calls: the chain's 600 submatrices share a few batched SVDs
+
+
+def test_report_flags_a_witness_that_misses_the_floor(monkeypatch):
+    build = report.floor_witness
+
+    def first_ranks(g):  # even m: the alpha + 1 smallest ranks, degree above the floor from [2]^2 on
+        family, witness = build(g)
+        return (family, witness) if g.m % 2 else (family, VertexSet(g.m, g.k, ranks=range(len(witness))))
+
+    monkeypatch.setattr(report, "floor_witness", first_ranks)
+    failed = [c.name for c in run_verify_all(max_size=16, chain_trials=5).checks if not c.passed]
+    assert failed == ["hypercube-floor", "even-floor-consistency"]
 
 
 def test_report_determinism():

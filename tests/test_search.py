@@ -294,8 +294,9 @@ def test_degree_bound_randomized():
 
 
 def test_lower_bound_even_hypercube_column():
+    b1 = search.beta(1, 1e-12)
     for k in range(1, 26):
-        assert lower_bound_even(1, k) == math.isqrt(k - 1) + 1
+        assert lower_bound_even(1, k) == lower_bound_even(1, k, b1) == math.isqrt(k - 1) + 1
 
 
 def test_lower_bound_even_values():
@@ -319,11 +320,27 @@ def test_lower_bound_even_matches_mpmath():
 
 @pytest.mark.parametrize(
     "m,k,kind,value",
-    [(5, 3, "exact", 1), (3, 4, "exact", 2), (2, 9, "exact", 3), (7, 2, "exact", 1), (2, 17, "lower", 5)],
+    [
+        (5, 3, "exact", 1),
+        (3, 4, "exact", 2),
+        (2, 9, "exact", 3),
+        (7, 2, "exact", 1),
+        (2, 17, "lower", 5),
+        (3, 11, "lower", 2),
+        (5, 7, "lower", 1),
+    ],
 )
 def test_theoretical_f_value(m, k, kind, value):
     fv = theoretical_f_value(m, k)
     assert (fv.kind, fv.value) == (kind, value)
+
+
+def test_odd3_floor_beyond_the_cap_needs_its_base_certificate(monkeypatch):
+    fv = theoretical_f_value(3, 11)
+    assert (fv.source, fv.witness, fv.paper_lower) == ("odd3-spectral", None, None)
+    monkeypatch.setattr(search, "_base_certified", lambda m: False)
+    fv = theoretical_f_value(3, 11)
+    assert (fv.kind, fv.value, fv.source) == ("lower", 1, "independence")
 
 
 def test_even_searches_respect_floor():
@@ -397,6 +414,21 @@ def test_truncated_scan_at_the_floor_is_exact():
     assert (res.value, res.kind, res.proof, res.stop_reason) == (2, "exact", "floor:odd3-spectral+scan", "node-cap")
     res = brute_force_f(PathPower(2, 7), budget=SearchBudget(max_subsets=40), stop_at=0)
     assert (res.value, res.kind, res.proof) == (None, "upper-unproven", None)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"scan": True}, {"budget": SearchBudget(workers=2)}], ids=["scan", "two-workers"]
+)
+def test_scan_requests_skip_the_certificate(kwargs):
+    res = brute_force_f(PathPower(2, 3), **kwargs)
+    assert res.subsets_examined > 0 and res.stop_reason == "floor-reached"
+    assert (res.value, res.kind, res.proof) == (2, "exact", "floor:hypercube-cells+scan")
+
+
+def test_floor_inputs_are_computed_values():
+    assert degree_floor(PathPower(4, 2)).inputs == {"alpha": 8, "cells": 4, "cell_size": 4}
+    assert degree_floor(PathPower(3, 2)).inputs == {"alpha": 5, "rows": 6, "nonpositive": 5}
+    assert degree_floor(PathPower(5, 2)).inputs == {"alpha": 13}
 
 
 def test_witness_above_the_floor_falls_back_to_the_scan(monkeypatch):
