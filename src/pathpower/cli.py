@@ -118,7 +118,8 @@ def cmd_alpha(args, parser) -> int:
 def cmd_f(args, parser) -> int:
     if args.s != 1 and not args.brute:
         raise ValueError(f"the established value is for alpha + 1 vertices; --s {args.s} needs --brute")
-    doc: dict = {"m": args.m, "k": args.k, "s": args.s, "seed": args.seed}
+    budget = _budget_from(args)  # refused before anything is built
+    doc: dict = {"m": args.m, "k": args.k, "s": args.s}
     theory = theoretical_f_value(args.m, args.k)
     doc["theory"] = {
         "kind": theory.kind,
@@ -129,7 +130,7 @@ def cmd_f(args, parser) -> int:
     }
     if args.brute:
         g = PathPower(args.m, args.k, size_cap=args.size_cap)
-        res = brute_force_f(g, args.s, _budget_from(args), stop_at=args.stop_at, scan=True)
+        res = brute_force_f(g, args.s, budget, stop_at=args.stop_at, scan=True)
         doc["value"] = res.value
         doc["kind"] = res.kind
         doc["proof"] = res.proof
@@ -243,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stop-at", type=int, default=None, help="stop the scan at this degree (default: the floor); 0 scans all"
     )
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
     _add_budget_flags(p)
     p.add_argument("--out", default=None)

@@ -42,13 +42,11 @@ from .spectral import (
     base_square_charpoly,
     beta,
     charpoly_exact,
-    closed_form_spectrum,
     fg_identity_failures,
     interlacing_check,
-    multiset_distance,
     odd3_spectrum_check,
     signed_spectra,
-    symmetry_check,
+    spectrum_check,
 )
 
 DEFAULT_SEED = 0x50335035  # the bytes "P3P5"
@@ -224,16 +222,10 @@ def _check_even_spectra(cfg: dict) -> tuple[bool, dict]:
         for k in (1, 2, 3):
             if (2 * n) ** k > cfg["max_size"]:
                 break
-            a = signed_grid_matrix(2 * n, k)
-            (rep,) = signed_spectra(a, group_tol=tol)
-            got = rep.min_positive
+            r = spectrum_check(2 * n, k, tol)
             want = math.sqrt(k * bn)
-            nonsing = min(abs(v) for v in rep.eigenvalues) > tol
-            if k == 1:  # settled exactly: the tridiagonal base has determinant +-1
-                nonsing = nonsing and abs(charpoly_exact(a.to_dense()).coeffs[0]) == 1
-            dist = multiset_distance(rep.eigenvalues, closed_form_spectrum(2 * n, k, tol).eigenvalues)
-            row_ok = abs(got - want) <= tol and nonsing and symmetry_check(rep, tol) and dist <= 1e-7
-            rows.append([n, k, got, want, dist, row_ok])
+            row_ok = r.passed and abs(r.min_positive - want) <= tol
+            rows.append([n, k, r.min_positive, want, r.closed_form_defect, row_ok])
             ok = ok and row_ok
     return ok and bool(rows), {"rows": rows}
 

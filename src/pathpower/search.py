@@ -61,7 +61,7 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_subsets < 1:
             raise ValueError("max_subsets must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
+        if self.max_seconds is not None and not self.max_seconds > 0:  # so NaN is refused too
             raise ValueError("max_seconds must be positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")

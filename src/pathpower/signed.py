@@ -192,14 +192,6 @@ def _sparse_square(a: SignedMatrix) -> tuple[np.ndarray, np.ndarray]:
     return _canonical(keys, np.repeat(a.vals, counts) * a.vals[pos])
 
 
-def dense_square(a: SignedMatrix) -> np.ndarray:
-    """Exact integer A @ A as a dense int64 array, from the sparse square."""
-    keys, vals = _sparse_square(a)
-    out = np.zeros(a.dim * a.dim, dtype=np.int64)
-    out[keys] = vals
-    return out.reshape(a.dim, a.dim)
-
-
 def square_identity_check(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> bool:
     """Verify A(k)^2 = I_m ⊗ A(k-1)^2 + A(1)^2 ⊗ I in exact integers.
 

@@ -76,6 +76,9 @@ def test_unknown_flag_and_command_exit_2(capsys):
         ["f", "--m", "2", "--k", "17", "--brute"],  # over the size cap
         ["spectrum", "--parity", "odd3", "--k", "0"],
         ["spectrum", "--parity", "odd3", "--k", "0", "--compose"],
+        ["f", "--m", "3", "--k", "2", "--brute", "--max-seconds", "nan"],  # NaN > 0 is false, like 0
+        ["f", "--m", "3", "--k", "2", "--max-seconds", "nan"],
+        ["f", "--m", "3", "--k", "2", "--seed", "1"],  # f is deterministic: no seed
     ],
 )
 def test_invalid_input_is_a_usage_error(capsys, argv):
@@ -156,7 +159,7 @@ def test_repeated_main_leaves_little_cyclic_garbage(capsys):
 def test_f_command_theory_and_brute(capsys):
     assert run_cli("f", "--m", "3", "--k", "4") == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["value"] == 2 and doc["kind"] == "exact"
+    assert doc["value"] == 2 and doc["kind"] == "exact" and "seed" not in doc
 
     assert run_cli("f", "--m", "4", "--k", "1", "--brute") == 0
     doc = json.loads(capsys.readouterr().out)

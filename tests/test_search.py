@@ -264,6 +264,13 @@ def test_tiny_deadline_returns_upper_unproven():
     assert res.kind == "upper-unproven" and res.value is None
 
 
+def test_budget_refuses_a_deadline_that_is_not_positive():
+    for bad in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="max_seconds"):
+            SearchBudget(max_seconds=bad)
+    assert SearchBudget(max_seconds=float("inf")).max_seconds == float("inf")
+
+
 def test_oversized_subset_rejected():
     with pytest.raises(ValueError):
         brute_force_f(PathPower(2, 1), s=2)  # alpha + 2 = 3 > 2 vertices

@@ -1,6 +1,7 @@
 """Polynomial recurrences, root isolation, and the spectral verifiers."""
 
 import math
+import time
 from fractions import Fraction
 from math import comb
 
@@ -24,7 +25,6 @@ from pathpower import (
     charpoly_exact,
     closed_form_spectrum,
     composed_square_spectrum,
-    eigenvalues_sym,
     fg_identity_check,
     interlacing_check,
     min_positive_eig_even,
@@ -36,6 +36,7 @@ from pathpower import (
     principal_submatrix,
     signed_grid_matrix,
     signed_spectra,
+    spectrum_check,
     spectrum_report,
     square_compose_check,
     symmetry_check,
@@ -43,6 +44,11 @@ from pathpower import (
 from pathpower.spectral import base_certificate_holds, base_matrices, beta_side_of
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _eigvalsh(mat):
+    """The tests' own dense oracle: numpy.linalg.eigvalsh, summarised by spectrum_report."""
+    return spectrum_report(np.linalg.eigvalsh(np.asarray(mat, dtype=float)))
 
 
 # --------------------------- exact polynomial layer ------------------------
@@ -287,22 +293,25 @@ def test_charpoly_of_squared_base(n):
 
 
 def test_eigenvalues_of_bases():
-    even = eigenvalues_sym(signed_grid_matrix(2, 1).to_dense())
+    even = _eigvalsh(signed_grid_matrix(2, 1).to_dense())
     assert multiset_distance(even.eigenvalues, [-1.0, 1.0]) <= 1e-12
-    odd = eigenvalues_sym(signed_grid_matrix(3, 1).to_dense())
+    odd = _eigvalsh(signed_grid_matrix(3, 1).to_dense())
     assert multiset_distance(odd.eigenvalues, [-SQRT2, 0.0, SQRT2]) <= 1e-12
     assert odd.zero_multiplicity == 1
     assert odd.min_positive == pytest.approx(SQRT2, abs=1e-12)
-    zero = eigenvalues_sym(np.zeros((4, 4)))
+    zero = _eigvalsh(np.zeros((4, 4)))
     assert zero.eigenvalues == (0.0, 0.0, 0.0, 0.0)
     assert zero.min_positive is None
 
 
-def test_eigenvalues_sym_rejects_bad_input():
+def test_signed_spectra_rejects_bad_input():
+    a = signed_grid_matrix(3, 2)
+    asymmetric = a.vals.copy()
+    asymmetric[0] = -asymmetric[0]  # its mirror entry keeps its sign
     with pytest.raises(ValueError):
-        eigenvalues_sym(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        signed_spectra(_tampered(a, a.rows, a.cols, asymmetric))
     with pytest.raises(SizeCapError):
-        eigenvalues_sym(np.zeros((8, 8)), dim_cap=4)
+        signed_spectra(signed_grid_matrix(2, 13))  # dimension 8,192
 
 
 def test_spectrum_report_statistics():
@@ -338,14 +347,14 @@ def test_odd3_spectrum_checks():
     assert r1.passed and r1.zero_multiplicity == 1
     r2 = odd3_spectrum_check(2)
     assert r2.passed and r2.closed_form_defect <= 1e-9
-    rep = eigenvalues_sym(signed_grid_matrix(3, 2).to_dense())
+    rep = _eigvalsh(signed_grid_matrix(3, 2).to_dense())
     hand = sorted([0.0, SQRT2, SQRT2, -SQRT2, -SQRT2, 2.0, 2.0, -2.0, -2.0])
     assert multiset_distance(rep.eigenvalues, hand) <= 1e-8
 
 
 def test_odd3_has_zero_eigenvalue_unlike_even():
     # the m = 3 family is singular, the even family is not
-    odd = eigenvalues_sym(signed_grid_matrix(3, 1).to_dense())
+    odd = _eigvalsh(signed_grid_matrix(3, 1).to_dense())
     assert odd.zero_multiplicity == 1
     assert nonsingularity_check_even(1, 1)
     assert nonsingularity_check_even(2, 2)
@@ -353,16 +362,16 @@ def test_odd3_has_zero_eigenvalue_unlike_even():
 
 def test_spectrum_symmetry_of_built_matrices():
     for m, k in [(4, 2), (3, 3), (2, 4), (6, 2)]:
-        rep = eigenvalues_sym(signed_grid_matrix(m, k).to_dense())
+        rep = _eigvalsh(signed_grid_matrix(m, k).to_dense())
         assert symmetry_check(rep, 1e-8), (m, k)
 
 
 def test_interlacing_examples():
-    a = eigenvalues_sym(signed_grid_matrix(3, 1).to_dense())
+    a = _eigvalsh(signed_grid_matrix(3, 1).to_dense())
     assert interlacing_check(a, a)
     sub = principal_submatrix(signed_grid_matrix(3, 1), VertexSet(3, 1, ranks=[0, 1]))
-    assert interlacing_check(a, eigenvalues_sym(sub))
-    assert not interlacing_check(a, eigenvalues_sym(np.array([[5.0]])))
+    assert interlacing_check(a, _eigvalsh(sub))
+    assert not interlacing_check(a, _eigvalsh(np.array([[5.0]])))
 
 
 def test_interlacing_randomized_submatrices():
@@ -370,24 +379,70 @@ def test_interlacing_randomized_submatrices():
 
     rng = random.Random(20240)
     a = signed_grid_matrix(4, 2)
-    host = eigenvalues_sym(a.to_dense())
+    host = _eigvalsh(a.to_dense())
     for _ in range(100):
         size = rng.randint(1, 15)
         s = VertexSet(4, 2, ranks=rng.sample(range(16), size))
-        assert interlacing_check(host, eigenvalues_sym(principal_submatrix(a, s)), 1e-8)
+        assert interlacing_check(host, _eigvalsh(principal_submatrix(a, s)), 1e-8)
 
 
 @pytest.mark.parametrize("m,k", [(2, 2), (2, 3), (4, 2), (6, 2), (3, 2), (3, 3)])
 def test_square_spectrum_composition(m, k):
     ok, dist = square_compose_check(m, k, tol=1e-7)
     assert ok, f"composition distance {dist}"
+    # the squares it compares, against the test's own solve of the dense A @ A
+    dense = signed_grid_matrix(m, k).to_dense()
+    oracle = np.linalg.eigvalsh((dense @ dense).astype(float)).tolist()
+    squares = [v * v for v in spectrum_check(m, k).spectrum.eigenvalues]
+    assert multiset_distance(squares, oracle) <= 1e-9
+    assert multiset_distance(composed_square_spectrum(m, k).eigenvalues, oracle) <= 1e-9
+
+
+@pytest.mark.parametrize("m,k", [(2, 2), (4, 2), (3, 2), (3, 3)])
+def test_shifted_closed_form_fails_both_checks(monkeypatch, m, k):
+    true_form = spectral.closed_form_spectrum
+
+    def shifted(*args, **kwargs):
+        values = list(true_form(*args, **kwargs).eigenvalues)
+        values[-1] += 1e-6  # the largest eigenvalue, so its square moves too
+        return spectrum_report(values)
+
+    assert spectrum_check(m, k).passed
+    monkeypatch.setattr(spectral, "closed_form_spectrum", shifted)
+    r = spectrum_check(m, k)
+    assert not r.passed and r.closed_form_defect == pytest.approx(1e-6, rel=1e-3)
+    ok, dist = square_compose_check(m, k)
+    assert not ok and dist > 1e-7
+
+
+def test_spectrum_check_facts():
+    r = spectrum_check(3, 2)
+    assert (r.m, r.k, r.zero_multiplicity, r.passed) == (3, 2, 1, True)
+    assert r.min_positive == pytest.approx(SQRT2, abs=1e-12) and r.spectrum.dim == 9
+    for m, k in [(2, 1), (4, 1), (6, 1), (4, 2), (2, 5)]:
+        r = spectrum_check(m, k)
+        assert r.passed and r.zero_multiplicity == 0, (m, k)
+    assert odd3_spectrum_check(2) == spectrum_check(3, 2)
+
+
+def test_spectrum_check_settles_the_even_base_by_its_determinant(monkeypatch):
+    for m in (3, *range(2, 17, 2)):
+        a = signed_grid_matrix(m, 1)
+        assert spectral._path_determinant(a) == _det(a.to_dense()) == (0 if m % 2 else (-1) ** (m // 2)), m
+    start = time.perf_counter()
+    assert nonsingularity_check_even(64, 1)  # charpoly_exact of the 128 x 128 base took 8 s
+    assert time.perf_counter() - start < 5
+    # negative control: with det B = 2 in place of +-1 only the k = 1 check fails
+    monkeypatch.setattr(spectral, "_path_determinant", lambda a: 2)
+    assert not spectrum_check(4, 1).passed and not nonsingularity_check_even(2, 1)
+    assert spectrum_check(4, 2).passed and nonsingularity_check_even(2, 2)
 
 
 def test_signed_spectrum_reconstruction_from_squares():
     # the closed form splits each square s > 0 evenly into +-sqrt(s)
     for m, k in [(2, 2), (4, 2), (3, 2)]:
         closed = closed_form_spectrum(m, k)
-        direct = eigenvalues_sym(signed_grid_matrix(m, k).to_dense())
+        direct = _eigvalsh(signed_grid_matrix(m, k).to_dense())
         assert multiset_distance(closed.eigenvalues, direct.eigenvalues) <= 1e-9
 
 
@@ -478,15 +533,12 @@ def test_closed_form_size_cap_and_parameters():
 
 
 def test_size_caps_refuse_before_densifying(monkeypatch):
-    from pathpower import signed
     from pathpower.cli import main
 
     def no_densify(*args, **kwargs):
         raise AssertionError("densified an input above the eigensolver cap")
 
     monkeypatch.setattr(SignedMatrix, "to_dense", no_densify)
-    monkeypatch.setattr(signed, "dense_square", no_densify)
-    monkeypatch.setattr(spectral, "dense_square", no_densify)
     for call in (
         lambda: min_positive_eig_even(1, 13),
         lambda: nonsingularity_check_even(1, 13),
@@ -565,17 +617,23 @@ def test_signed_spectra_mixed_splits_in_one_batch():
 
 
 def test_signed_matrices_are_never_solved_by_eigh(monkeypatch):
-    from pathpower.report import DEFAULT_SEED, _check_degree_eigenvalue_chain
+    # the one dense solver is signed_spectra's SVD: eigh, eigvalsh and eig never run
+    from pathpower.report import DEFAULT_SEED, _check_degree_eigenvalue_chain, run_verify_all
     from pathpower.search import degree_bound_check
 
     def no_eigh(*args, **kwargs):
         raise AssertionError("a signed matrix went to eigh")
 
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigh)
+    for name in ("eigh", "eigvalsh", "eig"):
+        monkeypatch.setattr(np.linalg, name, no_eigh)
+    report = run_verify_all()
+    assert report.passed, [(c.name, c.details) for c in report.checks if not c.passed]
     assert odd3_spectrum_check(6).passed
     assert min_positive_eig_even(2, 3) == pytest.approx(math.sqrt(3 * beta(2)), abs=1e-8)
     assert nonsingularity_check_even(2, 2)
+    assert square_compose_check(4, 3)[0]
+    with pytest.raises(NotImplementedError):
+        spectral.eigenvalues_sym(np.eye(2))
     ok, details = _check_degree_eigenvalue_chain({"max_size": 729, "tol": 1e-8, "seed": DEFAULT_SEED})
     assert ok and [row[2] for row in details["rows"]] == [200, 200, 200]
     assert degree_bound_check(signed_grid_matrix(3, 2), VertexSet(3, 2, ranks=[0, 1, 2, 4, 6, 8]))
