@@ -158,16 +158,10 @@ def _scan(adj, *args):
     return impl(adj, *args)
 
 
-def scan_min_induced_degree(
-    adj: list[int],
-    target: int,
-    stop_at: int = 1,
-    max_nodes: int | None = None,
-    time_limit: float | None = None,
-    shared=None,
-):
-    max_nodes = -1 if max_nodes is None else max_nodes
-    time_limit = 0.0 if time_limit is None else time_limit
+def scan_min_induced_degree(adj: list[int], target: int, stop_at: int, max_nodes: int, time_limit: float, shared):
+    """The subset scan, on the kernel that fits the graph: max_nodes -1 for
+    no node cap, time_limit 0.0 for no deadline, shared None for a fresh
+    scan (see _kernels_py.scan_min_induced_degree)."""
     return _scan(adj, target, stop_at, max_nodes, time_limit, shared)
 
 

@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .constructions import CONSTRUCTION_KINDS, alpha_formula, build_construction
 from .grid import DEFAULT_SIZE_CAP, PathPower
-from .report import DEFAULT_MAX_SIZE, DEFAULT_SEED, DEFAULT_TOL, export_table, run_verify_all
+from .report import DEFAULT_MAX_SIZE, DEFAULT_SEED, DEFAULT_TABLE_SIZE_CAP, DEFAULT_TOL, export_table, run_verify_all
 from .search import SearchBudget, brute_force_f, max_independent_set, theoretical_f_value
 from .signed import signed_grid_matrix, write_matrix_market
 from .spectral import DEFAULT_EIG_DIM_CAP, beta, closed_form_spectrum, multiset_distance, signed_spectra
@@ -130,7 +130,8 @@ def cmd_f(args, parser) -> int:
     }
     if args.brute:
         g = PathPower(args.m, args.k, size_cap=args.size_cap)
-        res = brute_force_f(g, args.s, budget, stop_at=args.stop_at, scan=True)
+        stop_at = theory.value if args.stop_at is None else args.stop_at  # a given stop_at runs the scan
+        res = brute_force_f(g, args.s, budget, stop_at=stop_at)
         doc["value"] = res.value
         doc["kind"] = res.kind
         doc["proof"] = res.proof
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
+    p.add_argument("--size-cap", type=int, default=DEFAULT_TABLE_SIZE_CAP)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_export_table)

@@ -11,7 +11,7 @@ dimensional set and its complement in alternating order:
   2 when m = 3 and 1 when m >= 5.
 
 A third family, for even m, folds a Boolean function onto the grid instead
-(fold_and_of_ors): the AND-of-ORs of Chung, Furedi, Graham and Seymour,
+(hk_witness_set): the AND-of-ORs of Chung, Furedi, Graham and Seymour,
 whose sensitivity ceil(sqrt(k)) bounds the induced degree of the folded set.
 """
 
@@ -21,8 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import SizeCapError
-from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, induced_max_degree
+from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, induced_max_degree
 
 CONSTRUCTION_KINDS = ("vk", "vkc", "xk", "xkc", "hk")
 
@@ -37,11 +36,6 @@ def append_coordinate(s: VertexSet, a: int) -> VertexSet:
         raise ValueError(f"appended coordinate {a} outside 1..{s.m}")
     shift = (a - 1) * s.n_vertices
     return VertexSet(s.m, s.k + 1, bits=s.bits << shift)
-
-
-def _check_cap(m: int, k: int, size_cap: int) -> None:
-    if m**k > size_cap:
-        raise SizeCapError(f"m^k = {m**k} exceeds the size cap {size_cap}")
 
 
 def _alternating_extension(base: VertexSet) -> VertexSet:
@@ -63,9 +57,7 @@ def alternating_independent_set(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP
     Seed: odd coordinates of the path.  Each extension places the previous
     set in odd last-coordinate blocks and its complement in even ones.
     """
-    if m < 2 or k < 1:
-        raise ValueError(f"need m >= 2 and k >= 1, got m={m}, k={k}")
-    _check_cap(m, k, size_cap)
+    check_grid(m, k, size_cap)
     s = VertexSet(m, 1, ranks=[c - 1 for c in range(1, m + 1) if c % 2 == 1])
     for _ in range(k - 1):
         s = _alternating_extension(s)
@@ -80,9 +72,7 @@ def low_degree_witness_set(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> 
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"witness sets are defined for odd m >= 3, got m = {m}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got k={k}")
-    _check_cap(m, k, size_cap)
+    check_grid(m, k, size_cap)
     seed = {c for c in range(2, m, 2)} | {1, m}
     s = VertexSet(m, 1, ranks=[c - 1 for c in seed])
     for _ in range(k - 1):
@@ -97,42 +87,36 @@ def sqrt_blocks(k: int) -> list[list[int]]:
     return [list(range(i, k, a)) for i in range(a)]
 
 
-def fold_and_of_ors(m: int, k: int, blocks: list[list[int]], size_cap: int = DEFAULT_SIZE_CAP) -> VertexSet:
-    """The AND over blocks of the OR within each block, folded onto [m]^k.
+def hk_witness_set(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> VertexSet:
+    """Witness set of size alpha + 1 with induced maximum degree at most
+    ceil(sqrt(k)); even m only.  g is the AND over the blocks of
+    sqrt_blocks(k) of the OR within each block: every block has at most
+    ceil(sqrt(k)) coordinates and there are ceil(sqrt(k)) blocks, so g's
+    sensitivity is at most ceil(sqrt(k)).
 
-    Coordinate i folds to the bit b_i = [digit_i >= 1], so only the step
-    between digits 0 and 1 flips it.  H = {x : g(b(x)) != parity(x)}, the
-    parity being the digit sum's.  A grid neighbour of x has the other
-    parity, so it lies in H with x exactly when the step flips a
-    coordinate on which g is sensitive at b(x): each x in H has at most
-    sensitivity(g) neighbours in H, and the same holds in the complement.
-    Returns H or its complement, whichever is larger, cut to its alpha + 1
-    smallest ranks when it has more; for even m and g of full degree it has
-    more than m^k / 2 members.  Built from digit arrays, with no loop over
-    vertices.
+    g is folded onto [m]^k: coordinate i folds to the bit b_i = [digit_i
+    >= 1], so only the step between digits 0 and 1 flips it.  H = {x :
+    g(b(x)) != parity(x)}, the parity being the digit sum's.  A grid
+    neighbour of x has the other parity, so it lies in H with x exactly
+    when the step flips a coordinate on which g is sensitive at b(x): each
+    x in H has at most sensitivity(g) neighbours in H, and the same holds
+    in the complement.  Returns H or its complement, whichever is larger,
+    cut to its alpha + 1 smallest ranks when it has more; for even m and g
+    of full degree it has more than m^k / 2 members.  Built from digit
+    arrays, with no loop over vertices.
     """
-    if m < 2 or k < 1:
-        raise ValueError(f"need m >= 2 and k >= 1, got m={m}, k={k}")
-    _check_cap(m, k, size_cap)
-    digits = np.arange(m**k, dtype=np.int64)[:, None] // m ** np.arange(k, dtype=np.int64) % m
-    g = np.ones(m**k, dtype=bool)
-    for block in blocks:
+    if m % 2:
+        raise ValueError(f"the folded witness is defined for even m, got m = {m}")
+    n = check_grid(m, k, size_cap)
+    digits = np.arange(n, dtype=np.int64)[:, None] // m ** np.arange(k, dtype=np.int64) % m
+    g = np.ones(n, dtype=bool)
+    for block in sqrt_blocks(k):
         g &= (digits[:, block] >= 1).any(axis=1)
     h = g != (digits.sum(axis=1) % 2 == 1)
     if 2 * np.count_nonzero(h) < h.size:
         h = ~h
     h &= np.cumsum(h) <= alpha_formula(m, k) + 1
     return VertexSet(m, k, bits=int.from_bytes(np.packbits(h, bitorder="little").tobytes(), "little"))
-
-
-def hk_witness_set(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> VertexSet:
-    """Witness set of size alpha + 1 with induced maximum degree at most
-    ceil(sqrt(k)); even m only.  fold_and_of_ors on sqrt_blocks(k): every
-    block has at most ceil(sqrt(k)) coordinates and there are ceil(sqrt(k))
-    blocks, so g's sensitivity is at most ceil(sqrt(k))."""
-    if m % 2:
-        raise ValueError(f"the folded witness is defined for even m, got m = {m}")
-    return fold_and_of_ors(m, k, sqrt_blocks(k), size_cap)
 
 
 def alpha_formula(m: int, k: int) -> int:

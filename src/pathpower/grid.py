@@ -30,6 +30,17 @@ DEFAULT_SIZE_CAP = 65536
 Vertex = tuple[int, ...]
 
 
+def check_grid(m: int, k: int, size_cap: int) -> int:
+    """m^k, the vertex count of [m]^k; ValueError unless m >= 2 and k >= 1,
+    SizeCapError when m^k exceeds size_cap."""
+    if m < 2 or k < 1:
+        raise ValueError(f"need m >= 2 and k >= 1, got m={m}, k={k}")
+    n = m**k
+    if n > size_cap:
+        raise SizeCapError(f"m^k = {n} exceeds the size cap {size_cap}")
+    return n
+
+
 @dataclass(frozen=True)
 class PathPower:
     """The graph on [m]^k with edges between tuples at 1-norm distance 1."""
@@ -40,14 +51,7 @@ class PathPower:
     size_cap: InitVar[int] = DEFAULT_SIZE_CAP
 
     def __post_init__(self, size_cap: int) -> None:
-        if self.m < 2:
-            raise ValueError(f"path length m must be >= 2, got {self.m}")
-        if self.k < 1:
-            raise ValueError(f"power k must be >= 1, got {self.k}")
-        n = self.m**self.k
-        if n > size_cap:
-            raise SizeCapError(f"m^k = {n} exceeds the size cap {size_cap}")
-        object.__setattr__(self, "n_vertices", n)
+        object.__setattr__(self, "n_vertices", check_grid(self.m, self.k, size_cap))
 
     @property
     def edge_count(self) -> int:

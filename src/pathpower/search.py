@@ -15,8 +15,9 @@ Huang's theorem, not a claim of the paper, whose own even-m floor
 ceil(sqrt(k beta_n)) (lower_bound_even) it dominates.  A floor holds for
 every s >= 1, since adding vertices cannot lower the induced maximum
 degree.  At s = 1 a witness family (xk for odd m, hk for even m) meets the
-floor, so a single-worker brute_force_f settles f with no scan at all;
-stop_at=0 forces the enumeration, and scan=True or several workers the scan.
+floor, so brute_force_f with its defaults (no stop_at, s = 1, one worker)
+settles f with no scan at all.  A given stop_at or several workers run the
+scan: to that degree, or to the floor; stop_at=0 forces the enumeration.
 
 The subset scan is budgeted: exceeding the node cap or the deadline yields a
 result flagged as unproven, never a silently wrong value.  Several worker
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -59,12 +61,12 @@ class SearchBudget:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_subsets < 1:
-            raise ValueError("max_subsets must be positive")
+        for name in ("max_subsets", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.max_seconds is not None and not self.max_seconds > 0:  # so NaN is refused too
             raise ValueError("max_seconds must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -276,7 +278,6 @@ def brute_force_f(
     s: int = 1,
     budget: SearchBudget = DEFAULT_BUDGET,
     stop_at: int | None = None,
-    scan: bool = False,
 ) -> FSearchResult:
     """Exact minimum of the induced maximum degree over subsets of size
     alpha(g) + s, with an achieving witness.
@@ -284,17 +285,18 @@ def brute_force_f(
     The independence number comes from the certificate of
     max_independent_set and the floor from degree_floor; both count against
     the deadline, except a floor needed only to judge an early stop.  The
-    certificate comes first for a call with stop_at None, s = 1 and one
-    worker: floor_witness builds the witness, and when its size is alpha + 1
-    and its induced maximum degree equals the floor, that is the value
+    defaults (stop_at None, s = 1, one worker) settle by certificate:
+    floor_witness builds the witness, and when its size is alpha + 1 and
+    its induced maximum degree equals the floor, that is the value
     (stop_reason "certificate"), with no scan and no adjacency masks.  A
     deadline already past returns upper-unproven before any witness is
     built.
 
-    Otherwise the subset scan runs: always when scan is True, and for a
-    budget of several workers, which asks for the shared scan.  It stops as
-    soon as a subset reaches stop_at, which defaults to the floor; pass 0 to
-    force full enumeration.  An enumeration that runs to the end is exact.
+    Otherwise the subset scan runs: a given stop_at asks for it, and so
+    does a budget of several workers, which names the shared scan.  It
+    stops as soon as a subset reaches stop_at, which defaults to the floor;
+    pass the floor to scan to it, or 0 to force full enumeration.  An
+    enumeration that runs to the end is exact.
     A scan that stops early, at stop_at or at the node cap or deadline, is
     exact only when its best is at or below the certified floor, where
     floor plus witness settle the value; above it the result is
@@ -316,7 +318,7 @@ def brute_force_f(
     if stop_at is None:
         floor = degree_floor(g, mis)
         stop_at = floor.value
-        if s == 1 and not scan and budget.workers == 1:
+        if s == 1 and budget.workers == 1:
             if deadline is not None and time.monotonic() >= deadline:
                 return FSearchResult(None, None, "upper-unproven", 0, None, "deadline")
             met = _witness_meets(g, floor, target)

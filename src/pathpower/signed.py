@@ -24,8 +24,8 @@ from typing import IO
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SizeCapError
-from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet
+from .errors import DimensionMismatchError
+from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid
 
 
 @dataclass
@@ -73,11 +73,12 @@ class SignedMatrix:
         """Number of stored (directed) nonzeros; twice the edge count."""
         return len(self.vals)
 
-    def graph(self, size_cap: int = DEFAULT_SIZE_CAP) -> PathPower:
-        return PathPower(self.m, self.k, size_cap=size_cap)
+    def graph(self) -> PathPower:
+        """The grid [m]^k of the matrix, capped at the matrix's own dim."""
+        return PathPower(self.m, self.k, size_cap=self.dim)
 
-    def to_dense(self, dtype=np.int64) -> np.ndarray:
-        a = np.zeros((self.dim, self.dim), dtype=dtype)
+    def to_dense(self) -> np.ndarray:
+        a = np.zeros((self.dim, self.dim), dtype=np.int64)
         a[self.rows, self.cols] = self.vals
         return a
 
@@ -99,10 +100,7 @@ def check_signed_params(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Non
     """ValueError unless a signed matrix of [m]^k exists; SizeCapError above size_cap."""
     if m != 3 and m % 2 == 1:
         raise ValueError(f"signed matrices exist for m = 3 or even m, got m = {m}")
-    if m < 2 or k < 1:
-        raise ValueError(f"need m >= 2 and k >= 1, got m={m}, k={k}")
-    if m**k > size_cap:
-        raise SizeCapError(f"m^k = {m**k} exceeds the size cap {size_cap}")
+    check_grid(m, k, size_cap)
 
 
 def signed_grid_matrix(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> SignedMatrix:
@@ -192,7 +190,7 @@ def _sparse_square(a: SignedMatrix) -> tuple[np.ndarray, np.ndarray]:
     return _canonical(keys, np.repeat(a.vals, counts) * a.vals[pos])
 
 
-def square_identity_check(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> bool:
+def square_identity_check(m: int, k: int) -> bool:
     """Verify A(k)^2 = I_m ⊗ A(k-1)^2 + A(1)^2 ⊗ I in exact integers.
 
     The identity is stated with last-coordinate-major ranks: the lone base
@@ -202,9 +200,9 @@ def square_identity_check(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> b
     """
     if k < 2:
         raise ValueError(f"the square identity needs k >= 2, got k = {k}")
-    ak = signed_grid_matrix(m, k, size_cap)
-    prev = signed_grid_matrix(m, k - 1, size_cap)
-    a1 = signed_grid_matrix(m, 1, size_cap)
+    ak = signed_grid_matrix(m, k)
+    prev = signed_grid_matrix(m, k - 1)
+    a1 = signed_grid_matrix(m, 1)
     d, dim = prev.dim, ak.dim
     lhs_keys, lhs_vals = _sparse_square(ak)
     # I_m ⊗ P: block a holds P at offset a * d on both axes.

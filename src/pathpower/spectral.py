@@ -397,7 +397,7 @@ def signed_spectra(
         raise SizeCapError(f"dim {int(sizes.max())} exceeds eigensolver cap {DEFAULT_EIG_DIM_CAP}")
     if sizes.min() == 0:
         raise ValueError("principal submatrix of an empty vertex set")
-    if not check_support(a, a.graph(a.dim)):
+    if not check_support(a, a.graph()):
         raise ValueError(f"the stored entries are not a signed adjacency matrix of [{a.m}]^{a.k}")
     if sets is None:
         ranks = np.arange(a.dim, dtype=np.int64)

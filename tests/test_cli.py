@@ -222,6 +222,16 @@ def test_export_table_alpha_skips_beyond_cap(capsys):
     assert {"m": 3, "k": 2, "alpha": 5} in rows
 
 
+def test_export_table_default_cap_is_the_library_default(capsys):
+    # [3]^11 lies beyond the grid size cap: its bounds row is the odd3 floor, not skipped
+    want = {"m": 3, "k": 11, "kind": "lower", "value": 2}
+    (row,) = export_table("bounds", (3, 3), (11, 11))
+    assert row.items() >= want.items()
+    argv = ["export-table", "--kind", "bounds", "--m-min", "3", "--m-max", "3", "--k-min", "11", "--k-max", "11"]
+    assert run_cli(*argv) == 0
+    assert json.loads(capsys.readouterr().out) == [row]
+
+
 def test_verify_all_cli_quick(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     assert run_cli(
@@ -287,17 +297,22 @@ def test_report_determinism():
     assert strip(r3)["config"]["seed"] == 1
 
 
-def test_report_negative_control():
-    def tamper(a: SignedMatrix) -> SignedMatrix:
-        mirror = np.flatnonzero((a.rows == a.cols[0]) & (a.cols == a.rows[0]))
-        keep = np.ones(a.nnz, dtype=bool)
-        keep[[0, *mirror]] = False  # drop one edge in both directions
-        a.rows, a.cols, a.vals = a.rows[keep], a.cols[keep], a.vals[keep]
+def test_report_negative_control(monkeypatch):
+    build = report.signed_grid_matrix
+
+    def tampered(m: int, k: int) -> SignedMatrix:
+        a = build(m, k)
+        if (m, k) == (2, 1):
+            mirror = np.flatnonzero((a.rows == a.cols[0]) & (a.cols == a.rows[0]))
+            keep = np.ones(a.nnz, dtype=bool)
+            keep[[0, *mirror]] = False  # drop one edge in both directions
+            a.rows, a.cols, a.vals = a.rows[keep], a.cols[keep], a.vals[keep]
         return a
 
-    report = run_verify_all(max_size=9, chain_trials=5, tamper=tamper)
-    assert not report.passed
-    failed = [c for c in report.checks if not c.passed]
+    monkeypatch.setattr(report, "signed_grid_matrix", tampered)
+    rep = run_verify_all(max_size=9, chain_trials=5)
+    assert not rep.passed
+    failed = [c for c in rep.checks if not c.passed]
     assert [c.name for c in failed] == ["integer-structure"]
     details = failed[0].details
     assert "error" not in details

@@ -12,8 +12,13 @@ from pathpower import (
     PathPower,
     SizeCapError,
     VertexSet,
+    alternating_independent_set,
+    hk_witness_set,
     induced_max_degree,
+    low_degree_witness_set,
+    signed_grid_matrix,
 )
+from pathpower.grid import check_grid
 
 G32 = PathPower(3, 2)
 
@@ -47,6 +52,23 @@ def test_constructor_validation():
         PathPower(3, 0)
     with pytest.raises(SizeCapError):
         PathPower(10, 6, size_cap=65536)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [PathPower, alternating_independent_set, low_degree_witness_set, hk_witness_set, signed_grid_matrix],
+    ids=["grid", "vk", "xk", "hk", "signed"],
+)
+def test_every_builder_validates_the_grid_by_check_grid(build):
+    m = 3 if build is low_degree_witness_set else 2
+    assert check_grid(m, 4, m**4) == m**4
+    with pytest.raises(ValueError, match="k >= 1"):
+        build(m, 0)
+    with pytest.raises(SizeCapError, match=f"m\\^k = {m**4} exceeds the size cap {m**4 - 1}"):
+        build(m, 4, size_cap=m**4 - 1)
+    if build is not low_degree_witness_set:  # which refuses m < 3 by its parity rule
+        with pytest.raises(ValueError, match="m >= 2"):
+            build(0, 2)
 
 
 def test_adjacency_examples():

@@ -2,6 +2,7 @@
 loader that builds the compiled scan."""
 
 import ctypes
+import json
 import os
 import random
 import shutil
@@ -14,7 +15,7 @@ import pytest
 
 import pathpower
 from pathpower import PathPower, SearchBudget, alpha_formula, brute_force_f, max_independent_set
-from pathpower import _kernels, _kernels_py
+from pathpower import _kernels, _kernels_py, cli
 
 compiled = pytest.mark.skipif(not _kernels.HAVE_SPEEDUPS, reason=_kernels.BACKEND_REASON)
 has_compiler = pytest.mark.skipif(
@@ -286,7 +287,7 @@ def test_kernels_match_naive_enumeration_on_random_graphs():
         n = len(adj)
         alpha = _naive_mis(adj)
         if alpha + 1 <= n:
-            best, _, _, trunc, _ = _kernels.scan_min_induced_degree(adj, alpha + 1, stop_at=-1)
+            best, _, _, trunc, _ = _kernels.scan_min_induced_degree(adj, alpha + 1, -1, -1, 0.0, None)
             assert not trunc and best == _naive_min_degree(adj, alpha + 1), adj
 
 
@@ -299,7 +300,7 @@ def test_backend_dispatch_width():
 
 
 def test_pure_scan_handles_wide_graphs():
-    assert _kernels.scan_min_induced_degree([0] * 257, 3) == (0, 0b111, 3, False, True)
+    assert _kernels.scan_min_induced_degree([0] * 257, 3, 1, -1, 0.0, None) == (0, 0b111, 3, False, True)
 
 
 @compiled
@@ -340,7 +341,7 @@ def test_failed_build_falls_back_to_pure(monkeypatch, tmp_path, exc, reason):
     assert list(tmp_path.iterdir()) == []  # the temporary file is gone
     monkeypatch.setattr(_kernels, "_lib", lib)
     assert _kernels.backend_for(16) == "pure"
-    assert _kernels.scan_min_induced_degree(_grid_adj(3, 2), 6)[0] == 2
+    assert _kernels.scan_min_induced_degree(_grid_adj(3, 2), 6, 1, -1, 0.0, None)[0] == 2
 
 
 def test_unwritable_cache_falls_back_to_pure(monkeypatch, tmp_path):
@@ -401,9 +402,18 @@ def test_build_then_cache(tmp_path):
     assert list(out) == [2, 3, 0, 0] and mask[0] == 0b111
 
 
-def test_pure_environment_variable_selects_pure():
+def test_pure_environment_variable_selects_pure(capsys):
     src = os.path.dirname(os.path.dirname(pathpower.__file__))
     env = dict(os.environ, PATHPOWER_PURE="1", PYTHONPATH=src)
-    code = "from pathpower import _kernels; print(_kernels.BACKEND_REASON, _kernels.backend_for(16))"
+    code = "from pathpower import _kernels; print(_kernels.BACKEND_REASON); print(_kernels.backend_for(16))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["pure:", "PATHPOWER_PURE", "set", "pure"]
+    assert out.stdout.splitlines() == ["pure: PATHPOWER_PURE set", "pure"]
+    # the forced pure path enumerates [3]^3 node for node like this process's backend
+    argv = ["f", "--m", "3", "--k", "3", "--brute", "--stop-at", "0"]
+    cmd = [sys.executable, "-m", "pathpower.cli", *argv]
+    pure = json.loads(subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout)
+    assert cli.main(argv) == 0
+    here = json.loads(capsys.readouterr().out)
+    keys = ("value", "proof", "witness", "subsets_examined")
+    assert [pure[key] for key in keys] == [here[key] for key in keys]
+    assert (pure["value"], pure["proof"], pure["subsets_examined"]) == (2, "enumeration", 37031)

@@ -24,8 +24,7 @@ from pathpower import (
     signed_grid_matrix,
     theoretical_f_value,
 )
-from pathpower import _kernels, search
-from pathpower.constructions import fold_and_of_ors, sqrt_blocks
+from pathpower import _kernels, constructions, hk_witness_set, search
 from pathpower.search import (
     _is_grid_edge,
     _snake_order,
@@ -271,6 +270,23 @@ def test_budget_refuses_a_deadline_that_is_not_positive():
     assert SearchBudget(max_seconds=float("inf")).max_seconds == float("inf")
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_subsets": float("nan")}, {"max_subsets": 10.5}, {"workers": 1.5}, {"workers": float("nan")}],
+    ids=["max_subsets-nan", "max_subsets-fraction", "workers-fraction", "workers-nan"],
+)
+def test_budget_refuses_a_count_that_is_not_an_integer(kwargs):
+    # refused when the budget is built, not inside the scan as a ctypes ArgumentError or a TypeError
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=name):
+        SearchBudget(**kwargs)
+
+
+def test_budget_accepts_numpy_integers():
+    budget = SearchBudget(max_subsets=np.int64(1000), workers=np.int64(2))
+    assert brute_force_f(PathPower(3, 2), budget=budget, stop_at=0).value == 2
+
+
 def test_oversized_subset_rejected():
     with pytest.raises(ValueError):
         brute_force_f(PathPower(2, 1), s=2)  # alpha + 2 = 3 > 2 vertices
@@ -424,7 +440,7 @@ def test_truncated_scan_at_the_floor_is_exact():
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"scan": True}, {"budget": SearchBudget(workers=2)}], ids=["scan", "two-workers"]
+    "kwargs", [{"stop_at": 2}, {"budget": SearchBudget(workers=2)}], ids=["scan", "two-workers"]
 )
 def test_scan_requests_skip_the_certificate(kwargs):
     res = brute_force_f(PathPower(2, 3), **kwargs)
@@ -451,13 +467,15 @@ def test_witness_above_the_floor_falls_back_to_the_scan(monkeypatch):
 
 def test_dropped_variable_witness_fails_the_size_check(monkeypatch):
     # without coordinate 0, g no longer has full degree: |H| = N / 2
+    sqrt_blocks = constructions.sqrt_blocks
+
     def dropped(k):
         blocks = sqrt_blocks(k)
         blocks[0].remove(0)
         return blocks
 
-    assert len(fold_and_of_ors(4, 4, dropped(4))) == 4**4 // 2 == alpha_formula(4, 4)
-    monkeypatch.setattr(search, "hk_witness_set", lambda m, k, size_cap: fold_and_of_ors(m, k, dropped(k), size_cap))
+    monkeypatch.setattr(constructions, "sqrt_blocks", dropped)
+    assert len(hk_witness_set(4, 4)) == 4**4 // 2 == alpha_formula(4, 4)
     fv = theoretical_f_value(4, 4)
     assert (fv.kind, fv.value, fv.witness) == ("lower", 2, None)
     res = brute_force_f(PathPower(4, 2))
