@@ -17,10 +17,17 @@ import sys
 from . import __version__
 from .constructions import CONSTRUCTION_KINDS, alpha_formula, build_construction
 from .grid import DEFAULT_SIZE_CAP, PathPower
-from .report import DEFAULT_MAX_SIZE, DEFAULT_SEED, DEFAULT_TABLE_SIZE_CAP, DEFAULT_TOL, export_table, run_verify_all
+from .report import DEFAULT_MAX_SIZE, DEFAULT_SEED, DEFAULT_TABLE_SIZE_CAP, export_table, run_verify_all
 from .search import SearchBudget, brute_force_f, max_independent_set, theoretical_f_value
 from .signed import signed_grid_matrix, write_matrix_market
-from .spectral import DEFAULT_EIG_DIM_CAP, beta, closed_form_spectrum, multiset_distance, signed_spectra
+from .spectral import (
+    DEFAULT_EIG_DIM_CAP,
+    DEFAULT_GROUP_TOL,
+    beta,
+    closed_form_spectrum,
+    multiset_distance,
+    signed_spectra,
+)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -79,13 +86,13 @@ def cmd_matrix(args, parser) -> int:
 
 def cmd_spectrum(args, parser) -> int:
     m = _parity_to_m(args, parser)
-    doc: dict = {"parity": args.parity, "n": args.n, "k": args.k, "group_tol": args.tol}
+    doc: dict = {"parity": args.parity, "n": args.n, "k": args.k, "group_tol": DEFAULT_GROUP_TOL}
     dense_rep = composed_rep = None
     if args.dense or not args.compose:
         a = signed_grid_matrix(m, args.k, size_cap=min(args.size_cap, DEFAULT_EIG_DIM_CAP))
-        (dense_rep,) = signed_spectra(a, group_tol=args.tol)
+        (dense_rep,) = signed_spectra(a)
     if args.compose:
-        composed_rep = closed_form_spectrum(m, args.k, group_tol=args.tol, size_cap=args.size_cap)
+        composed_rep = closed_form_spectrum(m, args.k, size_cap=args.size_cap)
     primary = dense_rep or composed_rep
     doc["eigenvalues"] = list(primary.eigenvalues)
     doc["min_positive"] = primary.min_positive
@@ -146,13 +153,7 @@ def cmd_f(args, parser) -> int:
 
 
 def cmd_verify_all(args, parser) -> int:
-    report = run_verify_all(
-        max_size=args.max_size,
-        tol=args.tol,
-        seed=args.seed,
-        budget=_budget_from(args),
-        chain_trials=args.chain_trials,
-    )
+    report = run_verify_all(max_size=args.max_size, seed=args.seed, budget=_budget_from(args))
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} {check.name} ({check.seconds:.2f}s)")
@@ -218,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--compose", action="store_true", help="the closed form instead of a dense solve")
     p.add_argument("--dense", action="store_true", help="with --compose: also solve densely and compare")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spectrum)
@@ -252,9 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run every verification check")
     p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--chain-trials", type=int, default=200)
     _add_budget_flags(p)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_verify_all)

@@ -120,10 +120,8 @@ def hk_witness_set(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> VertexSe
 
 
 def alpha_formula(m: int, k: int) -> int:
-    """Independence number of [m]^k: ceil(m^k / 2), exact integers."""
-    if m < 2 or k < 1:
-        raise ValueError(f"need m >= 2 and k >= 1, got m={m}, k={k}")
-    return (m**k + 1) // 2
+    """Independence number of [m]^k: ceil(m^k / 2), exact integers, for any size."""
+    return (check_grid(m, k, math.inf) + 1) // 2
 
 
 def is_independent(s: VertexSet, g: PathPower | None = None) -> bool:

@@ -30,9 +30,9 @@ DEFAULT_SIZE_CAP = 65536
 Vertex = tuple[int, ...]
 
 
-def check_grid(m: int, k: int, size_cap: int) -> int:
+def check_grid(m: int, k: int, size_cap: int | float) -> int:
     """m^k, the vertex count of [m]^k; ValueError unless m >= 2 and k >= 1,
-    SizeCapError when m^k exceeds size_cap."""
+    SizeCapError when m^k exceeds size_cap (math.inf for no cap)."""
     if m < 2 or k < 1:
         raise ValueError(f"need m >= 2 and k >= 1, got m={m}, k={k}")
     n = m**k

@@ -36,6 +36,7 @@ from .search import (
 )
 from .signed import check_support, signed_grid_matrix, square_identity_check
 from .spectral import (
+    DEFAULT_GROUP_TOL,
     base_certificate_holds,
     base_matrices,
     base_square_charpoly,
@@ -50,7 +51,7 @@ from .spectral import (
 
 DEFAULT_SEED = 0x50335035  # the bytes "P3P5"
 DEFAULT_MAX_SIZE = 729
-DEFAULT_TOL = 1e-8
+CHAIN_TRIALS = 200  # random alpha + 1 subsets per degree-eigenvalue chain instance
 DEFAULT_TABLE_SIZE_CAP = 10**9  # rows past the grid size cap are closed forms, cheap up to here
 CHECKOUT_ROOT = Path(__file__).resolve().parents[2]  # the checkout's root, when run from src/
 
@@ -169,14 +170,14 @@ def _check_odd_exact_values(cfg: dict) -> tuple[bool, dict]:
     if 25 <= cfg["max_size"]:
         res = details["f_search_5_2"] = _f_search(5, 2, cfg)
         ok = ok and res["kind"] == "exact" and res["value"] == 1
-    return ok, details
+    return ok and bool(witness_rows), details
 
 
 def _check_odd3_spectra(cfg: dict) -> tuple[bool, dict]:
     k_max = max((k for k in range(1, 6) if 3**k <= cfg["max_size"]), default=0)
     rows = [
         [r.k, r.zero_multiplicity, r.min_positive, r.symmetry_defect, r.closed_form_defect, r.passed]
-        for r in (odd3_spectrum_check(k, cfg["tol"]) for k in range(1, k_max + 1))
+        for r in (odd3_spectrum_check(k) for k in range(1, k_max + 1))
     ]
     return bool(rows) and all(row[-1] for row in rows), {"rows": rows}
 
@@ -216,15 +217,14 @@ def _check_polynomials(cfg: dict) -> tuple[bool, dict]:
 def _check_even_spectra(cfg: dict) -> tuple[bool, dict]:
     rows = []
     ok = True
-    tol = cfg["tol"]
     for n in (1, 2, 3):
         bn = beta(n, 1e-12)
         for k in (1, 2, 3):
             if (2 * n) ** k > cfg["max_size"]:
                 break
-            r = spectrum_check(2 * n, k, tol)
+            r = spectrum_check(2 * n, k)
             want = math.sqrt(k * bn)
-            row_ok = r.passed and abs(r.min_positive - want) <= tol
+            row_ok = r.passed and abs(r.min_positive - want) <= DEFAULT_GROUP_TOL
             rows.append([n, k, r.min_positive, want, r.closed_form_defect, row_ok])
             ok = ok and row_ok
     return ok and bool(rows), {"rows": rows}
@@ -249,11 +249,10 @@ def _check_integer_structure(cfg: dict) -> tuple[bool, dict]:
             good = check_support(a, g) and a.nnz == 2 * g.edge_count
             support_rows.append([m, k, good])
             ok = ok and good
-    return ok, {"square_identity": square_rows, "support": support_rows}
+    return ok and bool(support_rows), {"square_identity": square_rows, "support": support_rows}
 
 
 def _check_degree_eigenvalue_chain(cfg: dict) -> tuple[bool, dict]:
-    trials = cfg.get("chain_trials", 200)
     ok = True
     rows = []
     for m, k in [(3, 2), (4, 2), (2, 4)]:
@@ -263,16 +262,16 @@ def _check_degree_eigenvalue_chain(cfg: dict) -> tuple[bool, dict]:
         a = signed_grid_matrix(m, k)
         target = alpha_formula(m, k) + 1
         rng = random.Random(subseed(f"chain:{m}:{k}", cfg["seed"]))
-        sets = [VertexSet(m, k, ranks=rng.sample(range(g.n_vertices), target)) for _ in range(trials)]
+        sets = [VertexSet(m, k, ranks=rng.sample(range(g.n_vertices), target)) for _ in range(CHAIN_TRIALS)]
         (host,) = signed_spectra(a)
         subs = signed_spectra(a, sets)
         bound_fail = inter_fail = 0
         for s, sub in zip(sets, subs):
-            if induced_max_degree(s, g) < sub.eigenvalues[-1] - cfg["tol"]:
+            if induced_max_degree(s, g) < sub.eigenvalues[-1] - DEFAULT_GROUP_TOL:
                 bound_fail += 1
-            if not interlacing_check(host, sub, cfg["tol"]):
+            if not interlacing_check(host, sub):
                 inter_fail += 1
-        rows.append([m, k, trials, bound_fail, inter_fail])
+        rows.append([m, k, CHAIN_TRIALS, bound_fail, inter_fail])
         ok = ok and bound_fail == 0 and inter_fail == 0
     return ok and bool(rows), {"rows": rows}
 
@@ -336,28 +335,21 @@ _CHECKS = [
 
 def run_verify_all(
     max_size: int = DEFAULT_MAX_SIZE,
-    tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
     budget: SearchBudget | None = None,
-    chain_trials: int = 200,
 ) -> Report:
     """Run the full verification suite restricted to instances within
-    max_size vertices."""
-    cfg = {
-        "max_size": max_size,
-        "tol": tol,
-        "seed": seed,
-        "budget": budget or SearchBudget(),
-        "chain_trials": chain_trials,
-    }
+    max_size vertices.  Its thresholds are fixed (spectral.DEFAULT_GROUP_TOL
+    and CHAIN_TRIALS), and the config echoes them."""
+    cfg = {"max_size": max_size, "seed": seed, "budget": budget or SearchBudget()}
     config_echo = {
         "max_size": max_size,
-        "tol": tol,
+        "tol": DEFAULT_GROUP_TOL,
         "seed": seed,
         "max_subsets": cfg["budget"].max_subsets,
         "max_seconds": cfg["budget"].max_seconds,
         "workers": cfg["budget"].workers,
-        "chain_trials": chain_trials,
+        "chain_trials": CHAIN_TRIALS,
         "have_speedups": _kernels.HAVE_SPEEDUPS,
         "kernel_backend": _kernels.BACKEND_REASON,
         "python_version": platform.python_version(),

@@ -42,9 +42,9 @@ import numpy as np
 
 from . import _kernels
 from .constructions import alternating_independent_set, hk_witness_set, is_independent, low_degree_witness_set
-from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, induced_max_degree
+from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, induced_max_degree
 from .signed import SignedMatrix
-from .spectral import base_certificate, beta, beta_side_of, signed_spectra
+from .spectral import DEFAULT_GROUP_TOL, base_certificate, beta, beta_side_of, signed_spectra
 
 
 @dataclass(frozen=True)
@@ -302,10 +302,11 @@ def brute_force_f(
     floor plus witness settle the value; above it the result is
     upper-unproven.
 
-    The scan runs on min(workers, leads) threads sharing one search, each
-    with an equal share of max_subsets.  Under a single worker the witness
-    is the lexicographically smallest achieving subset; with several
-    workers only the value is deterministic.
+    The scan runs on min(workers, leads, max_subsets) threads sharing one
+    search; their shares of max_subsets differ by at most one and sum to
+    it, and node-cap means some thread spent its own share.  Under a single
+    worker the witness is the lexicographically smallest achieving subset;
+    with several workers only the value is deterministic.
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
@@ -328,29 +329,30 @@ def brute_force_f(
                 return FSearchResult(floor.value, witness, "exact", 0, proof, "certificate")
 
     adj = g.adjacency_masks()
-    threads = min(budget.workers, g.n_vertices - target + 1)
-    share = budget.max_subsets // threads
+    threads = min(budget.workers, g.n_vertices - target + 1, budget.max_subsets)
+    base, extra = divmod(budget.max_subsets, threads)
+    shares = [base + (i < extra) for i in range(threads)]
     shared = _kernels.SharedState(0, target + 1)  # next lead, best of any thread
 
-    def scan(kernel):
+    def scan(kernel, share):
         time_limit = 0.0 if deadline is None else deadline - time.monotonic()
         if deadline is not None and time_limit <= 0:
             return None, 0, 0, True, False
         return kernel(adj, target, stop_at, share, time_limit, shared)
 
     if threads == 1:
-        results = [scan(_kernels.scan_min_induced_degree)]
+        results = [scan(_kernels.scan_min_induced_degree, shares[0])]
     else:
         # Threads call the untraced body: a tracer such as perfbench's keeps
         # one span stack per process, which concurrent spans would corrupt.
         with ThreadPoolExecutor(threads) as pool:
-            results = list(pool.map(lambda _: scan(_kernels._scan), range(threads)))
+            results = list(pool.map(lambda share: scan(_kernels._scan, share), shares))
 
     nodes = sum(r[2] for r in results)
     if any(r[4] for r in results):
         reason = "floor-reached"
     elif any(r[3] for r in results):
-        reason = "node-cap" if any(r[2] >= share for r in results) else "deadline"
+        reason = "node-cap" if any(r[2] >= share for r, share in zip(results, shares)) else "deadline"
     else:
         reason = "exhausted"
     found = [r for r in results if r[0] is not None]
@@ -366,13 +368,13 @@ def brute_force_f(
     return FSearchResult(best, VertexSet(g.m, g.k, bits=mask), kind, nodes, proof, reason)
 
 
-def degree_bound_check(a: SignedMatrix, s: VertexSet, tol: float = 1e-8) -> bool:
+def degree_bound_check(a: SignedMatrix, s: VertexSet) -> bool:
     """True iff the induced maximum degree of s dominates the top eigenvalue
-    of the principal submatrix of a on s, within tol."""
+    of the principal submatrix of a on s, within DEFAULT_GROUP_TOL."""
     g = a.graph()
     delta = induced_max_degree(s, g)
     (sub,) = signed_spectra(a, [s])
-    return delta >= sub.eigenvalues[-1] - tol
+    return delta >= sub.eigenvalues[-1] - DEFAULT_GROUP_TOL
 
 
 def lower_bound_even(n: int, k: int, beta_n: float | None = None) -> int:
@@ -422,10 +424,9 @@ def theoretical_f_value(m: int, k: int) -> FValue:
     certificate is 3 x 3), the paper's ceil(sqrt(k beta_n)) for even m and
     the independence floor 1 for odd m >= 5.
     """
-    if m < 2 or k < 1:
-        raise ValueError(f"need m >= 2 and k >= 1, got m={m}, k={k}")
+    n = check_grid(m, k, math.inf)  # past the grid size cap the row is a closed form
     paper = lower_bound_even(m // 2, k) if m % 2 == 0 else None
-    if m**k > DEFAULT_SIZE_CAP:
+    if n > DEFAULT_SIZE_CAP:
         if m == 3 and _base_certified(3):
             # alpha + 1 exceeds (3^k + 1) / 2, the alternating set's size: the odd3 floor needs no grid
             return FValue("lower", 2, "odd3-spectral", None, None)

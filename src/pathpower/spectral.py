@@ -37,10 +37,12 @@ from .errors import BracketingError, DimensionMismatchError, EigenSolveError, Si
 from .grid import DEFAULT_SIZE_CAP, VertexSet
 from .signed import SignedMatrix, check_signed_params, check_support, signed_grid_matrix
 
-DEFAULT_RESIDUAL_TOL = 1e-10
-DEFAULT_GROUP_TOL = 1e-8
+# The thresholds of every spectral verdict, fixed so that no caller can loosen one.
+DEFAULT_RESIDUAL_TOL = 1e-10  # eigenpair residual, relative to ||A||_F
+DEFAULT_RECON_TOL = 1e-9  # reconstruction defect, relative to ||A||_F
+DEFAULT_GROUP_TOL = 1e-8  # zero grouping, symmetry, interlacing and closed-form comparisons
+SQUARE_SPECTRUM_TOL = 1e-7  # the squared spectrum against its composition
 DEFAULT_EIG_DIM_CAP = 4096
-DEFAULT_RECON_TOL = 1e-9
 
 
 # -------------------------- exact polynomials ------------------------------
@@ -300,7 +302,7 @@ def charpoly_base_square_check(n: int) -> bool:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Sorted eigenvalues with tolerance-grouped summary statistics."""
+    """Sorted eigenvalues with summary statistics grouped at DEFAULT_GROUP_TOL."""
 
     eigenvalues: tuple[float, ...]
     zero_multiplicity: int
@@ -312,10 +314,10 @@ class SpectrumReport:
         return len(self.eigenvalues)
 
 
-def spectrum_report(values, group_tol: float = DEFAULT_GROUP_TOL) -> SpectrumReport:
+def spectrum_report(values) -> SpectrumReport:
     vals = sorted(float(v) for v in values)
-    zero_mult = sum(1 for v in vals if abs(v) < group_tol)
-    positives = [v for v in vals if v >= group_tol]
+    zero_mult = sum(1 for v in vals if abs(v) < DEFAULT_GROUP_TOL)
+    positives = [v for v in vals if v >= DEFAULT_GROUP_TOL]
     min_pos = positives[0] if positives else None
     defect = 0.0
     n = len(vals)
@@ -372,9 +374,7 @@ def _check_svd_contract(c: np.ndarray, u: np.ndarray, sv: np.ndarray, vt: np.nda
         raise EigenSolveError(f"reconstruction defect {float(np.max(recon)):.3e} above contract")
 
 
-def signed_spectra(
-    a: SignedMatrix, sets: Sequence[VertexSet] | None = None, group_tol: float = DEFAULT_GROUP_TOL
-) -> list[SpectrumReport]:
+def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> list[SpectrumReport]:
     """Spectrum of a signed matrix, or of its principal submatrix on each of
     sets, from the SVD of the off-diagonal block.
 
@@ -442,7 +442,7 @@ def signed_spectra(
         group = np.flatnonzero((p == gp) & (q == gq))
         if gq == 0:
             for i in group:
-                spectra[i] = spectrum_report([0.0] * gp, group_tol)
+                spectra[i] = spectrum_report([0.0] * gp)
             continue
         slot = np.full(len(sizes), -1)
         slot[group] = np.arange(len(group))
@@ -453,7 +453,7 @@ def signed_spectra(
         _check_svd_contract(c, u, sv, vt)
         extra = [0.0] * (gp - gq)
         for i, s in zip(group, sv.tolist()):
-            spectra[i] = spectrum_report(s + [-x for x in s] + extra, group_tol)
+            spectra[i] = spectrum_report(s + [-x for x in s] + extra)
     return spectra
 
 
@@ -491,9 +491,7 @@ def base_certificate(m: int) -> bool:
     return base_certificate_holds(b, d, charpoly_exact(b @ b))
 
 
-def closed_form_spectrum(
-    m: int, k: int, group_tol: float = DEFAULT_GROUP_TOL, size_cap: int = DEFAULT_SIZE_CAP
-) -> SpectrumReport:
+def closed_form_spectrum(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> SpectrumReport:
     """Spectrum of the level-k signed matrix of [m]^k, with no eigensolve.
 
     By base_certificate, A_k^2 has the sums of k eigenvalues of B^2: j_i
@@ -512,28 +510,28 @@ def closed_form_spectrum(
             mult = mult // factorial(j) * base[i][1] ** j
         root = sqrt(sum(base[i][0] for i in pick))
         values.extend([root, -root] * (mult // 2) if root else [0.0] * mult)
-    return spectrum_report(values, group_tol)
+    return spectrum_report(values)
 
 
 # ------------------------------- verifiers ---------------------------------
 
 
-def symmetry_check(s: SpectrumReport, tol: float = DEFAULT_GROUP_TOL) -> bool:
-    """True iff the spectrum is symmetric about 0 within tol."""
-    return s.symmetry_defect <= tol
+def symmetry_check(s: SpectrumReport) -> bool:
+    """True iff the spectrum is symmetric about 0 within DEFAULT_GROUP_TOL."""
+    return s.symmetry_defect <= DEFAULT_GROUP_TOL
 
 
-def interlacing_check(host: SpectrumReport, sub: SpectrumReport, tol: float = DEFAULT_GROUP_TOL) -> bool:
+def interlacing_check(host: SpectrumReport, sub: SpectrumReport) -> bool:
     """Eigenvalue interlacing between the spectrum of a symmetric matrix and
     that of a principal submatrix: lambda_i >= mu_i >= lambda_(n-m+i) within
-    tol, both sorted descending."""
+    DEFAULT_GROUP_TOL, both sorted descending."""
     big = host.eigenvalues[::-1]
     small = sub.eigenvalues[::-1]
     n = len(big)
     m = len(small)
     if m > n:
         raise DimensionMismatchError("submatrix larger than the host matrix")
-    return all(big[i] + tol >= small[i] >= big[n - m + i] - tol for i in range(m))
+    return all(big[i] + DEFAULT_GROUP_TOL >= small[i] >= big[n - m + i] - DEFAULT_GROUP_TOL for i in range(m))
 
 
 @dataclass(frozen=True)
@@ -560,31 +558,32 @@ def _path_determinant(a: SignedMatrix) -> int:
     return d
 
 
-def spectrum_check(m: int, k: int, tol: float = DEFAULT_GROUP_TOL) -> SpectrumCheck:
+def spectrum_check(m: int, k: int) -> SpectrumCheck:
     """The paper's spectral facts about the level-k signed matrix of [m]^k,
     from one signed_spectra solve compared once with closed_form_spectrum.
 
-    passed needs a spectrum symmetric and within tol of the closed form,
-    and for m = 3 the eigenvalue 0 exactly once and sqrt(2) as the smallest
-    positive eigenvalue; for even m no eigenvalue within tol of 0, and at
-    k = 1 the determinant +-1 in exact arithmetic.  SizeCapError above
-    DEFAULT_EIG_DIM_CAP, before the matrix is built.
+    passed needs a spectrum symmetric and within DEFAULT_GROUP_TOL of the
+    closed form, and for m = 3 the eigenvalue 0 exactly once and sqrt(2) as
+    the smallest positive eigenvalue; for even m no eigenvalue within
+    DEFAULT_GROUP_TOL of 0, and at k = 1 the determinant +-1 in exact
+    arithmetic.  SizeCapError above DEFAULT_EIG_DIM_CAP, before the matrix
+    is built.
     """
     a = signed_grid_matrix(m, k, DEFAULT_EIG_DIM_CAP)
-    (rep,) = signed_spectra(a, group_tol=tol)
-    defect = multiset_distance(rep.eigenvalues, closed_form_spectrum(m, k, tol).eigenvalues)
+    (rep,) = signed_spectra(a)
+    defect = multiset_distance(rep.eigenvalues, closed_form_spectrum(m, k).eigenvalues)
     if m == 3:
-        root2 = rep.min_positive is not None and abs(rep.min_positive - sqrt(2.0)) <= tol
+        root2 = rep.min_positive is not None and abs(rep.min_positive - sqrt(2.0)) <= DEFAULT_GROUP_TOL
         facts = rep.zero_multiplicity == 1 and root2
     else:
         facts = rep.zero_multiplicity == 0 and (k > 1 or abs(_path_determinant(a)) == 1)
-    passed = facts and rep.symmetry_defect <= tol and defect <= tol
+    passed = facts and rep.symmetry_defect <= DEFAULT_GROUP_TOL and defect <= DEFAULT_GROUP_TOL
     return SpectrumCheck(m, k, rep.zero_multiplicity, rep.min_positive, rep.symmetry_defect, defect, passed, rep)
 
 
-def odd3_spectrum_check(k: int, tol: float = DEFAULT_GROUP_TOL) -> SpectrumCheck:
+def odd3_spectrum_check(k: int) -> SpectrumCheck:
     """spectrum_check of the m = 3 family."""
-    return spectrum_check(3, k, tol)
+    return spectrum_check(3, k)
 
 
 def min_positive_eig_even(n: int, k: int) -> float:
@@ -609,10 +608,11 @@ def composed_square_spectrum(m: int, k: int) -> SpectrumReport:
     return spectrum_report([v * v for v in closed_form_spectrum(m, k).eigenvalues])
 
 
-def square_compose_check(m: int, k: int, tol: float = 1e-7) -> tuple[bool, float]:
+def square_compose_check(m: int, k: int) -> tuple[bool, float]:
     """Compare the squares of spectrum_check's solve, the spectrum of the
     squared level-k matrix, with composed_square_spectrum as sorted
-    multisets.  Returns (ok, distance)."""
+    multisets.  Returns (ok, distance), ok when the distance is at most
+    SQUARE_SPECTRUM_TOL."""
     squares = [v * v for v in spectrum_check(m, k).spectrum.eigenvalues]
     dist = multiset_distance(squares, composed_square_spectrum(m, k).eigenvalues)
-    return dist <= tol, dist
+    return dist <= SQUARE_SPECTRUM_TOL, dist

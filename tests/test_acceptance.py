@@ -69,7 +69,7 @@ def test_criterion_2_odd_exact_values():
 def test_criterion_3_odd3_spectra():
     failures = []
     for k in range(1, 6):
-        r = pp.odd3_spectrum_check(k, TOL)
+        r = pp.odd3_spectrum_check(k)
         if r.zero_multiplicity != 1:
             failures.append((k, "zero_multiplicity", r.zero_multiplicity))
         if r.min_positive is None or abs(r.min_positive - math.sqrt(2.0)) > TOL:
@@ -131,7 +131,7 @@ def test_criterion_5_even_spectra():
         bn = pp.beta(n, 1e-12)
         for k in (1, 2, 3):
             a = pp.signed_grid_matrix(2 * n, k)
-            rep = pp.spectrum_report(np.linalg.eigvalsh(a.to_dense().astype(float)), TOL)
+            rep = pp.spectrum_report(np.linalg.eigvalsh(a.to_dense().astype(float)))
             want = math.sqrt(k * bn)
             if rep.min_positive is None or abs(rep.min_positive - want) > TOL:
                 failures.append((n, k, "min_positive", rep.min_positive))
@@ -139,7 +139,7 @@ def test_criterion_5_even_spectra():
                 failures.append((n, k, "near-zero eigenvalue"))
             if rep.symmetry_defect > TOL:
                 failures.append((n, k, "symmetry", rep.symmetry_defect))
-            ok, dist = pp.square_compose_check(2 * n, k, tol=1e-7)
+            ok, dist = pp.square_compose_check(2 * n, k)
             if not ok:
                 failures.append((n, k, "compose", dist))
     _announce("5 even spectra", failures)
@@ -174,10 +174,10 @@ def test_criterion_7_degree_eigenvalue_chain():
         rng = random.Random(0x50335035 + m * 100 + k)
         for trial in range(200):
             s = pp.VertexSet(m, k, ranks=rng.sample(range(g.n_vertices), target))
-            if not pp.degree_bound_check(a, s, TOL):
+            if not pp.degree_bound_check(a, s):
                 failures.append((m, k, trial, "degree bound"))
             sub = pp.spectrum_report(np.linalg.eigvalsh(pp.principal_submatrix(a, s).astype(float)))
-            if not pp.interlacing_check(host, sub, TOL):
+            if not pp.interlacing_check(host, sub):
                 failures.append((m, k, trial, "interlacing"))
     _announce("7 degree eigenvalue chain", failures)
 

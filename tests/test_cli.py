@@ -79,6 +79,9 @@ def test_unknown_flag_and_command_exit_2(capsys):
         ["f", "--m", "3", "--k", "2", "--brute", "--max-seconds", "nan"],  # NaN > 0 is false, like 0
         ["f", "--m", "3", "--k", "2", "--max-seconds", "nan"],
         ["f", "--m", "3", "--k", "2", "--seed", "1"],  # f is deterministic: no seed
+        ["verify-all", "--tol", "1"],  # check thresholds are fixed, not flags
+        ["verify-all", "--chain-trials", "0"],
+        ["spectrum", "--parity", "odd3", "--k", "2", "--tol", "1"],
     ],
 )
 def test_invalid_input_is_a_usage_error(capsys, argv):
@@ -234,9 +237,7 @@ def test_export_table_default_cap_is_the_library_default(capsys):
 
 def test_verify_all_cli_quick(capsys, tmp_path):
     report_path = tmp_path / "report.json"
-    assert run_cli(
-        "verify-all", "--max-size", "9", "--chain-trials", "25", "--out", str(report_path)
-    ) == 0
+    assert run_cli("verify-all", "--max-size", "9", "--out", str(report_path)) == 0
     out = capsys.readouterr().out
     assert "PASS overall" in out
     assert "FAIL" not in out
@@ -277,13 +278,21 @@ def test_report_flags_a_witness_that_misses_the_floor(monkeypatch):
         return (family, witness) if g.m % 2 else (family, VertexSet(g.m, g.k, ranks=range(len(witness))))
 
     monkeypatch.setattr(report, "floor_witness", first_ranks)
-    failed = [c.name for c in run_verify_all(max_size=16, chain_trials=5).checks if not c.passed]
+    failed = [c.name for c in run_verify_all(max_size=16).checks if not c.passed]
     assert failed == ["hypercube-floor", "even-floor-consistency"]
 
 
+def test_a_check_that_ran_nothing_fails():
+    # at one vertex no instance fits: only the size-independent polynomial check passes
+    checks = run_verify_all(max_size=1).checks
+    assert [c.name for c in checks if c.passed] == ["polynomial-roots"]
+    odd, structure = checks[1].details, checks[5].details
+    assert odd["witness_rows"] == [] and structure == {"square_identity": [], "support": []}
+
+
 def test_report_determinism():
-    r1 = run_verify_all(max_size=9, chain_trials=10).to_dict()
-    r2 = run_verify_all(max_size=9, chain_trials=10).to_dict()
+    r1 = run_verify_all(max_size=9).to_dict()
+    r2 = run_verify_all(max_size=9).to_dict()
 
     def strip(doc):
         doc = copy.deepcopy(doc)
@@ -293,7 +302,7 @@ def test_report_determinism():
         return doc
 
     assert strip(r1) == strip(r2)
-    r3 = run_verify_all(max_size=9, chain_trials=10, seed=1).to_dict()
+    r3 = run_verify_all(max_size=9, seed=1).to_dict()
     assert strip(r3)["config"]["seed"] == 1
 
 
@@ -310,7 +319,7 @@ def test_report_negative_control(monkeypatch):
         return a
 
     monkeypatch.setattr(report, "signed_grid_matrix", tampered)
-    rep = run_verify_all(max_size=9, chain_trials=5)
+    rep = run_verify_all(max_size=9)
     assert not rep.passed
     failed = [c for c in rep.checks if not c.passed]
     assert [c.name for c in failed] == ["integer-structure"]
@@ -329,7 +338,7 @@ def test_report_config_records_the_environment():
     import os
     import platform
 
-    config = run_verify_all(max_size=9, chain_trials=5).to_dict()["config"]
+    config = run_verify_all(max_size=9).to_dict()["config"]
     assert config["python_version"] == platform.python_version()
     assert config["numpy_version"] == np.__version__
     assert config["cpu_count"] == os.cpu_count()
@@ -366,7 +375,7 @@ def test_report_config_git_revision_matches_git():
 
     if shutil.which("git") is None:
         pytest.skip("git is not installed")
-    config = run_verify_all(max_size=9, chain_trials=5).to_dict()["config"]
+    config = run_verify_all(max_size=9).to_dict()["config"]
     done = subprocess.run(
         ["git", "-C", str(CHECKOUT_ROOT), "rev-parse", "--show-toplevel", "HEAD"],
         capture_output=True,
@@ -382,7 +391,7 @@ def test_report_config_git_revision_matches_git():
 def test_report_config_names_the_kernel_backend():
     from pathpower import _kernels
 
-    config = run_verify_all(max_size=9, chain_trials=5).to_dict()["config"]
+    config = run_verify_all(max_size=9).to_dict()["config"]
     assert config["kernel_backend"] == _kernels.BACKEND_REASON
     assert config["have_speedups"] is _kernels.HAVE_SPEEDUPS
     assert config["kernel_backend"].split(":")[0] == ("compiled" if _kernels.HAVE_SPEEDUPS else "pure")

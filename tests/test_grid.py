@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,13 @@ from pathpower import (
     PathPower,
     SizeCapError,
     VertexSet,
+    alpha_formula,
     alternating_independent_set,
     hk_witness_set,
     induced_max_degree,
     low_degree_witness_set,
     signed_grid_matrix,
+    theoretical_f_value,
 )
 from pathpower.grid import check_grid
 
@@ -69,6 +72,19 @@ def test_every_builder_validates_the_grid_by_check_grid(build):
     if build is not low_degree_witness_set:  # which refuses m < 3 by its parity rule
         with pytest.raises(ValueError, match="m >= 2"):
             build(0, 2)
+
+
+@pytest.mark.parametrize("value", [alpha_formula, theoretical_f_value], ids=["alpha", "f"])
+def test_closed_forms_validate_by_check_grid_with_no_cap(monkeypatch, value):
+    module = sys.modules[value.__module__]
+    caps = []
+    monkeypatch.setattr(module, "check_grid", lambda m, k, cap: caps.append(cap) or check_grid(m, k, cap))
+    value(3, 11)  # 177,147 vertices, past the grid size cap
+    assert caps == [math.inf]
+    with pytest.raises(ValueError, match="k >= 1"):
+        value(3, 0)
+    with pytest.raises(ValueError, match="m >= 2"):
+        value(1, 2)
 
 
 def test_adjacency_examples():

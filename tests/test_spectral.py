@@ -363,7 +363,7 @@ def test_odd3_has_zero_eigenvalue_unlike_even():
 def test_spectrum_symmetry_of_built_matrices():
     for m, k in [(4, 2), (3, 3), (2, 4), (6, 2)]:
         rep = _eigvalsh(signed_grid_matrix(m, k).to_dense())
-        assert symmetry_check(rep, 1e-8), (m, k)
+        assert symmetry_check(rep), (m, k)
 
 
 def test_interlacing_examples():
@@ -383,12 +383,12 @@ def test_interlacing_randomized_submatrices():
     for _ in range(100):
         size = rng.randint(1, 15)
         s = VertexSet(4, 2, ranks=rng.sample(range(16), size))
-        assert interlacing_check(host, _eigvalsh(principal_submatrix(a, s)), 1e-8)
+        assert interlacing_check(host, _eigvalsh(principal_submatrix(a, s)))
 
 
 @pytest.mark.parametrize("m,k", [(2, 2), (2, 3), (4, 2), (6, 2), (3, 2), (3, 3)])
 def test_square_spectrum_composition(m, k):
-    ok, dist = square_compose_check(m, k, tol=1e-7)
+    ok, dist = square_compose_check(m, k)
     assert ok, f"composition distance {dist}"
     # the squares it compares, against the test's own solve of the dense A @ A
     dense = signed_grid_matrix(m, k).to_dense()
@@ -413,6 +413,26 @@ def test_shifted_closed_form_fails_both_checks(monkeypatch, m, k):
     assert not r.passed and r.closed_form_defect == pytest.approx(1e-6, rel=1e-3)
     ok, dist = square_compose_check(m, k)
     assert not ok and dist > 1e-7
+
+
+@pytest.mark.parametrize("scale,passed", [(0.5, True), (2.0, False)])
+def test_closed_form_threshold_is_the_group_tolerance(monkeypatch, scale, passed):
+    shift = scale * spectral.DEFAULT_GROUP_TOL
+    true_form = spectral.closed_form_spectrum
+
+    def shifted(*args, **kwargs):
+        return spectrum_report([v + shift for v in true_form(*args, **kwargs).eigenvalues])
+
+    monkeypatch.setattr(spectral, "closed_form_spectrum", shifted)
+    assert spectrum_check(3, 2).passed is passed
+
+
+@pytest.mark.parametrize("scale,passed", [(0.5, True), (2.0, False)])
+def test_interlacing_threshold_is_the_group_tolerance(scale, passed):
+    host = _eigvalsh(signed_grid_matrix(3, 2).to_dense())
+    values = list(host.eigenvalues)
+    values[-1] += scale * spectral.DEFAULT_GROUP_TOL  # the top eigenvalue rises above the host's
+    assert interlacing_check(host, spectrum_report(values)) is passed
 
 
 def test_spectrum_check_facts():
@@ -634,7 +654,7 @@ def test_signed_matrices_are_never_solved_by_eigh(monkeypatch):
     assert square_compose_check(4, 3)[0]
     with pytest.raises(NotImplementedError):
         spectral.eigenvalues_sym(np.eye(2))
-    ok, details = _check_degree_eigenvalue_chain({"max_size": 729, "tol": 1e-8, "seed": DEFAULT_SEED})
+    ok, details = _check_degree_eigenvalue_chain({"max_size": 729, "seed": DEFAULT_SEED})
     assert ok and [row[2] for row in details["rows"]] == [200, 200, 200]
     assert degree_bound_check(signed_grid_matrix(3, 2), VertexSet(3, 2, ranks=[0, 1, 2, 4, 6, 8]))
 
