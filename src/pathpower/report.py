@@ -28,6 +28,7 @@ from .grid import PathPower, VertexSet, induced_max_degree
 from .search import (
     SearchBudget,
     brute_force_f,
+    degree_bound_holds,
     degree_floor,
     floor_witness,
     lower_bound_even,
@@ -267,7 +268,7 @@ def _check_degree_eigenvalue_chain(cfg: dict) -> tuple[bool, dict]:
         subs = signed_spectra(a, sets)
         bound_fail = inter_fail = 0
         for s, sub in zip(sets, subs):
-            if induced_max_degree(s, g) < sub.eigenvalues[-1] - DEFAULT_GROUP_TOL:
+            if not degree_bound_holds(induced_max_degree(s, g), sub):
                 bound_fail += 1
             if not interlacing_check(host, sub):
                 inter_fail += 1

@@ -44,7 +44,7 @@ from . import _kernels
 from .constructions import alternating_independent_set, hk_witness_set, is_independent, low_degree_witness_set
 from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, induced_max_degree
 from .signed import SignedMatrix
-from .spectral import DEFAULT_GROUP_TOL, base_certificate, beta, beta_side_of, signed_spectra
+from .spectral import DEFAULT_GROUP_TOL, SpectrumReport, base_certificate, beta, beta_side_of, signed_spectra
 
 
 @dataclass(frozen=True)
@@ -368,13 +368,18 @@ def brute_force_f(
     return FSearchResult(best, VertexSet(g.m, g.k, bits=mask), kind, nodes, proof, reason)
 
 
-def degree_bound_check(a: SignedMatrix, s: VertexSet) -> bool:
-    """True iff the induced maximum degree of s dominates the top eigenvalue
-    of the principal submatrix of a on s, within DEFAULT_GROUP_TOL."""
-    g = a.graph()
-    delta = induced_max_degree(s, g)
-    (sub,) = signed_spectra(a, [s])
+def degree_bound_holds(delta: int, sub: SpectrumReport) -> bool:
+    """True iff the induced maximum degree delta dominates the top
+    eigenvalue of the principal submatrix spectrum sub, within
+    DEFAULT_GROUP_TOL."""
     return delta >= sub.eigenvalues[-1] - DEFAULT_GROUP_TOL
+
+
+def degree_bound_check(a: SignedMatrix, s: VertexSet) -> bool:
+    """degree_bound_holds for s and the principal submatrix of a on s."""
+    delta = induced_max_degree(s, a.graph())
+    (sub,) = signed_spectra(a, [s])
+    return degree_bound_holds(delta, sub)
 
 
 def lower_bound_even(n: int, k: int, beta_n: float | None = None) -> int:

@@ -11,13 +11,14 @@ and an exact rational bisection narrows the first to the smallest root.
 Numerical layer: one dense solver, signed_spectra.  The grid is bipartite
 by digit-sum parity, so a signed matrix is [[0, C], [C^T, 0]] after a
 parity permutation, and its spectrum is +-sigma(C) plus a zero for each row
-C has beyond its column count.  One SVD of the half-size block C, batched
-over all blocks of one shape and held to a residual contract, solves a
-signed matrix or any of its principal submatrices.  base_certificate proves
-the spectrum of every level exactly, so closed_form_spectrum lists it with
-no solve.  spectrum_check solves A(m, k) once and compares it once with the
-closed form; odd3_spectrum_check, min_positive_eig_even,
-nonsingularity_check_even and square_compose_check read that one check.
+C has beyond its column count.  One symmetric eigensolve of the exact Gram
+matrix C C^T of the half-size block C, batched over all blocks of one shape
+and held to a residual contract, solves a signed matrix or any of its
+principal submatrices.  base_certificate proves the spectrum of every level
+exactly, so closed_form_spectrum lists it with no solve.  spectrum_check
+solves A(m, k) once and compares it once with the closed form;
+odd3_spectrum_check, min_positive_eig_even, nonsingularity_check_even and
+square_compose_check read that one check.
 The squares of its spectrum are the spectrum of A^2 = C C^T + C^T C (a
 direct sum under the parity permutation), so A^2 needs no solve of its own.
 """
@@ -342,7 +343,41 @@ def _parity_colours(a: SignedMatrix) -> np.ndarray:
     return (r // a.m ** np.arange(a.k, dtype=np.int64) % a.m).sum(axis=1) % 2
 
 
-def _check_svd_contract(c: np.ndarray, u: np.ndarray, sv: np.ndarray, vt: np.ndarray) -> None:
+def _gram_svd(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, sigma, V) of every block of the stack c (g x p x q, p >= q), whose
+    entries are +-1 and 0, from one eigh of the Gram stack K = C C^T.
+
+    K holds sums of at most q products +-1, so it is exact in float64.  U is
+    its eigenvectors, eigenvalues descending, so its last p - q columns lie
+    in the kernel of C^T.  For i <= q, sigma_i = ||C^T u_i|| and
+    v_i = C^T u_i / sigma_i; sigma is not sqrt(lambda_i), which would lift a
+    rounded zero eigenvalue near 1e-16 to 1e-8, the zero grouping threshold.
+    Where sigma_i <= DEFAULT_GROUP_TOL, v_i is instead a column of the
+    complete QR of the block's V with the columns above that threshold
+    placed first and the rest zeroed, which makes it a unit vector of the
+    kernel of C; one QR serves all such blocks of the stack.
+    """
+    q = c.shape[2]
+    gram = c @ c.transpose(0, 2, 1)
+    u = np.linalg.eigh(gram)[1][:, :, ::-1]
+    del gram
+    v = c.transpose(0, 2, 1) @ u[:, :, :q]
+    sv = np.linalg.norm(v, axis=1)
+    dead = sv <= DEFAULT_GROUP_TOL
+    v /= np.where(dead, 1.0, sv)[:, None, :]
+    hit = np.flatnonzero(dead.any(axis=1))
+    if len(hit):
+        v_hit, dead_hit = v[hit], dead[hit][:, None, :]
+        order = np.argsort(dead_hit, axis=2, kind="stable")  # kept columns first
+        dead_last = np.take_along_axis(dead_hit, order, axis=2)
+        kept = np.take_along_axis(v_hit, order, axis=2)
+        kernel = np.linalg.qr(np.where(dead_last, 0.0, kept), mode="complete").Q
+        np.put_along_axis(v_hit, order, np.where(dead_last, kernel, kept), axis=2)
+        v[hit] = v_hit
+    return u, sv, v
+
+
+def _check_svd_contract(c: np.ndarray, u: np.ndarray, sv: np.ndarray, v: np.ndarray) -> None:
     """EigenSolveError unless every block of the stack c (g x p x q) meets
     the residual contract of a dense eigensolve of A = [[0, C], [C^T, 0]],
     with ||A||_F = sqrt(2) ||C||_F:
@@ -352,31 +387,45 @@ def _check_svd_contract(c: np.ndarray, u: np.ndarray, sv: np.ndarray, vt: np.nda
     - each zero pair (u_j; 0), j > q, has residual ||C^T u_j||;
     - all residuals are <= DEFAULT_RESIDUAL_TOL ||A||_F, and the reconstruction
       ||A - Q Lambda Q^T||_F = sqrt(2) ||C - U Sigma V^T||_F is
-      <= DEFAULT_RECON_TOL ||A||_F.
+      <= DEFAULT_RECON_TOL ||A||_F;
+    - V is orthonormal: max |V^T V - I| <= DEFAULT_RECON_TOL.  Residuals and
+      reconstruction miss a repeated kernel vector of C in V.
     """
     g, p, q = c.shape
-    if u.shape != (g, p, p) or sv.shape != (g, q) or vt.shape != (g, q, q):
-        raise EigenSolveError(f"SVD factors of shapes {u.shape}, {sv.shape}, {vt.shape} for blocks {c.shape}")
+    if u.shape != (g, p, p) or sv.shape != (g, q) or v.shape != (g, q, q):
+        raise EigenSolveError(f"SVD factors of shapes {u.shape}, {sv.shape}, {v.shape} for blocks {c.shape}")
     fro = sqrt(2.0) * np.linalg.norm(c, axis=(1, 2))
-    v = vt.transpose(0, 2, 1)
-    us = u[:, :, :q] * sv[:, None, :]
+    # In this order at most two arrays of a block's size are alive beside c, u and v.
     ctu = c.transpose(0, 2, 1) @ u
-    pairs = np.sqrt(
-        (np.sum((c @ v - us) ** 2, axis=1) + np.sum((ctu[:, :, :q] - v * sv[:, None, :]) ** 2, axis=1)) / 2
-    )
     zeros = np.linalg.norm(ctu[:, :, q:], axis=1)
+    right = ctu[:, :, :q]
+    right -= v * sv[:, None, :]
+    pairs = np.sum(np.square(right, out=right), axis=1)
+    del ctu, right
+    us = u[:, :, :q] * sv[:, None, :]
+    left = c @ v
+    left -= us
+    pairs = np.sqrt((pairs + np.sum(np.square(left, out=left), axis=1)) / 2)
     worst = np.max(np.concatenate((pairs, zeros), axis=1), axis=1)
-    recon = sqrt(2.0) * np.linalg.norm(c - us @ vt, axis=(1, 2))
+    np.matmul(us, v.transpose(0, 2, 1), out=left)
+    left -= c
+    recon = sqrt(2.0) * np.linalg.norm(left, axis=(1, 2))
+    del us, left
+    ortho = v.transpose(0, 2, 1) @ v
+    ortho[:, np.arange(q), np.arange(q)] -= 1.0
+    ortho = np.max(np.abs(ortho, out=ortho), axis=(1, 2))
     # Written as "not within" so that a NaN fails too.
     if not np.all(worst <= DEFAULT_RESIDUAL_TOL * fro):
         raise EigenSolveError(f"eigenpair residual {float(np.max(worst)):.3e} above contract")
     if not np.all(recon <= DEFAULT_RECON_TOL * fro):
         raise EigenSolveError(f"reconstruction defect {float(np.max(recon)):.3e} above contract")
+    if not np.all(ortho <= DEFAULT_RECON_TOL):
+        raise EigenSolveError(f"right singular vectors {float(np.max(ortho)):.3e} off orthonormal")
 
 
 def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> list[SpectrumReport]:
     """Spectrum of a signed matrix, or of its principal submatrix on each of
-    sets, from the SVD of the off-diagonal block.
+    sets, from the singular values of the off-diagonal block.
 
     The stored entries must pass check_support on the matrix's grid, else
     ValueError, and each set must lie in that grid, else
@@ -386,9 +435,10 @@ def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> 
     each matrix, C holds the entries from its larger colour class (p rows,
     by rank) to its smaller (q columns), built straight from the stored
     entries, so no n x n matrix is formed.  Its spectrum is +-sigma(C) and
-    p - q zeros.  Blocks of one shape share one SVD call; each must meet
-    _check_svd_contract, else EigenSolveError.  A block with q = 0 is the
-    zero matrix: p zeros, no solve.
+    p - q zeros.  Blocks of one shape share one _gram_svd, an eigh of their
+    Gram matrices C C^T, and a QR for those of them with a zero singular
+    value; each must meet _check_svd_contract, else EigenSolveError.  A
+    block with q = 0 is the zero matrix: p zeros, no solve.
     """
     sizes = np.array([a.dim] if sets is None else [len(s) for s in sets], dtype=np.int64)
     if not len(sizes):
@@ -449,8 +499,8 @@ def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> 
         mine = slot[owner[src]] >= 0
         c = np.zeros((len(group), gp, gq))
         c[slot[owner[src[mine]]], local[src[mine]], local[dst[mine]]] = entry_vals[mine]
-        u, sv, vt = np.linalg.svd(c, full_matrices=True)
-        _check_svd_contract(c, u, sv, vt)
+        u, sv, v = _gram_svd(c)
+        _check_svd_contract(c, u, sv, v)
         extra = [0.0] * (gp - gq)
         for i, s in zip(group, sv.tolist()):
             spectra[i] = spectrum_report(s + [-x for x in s] + extra)
@@ -577,7 +627,7 @@ def spectrum_check(m: int, k: int) -> SpectrumCheck:
         facts = rep.zero_multiplicity == 1 and root2
     else:
         facts = rep.zero_multiplicity == 0 and (k > 1 or abs(_path_determinant(a)) == 1)
-    passed = facts and rep.symmetry_defect <= DEFAULT_GROUP_TOL and defect <= DEFAULT_GROUP_TOL
+    passed = facts and symmetry_check(rep) and defect <= DEFAULT_GROUP_TOL
     return SpectrumCheck(m, k, rep.zero_multiplicity, rep.min_positive, rep.symmetry_defect, defect, passed, rep)
 
 

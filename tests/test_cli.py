@@ -251,23 +251,29 @@ def test_verify_all_cli_quick(capsys, tmp_path):
 
 
 def test_verify_all_dense_solve_count(monkeypatch):
-    # One entry per LAPACK call, holding the number of matrices it solved:
-    # a stacked (g, p, q) argument is g matrices in one call.
+    # One entry per LAPACK call, holding its name and the number of matrices
+    # it took: a stacked (g, p, q) argument is g matrices in one call.
     calls = []
 
-    def counted(solve):
+    def counted(name, solve):
         def wrapper(mat, *args, **kwargs):
-            calls.append(1 if np.ndim(mat) == 2 else len(mat))
+            calls.append((name, 1 if np.ndim(mat) == 2 else len(mat)))
             return solve(mat, *args, **kwargs)
 
         return wrapper
 
-    for name in ("svd", "eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    for name in ("svd", "eigh", "eigvalsh", "qr"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     report = run_verify_all()
     assert report.passed
-    assert 0 < sum(calls) <= 617  # matrices solved
-    assert 0 < len(calls) <= 28  # LAPACK calls: the chain's 600 submatrices share a few batched SVDs
+    solves = [n for name, n in calls if name != "qr"]
+    assert 0 < sum(solves) <= 617  # matrices solved
+    assert 0 < len(solves) <= 28  # LAPACK calls: the chain's 600 submatrices share a few batched solves
+    # One QR at most per solve, on its rank-deficient blocks only (39 of 617 at the default seed).
+    for (before, solved), (name, completed) in zip(calls, calls[1:]):
+        if name == "qr":
+            assert before == "eigh" and completed <= solved
+    assert sum(n for name, n in calls if name == "qr") < sum(solves) / 10
 
 
 def test_report_flags_a_witness_that_misses_the_floor(monkeypatch):

@@ -7,7 +7,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pathpower.spectral as spectral
@@ -625,6 +625,41 @@ def test_signed_spectra_of_principal_submatrices(case):
         assert np.max(np.abs(np.array(rep.eigenvalues) - want)) <= 1e-12 * fro
 
 
+@pytest.mark.parametrize("n", [32, 64, 256])
+def test_spectrum_check_of_long_even_paths_matches_eigvalsh(n):
+    # the smallest singular value of the path on 2n vertices falls to 6e-3 at n = 256
+    r = spectrum_check(2 * n, 1)
+    want = np.linalg.eigvalsh(signed_grid_matrix(2 * n, 1).to_dense().astype(float))
+    assert r.passed and r.min_positive == pytest.approx(want[n], abs=1e-9)
+    assert np.max(np.abs(np.array(r.spectrum.eigenvalues) - want)) <= 1e-9
+
+
+def test_spectrum_check_at_the_eigensolver_cap():
+    r = spectrum_check(2, 12)
+    assert r.spectrum.dim == spectral.DEFAULT_EIG_DIM_CAP and r.passed
+
+
+@st.composite
+def _grid_and_set(draw):
+    m, k = draw(st.sampled_from([(3, 3), (4, 2), (2, 5)]))
+    return m, k, draw(st.sets(st.integers(0, m**k - 1), min_size=1))
+
+
+@settings(max_examples=60)
+@given(_grid_and_set())
+@example((4, 2, {0, 1, 2, 5, 7, 12, 14}))  # C of rank 1 with two zero singular values
+@example((3, 3, {0, 2, 6, 8, 13}))  # C with no entry: the centre's neighbours are all left out
+def test_principal_submatrices_match_exact_rank_and_eigvalsh(case):
+    sympy = pytest.importorskip("sympy")
+    m, k, ranks = case
+    a = signed_grid_matrix(m, k)
+    s = VertexSet(m, k, ranks=ranks)
+    (rep,) = signed_spectra(a, [s])
+    dense = principal_submatrix(a, s)
+    assert rep.zero_multiplicity == len(s) - sympy.Matrix(dense.tolist()).rank()
+    assert np.max(np.abs(np.array(rep.eigenvalues) - np.linalg.eigvalsh(dense.astype(float)))) <= 1e-9
+
+
 def test_signed_spectra_mixed_splits_in_one_batch():
     # [3]^2: ranks 0, 2, 4, 6, 8 have even digit sums, 1, 3, 5, 7 odd.
     a = signed_grid_matrix(3, 2)
@@ -637,15 +672,27 @@ def test_signed_spectra_mixed_splits_in_one_batch():
 
 
 def test_signed_matrices_are_never_solved_by_eigh(monkeypatch):
-    # the one dense solver is signed_spectra's SVD: eigh, eigvalsh and eig never run
+    # the one dense solve is eigh of a Gram stack C C^T (g, p, p), never of an
+    # n x n signed matrix; svd, eigvalsh and eig never run
     from pathpower.report import DEFAULT_SEED, _check_degree_eigenvalue_chain, run_verify_all
     from pathpower.search import degree_bound_check
 
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("a signed matrix went to eigh")
+    solve = np.linalg.eigh
 
-    for name in ("eigh", "eigvalsh", "eig"):
-        monkeypatch.setattr(np.linalg, name, no_eigh)
+    def gram_only(k, *args, **kwargs):
+        assert np.ndim(k) == 3 and k.shape[1] == k.shape[2], np.shape(k)
+        diag = np.diagonal(k, axis1=1, axis2=2)
+        # integral, symmetric and |K_ij| <= sqrt(K_ii K_jj); a signed matrix has a zero diagonal
+        assert np.array_equal(k, np.round(k)) and np.array_equal(k, k.transpose(0, 2, 1))
+        assert np.all(k * k <= diag[:, :, None] * diag[:, None, :])
+        return solve(k, *args, **kwargs)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a signed matrix went to a solver other than eigh of its Gram stack")
+
+    monkeypatch.setattr(np.linalg, "eigh", gram_only)
+    for name in ("svd", "eigvalsh", "eig"):
+        monkeypatch.setattr(np.linalg, name, no_solve)
     report = run_verify_all()
     assert report.passed, [(c.name, c.details) for c in report.checks if not c.passed]
     assert odd3_spectrum_check(6).passed
@@ -690,34 +737,34 @@ def test_signed_spectra_reject_a_matrix_that_is_not_signed_bipartite():
 
 
 def _svd_tampered_by(monkeypatch, tamper):
-    solve = np.linalg.svd
+    solve = spectral._gram_svd
 
-    def svd(c, *args, **kwargs):
-        return tamper(*solve(c, *args, **kwargs))
+    def gram_svd(c):
+        return tamper(*solve(c))
 
-    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(spectral, "_gram_svd", gram_svd)
 
 
-def _shift_sigma(u, sv, vt):
+def _shift_sigma(u, sv, v):
     sv = sv.copy()
     sv[0, 0] += 1e-6
-    return u, sv, vt
+    return u, sv, v
 
 
-def _shift_pair_vector(u, sv, vt):
+def _shift_pair_vector(u, sv, v):
     u = u.copy()
     u[0, 0, 0] += 1e-6
-    return u, sv, vt
+    return u, sv, v
 
 
-def _shift_zero_vector(u, sv, vt):
+def _shift_zero_vector(u, sv, v):
     u = u.copy()
     u[0, 0, -1] += 1e-6  # the last column of U spans part of the kernel of C^T when p > q
-    return u, sv, vt
+    return u, sv, v
 
 
-def _drop_zero_vector(u, sv, vt):
-    return u[:, :, :-1], sv, vt
+def _drop_zero_vector(u, sv, v):
+    return u[:, :, :-1], sv, v
 
 
 @pytest.mark.parametrize("tamper", [_shift_sigma, _shift_pair_vector, _shift_zero_vector, _drop_zero_vector])
@@ -729,6 +776,26 @@ def test_signed_spectra_contract_negative_controls(monkeypatch, tamper):
         signed_spectra(a)
     with pytest.raises(EigenSolveError):
         signed_spectra(a, [VertexSet(3, 3, ranks=range(27)), VertexSet(3, 3, ranks=range(9))])
+
+
+def _repeat_kernel_vector(u, sv, v):
+    # C v = 0 and sigma = 0 on both columns, so residuals and reconstruction do not move
+    dead = np.flatnonzero(sv[0] <= spectral.DEFAULT_GROUP_TOL)
+    v = v.copy()
+    v[0, :, dead[1]] = v[0, :, dead[0]]
+    return u, sv, v
+
+
+def test_right_vectors_must_be_orthonormal(monkeypatch):
+    # C is 4 x 3 of rank 1: rows 0, 2, 5, 7 (one zero pair) and columns 1, 12, 14,
+    # the last two adjacent to no row, so sigma(C) holds two zeros
+    a = signed_grid_matrix(4, 2)
+    s = VertexSet(4, 2, ranks=[0, 1, 2, 5, 7, 12, 14])
+    (rep,) = signed_spectra(a, [s])
+    assert rep.zero_multiplicity == 7 - 2 and rep.eigenvalues[-1] == pytest.approx(math.sqrt(3), abs=1e-12)
+    _svd_tampered_by(monkeypatch, _repeat_kernel_vector)
+    with pytest.raises(EigenSolveError, match="orthonormal"):
+        signed_spectra(a, [s])
 
 
 def test_signed_spectra_refuse_over_cap_before_allocating(monkeypatch):
