@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from .errors import CertificateError
 from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, induced_max_degree
 
 CONSTRUCTION_KINDS = ("vk", "vkc", "xk", "xkc", "hk")
@@ -100,10 +101,13 @@ def hk_witness_set(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> VertexSe
     neighbour of x has the other parity, so it lies in H with x exactly
     when the step flips a coordinate on which g is sensitive at b(x): each
     x in H has at most sensitivity(g) neighbours in H, and the same holds
-    in the complement.  Returns H or its complement, whichever is larger,
-    cut to its alpha + 1 smallest ranks when it has more; for even m and g
-    of full degree it has more than m^k / 2 members.  Built from digit
-    arrays, with no loop over vertices.
+    in the complement.  Returns H or its complement, whichever is larger.
+    For even m it has exactly m^k / 2 + 1 = alpha + 1 members (CFGS): the
+    (m - 1)^|b| grid points over a cube point b have even-minus-odd parity
+    count (-1)^|b|, so |H| - |H^c| = sum_b (-1)^|b| (2 g(b) - 1), which is
+    2 (-1)^(number of blocks) for this g.  CertificateError if the built
+    set has any other size.  Built from digit arrays, with no loop over
+    vertices.
     """
     if m % 2:
         raise ValueError(f"the folded witness is defined for even m, got m = {m}")
@@ -115,7 +119,9 @@ def hk_witness_set(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> VertexSe
     h = g != (digits.sum(axis=1) % 2 == 1)
     if 2 * np.count_nonzero(h) < h.size:
         h = ~h
-    h &= np.cumsum(h) <= alpha_formula(m, k) + 1
+    size = np.count_nonzero(h)
+    if size != alpha_formula(m, k) + 1:
+        raise CertificateError(f"the folded witness of [{m}]^{k} has {size} members, not alpha + 1")
     return VertexSet(m, k, bits=int.from_bytes(np.packbits(h, bitorder="little").tobytes(), "little"))
 
 

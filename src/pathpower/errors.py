@@ -24,3 +24,6 @@ class BracketingError(PathPowerError, RuntimeError):
 class EigenSolveError(PathPowerError, RuntimeError):
     """Symmetric eigensolve did not meet its residual contract."""
 
+
+class CertificateError(PathPowerError, RuntimeError):
+    """A construction does not meet the identity it is built on."""

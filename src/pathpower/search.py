@@ -42,6 +42,7 @@ import numpy as np
 
 from . import _kernels
 from .constructions import alternating_independent_set, hk_witness_set, is_independent, low_degree_witness_set
+from .errors import CertificateError
 from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, induced_max_degree
 from .signed import SignedMatrix
 from .spectral import DEFAULT_GROUP_TOL, SpectrumReport, base_certificate, beta, beta_side_of, signed_spectra
@@ -266,8 +267,12 @@ def floor_witness(g: PathPower) -> tuple[str, VertexSet]:
 
 def _witness_meets(g: PathPower, floor: Floor, target: int) -> tuple[str, VertexSet] | None:
     """The floor witness when it has target members and induced maximum
-    degree equal to the floor (checked here), else None."""
-    family, witness = floor_witness(g)
+    degree equal to the floor (checked here), else None, as when its
+    construction fails its own certificate."""
+    try:
+        family, witness = floor_witness(g)
+    except CertificateError:
+        return None
     if len(witness) == target and induced_max_degree(witness, g) == floor.value:
         return family, witness
     return None

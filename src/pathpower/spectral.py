@@ -11,12 +11,16 @@ and an exact rational bisection narrows the first to the smallest root.
 Numerical layer: one dense solver, signed_spectra.  The grid is bipartite
 by digit-sum parity, so a signed matrix is [[0, C], [C^T, 0]] after a
 parity permutation, and its spectrum is +-sigma(C) plus a zero for each row
-C has beyond its column count.  One symmetric eigensolve of the exact Gram
-matrix C C^T of the half-size block C, batched over all blocks of one shape
-and held to a residual contract, solves a signed matrix or any of its
-principal submatrices.  base_certificate proves the spectrum of every level
-exactly, so closed_form_spectrum lists it with no solve.  spectrum_check
-solves A(m, k) once and compares it once with the closed form;
+C has beyond its column count.  A symmetric eigensolve of the exact Gram
+matrix K = C C^T of the half-size block C, held to a residual contract,
+solves a signed matrix or any of its principal submatrices.  The Gram
+matrices of submatrices are batched, one eigh per shape.  A whole matrix
+is solved one component of K's exact zero pattern at a time: A_k^2 =
+I ⊗ A_(k-1)^2 + B^2 ⊗ I, and B^2 on a path joins only digits of one
+parity, so K of A(m, k) splits into blocks of at most ceil(m / 2)^k rows.
+base_certificate proves the spectrum of every level exactly, so
+closed_form_spectrum lists it with no solve.  spectrum_check solves
+A(m, k) once and compares it once with the closed form;
 odd3_spectrum_check, min_positive_eig_even, nonsingularity_check_even and
 square_compose_check read that one check.
 The squares of its spectrum are the spectrum of A^2 = C C^T + C^T C (a
@@ -343,24 +347,88 @@ def _parity_colours(a: SignedMatrix) -> np.ndarray:
     return (r // a.m ** np.arange(a.k, dtype=np.int64) % a.m).sum(axis=1) % 2
 
 
-def _gram_svd(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U, sigma, V) of every block of the stack c (g x p x q, p >= q), whose
-    entries are +-1 and 0, from one eigh of the Gram stack K = C C^T.
+def _gram_components(gram: np.ndarray) -> np.ndarray:
+    """Component label of every row of the Gram stack (g x p x p): row i of
+    block b is node b p + i, two nodes are joined where their entry is
+    nonzero, and each node's label is the smallest node of its component.
 
-    K holds sums of at most q products +-1, so it is exact in float64.  U is
-    its eigenvectors, eigenvalues descending, so its last p - q columns lie
-    in the kernel of C^T.  For i <= q, sigma_i = ||C^T u_i|| and
-    v_i = C^T u_i / sigma_i; sigma is not sqrt(lambda_i), which would lift a
-    rounded zero eigenvalue near 1e-16 to 1e-8, the zero grouping threshold.
-    Where sigma_i <= DEFAULT_GROUP_TOL, v_i is instead a column of the
-    complete QR of the block's V with the columns above that threshold
-    placed first and the rest zeroed, which makes it a unit vector of the
-    kernel of C; one QR serves all such blocks of the stack.
+    Union-find on the nonzeros only: each round hooks the larger root of
+    every edge that still joins two roots to the smaller, then jumps
+    pointers until every node points at its root.
+    """
+    g, p, _ = gram.shape
+    flat = np.flatnonzero(gram != 0)
+    i, j = flat // p, flat // (p * p) * p + flat % p  # the nodes of the entry's row and column
+    label = np.arange(g * p)
+    while len(i):
+        li, lj = label[i], label[j]
+        apart = li != lj
+        i, j, li, lj = i[apart], j[apart], li[apart], lj[apart]
+        np.minimum.at(label, np.maximum(li, lj), np.minimum(li, lj))
+        while not np.array_equal(root := label[label], label):
+            label = root
+    return label
+
+
+def _gram_eigenvectors(c: np.ndarray, split: bool) -> np.ndarray:
+    """Eigenvectors of the Gram matrices K = C C^T of the stack c (g x p x q)
+    as a g x p x p stack, each block's eigenvalues descending.
+
+    Without split, or when each block is one component of K's exact zero
+    pattern (_gram_components), one eigh of the whole stack.  Otherwise the
+    components of each size, across the stack, share one batched eigh; K is
+    freed once they are copied out.  Each block's eigenvalues are ranked
+    descending, and each eigenvector is scattered into zeros at its
+    component's rows and its rank's column.
+    """
+    g, p, _ = c.shape
+    gram = c @ c.transpose(0, 2, 1)
+    label = _gram_components(gram) if split else None
+    if label is None or np.count_nonzero(label == np.arange(g * p)) == g:
+        return np.linalg.eigh(gram)[1][:, :, ::-1]
+    size = np.bincount(label)[label]
+    nodes = np.argsort(label, kind="stable")  # each component's nodes together, ascending
+    groups = []
+    for r in np.flatnonzero(np.bincount(size)).tolist():  # the sizes that occur, ascending
+        members = nodes[size[nodes] == r].reshape(-1, r)
+        block, rows = members[:, 0] // p, members % p
+        groups.append((block, rows, gram[block[:, None, None], rows[:, :, None], rows[:, None, :]]))
+    del gram
+    solved = [(block, rows, *np.linalg.eigh(k)) for block, rows, k in groups]
+    del groups
+    # Block b's eigenvalues take the ranks b p .. b p + p - 1 of the lexsort.
+    owner = np.concatenate([np.repeat(block, w.shape[1]) for block, _, w, _ in solved])
+    values = np.concatenate([w.ravel() for _, _, w, _ in solved])
+    rank = np.empty(g * p, dtype=np.int64)
+    rank[np.lexsort((-values, owner))] = np.arange(g * p) % p
+    u = np.zeros((g, p, p))
+    start = 0
+    for block, rows, w, x in solved:
+        cols = rank[start : start + w.size].reshape(w.shape)
+        u[block[:, None, None], rows[:, :, None], cols[:, None, :]] = x
+        start += w.size
+    return u
+
+
+def _gram_svd(c: np.ndarray, split: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, sigma, V) of every block of the stack c (g x p x q, p >= q), whose
+    entries are +-1 and 0, from the eigenvectors of its Gram stack
+    K = C C^T (_gram_eigenvectors; split solves each component of K apart).
+
+    K holds sums of at most q products +-1, so it is exact in float64, and
+    so is its zero pattern: an eigenvector of a component is exactly an
+    eigenvector of K, zero on every other row.  U is the eigenvectors,
+    eigenvalues descending, so its last p - q columns lie in the kernel of
+    C^T.  For i <= q, sigma_i = ||C^T u_i|| and v_i = C^T u_i / sigma_i;
+    sigma is not sqrt(lambda_i), which would lift a rounded zero eigenvalue
+    near 1e-16 to 1e-8, the zero grouping threshold.  Where sigma_i <=
+    DEFAULT_GROUP_TOL, v_i is instead a column of the complete QR of the
+    block's V with the columns above that threshold placed first and the
+    rest zeroed, which makes it a unit vector of the kernel of C; one QR
+    serves all such blocks of the stack.
     """
     q = c.shape[2]
-    gram = c @ c.transpose(0, 2, 1)
-    u = np.linalg.eigh(gram)[1][:, :, ::-1]
-    del gram
+    u = _gram_eigenvectors(c, split)
     v = c.transpose(0, 2, 1) @ u[:, :, :q]
     sv = np.linalg.norm(v, axis=1)
     dead = sv <= DEFAULT_GROUP_TOL
@@ -436,9 +504,15 @@ def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> 
     by rank) to its smaller (q columns), built straight from the stored
     entries, so no n x n matrix is formed.  Its spectrum is +-sigma(C) and
     p - q zeros.  Blocks of one shape share one _gram_svd, an eigh of their
-    Gram matrices C C^T, and a QR for those of them with a zero singular
-    value; each must meet _check_svd_contract, else EigenSolveError.  A
-    block with q = 0 is the zero matrix: p zeros, no solve.
+    Gram matrices K = C C^T, and a QR for those of them with a zero
+    singular value; each must meet _check_svd_contract, else
+    EigenSolveError.  A block with q = 0 is the zero matrix: p zeros, no
+    solve.  Without sets, K is split into the components of its computed
+    zero pattern, never of the parity classes that predict them, so a
+    matrix signed otherwise than the builder's still gets its own
+    spectrum.  A stack of submatrices is not split: their Gram matrices
+    have no such structure, and the chain's have at most 8 rows in a
+    default verify-all.
     """
     sizes = np.array([a.dim] if sets is None else [len(s) for s in sets], dtype=np.int64)
     if not len(sizes):
@@ -499,7 +573,7 @@ def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> 
         mine = slot[owner[src]] >= 0
         c = np.zeros((len(group), gp, gq))
         c[slot[owner[src[mine]]], local[src[mine]], local[dst[mine]]] = entry_vals[mine]
-        u, sv, v = _gram_svd(c)
+        u, sv, v = _gram_svd(c, split=sets is None)
         _check_svd_contract(c, u, sv, v)
         extra = [0.0] * (gp - gq)
         for i, s in zip(group, sv.tolist()):

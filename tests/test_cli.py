@@ -251,13 +251,13 @@ def test_verify_all_cli_quick(capsys, tmp_path):
 
 
 def test_verify_all_dense_solve_count(monkeypatch):
-    # One entry per LAPACK call, holding its name and the number of matrices
-    # it took: a stacked (g, p, q) argument is g matrices in one call.
+    # One entry per LAPACK call, holding its name, the number of matrices it
+    # took (a stacked (g, p, p) argument is g matrices in one call) and their rows.
     calls = []
 
     def counted(name, solve):
         def wrapper(mat, *args, **kwargs):
-            calls.append((name, 1 if np.ndim(mat) == 2 else len(mat)))
+            calls.append((name, 1 if np.ndim(mat) == 2 else len(mat), np.shape(mat)[-1]))
             return solve(mat, *args, **kwargs)
 
         return wrapper
@@ -266,14 +266,18 @@ def test_verify_all_dense_solve_count(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     report = run_verify_all()
     assert report.passed
-    solves = [n for name, n in calls if name != "qr"]
-    assert 0 < sum(solves) <= 617  # matrices solved
-    assert 0 < len(solves) <= 28  # LAPACK calls: the chain's 600 submatrices share a few batched solves
+    solves = [(n, rows) for name, n, rows in calls if name != "qr"]
+    # Each matrix is solved once: every row of the Gram matrices of its 617
+    # matrices lies in exactly one solved block.  A whole matrix splits into
+    # the components of its Gram matrix, 664 blocks at the default seed.
+    assert sum(n * rows for n, rows in solves) == 3247
+    assert 0 < sum(n for n, _ in solves) <= 664
+    assert 0 < len(solves) <= 35  # LAPACK calls: the chain's 600 submatrices share a few batched solves
     # One QR at most per solve, on its rank-deficient blocks only (39 of 617 at the default seed).
-    for (before, solved), (name, completed) in zip(calls, calls[1:]):
+    for (before, solved, _), (name, completed, _) in zip(calls, calls[1:]):
         if name == "qr":
             assert before == "eigh" and completed <= solved
-    assert sum(n for name, n in calls if name == "qr") < sum(solves) / 10
+    assert sum(n for name, n, _ in calls if name == "qr") < sum(n for n, _ in solves) / 10
 
 
 def test_report_flags_a_witness_that_misses_the_floor(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pathpower import (
+    CertificateError,
     PathPower,
     SizeCapError,
     VertexSet,
@@ -14,6 +15,7 @@ from pathpower import (
     alternating_independent_set,
     append_coordinate,
     build_construction,
+    constructions,
     hk_witness_set,
     induced_max_degree,
     is_independent,
@@ -160,6 +162,30 @@ def test_hk_witness_meets_the_hypercube_floor(m, k):
 def test_hk_witness_degree_by_neighbour_count(m, k):
     h = hk_witness_set(m, k)
     assert _naive_max_degree(h) == induced_max_degree(h) == math.isqrt(k - 1) + 1
+
+
+_EVEN_SMALL = [(m, k) for m in range(2, 17, 2) for k in range(1, 13) if m**k <= 4096]
+
+
+@pytest.mark.parametrize("m,k", _EVEN_SMALL)
+def test_hk_witness_is_alpha_plus_one_by_the_cfgs_identity(m, k):
+    # the larger side of H is built whole: nothing is cut to reach alpha + 1
+    assert len(hk_witness_set(m, k)) == alpha_formula(m, k) + 1 == m**k // 2 + 1
+
+
+@pytest.mark.parametrize("m,k", [(2, 1), (2, 6), (4, 3), (10, 2), (16, 2)])
+def test_hk_witness_of_a_g_without_full_degree_is_refused(monkeypatch, m, k):
+    # without coordinate 0, g's signed sum over the cube is 0, so |H| = m^k / 2
+    sqrt_blocks = constructions.sqrt_blocks
+
+    def dropped(k):
+        blocks = sqrt_blocks(k)
+        blocks[0].remove(0)
+        return blocks
+
+    monkeypatch.setattr(constructions, "sqrt_blocks", dropped)
+    with pytest.raises(CertificateError, match=f"{m**k // 2} members"):
+        hk_witness_set(m, k)
 
 
 def test_hk_witness_rejects_odd_paths_and_the_size_cap():

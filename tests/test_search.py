@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pathpower import (
+    CertificateError,
     PathPower,
     SearchBudget,
     VertexSet,
@@ -483,7 +484,8 @@ def test_dropped_variable_witness_fails_the_size_check(monkeypatch):
         return blocks
 
     monkeypatch.setattr(constructions, "sqrt_blocks", dropped)
-    assert len(hk_witness_set(4, 4)) == 4**4 // 2 == alpha_formula(4, 4)
+    with pytest.raises(CertificateError, match="128 members"):
+        hk_witness_set(4, 4)
     fv = theoretical_f_value(4, 4)
     assert (fv.kind, fv.value, fv.witness) == ("lower", 2, None)
     res = brute_force_f(PathPower(4, 2))

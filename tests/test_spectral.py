@@ -23,6 +23,7 @@ from pathpower import (
     beta,
     charpoly_base_square_check,
     charpoly_exact,
+    check_support,
     closed_form_spectrum,
     composed_square_spectrum,
     fg_identity_check,
@@ -736,11 +737,67 @@ def test_signed_spectra_reject_a_matrix_that_is_not_signed_bipartite():
         signed_spectra(_tampered(a, np.append(a.rows, [-1, 1]), np.append(a.cols, [1, -1]), np.append(a.vals, [1, 1])))
 
 
+def _eigh_blocks(monkeypatch):
+    """The shapes of the stacks passed to numpy.linalg.eigh from now on."""
+    shapes, solve = [], np.linalg.eigh
+
+    def recorded(k, *args, **kwargs):
+        shapes.append(np.shape(k))
+        return solve(k, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return shapes
+
+
+@pytest.mark.parametrize("m,k,largest", [(3, 7, 128), (4, 5, 32), (2, 9, 1), (6, 3, 27)])
+def test_a_whole_matrix_is_solved_one_parity_component_at_a_time(monkeypatch, m, k, largest):
+    # A_k^2 = I ⊗ A_(k-1)^2 + B^2 ⊗ I keeps every digit's parity, so K = C C^T
+    # splits into blocks of at most ceil(m / 2)^k rows; each row is solved once
+    shapes = _eigh_blocks(monkeypatch)
+    assert spectrum_check(m, k).passed
+    assert max(r for _, r, _ in shapes) == largest == -(-m // 2) ** k
+    assert sum(g * r for g, r, _ in shapes) == (m**k + 1) // 2
+
+
+def _flip_pair(a, i, j):
+    vals = a.vals.copy()
+    for r, c in ((i, j), (j, i)):
+        vals[np.flatnonzero((a.rows == r) & (a.cols == c))] *= -1
+    return _tampered(a, a.rows, a.cols, vals)
+
+
+def test_the_split_follows_the_computed_gram_pattern(monkeypatch):
+    # one flipped edge balances the squares through it, so their two-step
+    # paths no longer cancel and K joins parity classes that Huang's signing keeps apart
+    a = _flip_pair(signed_grid_matrix(3, 4), 0, 1)
+    assert check_support(a, a.graph())
+    want, fro = _eigvalsh_and_norm(a.to_dense())
+    shapes = _eigh_blocks(monkeypatch)
+    (rep,) = signed_spectra(a)
+    assert np.max(np.abs(np.array(rep.eigenvalues) - want)) <= 1e-12 * fro
+    assert max(r for _, r, _ in shapes) > 2**4 and sum(g * r for g, r, _ in shapes) == 41
+
+
+def test_a_labelling_that_cuts_a_component_fails_the_contract(monkeypatch):
+    label_rows = spectral._gram_components
+
+    def cut(gram):
+        label = label_rows(gram)
+        nodes = np.flatnonzero(label == np.bincount(label).argmax())
+        label[nodes[len(nodes) // 2 :]] = nodes[len(nodes) // 2]
+        return label
+
+    a = signed_grid_matrix(3, 3)
+    monkeypatch.setattr(spectral, "_gram_components", cut)
+    with pytest.raises(EigenSolveError):
+        signed_spectra(a)
+
+
 def _svd_tampered_by(monkeypatch, tamper):
     solve = spectral._gram_svd
 
-    def gram_svd(c):
-        return tamper(*solve(c))
+    def gram_svd(*args, **kwargs):
+        return tamper(*solve(*args, **kwargs))
 
     monkeypatch.setattr(spectral, "_gram_svd", gram_svd)
 
@@ -770,7 +827,9 @@ def _drop_zero_vector(u, sv, v):
 @pytest.mark.parametrize("tamper", [_shift_sigma, _shift_pair_vector, _shift_zero_vector, _drop_zero_vector])
 def test_signed_spectra_contract_negative_controls(monkeypatch, tamper):
     a = signed_grid_matrix(3, 3)  # p = 14, q = 13: one zero pair
+    shapes = _eigh_blocks(monkeypatch)
     assert signed_spectra(a)[0].zero_multiplicity == 1
+    assert max(r for _, r, _ in shapes) == 8  # the whole matrix is a split solve
     _svd_tampered_by(monkeypatch, tamper)
     with pytest.raises(EigenSolveError):
         signed_spectra(a)
@@ -796,6 +855,28 @@ def test_right_vectors_must_be_orthonormal(monkeypatch):
     _svd_tampered_by(monkeypatch, _repeat_kernel_vector)
     with pytest.raises(EigenSolveError, match="orthonormal"):
         signed_spectra(a, [s])
+
+
+def _balanced_factors():
+    """[2]^4 as two balanced 4-cycles, the low one's edges signed by the high
+    one's digit parity: A = A_hi ⊗ I + S ⊗ A_lo, so A^2 = A_hi^2 ⊗ I + I ⊗ A_lo^2."""
+    a = signed_grid_matrix(2, 4)
+    low = (a.rows ^ a.cols) < 4
+    high_parity = np.array([bin(r >> 2).count("1") % 2 for r in a.rows.tolist()])
+    return _tampered(a, a.rows, a.cols, np.where(low, 1 - 2 * high_parity, 1))
+
+
+def test_right_vectors_must_be_orthonormal_in_a_split_solve(monkeypatch):
+    # each 4-cycle squared has 0 twice, so A has 4 zeros: C is 8 x 8 with two
+    # zero singular values, and K splits into two components of 4 rows
+    a = _balanced_factors()
+    assert check_support(a, a.graph())
+    shapes = _eigh_blocks(monkeypatch)
+    (rep,) = signed_spectra(a)
+    assert rep.zero_multiplicity == 4 and shapes == [(2, 4, 4)]
+    _svd_tampered_by(monkeypatch, _repeat_kernel_vector)
+    with pytest.raises(EigenSolveError, match="orthonormal"):
+        signed_spectra(a)
 
 
 def test_signed_spectra_refuse_over_cap_before_allocating(monkeypatch):
