@@ -279,10 +279,9 @@ def _check_degree_eigenvalue_chain(cfg: dict) -> tuple[bool, dict]:
 
 def _check_hypercube_floor(cfg: dict) -> tuple[bool, dict]:
     bad = []
-    b1 = beta(1, 1e-12)  # one root for the column
     for k in range(1, 26):
         want = math.isqrt(k - 1) + 1  # ceil(sqrt(k)) in exact integers
-        got = lower_bound_even(1, k, b1)
+        got = lower_bound_even(1, k)
         if got != want:
             bad.append([k, got, want])
     details: dict = {"floor_mismatches": bad}

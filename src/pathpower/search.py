@@ -45,7 +45,7 @@ from .constructions import alternating_independent_set, hk_witness_set, is_indep
 from .errors import CertificateError
 from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, induced_max_degree
 from .signed import SignedMatrix
-from .spectral import DEFAULT_GROUP_TOL, SpectrumReport, base_certificate, beta, beta_side_of, signed_spectra
+from .spectral import DEFAULT_GROUP_TOL, SpectrumReport, base_certificate, g_roots_below, poly_g_roots, signed_spectra
 
 
 @dataclass(frozen=True)
@@ -387,23 +387,26 @@ def degree_bound_check(a: SignedMatrix, s: VertexSet) -> bool:
     return degree_bound_holds(delta, sub)
 
 
-def lower_bound_even(n: int, k: int, beta_n: float | None = None) -> int:
-    """Degree floor ceil(sqrt(k * beta(n))) for even path length 2n.
+def lower_bound_even(n: int, k: int) -> int:
+    """Degree floor ceil(sqrt(k * beta_n)) for even path length 2n.
 
-    The ceiling is guard-banded: if the square root lands within 1e-9 of
-    an integer t, the side of t is settled exactly (is beta(n) above or
-    below t*t/k) with integer sign arithmetic, so the rounding can never be
-    off by one.  beta_n, when given, is beta(n, 1e-12), isolated once by a
-    caller that needs the floor for many k.
+    The least t >= 1 with beta_n <= t^2 / k, that is, with a root of
+    poly_g(n) at or below t^2 / k.  The walk starts at the closed-form
+    estimate and each step is settled by an exact g_roots_below count, so
+    rounding can never put the floor off by one.
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    root = math.sqrt(k * (beta(n, 1e-12) if beta_n is None else beta_n))
-    t = round(root)
-    if abs(root - t) >= 1e-9:
-        return math.ceil(root)
-    side = beta_side_of(n, Fraction(t * t, k))
-    return t + 1 if side > 0 else t  # root above t means the true value exceeds the integer
+
+    def reached(t: int) -> bool:
+        return g_roots_below(n, Fraction(t * t, k)) != (0, False)
+
+    t = max(1, math.ceil(math.sqrt(k * poly_g_roots(n)[0])))
+    while t > 1 and reached(t - 1):
+        t -= 1
+    while not reached(t):
+        t += 1
+    return t
 
 
 @dataclass(frozen=True)

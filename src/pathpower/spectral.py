@@ -4,9 +4,11 @@ Exact layer: the polynomial family p_j = (x - 2) p_(j-1) - p_(j-2) with two
 seed choices (poly_f, poly_g), and characteristic polynomials (and so
 determinants) by the Faddeev-LeVerrier recurrence in Python integers.
 
-Root isolation: the closed-form roots of poly_g(n) place rational cut points
-between them; exact integer signs at the cuts prove one root per interval,
-and an exact rational bisection narrows the first to the smallest root.
+Root isolation: poly_g(n) is the characteristic polynomial of a
+tridiagonal matrix, so one exact Sturm count (g_roots_below) says how many
+of its roots lie below a rational q.  The closed-form roots place rational
+cuts between them; counts 0, 1, ..., n at the cuts prove one root per
+interval, and bisection on the count narrows the first to the smallest.
 
 Numerical layer: one dense solver, signed_spectra.  The grid is bipartite
 by digit-sum parity, so a signed matrix is [[0, C], [C^T, 0]] after a
@@ -162,14 +164,33 @@ def fg_identity_failures(n_max: int) -> list[int]:
 # ----------------------------- root isolation ------------------------------
 
 
-def _sign_at_rational(coeffs: Sequence[int], num: int, den: int) -> int:
-    """Exact sign of p(num/den) for den > 0, by integer Horner."""
-    acc = coeffs[-1]
-    dpow = 1
-    for c in reversed(coeffs[:-1]):
-        dpow *= den
-        acc = acc * num + c * dpow
-    return (acc > 0) - (acc < 0)
+def g_roots_below(n: int, q: Fraction | int) -> tuple[int, bool]:
+    """(number of roots of poly_g(n) below q, whether q is a root), exactly.
+
+    poly_g(n) = det(xI - T_n) for the tridiagonal T_n with off-diagonal 1
+    and diagonal (1, 2, ..., 2), read off its recurrence, so its leading
+    minors p_j form a Sturm sequence (Golub & Van Loan, Matrix Computations,
+    8.4).  With q = a / d, P_j = d^j p_j(q) follows P_j = (a - 2d) P_(j-1) -
+    d^2 P_(j-2) in Python integers, and each consecutive pair that agrees in
+    sign marks one root below q.  An interior zero takes its predecessor's
+    sign; P_n = 0 means q is a root.
+    """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    q = Fraction(q)
+    a, d = q.numerator, q.denominator
+    step, d2 = _X_MINUS_2.coeffs[0] * d + _X_MINUS_2.coeffs[1] * a, d * d
+    prev, cur = 1, _G_SEED[0] * d + _G_SEED[1] * a  # P_0, P_1
+    below, positive = 0, True  # the sign P_0 = 1 sets
+    for j in range(1, n + 1):
+        if cur == 0 and j == n:
+            return below, True
+        if cur == 0 or (cur > 0) == positive:
+            below += 1  # an agreement; a zero keeps its predecessor's sign
+        else:
+            positive = not positive
+        prev, cur = cur, step * cur - d2 * prev
+    return below, False
 
 
 def poly_g_roots(n: int) -> list[float]:
@@ -184,70 +205,43 @@ def poly_g_roots(n: int) -> list[float]:
     return [4.0 * sin((2 * j - 1) * pi / (4 * n + 2)) ** 2 for j in range(1, n + 1)]
 
 
-def _bracket_g_roots(n: int) -> tuple[tuple[int, ...], list[float], list[Fraction], list[int]]:
-    """(coefficients, closed-form roots, cuts, signs at the cuts) of poly_g(n),
-    once the sign certificate described in beta holds; else BracketingError."""
-    coeffs = poly_g(n).coeffs
+def _bracket_g_roots(n: int) -> list[float]:
+    """The closed-form roots of poly_g(n), once the counts at the cuts 0,
+    midway between neighbouring roots, and 4 are (i, False) for i = 0..n:
+    one root per interval, all n of T_n's; else BracketingError."""
     roots = poly_g_roots(n)
     cuts = [Fraction(0)] + [Fraction((a + b) / 2) for a, b in zip(roots, roots[1:])] + [Fraction(4)]
-    signs = [_sign_at_rational(coeffs, c.numerator, c.denominator) for c in cuts]
-    if (
-        len(coeffs) - 1 != len(roots)
-        or any(a >= b for a, b in zip(cuts, cuts[1:]))
-        or any(a * b >= 0 for a, b in zip(signs, signs[1:]))
-    ):
-        raise BracketingError(
-            f"poly_g({n}) of degree {len(coeffs) - 1} does not change sign across "
-            f"the {len(roots)} closed-form intervals: signs {signs}"
-        )
-    return coeffs, roots, cuts, signs
+    counts = [g_roots_below(n, c) for c in cuts]
+    if counts != [(i, False) for i in range(n + 1)]:
+        raise BracketingError(f"poly_g({n}) does not hold one root per closed-form interval: counts {counts}")
+    return roots
 
 
 def beta(n: int, tol: float = 1e-12) -> float:
-    """Smallest positive root of poly_g(n), within +-tol.
+    """Smallest root of poly_g(n), within +-tol; tol sets output precision only.
 
-    Certificate: the exact sign of poly_g(n) must change across each of the
-    n intervals cut at 0, midway between neighbouring closed-form roots, and
-    4; otherwise BracketingError.  A degree-n polynomial then has exactly one
-    root per interval, so the first holds the smallest, which is bisected in
+    Certificate: g_roots_below(n, .) must be (0, False) at 0 and (1, False)
+    at the first cut, midway between the two smallest closed-form roots (4
+    when n = 1); otherwise BracketingError.  The interval between them then
+    holds exactly the smallest root, which is bisected on the same count in
     exact rationals; only the final midpoint is rounded to float.  At most
-    n + 1 + ceil(log2(4 / tol)) sign evaluations.
+    2 + ceil(log2(4 / tol)) counts.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"need tol > 0, got {tol}")
-    coeffs, _, cuts, signs = _bracket_g_roots(n)
-
-    lo, hi = cuts[0], cuts[1]
-    sign_lo = signs[0]
+    roots = poly_g_roots(n)
+    lo, hi = Fraction(0), Fraction((roots[0] + roots[1]) / 2) if n > 1 else Fraction(4)
+    if g_roots_below(n, lo) != (0, False) or g_roots_below(n, hi) != (1, False):
+        raise BracketingError(f"poly_g({n}) does not hold exactly one root in [0, {float(hi)})")
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        s = _sign_at_rational(coeffs, mid.numerator, mid.denominator)
-        if s == 0:
+        below, is_root = g_roots_below(n, mid)
+        if is_root:
             return float(mid)
-        if s == sign_lo:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (lo, mid) if below else (mid, hi)
     return float((lo + hi) / 2)
-
-
-def beta_side_of(n: int, q: Fraction) -> int:
-    """Exact side of q relative to the smallest positive root of poly_g(n).
-
-    Returns +1 if the root exceeds q, 0 if q is the root, -1 if the root is
-    below q.  Only valid for q in (0, second positive root), which holds
-    whenever q is known to sit near the smallest root.
-    """
-    if q <= 0:
-        raise ValueError("q must be positive")
-    coeffs = poly_g(n).coeffs
-    s0 = _sign_at_rational(coeffs, 0, 1)
-    sq = _sign_at_rational(coeffs, q.numerator, q.denominator)
-    if sq == 0:
-        return 0
-    return 1 if sq == s0 else -1
 
 
 # ------------------------ exact characteristic polys -----------------------
@@ -621,12 +615,14 @@ def closed_form_spectrum(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Sp
     By base_certificate, A_k^2 has the sums of k eigenvalues of B^2: j_i
     copies of its distinct value mu_i, of multiplicity c_i, give sum j_i mu_i
     k! / prod j_i! * prod c_i^j_i times.  B^2 has 0 once and 2 twice for
-    m = 3, and each root of poly_g(m / 2) twice for even m.  The support is
-    bipartite (check_support), so each s > 0 splits evenly into +-sqrt(s).
-    SizeCapError above size_cap, before any value is expanded.
+    m = 3, and each root of poly_g(m / 2) twice for even m: the closed-form
+    roots, each placed by exact Sturm counts (_bracket_g_roots, else
+    BracketingError).  The support is bipartite (check_support), so each
+    s > 0 splits evenly into +-sqrt(s).  SizeCapError above size_cap, before
+    any value is expanded.
     """
     check_signed_params(m, k, size_cap)
-    base = [(0.0, 1), (2.0, 2)] if m == 3 else [(root, 2) for root in _bracket_g_roots(m // 2)[1]]
+    base = [(0.0, 1), (2.0, 2)] if m == 3 else [(root, 2) for root in _bracket_g_roots(m // 2)]
     values: list[float] = []
     for pick in combinations_with_replacement(range(len(base)), k):
         mult = factorial(k)

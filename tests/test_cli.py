@@ -4,6 +4,7 @@ import copy
 import gc
 import json
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -82,6 +83,8 @@ def test_unknown_flag_and_command_exit_2(capsys):
         ["verify-all", "--tol", "1"],  # check thresholds are fixed, not flags
         ["verify-all", "--chain-trials", "0"],
         ["spectrum", "--parity", "odd3", "--k", "2", "--tol", "1"],
+        ["beta", "--n", "3", "--tol", "nan"],  # a NaN tol would end the bisection at once
+        ["export-table", "--kind", "beta", "--tol", "nan"],
     ],
 )
 def test_invalid_input_is_a_usage_error(capsys, argv):
@@ -183,6 +186,14 @@ def test_f_command_beyond_the_cap(capsys):
     assert run_cli("f", "--m", "3", "--k", "11") == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["kind"], doc["value"], doc["theory"]["floor_source"]) == ("lower", 2, "odd3-spectral")
+
+
+def test_f_command_paper_floor_at_large_n(capsys):
+    assert run_cli("f", "--m", "2000", "--k", "2") == 0
+    doc = json.loads(capsys.readouterr().out)
+    with mpmath.workdps(50):
+        want = int(mpmath.ceil(mpmath.sqrt(2 * 4 * mpmath.sin(mpmath.pi / 4002) ** 2)))
+    assert doc["theory"]["paper_lower"] == want
 
 
 def test_f_brute_certifies_alpha_once_in_the_search(capsys, monkeypatch):

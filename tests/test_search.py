@@ -326,9 +326,8 @@ def test_degree_bound_randomized():
 
 
 def test_lower_bound_even_hypercube_column():
-    b1 = search.beta(1, 1e-12)
     for k in range(1, 26):
-        assert lower_bound_even(1, k) == lower_bound_even(1, k, b1) == math.isqrt(k - 1) + 1
+        assert lower_bound_even(1, k) == math.isqrt(k - 1) + 1
 
 
 def test_lower_bound_even_values():
@@ -348,6 +347,16 @@ def test_lower_bound_even_matches_mpmath():
             exact_square = abs(root - nearest) < mpmath.mpf(10) ** -40  # only n = 1, k a square
             want = int(nearest) if exact_square else int(mpmath.ceil(root))
             assert lower_bound_even(n, k) == want, (n, k)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1000])
+def test_lower_bound_even_large_n_matches_mpmath(n):
+    with mpmath.workdps(50):
+        beta_n = 4 * mpmath.sin(mpmath.pi / (4 * n + 2)) ** 2  # irrational for n >= 2
+        # k on both sides of each step t^2 / beta_n, where the floor moves from t to t + 1
+        steps = [int(mpmath.floor(t * t / beta_n)) for t in (1, 2, 5)]
+        for k in [1, 2, 3, 100] + steps + [s + 1 for s in steps]:
+            assert lower_bound_even(n, k) == int(mpmath.ceil(mpmath.sqrt(k * beta_n))), (n, k)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from math import comb
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from pathpower import (
     composed_square_spectrum,
     fg_identity_check,
     interlacing_check,
+    lower_bound_even,
     min_positive_eig_even,
     multiset_distance,
     nonsingularity_check_even,
@@ -42,7 +44,7 @@ from pathpower import (
     square_compose_check,
     symmetry_check,
 )
-from pathpower.spectral import base_certificate_holds, base_matrices, beta_side_of
+from pathpower.spectral import base_certificate_holds, base_matrices, g_roots_below
 
 SQRT2 = math.sqrt(2.0)
 
@@ -157,18 +159,18 @@ def test_beta_matches_squared_base_eigvalsh(n):
 
 def test_beta_sign_evaluation_count(monkeypatch):
     calls = []
-    exact_sign = spectral._sign_at_rational
+    exact_count = spectral.g_roots_below
 
-    def counting(coeffs, num, den):
-        calls.append(num)
-        return exact_sign(coeffs, num, den)
+    def counting(n, q):
+        calls.append(q)
+        return exact_count(n, q)
 
-    monkeypatch.setattr(spectral, "_sign_at_rational", counting)
+    monkeypatch.setattr(spectral, "g_roots_below", counting)
     for n in (1, 2, 3, 10, 40, 80):
         for tol in (1e-6, 1e-12, 1e-13):
             calls.clear()
             beta(n, tol)
-            assert len(calls) <= n + 1 + math.ceil(math.log2(4 / tol)), (n, tol, len(calls))
+            assert len(calls) <= 2 + math.ceil(math.log2(4 / tol)), (n, tol, len(calls))
 
 
 def test_beta_rejects_tampered_certificate(monkeypatch):
@@ -178,20 +180,35 @@ def test_beta_rejects_tampered_certificate(monkeypatch):
     monkeypatch.setattr(spectral, "poly_g_roots", lambda n: true_roots(n)[1:] + [3.99])
     with pytest.raises(BracketingError):
         beta(3)
+    with pytest.raises(BracketingError):
+        closed_form_spectrum(6, 1)
     # unsorted roots give overlapping intervals
     monkeypatch.setattr(spectral, "poly_g_roots", lambda n: true_roots(n)[::-1])
     with pytest.raises(BracketingError):
         beta(3)
+    with pytest.raises(BracketingError):
+        closed_form_spectrum(6, 1)
     monkeypatch.setattr(spectral, "poly_g_roots", true_roots)
 
-    # changed constant coefficient: x^3 - 5x^2 + 6x + 1 has a negative root
-    monkeypatch.setattr(spectral, "poly_g", lambda n: IntPolynomial((1, 6, -5, 1)))
+    # poly_g(1) = x + 1: T_n's corner entry becomes -1, which puts a root below 0
+    monkeypatch.setattr(spectral, "_G_SEED", (1, 1))
+    assert spectral.g_roots_below(3, 0)[0] >= 1
     with pytest.raises(BracketingError):
         beta(3)
-    # a degree above the root count: n sign changes no longer prove anything
-    monkeypatch.setattr(spectral, "poly_g", lambda n: poly_g(n) * IntPolynomial((5, 1)))
     with pytest.raises(BracketingError):
-        beta(3)
+        closed_form_spectrum(6, 1)
+
+
+def test_root_isolation_builds_no_coefficients(monkeypatch):
+    want = (beta(7), lower_bound_even(7, 300), closed_form_spectrum(14, 2).eigenvalues)
+
+    def refuse(n):
+        raise AssertionError("poly_g built on a root path")
+
+    monkeypatch.setattr(spectral, "poly_g", refuse)
+    assert beta(7) == want[0]
+    assert lower_bound_even(7, 300) == want[1]
+    assert np.array_equal(closed_form_spectrum(14, 2).eigenvalues, want[2])
 
 
 def test_beta_validation():
@@ -201,12 +218,37 @@ def test_beta_validation():
         beta(2, 0.0)
 
 
-def test_beta_side_of_exact_comparisons():
-    assert beta_side_of(1, Fraction(1)) == 0
-    assert beta_side_of(1, Fraction(1, 2)) == 1
-    assert beta_side_of(1, Fraction(3, 2)) == -1
+def test_g_roots_below_exact_comparisons():
+    assert g_roots_below(1, Fraction(1)) == (0, True)
+    assert g_roots_below(1, Fraction(1, 2)) == (0, False)
+    assert g_roots_below(1, Fraction(3, 2)) == (1, False)
     with pytest.raises(ValueError):
-        beta_side_of(1, Fraction(0))
+        g_roots_below(-1, Fraction(1))
+
+
+def _count_oracle(n: int, q: Fraction) -> tuple[int, bool]:
+    """sympy's exact real-root count of poly_g(n) on (-oo, q], split at q."""
+    g = poly_g(n)
+    is_root = g.evaluate(q) == 0
+    up_to_q = sympy.Poly(g.coeffs[::-1], sympy.Symbol("x")).count_roots(None, sympy.Rational(str(q)))
+    return up_to_q - is_root, is_root
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=13),
+    st.fractions(min_value=-1, max_value=5, max_denominator=1000),
+)
+@example(2, Fraction(1))  # poly_g(j)(1) = 0 for every j = 1 (mod 3): interior zeros
+@example(4, Fraction(1))
+@example(5, Fraction(1))
+@example(7, Fraction(1))
+@example(7, Fraction(0))
+@example(13, Fraction(-1))
+@example(13, Fraction(4))
+@example(13, Fraction(5))
+def test_g_roots_below_matches_sympy(n, q):
+    assert g_roots_below(n, q) == _count_oracle(n, q)
 
 
 def test_smallest_roots_positive():
