@@ -208,7 +208,7 @@ def poly_g_roots(n: int) -> list[float]:
 def _bracket_g_roots(n: int) -> list[float]:
     """The closed-form roots of poly_g(n), once the counts at the cuts 0,
     midway between neighbouring roots, and 4 are (i, False) for i = 0..n:
-    one root per interval, all n of T_n's; else BracketingError."""
+    one root per interval, which places all n; else BracketingError."""
     roots = poly_g_roots(n)
     cuts = [Fraction(0)] + [Fraction((a + b) / 2) for a, b in zip(roots, roots[1:])] + [Fraction(4)]
     counts = [g_roots_below(n, c) for c in cuts]
