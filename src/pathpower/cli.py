@@ -127,7 +127,11 @@ def cmd_f(args, parser) -> int:
         raise ValueError(f"the established value is for alpha + 1 vertices; --s {args.s} needs --brute")
     budget = _budget_from(args)  # refused before anything is built
     doc: dict = {"m": args.m, "k": args.k, "s": args.s}
-    theory = theoretical_f_value(args.m, args.k)
+    g = mis = None
+    if args.brute:  # one certificate of alpha serves the theory row and the search
+        g = PathPower(args.m, args.k, size_cap=args.size_cap)
+        mis = max_independent_set(g)
+    theory = theoretical_f_value(args.m, args.k, mis)
     doc["theory"] = {
         "kind": theory.kind,
         "value": theory.value,
@@ -136,15 +140,17 @@ def cmd_f(args, parser) -> int:
         "paper_lower": theory.paper_lower,
     }
     if args.brute:
-        g = PathPower(args.m, args.k, size_cap=args.size_cap)
         stop_at = theory.value if args.stop_at is None else args.stop_at  # a given stop_at runs the scan
-        res = brute_force_f(g, args.s, budget, stop_at=stop_at)
+        res = brute_force_f(g, args.s, budget, stop_at=stop_at, mis=mis)
         doc["value"] = res.value
         doc["kind"] = res.kind
         doc["proof"] = res.proof
         doc["stop_reason"] = res.stop_reason
         doc["witness"] = res.witness.ranks() if res.witness else None
         doc["subsets_examined"] = res.subsets_examined
+        doc["worker_nodes"] = list(res.worker_nodes)
+        doc["backend"] = res.backend
+        doc["backend_reason"] = res.backend_reason
     else:
         doc["value"] = theory.value
         doc["kind"] = theory.kind

@@ -45,7 +45,7 @@ from .constructions import alternating_independent_set, hk_witness_set, is_indep
 from .errors import CertificateError
 from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, induced_max_degree
 from .signed import SignedMatrix
-from .spectral import DEFAULT_GROUP_TOL, SpectrumReport, base_certificate, g_roots_below, poly_g_roots, signed_spectra
+from .spectral import DEFAULT_GROUP_TOL, base_certificate, g_roots_below, poly_g_roots, signed_spectra
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,11 @@ class FSearchResult:
     met by a built witness, no scan) or "floor:<source>+scan" (a scan that
     stopped early at or below the certified floor); None when upper-unproven.
     stop_reason is "certificate", "exhausted", "floor-reached" (a subset
-    reached stop_at), "node-cap" or "deadline".
+    reached stop_at), "node-cap" or "deadline".  When the subset scan ran,
+    worker_nodes holds each scan thread's nodes (they sum to
+    subsets_examined), backend the kernel that ran them ("compiled" or
+    "pure") and backend_reason why it was chosen (_kernels.BACKEND_REASON);
+    otherwise (), None and None.
     """
 
     value: int | None
@@ -99,6 +103,9 @@ class FSearchResult:
     subsets_examined: int
     proof: str | None
     stop_reason: str
+    worker_nodes: tuple[int, ...] = ()
+    backend: str | None = None
+    backend_reason: str | None = None
 
     @property
     def proven(self) -> bool:
@@ -283,13 +290,15 @@ def brute_force_f(
     s: int = 1,
     budget: SearchBudget = DEFAULT_BUDGET,
     stop_at: int | None = None,
+    mis: MisResult | None = None,
 ) -> FSearchResult:
     """Exact minimum of the induced maximum degree over subsets of size
     alpha(g) + s, with an achieving witness.
 
     The independence number comes from the certificate of
-    max_independent_set and the floor from degree_floor; both count against
-    the deadline, except a floor needed only to judge an early stop.  The
+    max_independent_set (pass its result for g as mis to reuse it) and the
+    floor from degree_floor; both count against the deadline, except a
+    floor needed only to judge an early stop and a given mis.  The
     defaults (stop_at None, s = 1, one worker) settle by certificate:
     floor_witness builds the witness, and when its size is alpha + 1 and
     its induced maximum degree equals the floor, that is the value
@@ -316,7 +325,7 @@ def brute_force_f(
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
-    mis = max_independent_set(g)
+    mis = max_independent_set(g) if mis is None else mis
     target = mis.size + s
     if target > g.n_vertices:
         raise ValueError(f"alpha + s = {target} exceeds {g.n_vertices} vertices")
@@ -353,7 +362,9 @@ def brute_force_f(
         with ThreadPoolExecutor(threads) as pool:
             results = list(pool.map(lambda share: scan(_kernels._scan, share), shares))
 
-    nodes = sum(r[2] for r in results)
+    worker_nodes = tuple(r[2] for r in results)
+    nodes = sum(worker_nodes)
+    record = (worker_nodes, _kernels.backend_for(g.n_vertices), _kernels.BACKEND_REASON)
     if any(r[4] for r in results):
         reason = "floor-reached"
     elif any(r[3] for r in results):
@@ -362,7 +373,7 @@ def brute_force_f(
         reason = "exhausted"
     found = [r for r in results if r[0] is not None]
     if not found:
-        return FSearchResult(None, None, "upper-unproven", nodes, None, reason)
+        return FSearchResult(None, None, "upper-unproven", nodes, None, reason, *record)
     best, mask, *_ = min(found)
     if reason == "exhausted":
         proof = "enumeration"
@@ -370,21 +381,21 @@ def brute_force_f(
         floor = degree_floor(g, mis) if floor is None else floor
         proof = f"floor:{floor.source}+scan" if best <= floor.value else None
     kind = "upper-unproven" if proof is None else "exact"
-    return FSearchResult(best, VertexSet(g.m, g.k, bits=mask), kind, nodes, proof, reason)
+    return FSearchResult(best, VertexSet(g.m, g.k, bits=mask), kind, nodes, proof, reason, *record)
 
 
-def degree_bound_holds(delta: int, sub: SpectrumReport) -> bool:
-    """True iff the induced maximum degree delta dominates the top
-    eigenvalue of the principal submatrix spectrum sub, within
-    DEFAULT_GROUP_TOL."""
-    return delta >= sub.eigenvalues[-1] - DEFAULT_GROUP_TOL
+def degree_bound_holds(delta, top):
+    """True iff the induced maximum degree delta dominates top, the top
+    eigenvalue of a principal submatrix on the same set, within
+    DEFAULT_GROUP_TOL; elementwise for arrays."""
+    return delta >= top - DEFAULT_GROUP_TOL
 
 
 def degree_bound_check(a: SignedMatrix, s: VertexSet) -> bool:
     """degree_bound_holds for s and the principal submatrix of a on s."""
     delta = induced_max_degree(s, a.graph())
     (sub,) = signed_spectra(a, [s])
-    return degree_bound_holds(delta, sub)
+    return degree_bound_holds(delta, sub.eigenvalues[-1])
 
 
 def lower_bound_even(n: int, k: int) -> int:
@@ -427,7 +438,7 @@ class FValue:
     paper_lower: int | None
 
 
-def theoretical_f_value(m: int, k: int) -> FValue:
+def theoretical_f_value(m: int, k: int, mis: MisResult | None = None) -> FValue:
     """Established value of the minimum induced maximum degree at alpha + 1.
 
     Up to the 65,536-vertex size cap it is degree_floor's value, exact once
@@ -435,7 +446,8 @@ def theoretical_f_value(m: int, k: int) -> FValue:
     for even m.  Beyond the cap no grid-sized certificate or witness is run,
     and the row is a lower bound: the odd3 floor 2 for m = 3 (its base
     certificate is 3 x 3), the paper's ceil(sqrt(k beta_n)) for even m and
-    the independence floor 1 for odd m >= 5.
+    the independence floor 1 for odd m >= 5.  Pass max_independent_set's
+    result for [m]^k as mis to reuse it.
     """
     n = check_grid(m, k, math.inf)  # past the grid size cap the row is a closed form
     paper = lower_bound_even(m // 2, k) if m % 2 == 0 else None
@@ -447,7 +459,7 @@ def theoretical_f_value(m: int, k: int) -> FValue:
             return FValue("lower", 1, "independence", None, None)
         return FValue("lower", paper, "paper-spectral", None, paper)
     g = PathPower(m, k)
-    mis = max_independent_set(g)
+    mis = max_independent_set(g) if mis is None else mis
     floor = degree_floor(g, mis)
     met = _witness_meets(g, floor, mis.size + 1)
     if met is None:

@@ -167,10 +167,16 @@ def _canonical(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Sum the values of equal keys and drop zero sums: sorted (key, value) arrays."""
     order = np.argsort(keys)
     keys, vals = keys[order], vals[order]
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))[: len(keys)]  # none when empty
     sums = np.add.reduceat(vals, first)
     keep = sums != 0
     return keys[first][keep], sums[keep]
+
+
+def _run_positions(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """start[t], start[t] + 1, ..., start[t] + count[t] - 1 for every t, concatenated:
+    the positions of runs of a sorted array, such as the stored entries of CSR rows."""
+    return np.arange(int(count.sum())) + np.repeat(start - (np.cumsum(count) - count), count)
 
 
 def _sparse_square(a: SignedMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -181,11 +187,7 @@ def _sparse_square(a: SignedMatrix) -> tuple[np.ndarray, np.ndarray]:
     """
     indptr = np.searchsorted(a.rows, np.arange(a.dim + 1))
     counts = indptr[a.cols + 1] - indptr[a.cols]
-    total = int(counts.sum())
-    # Position of each product's (l, j, w) in the arrays: row l's start plus
-    # the product's offset within its run.
-    run_start = np.cumsum(counts) - counts
-    pos = np.arange(total) + np.repeat(indptr[a.cols] - run_start, counts)
+    pos = _run_positions(indptr[a.cols], counts)  # each product's (l, j, w)
     keys = np.repeat(a.rows, counts) * a.dim + a.cols[pos]
     return _canonical(keys, np.repeat(a.vals, counts) * a.vals[pos])
 

@@ -15,11 +15,16 @@ by digit-sum parity, so a signed matrix is [[0, C], [C^T, 0]] after a
 parity permutation, and its spectrum is +-sigma(C) plus a zero for each row
 C has beyond its column count.  A symmetric eigensolve of the exact Gram
 matrix K = C C^T of the half-size block C, held to a residual contract,
-solves a signed matrix or any of its principal submatrices.  The Gram
-matrices of submatrices are batched, one eigh per shape.  A whole matrix
-is solved one component of K's exact zero pattern at a time: A_k^2 =
-I ⊗ A_(k-1)^2 + B^2 ⊗ I, and B^2 on a path joins only digits of one
-parity, so K of A(m, k) splits into blocks of at most ceil(m / 2)^k rows.
+solves a signed matrix or any of its principal submatrices.  K is summed
+exactly from the sparse entries of C, and it is solved one component of
+its zero pattern at a time, batched by shape: A_k^2 = I ⊗ A_(k-1)^2 + B^2
+⊗ I, and B^2 on a path joins only digits of one parity, so K of A(m, k)
+splits into blocks of at most ceil(m / 2)^k rows.  Each component c has
+rows R_c, the columns S_c they touch and the rows N_c that touch S_c;
+its factors and every clause of the contract are products of C[R_c, S_c]
+or C[N_c, S_c], so none is sized by the whole matrix but V^T V, the one
+dense product left.  The left residual runs over all of N_c, so a
+labelling that cuts a component still fails.
 base_certificate proves the spectrum of every level exactly, so
 closed_form_spectrum lists it with no solve.  spectrum_check solves
 A(m, k) once and compares it once with the closed form;
@@ -36,13 +41,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 from math import factorial, pi, sin, sqrt
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import BracketingError, DimensionMismatchError, EigenSolveError, SizeCapError
 from .grid import DEFAULT_SIZE_CAP, VertexSet
-from .signed import SignedMatrix, check_signed_params, check_support, signed_grid_matrix
+from .signed import SignedMatrix, _run_positions, check_signed_params, check_support, signed_grid_matrix
 
 # The thresholds of every spectral verdict, fixed so that no caller can loosen one.
 DEFAULT_RESIDUAL_TOL = 1e-10  # eigenpair residual, relative to ||A||_F
@@ -313,21 +318,21 @@ class SpectrumReport:
         return len(self.eigenvalues)
 
 
+def _spectrum_reports(values: np.ndarray) -> list[SpectrumReport]:
+    """The SpectrumReport of every row of the (g, n) array values, from one
+    stable sort of the whole array."""
+    vals = np.sort(values, axis=1, kind="stable")
+    zero_mult = np.count_nonzero(np.abs(vals) < DEFAULT_GROUP_TOL, axis=1)
+    min_pos = np.min(np.where(vals >= DEFAULT_GROUP_TOL, vals, np.inf), axis=1, initial=np.inf)
+    defect = np.max(np.abs(vals + vals[:, ::-1]), axis=1, initial=0.0)
+    return [
+        SpectrumReport(tuple(row), int(z), None if low == np.inf else low, d)
+        for row, z, low, d in zip(vals.tolist(), zero_mult.tolist(), min_pos.tolist(), defect.tolist())
+    ]
+
+
 def spectrum_report(values) -> SpectrumReport:
-    vals = sorted(float(v) for v in values)
-    zero_mult = sum(1 for v in vals if abs(v) < DEFAULT_GROUP_TOL)
-    positives = [v for v in vals if v >= DEFAULT_GROUP_TOL]
-    min_pos = positives[0] if positives else None
-    defect = 0.0
-    n = len(vals)
-    for i in range(n):
-        defect = max(defect, abs(vals[i] + vals[n - 1 - i]))
-    return SpectrumReport(
-        eigenvalues=tuple(vals),
-        zero_multiplicity=zero_mult,
-        min_positive=min_pos,
-        symmetry_defect=defect,
-    )
+    return _spectrum_reports(np.array([[float(v) for v in values]]).reshape(1, -1))[0]
 
 
 # perfbench/spans.py still resolves this name when it installs its tracer.
@@ -341,19 +346,16 @@ def _parity_colours(a: SignedMatrix) -> np.ndarray:
     return (r // a.m ** np.arange(a.k, dtype=np.int64) % a.m).sum(axis=1) % 2
 
 
-def _gram_components(gram: np.ndarray) -> np.ndarray:
-    """Component label of every row of the Gram stack (g x p x p): row i of
-    block b is node b p + i, two nodes are joined where their entry is
-    nonzero, and each node's label is the smallest node of its component.
+def _gram_components(label: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Component label of every node: nodes that share a label start
+    joined, each node i[t] is joined to j[t], and each node ends labelled by
+    the smallest node of its component.  Every label must be a node that
+    labels itself.
 
-    Union-find on the nonzeros only: each round hooks the larger root of
-    every edge that still joins two roots to the smaller, then jumps
-    pointers until every node points at its root.
+    Union-find on the pairs only: each round hooks the larger root of every
+    pair that still joins two roots to the smaller, then jumps pointers
+    until every node points at its root.
     """
-    g, p, _ = gram.shape
-    flat = np.flatnonzero(gram != 0)
-    i, j = flat // p, flat // (p * p) * p + flat % p  # the nodes of the entry's row and column
-    label = np.arange(g * p)
     while len(i):
         li, lj = label[i], label[j]
         apart = li != lj
@@ -364,118 +366,251 @@ def _gram_components(gram: np.ndarray) -> np.ndarray:
     return label
 
 
-def _gram_eigenvectors(c: np.ndarray, split: bool) -> np.ndarray:
-    """Eigenvectors of the Gram matrices K = C C^T of the stack c (g x p x q)
-    as a g x p x p stack, each block's eigenvalues descending.
+class _Part(NamedTuple):
+    """The components of one shape (r, s, n) among the Gram matrices
+    K = C C^T of a stack of blocks C: for each, its rows R_c (r), the
+    columns S_c of C that they touch (s) and the rows N_c that touch S_c
+    (n, R_c first).  C[R_c, S_c] holds every entry of the rows R_c, so
+    K[R_c, R_c] = C[R_c, S_c] C[R_c, S_c]^T."""
 
-    Without split, or when each block is one component of K's exact zero
-    pattern (_gram_components), one eigh of the whole stack.  Otherwise the
-    components of each size, across the stack, share one batched eigh; K is
-    freed once they are copied out.  Each block's eigenvalues are ranked
-    descending, and each eigenvector is scattered into zeros at its
-    component's rows and its rank's column.
+    block: np.ndarray  # (cnt,) the block of each component
+    cols: np.ndarray  # (cnt, s) S_c, as columns of the block, ascending
+    r: int
+    n: int
+    entries: tuple[np.ndarray, ...]  # (component, row in N_c, column in S_c, value) of each entry of C[N_c, S_c]
+
+    def c(self, rows: int) -> np.ndarray:
+        """The first rows rows of every C[N_c, S_c], dense: rows = r gives C[R_c, S_c]."""
+        comp, i, j, v = self.entries
+        if rows < self.n:
+            keep = i < rows
+            comp, i, j, v = comp[keep], i[keep], j[keep], v[keep]
+        out = np.zeros((len(self.block), rows, self.cols.shape[1]))
+        out[comp, i, j] = v
+        return out
+
+
+def _runs(keys: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(start, size) of each run of equal keys in the order that sorts them."""
+    ordered = keys[order]
+    start = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))[: len(keys)]
+    return start, np.diff(start, append=len(keys))
+
+
+def _gram_parts(block, i, j, v, g: int, p: int, q: int, split: bool) -> list[_Part]:
+    """The components of the Gram matrices of a stack of g blocks C (p x q)
+    whose entries are v at (block, i, j), grouped by shape (r, s, n), the
+    shapes ascending and the components of one shape by their smallest row.
+
+    With split, the components are those of K's nonzero pattern
+    (_gram_components).  That pattern is summed exactly from the products
+    of every two entries of one column of C, in integers as
+    signed._sparse_square sums A^2, so no dense K is formed and no p^2
+    entries are swept.  Without, each block is one component with S_c =
+    all q columns and N_c = all p rows, so a column that no row touches is
+    in S_c too.
     """
-    g, p, _ = c.shape
-    gram = c @ c.transpose(0, 2, 1)
-    label = _gram_components(gram) if split else None
-    if label is None or np.count_nonzero(label == np.arange(g * p)) == g:
-        return np.linalg.eigh(gram)[1][:, :, ::-1]
-    size = np.bincount(label)[label]
-    nodes = np.argsort(label, kind="stable")  # each component's nodes together, ascending
-    groups = []
-    for r in np.flatnonzero(np.bincount(size)).tolist():  # the sizes that occur, ascending
-        members = nodes[size[nodes] == r].reshape(-1, r)
-        block, rows = members[:, 0] // p, members % p
-        groups.append((block, rows, gram[block[:, None, None], rows[:, :, None], rows[:, None, :]]))
-    del gram
-    solved = [(block, rows, *np.linalg.eigh(k)) for block, rows, k in groups]
-    del groups
-    # Block b's eigenvalues take the ranks b p .. b p + p - 1 of the lexsort.
-    owner = np.concatenate([np.repeat(block, w.shape[1]) for block, _, w, _ in solved])
-    values = np.concatenate([w.ravel() for _, _, w, _ in solved])
-    rank = np.empty(g * p, dtype=np.int64)
-    rank[np.lexsort((-values, owner))] = np.arange(g * p) % p
-    u = np.zeros((g, p, p))
-    start = 0
-    for block, rows, w, x in solved:
-        cols = rank[start : start + w.size].reshape(w.shape)
-        u[block[:, None, None], rows[:, :, None], cols[:, None, :]] = x
-        start += w.size
-    return u
+    nodes = g * p
+    node, col = block * p + i, block * q + j
+    order = np.argsort(col)  # C by columns
+    node, col, v = node[order], col[order], v[order]
+    indptr = np.searchsorted(col, np.arange(g * q + 1))
+    if split:
+        count = indptr[col + 1] - indptr[col]
+        pos = _run_positions(indptr[col], count)  # the partners of each entry in its column
+        # Each product +-1 keyed by its entry of K, the sign in the lowest bit: one
+        # sort puts each entry's -1 products before its +1 products.
+        packed = np.sort((np.repeat(node, count) * nodes + node[pos]) * 2 + (np.repeat(v, count) == v[pos]))
+        keys = packed >> 1
+        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        ones = np.add.reduceat(packed & 1, first)
+        a, b = np.divmod(keys[first][2 * ones != np.diff(first, append=len(keys))], nodes)  # the nonzeros of K
+        label = _gram_components(np.arange(nodes), a[a != b], b[a != b])
+    else:  # each block one component, with no pairs to join
+        label = _gram_components(np.arange(nodes) // p * p, node[:0], node[:0])
+    by_comp = np.argsort(label * nodes + np.arange(nodes))  # the rows R_c of each component in turn, ascending
+    comp_start, size = _runs(label, by_comp)
+    comp, row_pos = np.empty(nodes, dtype=np.int64), np.empty(nodes, dtype=np.int64)
+    comp[by_comp] = np.repeat(np.arange(len(size)), size)
+    row_pos[by_comp] = np.arange(nodes) - np.repeat(comp_start, size)
+    comp_block = by_comp[comp_start] // p
+
+    if split:
+        s_keys = np.sort(comp[node] * (g * q) + col)
+        s_keys = s_keys[np.concatenate(([True], s_keys[1:] != s_keys[:-1]))[: len(s_keys)]]  # distinct
+    else:
+        s_keys = ((np.arange(len(size)) * (g * q) + comp_block * q)[:, None] + np.arange(q)).ravel()
+    s_comp, s_col = np.divmod(s_keys, g * q)
+    s_size = np.bincount(s_comp, minlength=len(size))
+    s_start = np.cumsum(s_size) - s_size
+    s_pos = np.arange(len(s_keys)) - np.repeat(s_start, s_size)
+
+    # Every entry of every column of S_c: C[N_c, S_c], whose rows beyond R_c come after it, ascending.
+    count = indptr[s_col + 1] - indptr[s_col]
+    pos = _run_positions(indptr[s_col], count)
+    e_comp, e_node, e_col, e_val = np.repeat(s_comp, count), node[pos], np.repeat(s_pos, count), v[pos]
+    e_row = row_pos[e_node]
+    out = np.flatnonzero(comp[e_node] != e_comp)
+    out_keys = e_comp[out] * nodes + e_node[out]
+    out_order = np.argsort(out_keys)
+    out_start, out_size = _runs(out_keys, out_order)
+    out_comp = e_comp[out[out_order[out_start]]]  # of each distinct row beyond R_c
+    o_size = np.bincount(out_comp, minlength=len(size))
+    o_start = np.cumsum(o_size) - o_size
+    e_row[out[out_order]] = np.repeat(size[out_comp] + np.arange(len(out_comp)) - o_start[out_comp], out_size)
+
+    shape = (size * (q + 1) + s_size) * (p + 1) + size + o_size
+    by_kind = np.argsort(shape * len(size) + np.arange(len(size)))  # the components by shape, then number
+    kind_start, kind_size = _runs(shape, by_kind)
+    first = by_kind[kind_start]
+    at = np.empty(len(size), dtype=np.int64)  # each component's place in its part
+    at[by_kind] = np.arange(len(size)) - np.repeat(kind_start, kind_size)
+    kind = np.empty(len(size), dtype=np.int64)
+    kind[by_kind] = np.repeat(np.arange(len(first)), kind_size)
+    e_kind = kind[e_comp]
+    parts = []
+    for t, (r, s, o) in enumerate(zip(size[first].tolist(), s_size[first].tolist(), o_size[first].tolist())):
+        mine = by_kind[kind_start[t] : kind_start[t] + kind_size[t]]
+        sel = e_kind == t
+        entries = (at[e_comp[sel]], e_row[sel], e_col[sel], e_val[sel])
+        cols = s_col[s_start[mine][:, None] + np.arange(s)] % q
+        parts.append(_Part(comp_block[mine], cols, r, r + o, entries))
+    return parts
 
 
-def _gram_svd(c: np.ndarray, split: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U, sigma, V) of every block of the stack c (g x p x q, p >= q), whose
-    entries are +-1 and 0, from the eigenvectors of its Gram stack
-    K = C C^T (_gram_eigenvectors; split solves each component of K apart).
+class _Factors(NamedTuple):
+    """A part's share of the factors U, Sigma and V of its blocks.  Column
+    t of x is the column rank[t] of U on the rows R_c (zero elsewhere); the
+    first q ranks of a block are its pairs, with singular value sv[t] and
+    column v[:, t] of V on S_c (zero elsewhere, and zero for the others)."""
+
+    x: np.ndarray  # (cnt, r, r)
+    sv: np.ndarray  # (cnt, r)
+    rank: np.ndarray  # (cnt, r)
+    v: np.ndarray  # (cnt, s, r)
+
+
+def _complete_kernel(v: np.ndarray, rank: np.ndarray, dead: np.ndarray, q: int) -> None:
+    """Make each dead pair's column of v a unit vector of the kernel of C, in
+    place, for components that are whole blocks (s = q): a column of the
+    complete QR of the block's V, its q pairs with the live ones first and
+    the dead ones zeroed.  One QR serves every such block of the part."""
+    hit = np.flatnonzero(dead.any(axis=1))
+    p = rank.shape[1]
+    order = np.argsort(np.where(rank < q, rank + dead * p, rank + 2 * p), axis=1)[hit, :q]  # live, dead; by rank
+    dead_last = np.take_along_axis(dead[hit], order, axis=1)[:, None, :]
+    v_hit = v[hit]
+    kept = np.take_along_axis(v_hit, order[:, None, :], axis=2)
+    kernel = np.linalg.qr(np.where(dead_last, 0.0, kept), mode="complete").Q
+    np.put_along_axis(v_hit, order[:, None, :], np.where(dead_last, kernel, kept), axis=2)
+    v[hit] = v_hit
+
+
+def _gram_svd(parts: list[_Part], p: int, q: int, split: bool) -> list[_Factors] | None:
+    """The factors (U, sigma, V) of every block C (p x q, p >= q, entries
+    +-1 and 0) of the parts, from one batched eigh per shape of their Gram
+    blocks K[R_c, R_c] = C[R_c, S_c] C[R_c, S_c]^T.
 
     K holds sums of at most q products +-1, so it is exact in float64, and
     so is its zero pattern: an eigenvector of a component is exactly an
-    eigenvector of K, zero on every other row.  U is the eigenvectors,
-    eigenvalues descending, so its last p - q columns lie in the kernel of
-    C^T.  For i <= q, sigma_i = ||C^T u_i|| and v_i = C^T u_i / sigma_i;
-    sigma is not sqrt(lambda_i), which would lift a rounded zero eigenvalue
-    near 1e-16 to 1e-8, the zero grouping threshold.  Where sigma_i <=
-    DEFAULT_GROUP_TOL, v_i is instead a column of the complete QR of the
-    block's V with the columns above that threshold placed first and the
-    rest zeroed, which makes it a unit vector of the kernel of C; one QR
-    serves all such blocks of the stack.
+    eigenvector of K, zero on every other row.  A block's p eigenvalues are
+    ranked descending, so its last p - q columns of U lie in the kernel of
+    C^T.  For rank < q, sigma = ||C[R_c, S_c]^T x|| and v = C[R_c, S_c]^T x
+    / sigma; sigma is not sqrt(lambda), which would lift a rounded zero
+    eigenvalue near 1e-16 to 1e-8, the zero grouping threshold.  A pair
+    with sigma <= DEFAULT_GROUP_TOL is dead: its v must be a unit vector of
+    the kernel of C (_complete_kernel), which can span components, so with
+    split a dead pair returns None, and the caller solves each block as one
+    component.
     """
-    q = c.shape[2]
-    u = _gram_eigenvectors(c, split)
-    v = c.transpose(0, 2, 1) @ u[:, :, :q]
-    sv = np.linalg.norm(v, axis=1)
-    dead = sv <= DEFAULT_GROUP_TOL
-    v /= np.where(dead, 1.0, sv)[:, None, :]
-    hit = np.flatnonzero(dead.any(axis=1))
-    if len(hit):
-        v_hit, dead_hit = v[hit], dead[hit][:, None, :]
-        order = np.argsort(dead_hit, axis=2, kind="stable")  # kept columns first
-        dead_last = np.take_along_axis(dead_hit, order, axis=2)
-        kept = np.take_along_axis(v_hit, order, axis=2)
-        kernel = np.linalg.qr(np.where(dead_last, 0.0, kept), mode="complete").Q
-        np.put_along_axis(v_hit, order, np.where(dead_last, kernel, kept), axis=2)
-        v[hit] = v_hit
-    return u, sv, v
+    blocks = [part.c(part.r) for part in parts]  # C[R_c, S_c]
+    solved = [np.linalg.eigh(c @ c.transpose(0, 2, 1)) for c in blocks]  # exact integers
+    owner = np.concatenate([np.repeat(part.block, part.r) for part in parts])
+    values = np.concatenate([w.ravel() for w, _ in solved])
+    rank = np.empty(len(values), dtype=np.int64)
+    # Block b's eigenvalues take the ranks b p .. b p + p - 1 of the lexsort.
+    rank[np.lexsort((-values, owner))] = np.arange(len(values)) % p
+    factors, start = [], 0
+    for part, c, (w, x) in zip(parts, blocks, solved):
+        cnt, r = w.shape
+        rk = rank[start : start + w.size].reshape(cnt, r)
+        start += w.size
+        v = c.transpose(0, 2, 1) @ x
+        sv = np.sqrt(np.square(v).sum(axis=1))
+        dead = (rk < q) & (sv <= DEFAULT_GROUP_TOL)
+        whole = v.shape[1:] == (q, p)  # each component is its block
+        if split and dead.any() and not whole:
+            return None
+        v /= np.where((rk < q) & ~dead, sv, np.inf)[:, None, :]  # zero for the others
+        if dead.any() and whole:  # else a cut labelling leaves V short, which fails the contract
+            _complete_kernel(v, rk, dead, q)
+        factors.append(_Factors(x, sv, rk, v))
+    return factors
 
 
-def _check_svd_contract(c: np.ndarray, u: np.ndarray, sv: np.ndarray, v: np.ndarray) -> None:
-    """EigenSolveError unless every block of the stack c (g x p x q) meets
-    the residual contract of a dense eigensolve of A = [[0, C], [C^T, 0]],
-    with ||A||_F = sqrt(2) ||C||_F:
+def _check_svd_contract(parts: list[_Part], factors: list[_Factors], g: int, p: int, q: int) -> None:
+    """EigenSolveError unless the factors of the stack of g blocks C (p x q)
+    meet the residual contract of a dense eigensolve of A = [[0, C], [C^T,
+    0]], with ||A||_F = sqrt(2) ||C||_F:
 
+    - the components' columns of U are each of its p columns once;
     - each eigenpair (+-sigma_i, (u_i; +-v_i) / sqrt(2)) has residual
       sqrt((||C v_i - sigma_i u_i||^2 + ||C^T u_i - sigma_i v_i||^2) / 2);
-    - each zero pair (u_j; 0), j > q, has residual ||C^T u_j||;
+    - each zero pair (u_j; 0), rank j >= q, has residual ||C^T u_j||;
     - all residuals are <= DEFAULT_RESIDUAL_TOL ||A||_F, and the reconstruction
       ||A - Q Lambda Q^T||_F = sqrt(2) ||C - U Sigma V^T||_F is
       <= DEFAULT_RECON_TOL ||A||_F;
     - V is orthonormal: max |V^T V - I| <= DEFAULT_RECON_TOL.  Residuals and
       reconstruction miss a repeated kernel vector of C in V.
+
+    u_i is x on R_c and v_i is v on S_c, zero elsewhere, so every product
+    but V^T V runs per component and is exact: C^T u_i is C[R_c, S_c]^T x;
+    C v_i is C[N_c, S_c] v over N_c, so a row outside R_c that touches S_c
+    counts, and a cut component still fails; and C - U Sigma V^T is C[R_c,
+    S_c] - x Sigma v^T on the rows R_c, which partition C, and zero beyond
+    S_c.  V^T V is formed on the assembled q x q V of each block.
     """
-    g, p, q = c.shape
-    if u.shape != (g, p, p) or sv.shape != (g, q) or v.shape != (g, q, q):
-        raise EigenSolveError(f"SVD factors of shapes {u.shape}, {sv.shape}, {v.shape} for blocks {c.shape}")
-    fro = sqrt(2.0) * np.linalg.norm(c, axis=(1, 2))
-    # In this order at most two arrays of a block's size are alive beside c, u and v.
-    ctu = c.transpose(0, 2, 1) @ u
-    zeros = np.linalg.norm(ctu[:, :, q:], axis=1)
-    right = ctu[:, :, :q]
-    right -= v * sv[:, None, :]
-    pairs = np.sum(np.square(right, out=right), axis=1)
-    del ctu, right
-    us = u[:, :, :q] * sv[:, None, :]
-    left = c @ v
-    left -= us
-    pairs = np.sqrt((pairs + np.sum(np.square(left, out=left), axis=1)) / 2)
-    worst = np.max(np.concatenate((pairs, zeros), axis=1), axis=1)
-    np.matmul(us, v.transpose(0, 2, 1), out=left)
-    left -= c
-    recon = sqrt(2.0) * np.linalg.norm(left, axis=(1, 2))
-    del us, left
-    ortho = v.transpose(0, 2, 1) @ v
-    ortho[:, np.arange(q), np.arange(q)] -= 1.0
-    ortho = np.max(np.abs(ortho, out=ortho), axis=(1, 2))
+    if len(factors) != len(parts):
+        raise EigenSolveError(f"factors of {len(factors)} parts for {len(parts)}")
+    for part, (x, sv, rank, v) in zip(parts, factors):
+        cnt, r, s = len(part.block), part.r, part.cols.shape[1]
+        if (x.shape, sv.shape, rank.shape, v.shape) != ((cnt, r, r), (cnt, r), (cnt, r), (cnt, s, r)):
+            shapes = f"{x.shape}, {sv.shape}, {rank.shape}, {v.shape}"
+            raise EigenSolveError(f"factors of shapes {shapes} for {cnt} components of {r} rows")
+    columns = np.concatenate([(part.block[:, None] * p + f.rank).ravel() for part, f in zip(parts, factors)])
+    if not np.array_equal(np.sort(columns), np.arange(g * p)):
+        raise EigenSolveError("the components do not hold each column of U once")
+    owner, squares = [], []  # per component: its block, and its worst residual, reconstruction and ||C||^2
+    v_full = np.zeros(g * q * q + 1)  # each V, row-major, and a last slot for the zero pairs' columns of v
+    for part, (x, sv, rank, v) in zip(parts, factors):
+        r = x.shape[1]
+        pair = rank < q
+        s_pair = np.where(pair, sv, 0.0)[:, None, :]
+        near = part.c(part.n)  # the largest array, one part's at a time
+        c = near[:, :r]
+        right = c.transpose(0, 2, 1) @ x
+        zeros = np.square(right).sum(axis=1)
+        right -= v * s_pair
+        left = near @ v
+        left[:, :r] -= x * s_pair
+        pairs = (np.square(right).sum(axis=1) + np.square(left).sum(axis=1)) / 2
+        del near, left, right
+        rest = c - (x * s_pair) @ v.transpose(0, 2, 1)
+        owner.append(part.block)
+        worst = np.where(pair, pairs, zeros).max(axis=1)
+        squares.append(np.stack((worst, np.square(rest).sum(axis=(1, 2)), np.square(c).sum(axis=(1, 2)))))
+        at = ((part.block[:, None] * q + part.cols) * q)[:, :, None] + rank[:, None, :]
+        v_full[np.where(pair[:, None, :], at, g * q * q)] = v
+    owner, squares = np.concatenate(owner), np.concatenate(squares, axis=1)
+    worst = np.zeros(g)
+    np.maximum.at(worst, owner, squares[0])
+    worst = np.sqrt(worst)
+    recon, fro = np.sqrt(2.0 * np.stack([np.bincount(owner, row, g) for row in squares[1:]]))
+    v_full = v_full[:-1].reshape(g, q, q)
+    # dot of one block with its own transpose runs as a symmetric rank-k update, at half the cost
+    ortho = np.dot(v_full[0].T, v_full[0])[None] if g == 1 else v_full.transpose(0, 2, 1) @ v_full
+    ortho.reshape(g, q * q)[:, :: q + 1] -= 1.0
+    ortho = np.abs(ortho, out=ortho).max(axis=(1, 2))
     # Written as "not within" so that a NaN fails too.
     if not np.all(worst <= DEFAULT_RESIDUAL_TOL * fro):
         raise EigenSolveError(f"eigenpair residual {float(np.max(worst)):.3e} above contract")
@@ -497,16 +632,22 @@ def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> 
     each matrix, C holds the entries from its larger colour class (p rows,
     by rank) to its smaller (q columns), built straight from the stored
     entries, so no n x n matrix is formed.  Its spectrum is +-sigma(C) and
-    p - q zeros.  Blocks of one shape share one _gram_svd, an eigh of their
-    Gram matrices K = C C^T, and a QR for those of them with a zero
-    singular value; each must meet _check_svd_contract, else
-    EigenSolveError.  A block with q = 0 is the zero matrix: p zeros, no
-    solve.  Without sets, K is split into the components of its computed
-    zero pattern, never of the parity classes that predict them, so a
-    matrix signed otherwise than the builder's still gets its own
-    spectrum.  A stack of submatrices is not split: their Gram matrices
-    have no such structure, and the chain's have at most 8 rows in a
-    default verify-all.
+    p - q zeros, summarised from one sorted array per shape.  A block with
+    q = 0 is the zero matrix: p zeros, no solve.
+
+    Blocks of one shape (p, q) are solved together, one component of their
+    Gram matrices K = C C^T at a time (_gram_parts): K, its zero pattern
+    and the blocks C[R_c, S_c] and C[N_c, S_c] come from the sparse
+    entries, one batched eigh per component shape gives the factors
+    (_gram_svd), and they must meet _check_svd_contract, else
+    EigenSolveError.  Without sets, K is split into the components of its
+    computed zero pattern, never of the parity classes that predict them,
+    so a matrix signed otherwise than the builder's still gets its own
+    spectrum; a split that leaves a dead pair (sigma <= DEFAULT_GROUP_TOL
+    among the first q) is solved again as one component per block, where
+    one QR completes V.  A stack of submatrices is not split: each block
+    is one component, R = N = all rows and S = all columns; the chain's
+    have at most 8 rows in a default verify-all.
     """
     sizes = np.array([a.dim] if sets is None else [len(s) for s in sets], dtype=np.int64)
     if not len(sizes):
@@ -558,20 +699,24 @@ def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> 
     spectra: list = [None] * len(sizes)
     for gp, gq in dict.fromkeys(zip(p.tolist(), q.tolist())):
         group = np.flatnonzero((p == gp) & (q == gq))
-        if gq == 0:
-            for i in group:
-                spectra[i] = spectrum_report([0.0] * gp)
-            continue
-        slot = np.full(len(sizes), -1)
-        slot[group] = np.arange(len(group))
-        mine = slot[owner[src]] >= 0
-        c = np.zeros((len(group), gp, gq))
-        c[slot[owner[src[mine]]], local[src[mine]], local[dst[mine]]] = entry_vals[mine]
-        u, sv, v = _gram_svd(c, split=sets is None)
-        _check_svd_contract(c, u, sv, v)
-        extra = [0.0] * (gp - gq)
-        for i, s in zip(group, sv.tolist()):
-            spectra[i] = spectrum_report(s + [-x for x in s] + extra)
+        sv = np.zeros(len(group) * gq + 1)  # by block and rank, and a last slot for the zero pairs
+        if gq:
+            slot = np.full(len(sizes), -1)
+            slot[group] = np.arange(len(group))
+            mine = slot[owner[src]] >= 0
+            entries = (slot[owner[src[mine]]], local[src[mine]], local[dst[mine]], entry_vals[mine])
+            parts = _gram_parts(*entries, len(group), gp, gq, split=sets is None)
+            factors = _gram_svd(parts, gp, gq, split=sets is None)
+            if factors is None:  # a dead pair: each block as one component
+                parts = _gram_parts(*entries, len(group), gp, gq, split=False)
+                factors = _gram_svd(parts, gp, gq, split=False)
+            _check_svd_contract(parts, factors, len(group), gp, gq)
+            for part, (_, sig, rank, _) in zip(parts, factors):
+                sv[np.where(rank < gq, part.block[:, None] * gq + rank, len(group) * gq)] = sig
+        sv = sv[:-1].reshape(len(group), gq)
+        values = np.concatenate((sv, -sv, np.zeros((len(group), gp - gq))), axis=1)
+        for i, rep in zip(group.tolist(), _spectrum_reports(values)):
+            spectra[i] = rep
     return spectra
 
 
@@ -579,9 +724,7 @@ def multiset_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """Max pointwise gap between two sorted multisets; inf on size mismatch."""
     if len(a) != len(b):
         return float("inf")
-    sa = sorted(a)
-    sb = sorted(b)
-    return max((abs(x - y) for x, y in zip(sa, sb)), default=0.0)
+    return float(np.max(np.abs(np.sort(np.asarray(a, dtype=float)) - np.sort(np.asarray(b, dtype=float))), initial=0.0))
 
 
 # ------------------- base certificate and closed form ----------------------
@@ -641,17 +784,21 @@ def symmetry_check(s: SpectrumReport) -> bool:
     return s.symmetry_defect <= DEFAULT_GROUP_TOL
 
 
-def interlacing_check(host: SpectrumReport, sub: SpectrumReport) -> bool:
-    """Eigenvalue interlacing between the spectrum of a symmetric matrix and
-    that of a principal submatrix: lambda_i >= mu_i >= lambda_(n-m+i) within
-    DEFAULT_GROUP_TOL, both sorted descending."""
-    big = host.eigenvalues[::-1]
-    small = sub.eigenvalues[::-1]
-    n = len(big)
-    m = len(small)
+def interlacing_holds(host: np.ndarray, subs: np.ndarray) -> np.ndarray:
+    """Per row of subs, eigenvalue interlacing between host, the spectrum of
+    a symmetric matrix, and that row, the spectrum of a principal
+    submatrix, both ascending: lambda_i >= mu_i >= lambda_(n-m+i) within
+    DEFAULT_GROUP_TOL, both indexed descending."""
+    big, small = np.asarray(host, dtype=float)[::-1], np.asarray(subs, dtype=float)[:, ::-1]
+    n, m = len(big), small.shape[1]
     if m > n:
         raise DimensionMismatchError("submatrix larger than the host matrix")
-    return all(big[i] + DEFAULT_GROUP_TOL >= small[i] >= big[n - m + i] - DEFAULT_GROUP_TOL for i in range(m))
+    return np.all((big[:m] + DEFAULT_GROUP_TOL >= small) & (small >= big[n - m :] - DEFAULT_GROUP_TOL), axis=1)
+
+
+def interlacing_check(host: SpectrumReport, sub: SpectrumReport) -> bool:
+    """interlacing_holds for one principal submatrix spectrum sub."""
+    return bool(interlacing_holds(np.array(host.eigenvalues), np.array([sub.eigenvalues]).reshape(1, -1))[0])
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pathpower import SignedMatrix, VertexSet, read_matrix_market, report, search
+from pathpower import SignedMatrix, VertexSet, _kernels, cli, read_matrix_market, report, search
 from pathpower.cli import main
 from pathpower.report import export_table, run_verify_all, subseed
 
@@ -199,11 +199,20 @@ def test_f_command_paper_floor_at_large_n(capsys):
 def test_f_brute_certifies_alpha_once_in_the_search(capsys, monkeypatch):
     calls = []
     certify = search.max_independent_set
-    monkeypatch.setattr(search, "max_independent_set", lambda g: calls.append(1) or certify(g))
+    for module in (search, cli):
+        monkeypatch.setattr(module, "max_independent_set", lambda g: calls.append(1) or certify(g))
     assert run_cli("f", "--m", "4", "--k", "2", "--brute") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["stop_reason"] == "floor-reached" and doc["subsets_examined"] > 0
-    assert len(calls) == 2  # one for the theory row, one for the search
+    assert len(calls) == 1  # one certificate serves the theory row and the search
+
+
+def test_f_brute_records_the_scan(capsys):
+    assert run_cli("f", "--m", "2", "--k", "6", "--brute", "--workers", "2") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["stop_reason"] == "floor-reached" and doc["kind"] == "exact" and doc["value"] == 3
+    assert len(doc["worker_nodes"]) == 2 and sum(doc["worker_nodes"]) == doc["subsets_examined"] > 0
+    assert doc["backend"] == _kernels.backend_for(64) and doc["backend_reason"] == _kernels.BACKEND_REASON
 
 
 def test_export_table_bounds_and_beta(capsys, tmp_path):

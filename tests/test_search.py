@@ -466,6 +466,23 @@ def test_scan_requests_skip_the_certificate(kwargs):
     assert (res.value, res.kind, res.proof) == (2, "exact", "floor:hypercube-cells+scan")
 
 
+def test_search_records_name_the_scan_per_worker():
+    res = brute_force_f(PathPower(2, 6), budget=SearchBudget(workers=2))
+    assert res.stop_reason == "floor-reached" and len(res.worker_nodes) == 2
+    assert sum(res.worker_nodes) == res.subsets_examined > 0
+    assert (res.backend, res.backend_reason) == (_kernels.backend_for(64), _kernels.BACKEND_REASON)
+    res = brute_force_f(PathPower(3, 2))  # settled by certificate: no scan ran
+    assert (res.stop_reason, res.worker_nodes, res.backend, res.backend_reason) == ("certificate", (), None, None)
+
+
+def test_a_given_alpha_certificate_is_reused(monkeypatch):
+    g = PathPower(4, 2)
+    mis = max_independent_set(g)
+    monkeypatch.setattr(search, "max_independent_set", lambda g: pytest.fail("alpha certified again"))
+    assert brute_force_f(g, stop_at=2, mis=mis).value == 2
+    assert theoretical_f_value(4, 2, mis).value == 2
+
+
 def test_floor_inputs_are_computed_values():
     assert degree_floor(PathPower(4, 2)).inputs == {"alpha": 8, "cells": 4, "cell_size": 4}
     assert degree_floor(PathPower(3, 2)).inputs == {"alpha": 5, "rows": 6, "nonpositive": 5}

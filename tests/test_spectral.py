@@ -678,8 +678,9 @@ def test_spectrum_check_of_long_even_paths_matches_eigvalsh(n):
 
 
 def test_spectrum_check_at_the_eigensolver_cap():
-    r = spectrum_check(2, 12)
-    assert r.spectrum.dim == spectral.DEFAULT_EIG_DIM_CAP and r.passed
+    for m, k in [(2, 12), (4, 6)]:
+        r = spectrum_check(m, k)
+        assert r.spectrum.dim == spectral.DEFAULT_EIG_DIM_CAP and r.passed
 
 
 @st.composite
@@ -820,11 +821,41 @@ def test_the_split_follows_the_computed_gram_pattern(monkeypatch):
     assert max(r for _, r, _ in shapes) > 2**4 and sum(g * r for g, r, _ in shapes) == 41
 
 
+@st.composite
+def _resigned_edge(draw):
+    m, k = draw(st.sampled_from([(3, 3), (3, 4), (4, 3), (2, 5), (6, 2)]))
+    return m, k, draw(st.integers(0, 2 * k * (m - 1) * m ** (k - 1) - 1))  # a stored entry
+
+
+@settings(max_examples=40, deadline=None)
+@given(_resigned_edge())
+@example((6, 2, 0))  # K splits, but a pair of the split is dead: solved again as one component
+def test_single_edge_resignings_match_eigvalsh(case):
+    m, k, entry = case
+    a = signed_grid_matrix(m, k)
+    b = _flip_pair(a, int(a.rows[entry]), int(a.cols[entry]))
+    want, fro = _eigvalsh_and_norm(b.to_dense())
+    (rep,) = signed_spectra(b)
+    assert np.max(np.abs(np.array(rep.eigenvalues) - want)) <= 1e-12 * fro
+
+
+def test_a_dead_pair_sends_a_split_matrix_to_one_component(monkeypatch):
+    # the balanced [2]^4 splits into two components with dead pairs, so it is
+    # solved again as one; a re-signed [6]^2 whose K is one component is not
+    cases = [(_balanced_factors(), [(2, 4, 4), (1, 8, 8)]), (_flip_pair(signed_grid_matrix(6, 2), 0, 1), [(1, 18, 18)])]
+    for b, want_shapes in cases:
+        shapes = _eigh_blocks(monkeypatch)
+        (rep,) = signed_spectra(b)
+        want, fro = _eigvalsh_and_norm(b.to_dense())
+        assert shapes == want_shapes and rep.zero_multiplicity > 0
+        assert np.max(np.abs(np.array(rep.eigenvalues) - want)) <= 1e-12 * fro
+
+
 def test_a_labelling_that_cuts_a_component_fails_the_contract(monkeypatch):
     label_rows = spectral._gram_components
 
-    def cut(gram):
-        label = label_rows(gram)
+    def cut(*args):
+        label = label_rows(*args)
         nodes = np.flatnonzero(label == np.bincount(label).argmax())
         label[nodes[len(nodes) // 2 :]] = nodes[len(nodes) // 2]
         return label
@@ -833,37 +864,54 @@ def test_a_labelling_that_cuts_a_component_fails_the_contract(monkeypatch):
     monkeypatch.setattr(spectral, "_gram_components", cut)
     with pytest.raises(EigenSolveError):
         signed_spectra(a)
+    with pytest.raises(EigenSolveError):
+        signed_spectra(a, [VertexSet(3, 3, ranks=range(27)), VertexSet(3, 3, ranks=range(9))])
 
 
 def _svd_tampered_by(monkeypatch, tamper):
     solve = spectral._gram_svd
 
     def gram_svd(*args, **kwargs):
-        return tamper(*solve(*args, **kwargs))
+        factors = solve(*args, **kwargs)
+        if factors is None:
+            return None
+        return tamper([spectral._Factors(*(f.copy() for f in part)) for part in factors])
 
     monkeypatch.setattr(spectral, "_gram_svd", gram_svd)
 
 
-def _shift_sigma(u, sv, v):
-    sv = sv.copy()
-    sv[0, 0] += 1e-6
-    return u, sv, v
+def _column(factors, rank):
+    """(part, component, column) of the column of U of the given rank
+    (each solve in these tests holds one block), or of the last when rank is None."""
+    if rank is None:
+        rank = max(int(f.rank.max()) for f in factors)
+    return next((i, *np.argwhere(f.rank == rank)[0]) for i, f in enumerate(factors) if np.any(f.rank == rank))
 
 
-def _shift_pair_vector(u, sv, v):
-    u = u.copy()
-    u[0, 0, 0] += 1e-6
-    return u, sv, v
+def _shift_sigma(factors):
+    i, c, t = _column(factors, 0)
+    factors[i].sv[c, t] += 1e-6
+    return factors
 
 
-def _shift_zero_vector(u, sv, v):
-    u = u.copy()
-    u[0, 0, -1] += 1e-6  # the last column of U spans part of the kernel of C^T when p > q
-    return u, sv, v
+def _shift_pair_vector(factors):
+    i, c, t = _column(factors, 0)
+    factors[i].x[c, 0, t] += 1e-6
+    return factors
 
 
-def _drop_zero_vector(u, sv, v):
-    return u[:, :, :-1], sv, v
+def _shift_zero_vector(factors):
+    i, c, t = _column(factors, None)  # the last column of U spans part of the kernel of C^T when p > q
+    factors[i].x[c, 0, t] += 1e-6
+    return factors
+
+
+def _drop_zero_vector(factors):
+    i, _, t = _column(factors, None)
+    keep = np.arange(factors[i].rank.shape[1]) != t
+    x, sv, rank, v = factors[i]
+    factors[i] = spectral._Factors(x[:, :, keep], sv[:, keep], rank[:, keep], v[:, :, keep])
+    return factors
 
 
 @pytest.mark.parametrize("tamper", [_shift_sigma, _shift_pair_vector, _shift_zero_vector, _drop_zero_vector])
@@ -879,12 +927,39 @@ def test_signed_spectra_contract_negative_controls(monkeypatch, tamper):
         signed_spectra(a, [VertexSet(3, 3, ranks=range(27)), VertexSet(3, 3, ranks=range(9))])
 
 
-def _repeat_kernel_vector(u, sv, v):
+def test_the_left_residual_counts_the_rows_outside_a_component(monkeypatch):
+    # A_5^2 = 5I on [2]^5, so K = 5I: each row i of C is a component, sigma =
+    # sqrt(5), and each column j of S_c = the 5 neighbours of i touches 4 rows
+    # outside R_c = {i}.  Moving v_j by delta moves the pair's residual by
+    # sqrt((sigma^2 + 1) / 2) delta on the rows R_c, within the contract, and
+    # by sqrt((sigma^2 + 5) / 2) delta with the rows N_c \ R_c, beyond it.
+    a = signed_grid_matrix(2, 5)
+    tol = spectral.DEFAULT_RESIDUAL_TOL * math.sqrt(a.nnz)  # ||A||_F of a +-1 matrix
+    inside, everywhere = math.sqrt((5 + 1) / 2), math.sqrt((5 + 5) / 2)
+    delta = 2 * tol / (inside + everywhere)
+    assert inside * delta < 0.95 * tol and everywhere * delta > 1.05 * tol
+    assert 2 * delta / math.sqrt(5) < spectral.DEFAULT_RECON_TOL  # V^T V moves by less than its bound
+
+    def nudge(factors):
+        (f,) = factors
+        assert f.x.shape[1:] == (1, 1) and f.v.shape[1] == 5
+        f.v[0, 0, 0] += delta
+        return factors
+
+    _svd_tampered_by(monkeypatch, nudge)
+    with pytest.raises(EigenSolveError, match="eigenpair residual"):
+        signed_spectra(a)
+
+
+def _repeat_kernel_vector(factors):
     # C v = 0 and sigma = 0 on both columns, so residuals and reconstruction do not move
-    dead = np.flatnonzero(sv[0] <= spectral.DEFAULT_GROUP_TOL)
-    v = v.copy()
-    v[0, :, dead[1]] = v[0, :, dead[0]]
-    return u, sv, v
+    for f in factors:
+        dead = (f.sv <= spectral.DEFAULT_GROUP_TOL) & np.any(f.v != 0, axis=1)  # pairs with sigma 0
+        for c in np.flatnonzero(np.count_nonzero(dead, axis=1) >= 2):
+            first, second = np.flatnonzero(dead[c])[:2]
+            f.v[c, :, second] = f.v[c, :, first]
+            return factors
+    raise AssertionError("no component with two dead pairs")
 
 
 def test_right_vectors_must_be_orthonormal(monkeypatch):
@@ -910,12 +985,13 @@ def _balanced_factors():
 
 def test_right_vectors_must_be_orthonormal_in_a_split_solve(monkeypatch):
     # each 4-cycle squared has 0 twice, so A has 4 zeros: C is 8 x 8 with two
-    # zero singular values, and K splits into two components of 4 rows
+    # zero singular values, and K splits into two components of 4 rows; the
+    # dead pairs send the whole matrix to one component, whose V must be orthonormal
     a = _balanced_factors()
     assert check_support(a, a.graph())
     shapes = _eigh_blocks(monkeypatch)
     (rep,) = signed_spectra(a)
-    assert rep.zero_multiplicity == 4 and shapes == [(2, 4, 4)]
+    assert rep.zero_multiplicity == 4 and shapes == [(2, 4, 4), (1, 8, 8)]
     _svd_tampered_by(monkeypatch, _repeat_kernel_vector)
     with pytest.raises(EigenSolveError, match="orthonormal"):
         signed_spectra(a)
