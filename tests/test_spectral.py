@@ -366,6 +366,20 @@ def test_spectrum_report_statistics():
     assert not symmetry_check(spectrum_report([1.0, 2.0, 3.0]))
 
 
+# ties, signed zeros and the grouping threshold, in rows of one length
+_VALUE = st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1e-8, 0.5, -0.5, 2.0, -2.0]) | st.floats(-3, 3)
+_ROWS = st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(_VALUE, min_size=n, max_size=n), min_size=1))
+
+
+@settings(max_examples=60)
+@given(_ROWS)
+def test_spectrum_reports_of_an_array_are_spectrum_report_bit_for_bit(rows):
+    for got, row in zip(spectral._spectrum_reports(np.array(rows)), rows):
+        want = spectrum_report(row)
+        assert got == want
+        assert [math.copysign(1, v) for v in got.eigenvalues] == [math.copysign(1, v) for v in want.eigenvalues]
+
+
 def test_kron_sum_spectrum():
     # the closed form's squares are the k-fold Kronecker sums of the
     # spectrum of the base square, here summed by the test itself
