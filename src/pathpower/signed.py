@@ -167,7 +167,7 @@ def _canonical(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Sum the values of equal keys and drop zero sums: sorted (key, value) arrays."""
     order = np.argsort(keys)
     keys, vals = keys[order], vals[order]
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))[: len(keys)]  # none when empty
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     sums = np.add.reduceat(vals, first)
     keep = sums != 0
     return keys[first][keep], sums[keep]

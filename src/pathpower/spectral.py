@@ -15,16 +15,17 @@ by digit-sum parity, so a signed matrix is [[0, C], [C^T, 0]] after a
 parity permutation, and its spectrum is +-sigma(C) plus a zero for each row
 C has beyond its column count.  A symmetric eigensolve of the exact Gram
 matrix K = C C^T of the half-size block C, held to a residual contract,
-solves a signed matrix or any of its principal submatrices.  K is summed
-exactly from the sparse entries of C, and it is solved one component of
-its zero pattern at a time, batched by shape: A_k^2 = I ⊗ A_(k-1)^2 + B^2
-⊗ I, and B^2 on a path joins only digits of one parity, so K of A(m, k)
-splits into blocks of at most ceil(m / 2)^k rows.  Each component c has
-rows R_c, the columns S_c they touch and the rows N_c that touch S_c;
-its factors and every clause of the contract are products of C[R_c, S_c]
-or C[N_c, S_c], so none is sized by the whole matrix but V^T V, the one
-dense product left.  The left residual runs over all of N_c, so a
-labelling that cuts a component still fails.
+solves a signed matrix or any of its principal submatrices.  The zero
+pattern of K is summed exactly from the sparse entries of C, and K is
+solved one component of that pattern at a time, batched by shape: A_k^2 =
+I ⊗ A_(k-1)^2 + B^2 ⊗ I, and B^2 on a path joins only digits of one
+parity, so K of A(m, k) splits into blocks of at most ceil(m / 2)^k rows.
+Each component c has rows R_c, the columns S_c they touch and the rows
+N_c that touch S_c; its block of K, its factors and every clause of the
+contract are products of C[R_c, S_c] or C[N_c, S_c], so none is sized by
+the whole matrix but V^T V, the one dense product left.  The left
+residual runs over all of N_c, so a labelling that cuts a component
+still fails.
 base_certificate proves the spectrum of every level exactly, so
 closed_form_spectrum lists it with no solve.  spectrum_check solves
 A(m, k) once and compares it once with the closed form;
@@ -704,7 +705,7 @@ def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> 
     start = indptr[ranks[row_members]]
     counts = indptr[ranks[row_members] + 1] - start
     src = np.repeat(row_members, counts)
-    pos = np.arange(int(counts.sum())) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+    pos = _run_positions(start, counts)
     member_keys = owner * a.dim + ranks
     wanted = owner[src] * a.dim + a.cols[pos]
     hit = np.minimum(np.searchsorted(member_keys, wanted), len(ranks) - 1)
