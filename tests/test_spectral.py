@@ -843,7 +843,7 @@ def _resigned_edge(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_resigned_edge())
-@example((6, 2, 0))  # K splits, but a pair of the split is dead: solved again as one component
+@example((6, 2, 0))  # K is one component with a dead pair, which the QR completes
 def test_single_edge_resignings_match_eigvalsh(case):
     m, k, entry = case
     a = signed_grid_matrix(m, k)
