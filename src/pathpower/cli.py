@@ -151,6 +151,8 @@ def cmd_f(args, parser) -> int:
         doc["worker_nodes"] = list(res.worker_nodes)
         doc["backend"] = res.backend
         doc["backend_reason"] = res.backend_reason
+        doc["scan_seconds"] = res.scan_seconds
+        doc["nodes_per_s"] = res.subsets_examined / res.scan_seconds if res.scan_seconds else None
     else:
         doc["value"] = theory.value
         doc["kind"] = theory.kind

@@ -93,8 +93,10 @@ class FSearchResult:
     reached stop_at), "node-cap" or "deadline".  When the subset scan ran,
     worker_nodes holds each scan thread's nodes (they sum to
     subsets_examined), backend the kernel that ran them ("compiled" or
-    "pure") and backend_reason why it was chosen (_kernels.BACKEND_REASON);
-    otherwise (), None and None.
+    "pure"), backend_reason why it was chosen (_kernels.BACKEND_REASON)
+    and scan_seconds the scan's wall time, its threads' start-up included
+    (the adjacency masks are built before it starts); otherwise (), None,
+    None and None.
     """
 
     value: int | None
@@ -106,6 +108,7 @@ class FSearchResult:
     worker_nodes: tuple[int, ...] = ()
     backend: str | None = None
     backend_reason: str | None = None
+    scan_seconds: float | None = None
 
     @property
     def proven(self) -> bool:
@@ -354,6 +357,7 @@ def brute_force_f(
             return None, 0, 0, True, False
         return kernel(adj, target, stop_at, share, time_limit, shared)
 
+    started = time.perf_counter()
     if threads == 1:
         results = [scan(_kernels.scan_min_induced_degree, shares[0])]
     else:
@@ -361,10 +365,11 @@ def brute_force_f(
         # one span stack per process, which concurrent spans would corrupt.
         with ThreadPoolExecutor(threads) as pool:
             results = list(pool.map(lambda share: scan(_kernels._scan, share), shares))
+    scan_seconds = time.perf_counter() - started
 
     worker_nodes = tuple(r[2] for r in results)
     nodes = sum(worker_nodes)
-    record = (worker_nodes, _kernels.backend_for(g.n_vertices), _kernels.BACKEND_REASON)
+    record = (worker_nodes, _kernels.backend_for(g.n_vertices), _kernels.BACKEND_REASON, scan_seconds)
     if any(r[4] for r in results):
         reason = "floor-reached"
     elif any(r[3] for r in results):

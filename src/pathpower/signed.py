@@ -14,6 +14,16 @@ row * dim + col increases strictly.  Every operation here (the block
 extension, the support check, the exact square and its Kronecker identity)
 works on whole arrays in int64, which is exact: entries are +-1 and a row has
 at most 2k nonzeros.  Callers densify only for numerical spectra.
+
+The builder and the support check work on the grid's slot table, n rows by
+2k slots: slot c of row r is the neighbour r + steps[c], with
+
+    steps = (-m^(k-1), ..., -m, -1, +1, +m, ..., +m^(k-1)),
+
+so slot k - 1 - i steps down and slot k + i steps up along axis i.  The
+steps increase across a row, and every row's neighbours lie between the
+previous row's and the next's, so the present slots, taken row-major, are
+already sorted by (row, col): neither needs a sort.
 """
 
 from __future__ import annotations
@@ -84,16 +94,12 @@ class SignedMatrix:
 
 
 def _from_edges(dim: int, i: np.ndarray, j: np.ndarray, v: np.ndarray, tag: str, n: int, k: int) -> SignedMatrix:
-    """The symmetric matrix with entry v at (i, j) and (j, i), sorted by (row, col)."""
+    """The symmetric matrix with entry v at (i, j) and (j, i), sorted by (row, col):
+    for edges in arbitrary order, as a Matrix Market file may list them."""
     rows = np.concatenate((i, j))
     cols = np.concatenate((j, i))
     order = np.argsort(rows * dim + cols)
     return SignedMatrix(dim, rows[order], cols[order], np.concatenate((v, v))[order], tag, n, k)
-
-
-def _alternating(count: int) -> np.ndarray:
-    """+1, -1, +1, ... of the given length."""
-    return 1 - 2 * (np.arange(count, dtype=np.int64) % 2)
 
 
 def check_signed_params(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> None:
@@ -103,64 +109,96 @@ def check_signed_params(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Non
     check_grid(m, k, size_cap)
 
 
-def signed_grid_matrix(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> SignedMatrix:
-    """Recursive signed matrix of [m]^k for m = 3 or even m."""
-    check_signed_params(m, k, size_cap)
-    # Edges (lo, hi) with lo < hi.  Base: edge (i, i+1) carries (-1)^i, 0-based.
-    lo = np.arange(m - 1, dtype=np.int64)
-    hi = lo + 1
-    v = _alternating(m - 1)
-    signs = _alternating(m)
-    dim = m
-    for _ in range(k - 1):
-        # Block a holds (-1)^a times the previous edges; blocks a and a + 1
-        # are joined by (-1)^a times the identity.
-        offsets = (np.arange(m, dtype=np.int64) * dim)[:, None]
-        ident = np.arange((m - 1) * dim, dtype=np.int64)
-        lo = np.concatenate(((offsets + lo).ravel(), ident))
-        hi = np.concatenate(((offsets + hi).ravel(), ident + dim))
-        v = np.concatenate(((signs[:, None] * v).ravel(), np.repeat(signs[:-1], dim)))
-        dim *= m
-    tag = "odd3" if m == 3 else "even2n"
-    return _from_edges(dim, lo, hi, v, tag, m // 2, k)
-
-
-def _adjacency_keys(g: PathPower) -> np.ndarray:
-    """Sorted keys r * n + s of every ordered adjacent pair of g, from digits.
-
-    Row r's neighbours r - m^(k-1) < ... < r - 1 < r + 1 < ... < r + m^(k-1)
-    are laid out in that order, so the row-major selection is already sorted.
-    """
-    n = g.n_vertices
-    r = np.arange(n, dtype=np.int64)[:, None]
-    w = g.m ** np.arange(g.k, dtype=np.int64)
-    digit = (r // w) % g.m
+def _slot_entries(present: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat positions, rows and columns of the set slots of an (n, 2k) slot
+    table of [m]^k, taken row-major: sorted by (row, col)."""
+    width = present.shape[1]
+    w = m ** np.arange(width // 2, dtype=np.int64)
     steps = np.concatenate((-w[::-1], w))
-    valid = np.concatenate(((digit > 0)[:, ::-1], digit < g.m - 1), axis=1)
-    return (r * n + r + steps)[valid]
+    pos = np.flatnonzero(present)
+    rows = np.repeat(np.arange(len(present), dtype=np.int64), np.count_nonzero(present, axis=1))
+    return pos, rows, rows + steps[pos - rows * width]
+
+
+def signed_grid_matrix(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> SignedMatrix:
+    """Recursive signed matrix of [m]^k for m = 3 or even m.
+
+    The recursion runs on the slot table (module docstring): sign[r, c] is
+    the entry at (r, r + steps[c]), 0 where that slot is not a neighbour.
+    A(j) fills the inner 2j slots of the first m^j rows.  Level j + 1 copies
+    them into blocks 1..m-1 times (-1)^a (D ⊗ A(j)) and sets the two slots
+    of axis j, a link of sign (-1)^a between blocks a and a + 1 (B ⊗ I).
+    The row-major selection of the nonzero slots is the sorted storage.
+    """
+    check_signed_params(m, k, size_cap)
+    dim, width = m**k, 2 * k
+    sign = np.zeros((dim, width), dtype=np.int8)
+    links = np.ones(m - 1, dtype=np.int8)
+    links[1::2] = -1  # links[a] = (-1)^a joins blocks a and a + 1
+    sign[1:m, k - 1] = links  # base: edge (i, i + 1) carries (-1)^i, 0-based
+    sign[: m - 1, k] = links
+    size = m
+    for j in range(1, k):
+        blocks = sign[: m * size].reshape(m, size, width)
+        inner = blocks[0, :, k - j : k + j]
+        blocks[2::2, :, k - j : k + j] = inner
+        blocks[1::2, :, k - j : k + j] = -inner
+        blocks[1:, :, k - 1 - j] = links[:, None]
+        blocks[:-1, :, k + j] = links[:, None]
+        size *= m
+    pos, rows, cols = _slot_entries(sign != 0, m)
+    tag = "odd3" if m == 3 else "even2n"
+    return SignedMatrix(dim, rows, cols, sign.ravel()[pos].astype(np.int64), tag, m // 2, k)
+
+
+def _grid_slots(g: PathPower) -> np.ndarray:
+    """The (n, 2k) bool slot table of g, from digits: slot c of row r is set
+    iff r + steps[c] is adjacent to r.
+
+    Slot k + i steps up along axis i, so it is set iff digit i of r is
+    below m - 1; slot k - 1 - i iff that digit is above 0.  Digit i is
+    constant on runs of m^i ranks and cycles through 0..m-1, so each slot is
+    a fixed pattern of runs, set by slicing with no division.
+    """
+    n, m, k = g.n_vertices, g.m, g.k
+    present = np.zeros((n, 2 * k), dtype=bool)
+    for i in range(k):
+        runs = present.reshape(n // m ** (i + 1), m, m**i, 2 * k)  # (higher digits, digit i, lower digits)
+        runs[:, : m - 1, :, k + i] = True
+        runs[:, 1:, :, k - 1 - i] = True
+    return present
 
 
 def check_support(a: SignedMatrix, g: PathPower) -> bool:
     """True iff the nonzero pattern of a equals the adjacency of g exactly.
 
-    The stored keys must equal, in storage order, the sorted keys of the
-    grid's adjacent pairs (computed from digits, not by the builder).  That
-    rules out missing, extra, duplicated and diagonal entries and unsorted
-    storage.  Every value must be +-1, and (i, j) and (j, i) must carry the
-    same value.
+    The grid's side comes from digits (_grid_slots), not from the builder's
+    recursion.  Three clauses, none of which sorts:
+
+    - keys: the stored keys must equal, in storage order, the keys
+      r * n + r + steps[c] of the set slots taken row-major (sorted, see
+      the module docstring).  That rules out missing, extra, duplicated
+      and diagonal entries and unsorted storage.
+    - values: every value is +-1.
+    - mirror: the values are scattered back into the slot table, where
+      the entry (r, r + m^i) sits in slot k + i of row r and its mirror in
+      slot k - 1 - i of row r + m^i; each axis's two slot columns, offset
+      by m^i rows, must be equal.  Absent slots read 0 on both sides.
     """
     if a.dim != g.n_vertices:
         raise DimensionMismatchError(f"matrix dim {a.dim} vs graph size {g.n_vertices}")
     if not len(a.rows) == len(a.cols) == len(a.vals):
         return False
-    if not np.array_equal(a.keys(), _adjacency_keys(g)):
+    n, m, k = g.n_vertices, g.m, g.k
+    present = _grid_slots(g)
+    pos, rows, cols = _slot_entries(present, m)
+    if not np.array_equal(a.keys(), rows * n + cols):
         return False
     if not np.all(np.abs(a.vals) == 1):
         return False
-    # The key set is symmetric, so sorting the transposed keys pairs each
-    # entry with its mirror image.
-    mirror = np.argsort(a.cols * a.dim + a.rows)
-    return bool(np.array_equal(a.vals[mirror], a.vals))
+    table = np.zeros(present.shape, dtype=np.int8)
+    table.ravel()[pos] = a.vals
+    return all(np.array_equal(table[: n - m**i, k + i], table[m**i :, k - 1 - i]) for i in range(k))
 
 
 def _canonical(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

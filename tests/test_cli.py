@@ -213,6 +213,17 @@ def test_f_brute_records_the_scan(capsys):
     assert doc["stop_reason"] == "floor-reached" and doc["kind"] == "exact" and doc["value"] == 3
     assert len(doc["worker_nodes"]) == 2 and sum(doc["worker_nodes"]) == doc["subsets_examined"] > 0
     assert doc["backend"] == _kernels.backend_for(64) and doc["backend_reason"] == _kernels.BACKEND_REASON
+    assert doc["scan_seconds"] > 0 and doc["nodes_per_s"] == doc["subsets_examined"] / doc["scan_seconds"]
+
+
+def test_f_brute_prints_null_rates_when_no_scan_ran(capsys, monkeypatch):
+    # f --brute always passes a stop_at, so only a search that settles by
+    # certificate, as brute_force_f does by default, reaches this path.
+    monkeypatch.setattr(cli, "brute_force_f", lambda g, s, budget, stop_at, mis: search.brute_force_f(g, s, mis=mis))
+    assert run_cli("f", "--m", "4", "--k", "2", "--brute") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["stop_reason"], doc["subsets_examined"], doc["value"]) == ("certificate", 0, 2)
+    assert doc["scan_seconds"] is None and doc["nodes_per_s"] is None
 
 
 def test_export_table_bounds_and_beta(capsys, tmp_path):
@@ -268,6 +279,8 @@ def test_verify_all_cli_quick(capsys, tmp_path):
     assert doc["config"]["max_size"] == 9
     certificates = doc["checks"][3]["details"]["base_certificate"]
     assert certificates == [[m, True] for m in (3, 2, 4, 6, 8, 10, 12, 14, 16)]
+    searches = [row for c in doc["checks"] for key, row in c["details"].items() if key.startswith("f_search")]
+    assert searches and all(set(row) == {"value", "kind", "subsets"} for row in searches)  # no wall times
 
 
 def test_verify_all_dense_solve_count(monkeypatch):

@@ -475,6 +475,16 @@ def test_search_records_name_the_scan_per_worker():
     assert (res.stop_reason, res.worker_nodes, res.backend, res.backend_reason) == ("certificate", (), None, None)
 
 
+def test_search_records_time_the_scan_only():
+    g = PathPower(4, 2)
+    started = time.perf_counter()
+    res = brute_force_f(g, stop_at=0)
+    took = time.perf_counter() - started
+    assert res.stop_reason == "exhausted" and res.subsets_examined > 0
+    assert isinstance(res.scan_seconds, float) and 0 < res.scan_seconds < took
+    assert brute_force_f(g).scan_seconds is None  # settled by certificate
+
+
 def test_a_given_alpha_certificate_is_reused(monkeypatch):
     g = PathPower(4, 2)
     mis = max_independent_set(g)

@@ -18,6 +18,7 @@ from pathpower import (
     square_identity_check,
     write_matrix_market,
 )
+from pathpower import signed
 from pathpower.signed import _sparse_square
 
 
@@ -297,3 +298,68 @@ def test_sparse_square_matches_scipy(m, k):
     sq = (sq @ sq).tocoo()
     want = {int(i) * a.dim + int(j): int(v) for i, j, v in zip(sq.row, sq.col, sq.data) if v}
     assert _square_as_dict(a) == want
+
+
+def _kronecker_oracle(m: int, k: int) -> np.ndarray:
+    """A(m, k) built literally as dense np.kron(D, A) + np.kron(B, I)."""
+    b = np.zeros((m, m), dtype=np.int64)
+    for i in range(m - 1):
+        b[i, i + 1] = b[i + 1, i] = (-1) ** i
+    d = np.diag([(-1) ** a for a in range(m)]).astype(np.int64)
+    a = b
+    for _ in range(k - 1):
+        a = np.kron(d, a) + np.kron(b, np.eye(len(a), dtype=np.int64))
+    return a
+
+
+@pytest.mark.parametrize(
+    "m,k", [(m, k) for m in (2, 3, 4, 6, 8, 16, 256) for k in range(1, 10) if m**k <= 512]
+)
+def test_builder_matches_the_dense_kronecker_recursion(m, k):
+    a = signed_grid_matrix(m, k)
+    assert a.rows.dtype == a.cols.dtype == a.vals.dtype == np.int64
+    assert np.all(np.diff(a.keys()) > 0)
+    assert np.array_equal(a.to_dense(), _kronecker_oracle(m, k))
+
+
+def _flip(a: SignedMatrix, i: int, j: int) -> None:
+    """Negate the stored entry (i, j) only."""
+    a.vals[int(np.searchsorted(a.keys(), i * a.dim + j))] *= -1
+
+
+@pytest.mark.parametrize("m,k", [(3, 3), (2, 5)])
+def test_support_mirror_clause_covers_every_axis(m, k):
+    g = PathPower(m, k)
+    for i in range(k):
+        r = (m - 2) * m**i  # digit i of r is m - 2, of s is m - 1: an edge along axis i
+        s = r + m**i
+        a = signed_grid_matrix(m, k)
+        assert a.entry(r, s) != 0 and a.entry(s, r) != 0
+        _flip(a, r, s)
+        assert not check_support(a, g), (m, k, i)
+        a = signed_grid_matrix(m, k)
+        _flip(a, s, r)
+        assert not check_support(a, g), (m, k, i)
+        _flip(a, r, s)  # both directions flipped: a re-signing, still the grid's support
+        assert a != signed_grid_matrix(m, k)
+        assert check_support(a, g), (m, k, i)
+
+
+def test_support_rejects_an_entry_across_a_digit_carry():
+    a = signed_grid_matrix(3, 2)  # ranks 2 = (2, 0) and 3 = (0, 1) differ by 1 but are not adjacent
+    for i, j in ((2, 3), (3, 2)):  # inserted where they sort, with its mirror
+        p = int(np.searchsorted(a.keys(), i * a.dim + j))
+        a.rows, a.cols, a.vals = np.insert(a.rows, p, i), np.insert(a.cols, p, j), np.insert(a.vals, p, 1)
+    assert np.all(np.diff(a.keys()) > 0) and np.all(np.abs(a.vals) == 1)
+    assert a.entry(2, 3) == a.entry(3, 2) == 1
+    assert not check_support(a, PathPower(3, 2))
+
+
+def test_build_and_support_check_do_not_sort(monkeypatch):
+    for name in ("argsort", "sort", "lexsort"):
+        monkeypatch.setattr(np, name, lambda *args, _name=name, **kw: pytest.fail(f"np.{_name} called"))
+    layout = signed._grid_slots
+    monkeypatch.setattr(signed, "_grid_slots", lambda g: pytest.fail("the builder read the check's layout"))
+    built = [signed_grid_matrix(m, k) for m, k in ((2, 6), (3, 4), (4, 3), (256, 1))]
+    monkeypatch.setattr(signed, "_grid_slots", layout)
+    assert all(check_support(a, a.graph()) for a in built)
