@@ -21,8 +21,7 @@ The builder and the support check work on the grid's slot table, n rows by
     steps = (-m^(k-1), ..., -m, -1, +1, +m, ..., +m^(k-1)),
 
 so slot k - 1 - i steps down and slot k + i steps up along axis i.  The
-steps increase across a row, and every row's neighbours lie between the
-previous row's and the next's, so the present slots, taken row-major, are
+steps increase across a row, so the present slots, taken row-major, are
 already sorted by (row, col): neither needs a sort.
 """
 
