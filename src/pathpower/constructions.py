@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import CertificateError
-from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, induced_max_degree
+from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, digits, induced_max_degree
 
 CONSTRUCTION_KINDS = ("vk", "vkc", "xk", "xkc", "hk")
 
@@ -112,11 +112,11 @@ def hk_witness_set(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> VertexSe
     if m % 2:
         raise ValueError(f"the folded witness is defined for even m, got m = {m}")
     n = check_grid(m, k, size_cap)
-    digits = np.arange(n, dtype=np.int64)[:, None] // m ** np.arange(k, dtype=np.int64) % m
+    d = digits(m, k)
     g = np.ones(n, dtype=bool)
     for block in sqrt_blocks(k):
-        g &= (digits[:, block] >= 1).any(axis=1)
-    h = g != (digits.sum(axis=1) % 2 == 1)
+        g &= (d[:, block] >= 1).any(axis=1)
+    h = g != (d.sum(axis=1) % 2 == 1)
     if 2 * np.count_nonzero(h) < h.size:
         h = ~h
     size = np.count_nonzero(h)

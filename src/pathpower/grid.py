@@ -15,6 +15,12 @@ is r + m^i, so one shift by m^i, masked to the ranks whose coordinate i can
 still grow, marks every member with a member above it.  The 2k such masks
 are added in a bit-sliced counter, so a query costs O(k) big-int operations
 of m^k bits each instead of one shift per neighbour.
+
+Array code lays the neighbours out in the slot table, m^k rows by 2k
+slots: slot c of row r is the neighbour r + steps[c], where the steps
+(-m^(k-1), ..., -1, +1, ..., +m^(k-1)) ascend, so slot k - 1 - i steps
+down and slot k + i up along axis i, and the present slots (grid edges),
+taken row-major, are the edges sorted by (row, column).
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import DimensionMismatchError, InvalidVertexError, SizeCapError
 
@@ -39,6 +47,31 @@ def check_grid(m: int, k: int, size_cap: int | float) -> int:
     if n > size_cap:
         raise SizeCapError(f"m^k = {n} exceeds the size cap {size_cap}")
     return n
+
+
+def digits(m: int, k: int) -> np.ndarray:
+    """The (m^k, k) int64 digits of every rank of [m]^k, digit i in column i."""
+    return np.arange(m**k, dtype=np.int64)[:, None] // m ** np.arange(k, dtype=np.int64) % m
+
+
+def slot_steps(m: int, k: int) -> np.ndarray:
+    """The 2k rank steps of the slot table (module docstring), ascending, int64."""
+    w = m ** np.arange(k, dtype=np.int64)
+    return np.concatenate((-w[::-1], w))
+
+
+def present_slots(m: int, k: int) -> np.ndarray:
+    """The (m^k, 2k) bool slot table of [m]^k: slot k + i of row r is set
+    iff digit i of r is below m - 1, slot k - 1 - i iff it is above 0.
+    Digit i is constant on runs of m^i ranks and cycles through 0..m-1, so
+    each slot is a fixed pattern of runs, set by slicing with no division."""
+    n = m**k
+    present = np.zeros((n, 2 * k), dtype=bool)
+    for i in range(k):
+        runs = present.reshape(n // m ** (i + 1), m, m**i, 2 * k)  # (higher digits, digit i, lower digits)
+        runs[:, : m - 1, :, k + i] = True
+        runs[:, 1:, :, k - 1 - i] = True
+    return present
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ import numpy as np
 from . import _kernels
 from .constructions import alternating_independent_set, hk_witness_set, is_independent, low_degree_witness_set
 from .errors import CertificateError
-from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, induced_max_degree
+from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, digits, induced_max_degree
 from .signed import SignedMatrix
 from .spectral import DEFAULT_GROUP_TOL, base_certificate, g_roots_below, poly_g_roots, signed_spectra
 
@@ -189,8 +189,8 @@ def hypercube_cells(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     if m % 2:
         raise ValueError(f"hypercube cells tile [m]^k for even m only, got m = {m}")
     axes = np.arange(k, dtype=np.int64)
-    digits = np.arange(m**k, dtype=np.int64)[:, None] // m**axes % m
-    return digits // 2 @ (m // 2) ** axes, digits % 2 @ (1 << axes)
+    d = digits(m, k)
+    return d // 2 @ (m // 2) ** axes, d % 2 @ (1 << axes)
 
 
 def hypercube_cells_certificate_holds(g: PathPower, cells: np.ndarray, labels: np.ndarray, alpha: int) -> bool:

@@ -8,21 +8,14 @@ sign-alternating identity blocks on the off-diagonals:
     A(j+1) = D ⊗ A(j) + B ⊗ I,   D = diag(+1, -1, ...),  B = base matrix.
 
 Supported parities: m = 3 ("odd3") and even m = 2n ("even2n").  A matrix is
-kept as sorted integer COO arrays: parallel int64 arrays rows, cols and vals,
-each edge stored in both directions, ordered by (row, col), so the key
-row * dim + col increases strictly.  Every operation here (the block
-extension, the support check, the exact square and its Kronecker identity)
-works on whole arrays in int64, which is exact: entries are +-1 and a row has
-at most 2k nonzeros.  Callers densify only for numerical spectra.
-
-The builder and the support check work on the grid's slot table, n rows by
-2k slots: slot c of row r is the neighbour r + steps[c], with
-
-    steps = (-m^(k-1), ..., -m, -1, +1, +m, ..., +m^(k-1)),
-
-so slot k - 1 - i steps down and slot k + i steps up along axis i.  The
-steps increase across a row, so the present slots, taken row-major, are
-already sorted by (row, col): neither needs a sort.
+kept as the grid's slot table (grid module docstring): an (m^k, 2k) int8
+array sign, sign[r, c] the entry at (r, r + steps[c]) and 0 where slot c is
+not a neighbour, so each edge is stored once in each direction.  Every
+operation here (the block extension, the support check, the exact square
+and its Kronecker identity) works on whole tables, exactly: entries are
++-1, and an entry of the square is a sum of at most 2k of their products.
+Taken row-major, the set slots are the entries sorted by (row, col), so
+nothing here sorts.  Callers densify only for numerical spectra.
 """
 
 from __future__ import annotations
@@ -34,23 +27,20 @@ from typing import IO
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid
+from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, present_slots, slot_steps
 
 
 @dataclass
 class SignedMatrix:
     """Symmetric sparse matrix with entries in {-1, +1} and zero diagonal.
 
-    rows, cols and vals are parallel int64 arrays holding every nonzero
-    (both (i, j) and (j, i)), sorted by (row, col).  parity_tag is "odd3"
-    (m = 3) or "even2n" (m = 2n); n and k record the parameters the matrix
-    was built from.
+    sign is the (m^k, 2k) int8 slot table: sign[r, c] is the entry at
+    (r, r + steps[c]), 0 where slot c has no neighbour.  parity_tag is
+    "odd3" (m = 3) or "even2n" (m = 2n); n and k record the parameters the
+    matrix was built from, which fix m and dim = m^k.
     """
 
-    dim: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    sign: np.ndarray
     parity_tag: str
     n: int
     k: int
@@ -59,46 +49,47 @@ class SignedMatrix:
     def __post_init__(self) -> None:
         self.m = 3 if self.parity_tag == "odd3" else 2 * self.n
 
+    @property
+    def dim(self) -> int:
+        return self.m**self.k
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignedMatrix):
             return NotImplemented
-        params = (self.dim, self.parity_tag, self.n, self.k) == (other.dim, other.parity_tag, other.n, other.k)
-        return params and all(
-            np.array_equal(mine, theirs)
-            for mine, theirs in ((self.rows, other.rows), (self.cols, other.cols), (self.vals, other.vals))
-        )
+        params = (self.parity_tag, self.n, self.k) == (other.parity_tag, other.n, other.k)
+        return params and np.array_equal(self.sign, other.sign)
 
-    def keys(self) -> np.ndarray:
-        """row * dim + col of every stored nonzero, in storage order."""
-        return self.rows * self.dim + self.cols
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """int64 (rows, cols, vals) of the set slots, row-major: sorted by
+        (row, col).  ValueError unless the table is dim x 2k and no nonzero
+        steps off the grid, where an index array would wrap around."""
+        if self.sign.shape != (self.dim, 2 * self.k):
+            raise ValueError(f"slot table of shape {self.sign.shape} for [{self.m}]^{self.k}")
+        rows, slots = np.nonzero(self.sign)
+        cols = rows + slot_steps(self.m, self.k)[slots]
+        if np.any((cols < 0) | (cols >= self.dim)):
+            raise ValueError("a nonzero slot steps off the grid")
+        return rows, cols, self.sign[rows, slots].astype(np.int64)
 
     def entry(self, i: int, j: int) -> int:
-        lo, hi = np.searchsorted(self.rows, (i, i + 1))
-        p = lo + int(np.searchsorted(self.cols[lo:hi], j))
-        return int(self.vals[p]) if p < hi and self.cols[p] == j else 0
+        slot = np.flatnonzero(slot_steps(self.m, self.k) == j - i)
+        inside = 0 <= i < self.dim and 0 <= j < self.dim
+        return int(self.sign[i, slot[0]]) if inside and len(slot) else 0
 
     @property
     def nnz(self) -> int:
         """Number of stored (directed) nonzeros; twice the edge count."""
-        return len(self.vals)
+        return int(np.count_nonzero(self.sign))
 
     def graph(self) -> PathPower:
         """The grid [m]^k of the matrix, capped at the matrix's own dim."""
         return PathPower(self.m, self.k, size_cap=self.dim)
 
     def to_dense(self) -> np.ndarray:
+        rows, cols, vals = self.entries()
         a = np.zeros((self.dim, self.dim), dtype=np.int64)
-        a[self.rows, self.cols] = self.vals
+        a[rows, cols] = vals
         return a
-
-
-def _from_edges(dim: int, i: np.ndarray, j: np.ndarray, v: np.ndarray, tag: str, n: int, k: int) -> SignedMatrix:
-    """The symmetric matrix with entry v at (i, j) and (j, i), sorted by (row, col):
-    for edges in arbitrary order, as a Matrix Market file may list them."""
-    rows = np.concatenate((i, j))
-    cols = np.concatenate((j, i))
-    order = np.argsort(rows * dim + cols)
-    return SignedMatrix(dim, rows[order], cols[order], np.concatenate((v, v))[order], tag, n, k)
 
 
 def check_signed_params(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> None:
@@ -106,17 +97,6 @@ def check_signed_params(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Non
     if m != 3 and m % 2 == 1:
         raise ValueError(f"signed matrices exist for m = 3 or even m, got m = {m}")
     check_grid(m, k, size_cap)
-
-
-def _slot_entries(present: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat positions, rows and columns of the set slots of an (n, 2k) slot
-    table of [m]^k, taken row-major: sorted by (row, col)."""
-    width = present.shape[1]
-    w = m ** np.arange(width // 2, dtype=np.int64)
-    steps = np.concatenate((-w[::-1], w))
-    pos = np.flatnonzero(present)
-    rows = np.repeat(np.arange(len(present), dtype=np.int64), np.count_nonzero(present, axis=1))
-    return pos, rows, rows + steps[pos - rows * width]
 
 
 def signed_grid_matrix(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> SignedMatrix:
@@ -127,7 +107,6 @@ def signed_grid_matrix(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Sign
     A(j) fills the inner 2j slots of the first m^j rows.  Level j + 1 copies
     them into blocks 1..m-1 times (-1)^a (D ⊗ A(j)) and sets the two slots
     of axis j, a link of sign (-1)^a between blocks a and a + 1 (B ⊗ I).
-    The row-major selection of the nonzero slots is the sorted storage.
     """
     check_signed_params(m, k, size_cap)
     dim, width = m**k, 2 * k
@@ -145,119 +124,83 @@ def signed_grid_matrix(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Sign
         blocks[1:, :, k - 1 - j] = links[:, None]
         blocks[:-1, :, k + j] = links[:, None]
         size *= m
-    pos, rows, cols = _slot_entries(sign != 0, m)
-    tag = "odd3" if m == 3 else "even2n"
-    return SignedMatrix(dim, rows, cols, sign.ravel()[pos].astype(np.int64), tag, m // 2, k)
-
-
-def _grid_slots(g: PathPower) -> np.ndarray:
-    """The (n, 2k) bool slot table of g, from digits: slot c of row r is set
-    iff r + steps[c] is adjacent to r.
-
-    Slot k + i steps up along axis i, so it is set iff digit i of r is
-    below m - 1; slot k - 1 - i iff that digit is above 0.  Digit i is
-    constant on runs of m^i ranks and cycles through 0..m-1, so each slot is
-    a fixed pattern of runs, set by slicing with no division.
-    """
-    n, m, k = g.n_vertices, g.m, g.k
-    present = np.zeros((n, 2 * k), dtype=bool)
-    for i in range(k):
-        runs = present.reshape(n // m ** (i + 1), m, m**i, 2 * k)  # (higher digits, digit i, lower digits)
-        runs[:, : m - 1, :, k + i] = True
-        runs[:, 1:, :, k - 1 - i] = True
-    return present
+    return SignedMatrix(sign, "odd3" if m == 3 else "even2n", m // 2, k)
 
 
 def check_support(a: SignedMatrix, g: PathPower) -> bool:
     """True iff the nonzero pattern of a equals the adjacency of g exactly.
 
-    The grid's side comes from digits (_grid_slots), not from the builder's
-    recursion.  Three clauses, none of which sorts:
+    The grid's side is grid.present_slots, set from digits, not from the
+    builder's recursion.  Three clauses, none of which sorts:
 
-    - keys: the stored keys must equal, in storage order, the keys
-      r * n + r + steps[c] of the set slots taken row-major (sorted, see
-      the module docstring).  That rules out missing, extra, duplicated
-      and diagonal entries and unsorted storage.
-    - values: every value is +-1.
-    - mirror: the values are scattered back into the slot table, where
-      the entry (r, r + m^i) sits in slot k + i of row r and its mirror in
-      slot k - 1 - i of row r + m^i; each axis's two slot columns, offset
-      by m^i rows, must be equal.  Absent slots read 0 on both sides.
+    - support: the table has the grid's shape and is nonzero exactly on
+      its present slots, so no entry is missing and none lies on an absent
+      slot, across a digit carry or off the grid;
+    - values: every present slot holds +-1 (with support, |sign| == present);
+    - mirror: the entry (r, r + m^i) sits in slot k + i of row r and its
+      mirror in slot k - 1 - i of row r + m^i; each axis's two slot
+      columns, offset by m^i rows, must be equal.
     """
     if a.dim != g.n_vertices:
         raise DimensionMismatchError(f"matrix dim {a.dim} vs graph size {g.n_vertices}")
-    if not len(a.rows) == len(a.cols) == len(a.vals):
-        return False
     n, m, k = g.n_vertices, g.m, g.k
-    present = _grid_slots(g)
-    pos, rows, cols = _slot_entries(present, m)
-    if not np.array_equal(a.keys(), rows * n + cols):
+    present = present_slots(m, k)
+    if a.sign.shape != present.shape or not np.array_equal(np.abs(a.sign), present):
         return False
-    if not np.all(np.abs(a.vals) == 1):
-        return False
-    table = np.zeros(present.shape, dtype=np.int8)
-    table.ravel()[pos] = a.vals
-    return all(np.array_equal(table[: n - m**i, k + i], table[m**i :, k - 1 - i]) for i in range(k))
+    return all(np.array_equal(a.sign[: n - m**i, k + i], a.sign[m**i :, k - 1 - i]) for i in range(k))
 
 
-def _canonical(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the values of equal keys and drop zero sums: sorted (key, value) arrays."""
-    order = np.argsort(keys)
-    keys, vals = keys[order], vals[order]
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    sums = np.add.reduceat(vals, first)
-    keep = sums != 0
-    return keys[first][keep], sums[keep]
+def _sparse_square(a: SignedMatrix) -> np.ndarray:
+    """Exact integer A @ A as an (n, 2k, 2k) int32 table of slot pairs.
 
-
-def _run_positions(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """start[t], start[t] + 1, ..., start[t] + count[t] - 1 for every t, concatenated:
-    the positions of runs of a sorted array, such as the stored entries of CSR rows."""
-    return np.arange(int(count.sum())) + np.repeat(start - (np.cumsum(count) - count), count)
-
-
-def _sparse_square(a: SignedMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Exact integer A @ A as sorted (key, value) arrays, zero sums dropped.
-
-    Each stored entry (i, l, v) is expanded against CSR row l: one product
-    v * w per entry (l, j, w), keyed i * dim + j.
+    A two-step path along grid edges, r -> r + steps[c] -> r + steps[c] +
+    steps[d], ends where the unordered pair {c, d} says, and the opposite
+    slots of one axis all end at r.  So [r, c, d], c <= d, sums sign[r, c]
+    * sign[r + steps[c], d] over both orders: the entry at (r, r + steps[c]
+    + steps[d]).  The opposite pairs are all summed at (k - 1, k); every
+    other place holds 0.  ValueError unless every nonzero is on a present
+    slot, so every such path stays in the grid.  int32 is exact for an int8
+    table: a product is at most 2^14, and an entry sums at most 2k <= 32.
     """
-    indptr = np.searchsorted(a.rows, np.arange(a.dim + 1))
-    counts = indptr[a.cols + 1] - indptr[a.cols]
-    pos = _run_positions(indptr[a.cols], counts)  # each product's (l, j, w)
-    keys = np.repeat(a.rows, counts) * a.dim + a.cols[pos]
-    return _canonical(keys, np.repeat(a.vals, counts) * a.vals[pos])
+    n, k = a.dim, a.k
+    present = present_slots(a.m, k)
+    if a.sign.shape != present.shape or np.any(a.sign[~present]):
+        raise ValueError(f"a nonzero off the slots of [{a.m}]^{k}: slot pairs would not fix the square's entries")
+    rows = np.arange(n, dtype=np.int64)[:, None]
+    middle = np.where(present, rows + slot_steps(a.m, k), rows)  # an absent slot holds 0: read any row
+    sign = a.sign.astype(np.int32)
+    paths = sign[:, :, None] * sign[middle]  # [r, c, d]
+    square = paths + paths.transpose(0, 2, 1)
+    slot = np.arange(2 * k)
+    square *= slot[:, None] <= slot  # keep c <= d
+    square[:, slot, slot] = paths[:, slot, slot]
+    down, up = slot[k - 1 :: -1], slot[k:]  # the opposite slots of each axis
+    diagonal = square[:, down, up].sum(axis=1)
+    square[:, down, up] = 0
+    square[:, k - 1, k] = diagonal
+    return square
 
 
 def square_identity_check(m: int, k: int) -> bool:
-    """Verify A(k)^2 = I_m ⊗ A(k-1)^2 + A(1)^2 ⊗ I in exact integers.
+    """Verify A(k)^2 = I_m ⊗ A(k-1)^2 + A(1)^2 ⊗ I in exact integers, k >= 2.
 
-    The identity is stated with last-coordinate-major ranks: the lone base
-    square acts on the last coordinate (the block index).  Valid for both
-    supported parities; requires k >= 2.  Both sides are compared as
-    canonical sorted (key, value) arrays.
+    Ranks are last-coordinate-major, so the base square acts on the block
+    index, axis k - 1.  Both sides are _sparse_square tables: level k - 1's
+    slots are level k's inner 2k - 2, and A(1)^2 ⊗ I moves along axis k - 1
+    alone, two steps down at (0, 0), two up at (2k - 1, 2k - 1), and its
+    diagonal at the diagonal's place (k - 1, k).
     """
     if k < 2:
         raise ValueError(f"the square identity needs k >= 2, got k = {k}")
-    ak = signed_grid_matrix(m, k)
-    prev = signed_grid_matrix(m, k - 1)
-    a1 = signed_grid_matrix(m, 1)
-    d, dim = prev.dim, ak.dim
-    lhs_keys, lhs_vals = _sparse_square(ak)
-    # I_m ⊗ P: block a holds P at offset a * d on both axes.
-    p_keys, p_vals = _sparse_square(prev)
-    p_rows, p_cols = np.divmod(p_keys, d)
-    offsets = (np.arange(m, dtype=np.int64) * d)[:, None]
-    left_keys = ((offsets + p_rows) * dim + offsets + p_cols).ravel()
-    left_vals = np.tile(p_vals, m)
-    # C ⊗ I_d: entry (i, j) of C lands on (i * d + t, j * d + t) for each t.
-    c_keys, c_vals = _sparse_square(a1)
-    c_rows, c_cols = np.divmod(c_keys, m)
-    t = np.arange(d, dtype=np.int64)
-    right_keys = ((c_rows[:, None] * d + t) * dim + c_cols[:, None] * d + t).ravel()
-    right_vals = np.repeat(c_vals, d)
-    rhs_keys, rhs_vals = _canonical(np.concatenate((left_keys, right_keys)), np.concatenate((left_vals, right_vals)))
-    return bool(np.array_equal(lhs_keys, rhs_keys) and np.array_equal(lhs_vals, rhs_vals))
+    lhs = _sparse_square(signed_grid_matrix(m, k))
+    prev = _sparse_square(signed_grid_matrix(m, k - 1))
+    base = _sparse_square(signed_grid_matrix(m, 1))[:, None]  # one row per block
+    rhs = np.zeros((m, len(prev), 2 * k, 2 * k), dtype=lhs.dtype)
+    rhs[:, :, 1:-1, 1:-1] = prev
+    rhs[:, :, 0, 0] = base[:, :, 0, 0]
+    rhs[:, :, -1, -1] = base[:, :, 1, 1]
+    rhs[:, :, k - 1, k] += base[:, :, 0, 1]
+    return bool(np.array_equal(lhs, rhs.reshape(lhs.shape)))
 
 
 def principal_submatrix(a: SignedMatrix, s: VertexSet) -> np.ndarray:
@@ -269,10 +212,11 @@ def principal_submatrix(a: SignedMatrix, s: VertexSet) -> np.ndarray:
     idx = np.array(s.ranks(), dtype=np.int64)
     pos = np.full(a.dim, -1, dtype=np.int64)
     pos[idx] = np.arange(len(idx))
-    p, q = pos[a.rows], pos[a.cols]
+    rows, cols, vals = a.entries()
+    p, q = pos[rows], pos[cols]
     inside = (p >= 0) & (q >= 0)
     out = np.zeros((len(idx), len(idx)), dtype=np.int64)
-    out[p[inside], q[inside]] = a.vals[inside]
+    out[p[inside], q[inside]] = vals[inside]
     return out
 
 
@@ -286,8 +230,9 @@ def write_matrix_market(a: SignedMatrix, target: str | IO[str]) -> None:
     (lower triangle).  A comment line records m, k and the parity tag, which
     the dimension m^k alone does not determine (64 = 2^6 = 4^3 = 8^2).
     """
-    lower = a.rows > a.cols  # storage order sorts these by (i, j)
-    entries = zip(a.rows[lower].tolist(), a.cols[lower].tolist(), a.vals[lower].tolist())
+    rows, cols, vals = a.entries()
+    lower = rows > cols  # the down slots, sorted by (i, j)
+    entries = zip(rows[lower].tolist(), cols[lower].tolist(), vals[lower].tolist())
     lines = ["%%MatrixMarket matrix coordinate integer symmetric"]
     lines.append(f"% pathpower m={a.m} k={a.k} parity={a.parity_tag}")
     lines.append(f"{a.dim} {a.dim} {int(lower.sum())}")
@@ -303,10 +248,15 @@ def write_matrix_market(a: SignedMatrix, target: str | IO[str]) -> None:
 def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
     """Read back a matrix written by write_matrix_market (round-trip aid).
 
-    Raises ValueError when the m, k and parity comment line is missing or
-    disagrees with the dimension, when the entry lines are more or fewer than
-    the size line counts, or when an index lies outside 1..dim (index arrays
-    would otherwise wrap a 0 around to the last row).
+    Entry (i, j, v) sets the up slot of j and the down slot of i along the
+    edge's axis.  SizeCapError above DEFAULT_SIZE_CAP.  ValueError when the
+    m, k and parity line is missing or disagrees with the dimension, when
+    the entry lines are more or fewer than the size line counts, and on an
+    entry that the table cannot hold or the writer would not write: an
+    index outside 1..dim (an index array would wrap a 0 to the last row), a
+    value other than +-1 (checked before the int8 narrowing), entries out of
+    the writer's order (each edge once, as (i, j) with i > j, by row, then
+    column; so no self-loop), and a pair that is not a grid edge.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -318,13 +268,32 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
         raise ValueError("no '% pathpower m=.. k=.. parity=..' line: the dimension alone does not fix m and k")
     m, k, tag = int(params[1]), int(params[2]), params[3]
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("%")]
+    if not lines:
+        raise ValueError("no size line")
     dim, _, count = (int(t) for t in lines[0].split())
     m_fits_tag = m == 3 if tag == "odd3" else m >= 2 and m % 2 == 0
     if not m_fits_tag or not 1 <= k <= dim.bit_length() or dim != m**k:
         raise ValueError(f"parameters m={m} k={k} parity={tag} do not fit dimension {dim}")
+    check_grid(m, k, DEFAULT_SIZE_CAP)  # SizeCapError before the table is allocated
     if len(lines) - 1 != count:
         raise ValueError(f"{len(lines) - 1} entry lines, but the size line counts {count}")
-    ijv = np.array([[int(t) for t in ln.split()] for ln in lines[1:]], dtype=np.int64).reshape(-1, 3)
+    try:
+        ijv = np.array([[int(t) for t in ln.split()] for ln in lines[1:]], dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        raise ValueError("an entry holds an integer beyond int64") from None
     if np.any((ijv[:, :2] < 1) | (ijv[:, :2] > dim)):
         raise ValueError(f"an entry index lies outside 1..{dim}")
-    return _from_edges(dim, ijv[:, 0] - 1, ijv[:, 1] - 1, ijv[:, 2], tag, m // 2, k)
+    i, j, v = ijv[:, 0] - 1, ijv[:, 1] - 1, ijv[:, 2]
+    if np.any(np.abs(v) != 1):
+        raise ValueError("an entry value is not +-1")
+    if np.any(i <= j) or np.any(np.diff(i * dim + j) <= 0):
+        raise ValueError("entries out of the writer's order: each edge once, as (i, j) with i > j, by row, then column")
+    up = slot_steps(m, k)[k:]
+    axis = np.minimum(np.searchsorted(up, i - j), k - 1)
+    present = present_slots(m, k)
+    if not np.all((up[axis] == i - j) & present[j, k + axis]):
+        raise ValueError(f"an entry is not an edge of [{m}]^{k}")
+    sign = np.zeros(present.shape, dtype=np.int8)
+    sign[j, k + axis] = v
+    sign[i, k - 1 - axis] = v
+    return SignedMatrix(sign, tag, m // 2, k)

@@ -47,8 +47,8 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import BracketingError, DimensionMismatchError, EigenSolveError, SizeCapError
-from .grid import DEFAULT_SIZE_CAP, VertexSet
-from .signed import SignedMatrix, _run_positions, check_signed_params, check_support, signed_grid_matrix
+from .grid import DEFAULT_SIZE_CAP, VertexSet, digits, slot_steps
+from .signed import SignedMatrix, check_signed_params, check_support, signed_grid_matrix
 
 # The thresholds of every spectral verdict, fixed so that no caller can loosen one.
 DEFAULT_RESIDUAL_TOL = 1e-10  # eigenpair residual, relative to ||A||_F
@@ -354,12 +354,6 @@ def eigenvalues_sym(*args, **kwargs):
     raise NotImplementedError("signed matrices are solved by signed_spectra, once each by spectrum_check")
 
 
-def _parity_colours(a: SignedMatrix) -> np.ndarray:
-    """Digit-sum parity (0 or 1) of every rank of the grid [m]^k under a."""
-    r = np.arange(a.dim, dtype=np.int64)[:, None]
-    return (r // a.m ** np.arange(a.k, dtype=np.int64) % a.m).sum(axis=1) % 2
-
-
 def _gram_components(label: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Component label of every node: nodes that share a label start
     joined, each node i[t] is joined to j[t], and each node ends labelled by
@@ -404,6 +398,11 @@ class _Part(NamedTuple):
         return out
 
 
+def _run_positions(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """start[t], ..., start[t] + count[t] - 1 for every t, concatenated: the positions of CSR runs."""
+    return np.arange(int(count.sum())) + np.repeat(start - (np.cumsum(count) - count), count)
+
+
 def _runs(keys: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(start, size) of each run of equal keys in the order that sorts them."""
     ordered = keys[order]
@@ -419,12 +418,11 @@ def _gram_parts(block, i, j, v, g: int, p: int, q: int, split: bool) -> list[_Pa
     shapes ascending and the components of one shape by their smallest row.
 
     With split, the components are those of K's nonzero pattern
-    (_gram_components).  That pattern is summed exactly from the products
-    of every two entries of one column of C, in integers as
-    signed._sparse_square sums A^2, so no dense K is formed and no p^2
-    entries are swept.  Without, each block is one component with S_c =
-    all q columns and N_c = all p rows, so a column that no row touches is
-    in S_c too.
+    (_gram_components).  That pattern is summed exactly, in integers, from
+    the products of every two entries of one column of C, so no dense K is
+    formed and no p^2 entries are swept.  Without, each block is one
+    component with S_c = all q columns and N_c = all p rows, so a column
+    that no row touches is in S_c too.
     """
     nodes = g * p
     node, col = block * p + i, block * q + j
@@ -681,7 +679,7 @@ def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> 
             if (s.m, s.k) != (a.m, a.k):
                 raise DimensionMismatchError(f"set over [{s.m}]^{s.k} vs matrix of [{a.m}]^{a.k}")
         ranks = np.array([r for s in sets for r in s.ranks()], dtype=np.int64)
-    colour = _parity_colours(a)
+    colour = digits(a.m, a.k).sum(axis=1) % 2
     owner = np.repeat(np.arange(len(sizes)), sizes)  # the matrix of each member
 
     # Each member's position in its matrix's colour class, by rank.
@@ -698,19 +696,17 @@ def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> 
     q = sizes - p
 
     # Entries from each row-class member to members of the same matrix: walk
-    # the member's stored row, and find each neighbour among the members by
-    # its key owner * dim + rank (increasing, as ranks ascend within a set).
+    # the member's slots, and find each neighbour among the members by its
+    # key owner * dim + rank (increasing, as ranks ascend within a set).
     row_members = np.flatnonzero(member_colour == row_colour[owner])
-    indptr = np.searchsorted(a.rows, np.arange(a.dim + 1))
-    start = indptr[ranks[row_members]]
-    counts = indptr[ranks[row_members] + 1] - start
-    src = np.repeat(row_members, counts)
-    pos = _run_positions(start, counts)
+    table = a.sign[ranks[row_members]]
+    at, slot = np.nonzero(table)
+    src = row_members[at]
     member_keys = owner * a.dim + ranks
-    wanted = owner[src] * a.dim + a.cols[pos]
+    wanted = owner[src] * a.dim + ranks[src] + slot_steps(a.m, a.k)[slot]
     hit = np.minimum(np.searchsorted(member_keys, wanted), len(ranks) - 1)
     inside = member_keys[hit] == wanted
-    src, dst, entry_vals = src[inside], hit[inside], a.vals[pos][inside]
+    src, dst, entry_vals = src[inside], hit[inside], table[at, slot][inside].astype(np.int64)
 
     spectra: list = [None] * len(sizes)
     for gp, gq in dict.fromkeys(zip(p.tolist(), q.tolist())):
@@ -838,7 +834,7 @@ def _path_determinant(a: SignedMatrix) -> int:
     a path with zero diagonal: the continuant d_j = -A[j-2, j-1]^2 d_(j-2) in
     Python integers, linear in m where charpoly_exact is of order m^4."""
     d_prev, d = 1, 0  # the empty and the 1 x 1 leading blocks
-    for s in a.vals[a.cols == a.rows + 1].tolist():  # A[j, j + 1], ascending j
+    for s in a.sign[: a.dim - 1, 1].tolist():  # A[j, j + 1] in the up slot, ascending j
         d_prev, d = d, -s * s * d_prev
     return d
 

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from pathpower import (
     signed_grid_matrix,
     theoretical_f_value,
 )
-from pathpower.grid import check_grid
+from pathpower.grid import check_grid, digits, present_slots, slot_steps
 
 G32 = PathPower(3, 2)
 
@@ -222,3 +223,15 @@ def test_vertex_set_json_roundtrip():
     doc = json.loads(json.dumps(s.to_dict()))
     assert doc == {"m": 3, "k": 2, "ranks": [0, 2, 8]}
     assert VertexSet.from_dict(doc) == s
+
+
+@pytest.mark.parametrize("m,k", [(2, 1), (2, 5), (3, 3), (4, 2), (5, 2), (256, 1)])
+def test_digits_and_slot_table_match_unrank_and_neighbours(m, k):
+    g = PathPower(m, k)
+    d = digits(m, k)
+    assert d.shape == (m**k, k) and d.dtype == np.int64
+    assert [tuple(c + 1 for c in row) for row in d.tolist()] == list(g.vertices())
+    steps, present = slot_steps(m, k), present_slots(m, k)
+    assert steps.tolist() == sorted(steps.tolist()) and present.shape == (m**k, 2 * k)
+    # the present slots, row-major, are the neighbours in ascending order
+    assert [(r + steps[row]).tolist() for r, row in enumerate(present)] == [g.neighbor_ranks(r) for r in range(m**k)]

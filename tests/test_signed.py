@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathpower import (
     DimensionMismatchError,
@@ -19,16 +21,13 @@ from pathpower import (
     write_matrix_market,
 )
 from pathpower import signed
+from pathpower.grid import present_slots, slot_steps
 from pathpower.signed import _sparse_square
 
 
-def _mirror(a: SignedMatrix, p: int) -> int:
-    """Storage position of the transpose of entry p."""
-    return int(np.flatnonzero((a.rows == a.cols[p]) & (a.cols == a.rows[p]))[0])
-
-
-def _keep(a: SignedMatrix, keep: np.ndarray) -> None:
-    a.rows, a.cols, a.vals = a.rows[keep], a.cols[keep], a.vals[keep]
+def _set(a: SignedMatrix, i: int, j: int, v: int) -> None:
+    """Store v as the entry (i, j) only, in the slot of row i that steps to j."""
+    a.sign[i, int(np.flatnonzero(slot_steps(a.m, a.k) == j - i)[0])] = v
 
 
 def test_base_matrix_three():
@@ -99,66 +98,76 @@ def test_support_matches_adjacency(m, k):
     g = PathPower(m, k)
     assert check_support(a, g)
     assert a.nnz == 2 * k * (m - 1) * m ** (k - 1)
-    assert np.all(np.abs(a.vals) == 1)
-    assert all(a.entry(j, i) == v for i, j, v in zip(a.rows.tolist(), a.cols.tolist(), a.vals.tolist()))
+    rows, cols, vals = a.entries()
+    assert np.all(np.abs(vals) == 1)
+    assert all(a.entry(j, i) == v for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()))
 
 
 def test_support_detects_tampering():
     a = signed_grid_matrix(3, 2)
     g = PathPower(3, 2)
-    keep = np.ones(a.nnz, dtype=bool)
-    keep[[0, _mirror(a, 0)]] = False  # drop one edge in both directions
-    _keep(a, keep)
+    _set(a, 0, 1, 0)  # drop one edge in both directions
+    _set(a, 1, 0, 0)
     assert not check_support(a, g)
     with pytest.raises(DimensionMismatchError):
         check_support(signed_grid_matrix(3, 1), g)
 
 
 def test_support_detects_extra_entry():
+    # A table holds an extra entry only on an absent slot.  The down slot of
+    # rank 0 along axis 0 steps to -1, which no reader may wrap to the last row.
     a = signed_grid_matrix(2, 2)
-    for i, j in ((0, 3), (3, 0)):  # inserted where they sort, so only the extra key is wrong
-        p = int(np.searchsorted(a.keys(), i * a.dim + j))
-        a.rows, a.cols, a.vals = np.insert(a.rows, p, i), np.insert(a.cols, p, j), np.insert(a.vals, p, 1)
-    assert np.all(np.diff(a.keys()) > 0) and np.all(np.abs(a.vals) == 1)
+    a.sign[0, a.k - 1] = 1
+    assert a.nnz == 9 and a.entry(0, 1) == 1
     assert not check_support(a, PathPower(2, 2))
+    readers = (a.entries, a.to_dense, lambda: _sparse_square(a), lambda: write_matrix_market(a, io.StringIO()))
+    for read in (*readers, lambda: principal_submatrix(a, VertexSet(2, 2, ranks=[0, 3]))):
+        with pytest.raises(ValueError):
+            read()
 
 
 def _flip_one_direction(a):
-    a.vals[0] = -a.vals[0]
-    return "symmetry"
+    a.sign[0, a.k] *= -1  # the entry (0, 1); (1, 0) keeps its sign
+    return "mirror"
 
 
 def _value_two(a):
-    a.vals[[0, _mirror(a, 0)]] = 2
+    _set(a, 0, 1, 2)
+    _set(a, 1, 0, 2)
     return "values"
 
 
-def _duplicate_for_missing(a):
-    a.rows[1], a.cols[1] = a.rows[0], a.cols[0]  # key 1 is gone, key 0 is stored twice
-    return "keys"
+def _missing_edge(a):
+    _set(a, 0, 1, 0)
+    _set(a, 1, 0, 0)
+    return "support"
 
 
-def _unsorted(a):
-    order = np.arange(a.nnz)
-    order[[0, 1]] = [1, 0]
-    _keep(a, order)
-    return "order"
+def _absent_boundary_slot(a):
+    a.sign[0, a.k - 1] = 1  # steps down from rank 0, off the grid
+    return "support"
 
 
-@pytest.mark.parametrize("tamper", [_flip_one_direction, _value_two, _duplicate_for_missing, _unsorted])
+def _wrong_shape(a):
+    a.sign = np.vstack((a.sign, np.zeros((1, 2 * a.k), dtype=np.int8)))
+    return "shape"
+
+
+@pytest.mark.parametrize("tamper", [_flip_one_direction, _value_two, _missing_edge, _absent_boundary_slot, _wrong_shape])
 def test_support_rejects_tampered_arrays(tamper):
     a = signed_grid_matrix(3, 2)
     g = PathPower(3, 2)
-    good = set(zip(a.keys().tolist(), a.vals.tolist()))
     broken = tamper(a)
-    keys = a.keys()
-    # Each tamper breaks one property and keeps the others, so the rejection
-    # below can only come from the property named.
-    assert (broken == "keys") == (set(keys.tolist()) != {k for k, _ in good})
-    assert (broken == "values") == (not np.all(np.abs(a.vals) == 1))
-    assert (broken == "order") == (not np.all(np.diff(keys) >= 0))
-    if broken == "order":
-        assert set(zip(keys.tolist(), a.vals.tolist())) == good
+    # Each tamper breaks one clause and keeps the others, so the rejection
+    # below can only come from the clause named.
+    present = present_slots(3, 2)
+    assert (broken == "shape") == (a.sign.shape != present.shape)
+    if broken != "shape":
+        assert (broken == "support") == (not np.array_equal(a.sign != 0, present))
+    if broken in ("values", "mirror"):
+        d = a.to_dense()
+        assert (broken == "values") == (not np.all(np.abs(d[d != 0]) == 1))
+        assert (broken == "mirror") == (not np.array_equal(d, d.T))
     assert a != signed_grid_matrix(3, 2)
     assert not check_support(a, g)
 
@@ -167,6 +176,25 @@ def test_support_rejects_tampered_arrays(tamper):
 @pytest.mark.parametrize("k", [2, 3])
 def test_square_identity(m, k):
     assert square_identity_check(m, k)
+
+
+@pytest.mark.parametrize("m,k", [(3, 3), (2, 3), (4, 2)])
+@pytest.mark.parametrize("level", ["top", "previous"])
+@pytest.mark.parametrize("both_ways", [True, False])
+def test_square_identity_fails_with_one_sign_flipped(monkeypatch, m, k, level, both_ways):
+    build = signed.signed_grid_matrix
+    flip_at = k if level == "top" else k - 1
+
+    def flipped(mm, kk, *args):
+        a = build(mm, kk, *args)
+        if kk == flip_at:
+            _set(a, 0, 1, -a.entry(0, 1))
+            if both_ways:
+                _set(a, 1, 0, -a.entry(1, 0))
+        return a
+
+    monkeypatch.setattr(signed, "signed_grid_matrix", flipped)
+    assert not square_identity_check(m, k)
 
 
 def test_square_identity_needs_k_two():
@@ -249,6 +277,83 @@ def test_matrix_market_rejects_out_of_range_index():
             read_matrix_market(io.StringIO("".join(lines[:3] + [bad_entry] + lines[4:])))
 
 
+def _written(a: SignedMatrix) -> str:
+    buf = io.StringIO()
+    write_matrix_market(a, buf)
+    return buf.getvalue()
+
+
+def _with_entries(m: int, k: int, edit) -> str:
+    """The file of A(m, k) with its entry list, 1-based (i, j, v) triples,
+    replaced by edit(entries) and the size line recounted."""
+    lines = _written(signed_grid_matrix(m, k)).splitlines()
+    entries = edit([tuple(int(t) for t in ln.split()) for ln in lines[3:]])
+    dim = m**k
+    return "\n".join(lines[:2] + [f"{dim} {dim} {len(entries)}"] + [f"{i} {j} {v}" for i, j, v in entries]) + "\n"
+
+
+# Entries that no slot table can hold, or that the writer never writes, with
+# the refusal each must meet.  The entries of [2]^2 are (2, 1), (3, 1),
+# (4, 2) and (4, 3); of [3]^2, (2, 1), (3, 2), (4, 1), (5, 2), ...  Each edit
+# keeps the rest of the file valid, and the order too where it is not the fault.
+_NOT_AN_EDGE, _ORDER, _OUTSIDE, _VALUE = "not an edge", "writer's order", "outside", "not [+]-1"
+_BAD_ENTRIES = {
+    "extra-0-3": (2, 2, lambda e: e[:2] + [(4, 1, 1)] + e[2:], _NOT_AN_EDGE),  # ranks 0 and 3 differ in two coordinates
+    "extra-0-2": (3, 2, lambda e: e[:1] + [(3, 1, 1)] + e[1:], _NOT_AN_EDGE),  # ranks 0 and 2 are two steps apart
+    "across-a-carry": (3, 2, lambda e: e[:3] + [(4, 3, 1)] + e[3:], _NOT_AN_EDGE),  # ranks 2 and 3 differ by 1
+    "self-loop": (2, 2, lambda e: [(1, 1, 1)] + e, _ORDER),
+    "upper-triangle": (2, 2, lambda e: [(1, 2, 1)] + e[1:], _ORDER),
+    "duplicated": (3, 2, lambda e: e[:1] + e[:1] + e[2:], _ORDER),  # the second edge is gone, the first listed twice
+    "unsorted": (3, 2, lambda e: e[1:2] + e[:1] + e[2:], _ORDER),
+    "reversed": (3, 2, lambda e: e[::-1], _ORDER),
+    "negative-index": (2, 2, lambda e: e + [(2, -1, 1)], _OUTSIDE),
+    "value-2": (2, 2, lambda e: [(2, 1, 2)] + e[1:], _VALUE),
+    "value-0": (2, 2, lambda e: [(2, 1, 0)] + e[1:], _VALUE),
+    "value-300": (2, 2, lambda e: [(2, 1, 300)] + e[1:], _VALUE),  # int8 would wrap it to 44
+    "value-257": (2, 2, lambda e: [(2, 1, 257)] + e[1:], _VALUE),  # and this one to 1
+    "value-2^70": (2, 2, lambda e: [(2, 1, 2**70)] + e[1:], "beyond int64"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_ENTRIES))
+def test_matrix_market_refuses_bad_entries(case):
+    m, k, edit, refusal = _BAD_ENTRIES[case]
+    assert read_matrix_market(io.StringIO(_with_entries(m, k, lambda e: e))) == signed_grid_matrix(m, k)
+    with pytest.raises(ValueError, match=refusal):
+        read_matrix_market(io.StringIO(_with_entries(m, k, edit)))
+
+
+def test_matrix_market_refuses_a_grid_over_the_size_cap_or_no_size_line():
+    text = "%%MatrixMarket matrix coordinate integer symmetric\n% pathpower m=2 k=40 parity=even2n\n"
+    with pytest.raises(SizeCapError):  # before a 2^40-row table is allocated
+        read_matrix_market(io.StringIO(text + f"{2**40} {2**40} 0\n"))
+    with pytest.raises(ValueError, match="no size line"):
+        read_matrix_market(io.StringIO(text))
+
+
+@st.composite
+def _resigned_matrices(draw):
+    """A(m, k) with every edge given a drawn sign, in both directions."""
+    m = draw(st.sampled_from([2, 3, 4, 6]))
+    k = draw(st.integers(1, {2: 6, 3: 4, 4: 3, 6: 2}[m]))
+    a = signed_grid_matrix(m, k)
+    rows, cols, _ = a.entries()
+    lower = rows > cols
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=int(lower.sum()), max_size=int(lower.sum())))
+    for i, j, v in zip(rows[lower].tolist(), cols[lower].tolist(), signs):
+        _set(a, i, j, v)
+        _set(a, j, i, v)
+    return a
+
+
+@settings(max_examples=40, deadline=None)
+@given(_resigned_matrices())
+def test_matrix_market_round_trip_of_any_signing(a):
+    assert check_support(a, a.graph())
+    back = read_matrix_market(io.StringIO(_written(a)))
+    assert back == a and back.sign.dtype == np.int8
+
+
 def _closed_form_edges(m: int, k: int) -> dict[tuple[int, int], int]:
     """Each edge (r, r + m^i) of [m]^k with its sign (-1)^(d_i + sum_{j>i} d_j),
     d the digits of the lower endpoint r (digit 0 least significant)."""
@@ -267,16 +372,22 @@ def _closed_form_edges(m: int, k: int) -> dict[tuple[int, int], int]:
 def test_signs_match_closed_form(m, k):
     a = signed_grid_matrix(m, k)
     edges = _closed_form_edges(m, k)
-    stored = dict(zip(zip(a.rows.tolist(), a.cols.tolist()), a.vals.tolist()))
+    rows, cols, vals = a.entries()
+    stored = dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist()))
     assert a.nnz == len(stored) == 2 * len(edges)
     for (r, s), sign in edges.items():
         assert stored[(r, s)] == stored[(s, r)] == sign
 
 
 def _square_as_dict(a: SignedMatrix) -> dict[int, int]:
-    keys, vals = _sparse_square(a)
-    assert np.all(np.diff(keys) > 0) and np.all(vals != 0)
-    return dict(zip(keys.tolist(), vals.tolist()))
+    """The nonzeros of the slot-pair table of A^2, keyed row * dim + target:
+    the pair (c, d), c <= d, of row r targets r + steps[c] + steps[d]."""
+    square = _sparse_square(a)
+    r, c, d = np.nonzero(square)
+    steps = slot_steps(a.m, a.k)
+    keys = r * a.dim + r + steps[c] + steps[d]
+    assert np.all(c <= d) and len(set(keys.tolist())) == len(keys)  # each pair its own target
+    return dict(zip(keys.tolist(), square[r, c, d].tolist()))
 
 
 # numpy's integer matmul does not use BLAS (a 1024-dim product takes seconds),
@@ -294,7 +405,8 @@ def test_sparse_square_matches_dense_product(m, k):
 def test_sparse_square_matches_scipy(m, k):
     sparse = pytest.importorskip("scipy.sparse")
     a = signed_grid_matrix(m, k)
-    sq = sparse.csr_matrix((a.vals, (a.rows, a.cols)), shape=(a.dim, a.dim), dtype=np.int64)
+    rows, cols, vals = a.entries()
+    sq = sparse.csr_matrix((vals, (rows, cols)), shape=(a.dim, a.dim), dtype=np.int64)
     sq = (sq @ sq).tocoo()
     want = {int(i) * a.dim + int(j): int(v) for i, j, v in zip(sq.row, sq.col, sq.data) if v}
     assert _square_as_dict(a) == want
@@ -317,14 +429,15 @@ def _kronecker_oracle(m: int, k: int) -> np.ndarray:
 )
 def test_builder_matches_the_dense_kronecker_recursion(m, k):
     a = signed_grid_matrix(m, k)
-    assert a.rows.dtype == a.cols.dtype == a.vals.dtype == np.int64
-    assert np.all(np.diff(a.keys()) > 0)
+    assert a.sign.dtype == np.int8 and a.sign.shape == (m**k, 2 * k)
+    rows, cols, _ = a.entries()
+    assert np.all(np.diff(rows * a.dim + cols) > 0)
     assert np.array_equal(a.to_dense(), _kronecker_oracle(m, k))
 
 
 def _flip(a: SignedMatrix, i: int, j: int) -> None:
     """Negate the stored entry (i, j) only."""
-    a.vals[int(np.searchsorted(a.keys(), i * a.dim + j))] *= -1
+    _set(a, i, j, -a.entry(i, j))
 
 
 @pytest.mark.parametrize("m,k", [(3, 3), (2, 5)])
@@ -347,19 +460,22 @@ def test_support_mirror_clause_covers_every_axis(m, k):
 
 def test_support_rejects_an_entry_across_a_digit_carry():
     a = signed_grid_matrix(3, 2)  # ranks 2 = (2, 0) and 3 = (0, 1) differ by 1 but are not adjacent
-    for i, j in ((2, 3), (3, 2)):  # inserted where they sort, with its mirror
-        p = int(np.searchsorted(a.keys(), i * a.dim + j))
-        a.rows, a.cols, a.vals = np.insert(a.rows, p, i), np.insert(a.cols, p, j), np.insert(a.vals, p, 1)
-    assert np.all(np.diff(a.keys()) > 0) and np.all(np.abs(a.vals) == 1)
+    for i, j in ((2, 3), (3, 2)):  # in the absent slots that step by 1, with its mirror
+        _set(a, i, j, 1)
     assert a.entry(2, 3) == a.entry(3, 2) == 1
     assert not check_support(a, PathPower(3, 2))
+    with pytest.raises(ValueError):
+        _sparse_square(a)  # the pair (up 0, down 1) of rank 2 would land on 0, as does (down 0, down 0)
 
 
 def test_build_and_support_check_do_not_sort(monkeypatch):
     for name in ("argsort", "sort", "lexsort"):
         monkeypatch.setattr(np, name, lambda *args, _name=name, **kw: pytest.fail(f"np.{_name} called"))
-    layout = signed._grid_slots
-    monkeypatch.setattr(signed, "_grid_slots", lambda g: pytest.fail("the builder read the check's layout"))
+    layout = signed.present_slots
+    monkeypatch.setattr(signed, "present_slots", lambda m, k: pytest.fail("the builder read the check's layout"))
     built = [signed_grid_matrix(m, k) for m, k in ((2, 6), (3, 4), (4, 3), (256, 1))]
-    monkeypatch.setattr(signed, "_grid_slots", layout)
+    monkeypatch.setattr(signed, "present_slots", layout)
     assert all(check_support(a, a.graph()) for a in built)
+    assert all(square_identity_check(m, k) for m, k in ((2, 6), (3, 4)))
+    for a in built:
+        read_matrix_market(io.StringIO(_written(a)))

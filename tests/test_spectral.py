@@ -349,10 +349,10 @@ def test_eigenvalues_of_bases():
 
 def test_signed_spectra_rejects_bad_input():
     a = signed_grid_matrix(3, 2)
-    asymmetric = a.vals.copy()
+    _, _, asymmetric = a.entries()
     asymmetric[0] = -asymmetric[0]  # its mirror entry keeps its sign
     with pytest.raises(ValueError):
-        signed_spectra(_tampered(a, a.rows, a.cols, asymmetric))
+        signed_spectra(_resigned(a, asymmetric))
     with pytest.raises(SizeCapError):
         signed_spectra(signed_grid_matrix(2, 13))  # dimension 8,192
 
@@ -563,7 +563,8 @@ def test_base_certificate_reads_d_from_the_builder(monkeypatch):
     def tampered(m, k, *args):
         a = build(m, k, *args)
         if k == 2:  # diagonal block 1 keeps its sign: D = diag(+1, +1, +1, -1)
-            a.vals = np.where((a.rows // m == 1) & (a.cols // m == 1), -a.vals, a.vals)
+            rows, cols, vals = a.entries()
+            a = _resigned(a, np.where((rows // m == 1) & (cols // m == 1), -vals, vals))
         return a
 
     monkeypatch.setattr(spectral, "signed_grid_matrix", tampered)
@@ -764,34 +765,47 @@ def test_signed_matrices_are_never_solved_by_eigh(monkeypatch):
     assert degree_bound_check(signed_grid_matrix(3, 2), VertexSet(3, 2, ranks=[0, 1, 2, 4, 6, 8]))
 
 
-def _tampered(a, rows, cols, vals):
-    return SignedMatrix(a.dim, rows, cols, vals, a.parity_tag, a.n, a.k)
+def _tampered(a, sign):
+    return SignedMatrix(sign, a.parity_tag, a.n, a.k)
+
+
+def _resigned(a, vals):
+    """a with its stored entries, in entries() order, replaced by vals."""
+    sign = a.sign.copy()
+    sign[sign != 0] = vals
+    return _tampered(a, sign)
 
 
 def test_signed_spectra_reject_a_matrix_that_is_not_signed_bipartite():
-    a = signed_grid_matrix(3, 2)
+    # Tampers that a slot table can hold; those it cannot (extra entries off
+    # the slots, duplicated, unsorted or reversed storage, negative indices)
+    # are refused by read_matrix_market in test_signed.py.
     not_signed = "not a signed adjacency matrix"
-    # SignedMatrix storage is sorted by (row, col).
+    a = signed_grid_matrix(4, 2)
+    # Ranks 3 = (3, 0) and 4 = (0, 1) of [4]^2 differ by 1 across a digit
+    # carry, and both have odd digit sums.
+    carry = a.sign.copy()
+    carry[3, 2], carry[4, 1] = 1, 1
+    assert _tampered(a, carry).entry(3, 4) == _tampered(a, carry).entry(4, 3) == 1
     with pytest.raises(ValueError, match=not_signed):
-        signed_spectra(_tampered(a, a.rows[::-1], a.cols[::-1], a.vals[::-1]))
+        signed_spectra(_tampered(a, carry))
 
-    # Ranks 0 and 2 of [3]^2 both have even digit sums.
-    rows, cols = np.append(a.rows, [0, 2]), np.append(a.cols, [2, 0])
-    with pytest.raises(ValueError, match=not_signed):
-        signed_spectra(_tampered(a, rows, cols, np.append(a.vals, [1, 1])))
-    flipped = a.vals.copy()
+    a = signed_grid_matrix(3, 2)
+    rows, cols, vals = a.entries()
+    flipped = vals.copy()
     flipped[0] = -flipped[0]
-    with pytest.raises(ValueError, match=not_signed):
-        signed_spectra(_tampered(a, a.rows, a.cols, flipped))
-    one_way = np.ones(a.nnz, dtype=bool)
-    one_way[0] = False
-    with pytest.raises(ValueError, match=not_signed):
-        signed_spectra(_tampered(a, a.rows[one_way], a.cols[one_way], a.vals[one_way]))
-    twice = np.append(np.arange(a.nnz), [0, np.flatnonzero((a.rows == a.cols[0]) & (a.cols == a.rows[0]))[0]])
-    with pytest.raises(ValueError, match=not_signed):
-        signed_spectra(_tampered(a, a.rows[twice], a.cols[twice], a.vals[twice]))
-    with pytest.raises(ValueError, match=not_signed):
-        signed_spectra(_tampered(a, np.append(a.rows, [-1, 1]), np.append(a.cols, [1, -1]), np.append(a.vals, [1, 1])))
+    edge = ((rows == 0) & (cols == 1)) | ((rows == 1) & (cols == 0))
+    twos = np.where(edge, 2 * vals, vals)
+    for sign in (_resigned(a, flipped).sign, _resigned(a, twos).sign):
+        with pytest.raises(ValueError, match=not_signed):
+            signed_spectra(_tampered(a, sign))
+    one_way, boundary = a.sign.copy(), a.sign.copy()
+    one_way[0, 2] = 0  # (0, 1) is gone, (1, 0) stays
+    boundary[0, 1] = 1  # steps down from rank 0, off the grid
+    wrong_shape = np.vstack((a.sign, a.sign[:1]))
+    for sign in (one_way, boundary, wrong_shape, a.sign[:, 1:-1]):
+        with pytest.raises(ValueError, match=not_signed):
+            signed_spectra(_tampered(a, sign))
 
 
 def _eigh_blocks(monkeypatch):
@@ -817,10 +831,9 @@ def test_a_whole_matrix_is_solved_one_parity_component_at_a_time(monkeypatch, m,
 
 
 def _flip_pair(a, i, j):
-    vals = a.vals.copy()
-    for r, c in ((i, j), (j, i)):
-        vals[np.flatnonzero((a.rows == r) & (a.cols == c))] *= -1
-    return _tampered(a, a.rows, a.cols, vals)
+    rows, cols, vals = a.entries()
+    hit = ((rows == i) & (cols == j)) | ((rows == j) & (cols == i))
+    return _resigned(a, np.where(hit, -vals, vals))
 
 
 def test_the_split_follows_the_computed_gram_pattern(monkeypatch):
@@ -847,7 +860,8 @@ def _resigned_edge(draw):
 def test_single_edge_resignings_match_eigvalsh(case):
     m, k, entry = case
     a = signed_grid_matrix(m, k)
-    b = _flip_pair(a, int(a.rows[entry]), int(a.cols[entry]))
+    rows, cols, _ = a.entries()
+    b = _flip_pair(a, int(rows[entry]), int(cols[entry]))
     want, fro = _eigvalsh_and_norm(b.to_dense())
     (rep,) = signed_spectra(b)
     assert np.max(np.abs(np.array(rep.eigenvalues) - want)) <= 1e-12 * fro
@@ -992,9 +1006,10 @@ def _balanced_factors():
     """[2]^4 as two balanced 4-cycles, the low one's edges signed by the high
     one's digit parity: A = A_hi ⊗ I + S ⊗ A_lo, so A^2 = A_hi^2 ⊗ I + I ⊗ A_lo^2."""
     a = signed_grid_matrix(2, 4)
-    low = (a.rows ^ a.cols) < 4
-    high_parity = np.array([bin(r >> 2).count("1") % 2 for r in a.rows.tolist()])
-    return _tampered(a, a.rows, a.cols, np.where(low, 1 - 2 * high_parity, 1))
+    rows, cols, _ = a.entries()
+    low = (rows ^ cols) < 4
+    high_parity = np.array([bin(r >> 2).count("1") % 2 for r in rows.tolist()])
+    return _resigned(a, np.where(low, 1 - 2 * high_parity, 1))
 
 
 def test_right_vectors_must_be_orthonormal_in_a_split_solve(monkeypatch):
