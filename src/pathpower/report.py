@@ -177,7 +177,7 @@ def _check_odd_exact_values(cfg: dict) -> tuple[bool, dict]:
 def _check_odd3_spectra(cfg: dict) -> tuple[bool, dict]:
     k_max = max((k for k in range(1, 6) if 3**k <= cfg["max_size"]), default=0)
     rows = [
-        [r.k, r.zero_multiplicity, r.min_positive, r.symmetry_defect, r.closed_form_defect, r.passed]
+        [r.k, r.zero_multiplicity, r.min_positive, r.proof, r.passed]
         for r in (odd3_spectrum_check(k) for k in range(1, k_max + 1))
     ]
     return bool(rows) and all(row[-1] for row in rows), {"rows": rows}
@@ -216,19 +216,9 @@ def _check_polynomials(cfg: dict) -> tuple[bool, dict]:
 
 
 def _check_even_spectra(cfg: dict) -> tuple[bool, dict]:
-    rows = []
-    ok = True
-    for n in (1, 2, 3):
-        bn = beta(n, 1e-12)
-        for k in (1, 2, 3):
-            if (2 * n) ** k > cfg["max_size"]:
-                break
-            r = spectrum_check(2 * n, k)
-            want = math.sqrt(k * bn)
-            row_ok = r.passed and abs(r.min_positive - want) <= DEFAULT_GROUP_TOL
-            rows.append([n, k, r.min_positive, want, r.closed_form_defect, row_ok])
-            ok = ok and row_ok
-    return ok and bool(rows), {"rows": rows}
+    checks = [spectrum_check(2 * n, k) for n in (1, 2, 3) for k in (1, 2, 3) if (2 * n) ** k <= cfg["max_size"]]
+    rows = [[r.m // 2, r.k, r.min_positive, r.proof, r.passed] for r in checks]
+    return bool(rows) and all(r.passed for r in checks), {"rows": rows}
 
 
 def _check_integer_structure(cfg: dict) -> tuple[bool, dict]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -181,26 +181,51 @@ def _sparse_square(a: SignedMatrix) -> np.ndarray:
     return square
 
 
-def square_identity_check(m: int, k: int) -> bool:
-    """Verify A(k)^2 = I_m ⊗ A(k-1)^2 + A(1)^2 ⊗ I in exact integers, k >= 2.
+def square_identity_holds(square: np.ndarray, prev: np.ndarray, base: np.ndarray) -> bool:
+    """Whether the _sparse_square tables of levels k >= 2, k - 1 and 1 meet
+    A(k)^2 = I_m ⊗ A(k-1)^2 + A(1)^2 ⊗ I exactly.
 
     Ranks are last-coordinate-major, so the base square acts on the block
-    index, axis k - 1.  Both sides are _sparse_square tables: level k - 1's
-    slots are level k's inner 2k - 2, and A(1)^2 ⊗ I moves along axis k - 1
-    alone, two steps down at (0, 0), two up at (2k - 1, 2k - 1), and its
-    diagonal at the diagonal's place (k - 1, k).
+    index, axis k - 1.  Level k - 1's slots are level k's inner 2k - 2, and
+    A(1)^2 ⊗ I moves along axis k - 1 alone, two steps down at (0, 0), two
+    up at (2k - 1, 2k - 1), and its diagonal at the diagonal's place
+    (k - 1, k).  The right side is laid out one block at a time.
     """
+    m, width = len(base), square.shape[1]
+    k = width // 2
+    for a, block in enumerate(square.reshape(m, len(prev), width, width)):
+        rhs = np.zeros_like(block)
+        rhs[:, 1:-1, 1:-1] = prev
+        rhs[:, 0, 0] = base[a, 0, 0]
+        rhs[:, -1, -1] = base[a, 1, 1]
+        rhs[:, k - 1, k] += base[a, 0, 1]
+        if not np.array_equal(block, rhs):
+            return False
+    return True
+
+
+def square_identity_check(m: int, k: int) -> bool:
+    """Verify A(k)^2 = I_m ⊗ A(k-1)^2 + A(1)^2 ⊗ I in exact integers, k >= 2,
+    on the builder's matrices of levels k, k - 1 and 1 (square_identity_holds)."""
     if k < 2:
         raise ValueError(f"the square identity needs k >= 2, got k = {k}")
-    lhs = _sparse_square(signed_grid_matrix(m, k))
-    prev = _sparse_square(signed_grid_matrix(m, k - 1))
-    base = _sparse_square(signed_grid_matrix(m, 1))[:, None]  # one row per block
-    rhs = np.zeros((m, len(prev), 2 * k, 2 * k), dtype=lhs.dtype)
-    rhs[:, :, 1:-1, 1:-1] = prev
-    rhs[:, :, 0, 0] = base[:, :, 0, 0]
-    rhs[:, :, -1, -1] = base[:, :, 1, 1]
-    rhs[:, :, k - 1, k] += base[:, :, 0, 1]
-    return bool(np.array_equal(lhs, rhs.reshape(lhs.shape)))
+    square, prev, base = (_sparse_square(signed_grid_matrix(m, j)) for j in (k, k - 1, 1))
+    return square_identity_holds(square, prev, base)
+
+
+def square_identity_levels(a: SignedMatrix) -> Iterator[bool]:
+    """square_identity_holds at each level j = 2..k of a's own table, in
+    turn.  Level j is the table's first m^j rows and inner 2j slots: a
+    signed matrix of [m]^j when a passes check_support, and the builder's
+    A(j) when a is built.  Each level's square is formed once and is the
+    next level's prev."""
+    m, k = a.m, a.k
+    levels = (SignedMatrix(a.sign[: m**j, k - j : k + j], a.parity_tag, a.n, j) for j in range(1, k + 1))
+    squares = map(_sparse_square, levels)
+    base = prev = next(squares)
+    for square in squares:
+        yield square_identity_holds(square, prev, base)
+        prev = square
 
 
 def principal_submatrix(a: SignedMatrix, s: VertexSet) -> np.ndarray:
@@ -251,12 +276,13 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
     Entry (i, j, v) sets the up slot of j and the down slot of i along the
     edge's axis.  SizeCapError above DEFAULT_SIZE_CAP.  ValueError when the
     m, k and parity line is missing or disagrees with the dimension, when
-    the entry lines are more or fewer than the size line counts, and on an
-    entry that the table cannot hold or the writer would not write: an
-    index outside 1..dim (an index array would wrap a 0 to the last row), a
-    value other than +-1 (checked before the int8 narrowing), entries out of
-    the writer's order (each edge once, as (i, j) with i > j, by row, then
-    column; so no self-loop), and a pair that is not a grid edge.
+    the entry lines are more or fewer than the size line counts or one does
+    not hold exactly three integers, and on an entry that the table cannot
+    hold or the writer would not write: an index outside 1..dim (an index
+    array would wrap a 0 to the last row), a value other than +-1 (checked
+    before the int8 narrowing), entries out of the writer's order (each edge
+    once, as (i, j) with i > j, by row, then column; so no self-loop), and a
+    pair that is not a grid edge.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -277,8 +303,11 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
     check_grid(m, k, DEFAULT_SIZE_CAP)  # SizeCapError before the table is allocated
     if len(lines) - 1 != count:
         raise ValueError(f"{len(lines) - 1} entry lines, but the size line counts {count}")
+    entries = [ln.split() for ln in lines[1:]]
+    if any(len(e) != 3 for e in entries):
+        raise ValueError("an entry line does not hold exactly three integers")
     try:
-        ijv = np.array([[int(t) for t in ln.split()] for ln in lines[1:]], dtype=np.int64).reshape(-1, 3)
+        ijv = np.array([[int(t) for t in e] for e in entries], dtype=np.int64).reshape(-1, 3)
     except OverflowError:
         raise ValueError("an entry holds an integer beyond int64") from None
     if np.any((ijv[:, :2] < 1) | (ijv[:, :2] > dim)):

@@ -27,18 +27,22 @@ the whole matrix but V^T V, the one dense product left.  The left
 residual runs over all of N_c, so a labelling that cuts a component
 still fails.
 base_certificate proves the spectrum of every level exactly, so
-closed_form_spectrum lists it with no solve.  spectrum_check solves
-A(m, k) once and compares it once with the closed form;
-odd3_spectrum_check, min_positive_eig_even, nonsingularity_check_even and
-square_compose_check read that one check.
-The squares of its spectrum are the spectrum of A^2 = C C^T + C^T C (a
-direct sum under the parity permutation), so A^2 needs no solve of its own.
+closed_form_spectrum lists it with no solve.  spectrum_check certifies the
+paper's facts, the zero multiplicity and the least positive eigenvalue, on
+the one slot table of A(m, k) up to the grid cap, with no solve and no
+expansion of the closed form: the support, the square identity at every
+level, the continuant charpoly of the base square and, for even m, beta's
+Sturm count.  odd3_spectrum_check, min_positive_eig_even and
+nonsingularity_check_even read it.  square_compose_check is the one
+comparison of a solve with the closed form: the squares of the solved
+spectrum are the spectrum of A^2 = C C^T + C^T C (a direct sum under the
+parity permutation), so A^2 needs no solve of its own.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 from math import factorial, pi, sin, sqrt
@@ -46,14 +50,14 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BracketingError, DimensionMismatchError, EigenSolveError, SizeCapError
+from .errors import BracketingError, CertificateError, DimensionMismatchError, EigenSolveError, SizeCapError
 from .grid import DEFAULT_SIZE_CAP, VertexSet, digits, slot_steps
-from .signed import SignedMatrix, check_signed_params, check_support, signed_grid_matrix
+from .signed import SignedMatrix, check_signed_params, check_support, signed_grid_matrix, square_identity_levels
 
 # The thresholds of every spectral verdict, fixed so that no caller can loosen one.
 DEFAULT_RESIDUAL_TOL = 1e-10  # eigenpair residual, relative to ||A||_F
 DEFAULT_RECON_TOL = 1e-9  # reconstruction defect, relative to ||A||_F
-DEFAULT_GROUP_TOL = 1e-8  # zero grouping, symmetry, interlacing and closed-form comparisons
+DEFAULT_GROUP_TOL = 1e-8  # zero grouping, symmetry, interlacing and the degree bound
 SQUARE_SPECTRUM_TOL = 1e-7  # the squared spectrum against its composition
 DEFAULT_EIG_DIM_CAP = 4096
 
@@ -351,7 +355,7 @@ def spectrum_report(values) -> SpectrumReport:
 
 # perfbench/spans.py still resolves this name when it installs its tracer.
 def eigenvalues_sym(*args, **kwargs):
-    raise NotImplementedError("signed matrices are solved by signed_spectra, once each by spectrum_check")
+    raise NotImplementedError("signed matrices are solved by signed_spectra")
 
 
 def _gram_components(label: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -817,49 +821,79 @@ def interlacing_check(host: SpectrumReport, sub: SpectrumReport) -> bool:
 
 @dataclass(frozen=True)
 class SpectrumCheck:
-    """What spectrum_check found for the level-k signed matrix of [m]^k."""
+    """What spectrum_check certified for the level-k signed matrix of [m]^k;
+    zero_multiplicity and min_positive are None unless it passed.  proof
+    names the checks that passed, or the first that failed."""
 
     m: int
     k: int
-    zero_multiplicity: int
+    zero_multiplicity: int | None
     min_positive: float | None
-    symmetry_defect: float
-    closed_form_defect: float
     passed: bool
-    spectrum: SpectrumReport = field(repr=False)  # the one solve
+    proof: str
 
 
-def _path_determinant(a: SignedMatrix) -> int:
-    """Exact determinant of a level-1 signed matrix that passed check_support,
-    a path with zero diagonal: the continuant d_j = -A[j-2, j-1]^2 d_(j-2) in
-    Python integers, linear in m where charpoly_exact is of order m^4."""
-    d_prev, d = 1, 0  # the empty and the 1 x 1 leading blocks
-    for s in a.sign[: a.dim - 1, 1].tolist():  # A[j, j + 1] in the up slot, ascending j
-        d_prev, d = d, -s * s * d_prev
-    return d
+def path_square_charpoly(links: Sequence[int]) -> IntPolynomial:
+    """det(yI - B^2) of the path B with zero diagonal and B[j, j + 1] =
+    B[j + 1, j] = links[j], exactly.
+
+    det(xI - B) is the continuant p_j = x p_(j-1) - links[j-2]^2 p_(j-2),
+    p_0 = 1 and p_1 = x, and det(x^2 I - B^2) = det(xI - B) det(xI + B) =
+    (-1)^m p(x) p(-x) for m = len(links) + 1.  With p(x) = E(x^2) + x
+    O(x^2), that is (-1)^m (E(y)^2 - y O(y)^2) at y = x^2; one of E and O
+    is 0, as the diagonal is.  Of order m^2 in Python integers, where
+    charpoly_exact of B^2 is of order m^4.
+    """
+    x = IntPolynomial((0, 1))
+    p_prev, p = IntPolynomial((1,)), x
+    for b in links:
+        p_prev, p = p, x * p - IntPolynomial((b * b,)) * p_prev
+    even, odd = IntPolynomial(p.coeffs[::2]), IntPolynomial(p.coeffs[1::2])
+    square = even * even - x * odd * odd
+    return IntPolynomial(tuple(-c for c in square.coeffs)) if p.degree % 2 else square
 
 
 def spectrum_check(m: int, k: int) -> SpectrumCheck:
-    """The paper's spectral facts about the level-k signed matrix of [m]^k,
-    from one signed_spectra solve compared once with closed_form_spectrum.
+    """The paper's spectral facts about the level-k signed matrix A of
+    [m]^k, certified exactly on its one slot table, with no eigensolve and
+    no expansion of the closed form.
 
-    passed needs a spectrum symmetric and within DEFAULT_GROUP_TOL of the
-    closed form, and for m = 3 the eigenvalue 0 exactly once and sqrt(2) as
-    the smallest positive eigenvalue; for even m no eigenvalue within
-    DEFAULT_GROUP_TOL of 0, and at k = 1 the determinant +-1 in exact
-    arithmetic.  SizeCapError above DEFAULT_EIG_DIM_CAP, before the matrix
-    is built.
+    - check_support: A is +-1 exactly on the grid's edges, and symmetric.
+      The grid is bipartite, so the spectrum of A is symmetric, and A and
+      A^2 share their kernel.
+    - The square identity at every level j = 2..k
+      (square_identity_levels): by induction A^2 is the Kronecker sum of k
+      copies of B^2, B the level-1 path, so its eigenvalues are the sums of
+      k eigenvalues of B^2 (Horn & Johnson, Topics in Matrix Analysis, 4.4).
+    - det(yI - B^2) = base_square_charpoly(m) (path_square_charpoly): B^2
+      has 0 once and 2 twice for m = 3, and each root of poly_g(m / 2)
+      twice for even m.
+    - For even m, beta(m / 2)'s Sturm certificate: poly_g(m / 2) has no
+      root at or below 0, and its least root is beta (else BracketingError).
+
+    Counting the sums then gives, for m = 3, the eigenvalue 0 once (every
+    pick 0) and sqrt(2) as the least positive one; for even m, no zero
+    eigenvalue and sqrt(k beta(m / 2)) as the least positive one.
+    SizeCapError above DEFAULT_SIZE_CAP, before the table is built.
     """
-    a = signed_grid_matrix(m, k, DEFAULT_EIG_DIM_CAP)
-    (rep,) = signed_spectra(a)
-    defect = multiset_distance(rep.eigenvalues, closed_form_spectrum(m, k).eigenvalues)
+    a = signed_grid_matrix(m, k)
+    checks = ["check_support"]
+    if not check_support(a, a.graph()):
+        return SpectrumCheck(m, k, None, None, False, "fails: check_support")
+    for j, holds in enumerate(square_identity_levels(a), start=2):
+        if not holds:
+            return SpectrumCheck(m, k, None, None, False, f"fails: square identity at level {j}")
+    if k > 1:
+        checks.append(f"square identity at levels 2..{k}")
+    charpoly = f"det(yI - B^2) = base_square_charpoly({m})"
+    if path_square_charpoly(a.sign[: m - 1, k].tolist()) != base_square_charpoly(m):
+        return SpectrumCheck(m, k, None, None, False, f"fails: {charpoly}")
+    checks.append(charpoly)
     if m == 3:
-        root2 = rep.min_positive is not None and abs(rep.min_positive - sqrt(2.0)) <= DEFAULT_GROUP_TOL
-        facts = rep.zero_multiplicity == 1 and root2
-    else:
-        facts = rep.zero_multiplicity == 0 and (k > 1 or abs(_path_determinant(a)) == 1)
-    passed = facts and symmetry_check(rep) and defect <= DEFAULT_GROUP_TOL
-    return SpectrumCheck(m, k, rep.zero_multiplicity, rep.min_positive, rep.symmetry_defect, defect, passed, rep)
+        return SpectrumCheck(m, k, 1, sqrt(2.0), True, "; ".join(checks))
+    least = beta(m // 2)
+    checks.append(f"beta({m // 2}) Sturm certificate")
+    return SpectrumCheck(m, k, 0, sqrt(k * least), True, "; ".join(checks))
 
 
 def odd3_spectrum_check(k: int) -> SpectrumCheck:
@@ -868,15 +902,16 @@ def odd3_spectrum_check(k: int) -> SpectrumCheck:
 
 
 def min_positive_eig_even(n: int, k: int) -> float:
-    """Smallest positive eigenvalue of the even signed matrix on [2n]^k."""
+    """Smallest positive eigenvalue of the even signed matrix on [2n]^k,
+    sqrt(k beta(n)) as spectrum_check certifies it; CertificateError if it fails."""
     r = spectrum_check(2 * n, k)
-    if r.min_positive is None:
-        raise EigenSolveError("no positive eigenvalue found")
+    if not r.passed:
+        raise CertificateError(f"spectrum_check({2 * n}, {k}) {r.proof}")
     return r.min_positive
 
 
 def nonsingularity_check_even(n: int, k: int) -> bool:
-    """spectrum_check(2n, k).passed: no zero eigenvalue, det +-1 at k = 1, and the closed form."""
+    """spectrum_check(2n, k).passed: the even signed matrix has no zero eigenvalue."""
     return spectrum_check(2 * n, k).passed
 
 
@@ -890,10 +925,12 @@ def composed_square_spectrum(m: int, k: int) -> SpectrumReport:
 
 
 def square_compose_check(m: int, k: int) -> tuple[bool, float]:
-    """Compare the squares of spectrum_check's solve, the spectrum of the
-    squared level-k matrix, with composed_square_spectrum as sorted
+    """Compare the squares of a signed_spectra solve of the level-k matrix,
+    the spectrum of its square, with composed_square_spectrum as sorted
     multisets.  Returns (ok, distance), ok when the distance is at most
-    SQUARE_SPECTRUM_TOL."""
-    squares = [v * v for v in spectrum_check(m, k).spectrum.eigenvalues]
+    SQUARE_SPECTRUM_TOL.  SizeCapError above DEFAULT_EIG_DIM_CAP, before
+    the matrix is built."""
+    (rep,) = signed_spectra(signed_grid_matrix(m, k, DEFAULT_EIG_DIM_CAP))
+    squares = [v * v for v in rep.eigenvalues]
     dist = multiset_distance(squares, composed_square_spectrum(m, k).eigenvalues)
     return dist <= SQUARE_SPECTRUM_TOL, dist

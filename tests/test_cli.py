@@ -300,13 +300,15 @@ def test_verify_all_dense_solve_count(monkeypatch):
     report = run_verify_all()
     assert report.passed
     solves = [(n, rows) for name, n, rows in calls if name != "qr"]
-    # Each matrix is solved once: every row of the Gram matrices of its 617
-    # matrices lies in exactly one solved block.  A whole matrix splits into
-    # the components of its Gram matrix, 664 blocks at the default seed.
-    assert sum(n * rows for n, rows in solves) == 3247
-    assert 0 < sum(n for n, _ in solves) <= 664
-    assert 0 < len(solves) <= 35  # LAPACK calls: the chain's 600 submatrices share a few batched solves
-    # One QR at most per solve, on its rank-deficient blocks only (39 of 617 at the default seed).
+    # Each matrix is solved once: every row of the Gram matrices of its 603
+    # matrices (the chain's 600 submatrices and 3 hosts; the spectral facts
+    # are certified with no solve) lies in exactly one solved block.  A whole
+    # matrix splits into the components of its Gram matrix, 612 blocks at the
+    # default seed.
+    assert sum(n * rows for n, rows in solves) == 2885
+    assert 0 < sum(n for n, _ in solves) <= 612
+    assert 0 < len(solves) <= 15  # LAPACK calls: the chain's 600 submatrices share a few batched solves
+    # One QR at most per solve, on its rank-deficient blocks only (39 of 603 at the default seed).
     for (before, solved, _), (name, completed, _) in zip(calls, calls[1:]):
         if name == "qr":
             assert before == "eigh" and completed <= solved

@@ -323,6 +323,15 @@ def test_matrix_market_refuses_bad_entries(case):
         read_matrix_market(io.StringIO(_with_entries(m, k, edit)))
 
 
+def test_matrix_market_refuses_an_entry_line_without_three_integers():
+    header = "%%MatrixMarket matrix coordinate integer symmetric\n% pathpower m=2 k=2 parity=even2n\n"
+    assert read_matrix_market(io.StringIO(header + "4 4 4\n2 1 1\n3 1 1\n4 2 1\n4 3 -1\n")) == signed_grid_matrix(2, 2)
+    # The four entries of [2]^2 on two lines, which the size line's count of 2 matches.
+    for entries in ("4 4 2\n2 1 1 3 1 1\n4 2 1 4 3 -1\n", "4 4 4\n2 1 1\n3 1 1\n4 2\n1 4 3 -1\n"):
+        with pytest.raises(ValueError, match="exactly three integers"):
+            read_matrix_market(io.StringIO(header + entries))
+
+
 def test_matrix_market_refuses_a_grid_over_the_size_cap_or_no_size_line():
     text = "%%MatrixMarket matrix coordinate integer symmetric\n% pathpower m=2 k=40 parity=even2n\n"
     with pytest.raises(SizeCapError):  # before a 2^40-row table is allocated

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import pathpower.spectral as spectral
 from pathpower import (
     BracketingError,
+    CertificateError,
     DimensionMismatchError,
     EigenSolveError,
     IntPolynomial,
@@ -44,6 +45,7 @@ from pathpower import (
     square_compose_check,
     symmetry_check,
 )
+from pathpower.grid import slot_steps
 from pathpower.spectral import base_certificate_holds, base_matrices, g_roots_below
 
 SQRT2 = math.sqrt(2.0)
@@ -403,7 +405,7 @@ def test_odd3_spectrum_checks():
     r1 = odd3_spectrum_check(1)
     assert r1.passed and r1.zero_multiplicity == 1
     r2 = odd3_spectrum_check(2)
-    assert r2.passed and r2.closed_form_defect <= 1e-9
+    assert r2.passed and r2.min_positive == SQRT2
     rep = _eigvalsh(signed_grid_matrix(3, 2).to_dense())
     hand = sorted([0.0, SQRT2, SQRT2, -SQRT2, -SQRT2, 2.0, 2.0, -2.0, -2.0])
     assert multiset_distance(rep.eigenvalues, hand) <= 1e-8
@@ -450,13 +452,14 @@ def test_square_spectrum_composition(m, k):
     # the squares it compares, against the test's own solve of the dense A @ A
     dense = signed_grid_matrix(m, k).to_dense()
     oracle = np.linalg.eigvalsh((dense @ dense).astype(float)).tolist()
-    squares = [v * v for v in spectrum_check(m, k).spectrum.eigenvalues]
+    squares = [v * v for v in signed_spectra(signed_grid_matrix(m, k))[0].eigenvalues]
     assert multiset_distance(squares, oracle) <= 1e-9
     assert multiset_distance(composed_square_spectrum(m, k).eigenvalues, oracle) <= 1e-9
 
 
 @pytest.mark.parametrize("m,k", [(2, 2), (4, 2), (3, 2), (3, 3)])
 def test_shifted_closed_form_fails_both_checks(monkeypatch, m, k):
+    # the solve against the closed form, directly and through square_compose_check
     true_form = spectral.closed_form_spectrum
 
     def shifted(*args, **kwargs):
@@ -464,12 +467,14 @@ def test_shifted_closed_form_fails_both_checks(monkeypatch, m, k):
         values[-1] += 1e-6  # the largest eigenvalue, so its square moves too
         return spectrum_report(values)
 
-    assert spectrum_check(m, k).passed
+    (solved,) = signed_spectra(signed_grid_matrix(m, k))
+    assert square_compose_check(m, k)[0]
     monkeypatch.setattr(spectral, "closed_form_spectrum", shifted)
-    r = spectrum_check(m, k)
-    assert not r.passed and r.closed_form_defect == pytest.approx(1e-6, rel=1e-3)
+    distance = multiset_distance(solved.eigenvalues, spectral.closed_form_spectrum(m, k).eigenvalues)
+    assert distance == pytest.approx(1e-6, rel=1e-3)
     ok, dist = square_compose_check(m, k)
     assert not ok and dist > 1e-7
+    assert spectrum_check(m, k).passed  # the certificate reads no closed form
 
 
 @pytest.mark.parametrize("scale,passed", [(0.5, True), (2.0, False)])
@@ -480,8 +485,11 @@ def test_closed_form_threshold_is_the_group_tolerance(monkeypatch, scale, passed
     def shifted(*args, **kwargs):
         return spectrum_report([v + shift for v in true_form(*args, **kwargs).eigenvalues])
 
+    # the solve lies within half the tolerance of the closed form, so a shift of twice it shows
+    (solved,) = signed_spectra(signed_grid_matrix(3, 2))
     monkeypatch.setattr(spectral, "closed_form_spectrum", shifted)
-    assert spectrum_check(3, 2).passed is passed
+    distance = multiset_distance(solved.eigenvalues, spectral.closed_form_spectrum(3, 2).eigenvalues)
+    assert (distance <= spectral.DEFAULT_GROUP_TOL) is passed
 
 
 @pytest.mark.parametrize("scale,passed", [(0.5, True), (2.0, False)])
@@ -495,24 +503,30 @@ def test_interlacing_threshold_is_the_group_tolerance(scale, passed):
 def test_spectrum_check_facts():
     r = spectrum_check(3, 2)
     assert (r.m, r.k, r.zero_multiplicity, r.passed) == (3, 2, 1, True)
-    assert r.min_positive == pytest.approx(SQRT2, abs=1e-12) and r.spectrum.dim == 9
+    assert r.min_positive == SQRT2 and r.proof.startswith("check_support; square identity at levels 2..2")
     for m, k in [(2, 1), (4, 1), (6, 1), (4, 2), (2, 5)]:
         r = spectrum_check(m, k)
         assert r.passed and r.zero_multiplicity == 0, (m, k)
+        assert r.min_positive == math.sqrt(k * beta(m // 2)) and r.proof.endswith(f"beta({m // 2}) Sturm certificate")
     assert odd3_spectrum_check(2) == spectrum_check(3, 2)
 
 
-def test_spectrum_check_settles_the_even_base_by_its_determinant(monkeypatch):
+def test_spectrum_check_reads_the_base_square_charpoly_from_its_continuant(monkeypatch):
     for m in (3, *range(2, 17, 2)):
         a = signed_grid_matrix(m, 1)
-        assert spectral._path_determinant(a) == _det(a.to_dense()) == (0 if m % 2 else (-1) ** (m // 2)), m
+        b = a.to_dense()
+        got = spectral.path_square_charpoly(a.sign[: m - 1, 1].tolist())
+        assert got == charpoly_exact(b @ b) == spectral.base_square_charpoly(m), m
     start = time.perf_counter()
-    assert nonsingularity_check_even(64, 1)  # charpoly_exact of the 128 x 128 base took 8 s
+    assert nonsingularity_check_even(64, 1)  # charpoly_exact of the 128 x 128 base square took 8 s
     assert time.perf_counter() - start < 5
-    # negative control: with det B = 2 in place of +-1 only the k = 1 check fails
-    monkeypatch.setattr(spectral, "_path_determinant", lambda a: 2)
-    assert not spectrum_check(4, 1).passed and not nonsingularity_check_even(2, 1)
-    assert spectrum_check(4, 2).passed and nonsingularity_check_even(2, 2)
+    # negative control: a continuant that is off by one fails every level
+    true_charpoly = spectral.path_square_charpoly
+    monkeypatch.setattr(spectral, "path_square_charpoly", lambda links: true_charpoly(links) + IntPolynomial((1,)))
+    for m, k in [(4, 1), (4, 2), (3, 1), (3, 3)]:
+        r = spectrum_check(m, k)
+        assert not r.passed and r.proof == f"fails: det(yI - B^2) = base_square_charpoly({m})", (m, k)
+    assert not nonsingularity_check_even(2, 1) and not nonsingularity_check_even(2, 2)
 
 
 def test_signed_spectrum_reconstruction_from_squares():
@@ -521,6 +535,104 @@ def test_signed_spectrum_reconstruction_from_squares():
         closed = closed_form_spectrum(m, k)
         direct = _eigvalsh(signed_grid_matrix(m, k).to_dense())
         assert multiset_distance(closed.eigenvalues, direct.eigenvalues) <= 1e-9
+
+
+# --------------------- the certificate of the spectral facts ---------------
+
+
+def _built_as(monkeypatch, a):
+    """Make spectrum_check certify a in place of the builder's matrix."""
+    monkeypatch.setattr(spectral, "signed_grid_matrix", lambda m, k, *args: a)
+
+
+def _flip_entry(a, r, s, mirror=True):
+    """a with the entry (r, s), and with mirror (s, r) too, negated."""
+    sign = a.sign.copy()
+    steps = slot_steps(a.m, a.k)
+    for i, j in ((r, s), (s, r)) if mirror else ((r, s),):
+        slot = int(np.flatnonzero(steps == j - i)[0])
+        assert sign[i, slot] != 0
+        sign[i, slot] = -sign[i, slot]
+    return _tampered(a, sign)
+
+
+# (m, k, row, level): row m^(j-1) is the first of block 1 at level j and
+# lies outside every lower level, as does row 10 = (1, 0, 1, 0) of [3]^4 at level 3.
+_FLIPS = [(3, 4, 10, 3)] + [(m, k, m ** (j - 1), j) for m, k in [(3, 4), (2, 5), (4, 3)] for j in range(2, k + 1)]
+
+
+@pytest.mark.parametrize("m,k,row,level", _FLIPS)
+def test_a_flip_with_its_mirror_fails_the_identity_at_its_level(monkeypatch, m, k, row, level):
+    # Flipping the row's edge to the next row along axis 0, with its mirror,
+    # keeps the support and breaks the square identity first at that level.
+    a = _flip_entry(signed_grid_matrix(m, k), row, row + 1)
+    assert check_support(a, a.graph())
+    _built_as(monkeypatch, a)
+    got = spectrum_check(m, k)
+    assert not got.passed and got.proof == f"fails: square identity at level {level}"
+    assert got.zero_multiplicity is None and got.min_positive is None
+
+
+def test_a_one_sided_flip_fails_the_support_check(monkeypatch):
+    for m, k, r in [(3, 4, 10), (4, 3, 0), (2, 5, 16)]:
+        a = _flip_entry(signed_grid_matrix(m, k), r, r + 1, mirror=False)
+        _built_as(monkeypatch, a)
+        got = spectrum_check(m, k)
+        assert not got.passed and got.proof == "fails: check_support", (m, k)
+
+
+def test_a_tampered_base_square_charpoly_fails(monkeypatch):
+    true_charpoly = spectral.base_square_charpoly
+    monkeypatch.setattr(spectral, "base_square_charpoly", lambda m: true_charpoly(m) * IntPolynomial((1, 1)))
+    for m, k in [(3, 1), (3, 4), (2, 1), (2, 6), (4, 3)]:
+        got = spectrum_check(m, k)
+        assert not got.passed and got.proof == f"fails: det(yI - B^2) = base_square_charpoly({m})", (m, k)
+    assert not odd3_spectrum_check(3).passed and not nonsingularity_check_even(2, 3)
+    with pytest.raises(CertificateError):
+        min_positive_eig_even(2, 3)
+
+
+@pytest.mark.parametrize("m,k", [(3, 10), (2, 16)])
+def test_spectrum_check_at_the_grid_cap(m, k):
+    got = spectrum_check(m, k)
+    assert got.passed and f"square identity at levels 2..{k}" in got.proof
+    assert (got.zero_multiplicity, got.min_positive) == ((1, SQRT2) if m == 3 else (0, math.sqrt(k)))
+
+
+_CROSS_CHECKED = sorted(
+    {(m, k) for m in (2, 3, 4, 6, 8) for k in range(1, 11) if m**k <= 1296}
+    | {(2, 12), (4, 6), (64, 1), (128, 1), (512, 1)}
+)
+
+
+@pytest.mark.parametrize("m,k", _CROSS_CHECKED)
+def test_certified_facts_match_signed_spectra_and_eigvalsh(m, k):
+    got = spectrum_check(m, k)
+    a = signed_grid_matrix(m, k)
+    (solved,) = signed_spectra(a)
+    dense = _eigvalsh(a.to_dense())
+    assert got.passed
+    for rep in (solved, dense):
+        assert got.zero_multiplicity == rep.zero_multiplicity, (m, k)
+        assert got.min_positive == pytest.approx(rep.min_positive, abs=1e-9), (m, k)
+
+
+def test_the_fact_readers_call_no_solver_and_no_closed_form(monkeypatch):
+    from pathpower.report import _check_even_spectra, _check_odd3_spectra
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a spectral fact was read from a solve or from the closed form")
+
+    for name in ("signed_spectra", "closed_form_spectrum", "charpoly_exact"):
+        monkeypatch.setattr(spectral, name, no_solve)
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, no_solve)
+    assert spectrum_check(3, 4).passed and spectrum_check(4, 3).passed
+    assert odd3_spectrum_check(5).zero_multiplicity == 1
+    assert min_positive_eig_even(2, 3) == pytest.approx(math.sqrt(3 * beta(2)), abs=1e-12)
+    assert nonsingularity_check_even(3, 2)
+    for check in (_check_odd3_spectra, _check_even_spectra):
+        assert check({"max_size": 729})[0]
 
 
 # ------------------------- base certificate and closed form -----------------
@@ -614,13 +726,15 @@ def test_size_caps_refuse_before_densifying(monkeypatch):
     from pathpower.cli import main
 
     def no_densify(*args, **kwargs):
-        raise AssertionError("densified an input above the eigensolver cap")
+        raise AssertionError("densified or allocated for an input above its cap")
 
     monkeypatch.setattr(SignedMatrix, "to_dense", no_densify)
+    monkeypatch.setattr(np, "zeros", no_densify)  # no slot table is built either
     for call in (
-        lambda: min_positive_eig_even(1, 13),
-        lambda: nonsingularity_check_even(1, 13),
-        lambda: odd3_spectrum_check(8),
+        lambda: spectrum_check(4, 9),
+        lambda: min_positive_eig_even(1, 17),
+        lambda: nonsingularity_check_even(1, 17),
+        lambda: odd3_spectrum_check(11),
         lambda: square_compose_check(2, 13),
     ):
         with pytest.raises(SizeCapError):
@@ -686,16 +800,21 @@ def test_signed_spectra_of_principal_submatrices(case):
 @pytest.mark.parametrize("n", [32, 64, 256])
 def test_spectrum_check_of_long_even_paths_matches_eigvalsh(n):
     # the smallest singular value of the path on 2n vertices falls to 6e-3 at n = 256
+    a = signed_grid_matrix(2 * n, 1)
     r = spectrum_check(2 * n, 1)
-    want = np.linalg.eigvalsh(signed_grid_matrix(2 * n, 1).to_dense().astype(float))
+    want = np.linalg.eigvalsh(a.to_dense().astype(float))
     assert r.passed and r.min_positive == pytest.approx(want[n], abs=1e-9)
-    assert np.max(np.abs(np.array(r.spectrum.eigenvalues) - want)) <= 1e-9
+    (solved,) = signed_spectra(a)
+    assert np.max(np.abs(np.array(solved.eigenvalues) - want)) <= 1e-9
 
 
 def test_spectrum_check_at_the_eigensolver_cap():
     for m, k in [(2, 12), (4, 6)]:
-        r = spectrum_check(m, k)
-        assert r.spectrum.dim == spectral.DEFAULT_EIG_DIM_CAP and r.passed
+        assert spectrum_check(m, k).passed
+        (solved,) = signed_spectra(signed_grid_matrix(m, k))
+        assert solved.dim == spectral.DEFAULT_EIG_DIM_CAP
+        distance = multiset_distance(solved.eigenvalues, closed_form_spectrum(m, k).eigenvalues)
+        assert distance <= spectral.DEFAULT_GROUP_TOL
 
 
 @st.composite
@@ -825,7 +944,8 @@ def test_a_whole_matrix_is_solved_one_parity_component_at_a_time(monkeypatch, m,
     # A_k^2 = I ⊗ A_(k-1)^2 + B^2 ⊗ I keeps every digit's parity, so K = C C^T
     # splits into blocks of at most ceil(m / 2)^k rows; each row is solved once
     shapes = _eigh_blocks(monkeypatch)
-    assert spectrum_check(m, k).passed
+    (rep,) = signed_spectra(signed_grid_matrix(m, k))
+    assert rep.dim == m**k
     assert max(r for _, r, _ in shapes) == largest == -(-m // 2) ** k
     assert sum(g * r for g, r, _ in shapes) == (m**k + 1) // 2
 
