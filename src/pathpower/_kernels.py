@@ -8,11 +8,11 @@ compiler flags, and loaded with ctypes.  Later imports load the cached
 library.  Any failure (no compiler, a failed or timed-out build, a cache
 directory that cannot be written, a library that does not load) selects the
 pure-Python kernel instead, and BACKEND_REASON says which backend was
-chosen and why.  The compiled scan handles graphs of at most 256 vertices;
-larger graphs always use the pure kernel, whose Python-int masks have no
-width limit.  Set PATHPOWER_PURE=1 in the environment to force the pure
-path.  ctypes releases the interpreter lock around the compiled scan, so
-threads sharing one search state scan in parallel.
+chosen and why.  Whether the library loaded is the only thing that picks
+the backend: the compiled scan sizes its state from the graph, so it runs
+every scan of any size.  Set PATHPOWER_PURE=1 in the environment to force
+the pure path.  ctypes releases the interpreter lock around the compiled
+scan, so threads sharing one search state scan in parallel.
 """
 
 from __future__ import annotations
@@ -26,15 +26,13 @@ import sysconfig
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from . import _kernels_py
 
-COMPILED_MAX_VERTICES = 256
 # Array types made once: a ctypes type made per call is cyclic garbage.
 SharedState = ctypes.c_longlong * 2
-_Words = ctypes.c_uint64 * (COMPILED_MAX_VERTICES // 64)
-_Rows = ctypes.c_uint64 * (COMPILED_MAX_VERTICES * COMPILED_MAX_VERTICES // 64)
 _Counts = ctypes.c_longlong * 4
-_WORD_MASK = (1 << 64) - 1
 _SOURCE = Path(__file__).with_name("_scan.c")
 _CACHE_DIR = _SOURCE.parent / "__pycache__"
 _CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -103,7 +101,7 @@ def _load(cache_dir: Path):
     except (OSError, AttributeError) as exc:
         return None, f"pure: cannot load {lib_path} ({exc})"
     lib.pp_scan.argtypes = [
-        ctypes.POINTER(ctypes.c_uint64),  # adjacency rows
+        ctypes.c_void_p,  # adjacency rows
         ctypes.c_int,  # n
         ctypes.c_int,  # words per row
         ctypes.c_int,  # target
@@ -112,7 +110,7 @@ def _load(cache_dir: Path):
         ctypes.c_double,  # time_limit
         ctypes.POINTER(ctypes.c_longlong),  # shared: next lead, best of any thread
         ctypes.POINTER(ctypes.c_longlong),  # out: best, nodes, truncated, early
-        ctypes.POINTER(ctypes.c_uint64),  # out: witness mask
+        ctypes.c_void_p,  # out: witness mask
     ]
     lib.pp_scan.restype = ctypes.c_int
     return lib, f"compiled: {how} {lib_path}"
@@ -127,41 +125,53 @@ HAVE_SPEEDUPS = _lib is not None
 
 
 def backend_for(n_vertices: int) -> str:
-    if _lib is not None and n_vertices <= COMPILED_MAX_VERTICES:
-        return "compiled"
-    return "pure"
+    """The kernel that scans a graph of n_vertices: "compiled" whenever the
+    library loaded, whatever the size, else "pure"."""
+    return "compiled" if _lib is not None else "pure"
 
 
 def _scan_compiled(adj, target, stop_at, max_nodes, time_limit, shared):
-    """The compiled scan, with the pure kernel's arguments and result."""
+    """The compiled scan, with the pure kernel's arguments and result.
+
+    Rows and the witness mask cross as plain buffers of ceil(n / 64) words,
+    passed by address: an ndarray's ctypes.data_as leaves a reference cycle
+    per call.  stop_at and max_nodes are clamped to values of the same
+    meaning that c_int and c_longlong hold, so ctypes never wraps them.
+    """
     n = len(adj)
-    if n > COMPILED_MAX_VERTICES:
-        raise ValueError(f"compiled scan is limited to {COMPILED_MAX_VERTICES} vertices, got {n}")
     if not 0 < target <= n:
         raise ValueError(f"subset size {target} outside 1..{n}")
     if shared is None:
         shared = SharedState(0, target + 1)
+    stop_at = min(max(stop_at, -1), target)  # any stop_at >= target - 1 stops at the first subset
+    max_nodes = max_nodes if 0 <= max_nodes < 1 << 63 else -1  # no scan reaches 2^63 nodes
     words = (n + 63) // 64
-    rows = _Rows(*[(row >> (64 * w)) & _WORD_MASK for row in adj for w in range(words)])
+    rows = np.frombuffer(b"".join(row.to_bytes(8 * words, "little") for row in adj), dtype="<u8")
+    rows = rows.astype(np.uint64, copy=False)  # a copy only on a big-endian host
+    mask_words = np.zeros(words, dtype=np.uint64)
     out = _Counts()
-    mask_words = _Words()
-    if _lib.pp_scan(rows, n, words, target, stop_at, max_nodes, time_limit, shared, out, mask_words):
+    status = _lib.pp_scan(
+        rows.ctypes.data, n, words, target, stop_at, max_nodes, time_limit, shared, out, mask_words.ctypes.data
+    )
+    if status == -2:
+        raise MemoryError(f"compiled scan could not allocate its state for n={n}, target={target}")
+    if status:
         raise ValueError(f"compiled scan rejected n={n}, target={target}, next lead={shared[0]}")
     best, nodes, truncated, early = out
-    mask = sum(word << (64 * w) for w, word in enumerate(mask_words))
+    mask = int.from_bytes(mask_words.astype("<u8", copy=False).tobytes(), "little")
     return best if mask else None, mask, nodes, bool(truncated), bool(early)
 
 
 def _scan(adj, *args):
-    """The kernel that fits the graph, with the kernels' own arguments."""
-    impl = _scan_compiled if backend_for(len(adj)) == "compiled" else _kernels_py.scan_min_induced_degree
+    """The loaded kernel, with the kernels' own arguments."""
+    impl = _scan_compiled if _lib is not None else _kernels_py.scan_min_induced_degree
     return impl(adj, *args)
 
 
 def scan_min_induced_degree(adj: list[int], target: int, stop_at: int, max_nodes: int, time_limit: float, shared):
-    """The subset scan, on the kernel that fits the graph: max_nodes -1 for
-    no node cap, time_limit 0.0 for no deadline, shared None for a fresh
-    scan (see _kernels_py.scan_min_induced_degree)."""
+    """The subset scan, on the loaded kernel: max_nodes -1 for no node cap,
+    time_limit 0.0 for no deadline, shared None for a fresh scan (see
+    _kernels_py.scan_min_induced_degree)."""
     return _scan(adj, target, stop_at, max_nodes, time_limit, shared)
 
 

@@ -2,8 +2,10 @@
 
 This is the hot loop behind the induced-degree oracle: a lexicographic scan
 over fixed-size vertex subsets minimizing the induced maximum degree.  Masks
-are plain Python integers, so any graph size works; the scan has a compiled
-twin in _scan.c for graphs of at most 256 vertices (see pathpower._kernels).
+are plain Python integers, so any graph size works.  The scan has a
+compiled twin in _scan.c, which runs every scan once its library loads (see
+pathpower._kernels); this kernel runs where nothing compiles or
+PATHPOWER_PURE is set, and is the tests' reference.
 
 It returns a plain tuple, so the compiled scan can mirror the contract
 exactly:

@@ -1,21 +1,20 @@
-/* Compiled twin of pathpower._kernels_py.scan_min_induced_degree for graphs
- * of at most 256 vertices.
+/* Compiled twin of pathpower._kernels_py.scan_min_induced_degree.
  *
  * Same algorithm, visit order, node accounting, shared-state, node-cap and
  * stop-at rules as the pure kernel, whose docstring is the contract.
  * pathpower._kernels compiles this file into a shared library and calls it
  * through ctypes, which releases the interpreter lock, so threads sharing one
  * state scan in parallel.  A row or mask is `words` 64-bit words, least
- * significant first: vertex v is bit v % 64 of word v / 64.
+ * significant first: vertex v is bit v % 64 of word v / 64.  The scan's
+ * state is sized from n and target on the heap, so any graph size works.
  */
 #define _POSIX_C_SOURCE 199309L
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include <time.h>
 
-#define MAX_WORDS 4
-#define MAX_VERTICES (64 * MAX_WORDS)
 #define CHECK_MASK 2047 /* consult the clock every 2048 nodes */
 
 static double monotonic_now(void)
@@ -28,21 +27,28 @@ static double monotonic_now(void)
 /* Scan the target-subsets of the n-vertex graph adj (n rows of `words`
  * words) with the search state shared = [next lead, best of any thread].
  * Writes best, nodes, truncated and early to out[0..3], and the witness
- * (zero when this scan holds none) to best_mask.  Returns 0, or -1 when a
- * size or the next lead is out of range (the caller checks sizes first). */
+ * (zero when this scan holds none) to best_mask.  Returns 0; -1 when a
+ * size or the next lead is out of range (the caller checks sizes first);
+ * -2 when the scan's state cannot be allocated. */
 int pp_scan(const uint64_t *adj, int n, int words, int target, int stop_at,
             long long max_nodes, double time_limit, long long *shared,
             long long *out, uint64_t *best_mask)
 {
-    if (n < 1 || n > MAX_VERTICES || words != (n + 63) / 64 || target < 1 || target > n
+    if (n < 1 || words != ((long long)n + 63) / 64 || target < 1 || target > n
         || __atomic_load_n(&shared[0], __ATOMIC_RELAXED) < 0)
         return -1;
 
-    int deg[MAX_VERTICES] = {0};
-    int path[MAX_VERTICES];
-    int maxes[MAX_VERTICES];
-    uint64_t chosen[MAX_WORDS] = {0};
-    uint64_t nb[MAX_WORDS] = {0};
+    /* deg[n], path[target] and maxes[target]; chosen[words] and nb[words] */
+    int *deg = calloc((size_t)n + 2 * (size_t)target, sizeof *deg);
+    uint64_t *chosen = calloc(2 * (size_t)words, sizeof *chosen);
+    if (deg == NULL || chosen == NULL) {
+        free(deg);
+        free(chosen);
+        return -2;
+    }
+    int *path = deg + n;
+    int *maxes = path + target;
+    uint64_t *nb = chosen + words;
 
     int has_deadline = time_limit > 0;
     double deadline = has_deadline ? monotonic_now() + time_limit : 0.0;
@@ -146,6 +152,8 @@ int pp_scan(const uint64_t *adj, int n, int words, int target, int stop_at,
         v = u + 1;
     }
 
+    free(deg);
+    free(chosen);
     out[0] = best;
     out[1] = nodes;
     out[2] = truncated;

@@ -245,6 +245,7 @@ def principal_submatrix(a: SignedMatrix, s: VertexSet) -> np.ndarray:
     return out
 
 
+_MM_BANNER = "%%MatrixMarket matrix coordinate integer symmetric"
 _MM_PARAMS = re.compile(r"% pathpower m=(\d+) k=(\d+) parity=(odd3|even2n)")
 
 
@@ -258,7 +259,7 @@ def write_matrix_market(a: SignedMatrix, target: str | IO[str]) -> None:
     rows, cols, vals = a.entries()
     lower = rows > cols  # the down slots, sorted by (i, j)
     entries = zip(rows[lower].tolist(), cols[lower].tolist(), vals[lower].tolist())
-    lines = ["%%MatrixMarket matrix coordinate integer symmetric"]
+    lines = [_MM_BANNER]
     lines.append(f"% pathpower m={a.m} k={a.k} parity={a.parity_tag}")
     lines.append(f"{a.dim} {a.dim} {int(lower.sum())}")
     lines.extend(f"{i + 1} {j + 1} {v}" for i, j, v in entries)
@@ -275,20 +276,24 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
 
     Entry (i, j, v) sets the up slot of j and the down slot of i along the
     edge's axis.  SizeCapError above DEFAULT_SIZE_CAP.  ValueError when the
-    m, k and parity line is missing or disagrees with the dimension, when
-    the entry lines are more or fewer than the size line counts or one does
-    not hold exactly three integers, and on an entry that the table cannot
-    hold or the writer would not write: an index outside 1..dim (an index
-    array would wrap a 0 to the last row), a value other than +-1 (checked
-    before the int8 narrowing), entries out of the writer's order (each edge
-    once, as (i, j) with i > j, by row, then column; so no self-loop), and a
-    pair that is not a grid edge.
+    first line is not the writer's banner, when the m, k and parity line is
+    missing or disagrees with the dimension, when the size line's two
+    dimensions differ, when the entry lines are more or fewer than the size
+    line counts or one does not hold exactly three integers, on an entry
+    that the table cannot hold or the writer would not write (an index
+    outside 1..dim, as an index array would wrap a 0 to the last row; a
+    value other than +-1, checked before the int8 narrowing; entries out of
+    the writer's order, each edge once, as (i, j) with i > j, by row, then
+    column, so no self-loop; a pair that is not a grid edge), and when the
+    entries are not all k(m - 1)m^(k - 1) edges of the grid.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = source.read()
+    if text.splitlines()[:1] != [_MM_BANNER]:
+        raise ValueError(f"the first line is not the banner {_MM_BANNER!r}")
     params = next((p for p in map(_MM_PARAMS.fullmatch, text.splitlines()) if p), None)
     if params is None:
         raise ValueError("no '% pathpower m=.. k=.. parity=..' line: the dimension alone does not fix m and k")
@@ -296,7 +301,9 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("%")]
     if not lines:
         raise ValueError("no size line")
-    dim, _, count = (int(t) for t in lines[0].split())
+    dim, cols, count = (int(t) for t in lines[0].split())
+    if cols != dim:
+        raise ValueError(f"the size line has {dim} rows but {cols} columns")
     m_fits_tag = m == 3 if tag == "odd3" else m >= 2 and m % 2 == 0
     if not m_fits_tag or not 1 <= k <= dim.bit_length() or dim != m**k:
         raise ValueError(f"parameters m={m} k={k} parity={tag} do not fit dimension {dim}")
@@ -322,6 +329,9 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
     present = present_slots(m, k)
     if not np.all((up[axis] == i - j) & present[j, k + axis]):
         raise ValueError(f"an entry is not an edge of [{m}]^{k}")
+    edges = k * (m - 1) * m ** (k - 1)
+    if count != edges:  # the entries are distinct edges, so one is missing
+        raise ValueError(f"{count} entries, but [{m}]^{k} has {edges} edges")
     sign = np.zeros(present.shape, dtype=np.int8)
     sign[j, k + axis] = v
     sign[i, k - 1 - axis] = v

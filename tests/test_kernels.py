@@ -126,12 +126,60 @@ def test_scan_parity_on_random_graphs():
 
 
 @compiled
-@pytest.mark.parametrize("n", [63, 64, 65, 128, 129, 200, 256])
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129, 200, 256, 257, 320, 511, 512, 513, 1000])
 def test_scan_parity_across_word_boundaries(n):
     adj = _random_graph(random.Random(n), n, 0.05)
     pure, fast = _both(adj, n // 2, 0, 20_000)
     assert pure == fast
     assert pure[0] is not None
+
+
+@pytest.mark.parametrize(
+    "stop,max_nodes",
+    [(2**32, -1), (2**31, -1), (-(2**40), -1), (0, 2**64), (0, 2**63), (0, -(2**64)), (0, 2**63 - 1)],
+)
+def test_scan_arguments_beyond_the_c_types(stop, max_nodes):
+    # values that c_int and c_longlong cannot hold keep their meaning: a
+    # stop_at past any degree stops at the first subset, and a node cap past
+    # 2^63 or below -1 is no cap, as in the pure kernel
+    adj = _grid_adj(3, 2)
+    results = [kernel(adj, 6, stop, max_nodes, 0.0, None) for kernel in _kernels_to_test()]
+    first, full = (3, 0b111111, 6, False, True), (2, 0b1101111, 77, False, False)
+    assert results[0] == (first if stop > 0 else full)
+    assert all(r == results[0] for r in results)
+
+
+def _on_each_backend(monkeypatch, call):
+    """call() with the loaded kernel, then, if that is compiled, with the
+    pure kernel selected as a failed build selects it."""
+    results = [call()]
+    if _kernels.HAVE_SPEEDUPS:
+        monkeypatch.setattr(_kernels, "_lib", None)
+        results.append(call())
+        monkeypatch.undo()
+    return results
+
+
+def test_brute_force_keeps_the_meaning_of_huge_budgets(monkeypatch):
+    g = PathPower(3, 2)
+    for call, expected in [
+        (lambda: brute_force_f(g, stop_at=2**32), ("floor-reached", 6)),
+        (lambda: brute_force_f(g, budget=SearchBudget(max_subsets=2**64), stop_at=0), ("exhausted", 77)),
+    ]:
+        results = _on_each_backend(monkeypatch, call)
+        assert [(r.stop_reason, r.subsets_examined) for r in results] == [expected] * len(results)
+        assert len({(r.value, tuple(r.witness.ranks())) for r in results}) == 1
+
+
+def test_scan_of_512_vertices_on_each_backend(monkeypatch):
+    # [2]^9 has 512 vertices: eight mask words a row
+    def call():
+        return brute_force_f(PathPower(2, 9), budget=SearchBudget(max_subsets=200_000), stop_at=0)
+
+    results = _on_each_backend(monkeypatch, call)
+    assert [r.backend for r in results] == (["compiled", "pure"] if _kernels.HAVE_SPEEDUPS else ["pure"])
+    assert len({(r.value, tuple(r.witness.ranks()), r.subsets_examined, r.stop_reason) for r in results}) == 1
+    assert results[0].subsets_examined == 200_000 and results[0].stop_reason == "node-cap"
 
 
 @compiled
@@ -240,10 +288,9 @@ def test_threads_take_every_lead_once():
     sys.setswitchinterval(1e-6)
     try:
         for kernel in _kernels_to_test():
-            adj = [0] * (n if kernel is _kernels_py.scan_min_induced_degree else 256)
-            results, shared = _threads_on_one_state(kernel, adj, 1, -1, 4)
-            assert sum(r[2] for r in results) == len(adj), kernel
-            assert shared[0] == len(adj) + 4 and shared[1] == 0
+            results, shared = _threads_on_one_state(kernel, [0] * n, 1, -1, 4)
+            assert sum(r[2] for r in results) == n, kernel
+            assert shared[0] == n + 4 and shared[1] == 0
     finally:
         sys.setswitchinterval(switch)
 
@@ -292,28 +339,53 @@ def test_kernels_match_naive_enumeration_on_random_graphs():
 
 
 def test_backend_dispatch_width():
-    assert _kernels.backend_for(257) == "pure"
-    assert _kernels.BACKEND_REASON.startswith("compiled: " if _kernels.HAVE_SPEEDUPS else "pure: ")
-    if _kernels.HAVE_SPEEDUPS:
-        for n in (16, 64, 81, 256):
-            assert _kernels.backend_for(n) == "compiled"
+    # the graph's size never picks the kernel: only whether the library loaded
+    backend = "compiled" if _kernels.HAVE_SPEEDUPS else "pure"
+    assert _kernels.BACKEND_REASON.startswith(backend + ": ")
+    for n in (16, 64, 81, 256, 257, 4096, 65536):
+        assert _kernels.backend_for(n) == backend
 
 
 def test_pure_scan_handles_wide_graphs():
-    assert _kernels.scan_min_induced_degree([0] * 257, 3, 1, -1, 0.0, None) == (0, 0b111, 3, False, True)
+    assert _kernels_py.scan_min_induced_degree([0] * 257, 3, 1, -1, 0.0, None) == (0, 0b111, 3, False, True)
 
 
 @compiled
-def test_compiled_rejects_wide_graphs():
-    with pytest.raises(ValueError):
-        _kernels._scan_compiled([0] * 257, 3, 1, -1, 0.0, None)
+def test_compiled_rejects_bad_sizes():
+    for target in (0, 258):
+        with pytest.raises(ValueError):
+            _kernels._scan_compiled([0] * 257, target, 1, -1, 0.0, None)
     # the library checks the sizes and the next lead again itself
     words = 5
     rows = (ctypes.c_uint64 * (257 * words))()
     out = (ctypes.c_longlong * 4)()
     mask = (ctypes.c_uint64 * words)()
-    assert _kernels._lib.pp_scan(rows, 257, words, 3, 1, -1, 0.0, _shared(0, 4), out, mask) == -1
-    assert _kernels._lib.pp_scan(rows, 256, 4, 3, 1, -1, 0.0, _shared(-1, 4), out, mask) == -1
+    assert _kernels._lib.pp_scan(rows, 257, words, 3, 1, -1, 0.0, _shared(0, 4), out, mask) == 0
+    assert list(out) == [0, 3, 0, 1] and list(mask) == [0b111, 0, 0, 0, 0]
+    assert _kernels._lib.pp_scan(rows, 257, 4, 3, 1, -1, 0.0, _shared(0, 4), out, mask) == -1
+    assert _kernels._lib.pp_scan(rows, 256, 5, 3, 1, -1, 0.0, _shared(0, 4), out, mask) == -1
+    assert _kernels._lib.pp_scan(rows, 257, words, 3, 1, -1, 0.0, _shared(-1, 4), out, mask) == -1
+
+
+def test_failed_allocation_raises_memory_error(monkeypatch):
+    # the library returns -2 when it cannot allocate the scan's state; that
+    # must never read as a result
+    class NoMemory:
+        @staticmethod
+        def pp_scan(*args):
+            return -2
+
+    monkeypatch.setattr(_kernels, "_lib", NoMemory)
+    with pytest.raises(MemoryError):
+        _kernels.scan_min_induced_degree(_grid_adj(3, 2), 6, 0, -1, 0.0, None)
+
+
+@has_compiler
+def test_scan_source_compiles_without_warnings(tmp_path):
+    flags = ["-std=c11", "-Wall", "-Wextra", "-Werror", "-O2", "-c"]
+    cmd = [*_kernels._compiler(), *flags, "-o", str(tmp_path / "_scan.o"), str(_kernels._SOURCE)]
+    out = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 # ---------------------------------- loader ----------------------------------

@@ -332,6 +332,28 @@ def test_matrix_market_refuses_an_entry_line_without_three_integers():
             read_matrix_market(io.StringIO(header + entries))
 
 
+_MM_BANNER = "%%MatrixMarket matrix coordinate integer symmetric\n"
+_MM_PARAMS_2_2 = "% pathpower m=2 k=2 parity=even2n\n"
+_MM_EDGES_2_2 = "2 1 1\n3 1 1\n4 2 1\n4 3 -1\n"  # the four edges of [2]^2
+
+
+@pytest.mark.parametrize(
+    "text,refusal",
+    [
+        ("%%MatrixMarket matrix coordinate real general\n" + _MM_PARAMS_2_2 + "4 4 4\n" + _MM_EDGES_2_2, "banner"),
+        (_MM_PARAMS_2_2 + "4 4 4\n" + _MM_EDGES_2_2, "banner"),
+        (_MM_BANNER + _MM_PARAMS_2_2 + "4 7 4\n" + _MM_EDGES_2_2, "4 rows but 7 columns"),
+        (_MM_BANNER + _MM_PARAMS_2_2 + "4 4 3\n2 1 1\n3 1 1\n4 3 -1\n", r"3 entries, but \[2\]\^2 has 4 edges"),
+    ],
+    ids=["real-general-banner", "no-banner", "non-square-size", "missing-edge"],
+)
+def test_matrix_market_refuses_a_header_or_edge_count_the_writer_never_writes(text, refusal):
+    written = _MM_BANNER + _MM_PARAMS_2_2 + "4 4 4\n" + _MM_EDGES_2_2
+    assert read_matrix_market(io.StringIO(written)) == signed_grid_matrix(2, 2)
+    with pytest.raises(ValueError, match=refusal):
+        read_matrix_market(io.StringIO(text))
+
+
 def test_matrix_market_refuses_a_grid_over_the_size_cap_or_no_size_line():
     text = "%%MatrixMarket matrix coordinate integer symmetric\n% pathpower m=2 k=40 parity=even2n\n"
     with pytest.raises(SizeCapError):  # before a 2^40-row table is allocated
