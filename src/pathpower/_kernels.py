@@ -135,7 +135,8 @@ def _scan_compiled(adj, target, stop_at, max_nodes, time_limit, shared):
 
     Rows and the witness mask cross as plain buffers of ceil(n / 64) words,
     passed by address: an ndarray's ctypes.data_as leaves a reference cycle
-    per call.  stop_at and max_nodes are clamped to values of the same
+    per call.  Each row is written straight into the one rows buffer, so
+    the masks are copied once.  stop_at and max_nodes are clamped to values of the same
     meaning that c_int and c_longlong hold, so ctypes never wraps them.
     """
     n = len(adj)
@@ -146,7 +147,11 @@ def _scan_compiled(adj, target, stop_at, max_nodes, time_limit, shared):
     stop_at = min(max(stop_at, -1), target)  # any stop_at >= target - 1 stops at the first subset
     max_nodes = max_nodes if 0 <= max_nodes < 1 << 63 else -1  # no scan reaches 2^63 nodes
     words = (n + 63) // 64
-    rows = np.frombuffer(b"".join(row.to_bytes(8 * words, "little") for row in adj), dtype="<u8")
+    rows = np.empty(n * words, dtype="<u8")
+    width = 8 * words
+    row_bytes = memoryview(rows).cast("B")
+    for v, row in enumerate(adj):
+        row_bytes[v * width : (v + 1) * width] = row.to_bytes(width, "little")
     rows = rows.astype(np.uint64, copy=False)  # a copy only on a big-endian host
     mask_words = np.zeros(words, dtype=np.uint64)
     out = _Counts()

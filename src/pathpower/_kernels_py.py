@@ -22,6 +22,26 @@ _CHECK_MASK = 2047  # consult the clock and the shared best every 2048 nodes
 _SHARED_LOCK = threading.Lock()  # makes each update of a shared state one atomic step
 
 
+def free_blocks(adj: list[int]) -> list[int]:
+    """free[v] for v in 0..n: the number of blocks of the greedy
+    consecutive-rank matching that meet [v, n).
+
+    Left to right, v is paired with v + 1 when they are adjacent, else it
+    is a block alone.  Each block is a clique, so an independent set holds
+    at most one member of each, and free[v] bounds the independence number
+    of the subgraph induced on [v, n).  free does not increase with v.
+    """
+    n = len(adj)
+    free = [0] * (n + 1)
+    v = 0
+    while v < n:
+        v += 2 if v + 1 < n and adj[v] >> (v + 1) & 1 else 1
+        free[v - 1] = 1  # the block's last member
+    for v in range(n - 1, -1, -1):
+        free[v] += free[v + 1]
+    return free
+
+
 def scan_min_induced_degree(
     adj: list[int],
     target: int,
@@ -34,12 +54,21 @@ def scan_min_induced_degree(
 
     Subsets are visited in lexicographic order by member rank.  A partial
     subset is abandoned as soon as its induced maximum degree reaches the
-    incumbent best, since supersets can only do worse.  A completed subset
-    scoring at or below stop_at ends the search (early exit); stop_at <= -1
-    disables that.  max_nodes < 0 means unbounded; time_limit <= 0 means no
-    deadline.  shared, a `ctypes.c_longlong * 2` that threads scanning one
-    search pass to each call, holds [next lead, best degree completed by any
-    thread]; None is a fresh state that scans every lead.  The scan takes
+    incumbent best, since supersets can only do worse.  While the incumbent
+    is 1 only an independent subset beats it, so a candidate v at level l
+    (l members placed) with l + free[v] < target ends its level: [v, n)
+    cannot hold the target - l independent members still needed (see
+    free_blocks), and free does not increase, so no later v can either.
+    This matching bound runs before the node cap and counts no node.  It
+    removes only subtrees that cannot beat the incumbent, so a scan that
+    meets neither the node cap nor the deadline returns the best, witness
+    and early flag of the scan without it, in fewer nodes.  A completed
+    subset scoring at or below stop_at ends the search (early exit);
+    stop_at <= -1 disables that.  max_nodes < 0 means unbounded;
+    time_limit <= 0 means no deadline.  shared, a `ctypes.c_longlong * 2`
+    that threads scanning one search pass to each call, holds [next lead,
+    best degree completed by any thread]; None is a fresh state that scans
+    every lead.  The scan takes
     the next lead (smallest member) atomically at level 0 and stops when it
     passes n - target.  Every 2048 nodes it adopts a lower shared best,
     dropping its own witness, and stops (truncated) once that is at or
@@ -61,6 +90,7 @@ def scan_min_induced_degree(
     truncated = False
     early = False
 
+    free = free_blocks(adj)
     deg = [0] * n
     path = [0] * target
     maxes = [0] * target
@@ -78,6 +108,8 @@ def scan_min_induced_degree(
                     v = shared[0]
                     shared[0] = v + 1
             if v > hi:
+                break
+            if best == 1 and level + free[v] < target:  # no independent completion from v on
                 break
             if max_nodes >= 0 and nodes >= max_nodes:
                 truncated = True

@@ -1,7 +1,9 @@
 /* Compiled twin of pathpower._kernels_py.scan_min_induced_degree.
  *
  * Same algorithm, visit order, node accounting, shared-state, node-cap and
- * stop-at rules as the pure kernel, whose docstring is the contract.
+ * stop-at rules as the pure kernel, whose docstring is the contract; that
+ * includes the matching bound, whose table free_blocks is built at scan
+ * start from adj alone and kept in the same allocation as the scan's state.
  * pathpower._kernels compiles this file into a shared library and calls it
  * through ctypes, which releases the interpreter lock, so threads sharing one
  * state scan in parallel.  A row or mask is `words` 64-bit words, least
@@ -38,8 +40,9 @@ int pp_scan(const uint64_t *adj, int n, int words, int target, int stop_at,
         || __atomic_load_n(&shared[0], __ATOMIC_RELAXED) < 0)
         return -1;
 
-    /* deg[n], path[target] and maxes[target]; chosen[words] and nb[words] */
-    int *deg = calloc((size_t)n + 2 * (size_t)target, sizeof *deg);
+    /* deg[n], path[target], maxes[target] and free_blocks[n + 1];
+     * chosen[words] and nb[words] */
+    int *deg = calloc(2 * (size_t)n + 1 + 2 * (size_t)target, sizeof *deg);
     uint64_t *chosen = calloc(2 * (size_t)words, sizeof *chosen);
     if (deg == NULL || chosen == NULL) {
         free(deg);
@@ -48,7 +51,18 @@ int pp_scan(const uint64_t *adj, int n, int words, int target, int stop_at,
     }
     int *path = deg + n;
     int *maxes = path + target;
+    int *free_blocks = maxes + target;
     uint64_t *nb = chosen + words;
+
+    /* free_blocks[v]: the blocks of the greedy consecutive-rank matching
+     * that meet [v, n), as in the pure kernel's free_blocks */
+    for (int u = 0; u < n;) {
+        int pair = u + 1 < n && (adj[(size_t)u * words + ((u + 1) >> 6)] >> ((u + 1) & 63) & 1);
+        u += 1 + pair;
+        free_blocks[u - 1] = 1; /* the block's last member */
+    }
+    for (int u = n - 1; u >= 0; u--)
+        free_blocks[u] += free_blocks[u + 1];
 
     int has_deadline = time_limit > 0;
     double deadline = has_deadline ? monotonic_now() + time_limit : 0.0;
@@ -69,6 +83,8 @@ int pp_scan(const uint64_t *adj, int n, int words, int target, int stop_at,
                 v = lead <= hi ? (int)lead : hi + 1;
             }
             if (v > hi)
+                break;
+            if (best == 1 && level + free_blocks[v] < target) /* no independent completion from v on */
                 break;
             if (max_nodes >= 0 && nodes >= max_nodes) {
                 truncated = 1;

@@ -19,6 +19,15 @@ floor, so brute_force_f with its defaults (no stop_at, s = 1, one worker)
 settles f with no scan at all.  A given stop_at or several workers run the
 scan: to that degree, or to the floor; stop_at=0 forces the enumeration.
 
+The scan visits subsets in lexicographic order and drops a partial subset
+once its induced degree reaches the incumbent.  While the incumbent is 1,
+only an independent subset can beat it, and the matching bound drops a
+partial subset as soon as the vertices after it cannot complete one: the
+greedy matching of consecutive ranks, on [m]^k the dominoes {2t, 2t + 1}
+of the first coordinate, bounds the independence number of every suffix.
+So the full enumeration of [7]^2 at alpha + 1 takes 1,920 nodes instead of
+3,106,005, with the same value and witness.
+
 The subset scan is budgeted: exceeding the node cap or the deadline yields a
 result flagged as unproven, never a silently wrong value.  Several worker
 threads can share one scan: each takes the next smallest member (lead) in

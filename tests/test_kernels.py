@@ -9,9 +9,12 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathpower
 from pathpower import PathPower, SearchBudget, alpha_formula, brute_force_f, max_independent_set
@@ -55,6 +58,8 @@ def _kernels_to_test():
         (4, 2, 0, -1),
         (2, 4, 0, -1),
         (5, 2, 1, -1),
+        (5, 2, 0, -1),
+        (7, 2, 0, -1),
         (3, 1, 0, -1),
         (3, 3, 0, -1),
         # two to four mask words, capped
@@ -183,12 +188,23 @@ def test_scan_of_512_vertices_on_each_backend(monkeypatch):
 
 
 @compiled
-@pytest.mark.parametrize(
-    "m,k,nodes", [(6, 2, 3_843_163), (7, 2, 3_106_005), (3, 3, 37_031)]
-)
+@pytest.mark.parametrize("m,k,nodes", [(6, 2, 3_843_163), (3, 3, 37_031)])
 def test_compiled_full_enumeration_node_counts(m, k, nodes):
     res = brute_force_f(PathPower(m, k), stop_at=0)
     assert res.kind == "exact" and res.subsets_examined == nodes
+
+
+# The witness of the unbounded scan, which took 3,106,005 nodes.
+_WITNESS_7X7 = [0, 1, 3, 4, 6, 9, 12, 14, 15, 17, 18, 20, 23, 26, 28, 29, 31, 32, 34, 37, 40, 42, 43, 45, 46, 48]
+
+
+def test_full_enumeration_of_7x7_on_each_backend(monkeypatch):
+    # once a degree-1 subset is held, the matching bound rules out an
+    # independent completion without visiting it
+    results = _on_each_backend(monkeypatch, lambda: brute_force_f(PathPower(7, 2), stop_at=0))
+    for res in results:
+        assert (res.value, res.proof, res.stop_reason, res.subsets_examined) == (1, "enumeration", "exhausted", 1920)
+        assert res.witness.ranks() == _WITNESS_7X7
 
 
 @compiled
@@ -208,6 +224,22 @@ def test_compiled_floor_exit_node_count():
     res = brute_force_f(PathPower(2, 6), stop_at=3)  # the floor 3 ends the scan
     assert res.kind == "exact" and res.value == 3
     assert res.subsets_examined == 2_548_999
+
+
+@compiled
+def test_compiled_scan_copies_the_masks_once():
+    # [2]^12: 4,096 rows of 64 words, a 2 MiB buffer; the word rows are
+    # written into it one at a time, not joined from a copy of every row
+    adj = _grid_adj(2, 12)
+    rows_bytes = len(adj) * (len(adj) // 64) * 8
+    tracemalloc.start()
+    try:
+        result = _kernels._scan_compiled(adj, len(adj) // 2 + 1, 0, 1, 0.0, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result[2:4] == (1, True)
+    assert rows_bytes <= peak < 1.5 * rows_bytes
 
 
 @compiled
@@ -300,6 +332,69 @@ def test_scan_witness_is_first_achiever():
     best, mask, *_ = _kernels_py.scan_min_induced_degree(adj, 3, 0, -1, 0.0, None)
     assert best == 1
     assert mask == 0b1011  # ranks {0, 1, 3}
+
+
+def test_free_blocks_on_a_grid():
+    # [3]^2 ranks run along the first coordinate: blocks {0,1} {2} {3,4} {5} {6,7} {8}
+    assert _kernels_py.free_blocks(_grid_adj(3, 2)) == [6, 6, 5, 4, 4, 3, 2, 2, 1, 0]
+    assert _kernels_py.free_blocks([]) == [0]
+
+
+@st.composite
+def _graphs(draw):
+    """(n, vertex pairs) of a random graph on 1 to 14 vertices; pairs u == v are not edges."""
+    n = draw(st.integers(1, 14))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.sets(st.tuples(vertex, vertex)))
+
+
+@settings(max_examples=200)
+@given(_graphs())
+def test_free_blocks_bound_the_independence_number_of_each_suffix(graph):
+    nx = pytest.importorskip("networkx")
+    n, pairs = graph
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from((u, v) for u, v in pairs if u != v)
+    adj = [sum(1 << u for u in g[v]) for v in range(n)]
+    free = _kernels_py.free_blocks(adj)
+    assert len(free) == n + 1 and free[n] == 0
+    assert all(a >= b for a, b in zip(free, free[1:]))
+    for v in range(n + 1):
+        suffix = nx.complement(g.subgraph(range(v, n)))
+        alpha = max((len(c) for c in nx.find_cliques(suffix)), default=0)
+        assert free[v] >= alpha, (v, adj)
+
+
+@pytest.mark.parametrize("stop,nodes,unbounded_nodes", [(-1, 37, 38), (0, 27, 28)])
+def test_matching_bound_negative_control(monkeypatch, stop, nodes, unbounded_nodes):
+    # [3]^2 at target 5: the only independent 5-set is {0, 2, 4, 6, 8}, found
+    # after a degree-1 subset; the bound skips a subtree and keeps that set
+    adj = _grid_adj(3, 2)
+    witness = (0, 0b101010101)
+    assert _kernels_py.scan_min_induced_degree(adj, 5, stop, -1, 0.0, None) == (*witness, nodes, False, stop == 0)
+    table = _kernels_py.free_blocks
+
+    def scan_with(edit):
+        def free_blocks(adj):
+            free = table(adj)
+            edit(free)
+            return free
+
+        monkeypatch.setattr(_kernels_py, "free_blocks", free_blocks)
+        return _kernels_py.scan_min_induced_degree(adj, 5, stop, -1, 0.0, None)
+
+    def unbounded(free):
+        free[:] = [len(adj)] * len(free)
+
+    assert scan_with(unbounded)[:3] == (*witness, unbounded_nodes)
+    # a table that understates the room from rank 6 or 8 on prunes the set away
+    for entry in (6, 8):
+
+        def lower(free):
+            free[entry] -= 1
+
+        assert scan_with(lower)[0] == 1, entry
 
 
 def _naive_min_degree(adj, target):
