@@ -74,6 +74,16 @@ def present_slots(m: int, k: int) -> np.ndarray:
     return present
 
 
+def is_grid_edge(g: PathPower, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Elementwise: are ranks u and v adjacent in g?  Decided from digits:
+    they differ by w = m^i and the lower one's digit i is below m - 1."""
+    lo = np.minimum(u, v)
+    gap = np.abs(u - v)
+    weights = g.m ** np.arange(g.k, dtype=np.int64)
+    w = weights[np.minimum(np.searchsorted(weights, gap), g.k - 1)]  # the weight m^i nearest above gap
+    return (gap == w) & (lo // w % g.m < g.m - 1)
+
+
 @dataclass(frozen=True)
 class PathPower:
     """The graph on [m]^k with edges between tuples at 1-norm distance 1."""

@@ -52,7 +52,7 @@ import numpy as np
 from . import _kernels
 from .constructions import alternating_independent_set, hk_witness_set, is_independent, low_degree_witness_set
 from .errors import CertificateError
-from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, digits, induced_max_degree
+from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, digits, induced_max_degree, is_grid_edge
 from .signed import SignedMatrix
 from .spectral import DEFAULT_GROUP_TOL, base_certificate, g_roots_below, poly_g_roots, signed_spectra
 
@@ -138,16 +138,6 @@ def _snake_order(m: int, k: int) -> np.ndarray:
     return path
 
 
-def _is_grid_edge(g: PathPower, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Elementwise: are ranks u and v adjacent in g?  Decided from digits:
-    they differ by w = m^i and the lower one's digit i is below m - 1."""
-    lo = np.minimum(u, v)
-    gap = np.abs(u - v)
-    weights = g.m ** np.arange(g.k, dtype=np.int64)
-    w = weights[np.minimum(np.searchsorted(weights, gap), g.k - 1)]  # the weight m^i nearest above gap
-    return (gap == w) & (lo // w % g.m < g.m - 1)
-
-
 def alpha_certificate_holds(g: PathPower, independent: VertexSet, path: np.ndarray) -> bool:
     """True iff independent and path prove alpha(g) = len(independent).
 
@@ -163,7 +153,7 @@ def alpha_certificate_holds(g: PathPower, independent: VertexSet, path: np.ndarr
         is_independent(independent, g)
         and path.shape == (n,)
         and np.array_equal(np.sort(path), np.arange(n))
-        and bool(_is_grid_edge(g, path[0 : 2 * pairs : 2], path[1 : 2 * pairs : 2]).all())
+        and bool(is_grid_edge(g, path[0 : 2 * pairs : 2], path[1 : 2 * pairs : 2]).all())
         and len(independent) == n - pairs
     )
 
@@ -223,7 +213,7 @@ def hypercube_cells_certificate_holds(g: PathPower, cells: np.ndarray, labels: n
     member[cells * width + labels] = np.arange(n)
     member = member.reshape(n_cells, 1, width)
     flips = np.arange(width) ^ (1 << np.arange(g.k))[:, None]  # [i, label]: label with bit i flipped
-    return bool(_is_grid_edge(g, member, member[:, 0, flips]).all()) and n_cells * (width // 2) == alpha
+    return bool(is_grid_edge(g, member, member[:, 0, flips]).all()) and n_cells * (width // 2) == alpha
 
 
 @functools.cache  # a fixed m x m check: once per process

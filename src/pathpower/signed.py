@@ -27,7 +27,7 @@ from typing import IO, Iterator
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, present_slots, slot_steps
+from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, is_grid_edge, present_slots, slot_steps
 
 
 @dataclass
@@ -307,7 +307,7 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
     m_fits_tag = m == 3 if tag == "odd3" else m >= 2 and m % 2 == 0
     if not m_fits_tag or not 1 <= k <= dim.bit_length() or dim != m**k:
         raise ValueError(f"parameters m={m} k={k} parity={tag} do not fit dimension {dim}")
-    check_grid(m, k, DEFAULT_SIZE_CAP)  # SizeCapError before the table is allocated
+    g = PathPower(m, k)  # SizeCapError before the table is allocated
     if len(lines) - 1 != count:
         raise ValueError(f"{len(lines) - 1} entry lines, but the size line counts {count}")
     entries = [ln.split() for ln in lines[1:]]
@@ -324,15 +324,12 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
         raise ValueError("an entry value is not +-1")
     if np.any(i <= j) or np.any(np.diff(i * dim + j) <= 0):
         raise ValueError("entries out of the writer's order: each edge once, as (i, j) with i > j, by row, then column")
-    up = slot_steps(m, k)[k:]
-    axis = np.minimum(np.searchsorted(up, i - j), k - 1)
-    present = present_slots(m, k)
-    if not np.all((up[axis] == i - j) & present[j, k + axis]):
+    if not np.all(is_grid_edge(g, i, j)):
         raise ValueError(f"an entry is not an edge of [{m}]^{k}")
-    edges = k * (m - 1) * m ** (k - 1)
-    if count != edges:  # the entries are distinct edges, so one is missing
-        raise ValueError(f"{count} entries, but [{m}]^{k} has {edges} edges")
-    sign = np.zeros(present.shape, dtype=np.int8)
+    if count != g.edge_count:  # the entries are distinct edges, so one is missing
+        raise ValueError(f"{count} entries, but [{m}]^{k} has {g.edge_count} edges")
+    axis = np.searchsorted(slot_steps(m, k)[k:], i - j)  # i - j = m^axis
+    sign = np.zeros((dim, 2 * k), dtype=np.int8)
     sign[j, k + axis] = v
     sign[i, k - 1 - axis] = v
     return SignedMatrix(sign, tag, m // 2, k)

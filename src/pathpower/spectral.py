@@ -25,7 +25,12 @@ N_c that touch S_c; its block of K, its factors and every clause of the
 contract are products of C[R_c, S_c] or C[N_c, S_c], so none is sized by
 the whole matrix but V^T V, the one dense product left.  The left
 residual runs over all of N_c, so a labelling that cuts a component
-still fails.
+still fails.  Each matrix is solved once: every eigenvector x of a
+component is one column, with sigma = ||C[R_c, S_c]^T x||, and a dead
+column (sigma <= DEFAULT_GROUP_TOL) has v = 0.  The contract's
+reconstruction and the orthonormality of V's live columns bound every
+singular value of C by Mirsky's theorem (Quart. J. Math. 11, 1960), so
+no kernel vector of C is needed in V.
 base_certificate proves the spectrum of every level exactly, so
 closed_form_spectrum lists it with no solve.  spectrum_check certifies the
 paper's facts, the zero multiplicity and the least positive eigenvalue, on
@@ -34,9 +39,9 @@ expansion of the closed form: the support, the square identity at every
 level, the continuant charpoly of the base square and, for even m, beta's
 Sturm count.  odd3_spectrum_check, min_positive_eig_even and
 nonsingularity_check_even read it.  square_compose_check is the one
-comparison of a solve with the closed form: the squares of the solved
-spectrum are the spectrum of A^2 = C C^T + C^T C (a direct sum under the
-parity permutation), so A^2 needs no solve of its own.
+comparison of a solve with the closed form, within DEFAULT_GROUP_TOL; the
+squares of the solved spectrum are the spectrum of A^2 = C C^T + C^T C (a
+direct sum under the parity permutation), so A^2 needs no solve of its own.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ from .signed import SignedMatrix, check_signed_params, check_support, signed_gri
 DEFAULT_RESIDUAL_TOL = 1e-10  # eigenpair residual, relative to ||A||_F
 DEFAULT_RECON_TOL = 1e-9  # reconstruction defect, relative to ||A||_F
 DEFAULT_GROUP_TOL = 1e-8  # zero grouping, symmetry, interlacing and the degree bound
-SQUARE_SPECTRUM_TOL = 1e-7  # the squared spectrum against its composition
 DEFAULT_EIG_DIM_CAP = 4096
 
 
@@ -386,6 +390,7 @@ class _Part(NamedTuple):
     K[R_c, R_c] = C[R_c, S_c] C[R_c, S_c]^T."""
 
     block: np.ndarray  # (cnt,) the block of each component
+    rows: np.ndarray  # (cnt, r) R_c, as rows of the block, ascending
     cols: np.ndarray  # (cnt, s) S_c, as columns of the block, ascending
     r: int
     n: int
@@ -491,78 +496,47 @@ def _gram_parts(block, i, j, v, g: int, p: int, q: int, split: bool) -> list[_Pa
         mine = by_kind[kind_start[t] : kind_start[t] + kind_size[t]]
         sel = e_kind == t
         entries = (at[e_comp[sel]], e_row[sel], e_col[sel], e_val[sel])
+        rows = by_comp[comp_start[mine][:, None] + np.arange(r)] % p
         cols = s_col[s_start[mine][:, None] + np.arange(s)] % q
-        parts.append(_Part(comp_block[mine], cols, r, r + o, entries))
+        parts.append(_Part(comp_block[mine], rows, cols, r, r + o, entries))
     return parts
 
 
 class _Factors(NamedTuple):
-    """A part's share of the factors U, Sigma and V of its blocks.  Column
-    t of x is the column rank[t] of U on the rows R_c (zero elsewhere); the
-    first q ranks of a block are its pairs, with singular value sv[t] and
-    column v[:, t] of V on S_c (zero elsewhere, and zero for the others)."""
+    """A part's share of the factors U, Sigma and V of its blocks: one
+    column per eigenvector x[:, :, t] of a component, the column R_c[t] of
+    U on the rows R_c (zero elsewhere), with singular value sv[:, t] and
+    column v[:, :, t] of V on S_c (zero elsewhere, and zero when the column
+    is dead)."""
 
     x: np.ndarray  # (cnt, r, r)
     sv: np.ndarray  # (cnt, r)
-    rank: np.ndarray  # (cnt, r)
     v: np.ndarray  # (cnt, s, r)
 
 
-def _complete_kernel(v: np.ndarray, rank: np.ndarray, dead: np.ndarray, q: int) -> None:
-    """Make each dead pair's column of v a unit vector of the kernel of C, in
-    place, for components that are whole blocks (s = q): a column of the
-    complete QR of the block's V, its q pairs with the live ones first and
-    the dead ones zeroed.  One QR serves every such block of the part."""
-    hit = np.flatnonzero(dead.any(axis=1))
-    p = rank.shape[1]
-    order = np.argsort(np.where(rank < q, rank + dead * p, rank + 2 * p), axis=1)[hit, :q]  # live, dead; by rank
-    dead_last = np.take_along_axis(dead[hit], order, axis=1)[:, None, :]
-    v_hit = v[hit]
-    kept = np.take_along_axis(v_hit, order[:, None, :], axis=2)
-    kernel = np.linalg.qr(np.where(dead_last, 0.0, kept), mode="complete").Q
-    np.put_along_axis(v_hit, order[:, None, :], np.where(dead_last, kernel, kept), axis=2)
-    v[hit] = v_hit
-
-
-def _gram_svd(parts: list[_Part], p: int, q: int, split: bool) -> list[_Factors] | None:
-    """The factors (U, sigma, V) of every block C (p x q, p >= q, entries
-    +-1 and 0) of the parts, from one batched eigh per shape of their Gram
-    blocks K[R_c, R_c] = C[R_c, S_c] C[R_c, S_c]^T.
+def _gram_svd(parts: list[_Part]) -> list[_Factors]:
+    """The factors (U, sigma, V) of every block C (entries +-1 and 0) of
+    the parts, from one batched eigh per shape of their Gram blocks
+    K[R_c, R_c] = C[R_c, S_c] C[R_c, S_c]^T.
 
     K holds sums of at most q products +-1, so it is exact in float64, and
-    so is its zero pattern: an eigenvector of a component is exactly an
-    eigenvector of K, zero on every other row.  A block's p eigenvalues are
-    ranked descending, so its last p - q columns of U lie in the kernel of
-    C^T.  For rank < q, sigma = ||C[R_c, S_c]^T x|| and v = C[R_c, S_c]^T x
-    / sigma; sigma is not sqrt(lambda), which would lift a rounded zero
-    eigenvalue near 1e-16 to 1e-8, the zero grouping threshold.  A pair
-    with sigma <= DEFAULT_GROUP_TOL is dead: its v must be a unit vector of
-    the kernel of C (_complete_kernel), which can span components, so with
-    split a dead pair returns None, and the caller solves each block as one
-    component.
+    so is its zero pattern: an eigenvector x of a component is exactly an
+    eigenvector of K, zero on every other row.  Each x is one column, with
+    sigma = ||C[R_c, S_c]^T x||; sigma is not sqrt(lambda), which would
+    lift a rounded zero eigenvalue near 1e-16 to 1e-8, the zero grouping
+    threshold.  A live column (sigma > DEFAULT_GROUP_TOL) has v =
+    C[R_c, S_c]^T x / sigma, a dead one v = 0: by Mirsky's theorem the
+    contract bounds every singular value of C with no kernel vector of C
+    in V (_check_svd_contract).
     """
-    blocks = [part.c(part.r) for part in parts]  # C[R_c, S_c]
-    solved = [np.linalg.eigh(c @ c.transpose(0, 2, 1)) for c in blocks]  # exact integers
-    owner = np.concatenate([np.repeat(part.block, part.r) for part in parts])
-    values = np.concatenate([w.ravel() for w, _ in solved])
-    rank = np.empty(len(values), dtype=np.int64)
-    # Block b's eigenvalues take the ranks b p .. b p + p - 1 of the lexsort.
-    rank[np.lexsort((-values, owner))] = np.arange(len(values)) % p
-    factors, start = [], 0
-    for part, c, (w, x) in zip(parts, blocks, solved):
-        cnt, r = w.shape
-        rk = rank[start : start + w.size].reshape(cnt, r)
-        start += w.size
+    factors = []
+    for part in parts:
+        c = part.c(part.r)  # C[R_c, S_c]
+        _, x = np.linalg.eigh(c @ c.transpose(0, 2, 1))  # exact integers
         v = c.transpose(0, 2, 1) @ x
         sv = np.sqrt(np.square(v).sum(axis=1))
-        dead = (rk < q) & (sv <= DEFAULT_GROUP_TOL)
-        whole = v.shape[1:] == (q, p)  # each component is its block
-        if split and dead.any() and not whole:
-            return None
-        v /= np.where((rk < q) & ~dead, sv, np.inf)[:, None, :]  # zero for the others
-        if dead.any() and whole:  # else a cut labelling leaves V short, which fails the contract
-            _complete_kernel(v, rk, dead, q)
-        factors.append(_Factors(x, sv, rk, v))
+        v /= np.where(sv > DEFAULT_GROUP_TOL, sv, np.inf)[:, None, :]  # zero for the dead columns
+        factors.append(_Factors(x, sv, v))
     return factors
 
 
@@ -571,63 +545,71 @@ def _check_svd_contract(parts: list[_Part], factors: list[_Factors], g: int, p: 
     meet the residual contract of a dense eigensolve of A = [[0, C], [C^T,
     0]], with ||A||_F = sqrt(2) ||C||_F:
 
-    - the components' columns of U are each of its p columns once;
-    - each eigenpair (+-sigma_i, (u_i; +-v_i) / sqrt(2)) has residual
-      sqrt((||C v_i - sigma_i u_i||^2 + ||C^T u_i - sigma_i v_i||^2) / 2);
-    - each zero pair (u_j; 0), rank j >= q, has residual ||C^T u_j||;
+    - the components' rows R_c are each of the p rows once, so each block
+      has p columns (u_i, sigma_i, v_i);
+    - each column has residual sqrt((||C v_i - sigma_i u_i||^2 + ||C^T u_i
+      - sigma_i v_i||^2) / 2), which is sigma_i = ||C^T u_i|| for a dead
+      column (v_i = 0);
     - all residuals are <= DEFAULT_RESIDUAL_TOL ||A||_F, and the reconstruction
       ||A - Q Lambda Q^T||_F = sqrt(2) ||C - U Sigma V^T||_F is
       <= DEFAULT_RECON_TOL ||A||_F;
-    - V is orthonormal: max |V^T V - I| <= DEFAULT_RECON_TOL.  Residuals and
-      reconstruction miss a repeated kernel vector of C in V.
+    - max |V^T V - diag(live)| <= DEFAULT_RECON_TOL on each block's q x p
+      V, live meaning sigma_i > DEFAULT_GROUP_TOL: the live columns are
+      orthonormal and the dead ones zero.
+
+    So at most q columns are live, and U Sigma V^T, with U the orthonormal
+    eigenvectors of K, has the live sigma_i and zeros as its singular
+    values.  By Mirsky's theorem (Quart. J. Math. 11, 1960) each singular
+    value of C lies within ||C - U Sigma V^T||_2, at most the
+    reconstruction, of the one of the same order of U Sigma V^T, and a dead
+    sigma_i within its residual of 0: the q largest sigma_i are sigma(C)
+    with no kernel vector of C in V.
 
     u_i is x on R_c and v_i is v on S_c, zero elsewhere, so every product
     but V^T V runs per component and is exact: C^T u_i is C[R_c, S_c]^T x;
     C v_i is C[N_c, S_c] v over N_c, so a row outside R_c that touches S_c
     counts, and a cut component still fails; and C - U Sigma V^T is C[R_c,
     S_c] - x Sigma v^T on the rows R_c, which partition C, and zero beyond
-    S_c.  V^T V is formed on the assembled q x q V of each block.
+    S_c.  V^T V is formed on the assembled V of each block, whose column
+    R_c[t] is column t of its component.
     """
     if len(factors) != len(parts):
         raise EigenSolveError(f"factors of {len(factors)} parts for {len(parts)}")
-    for part, (x, sv, rank, v) in zip(parts, factors):
+    for part, (x, sv, v) in zip(parts, factors):
         cnt, r, s = len(part.block), part.r, part.cols.shape[1]
-        if (x.shape, sv.shape, rank.shape, v.shape) != ((cnt, r, r), (cnt, r), (cnt, r), (cnt, s, r)):
-            shapes = f"{x.shape}, {sv.shape}, {rank.shape}, {v.shape}"
+        if (x.shape, sv.shape, v.shape) != ((cnt, r, r), (cnt, r), (cnt, s, r)):
+            shapes = f"{x.shape}, {sv.shape}, {v.shape}"
             raise EigenSolveError(f"factors of shapes {shapes} for {cnt} components of {r} rows")
-    columns = np.concatenate([(part.block[:, None] * p + f.rank).ravel() for part, f in zip(parts, factors)])
-    if not np.array_equal(np.sort(columns), np.arange(g * p)):
-        raise EigenSolveError("the components do not hold each column of U once")
+    rows = np.concatenate([(part.block[:, None] * p + part.rows).ravel() for part in parts])
+    if not np.array_equal(np.sort(rows), np.arange(g * p)):
+        raise EigenSolveError("the components do not hold each row of C once")
     owner, squares = [], []  # per component: its block, and its worst residual, reconstruction and ||C||^2
-    v_full = np.zeros(g * q * q + 1)  # each V, row-major, and a last slot for the zero pairs' columns of v
-    for part, (x, sv, rank, v) in zip(parts, factors):
+    v_full, live = np.zeros((g, q, p)), np.zeros((g, p))
+    for part, (x, sv, v) in zip(parts, factors):
         r = x.shape[1]
-        pair = rank < q
-        s_pair = np.where(pair, sv, 0.0)[:, None, :]
         near = part.c(part.n)  # the largest array, one part's at a time
         c = near[:, :r]
+        s_col = sv[:, None, :]
         right = c.transpose(0, 2, 1) @ x
-        zeros = np.square(right).sum(axis=1)
-        right -= v * s_pair
+        right -= v * s_col
         left = near @ v
-        left[:, :r] -= x * s_pair
-        pairs = (np.square(right).sum(axis=1) + np.square(left).sum(axis=1)) / 2
+        left[:, :r] -= x * s_col
+        residuals = (np.square(right).sum(axis=1) + np.square(left).sum(axis=1)) / 2
         del near, left, right
-        rest = c - (x * s_pair) @ v.transpose(0, 2, 1)
+        rest = c - (x * s_col) @ v.transpose(0, 2, 1)
         owner.append(part.block)
-        worst = np.where(pair, pairs, zeros).max(axis=1)
+        worst = residuals.max(axis=1)
         squares.append(np.stack((worst, np.square(rest).sum(axis=(1, 2)), np.square(c).sum(axis=(1, 2)))))
-        at = ((part.block[:, None] * q + part.cols) * q)[:, :, None] + rank[:, None, :]
-        v_full[np.where(pair[:, None, :], at, g * q * q)] = v
+        v_full[part.block[:, None, None], part.cols[:, :, None], part.rows[:, None, :]] = v
+        live[part.block[:, None], part.rows] = sv > DEFAULT_GROUP_TOL
     owner, squares = np.concatenate(owner), np.concatenate(squares, axis=1)
     worst = np.zeros(g)
     np.maximum.at(worst, owner, squares[0])
     worst = np.sqrt(worst)
     recon, fro = np.sqrt(2.0 * np.stack([np.bincount(owner, row, g) for row in squares[1:]]))
-    v_full = v_full[:-1].reshape(g, q, q)
     # dot of one block with its own transpose runs as a symmetric rank-k update, at half the cost
     ortho = np.dot(v_full[0].T, v_full[0])[None] if g == 1 else v_full.transpose(0, 2, 1) @ v_full
-    ortho.reshape(g, q * q)[:, :: q + 1] -= 1.0
+    ortho.reshape(g, p * p)[:, :: p + 1] -= live
     ortho = np.abs(ortho, out=ortho).max(axis=(1, 2))
     # Written as "not within" so that a NaN fails too.
     if not np.all(worst <= DEFAULT_RESIDUAL_TOL * fro):
@@ -661,11 +643,13 @@ def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> 
     EigenSolveError.  Without sets, K is split into the components of its
     computed zero pattern, never of the parity classes that predict them,
     so a matrix signed otherwise than the builder's still gets its own
-    spectrum; a split that leaves a dead pair (sigma <= DEFAULT_GROUP_TOL
-    among the first q) is solved again as one component per block, where
-    one QR completes V.  A stack of submatrices is not split: each block
-    is one component, R = N = all rows and S = all columns; the chain's
-    have at most 8 rows in a default verify-all.
+    spectrum.  A stack of submatrices is not split: each block is one
+    component, R = N = all rows and S = all columns; the chain's have at
+    most 8 rows in a default verify-all.  Each matrix is solved once: a
+    block's p columns, one per row of C, carry the q largest sigma as its
+    singular values, and a dead column (sigma <= DEFAULT_GROUP_TOL) needs
+    no kernel vector of C, as the contract's reconstruction and
+    orthonormality bound every singular value of C by Mirsky's theorem.
     """
     sizes = np.array([a.dim] if sets is None else [len(s) for s in sets], dtype=np.int64)
     if not len(sizes):
@@ -715,22 +699,19 @@ def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> 
     spectra: list = [None] * len(sizes)
     for gp, gq in dict.fromkeys(zip(p.tolist(), q.tolist())):
         group = np.flatnonzero((p == gp) & (q == gq))
-        sv = np.zeros(len(group) * gq + 1)  # by block and rank, and a last slot for the zero pairs
+        sv = np.zeros((len(group), gp))  # each block's sigma by column, a column being a row of C
         if gq:
             slot = np.full(len(sizes), -1)
             slot[group] = np.arange(len(group))
             mine = slot[owner[src]] >= 0
             entries = (slot[owner[src[mine]]], local[src[mine]], local[dst[mine]], entry_vals[mine])
             parts = _gram_parts(*entries, len(group), gp, gq, split=sets is None)
-            factors = _gram_svd(parts, gp, gq, split=sets is None)
-            if factors is None:  # a dead pair: each block as one component
-                parts = _gram_parts(*entries, len(group), gp, gq, split=False)
-                factors = _gram_svd(parts, gp, gq, split=False)
+            factors = _gram_svd(parts)
             _check_svd_contract(parts, factors, len(group), gp, gq)
-            for part, (_, sig, rank, _) in zip(parts, factors):
-                sv[np.where(rank < gq, part.block[:, None] * gq + rank, len(group) * gq)] = sig
-        sv = sv[:-1].reshape(len(group), gq)
-        values = np.concatenate((sv, -sv, np.zeros((len(group), gp - gq))), axis=1)
+            for part, f in zip(parts, factors):
+                sv[part.block[:, None], part.rows] = f.sv
+        top = np.sort(sv, axis=1)[:, gp - gq :]  # the q largest
+        values = np.concatenate((top, -top, np.zeros((len(group), gp - gq))), axis=1)
         for i, rep in zip(group.tolist(), _spectrum_reports(values)):
             spectra[i] = rep
     return spectra
@@ -925,12 +906,14 @@ def composed_square_spectrum(m: int, k: int) -> SpectrumReport:
 
 
 def square_compose_check(m: int, k: int) -> tuple[bool, float]:
-    """Compare the squares of a signed_spectra solve of the level-k matrix,
-    the spectrum of its square, with composed_square_spectrum as sorted
-    multisets.  Returns (ok, distance), ok when the distance is at most
-    SQUARE_SPECTRUM_TOL.  SizeCapError above DEFAULT_EIG_DIM_CAP, before
-    the matrix is built."""
+    """Compare a signed_spectra solve of the level-k matrix with
+    closed_form_spectrum, the composition of the spectrum of its square, as
+    sorted multisets.  Returns (ok, distance), ok when the distance is at
+    most DEFAULT_GROUP_TOL.  That also holds the squares within 1e-7 of
+    composed_square_spectrum: within the cap every |eigenvalue| rho has
+    rho^2 <= k lambda_max(B^2) < 16, so squares move by at most 2 rho
+    1e-8.  SizeCapError above DEFAULT_EIG_DIM_CAP, before the matrix is
+    built."""
     (rep,) = signed_spectra(signed_grid_matrix(m, k, DEFAULT_EIG_DIM_CAP))
-    squares = [v * v for v in rep.eigenvalues]
-    dist = multiset_distance(squares, composed_square_spectrum(m, k).eigenvalues)
-    return dist <= SQUARE_SPECTRUM_TOL, dist
+    dist = multiset_distance(rep.eigenvalues, closed_form_spectrum(m, k).eigenvalues)
+    return dist <= DEFAULT_GROUP_TOL, dist

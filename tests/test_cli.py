@@ -299,7 +299,8 @@ def test_verify_all_dense_solve_count(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     report = run_verify_all()
     assert report.passed
-    solves = [(n, rows) for name, n, rows in calls if name != "qr"]
+    assert not [call for call in calls if call[0] == "qr"]  # no kernel of C is completed
+    solves = [(n, rows) for _, n, rows in calls]
     # Each matrix is solved once: every row of the Gram matrices of its 603
     # matrices (the chain's 600 submatrices and 3 hosts; the spectral facts
     # are certified with no solve) lies in exactly one solved block.  A whole
@@ -308,11 +309,6 @@ def test_verify_all_dense_solve_count(monkeypatch):
     assert sum(n * rows for n, rows in solves) == 2885
     assert 0 < sum(n for n, _ in solves) <= 612
     assert 0 < len(solves) <= 15  # LAPACK calls: the chain's 600 submatrices share a few batched solves
-    # One QR at most per solve, on its rank-deficient blocks only (39 of 603 at the default seed).
-    for (before, solved, _), (name, completed, _) in zip(calls, calls[1:]):
-        if name == "qr":
-            assert before == "eigh" and completed <= solved
-    assert sum(n for name, n, _ in calls if name == "qr") < sum(n for n, _ in solves) / 10
 
 
 def test_report_flags_a_witness_that_misses_the_floor(monkeypatch):

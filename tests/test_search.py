@@ -26,8 +26,8 @@ from pathpower import (
     theoretical_f_value,
 )
 from pathpower import _kernels, constructions, hk_witness_set, search
+from pathpower.grid import is_grid_edge
 from pathpower.search import (
-    _is_grid_edge,
     _snake_order,
     alpha_certificate_holds,
     degree_floor,
@@ -56,9 +56,9 @@ def test_grid_edge_from_digits_matches_neighbor_ranks(m, k):
     g = PathPower(m, k)
     u, v = np.divmod(np.arange(g.n_vertices**2, dtype=np.int64), g.n_vertices)
     want = np.array([int(b) in g.neighbor_ranks(int(a)) for a, b in zip(u, v)])
-    assert np.array_equal(_is_grid_edge(g, u, v), want)
+    assert np.array_equal(is_grid_edge(g, u, v), want)
     # -1, the empty slot of the hypercube-cell certificate, is no one's neighbour
-    assert not _is_grid_edge(g, np.full(g.n_vertices + 1, -1), np.arange(-1, g.n_vertices)).any()
+    assert not is_grid_edge(g, np.full(g.n_vertices + 1, -1), np.arange(-1, g.n_vertices)).any()
 
 
 @pytest.mark.parametrize("m,k", [(2, 1), (2, 4), (3, 2), (4, 3), (5, 2)])

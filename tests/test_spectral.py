@@ -7,6 +7,7 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.linalg
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -473,7 +474,7 @@ def test_shifted_closed_form_fails_both_checks(monkeypatch, m, k):
     distance = multiset_distance(solved.eigenvalues, spectral.closed_form_spectrum(m, k).eigenvalues)
     assert distance == pytest.approx(1e-6, rel=1e-3)
     ok, dist = square_compose_check(m, k)
-    assert not ok and dist > 1e-7
+    assert not ok and dist > spectral.DEFAULT_GROUP_TOL
     assert spectrum_check(m, k).passed  # the certificate reads no closed form
 
 
@@ -851,7 +852,7 @@ def test_signed_spectra_mixed_splits_in_one_batch():
 
 def test_signed_matrices_are_never_solved_by_eigh(monkeypatch):
     # the one dense solve is eigh of a Gram stack C C^T (g, p, p), never of an
-    # n x n signed matrix; svd, eigvalsh and eig never run
+    # n x n signed matrix; svd, eigvalsh, eig and qr never run
     from pathpower.report import DEFAULT_SEED, _check_degree_eigenvalue_chain, run_verify_all
     from pathpower.search import degree_bound_check
 
@@ -869,7 +870,7 @@ def test_signed_matrices_are_never_solved_by_eigh(monkeypatch):
         raise AssertionError("a signed matrix went to a solver other than eigh of its Gram stack")
 
     monkeypatch.setattr(np.linalg, "eigh", gram_only)
-    for name in ("svd", "eigvalsh", "eig"):
+    for name in ("svd", "eigvalsh", "eig", "qr"):
         monkeypatch.setattr(np.linalg, name, no_solve)
     report = run_verify_all()
     assert report.passed, [(c.name, c.details) for c in report.checks if not c.passed]
@@ -976,7 +977,7 @@ def _resigned_edge(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_resigned_edge())
-@example((6, 2, 0))  # K is one component with a dead pair, which the QR completes
+@example((6, 2, 0))  # K is one component with a dead pair, whose column of V is zero
 def test_single_edge_resignings_match_eigvalsh(case):
     m, k, entry = case
     a = signed_grid_matrix(m, k)
@@ -987,16 +988,43 @@ def test_single_edge_resignings_match_eigvalsh(case):
     assert np.max(np.abs(np.array(rep.eigenvalues) - want)) <= 1e-12 * fro
 
 
-def test_a_dead_pair_sends_a_split_matrix_to_one_component(monkeypatch):
-    # the balanced [2]^4 splits into two components with dead pairs, so it is
-    # solved again as one; a re-signed [6]^2 whose K is one component is not
-    cases = [(_balanced_factors(), [(2, 4, 4), (1, 8, 8)]), (_flip_pair(signed_grid_matrix(6, 2), 0, 1), [(1, 18, 18)])]
+def test_a_dead_pair_keeps_the_split(monkeypatch):
+    # the balanced [2]^4 splits into two components with a dead pair each, and
+    # a re-signed [6]^2 has one component: each is solved once, as it splits
+    cases = [(_balanced_factors(), [(2, 4, 4)]), (_flip_pair(signed_grid_matrix(6, 2), 0, 1), [(1, 18, 18)])]
     for b, want_shapes in cases:
         shapes = _eigh_blocks(monkeypatch)
         (rep,) = signed_spectra(b)
         want, fro = _eigvalsh_and_norm(b.to_dense())
         assert shapes == want_shapes and rep.zero_multiplicity > 0
         assert np.max(np.abs(np.array(rep.eigenvalues) - want)) <= 1e-12 * fro
+
+
+@st.composite
+def _full_resigning(draw):
+    m, k = draw(st.sampled_from([(3, 3), (4, 2), (2, 4), (2, 5)]))
+    return m, k, draw(st.integers(0, 2 ** (k * (m - 1) * m ** (k - 1)) - 1))  # bit e: edge e is -1
+
+
+@settings(max_examples=40, deadline=None)
+@given(_full_resigning())
+@example((2, 4, 0x2B2B000))  # _balanced_factors: two components, a dead pair in each
+@example((2, 4, 2303770747))  # two components, a dead pair in one
+def test_full_resignings_match_eigvalsh_and_exact_rank(case):
+    # every mirrored edge pair signed at random: K may split into components
+    # that leave dead pairs, and each matrix is still solved once
+    m, k, mask = case
+    a = signed_grid_matrix(m, k)
+    rows, cols, _ = a.entries()
+    _, edge = np.unique(np.minimum(rows, cols) * a.dim + np.maximum(rows, cols), return_inverse=True)
+    signs = np.array([1 - 2 * (mask >> e & 1) for e in range(edge.max() + 1)])
+    b = _resigned(a, signs[edge])
+    assert check_support(b, b.graph())
+    dense = b.to_dense()
+    want, fro = _eigvalsh_and_norm(dense)
+    (rep,) = signed_spectra(b)
+    assert np.max(np.abs(np.array(rep.eigenvalues) - want)) <= 1e-12 * fro
+    assert rep.zero_multiplicity == b.dim - sympy.Matrix(dense.tolist()).rank()
 
 
 def test_a_labelling_that_cuts_a_component_fails_the_contract(monkeypatch):
@@ -1017,52 +1045,56 @@ def test_a_labelling_that_cuts_a_component_fails_the_contract(monkeypatch):
 
 
 def _svd_tampered_by(monkeypatch, tamper):
+    """Pass the factors of every solve, copied, through tamper(factors, parts)."""
     solve = spectral._gram_svd
 
-    def gram_svd(*args, **kwargs):
-        factors = solve(*args, **kwargs)
-        if factors is None:
-            return None
-        return tamper([spectral._Factors(*(f.copy() for f in part)) for part in factors])
+    def gram_svd(parts):
+        return tamper([spectral._Factors(*(f.copy() for f in part)) for part in solve(parts)], parts)
 
     monkeypatch.setattr(spectral, "_gram_svd", gram_svd)
 
 
-def _column(factors, rank):
-    """(part, component, column) of the column of U of the given rank
-    (each solve in these tests holds one block), or of the last when rank is None."""
-    if rank is None:
-        rank = max(int(f.rank.max()) for f in factors)
-    return next((i, *np.argwhere(f.rank == rank)[0]) for i, f in enumerate(factors) if np.any(f.rank == rank))
+def _column(factors, largest):
+    """(part, component, column) of the column with the largest sigma, or
+    with the smallest (each solve in these tests holds one block)."""
+    at = [(sv, i, c, t) for i, f in enumerate(factors) for (c, t), sv in np.ndenumerate(f.sv)]
+    _, i, c, t = (max if largest else min)(at)
+    return i, c, t
 
 
-def _shift_sigma(factors):
-    i, c, t = _column(factors, 0)
+def _shift_sigma(factors, parts):
+    i, c, t = _column(factors, True)
     factors[i].sv[c, t] += 1e-6
     return factors
 
 
-def _shift_pair_vector(factors):
-    i, c, t = _column(factors, 0)
+def _shift_pair_vector(factors, parts):
+    i, c, t = _column(factors, True)
     factors[i].x[c, 0, t] += 1e-6
     return factors
 
 
-def _shift_zero_vector(factors):
-    i, c, t = _column(factors, None)  # the last column of U spans part of the kernel of C^T when p > q
+def _shift_zero_vector(factors, parts):
+    i, c, t = _column(factors, False)  # a dead column: part of the kernel of C^T when p > q
     factors[i].x[c, 0, t] += 1e-6
     return factors
 
 
-def _drop_zero_vector(factors):
-    i, _, t = _column(factors, None)
-    keep = np.arange(factors[i].rank.shape[1]) != t
-    x, sv, rank, v = factors[i]
-    factors[i] = spectral._Factors(x[:, :, keep], sv[:, keep], rank[:, keep], v[:, :, keep])
+def _drop_zero_vector(factors, parts):
+    i, _, t = _column(factors, False)
+    keep = np.arange(factors[i].sv.shape[1]) != t
+    x, sv, v = factors[i]
+    factors[i] = spectral._Factors(x[:, :, keep], sv[:, keep], v[:, :, keep])
     return factors
 
 
-@pytest.mark.parametrize("tamper", [_shift_sigma, _shift_pair_vector, _shift_zero_vector, _drop_zero_vector])
+def _drop_last_part(factors, parts):
+    return factors[:-1]
+
+
+@pytest.mark.parametrize(
+    "tamper", [_shift_sigma, _shift_pair_vector, _shift_zero_vector, _drop_zero_vector, _drop_last_part]
+)
 def test_signed_spectra_contract_negative_controls(monkeypatch, tamper):
     a = signed_grid_matrix(3, 3)  # p = 14, q = 13: one zero pair
     shapes = _eigh_blocks(monkeypatch)
@@ -1072,6 +1104,43 @@ def test_signed_spectra_contract_negative_controls(monkeypatch, tamper):
     with pytest.raises(EigenSolveError):
         signed_spectra(a)
     with pytest.raises(EigenSolveError):
+        signed_spectra(a, [VertexSet(3, 3, ranks=range(27)), VertexSet(3, 3, ranks=range(9))])
+
+
+def _drop_live_column(factors, parts):
+    # x = 0, sigma = 0 and v = 0 leave every residual 0 and V^T V = diag(live),
+    # but the column's sigma is lost from the spectrum
+    i, c, t = _column(factors, True)
+    for f in factors[i]:
+        f[c, ..., t] = 0.0
+    return factors
+
+
+def test_a_live_column_left_out_fails_the_reconstruction(monkeypatch):
+    a = signed_grid_matrix(3, 3)
+    _svd_tampered_by(monkeypatch, _drop_live_column)
+    with pytest.raises(EigenSolveError, match="reconstruction"):
+        signed_spectra(a)
+    with pytest.raises(EigenSolveError, match="reconstruction"):
+        signed_spectra(a, [VertexSet(3, 3, ranks=range(27)), VertexSet(3, 3, ranks=range(9))])
+
+
+def test_the_components_must_hold_each_row_once(monkeypatch):
+    # one row of C given twice and another never: residuals, reconstruction
+    # and V^T V all pass, but one sigma of the block would be lost
+    split = spectral._gram_parts
+
+    def repeated(*args, **kwargs):
+        parts = split(*args, **kwargs)
+        part = next(part for part in parts if part.r > 1)
+        part.rows[0, 1] = part.rows[0, 0]
+        return parts
+
+    a = signed_grid_matrix(3, 3)
+    monkeypatch.setattr(spectral, "_gram_parts", repeated)
+    with pytest.raises(EigenSolveError, match="each row"):
+        signed_spectra(a)
+    with pytest.raises(EigenSolveError, match="each row"):
         signed_spectra(a, [VertexSet(3, 3, ranks=range(27)), VertexSet(3, 3, ranks=range(9))])
 
 
@@ -1088,7 +1157,7 @@ def test_the_left_residual_counts_the_rows_outside_a_component(monkeypatch):
     assert inside * delta < 0.95 * tol and everywhere * delta > 1.05 * tol
     assert 2 * delta / math.sqrt(5) < spectral.DEFAULT_RECON_TOL  # V^T V moves by less than its bound
 
-    def nudge(factors):
+    def nudge(factors, parts):
         (f,) = factors
         assert f.x.shape[1:] == (1, 1) and f.v.shape[1] == 5
         f.v[0, 0, 0] += delta
@@ -1099,15 +1168,17 @@ def test_the_left_residual_counts_the_rows_outside_a_component(monkeypatch):
         signed_spectra(a)
 
 
-def _repeat_kernel_vector(factors):
-    # C v = 0 and sigma = 0 on both columns, so residuals and reconstruction do not move
-    for f in factors:
-        dead = (f.sv <= spectral.DEFAULT_GROUP_TOL) & np.any(f.v != 0, axis=1)  # pairs with sigma 0
-        for c in np.flatnonzero(np.count_nonzero(dead, axis=1) >= 2):
-            first, second = np.flatnonzero(dead[c])[:2]
-            f.v[c, :, second] = f.v[c, :, first]
-            return factors
-    raise AssertionError("no component with two dead pairs")
+def _kernel_vector_in_dead_column(factors, parts):
+    # a unit vector k of the kernel of C[N_c, S_c] as the v of a dead column:
+    # C k = 0 and sigma is rounding, so residuals and reconstruction do not move
+    for part, f in zip(parts, factors):
+        near = part.c(part.n)
+        for c, t in np.argwhere(f.sv <= spectral.DEFAULT_GROUP_TOL):
+            kernel = scipy.linalg.null_space(near[c])
+            if kernel.shape[1]:
+                f.v[c, :, t] = kernel[:, 0]
+                return factors
+    raise AssertionError("no dead column with a kernel vector of C on its columns")
 
 
 def test_right_vectors_must_be_orthonormal(monkeypatch):
@@ -1117,7 +1188,7 @@ def test_right_vectors_must_be_orthonormal(monkeypatch):
     s = VertexSet(4, 2, ranks=[0, 1, 2, 5, 7, 12, 14])
     (rep,) = signed_spectra(a, [s])
     assert rep.zero_multiplicity == 7 - 2 and rep.eigenvalues[-1] == pytest.approx(math.sqrt(3), abs=1e-12)
-    _svd_tampered_by(monkeypatch, _repeat_kernel_vector)
+    _svd_tampered_by(monkeypatch, _kernel_vector_in_dead_column)
     with pytest.raises(EigenSolveError, match="orthonormal"):
         signed_spectra(a, [s])
 
@@ -1134,14 +1205,14 @@ def _balanced_factors():
 
 def test_right_vectors_must_be_orthonormal_in_a_split_solve(monkeypatch):
     # each 4-cycle squared has 0 twice, so A has 4 zeros: C is 8 x 8 with two
-    # zero singular values, and K splits into two components of 4 rows; the
-    # dead pairs send the whole matrix to one component, whose V must be orthonormal
+    # zero singular values, and K splits into two components of 4 rows, each
+    # with a dead column and all 8 columns of C in S_c
     a = _balanced_factors()
     assert check_support(a, a.graph())
     shapes = _eigh_blocks(monkeypatch)
     (rep,) = signed_spectra(a)
-    assert rep.zero_multiplicity == 4 and shapes == [(2, 4, 4), (1, 8, 8)]
-    _svd_tampered_by(monkeypatch, _repeat_kernel_vector)
+    assert rep.zero_multiplicity == 4 and shapes == [(2, 4, 4)]
+    _svd_tampered_by(monkeypatch, _kernel_vector_in_dead_column)
     with pytest.raises(EigenSolveError, match="orthonormal"):
         signed_spectra(a)
 
