@@ -322,10 +322,14 @@ def brute_force_f(
     search; their shares of max_subsets differ by at most one and sum to
     it, and node-cap means some thread spent its own share.  Under a single
     worker the witness is the lexicographically smallest achieving subset;
-    with several workers only the value is deterministic.
+    with several workers only the value is deterministic.  ValueError,
+    before anything is built, unless s is an integer of at least 1 and
+    stop_at an integer or None.
     """
-    if s < 1:
-        raise ValueError(f"need s >= 1, got {s}")
+    if not isinstance(s, numbers.Integral) or s < 1:
+        raise ValueError(f"need an integer s >= 1, got {s!r}")
+    if stop_at is not None and not isinstance(stop_at, numbers.Integral):
+        raise ValueError(f"stop_at must be an integer or None, got {stop_at!r}")
     deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
     mis = max_independent_set(g) if mis is None else mis
     target = mis.size + s

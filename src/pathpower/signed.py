@@ -11,11 +11,12 @@ Supported parities: m = 3 ("odd3") and even m = 2n ("even2n").  A matrix is
 kept as the grid's slot table (grid module docstring): an (m^k, 2k) int8
 array sign, sign[r, c] the entry at (r, r + steps[c]) and 0 where slot c is
 not a neighbour, so each edge is stored once in each direction.  Every
-operation here (the block extension, the support check, the exact square
-and its Kronecker identity) works on whole tables, exactly: entries are
-+-1, and an entry of the square is a sum of at most 2k of their products.
-Taken row-major, the set slots are the entries sorted by (row, col), so
-nothing here sorts.  Callers densify only for numerical spectra.
+operation here (the block extension, the support check and the square's
+Kronecker identity) works exactly on whole tables or their column slices.
+The identity forms no square: it is read off the signs of the table's
+faces and lines (square_identity_holds).  Taken row-major, the set slots
+are the entries sorted by (row, col), so nothing here sorts.  Callers
+densify only for numerical spectra.
 """
 
 from __future__ import annotations
@@ -143,89 +144,81 @@ def check_support(a: SignedMatrix, g: PathPower) -> bool:
     """
     if a.dim != g.n_vertices:
         raise DimensionMismatchError(f"matrix dim {a.dim} vs graph size {g.n_vertices}")
-    n, m, k = g.n_vertices, g.m, g.k
-    present = present_slots(m, k)
+    present = present_slots(g.m, g.k)
     if a.sign.shape != present.shape or not np.array_equal(np.abs(a.sign), present):
         return False
+    return _mirrored(a)
+
+
+def _mirrored(a: SignedMatrix) -> bool:
+    """The mirror clause of check_support, on a table of the grid's shape."""
+    n, m, k = a.dim, a.m, a.k
     return all(np.array_equal(a.sign[: n - m**i, k + i], a.sign[m**i :, k - 1 - i]) for i in range(k))
 
 
-def _sparse_square(a: SignedMatrix) -> np.ndarray:
-    """Exact integer A @ A as an (n, 2k, 2k) int32 table of slot pairs.
+def square_identity_holds(a: SignedMatrix) -> bool:
+    """Whether A^2 is the Kronecker sum of k copies of B^2, exactly: that
+    is, A(j)^2 = I_m ⊗ A(j-1)^2 + B^2 ⊗ I at every level j = 2..k, level j
+    the table's first m^j rows and inner 2j slots, and B = A(1).
 
-    A two-step path along grid edges, r -> r + steps[c] -> r + steps[c] +
-    steps[d], ends where the unordered pair {c, d} says, and the opposite
-    slots of one axis all end at r.  So [r, c, d], c <= d, sums sign[r, c]
-    * sign[r + steps[c], d] over both orders: the entry at (r, r + steps[c]
-    + steps[d]).  The opposite pairs are all summed at (k - 1, k); every
-    other place holds 0.  ValueError unless every nonzero is on a present
-    slot, so every such path stays in the grid.  int32 is exact for an int8
-    table: a product is at most 2^14, and an entry sums at most 2k <= 32.
+    Lemma.  Let A be symmetric with entries +-1 exactly on the grid's
+    edges (check_support).  The diagonal of A^2 and of the Kronecker sum is
+    then the vertex degree, and an entry of A^2 off the diagonal sums the
+    two-step paths between its ends.  So A^2 = B^2 ⊕ ... ⊕ B^2 iff
+    - face: every unit square spanned by two axes i < l has sign product
+      -1, so its two paths cancel, as the Kronecker sum's zero cross terms
+      require; and
+    - line: every two consecutive edges along axis i, meeting at a vertex
+      whose digit i is d, have product b_(d-1) b_d, the entry of B^2 they
+      must repeat, where b_t = A[t, t + 1] are the table's own level-1
+      links (m = 2 has no such pair).
+
+    The check reads column slices of the slot table alone: the mirror
+    clause of check_support, then each line and face of the up slots, in
+    int32, which is exact for int8 entries.  It needs no values clause for
+    k >= 2: every edge lies on a face, and a face's product is -1 only when
+    its four entries are +-1, so a table that passes also passes
+    check_support.  ValueError unless the table has the grid's shape and
+    every nonzero is on a present slot, where A^2 would join non-neighbours.
     """
-    n, k = a.dim, a.k
-    present = present_slots(a.m, k)
+    n, m, k = a.dim, a.m, a.k
+    present = present_slots(m, k)
     if a.sign.shape != present.shape or np.any(a.sign[~present]):
-        raise ValueError(f"a nonzero off the slots of [{a.m}]^{k}: slot pairs would not fix the square's entries")
-    rows = np.arange(n, dtype=np.int64)[:, None]
-    middle = np.where(present, rows + slot_steps(a.m, k), rows)  # an absent slot holds 0: read any row
-    sign = a.sign.astype(np.int32)
-    paths = sign[:, :, None] * sign[middle]  # [r, c, d]
-    square = paths + paths.transpose(0, 2, 1)
-    slot = np.arange(2 * k)
-    square *= slot[:, None] <= slot  # keep c <= d
-    square[:, slot, slot] = paths[:, slot, slot]
-    down, up = slot[k - 1 :: -1], slot[k:]  # the opposite slots of each axis
-    diagonal = square[:, down, up].sum(axis=1)
-    square[:, down, up] = 0
-    square[:, k - 1, k] = diagonal
-    return square
-
-
-def square_identity_holds(square: np.ndarray, prev: np.ndarray, base: np.ndarray) -> bool:
-    """Whether the _sparse_square tables of levels k >= 2, k - 1 and 1 meet
-    A(k)^2 = I_m ⊗ A(k-1)^2 + A(1)^2 ⊗ I exactly.
-
-    Ranks are last-coordinate-major, so the base square acts on the block
-    index, axis k - 1.  Level k - 1's slots are level k's inner 2k - 2, and
-    A(1)^2 ⊗ I moves along axis k - 1 alone, two steps down at (0, 0), two
-    up at (2k - 1, 2k - 1), and its diagonal at the diagonal's place
-    (k - 1, k).  The right side is laid out one block at a time.
-    """
-    m, width = len(base), square.shape[1]
-    k = width // 2
-    for a, block in enumerate(square.reshape(m, len(prev), width, width)):
-        rhs = np.zeros_like(block)
-        rhs[:, 1:-1, 1:-1] = prev
-        rhs[:, 0, 0] = base[a, 0, 0]
-        rhs[:, -1, -1] = base[a, 1, 1]
-        rhs[:, k - 1, k] += base[a, 0, 1]
-        if not np.array_equal(block, rhs):
+        raise ValueError(f"a nonzero off the slots of [{m}]^{k}: its square would join non-neighbours")
+    if not _mirrored(a):
+        return False
+    up = a.sign[:, k:].T.astype(np.int32, order="C")  # up[i, r] = A[r, r + m^i]
+    links = up[0, : m - 1]
+    for l in range(k):
+        line = up[l].reshape(n // m ** (l + 1), m, m**l)  # (higher digits, digit l, lower digits)
+        if np.any(line[:, :-2] * line[:, 1:-1] != (links[:-1] * links[1:])[:, None]):
             return False
+        for i in range(l):
+            shape = (n // m ** (l + 1), m, m ** (l - i - 1), m, m**i)  # digits above l, l, between, i, below i
+            ui, ul = up[i].reshape(shape), up[l].reshape(shape)
+            face = ui[:, :-1, :, :-1] * ul[:, :-1, :, 1:] * ul[:, :-1, :, :-1] * ui[:, 1:, :, :-1]
+            if np.any(face != -1):
+                return False
     return True
 
 
 def square_identity_check(m: int, k: int) -> bool:
-    """Verify A(k)^2 = I_m ⊗ A(k-1)^2 + A(1)^2 ⊗ I in exact integers, k >= 2,
-    on the builder's matrices of levels k, k - 1 and 1 (square_identity_holds)."""
+    """Verify A(k)^2 = I_m ⊗ A(k-1)^2 + A(1)^2 ⊗ I at every level 2..k in
+    exact integers, k >= 2, on the builder's one matrix (square_identity_holds)."""
     if k < 2:
         raise ValueError(f"the square identity needs k >= 2, got k = {k}")
-    square, prev, base = (_sparse_square(signed_grid_matrix(m, j)) for j in (k, k - 1, 1))
-    return square_identity_holds(square, prev, base)
+    return square_identity_holds(signed_grid_matrix(m, k))
 
 
 def square_identity_levels(a: SignedMatrix) -> Iterator[bool]:
     """square_identity_holds at each level j = 2..k of a's own table, in
     turn.  Level j is the table's first m^j rows and inner 2j slots: a
     signed matrix of [m]^j when a passes check_support, and the builder's
-    A(j) when a is built.  Each level's square is formed once and is the
-    next level's prev."""
+    A(j) when a is built.  Level j holds iff the identity holds at every
+    level up to j, so the first False names the first failing level."""
     m, k = a.m, a.k
-    levels = (SignedMatrix(a.sign[: m**j, k - j : k + j], a.parity_tag, a.n, j) for j in range(1, k + 1))
-    squares = map(_sparse_square, levels)
-    base = prev = next(squares)
-    for square in squares:
-        yield square_identity_holds(square, prev, base)
-        prev = square
+    for j in range(2, k + 1):
+        yield square_identity_holds(SignedMatrix(a.sign[: m**j, k - j : k + j], a.parity_tag, a.n, j))
 
 
 def principal_submatrix(a: SignedMatrix, s: VertexSet) -> np.ndarray:

@@ -843,9 +843,12 @@ def spectrum_check(m: int, k: int) -> SpectrumCheck:
       The grid is bipartite, so the spectrum of A is symmetric, and A and
       A^2 share their kernel.
     - The square identity at every level j = 2..k
-      (square_identity_levels): by induction A^2 is the Kronecker sum of k
-      copies of B^2, B the level-1 path, so its eigenvalues are the sums of
-      k eigenvalues of B^2 (Horn & Johnson, Topics in Matrix Analysis, 4.4).
+      (square_identity_levels): A^2 is the Kronecker sum of k copies of
+      B^2, B the level-1 path, so its eigenvalues are the sums of k
+      eigenvalues of B^2 (Horn & Johnson, Topics in Matrix Analysis, 4.4).
+      It is read off the table's signs, with no square formed: every face
+      of the grid has sign product -1, and every two consecutive edges
+      along an axis repeat the entry of B^2 they span.
     - det(yI - B^2) = base_square_charpoly(m) (path_square_charpoly): B^2
       has 0 once and 2 twice for m = 3, and each root of poly_g(m / 2)
       twice for even m.

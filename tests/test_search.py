@@ -296,6 +296,24 @@ def test_budget_accepts_numpy_integers():
     assert brute_force_f(PathPower(3, 2), budget=budget, stop_at=0).value == 2
 
 
+@pytest.mark.parametrize("backend", ["compiled", "pure"])
+@pytest.mark.parametrize(
+    "name,value",
+    [("stop_at", 1.5), ("stop_at", 2.0), ("stop_at", float("nan")), ("s", 1.5), ("s", 2.0)],
+    ids=["stop_at-fraction", "stop_at-float", "stop_at-nan", "s-fraction", "s-float"],
+)
+def test_brute_force_refuses_a_non_integral_s_or_stop_at(monkeypatch, backend, name, value):
+    # refused before anything is built, not as a ctypes ArgumentError on the
+    # compiled kernel or a scan on the pure one, where NaN never stops early
+    _on_backend(monkeypatch, backend)
+    g = PathPower(3, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "max_independent_set", lambda *args: pytest.fail("built before the refusal"))
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            brute_force_f(g, **{name: value})
+    assert brute_force_f(g, np.int64(1), stop_at=np.int64(0)).value == 2
+
+
 def test_oversized_subset_rejected():
     with pytest.raises(ValueError):
         brute_force_f(PathPower(2, 1), s=2)  # alpha + 2 = 3 > 2 vertices

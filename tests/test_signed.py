@@ -22,7 +22,7 @@ from pathpower import (
 )
 from pathpower import signed
 from pathpower.grid import present_slots, slot_steps
-from pathpower.signed import _sparse_square
+from pathpower.signed import square_identity_holds, square_identity_levels
 
 
 def _set(a: SignedMatrix, i: int, j: int, v: int) -> None:
@@ -120,7 +120,7 @@ def test_support_detects_extra_entry():
     a.sign[0, a.k - 1] = 1
     assert a.nnz == 9 and a.entry(0, 1) == 1
     assert not check_support(a, PathPower(2, 2))
-    readers = (a.entries, a.to_dense, lambda: _sparse_square(a), lambda: write_matrix_market(a, io.StringIO()))
+    readers = (a.entries, a.to_dense, lambda: square_identity_holds(a), lambda: write_matrix_market(a, io.StringIO()))
     for read in (*readers, lambda: principal_submatrix(a, VertexSet(2, 2, ranks=[0, 3]))):
         with pytest.raises(ValueError):
             read()
@@ -182,15 +182,17 @@ def test_square_identity(m, k):
 @pytest.mark.parametrize("level", ["top", "previous"])
 @pytest.mark.parametrize("both_ways", [True, False])
 def test_square_identity_fails_with_one_sign_flipped(monkeypatch, m, k, level, both_ways):
+    # The edge (r, r + 1) of row r = m^(j - 1) lies in the level-j slice of
+    # the one table and outside every lower one: j = k for the top level,
+    # k - 1 for the previous one.
     build = signed.signed_grid_matrix
-    flip_at = k if level == "top" else k - 1
+    r = m ** (k - 1 if level == "top" else k - 2)
 
-    def flipped(mm, kk, *args):
-        a = build(mm, kk, *args)
-        if kk == flip_at:
-            _set(a, 0, 1, -a.entry(0, 1))
-            if both_ways:
-                _set(a, 1, 0, -a.entry(1, 0))
+    def flipped(*args):
+        a = build(*args)
+        _set(a, r, r + 1, -a.entry(r, r + 1))
+        if both_ways:
+            _set(a, r + 1, r, -a.entry(r + 1, r))
         return a
 
     monkeypatch.setattr(signed, "signed_grid_matrix", flipped)
@@ -200,6 +202,95 @@ def test_square_identity_fails_with_one_sign_flipped(monkeypatch, m, k, level, b
 def test_square_identity_needs_k_two():
     with pytest.raises(ValueError):
         square_identity_check(4, 1)
+
+
+def _edge_resigned(a: SignedMatrix, edges: set[int]) -> SignedMatrix:
+    """a with edge e negated in both directions for each e in edges, the
+    edges numbered as the set up slots, row-major."""
+    m, k = a.m, a.k
+    sign = a.sign.copy()
+    rows, axes = np.nonzero(sign[:, k:])
+    pick = np.isin(np.arange(len(rows)), list(edges))
+    rows, axes = rows[pick], axes[pick]
+    sign[rows, k + axes] *= -1
+    sign[rows + m**axes, k - 1 - axes] *= -1
+    return SignedMatrix(sign, a.parity_tag, a.n, k)
+
+
+def _vertex_resigned(a: SignedMatrix, vertices: set[int]) -> SignedMatrix:
+    """S a S for S = diag(+-1), -1 exactly at the given ranks."""
+    m, k = a.m, a.k
+    s = np.where(np.isin(np.arange(a.dim), list(vertices)), -1, 1).astype(np.int8)
+    ends = np.where(present_slots(m, k), np.arange(a.dim)[:, None] + slot_steps(m, k), 0)
+    return SignedMatrix(a.sign * s[:, None] * s[ends], a.parity_tag, a.n, k)
+
+
+def _literal_identity(a: SignedMatrix) -> list[bool]:
+    """D_j @ D_j == I_m ⊗ D_(j-1) @ D_(j-1) + B @ B ⊗ I for j = 2..k, on the
+    dense level slices D_j of a's table, B = D_1."""
+    m, k = a.m, a.k
+    dense = [SignedMatrix(a.sign[: m**j, k - j : k + j], a.parity_tag, a.n, j).to_dense() for j in range(1, k + 1)]
+    b, eye = dense[0], lambda size: np.eye(size, dtype=np.int64)
+    return [np.array_equal(d @ d, np.kron(eye(m), p @ p) + np.kron(b @ b, eye(len(p)))) for p, d in zip(dense, dense[1:])]
+
+
+@st.composite
+def _resignings(draw):
+    m, k = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (6, 2)]))
+    a = signed_grid_matrix(m, k)
+    if draw(st.booleans()):
+        return _vertex_resigned(a, draw(st.sets(st.integers(0, a.dim - 1))))
+    return _edge_resigned(a, draw(st.sets(st.integers(0, a.nnz // 2 - 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_resignings())
+def test_identity_levels_match_the_dense_identity(a):
+    # The verdict of level j is the literal identity at every level up to j,
+    # so the first failing level is the literal identity's.
+    assert check_support(a, a.graph())
+    literal = _literal_identity(a)
+    assert list(square_identity_levels(a)) == np.logical_and.accumulate(literal).tolist()
+    assert square_identity_holds(a) == all(literal)
+
+
+def test_a_level_can_hold_literally_above_a_failing_level():
+    # A(3) = [[C, I], [I, -C]] on [2]^3, with C the 4-cycle of sign product
+    # +1: the identity fails at level 2 and holds literally at level 3, but
+    # A(3)^2 is not the Kronecker sum of three copies of B^2.
+    a = signed_grid_matrix(2, 3)
+    a.sign = np.abs(a.sign)
+    a.sign[4:, 1:5] *= -1  # the axis-0 and axis-1 slots of block 1
+    assert check_support(a, a.graph())
+    assert _literal_identity(a) == [False, True]
+    assert list(square_identity_levels(a)) == [False, False]
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_a_vertex_resigning_of_the_hypercube_keeps_the_identity(k):
+    # A^2 = kI, and S A S squares to S kI S = kI for every diagonal S of +-1.
+    a = _vertex_resigned(signed_grid_matrix(2, k), set(range(0, 2**k, 3)))
+    assert a != signed_grid_matrix(2, k) and check_support(a, a.graph())
+    assert square_identity_holds(a) and all(square_identity_levels(a))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_a_vertex_resigning_of_3_to_the_k_fails_the_line_clause(k):
+    # Negating vertex 0 keeps every face's product but negates the link b_0,
+    # so b_0 b_1 no longer matches the lines along axis 0 of the other rows.
+    a = _vertex_resigned(signed_grid_matrix(3, k), {0})
+    assert check_support(a, a.graph())
+    assert not square_identity_holds(a) and next(square_identity_levels(a)) is False
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_a_down_slot_flip_of_the_hypercube_fails_the_mirror_clause(k):
+    # m = 2 has no line pair, and the face clause reads only the up slots,
+    # which keep the builder's signs.
+    a = signed_grid_matrix(2, k)
+    a.sign[1, k - 1] *= -1  # the entry (1, 0); (0, 1) keeps its sign
+    assert np.array_equal(a.sign[:, k:], signed_grid_matrix(2, k).sign[:, k:])
+    assert not square_identity_holds(a) and next(square_identity_levels(a)) is False
 
 
 def test_principal_submatrix_cases():
@@ -410,39 +501,6 @@ def test_signs_match_closed_form(m, k):
         assert stored[(r, s)] == stored[(s, r)] == sign
 
 
-def _square_as_dict(a: SignedMatrix) -> dict[int, int]:
-    """The nonzeros of the slot-pair table of A^2, keyed row * dim + target:
-    the pair (c, d), c <= d, of row r targets r + steps[c] + steps[d]."""
-    square = _sparse_square(a)
-    r, c, d = np.nonzero(square)
-    steps = slot_steps(a.m, a.k)
-    keys = r * a.dim + r + steps[c] + steps[d]
-    assert np.all(c <= d) and len(set(keys.tolist())) == len(keys)  # each pair its own target
-    return dict(zip(keys.tolist(), square[r, c, d].tolist()))
-
-
-# numpy's integer matmul does not use BLAS (a 1024-dim product takes seconds),
-# so the dense int64 oracle stops at 512; the scipy test covers larger sizes.
-@pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (2, 5), (3, 5), (4, 4), (6, 3), (2, 9), (8, 3)])
-def test_sparse_square_matches_dense_product(m, k):
-    a = signed_grid_matrix(m, k)
-    d = a.to_dense()
-    want = d @ d
-    nz = np.flatnonzero(want)
-    assert _square_as_dict(a) == dict(zip(nz.tolist(), want.ravel()[nz].tolist()))
-
-
-@pytest.mark.parametrize("m,k", [(3, 8), (2, 12)])
-def test_sparse_square_matches_scipy(m, k):
-    sparse = pytest.importorskip("scipy.sparse")
-    a = signed_grid_matrix(m, k)
-    rows, cols, vals = a.entries()
-    sq = sparse.csr_matrix((vals, (rows, cols)), shape=(a.dim, a.dim), dtype=np.int64)
-    sq = (sq @ sq).tocoo()
-    want = {int(i) * a.dim + int(j): int(v) for i, j, v in zip(sq.row, sq.col, sq.data) if v}
-    assert _square_as_dict(a) == want
-
-
 def _kronecker_oracle(m: int, k: int) -> np.ndarray:
     """A(m, k) built literally as dense np.kron(D, A) + np.kron(B, I)."""
     b = np.zeros((m, m), dtype=np.int64)
@@ -496,7 +554,7 @@ def test_support_rejects_an_entry_across_a_digit_carry():
     assert a.entry(2, 3) == a.entry(3, 2) == 1
     assert not check_support(a, PathPower(3, 2))
     with pytest.raises(ValueError):
-        _sparse_square(a)  # the pair (up 0, down 1) of rank 2 would land on 0, as does (down 0, down 0)
+        square_identity_holds(a)  # a nonzero on an absent slot: the square would join non-neighbours
 
 
 def test_build_and_support_check_do_not_sort(monkeypatch):

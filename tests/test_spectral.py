@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -598,6 +599,20 @@ def test_spectrum_check_at_the_grid_cap(m, k):
     got = spectrum_check(m, k)
     assert got.passed and f"square identity at levels 2..{k}" in got.proof
     assert (got.zero_multiplicity, got.min_positive) == ((1, SQRT2) if m == 3 else (0, math.sqrt(k)))
+
+
+def test_spectrum_check_holds_nothing_of_the_size_of_the_square():
+    # The certificate reads column slices of the int8 slot table.  A table of
+    # A^2 by slot pairs, (n, 2k, 2k), would be 2k = 24 times its size in int8.
+    table = signed_grid_matrix(2, 12).sign.nbytes
+    spectrum_check(2, 12)  # caches filled outside the trace
+    tracemalloc.start()
+    try:
+        assert spectrum_check(2, 12).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * table, peak / table
 
 
 _CROSS_CHECKED = sorted(
