@@ -38,11 +38,8 @@ from .search import (
 from .signed import check_support, signed_grid_matrix, square_identity_check
 from .spectral import (
     DEFAULT_GROUP_TOL,
-    base_certificate_holds,
-    base_matrices,
-    base_square_charpoly,
+    base_certificate,
     beta,
-    charpoly_exact,
     fg_identity_failures,
     interlacing_holds,
     odd3_spectrum_check,
@@ -201,17 +198,9 @@ def _check_polynomials(cfg: dict) -> tuple[bool, dict]:
     fg_bad = fg_identity_failures(50)
     details["fg_identity_failures"] = fg_bad
     ok = ok and not fg_bad
-    # One charpoly of B^2 per base serves the charpoly check and the certificate.
-    cp_bad, certificates = [], []
-    for m in (3, *range(2, 17, 2)):
-        b, d = base_matrices(m)
-        charpoly = charpoly_exact(b @ b)
-        if m % 2 == 0 and charpoly != base_square_charpoly(m):
-            cp_bad.append(m // 2)
-        certificates.append([m, base_certificate_holds(b, d, charpoly)])
-    details["charpoly_failures"] = cp_bad
+    certificates = [[m, base_certificate(m)] for m in (3, *range(2, 17, 2))]
     details["base_certificate"] = certificates
-    ok = ok and not cp_bad and all(holds for _, holds in certificates)
+    ok = ok and all(holds for _, holds in certificates)
     return ok, details
 
 
@@ -222,24 +211,15 @@ def _check_even_spectra(cfg: dict) -> tuple[bool, dict]:
 
 
 def _check_integer_structure(cfg: dict) -> tuple[bool, dict]:
-    ok = True
-    square_rows = []
-    for m in (2, 3, 4, 6):
-        for k in (2, 3):
-            if m**k > cfg["max_size"]:
-                continue
-            good = square_identity_check(m, k)
-            square_rows.append([m, k, good])
-            ok = ok and good
+    """The table certificate, once per built grid: every [2|4|6]^k for k
+    <= 3 and [3]^k for k <= 5, within max_size."""
+    grids = [(m, k) for m in (2, 3, 4, 6) for k in range(1, 6 if m == 3 else 4) if m**k <= cfg["max_size"]]
+    square_rows = [[m, k, square_identity_check(m, k)] for m, k in grids if k > 1]
     support_rows = []
-    for m in (2, 3, 4, 6):
-        for k in (1, 2, 3):
-            if m**k > cfg["max_size"]:
-                continue
-            a, g = signed_grid_matrix(m, k), PathPower(m, k)
-            good = check_support(a, g) and a.nnz == 2 * g.edge_count
-            support_rows.append([m, k, good])
-            ok = ok and good
+    for m, k in grids:
+        a, g = signed_grid_matrix(m, k), PathPower(m, k)
+        support_rows.append([m, k, check_support(a, g) and a.nnz == 2 * g.edge_count])
+    ok = all(row[-1] for row in square_rows + support_rows)
     return ok and bool(support_rows), {"square_identity": square_rows, "support": support_rows}
 
 

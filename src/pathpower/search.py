@@ -216,7 +216,7 @@ def hypercube_cells_certificate_holds(g: PathPower, cells: np.ndarray, labels: n
     return bool(is_grid_edge(g, member, member[:, 0, flips]).all()) and n_cells * (width // 2) == alpha
 
 
-@functools.cache  # a fixed m x m check: once per process
+@functools.cache  # a fixed check of the level-1 and level-2 tables: once per process
 def _base_certified(m: int) -> bool:
     return base_certificate(m)
 

@@ -14,16 +14,19 @@ not a neighbour, so each edge is stored once in each direction.  Every
 operation here (the block extension, the support check and the square's
 Kronecker identity) works exactly on whole tables or their column slices.
 The identity forms no square: it is read off the signs of the table's
-faces and lines (square_identity_holds).  Taken row-major, the set slots
-are the entries sorted by (row, col), so nothing here sorts.  Callers
-densify only for numerical spectra.
+faces and lines (square_identity_holds).  check_support and
+square_identity_holds are the check that a given table is the builder's
+matrix; the spectral facts of every level follow from the level-1 and
+level-2 tables alone (spectral.spectrum_check).  Taken row-major, the set
+slots are the entries sorted by (row, col), so nothing here sorts.
+Callers densify only for numerical spectra.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import IO, Iterator
+from typing import IO
 
 import numpy as np
 
@@ -208,17 +211,6 @@ def square_identity_check(m: int, k: int) -> bool:
     if k < 2:
         raise ValueError(f"the square identity needs k >= 2, got k = {k}")
     return square_identity_holds(signed_grid_matrix(m, k))
-
-
-def square_identity_levels(a: SignedMatrix) -> Iterator[bool]:
-    """square_identity_holds at each level j = 2..k of a's own table, in
-    turn.  Level j is the table's first m^j rows and inner 2j slots: a
-    signed matrix of [m]^j when a passes check_support, and the builder's
-    A(j) when a is built.  Level j holds iff the identity holds at every
-    level up to j, so the first False names the first failing level."""
-    m, k = a.m, a.k
-    for j in range(2, k + 1):
-        yield square_identity_holds(SignedMatrix(a.sign[: m**j, k - j : k + j], a.parity_tag, a.n, j))
 
 
 def principal_submatrix(a: SignedMatrix, s: VertexSet) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Integer polynomial recurrences, root isolation, and spectral verifiers.
 
 Exact layer: the polynomial family p_j = (x - 2) p_(j-1) - p_(j-2) with two
-seed choices (poly_f, poly_g), and characteristic polynomials (and so
-determinants) by the Faddeev-LeVerrier recurrence in Python integers.
+seed choices (poly_f, poly_g), and the characteristic polynomial det(xI - B)
+of a signed path B by its continuant (path_charpoly) in Python integers.
 
 Root isolation: poly_g(n) is the characteristic polynomial of a
 tridiagonal matrix, so one exact Sturm count (g_roots_below) says how many
@@ -31,13 +31,14 @@ column (sigma <= DEFAULT_GROUP_TOL) has v = 0.  The contract's
 reconstruction and the orthonormality of V's live columns bound every
 singular value of C by Mirsky's theorem (Quart. J. Math. 11, 1960), so
 no kernel vector of C is needed in V.
-base_certificate proves the spectrum of every level exactly, so
-closed_form_spectrum lists it with no solve.  spectrum_check certifies the
-paper's facts, the zero multiplicity and the least positive eigenvalue, on
-the one slot table of A(m, k) up to the grid cap, with no solve and no
-expansion of the closed form: the support, the square identity at every
-level, the continuant charpoly of the base square and, for even m, beta's
-Sturm count.  odd3_spectrum_check, min_positive_eig_even and
+base_certificate proves, once per m, the lemma that fixes the spectrum of
+every level: from the level-1 path B and the block step D read off the
+level-2 table, A_k^2 = I ⊗ A_(k-1)^2 + B^2 ⊗ I for every k.  So
+closed_form_spectrum lists the spectrum with no solve, and spectrum_check
+certifies the paper's facts, the zero multiplicity and the least positive
+eigenvalue, for any k, with no table of level k, no solve and no expansion
+of the closed form: the lemma's clauses and, for even m, beta's Sturm
+count.  odd3_spectrum_check, min_positive_eig_even and
 nonsingularity_check_even read it.  square_compose_check is the one
 comparison of a solve with the closed form, within DEFAULT_GROUP_TOL; the
 squares of the solved spectrum are the spectrum of A^2 = C C^T + C^T C (a
@@ -57,7 +58,7 @@ import numpy as np
 
 from .errors import BracketingError, CertificateError, DimensionMismatchError, EigenSolveError, SizeCapError
 from .grid import DEFAULT_SIZE_CAP, VertexSet, digits, slot_steps
-from .signed import SignedMatrix, check_signed_params, check_support, signed_grid_matrix, square_identity_levels
+from .signed import SignedMatrix, check_signed_params, check_support, signed_grid_matrix
 
 # The thresholds of every spectral verdict, fixed so that no caller can loosen one.
 DEFAULT_RESIDUAL_TOL = 1e-10  # eigenpair residual, relative to ||A||_F
@@ -261,53 +262,42 @@ def beta(n: int, tol: float = 1e-12) -> float:
 # ------------------------ exact characteristic polys -----------------------
 
 
-def charpoly_exact(mat) -> IntPolynomial:
-    """Characteristic polynomial det(xI - M) of an integer matrix, exactly.
+def path_charpoly(links: Sequence[int]) -> IntPolynomial:
+    """det(xI - B) of the path B with zero diagonal and B[j, j + 1] =
+    B[j + 1, j] = links[j], exactly: the continuant p_j = x p_(j-1) -
+    links[j-2]^2 p_(j-2), p_0 = 1 and p_1 = x, on plain lists of Python
+    integers, of order m^2 for m = len(links) + 1.
 
-    Faddeev-LeVerrier on an object array of Python integers: N_0 = 0,
-    c_d = 1, and for j = 1..d, N_j = M N_(j-1) + c_(d-j+1) I and
-    c_(d-j) = -tr(M N_j) / j.  Every N_j is an integer polynomial in M, so
-    each division is exact (ArithmeticError if not); det M = (-1)^d c_0.
-    ValueError unless M is square with integral entries.
+    B is symmetric with a zero diagonal, so p(-x) = (-1)^m p(x) and
+    det(x^2 I - B^2) = det(xI - B) det(xI + B) = p(x)^2: p = base_charpoly(m)
+    fixes det(yI - B^2) with no square formed, and the converse holds as p is
+    monic.
     """
-    m = np.asarray(mat)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("charpoly_exact expects a square matrix")
-    rows = m.tolist()
-    try:
-        ints = [[int(v) for v in row] for row in rows]
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != rows:
-        raise ValueError("charpoly_exact expects integral entries")
-    d = len(ints)
-    a = np.array(ints, dtype=object).reshape(d, d)
-    eye = np.eye(d, dtype=object)
-    coeffs = [0] * d + [1]
-    an = np.zeros((d, d), dtype=object)  # M N_(j-1)
-    for j in range(1, d + 1):
-        an = a @ (an + coeffs[d - j + 1] * eye)
-        trace = int(np.trace(an))
-        if trace % j:
-            raise ArithmeticError(f"trace {trace} of M N_{j} is not divisible by {j}")
-        coeffs[d - j] = -trace // j
+    p_prev, p = [1], [0, 1]
+    for b in links:
+        bb = b * b
+        shifted = [0, *p]  # x p
+        p_prev, p = p, [u - bb * v for u, v in zip(shifted, p_prev)] + shifted[len(p_prev) :]
+    return IntPolynomial(tuple(p))
+
+
+def base_charpoly(m: int) -> IntPolynomial:
+    """det(xI - B) of the base path as it must be: x^3 - 2x for m = 3, so
+    B^2 has 0 once and 2 twice; poly_g(m / 2)(x^2) for even m, so B^2 has
+    each root of poly_g(m / 2) twice (path_charpoly)."""
+    if m == 3:
+        return IntPolynomial((0, -2, 0, 1))
+    coeffs = [0] * (m + 1)
+    coeffs[::2] = poly_g(m // 2).coeffs
     return IntPolynomial(tuple(coeffs))
 
 
-def base_square_charpoly(m: int) -> IntPolynomial:
-    """det(xI - B^2) as it must be: x (x - 2)^2 for m = 3, poly_g(m / 2)^2 for even m."""
-    if m == 3:
-        return IntPolynomial((0, 4, -4, 1))
-    g = poly_g(m // 2)
-    return g * g
-
-
 def charpoly_base_square_check(n: int) -> bool:
-    """Exact check: charpoly of the squared even base matrix equals poly_g(n)^2."""
+    """Exact check that det(yI - B^2) = poly_g(n)^2 for the even base path B
+    on 2n vertices, as det(xI - B) = base_charpoly(2n) (path_charpoly)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    b, _ = base_matrices(2 * n)
-    return charpoly_exact(b @ b) == base_square_charpoly(2 * n)
+    return path_charpoly(_links(signed_grid_matrix(2 * n, 1)).tolist()) == base_charpoly(2 * n)
 
 
 # ----------------------------- spectrum reports ----------------------------
@@ -357,9 +347,13 @@ def spectrum_report(values) -> SpectrumReport:
     )
 
 
-# perfbench/spans.py still resolves this name when it installs its tracer.
+# perfbench/spans.py still resolves these names when it installs its tracer.
 def eigenvalues_sym(*args, **kwargs):
     raise NotImplementedError("signed matrices are solved by signed_spectra")
+
+
+def charpoly_exact(*args, **kwargs):
+    raise NotImplementedError("a signed path's characteristic polynomial is path_charpoly of its links")
 
 
 def _gram_components(label: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -729,26 +723,49 @@ def multiset_distance(a: Sequence[float], b: Sequence[float]) -> float:
 # ------------------- base certificate and closed form ----------------------
 
 
-def base_matrices(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B, D) of the builder's block step A_k = D ⊗ A_(k-1) + B ⊗ I, dense:
-    B is its level-1 matrix, and D is read off its level-2 matrix, whose
-    block (a, c) holds D[a, c] B + B[a, c] I, at entry (0, 1) of each block."""
-    b = signed_grid_matrix(m, 1).to_dense()
-    return b, signed_grid_matrix(m, 2).to_dense()[::m, 1::m] * b[0, 1]
+def _links(b: SignedMatrix) -> np.ndarray:
+    """The links B[j, j + 1] of a level-1 table, its up slots, in int64."""
+    return b.sign[: b.m - 1, 1].astype(np.int64)
 
 
-def base_certificate_holds(b: np.ndarray, d: np.ndarray, charpoly: IntPolynomial) -> bool:
-    """Exact checks on the block step's base, charpoly being det(xI - B^2):
-    D^2 = I and DB + BD = 0, which give A_k^2 = I ⊗ A_(k-1)^2 + B^2 ⊗ I for
-    every k, and charpoly = base_square_charpoly(m)."""
-    eye = np.eye(len(b), dtype=np.int64)
-    return np.array_equal(d @ d, eye) and not np.any(d @ b + b @ d) and charpoly == base_square_charpoly(len(b))
+def _block_step_table(links: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The (m^2, 4) slot table of D ⊗ B + B ⊗ I, D = diag(d) and B the
+    symmetric path with links: row (a, c) holds B[a, a - 1], d[a] B[c, c - 1],
+    d[a] B[c, c + 1] and B[a, a + 1], 0 beyond the path's ends."""
+    up, down = np.append(links, 0), np.insert(links, 0, 0)  # B[c, c + 1] and B[c, c - 1]
+    m = len(up)
+    table = np.empty((m, m, 4), dtype=np.int64)
+    table[:, :, 0], table[:, :, 3] = down[:, None], up[:, None]
+    table[:, :, 1], table[:, :, 2] = np.outer(d, down), np.outer(d, up)
+    return table.reshape(m * m, 4)
+
+
+def _lemma(b: SignedMatrix, a2: SignedMatrix | None) -> Iterator[tuple[str, bool]]:
+    """(name, holds) of each clause of the block step's lemma in turn, each
+    evaluated when reached, on the level-1 table b of B and the level-2
+    table a2; without a2, the clauses of B alone.  D is read off a2, whose
+    diagonal block a holds D[a, a] B, at the entry (am, am + 1)."""
+    m = b.m
+    yield "check_support", check_support(b, b.graph())
+    links = _links(b)
+    if a2 is not None:
+        d = a2.sign[::m, 2] * links[0]
+        yield "D^2 = I", bool(np.all(np.abs(d) == 1))
+        yield "DB + BD = 0", not np.any(links * (d[:-1] + d[1:]))
+        yield "A_2 = D ⊗ B + B ⊗ I", np.array_equal(a2.sign, _block_step_table(links, d))
+    yield f"det(xI - B) = base_charpoly({m})", path_charpoly(links.tolist()) == base_charpoly(m)
+
+
+def base_certificate_holds(b: SignedMatrix, a2: SignedMatrix) -> bool:
+    """Every clause of the block step's lemma (spectrum_check) on the
+    level-1 table b and the level-2 table a2, in exact integers."""
+    return all(holds for _, holds in _lemma(b, a2))
 
 
 def base_certificate(m: int) -> bool:
-    """base_certificate_holds on the builder's base matrices for m."""
-    b, d = base_matrices(m)
-    return base_certificate_holds(b, d, charpoly_exact(b @ b))
+    """base_certificate_holds on the builder's level-1 and level-2 tables
+    for m; SizeCapError when m^2 exceeds the grid size cap."""
+    return base_certificate_holds(signed_grid_matrix(m, 1), signed_grid_matrix(m, 2))
 
 
 def closed_form_spectrum(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> SpectrumReport:
@@ -814,65 +831,49 @@ class SpectrumCheck:
     proof: str
 
 
-def path_square_charpoly(links: Sequence[int]) -> IntPolynomial:
-    """det(yI - B^2) of the path B with zero diagonal and B[j, j + 1] =
-    B[j + 1, j] = links[j], exactly.
-
-    det(xI - B) is the continuant p_j = x p_(j-1) - links[j-2]^2 p_(j-2),
-    p_0 = 1 and p_1 = x, and det(x^2 I - B^2) = det(xI - B) det(xI + B) =
-    (-1)^m p(x) p(-x) for m = len(links) + 1.  With p(x) = E(x^2) + x
-    O(x^2), that is (-1)^m (E(y)^2 - y O(y)^2) at y = x^2; one of E and O
-    is 0, as the diagonal is.  Of order m^2 in Python integers, where
-    charpoly_exact of B^2 is of order m^4.
-    """
-    x = IntPolynomial((0, 1))
-    p_prev, p = IntPolynomial((1,)), x
-    for b in links:
-        p_prev, p = p, x * p - IntPolynomial((b * b,)) * p_prev
-    even, odd = IntPolynomial(p.coeffs[::2]), IntPolynomial(p.coeffs[1::2])
-    square = even * even - x * odd * odd
-    return IntPolynomial(tuple(-c for c in square.coeffs)) if p.degree % 2 else square
-
-
 def spectrum_check(m: int, k: int) -> SpectrumCheck:
-    """The paper's spectral facts about the level-k signed matrix A of
-    [m]^k, certified exactly on its one slot table, with no eigensolve and
-    no expansion of the closed form.
+    """The paper's spectral facts about the level-k signed matrix A_k of
+    [m]^k, for any k, certified exactly by the block step's lemma, with no
+    table of level k, no eigensolve and no expansion of the closed form.
 
-    - check_support: A is +-1 exactly on the grid's edges, and symmetric.
-      The grid is bipartite, so the spectrum of A is symmetric, and A and
-      A^2 share their kernel.
-    - The square identity at every level j = 2..k
-      (square_identity_levels): A^2 is the Kronecker sum of k copies of
-      B^2, B the level-1 path, so its eigenvalues are the sums of k
-      eigenvalues of B^2 (Horn & Johnson, Topics in Matrix Analysis, 4.4).
-      It is read off the table's signs, with no square formed: every face
-      of the grid has sign product -1, and every two consecutive edges
-      along an axis repeat the entry of B^2 they span.
-    - det(yI - B^2) = base_square_charpoly(m) (path_square_charpoly): B^2
-      has 0 once and 2 twice for m = 3, and each root of poly_g(m / 2)
-      twice for even m.
-    - For even m, beta(m / 2)'s Sturm certificate: poly_g(m / 2) has no
-      root at or below 0, and its least root is beta (else BracketingError).
+    The builder applies one step per level, A_k = D ⊗ A_(k-1) + B ⊗ I, with
+    the level-1 path B and a D it does not store, read off the level-2
+    table (_lemma).  The clauses:
 
-    Counting the sums then gives, for m = 3, the eigenvalue 0 once (every
-    pick 0) and sqrt(2) as the least positive one; for even m, no zero
-    eigenvalue and sqrt(k beta(m / 2)) as the least positive one.
-    SizeCapError above DEFAULT_SIZE_CAP, before the table is built.
+    - check_support on the level-1 table: B is +-1 exactly on the path's
+      edges, and symmetric;
+    - D^2 = I: every D[a, a] is +-1;
+    - DB + BD = 0: D changes sign across every link of B;
+    - A_2 = D ⊗ B + B ⊗ I, slot for slot on the level-2 table, so the
+      builder's step is this one and D is diagonal, as a slot table holds
+      no other entry;
+    - det(xI - B) = base_charpoly(m), from the continuant of B's links
+      (path_charpoly): B^2 has 0 once and 2 twice for m = 3, and each root
+      of poly_g(m / 2) twice for even m.
+
+    The first four give A_k^2 = D^2 ⊗ A_(k-1)^2 + (DB + BD) ⊗ A_(k-1) +
+    B^2 ⊗ I = I ⊗ A_(k-1)^2 + B^2 ⊗ I, so the eigenvalues of A_k^2 are the
+    sums of k eigenvalues of B^2 (Horn & Johnson, Topics in Matrix
+    Analysis, 4.4).  A_k shares its kernel with A_k^2, and it anticommutes
+    with the digit-sum parity signing, as B does and D is diagonal, so its
+    spectrum is symmetric.  For k = 1, A_1 = B, and only the clauses of B
+    are read, so the level-2 table is not built.  For even m, beta(m / 2)'s
+    Sturm certificate then says that poly_g(m / 2) has no root at or below
+    0 and that its least root is beta (else BracketingError).
+
+    Counting the sums gives, for m = 3, the eigenvalue 0 once (every pick
+    0) and sqrt(2) as the least positive one; for even m, no zero
+    eigenvalue and sqrt(k beta(m / 2)) as the least positive one.  proof
+    names the clauses that passed, or the first that failed.  ValueError
+    unless m = 3 or m is even and k >= 1; SizeCapError above the grid size
+    cap for m, or for m^2 when k >= 2, before anything is built.
     """
-    a = signed_grid_matrix(m, k)
-    checks = ["check_support"]
-    if not check_support(a, a.graph()):
-        return SpectrumCheck(m, k, None, None, False, "fails: check_support")
-    for j, holds in enumerate(square_identity_levels(a), start=2):
+    check_signed_params(m, min(k, 2))
+    checks = []
+    for name, holds in _lemma(signed_grid_matrix(m, 1), signed_grid_matrix(m, 2) if k > 1 else None):
         if not holds:
-            return SpectrumCheck(m, k, None, None, False, f"fails: square identity at level {j}")
-    if k > 1:
-        checks.append(f"square identity at levels 2..{k}")
-    charpoly = f"det(yI - B^2) = base_square_charpoly({m})"
-    if path_square_charpoly(a.sign[: m - 1, k].tolist()) != base_square_charpoly(m):
-        return SpectrumCheck(m, k, None, None, False, f"fails: {charpoly}")
-    checks.append(charpoly)
+            return SpectrumCheck(m, k, None, None, False, f"fails: {name}")
+        checks.append(name)
     if m == 3:
         return SpectrumCheck(m, k, 1, sqrt(2.0), True, "; ".join(checks))
     least = beta(m // 2)

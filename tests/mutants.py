@@ -19,6 +19,8 @@ class Mutant(NamedTuple):
 
 
 _SIGNED = "src/pathpower/signed.py"
+_SPECTRAL = "src/pathpower/spectral.py"
+_LEMMA_CONTROLS = ("tests/test_spectral.py::test_each_clause_of_the_lemma_has_a_negative_control",)
 
 MUTANTS = [
     Mutant(
@@ -53,6 +55,44 @@ MUTANTS = [
         (
             "tests/test_signed.py::test_square_identity_fails_with_one_sign_flipped",
             "tests/test_spectral.py::test_a_flip_with_its_mirror_fails_the_identity_at_its_level",
+        ),
+    ),
+    Mutant(
+        "lemma-support-clause",
+        _SPECTRAL,
+        'yield "check_support", check_support(b, b.graph())',
+        'yield "check_support", True',
+        _LEMMA_CONTROLS,
+    ),
+    Mutant(
+        "lemma-d-squared-clause",
+        _SPECTRAL,
+        'yield "D^2 = I", bool(np.all(np.abs(d) == 1))',
+        'yield "D^2 = I", True',
+        _LEMMA_CONTROLS,
+    ),
+    Mutant(
+        "lemma-anticommutation-clause",
+        _SPECTRAL,
+        'yield "DB + BD = 0", not np.any(links * (d[:-1] + d[1:]))',
+        'yield "DB + BD = 0", True',
+        _LEMMA_CONTROLS,
+    ),
+    Mutant(
+        "lemma-block-step-clause",
+        _SPECTRAL,
+        'np.array_equal(a2.sign, _block_step_table(links, d))',
+        "True",
+        _LEMMA_CONTROLS,
+    ),
+    Mutant(
+        "lemma-charpoly-clause",
+        _SPECTRAL,
+        "path_charpoly(links.tolist()) == base_charpoly(m)",
+        "True",
+        (
+            "tests/test_spectral.py::test_spectrum_check_reads_the_base_square_charpoly_from_its_continuant",
+            "tests/test_spectral.py::test_a_tampered_base_square_charpoly_fails",
         ),
     ),
 ]

@@ -22,7 +22,7 @@ from pathpower import (
 )
 from pathpower import signed
 from pathpower.grid import present_slots, slot_steps
-from pathpower.signed import square_identity_holds, square_identity_levels
+from pathpower.signed import square_identity_holds
 
 
 def _set(a: SignedMatrix, i: int, j: int, v: int) -> None:
@@ -225,13 +225,22 @@ def _vertex_resigned(a: SignedMatrix, vertices: set[int]) -> SignedMatrix:
     return SignedMatrix(a.sign * s[:, None] * s[ends], a.parity_tag, a.n, k)
 
 
+def _level(a: SignedMatrix, j: int) -> SignedMatrix:
+    """Level j of a's table: its first m^j rows and inner 2j slots."""
+    return SignedMatrix(a.sign[: a.m**j, a.k - j : a.k + j], a.parity_tag, a.n, j)
+
+
+def _identity_levels(a: SignedMatrix) -> list[bool]:
+    """square_identity_holds of each level j = 2..k of a's table."""
+    return [square_identity_holds(_level(a, j)) for j in range(2, a.k + 1)]
+
+
 def _literal_identity(a: SignedMatrix) -> list[bool]:
     """D_j @ D_j == I_m ⊗ D_(j-1) @ D_(j-1) + B @ B ⊗ I for j = 2..k, on the
     dense level slices D_j of a's table, B = D_1."""
-    m, k = a.m, a.k
-    dense = [SignedMatrix(a.sign[: m**j, k - j : k + j], a.parity_tag, a.n, j).to_dense() for j in range(1, k + 1)]
+    dense = [_level(a, j).to_dense() for j in range(1, a.k + 1)]
     b, eye = dense[0], lambda size: np.eye(size, dtype=np.int64)
-    return [np.array_equal(d @ d, np.kron(eye(m), p @ p) + np.kron(b @ b, eye(len(p)))) for p, d in zip(dense, dense[1:])]
+    return [np.array_equal(d @ d, np.kron(eye(a.m), p @ p) + np.kron(b @ b, eye(len(p)))) for p, d in zip(dense, dense[1:])]
 
 
 @st.composite
@@ -250,7 +259,7 @@ def test_identity_levels_match_the_dense_identity(a):
     # so the first failing level is the literal identity's.
     assert check_support(a, a.graph())
     literal = _literal_identity(a)
-    assert list(square_identity_levels(a)) == np.logical_and.accumulate(literal).tolist()
+    assert _identity_levels(a) == np.logical_and.accumulate(literal).tolist()
     assert square_identity_holds(a) == all(literal)
 
 
@@ -263,7 +272,7 @@ def test_a_level_can_hold_literally_above_a_failing_level():
     a.sign[4:, 1:5] *= -1  # the axis-0 and axis-1 slots of block 1
     assert check_support(a, a.graph())
     assert _literal_identity(a) == [False, True]
-    assert list(square_identity_levels(a)) == [False, False]
+    assert _identity_levels(a) == [False, False]
 
 
 @pytest.mark.parametrize("k", [2, 3, 6])
@@ -271,7 +280,7 @@ def test_a_vertex_resigning_of_the_hypercube_keeps_the_identity(k):
     # A^2 = kI, and S A S squares to S kI S = kI for every diagonal S of +-1.
     a = _vertex_resigned(signed_grid_matrix(2, k), set(range(0, 2**k, 3)))
     assert a != signed_grid_matrix(2, k) and check_support(a, a.graph())
-    assert square_identity_holds(a) and all(square_identity_levels(a))
+    assert square_identity_holds(a) and all(_identity_levels(a))
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -280,7 +289,7 @@ def test_a_vertex_resigning_of_3_to_the_k_fails_the_line_clause(k):
     # so b_0 b_1 no longer matches the lines along axis 0 of the other rows.
     a = _vertex_resigned(signed_grid_matrix(3, k), {0})
     assert check_support(a, a.graph())
-    assert not square_identity_holds(a) and next(square_identity_levels(a)) is False
+    assert not square_identity_holds(a) and not square_identity_holds(_level(a, 2))
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -290,7 +299,7 @@ def test_a_down_slot_flip_of_the_hypercube_fails_the_mirror_clause(k):
     a = signed_grid_matrix(2, k)
     a.sign[1, k - 1] *= -1  # the entry (1, 0); (0, 1) keeps its sign
     assert np.array_equal(a.sign[:, k:], signed_grid_matrix(2, k).sign[:, k:])
-    assert not square_identity_holds(a) and next(square_identity_levels(a)) is False
+    assert not square_identity_holds(a) and not square_identity_holds(_level(a, 2))
 
 
 def test_principal_submatrix_cases():

@@ -2,7 +2,6 @@
 
 import math
 import time
-import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -26,7 +25,6 @@ from pathpower import (
     base_certificate,
     beta,
     charpoly_base_square_check,
-    charpoly_exact,
     check_support,
     closed_form_spectrum,
     composed_square_spectrum,
@@ -48,7 +46,8 @@ from pathpower import (
     symmetry_check,
 )
 from pathpower.grid import slot_steps
-from pathpower.spectral import base_certificate_holds, base_matrices, g_roots_below
+from pathpower.signed import square_identity_holds
+from pathpower.spectral import base_certificate_holds, g_roots_below
 
 SQRT2 = math.sqrt(2.0)
 
@@ -262,75 +261,6 @@ def test_smallest_roots_positive():
     print("smallest positive roots n=1..8:", [round(v, 10) for v in values])
 
 
-def _det(mat):
-    """det M = (-1)^d c_0, read off the exact characteristic polynomial."""
-    return (-1) ** len(mat) * charpoly_exact(mat).coeffs[0]
-
-
-def test_bareiss_determinants():
-    assert _det([[2]]) == 2
-    assert _det([[1, 2], [3, 4]]) == -2
-    assert _det([[1, 2], [2, 4]]) == 0
-    assert _det(np.eye(5, dtype=int).tolist()) == 1
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        m = rng.integers(-4, 5, size=(5, 5))
-        assert _det(m.tolist()) == round(float(np.linalg.det(m)))
-
-
-def _oracle_cases():
-    """Seeded non-symmetric integer matrices with entries in -50..50, sizes
-    1..12, every third one made singular by repeating a row, plus the 1 x 1
-    and 12 x 12 zero matrices."""
-    rng = np.random.default_rng(2024)
-    cases = [np.zeros((1, 1), dtype=np.int64), np.zeros((12, 12), dtype=np.int64)]
-    for i in range(36):
-        d = 1 + i % 12
-        m = rng.integers(-50, 51, size=(d, d))
-        if i % 3 == 2 and d > 1:
-            m[-1] = m[0]
-        cases.append(m)
-    return cases
-
-
-def test_charpoly_exact_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-    for m in _oracle_cases():
-        want = sympy.Matrix(m.tolist()).charpoly().all_coeffs()[::-1]
-        assert charpoly_exact(m).coeffs == tuple(int(c) for c in want)
-        assert _det(m) == int(sympy.Matrix(m.tolist()).det())
-
-
-def test_charpoly_exact_refuses_non_integral_entries():
-    for mat in ([[0.5]], [[1.9, 0], [0, 1]], [[float("nan")]], [[float("inf")]], [[Fraction(1, 3)]]):
-        with pytest.raises(ValueError, match="integral"):
-            charpoly_exact(mat)
-    assert charpoly_exact([[2.0, 1.0], [1.0, 2.0]]).coeffs == (3, -4, 1)
-    assert charpoly_exact(np.zeros((0, 0), dtype=np.int64)).coeffs == (1,)
-    with pytest.raises(ValueError, match="square"):
-        charpoly_exact([[1, 2]])
-
-
-def test_charpoly_exact_refuses_an_inexact_division(monkeypatch):
-    trace = np.trace
-    monkeypatch.setattr(np, "trace", lambda a: trace(a) + 1)
-    with pytest.raises(ArithmeticError, match="not divisible by 2"):
-        charpoly_exact(np.zeros((2, 2), dtype=np.int64))
-
-
-def test_charpoly_exact_small_cases():
-    p = charpoly_exact([[2, 1], [1, 2]])
-    assert p.coeffs == (3, -4, 1)  # (x-1)(x-3)
-    p = charpoly_exact(np.diag([1, 2, 3]))
-    assert p.coeffs == (-6, 11, -6, 1)
-    rng = np.random.default_rng(11)
-    m = rng.integers(-3, 4, size=(4, 4))
-    sym = (m + m.T).tolist()
-    ours = charpoly_exact(sym)
-    numpy_coeffs = np.poly(np.array(sym, dtype=float))[::-1]
-    assert np.allclose([float(c) for c in ours.coeffs], numpy_coeffs, atol=1e-6)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_charpoly_of_squared_base(n):
     assert charpoly_base_square_check(n)
@@ -505,30 +435,41 @@ def test_interlacing_threshold_is_the_group_tolerance(scale, passed):
 def test_spectrum_check_facts():
     r = spectrum_check(3, 2)
     assert (r.m, r.k, r.zero_multiplicity, r.passed) == (3, 2, 1, True)
-    assert r.min_positive == SQRT2 and r.proof.startswith("check_support; square identity at levels 2..2")
+    lemma = "check_support; D^2 = I; DB + BD = 0; A_2 = D ⊗ B + B ⊗ I; det(xI - B) = base_charpoly(3)"
+    assert r.min_positive == SQRT2 and r.proof == lemma
+    assert spectrum_check(3, 1).proof == "check_support; det(xI - B) = base_charpoly(3)"
     for m, k in [(2, 1), (4, 1), (6, 1), (4, 2), (2, 5)]:
         r = spectrum_check(m, k)
         assert r.passed and r.zero_multiplicity == 0, (m, k)
         assert r.min_positive == math.sqrt(k * beta(m // 2)) and r.proof.endswith(f"beta({m // 2}) Sturm certificate")
     assert odd3_spectrum_check(2) == spectrum_check(3, 2)
+    for m, k in [(5, 2), (1, 1), (2, 0), (3, -1)]:
+        with pytest.raises(ValueError):
+            spectrum_check(m, k)
 
 
 def test_spectrum_check_reads_the_base_square_charpoly_from_its_continuant(monkeypatch):
+    x = sympy.Symbol("x")
     for m in (3, *range(2, 17, 2)):
         a = signed_grid_matrix(m, 1)
-        b = a.to_dense()
-        got = spectral.path_square_charpoly(a.sign[: m - 1, 1].tolist())
-        assert got == charpoly_exact(b @ b) == spectral.base_square_charpoly(m), m
+        got = spectral.path_charpoly(a.sign[: m - 1, 1].tolist())
+        want = sympy.Matrix(a.to_dense().tolist()).charpoly(x).all_coeffs()[::-1]
+        assert got.coeffs == tuple(int(c) for c in want) and got == spectral.base_charpoly(m), m
+        # and so det(yI - B^2) is y (y - 2)^2 for m = 3 and poly_g(m / 2)^2 for even m
+        square = IntPolynomial((0, 4, -4, 1)) if m == 3 else poly_g(m // 2) * poly_g(m // 2)
+        want = sympy.Matrix((a.to_dense() @ a.to_dense()).tolist()).charpoly(x).all_coeffs()[::-1]
+        assert square.coeffs == tuple(int(c) for c in want), m
     start = time.perf_counter()
-    assert nonsingularity_check_even(64, 1)  # charpoly_exact of the 128 x 128 base square took 8 s
+    assert nonsingularity_check_even(64, 1)  # a path of 128 vertices
     assert time.perf_counter() - start < 5
-    # negative control: a continuant that is off by one fails every level
-    true_charpoly = spectral.path_square_charpoly
-    monkeypatch.setattr(spectral, "path_square_charpoly", lambda links: true_charpoly(links) + IntPolynomial((1,)))
-    for m, k in [(4, 1), (4, 2), (3, 1), (3, 3)]:
+    # negative control: a continuant that is off by one fails at every k
+    true_charpoly = spectral.path_charpoly
+    monkeypatch.setattr(spectral, "path_charpoly", lambda links: true_charpoly(links) + IntPolynomial((1,)))
+    for m, k in [(4, 1), (4, 2), (4, 9), (4, 10**6), (3, 1), (3, 2), (3, 9), (3, 10**6)]:
         r = spectrum_check(m, k)
-        assert not r.passed and r.proof == f"fails: det(yI - B^2) = base_square_charpoly({m})", (m, k)
+        assert not r.passed and r.proof == f"fails: det(xI - B) = base_charpoly({m})", (m, k)
     assert not nonsingularity_check_even(2, 1) and not nonsingularity_check_even(2, 2)
+    assert not charpoly_base_square_check(2)
 
 
 def test_signed_spectrum_reconstruction_from_squares():
@@ -542,9 +483,10 @@ def test_signed_spectrum_reconstruction_from_squares():
 # --------------------- the certificate of the spectral facts ---------------
 
 
-def _built_as(monkeypatch, a):
-    """Make spectrum_check certify a in place of the builder's matrix."""
-    monkeypatch.setattr(spectral, "signed_grid_matrix", lambda m, k, *args: a)
+def _built_with(monkeypatch, tamper):
+    """Make the builder's level-1 or level-2 table, as spectral reads it, tamper(level, a)."""
+    build = spectral.signed_grid_matrix
+    monkeypatch.setattr(spectral, "signed_grid_matrix", lambda m, k, *args: tamper(k, build(m, k, *args)))
 
 
 def _flip_entry(a, r, s, mirror=True):
@@ -558,61 +500,124 @@ def _flip_entry(a, r, s, mirror=True):
     return _tampered(a, sign)
 
 
+def _level(a, j):
+    """Level j of a's table: its first m^j rows and inner 2j slots."""
+    return SignedMatrix(a.sign[: a.m**j, a.k - j : a.k + j], a.parity_tag, a.n, j)
+
+
 # (m, k, row, level): row m^(j-1) is the first of block 1 at level j and
 # lies outside every lower level, as does row 10 = (1, 0, 1, 0) of [3]^4 at level 3.
 _FLIPS = [(3, 4, 10, 3)] + [(m, k, m ** (j - 1), j) for m, k in [(3, 4), (2, 5), (4, 3)] for j in range(2, k + 1)]
 
 
 @pytest.mark.parametrize("m,k,row,level", _FLIPS)
-def test_a_flip_with_its_mirror_fails_the_identity_at_its_level(monkeypatch, m, k, row, level):
+def test_a_flip_with_its_mirror_fails_the_identity_at_its_level(m, k, row, level):
     # Flipping the row's edge to the next row along axis 0, with its mirror,
-    # keeps the support and breaks the square identity first at that level.
+    # keeps the support and breaks the square identity first at that level:
+    # the table certificate, which spectrum_check does not read beyond level 2.
     a = _flip_entry(signed_grid_matrix(m, k), row, row + 1)
-    assert check_support(a, a.graph())
-    _built_as(monkeypatch, a)
-    got = spectrum_check(m, k)
-    assert not got.passed and got.proof == f"fails: square identity at level {level}"
-    assert got.zero_multiplicity is None and got.min_positive is None
+    assert check_support(a, a.graph()) and not square_identity_holds(a)
+    assert [square_identity_holds(_level(a, j)) for j in range(2, k + 1)] == [j < level for j in range(2, k + 1)]
 
 
-def test_a_one_sided_flip_fails_the_support_check(monkeypatch):
+def test_a_one_sided_flip_fails_the_support_check():
     for m, k, r in [(3, 4, 10), (4, 3, 0), (2, 5, 16)]:
         a = _flip_entry(signed_grid_matrix(m, k), r, r + 1, mirror=False)
-        _built_as(monkeypatch, a)
-        got = spectrum_check(m, k)
-        assert not got.passed and got.proof == "fails: check_support", (m, k)
+        assert not check_support(a, a.graph()) and not square_identity_holds(a), (m, k)
 
 
 def test_a_tampered_base_square_charpoly_fails(monkeypatch):
-    true_charpoly = spectral.base_square_charpoly
-    monkeypatch.setattr(spectral, "base_square_charpoly", lambda m: true_charpoly(m) * IntPolynomial((1, 1)))
+    true_charpoly = spectral.base_charpoly
+    monkeypatch.setattr(spectral, "base_charpoly", lambda m: true_charpoly(m) * IntPolynomial((1, 1)))
     for m, k in [(3, 1), (3, 4), (2, 1), (2, 6), (4, 3)]:
         got = spectrum_check(m, k)
-        assert not got.passed and got.proof == f"fails: det(yI - B^2) = base_square_charpoly({m})", (m, k)
+        assert not got.passed and got.proof == f"fails: det(xI - B) = base_charpoly({m})", (m, k)
     assert not odd3_spectrum_check(3).passed and not nonsingularity_check_even(2, 3)
     with pytest.raises(CertificateError):
         min_positive_eig_even(2, 3)
 
 
+def _off_the_path(level, a):
+    # the entry (0, -1), on row 0's absent down slot, which a dense index
+    # wraps to (0, m - 1): at odd distance for even m, so DB + BD = 0 holds
+    if level == 1:
+        a.sign[0, 0] = 1
+    return a
+
+
+def _one_sided(level, a):
+    return _flip_entry(a, 1, 0, mirror=False) if level == 1 else a  # B[1, 0] = -B[0, 1]
+
+
+def _not_alternating(level, a):
+    if level == 2:  # diagonal block 1 keeps block 0's sign: D = diag(+1, +1, +1, -1)
+        a.sign[a.m : 2 * a.m, 1:3] *= -1
+    return a
+
+
+def _doubled(level, a):
+    if level == 2:  # 2D ⊗ B + B ⊗ I: D = 2 diag(+1, -1, ...) still anticommutes with B
+        a.sign[:, 1:3] *= 2
+    return a
+
+
+def _not_the_step(level, a):
+    # the link of row (1, 2) to row (2, 2), with its mirror: D is read at c = 0 and keeps its signs
+    return _flip_entry(a, a.m + 2, 2 * a.m + 2) if level == 2 else a
+
+
+@pytest.mark.parametrize("k", [2, 9, 10**6])
+@pytest.mark.parametrize(
+    "tamper,clause",
+    [
+        (_off_the_path, "check_support"),
+        (_one_sided, "check_support"),
+        (_not_alternating, "DB + BD = 0"),
+        (_doubled, "D^2 = I"),
+        (_not_the_step, "A_2 = D ⊗ B + B ⊗ I"),
+    ],
+)
+def test_each_clause_of_the_lemma_has_a_negative_control(monkeypatch, tamper, clause, k):
+    # Each tamper passes every clause of the lemma but its own, so dropping
+    # that clause would let spectrum_check pass it (tests/mutants.py).
+    _built_with(monkeypatch, tamper)
+    got = spectrum_check(4, k)
+    assert not got.passed and got.proof == f"fails: {clause}"
+    assert got.zero_multiplicity is None and got.min_positive is None
+    assert not base_certificate(4)
+    with pytest.raises(CertificateError):
+        min_positive_eig_even(2, k)
+
+
 @pytest.mark.parametrize("m,k", [(3, 10), (2, 16)])
 def test_spectrum_check_at_the_grid_cap(m, k):
     got = spectrum_check(m, k)
-    assert got.passed and f"square identity at levels 2..{k}" in got.proof
+    assert got.passed and "A_2 = D ⊗ B + B ⊗ I" in got.proof
     assert (got.zero_multiplicity, got.min_positive) == ((1, SQRT2) if m == 3 else (0, math.sqrt(k)))
 
 
-def test_spectrum_check_holds_nothing_of_the_size_of_the_square():
-    # The certificate reads column slices of the int8 slot table.  A table of
-    # A^2 by slot pairs, (n, 2k, 2k), would be 2k = 24 times its size in int8.
-    table = signed_grid_matrix(2, 12).sign.nbytes
-    spectrum_check(2, 12)  # caches filled outside the trace
-    tracemalloc.start()
-    try:
-        assert spectrum_check(2, 12).passed
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * table, peak / table
+def test_spectrum_check_far_past_the_grid_cap():
+    # the counting formula at k = 10^6: for m = 3, 0 once and sqrt(2); for
+    # even m, no zero and sqrt(k beta(m / 2)), with beta(1) = 1
+    k = 10**6
+    for m in (2, 3, 4, 16):
+        got = spectrum_check(m, k)
+        want = (1, SQRT2) if m == 3 else (0, math.sqrt(k * beta(m // 2)))
+        assert got.passed and (got.zero_multiplicity, got.min_positive) == want, m
+    assert odd3_spectrum_check(k) == spectrum_check(3, k)
+    assert nonsingularity_check_even(2, k) and min_positive_eig_even(1, k) == 1000.0
+
+
+def test_spectrum_check_holds_nothing_of_the_size_of_the_square(monkeypatch):
+    # The lemma reads the level-1 and level-2 tables alone, for any k, and
+    # the level-1 table alone for k = 1.
+    build = spectral.signed_grid_matrix
+    levels = []
+    monkeypatch.setattr(spectral, "signed_grid_matrix", lambda m, k, *args: levels.append(k) or build(m, k, *args))
+    for m, k in [(2, 3), (2, 12), (3, 10), (4, 9), (16, 10**6), (512, 1)]:
+        levels.clear()
+        assert spectrum_check(m, k).passed
+        assert levels == ([1] if k == 1 else [1, 2]), (m, k)
 
 
 _CROSS_CHECKED = sorted(
@@ -639,7 +644,7 @@ def test_the_fact_readers_call_no_solver_and_no_closed_form(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("a spectral fact was read from a solve or from the closed form")
 
-    for name in ("signed_spectra", "closed_form_spectrum", "charpoly_exact"):
+    for name in ("signed_spectra", "closed_form_spectrum"):
         monkeypatch.setattr(spectral, name, no_solve)
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, no_solve)
@@ -657,46 +662,33 @@ def test_the_fact_readers_call_no_solver_and_no_closed_form(monkeypatch):
 @pytest.mark.parametrize("m", [3, 2, 4, 6, 8, 10, 12, 14, 16])
 def test_base_certificate_holds_for_the_builder(m):
     assert base_certificate(m)
-    b, d = base_matrices(m)
-    assert np.array_equal(d, np.diag([(-1) ** a for a in range(m)]))
-    assert np.array_equal(b, signed_grid_matrix(m, 1).to_dense())
+    b, a2 = signed_grid_matrix(m, 1), signed_grid_matrix(m, 2)
+    dense_b, d = b.to_dense(), np.array([(-1) ** a for a in range(m)])
+    assert np.array_equal(b.sign[: m - 1, 1], d[:-1])
+    # the lemma's table of the block step, against the dense Kronecker products
+    step = spectral._block_step_table(b.sign[: m - 1, 1], d)
+    assert np.array_equal(a2.sign, step)
+    assert np.array_equal(a2.to_dense(), np.kron(np.diag(d), dense_b) + np.kron(dense_b, np.eye(m, dtype=np.int64)))
 
 
 def test_base_certificate_negative_controls():
-    b, d = base_matrices(4)
-    charpoly = charpoly_exact(b @ b)
-    assert base_certificate_holds(b, d, charpoly)
-
-    equal_neighbours = d.copy()
-    equal_neighbours[1, 1] = 1  # D = diag(+1, +1, +1, -1)
-    assert not base_certificate_holds(b, equal_neighbours, charpoly)
-
-    off_path = b.copy()
-    off_path[0, 2] = off_path[2, 0] = 1
-    assert not base_certificate_holds(off_path, d, charpoly_exact(off_path @ off_path))
-
-    assert not base_certificate_holds(b, d, charpoly * IntPolynomial((1, 1)))
-    assert not base_certificate_holds(b, d, charpoly + IntPolynomial((1,)))
+    b, a2 = signed_grid_matrix(4, 1), signed_grid_matrix(4, 2)
+    assert base_certificate_holds(b, a2)
+    for tamper in (_off_the_path, _one_sided, _not_alternating, _doubled, _not_the_step):
+        assert not base_certificate_holds(tamper(1, _tampered(b, b.sign.copy())), tamper(2, _tampered(a2, a2.sign.copy())))
 
     # Not a negative control: every signing of a path anticommutes with the
-    # alternating D and has the path's spectrum, so a flipped sign passes.
-    flipped = b.copy()
-    flipped[1, 2] = flipped[2, 1] = -flipped[1, 2]
-    assert base_certificate_holds(flipped, d, charpoly_exact(flipped @ flipped))
+    # alternating D and has the path's spectrum, so B with a flipped link
+    # passes with the level-2 table of its own block step.
+    flipped = _flip_entry(b, 1, 2)
+    step = spectral._block_step_table(flipped.sign[:3, 1], np.array([1, -1, 1, -1])).astype(np.int8)
+    assert base_certificate_holds(flipped, _tampered(a2, step))
+    assert not base_certificate_holds(flipped, a2)
 
 
 def test_base_certificate_reads_d_from_the_builder(monkeypatch):
-    build = spectral.signed_grid_matrix
-
-    def tampered(m, k, *args):
-        a = build(m, k, *args)
-        if k == 2:  # diagonal block 1 keeps its sign: D = diag(+1, +1, +1, -1)
-            rows, cols, vals = a.entries()
-            a = _resigned(a, np.where((rows // m == 1) & (cols // m == 1), -vals, vals))
-        return a
-
-    monkeypatch.setattr(spectral, "signed_grid_matrix", tampered)
-    assert np.array_equal(base_matrices(4)[1], np.diag([1, 1, 1, -1]))
+    _built_with(monkeypatch, _not_alternating)
+    assert np.array_equal(spectral.signed_grid_matrix(4, 2).sign[::4, 2], [1, 1, 1, -1])  # D[a, a] B[0, 1]
     assert not base_certificate(4)
 
 
@@ -747,10 +739,8 @@ def test_size_caps_refuse_before_densifying(monkeypatch):
     monkeypatch.setattr(SignedMatrix, "to_dense", no_densify)
     monkeypatch.setattr(np, "zeros", no_densify)  # no slot table is built either
     for call in (
-        lambda: spectrum_check(4, 9),
-        lambda: min_positive_eig_even(1, 17),
-        lambda: nonsingularity_check_even(1, 17),
-        lambda: odd3_spectrum_check(11),
+        lambda: spectrum_check(512, 2),  # the level-2 table of m^2 rows
+        lambda: spectrum_check(2**17, 1),
         lambda: square_compose_check(2, 13),
     ):
         with pytest.raises(SizeCapError):
@@ -893,8 +883,9 @@ def test_signed_matrices_are_never_solved_by_eigh(monkeypatch):
     assert min_positive_eig_even(2, 3) == pytest.approx(math.sqrt(3 * beta(2)), abs=1e-8)
     assert nonsingularity_check_even(2, 2)
     assert square_compose_check(4, 3)[0]
-    with pytest.raises(NotImplementedError):
-        spectral.eigenvalues_sym(np.eye(2))
+    for stub in (spectral.eigenvalues_sym, spectral.charpoly_exact):
+        with pytest.raises(NotImplementedError):
+            stub(np.eye(2))
     ok, details = _check_degree_eigenvalue_chain({"max_size": 729, "seed": DEFAULT_SEED})
     assert ok and [row[2] for row in details["rows"]] == [200, 200, 200]
     assert degree_bound_check(signed_grid_matrix(3, 2), VertexSet(3, 2, ranks=[0, 1, 2, 4, 6, 8]))
