@@ -105,7 +105,7 @@ def cmd_spectrum(args, parser) -> int:
 
 
 def cmd_beta(args, parser) -> int:
-    _emit_json({"n": args.n, "beta": beta(args.n, args.tol), "tol": args.tol}, args.out)
+    _emit_json({"n": args.n, "beta": beta(args.n)}, args.out)
     return 0
 
 
@@ -177,7 +177,6 @@ def cmd_export_table(args, parser) -> int:
         m_range=(args.m_min, args.m_max),
         k_range=(args.k_min, args.k_max),
         n_range=(args.n_min, args.n_max),
-        tol=args.tol,
         size_cap=args.size_cap,
     )
     if args.format == "json":
@@ -233,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("beta", help="smallest positive root of the even-case polynomial")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_beta)
 
@@ -273,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=4)
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--size-cap", type=int, default=DEFAULT_TABLE_SIZE_CAP)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)

@@ -185,12 +185,12 @@ def _check_polynomials(cfg: dict) -> tuple[bool, dict]:
     b1 = beta(1)
     details["beta_1"] = b1
     ok = b1 == 1.0
-    b2 = beta(2, 1e-12)
+    b2 = beta(2)
     closed = (3.0 - math.sqrt(5.0)) / 2.0
     details["beta_2"] = b2
     details["beta_2_gap"] = abs(b2 - closed)
     ok = ok and abs(b2 - closed) <= 1e-10
-    b3 = beta(3, 1e-12)
+    b3 = beta(3)
     closed = 4.0 * math.sin(math.pi / 14.0) ** 2
     details["beta_3"] = b3
     details["beta_3_gap"] = abs(b3 - closed)
@@ -352,7 +352,6 @@ def export_table(
     m_range: tuple[int, int] = (2, 7),
     k_range: tuple[int, int] = (1, 4),
     n_range: tuple[int, int] = (1, 8),
-    tol: float = 1e-12,
     size_cap: int = DEFAULT_TABLE_SIZE_CAP,
 ) -> list[dict]:
     """Tabulate one of the supported quantities over a parameter grid.
@@ -367,7 +366,7 @@ def export_table(
     rows: list[dict] = []
     if kind == "beta":
         for n in range(n_range[0], n_range[1] + 1):
-            rows.append({"n": n, "beta": beta(n, tol)})
+            rows.append({"n": n, "beta": beta(n)})
         return rows
     if kind not in ("alpha", "bounds"):
         raise ValueError(f"unknown table kind {kind!r}")

@@ -1,14 +1,17 @@
 """Integer polynomial recurrences, root isolation, and spectral verifiers.
 
 Exact layer: the polynomial family p_j = (x - 2) p_(j-1) - p_(j-2) with two
-seed choices (poly_f, poly_g), and the characteristic polynomial det(xI - B)
-of a signed path B by its continuant (path_charpoly) in Python integers.
+seed choices (poly_f, poly_g).  Every certificate reads poly_g only through
+that recurrence, and builds none of its coefficients.  det(xI - B) of a
+signed path B is poly_g(n)(x^2) when the continuant of its links follows
+poly_g's recurrence two steps at a time, term by term (_det_clause).
 
 Root isolation: poly_g(n) is the characteristic polynomial of a
 tridiagonal matrix, so one exact Sturm count (g_roots_below) says how many
-of its roots lie below a rational q.  The closed-form roots place rational
+of its roots lie below a rational q.  The closed-form roots place dyadic
 cuts between them; counts 0, 1, ..., n at the cuts prove one root per
-interval, and bisection on the count narrows the first to the smallest.
+interval.  beta is the closed-form least root, moved to the double nearest
+the root and proven so by two counts at the midpoints to its neighbours.
 
 Numerical layer: one dense solver, signed_spectra.  The grid is bipartite
 by digit-sum parity, so a signed matrix is [[0, C], [C^T, 0]] after a
@@ -51,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
-from math import factorial, pi, sin, sqrt
+from math import factorial, frexp, inf, ldexp, nextafter, pi, sin, sqrt
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -222,82 +225,76 @@ def poly_g_roots(n: int) -> list[float]:
 
 def _bracket_g_roots(n: int) -> list[float]:
     """The closed-form roots of poly_g(n), once the counts at the cuts 0,
-    midway between neighbouring roots, and 4 are (i, False) for i = 0..n:
-    one root per interval, which places all n; else BracketingError."""
+    near the midpoint of each two neighbouring roots, and 4 are (i, False)
+    for i = 0..n: one root per interval, which places all n; else
+    BracketingError.  Each inner cut is its midpoint rounded to a dyadic
+    grid of step at most a quarter of the least gap between neighbours of
+    0, the roots and 4, so it stays between its two roots and its
+    denominator, which sizes every integer of the count, is small."""
     roots = poly_g_roots(n)
-    cuts = [Fraction(0)] + [Fraction((a + b) / 2) for a, b in zip(roots, roots[1:])] + [Fraction(4)]
-    counts = [g_roots_below(n, c) for c in cuts]
+    least_gap = min(b - a for a, b in zip([0.0, *roots], [*roots, 4.0]))
+    e = 1 - frexp(least_gap / 4)[1]  # 2^-e <= least_gap / 4
+    inner = [Fraction(round(ldexp((a + b) / 2, e)), 1 << e) for a, b in zip(roots, roots[1:])]
+    counts = [g_roots_below(n, c) for c in [Fraction(0), *inner, Fraction(4)]]
     if counts != [(i, False) for i in range(n + 1)]:
         raise BracketingError(f"poly_g({n}) does not hold one root per closed-form interval: counts {counts}")
     return roots
 
 
-def beta(n: int, tol: float = 1e-12) -> float:
-    """Smallest root of poly_g(n), within +-tol; tol sets output precision only.
+def beta(n: int) -> float:
+    """Smallest root of poly_g(n), correctly rounded to a double.
 
-    Certificate: g_roots_below(n, .) must be (0, False) at 0 and (1, False)
-    at the first cut, midway between the two smallest closed-form roots (4
-    when n = 1); otherwise BracketingError.  The interval between them then
-    holds exactly the smallest root, which is bisected on the same count in
-    exact rationals; only the final midpoint is rounded to float.  At most
-    2 + ceil(log2(4 / tol)) counts.
+    Certificate: a candidate x, first the closed form, is returned once x >
+    0 and g_roots_below(n, .) is (0, False) at lo and (1, False) at hi, the
+    exact midpoints between x and its neighbouring doubles.  The least root
+    then lies strictly between them, so it rounds to x, and no root is at
+    or below 0.  A count of 0 at hi moves x one double up, any other
+    failure one down, and the eighth failed candidate raises
+    BracketingError.  A root of the monic integer poly_g(n) in (0, 4) is 1,
+    2 or 3, never such a midpoint.  At most 16 counts.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not tol > 0:
-        raise ValueError(f"need tol > 0, got {tol}")
-    roots = poly_g_roots(n)
-    lo, hi = Fraction(0), Fraction((roots[0] + roots[1]) / 2) if n > 1 else Fraction(4)
-    if g_roots_below(n, lo) != (0, False) or g_roots_below(n, hi) != (1, False):
-        raise BracketingError(f"poly_g({n}) does not hold exactly one root in [0, {float(hi)})")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        below, is_root = g_roots_below(n, mid)
-        if is_root:
-            return float(mid)
-        lo, hi = (lo, mid) if below else (mid, hi)
-    return float((lo + hi) / 2)
+    x = poly_g_roots(n)[0]
+    for _ in range(8):
+        lo, hi = ((Fraction(x) + Fraction(nextafter(x, end))) / 2 for end in (-inf, inf))
+        below_lo, below_hi = g_roots_below(n, lo), g_roots_below(n, hi)
+        if x > 0 and below_lo == (0, False) and below_hi == (1, False):
+            return x
+        x = nextafter(x, inf if below_hi[0] == 0 else -inf)
+    raise BracketingError(f"poly_g({n}) has no least root in (0, 4) that rounds to a double near {x!r}")
 
 
 # ------------------------ exact characteristic polys -----------------------
 
 
-def path_charpoly(links: Sequence[int]) -> IntPolynomial:
-    """det(xI - B) of the path B with zero diagonal and B[j, j + 1] =
-    B[j + 1, j] = links[j], exactly: the continuant p_j = x p_(j-1) -
-    links[j-2]^2 p_(j-2), p_0 = 1 and p_1 = x, on plain lists of Python
-    integers, of order m^2 for m = len(links) + 1.
+def _det_clause(c: Sequence) -> bool:
+    """det(xI - B) is x^3 - 2x (m = 3) or poly_g(m / 2)(x^2) (even m) for
+    the path B with zero diagonal and links B[j, j + 1] = B[j + 1, j] with
+    squares c[j], m = len(c) + 1, in O(m) small-number work.
 
-    B is symmetric with a zero diagonal, so p(-x) = (-1)^m p(x) and
-    det(x^2 I - B^2) = det(xI - B) det(xI + B) = p(x)^2: p = base_charpoly(m)
-    fixes det(yI - B^2) with no square formed, and the converse holds as p is
-    monic.
+    det(xI - B) is the continuant q_m: q_0 = 1, q_1 = x, q_j = x q_(j-1) -
+    c_(j-2) q_(j-2).  For m = 3, q_3 = x^3 - (c_0 + c_1) x.  Two steps at a
+    time, q_(2j) = (x^2 - c_(2j-2) - c_(2j-3)) q_(2j-2) - c_(2j-3) c_(2j-4)
+    q_(2j-4) with q_2 = x^2 - c_0, which is poly_g's recurrence in y = x^2
+    term by term when c_0 = 1 and, for j = 2..m / 2, c_(2j-3) + c_(2j-2) =
+    2 and c_(2j-4) c_(2j-3) = 1.  Those constants are read from _G_SEED and
+    _X_MINUS_2, as g_roots_below reads them.  B is symmetric with a zero
+    diagonal, so det(yI - B^2) is then y (y - 2)^2 or poly_g(m / 2)^2, with
+    no square formed.
     """
-    p_prev, p = [1], [0, 1]
-    for b in links:
-        bb = b * b
-        shifted = [0, *p]  # x p
-        p_prev, p = p, [u - bb * v for u, v in zip(shifted, p_prev)] + shifted[len(p_prev) :]
-    return IntPolynomial(tuple(p))
-
-
-def base_charpoly(m: int) -> IntPolynomial:
-    """det(xI - B) of the base path as it must be: x^3 - 2x for m = 3, so
-    B^2 has 0 once and 2 twice; poly_g(m / 2)(x^2) for even m, so B^2 has
-    each root of poly_g(m / 2) twice (path_charpoly)."""
-    if m == 3:
-        return IntPolynomial((0, -2, 0, 1))
-    coeffs = [0] * (m + 1)
-    coeffs[::2] = poly_g(m // 2).coeffs
-    return IntPolynomial(tuple(coeffs))
+    if len(c) == 2:
+        return c[0] + c[1] == 2
+    shift = -_X_MINUS_2.coeffs[0]
+    return c[0] == -_G_SEED[0] and all(c[i] + c[i + 1] == shift and c[i - 1] * c[i] == 1 for i in range(1, len(c), 2))
 
 
 def charpoly_base_square_check(n: int) -> bool:
     """Exact check that det(yI - B^2) = poly_g(n)^2 for the even base path B
-    on 2n vertices, as det(xI - B) = base_charpoly(2n) (path_charpoly)."""
+    on 2n vertices, by the det clause on its links (_det_clause)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return path_charpoly(_links(signed_grid_matrix(2 * n, 1)).tolist()) == base_charpoly(2 * n)
+    return _det_clause(np.square(_links(signed_grid_matrix(2 * n, 1))).tolist())
 
 
 # ----------------------------- spectrum reports ----------------------------
@@ -353,7 +350,7 @@ def eigenvalues_sym(*args, **kwargs):
 
 
 def charpoly_exact(*args, **kwargs):
-    raise NotImplementedError("a signed path's characteristic polynomial is path_charpoly of its links")
+    raise NotImplementedError("a signed path's characteristic polynomial is certified term by term by _det_clause")
 
 
 def _gram_components(label: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -753,7 +750,8 @@ def _lemma(b: SignedMatrix, a2: SignedMatrix | None) -> Iterator[tuple[str, bool
         yield "D^2 = I", bool(np.all(np.abs(d) == 1))
         yield "DB + BD = 0", not np.any(links * (d[:-1] + d[1:]))
         yield "A_2 = D ⊗ B + B ⊗ I", np.array_equal(a2.sign, _block_step_table(links, d))
-    yield f"det(xI - B) = base_charpoly({m})", path_charpoly(links.tolist()) == base_charpoly(m)
+    target = "x^3 - 2x" if m == 3 else f"poly_g({m // 2})(x^2)"
+    yield f"det(xI - B) = {target}", _det_clause(np.square(links).tolist())
 
 
 def base_certificate_holds(b: SignedMatrix, a2: SignedMatrix) -> bool:
@@ -847,9 +845,10 @@ def spectrum_check(m: int, k: int) -> SpectrumCheck:
     - A_2 = D ⊗ B + B ⊗ I, slot for slot on the level-2 table, so the
       builder's step is this one and D is diagonal, as a slot table holds
       no other entry;
-    - det(xI - B) = base_charpoly(m), from the continuant of B's links
-      (path_charpoly): B^2 has 0 once and 2 twice for m = 3, and each root
-      of poly_g(m / 2) twice for even m.
+    - det(xI - B) = x^3 - 2x for m = 3 and poly_g(m / 2)(x^2) for even m,
+      by the continuant of B's links checked against poly_g's recurrence
+      term by term (_det_clause): B^2 has 0 once and 2 twice for m = 3,
+      and each root of poly_g(m / 2) twice for even m.
 
     The first four give A_k^2 = D^2 ⊗ A_(k-1)^2 + (DB + BD) ⊗ A_(k-1) +
     B^2 ⊗ I = I ⊗ A_(k-1)^2 + B^2 ⊗ I, so the eigenvalues of A_k^2 are the
@@ -858,8 +857,9 @@ def spectrum_check(m: int, k: int) -> SpectrumCheck:
     with the digit-sum parity signing, as B does and D is diagonal, so its
     spectrum is symmetric.  For k = 1, A_1 = B, and only the clauses of B
     are read, so the level-2 table is not built.  For even m, beta(m / 2)'s
-    Sturm certificate then says that poly_g(m / 2) has no root at or below
-    0 and that its least root is beta (else BracketingError).
+    two Sturm counts then say that poly_g(m / 2) has no root at or below 0
+    and that beta is its least root, correctly rounded (else
+    BracketingError).
 
     Counting the sums gives, for m = 3, the eigenvalue 0 once (every pick
     0) and sqrt(2) as the least positive one; for even m, no zero

@@ -21,6 +21,7 @@ class Mutant(NamedTuple):
 _SIGNED = "src/pathpower/signed.py"
 _SPECTRAL = "src/pathpower/spectral.py"
 _LEMMA_CONTROLS = ("tests/test_spectral.py::test_each_clause_of_the_lemma_has_a_negative_control",)
+_DET_ORACLE = ("tests/test_spectral.py::test_the_det_clause_holds_exactly_when_the_determinant_is_the_target",)
 
 MUTANTS = [
     Mutant(
@@ -86,13 +87,31 @@ MUTANTS = [
         _LEMMA_CONTROLS,
     ),
     Mutant(
-        "lemma-charpoly-clause",
+        "lemma-det-odd3-clause",
         _SPECTRAL,
-        "path_charpoly(links.tolist()) == base_charpoly(m)",
-        "True",
-        (
-            "tests/test_spectral.py::test_spectrum_check_reads_the_base_square_charpoly_from_its_continuant",
-            "tests/test_spectral.py::test_a_tampered_base_square_charpoly_fails",
-        ),
+        "return c[0] + c[1] == 2",
+        "return True",
+        _DET_ORACLE,
+    ),
+    Mutant(
+        "lemma-det-seed-clause",
+        _SPECTRAL,
+        "c[0] == -_G_SEED[0] and",
+        "",
+        _DET_ORACLE,
+    ),
+    Mutant(
+        "lemma-det-sum-clause",
+        _SPECTRAL,
+        "c[i] + c[i + 1] == shift and",
+        "",
+        _DET_ORACLE,
+    ),
+    Mutant(
+        "lemma-det-product-clause",
+        _SPECTRAL,
+        "and c[i - 1] * c[i] == 1",
+        "",
+        _DET_ORACLE,
     ),
 ]

@@ -102,7 +102,7 @@ def test_criterion_4_polynomial_roots():
     failures = []
     if pp.beta(1) != 1.0:
         failures.append(("beta1", pp.beta(1)))
-    gap2 = abs(pp.beta(2, 1e-12) - (3.0 - math.sqrt(5.0)) / 2.0)
+    gap2 = abs(pp.beta(2) - (3.0 - math.sqrt(5.0)) / 2.0)
     if gap2 > 1e-10:
         failures.append(("beta2", gap2))
     # scan the cubic on a fine grid for its first positive sign change
@@ -115,7 +115,7 @@ def test_criterion_4_polynomial_roots():
             break
         x += 1e-4
     oracle = _independent_bisection_root(cubic, lo, lo + 1e-4)
-    gap3 = abs(pp.beta(3, 1e-12) - oracle)
+    gap3 = abs(pp.beta(3) - oracle)
     if gap3 > 1e-10:
         failures.append(("beta3", gap3))
     bad_fg = [n for n in range(1, 51) if not pp.fg_identity_check(n)]
@@ -130,7 +130,7 @@ def test_criterion_4_polynomial_roots():
 def test_criterion_5_even_spectra():
     failures = []
     for n in (1, 2, 3):
-        bn = pp.beta(n, 1e-12)
+        bn = pp.beta(n)
         for k in (1, 2, 3):
             a = pp.signed_grid_matrix(2 * n, k)
             rep = pp.spectrum_report(np.linalg.eigvalsh(a.to_dense().astype(float)))

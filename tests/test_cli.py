@@ -83,8 +83,8 @@ def test_unknown_flag_and_command_exit_2(capsys):
         ["verify-all", "--tol", "1"],  # check thresholds are fixed, not flags
         ["verify-all", "--chain-trials", "0"],
         ["spectrum", "--parity", "odd3", "--k", "2", "--tol", "1"],
-        ["beta", "--n", "3", "--tol", "nan"],  # a NaN tol would end the bisection at once
-        ["export-table", "--kind", "beta", "--tol", "nan"],
+        ["beta", "--n", "3", "--tol", "1e-12"],  # beta is correctly rounded: no precision flag
+        ["export-table", "--kind", "beta", "--tol", "1e-12"],
     ],
 )
 def test_invalid_input_is_a_usage_error(capsys, argv):
@@ -97,8 +97,8 @@ def test_invalid_input_is_a_usage_error(capsys, argv):
 def test_beta_command(tmp_path, capsys):
     assert run_cli("beta", "--n", "2") == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["n"] == 2
-    assert abs(doc["beta"] - 0.3819660112501051) < 1e-9
+    assert set(doc) == {"n", "beta"} and doc["n"] == 2
+    assert doc["beta"] == 0.38196601125010515  # (3 - sqrt(5)) / 2, correctly rounded
 
 
 def test_spectrum_dense_and_composed(capsys):

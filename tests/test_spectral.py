@@ -3,8 +3,10 @@
 import math
 import time
 from fractions import Fraction
+from itertools import product
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -100,7 +102,7 @@ def test_beta_one_is_exact():
 
 
 def test_beta_two_matches_closed_form():
-    assert abs(beta(2, 1e-12) - (3.0 - math.sqrt(5.0)) / 2.0) <= 1e-10
+    assert abs(beta(2) - (3.0 - math.sqrt(5.0)) / 2.0) <= 1e-10
 
 
 def _independent_cubic_root() -> float:
@@ -132,32 +134,33 @@ def _independent_cubic_root() -> float:
 def test_beta_three_matches_bisection_oracle():
     oracle = _independent_cubic_root()
     assert abs(oracle - 0.1980622642) < 1e-9
-    assert abs(beta(3, 1e-12) - oracle) <= 1e-10
+    assert abs(beta(3) - oracle) <= 1e-10
 
 
-def test_beta_tolerance_consistency():
-    coarse = beta(4, 1e-6)
-    fine = beta(4, 1e-13)
-    assert abs(coarse - fine) <= 2e-6
+@pytest.mark.parametrize("n", [*range(1, 65), 128, 512, 1024])
+def test_beta_is_the_correctly_rounded_root(n):
+    # the closed form at 40 digits, rounded once to the nearest double
+    with mpmath.workdps(40):
+        assert beta(n) == float(4 * mpmath.sin(mpmath.pi / (4 * n + 2)) ** 2)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_beta_against_numpy_roots(n):
     roots = np.roots(list(reversed(poly_g(n).coeffs)))
     real_pos = sorted(r.real for r in roots if abs(r.imag) < 1e-9 and r.real > 1e-9)
-    assert abs(beta(n, 1e-12) - real_pos[0]) <= 1e-6
+    assert abs(beta(n) - real_pos[0]) <= 1e-6
 
 
 @pytest.mark.parametrize("n", range(1, 81))
 def test_beta_matches_closed_form(n):
-    assert abs(beta(n, 1e-12) - 4.0 * math.sin(math.pi / (4 * n + 2)) ** 2) <= 1e-12
+    assert abs(beta(n) - 4.0 * math.sin(math.pi / (4 * n + 2)) ** 2) <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_beta_matches_squared_base_eigvalsh(n):
     base = signed_grid_matrix(2 * n, 1).to_dense()
     smallest = np.linalg.eigvalsh((base @ base).astype(float))[0]
-    assert abs(beta(n, 1e-12) - smallest) <= 1e-10
+    assert abs(beta(n) - smallest) <= 1e-10
 
 
 def test_beta_sign_evaluation_count(monkeypatch):
@@ -169,11 +172,10 @@ def test_beta_sign_evaluation_count(monkeypatch):
         return exact_count(n, q)
 
     monkeypatch.setattr(spectral, "g_roots_below", counting)
-    for n in (1, 2, 3, 10, 40, 80):
-        for tol in (1e-6, 1e-12, 1e-13):
-            calls.clear()
-            beta(n, tol)
-            assert len(calls) <= 2 + math.ceil(math.log2(4 / tol)), (n, tol, len(calls))
+    for n in (*range(1, 81), 512, 1024):
+        calls.clear()
+        beta(n)
+        assert len(calls) <= 16, (n, len(calls))
 
 
 def test_beta_rejects_tampered_certificate(monkeypatch):
@@ -191,6 +193,11 @@ def test_beta_rejects_tampered_certificate(monkeypatch):
         beta(3)
     with pytest.raises(BracketingError):
         closed_form_spectrum(6, 1)
+    # a closed form off by 1e-9 is thousands of doubles from the root, past beta's eight candidates
+    monkeypatch.setattr(spectral, "poly_g_roots", lambda n: [r + 1e-9 for r in true_roots(n)])
+    for n in (1, 3, 64):
+        with pytest.raises(BracketingError):
+            beta(n)
     monkeypatch.setattr(spectral, "poly_g_roots", true_roots)
 
     # poly_g(1) = x + 1: T_n's corner entry becomes -1, which puts a root below 0
@@ -204,6 +211,8 @@ def test_beta_rejects_tampered_certificate(monkeypatch):
 
 def test_root_isolation_builds_no_coefficients(monkeypatch):
     want = (beta(7), lower_bound_even(7, 300), closed_form_spectrum(14, 2).eigenvalues)
+    checks = [(m, k) for m in (3, *range(2, 17, 2)) for k in (1, 2, 5)]
+    facts = [spectrum_check(m, k) for m, k in checks]
 
     def refuse(n):
         raise AssertionError("poly_g built on a root path")
@@ -212,13 +221,15 @@ def test_root_isolation_builds_no_coefficients(monkeypatch):
     assert beta(7) == want[0]
     assert lower_bound_even(7, 300) == want[1]
     assert np.array_equal(closed_form_spectrum(14, 2).eigenvalues, want[2])
+    assert [spectrum_check(m, k) for m, k in checks] == facts and all(r.passed for r in facts)
+    assert all(charpoly_base_square_check(n) for n in range(1, 9))
 
 
 def test_beta_validation():
     with pytest.raises(ValueError):
         beta(0)
-    with pytest.raises(ValueError):
-        beta(2, 0.0)
+    with pytest.raises(TypeError):  # correctly rounded: no tolerance to pass
+        beta(2, 1e-12)
 
 
 def test_g_roots_below_exact_comparisons():
@@ -255,7 +266,7 @@ def test_g_roots_below_matches_sympy(n, q):
 
 
 def test_smallest_roots_positive():
-    values = [beta(n, 1e-12) for n in range(1, 9)]
+    values = [beta(n) for n in range(1, 9)]
     assert all(v > 0 for v in values)
     # the observed shrinking of the smallest root with n is reported, not asserted
     print("smallest positive roots n=1..8:", [round(v, 10) for v in values])
@@ -435,9 +446,10 @@ def test_interlacing_threshold_is_the_group_tolerance(scale, passed):
 def test_spectrum_check_facts():
     r = spectrum_check(3, 2)
     assert (r.m, r.k, r.zero_multiplicity, r.passed) == (3, 2, 1, True)
-    lemma = "check_support; D^2 = I; DB + BD = 0; A_2 = D ⊗ B + B ⊗ I; det(xI - B) = base_charpoly(3)"
+    lemma = "check_support; D^2 = I; DB + BD = 0; A_2 = D ⊗ B + B ⊗ I; det(xI - B) = x^3 - 2x"
     assert r.min_positive == SQRT2 and r.proof == lemma
-    assert spectrum_check(3, 1).proof == "check_support; det(xI - B) = base_charpoly(3)"
+    assert spectrum_check(3, 1).proof == "check_support; det(xI - B) = x^3 - 2x"
+    assert spectrum_check(4, 1).proof == "check_support; det(xI - B) = poly_g(2)(x^2); beta(2) Sturm certificate"
     for m, k in [(2, 1), (4, 1), (6, 1), (4, 2), (2, 5)]:
         r = spectrum_check(m, k)
         assert r.passed and r.zero_multiplicity == 0, (m, k)
@@ -448,28 +460,126 @@ def test_spectrum_check_facts():
             spectrum_check(m, k)
 
 
+def _det_target(m: int) -> list[int]:
+    """det(xI - B) as the det clause states it, coefficients descending:
+    x^3 - 2x, or poly_g(m / 2)(x^2)."""
+    if m == 3:
+        return [1, 0, -2, 0]
+    coeffs = [0] * (m + 1)
+    coeffs[::2] = poly_g(m // 2).coeffs
+    return coeffs[::-1]
+
+
+def _charpoly(b: sympy.Matrix) -> list:
+    """sympy's det(xI - b), coefficients descending."""
+    return b.charpoly(sympy.Symbol("x")).all_coeffs()
+
+
+def _path(upper, lower) -> sympy.Matrix:
+    """The path with zero diagonal, B[j, j + 1] = upper[j] and B[j + 1, j] = lower[j]."""
+    b = sympy.zeros(len(upper) + 1, len(upper) + 1)
+    for j, (u, v) in enumerate(zip(upper, lower)):
+        b[j, j + 1], b[j + 1, j] = sympy.Rational(u), sympy.Rational(v)
+    return b
+
+
 def test_spectrum_check_reads_the_base_square_charpoly_from_its_continuant(monkeypatch):
     x = sympy.Symbol("x")
     for m in (3, *range(2, 17, 2)):
         a = signed_grid_matrix(m, 1)
-        got = spectral.path_charpoly(a.sign[: m - 1, 1].tolist())
-        want = sympy.Matrix(a.to_dense().tolist()).charpoly(x).all_coeffs()[::-1]
-        assert got.coeffs == tuple(int(c) for c in want) and got == spectral.base_charpoly(m), m
+        dense = sympy.Matrix(a.to_dense().tolist())
+        assert _charpoly(dense) == _det_target(m), m
+        assert spectral._det_clause(np.square(a.sign[: m - 1, 1].astype(int)).tolist()), m
         # and so det(yI - B^2) is y (y - 2)^2 for m = 3 and poly_g(m / 2)^2 for even m
         square = IntPolynomial((0, 4, -4, 1)) if m == 3 else poly_g(m // 2) * poly_g(m // 2)
-        want = sympy.Matrix((a.to_dense() @ a.to_dense()).tolist()).charpoly(x).all_coeffs()[::-1]
+        want = (dense * dense).charpoly(x).all_coeffs()[::-1]
         assert square.coeffs == tuple(int(c) for c in want), m
     start = time.perf_counter()
     assert nonsingularity_check_even(64, 1)  # a path of 128 vertices
     assert time.perf_counter() - start < 5
-    # negative control: a continuant that is off by one fails at every k
-    true_charpoly = spectral.path_charpoly
-    monkeypatch.setattr(spectral, "path_charpoly", lambda links: true_charpoly(links) + IntPolynomial((1,)))
+    # negative control: the clause read on a path whose last link is doubled fails at every k
+    true_clause = spectral._det_clause
+    monkeypatch.setattr(spectral, "_det_clause", lambda c: true_clause([*c[:-1], 4 * c[-1]]))
     for m, k in [(4, 1), (4, 2), (4, 9), (4, 10**6), (3, 1), (3, 2), (3, 9), (3, 10**6)]:
         r = spectrum_check(m, k)
-        assert not r.passed and r.proof == f"fails: det(xI - B) = base_charpoly({m})", (m, k)
+        target = "x^3 - 2x" if m == 3 else "poly_g(2)(x^2)"
+        assert not r.passed and r.proof == f"fails: det(xI - B) = {target}", (m, k)
     assert not nonsingularity_check_even(2, 1) and not nonsingularity_check_even(2, 2)
     assert not charpoly_base_square_check(2)
+
+
+_NUMBERS = st.one_of(st.integers(-3, 5), st.fractions(-3, 5, max_denominator=7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_NUMBERS, min_size=1, max_size=11))
+def test_the_continuant_follows_the_two_step_recurrence(c):
+    # q_j = x q_(j-1) - c_(j-2) q_(j-2) gives q_(2j) = (x^2 - c_(2j-2) - c_(2j-3)) q_(2j-2)
+    # - c_(2j-3) c_(2j-4) q_(2j-4) and q_2 = x^2 - c_0, for any numbers c
+    x = sympy.Symbol("x")
+    c = [sympy.Rational(v) for v in c]
+    q = [sympy.Integer(1), x]
+    for j in range(2, len(c) + 2):
+        q.append(sympy.expand(x * q[j - 1] - c[j - 2] * q[j - 2]))
+    assert sympy.expand(q[2] - (x**2 - c[0])) == 0
+    for j in range(2, (len(c) + 1) // 2 + 1):
+        step = (x**2 - c[2 * j - 2] - c[2 * j - 3]) * q[2 * j - 2] - c[2 * j - 3] * c[2 * j - 4] * q[2 * j - 4]
+        assert sympy.expand(q[2 * j] - step) == 0, j
+    # and q_m is det(xI - B) of the path whose two entries of link j multiply to c_j
+    assert sympy.Poly(q[-1], x).all_coeffs() == _charpoly(_path(c, [1] * len(c)))
+
+
+def _link_arrays(m: int, rng) -> list[tuple[int, ...]]:
+    """Every link array with entries in -2..2 for m <= 6; above, the
+    builder's kind (+-1) and such arrays with one entry from -2..2."""
+    if m <= 6:
+        return list(product(range(-2, 3), repeat=m - 1))
+    out = []
+    for _ in range(12):
+        links = rng.choice([-1, 1], size=m - 1)
+        out.append(tuple(links.tolist()))
+        links[rng.integers(m - 1)] = rng.integers(-2, 3)
+        out.append(tuple(links.tolist()))
+    return out
+
+
+def _near_misses(m: int, rng) -> list[list[Fraction]]:
+    """Squared links of the base path, all 1, with one change that can break
+    one condition of the det clause alone: c_0 moved; c_(2j-3), c_(2j-2)
+    moved with their sum kept, which moves the product c_(2j-4) c_(2j-3);
+    or c_(2j-4), c_(2j-3) moved with their product kept, which moves the
+    sum c_(2j-3) + c_(2j-2).  Integer links cannot do the second: a sum of
+    two squares is 2 only as 1 + 1."""
+    out = []
+    for _ in range(8):
+        c = [Fraction(1)] * (m - 1)
+        t = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        if m <= 3 or rng.integers(3) == 0:
+            c[0] = t
+        else:
+            i = 2 * int(rng.integers(1, m // 2)) - 1  # 2j - 3, for j = 2..m / 2
+            if rng.integers(2):
+                c[i], c[i + 1] = t, 2 - t
+            else:
+                c[i - 1], c[i] = 1 / t, t
+        out.append(c)
+    return out
+
+
+def test_the_det_clause_holds_exactly_when_the_determinant_is_the_target():
+    # sympy's det(xI - B) of each path against the clause on its squared
+    # links: link arrays, and rational squares that each condition alone
+    # must refuse (tests/mutants.py)
+    rng = np.random.default_rng(27)
+    for m in (3, *range(2, 17, 2)):
+        target, verdicts = _det_target(m), []
+        for links in _link_arrays(m, rng):
+            holds = _charpoly(_path(links, links)) == target
+            assert spectral._det_clause([v * v for v in links]) == holds, (m, links)
+            verdicts.append(holds)
+        assert any(verdicts) and not all(verdicts), m
+        for c in _near_misses(m, rng):
+            assert spectral._det_clause(c) == (_charpoly(_path(c, [1] * len(c))) == target), (m, c)
 
 
 def test_signed_spectrum_reconstruction_from_squares():
@@ -527,14 +637,21 @@ def test_a_one_sided_flip_fails_the_support_check():
 
 
 def test_a_tampered_base_square_charpoly_fails(monkeypatch):
-    true_charpoly = spectral.base_charpoly
-    monkeypatch.setattr(spectral, "base_charpoly", lambda m: true_charpoly(m) * IntPolynomial((1, 1)))
-    for m, k in [(3, 1), (3, 4), (2, 1), (2, 6), (4, 3)]:
+    # poly_g(1) = x - 2 moves every even target; x - 3 in the recurrence moves
+    # every one from poly_g(2) on, and leaves poly_g(1) = x - 1, so m = 2 passes
+    monkeypatch.setattr(spectral, "_G_SEED", (-2, 1))
+    for m, k in [(2, 1), (2, 6), (4, 1), (4, 3), (6, 2)]:
         got = spectrum_check(m, k)
-        assert not got.passed and got.proof == f"fails: det(xI - B) = base_charpoly({m})", (m, k)
-    assert not odd3_spectrum_check(3).passed and not nonsingularity_check_even(2, 3)
+        assert not got.passed and got.proof == f"fails: det(xI - B) = poly_g({m // 2})(x^2)", (m, k)
+    assert not nonsingularity_check_even(2, 3) and not charpoly_base_square_check(1)
     with pytest.raises(CertificateError):
         min_positive_eig_even(2, 3)
+    monkeypatch.undo()
+    monkeypatch.setattr(spectral, "_X_MINUS_2", IntPolynomial((-3, 1)))
+    for m, k in [(4, 1), (4, 3), (6, 2)]:
+        got = spectrum_check(m, k)
+        assert not got.passed and got.proof == f"fails: det(xI - B) = poly_g({m // 2})(x^2)", (m, k)
+    assert spectrum_check(2, 6).passed and charpoly_base_square_check(1) and not charpoly_base_square_check(2)
 
 
 def _off_the_path(level, a):
