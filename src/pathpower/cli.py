@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .constructions import CONSTRUCTION_KINDS, alpha_formula, build_construction
 from .grid import DEFAULT_SIZE_CAP, PathPower
-from .report import DEFAULT_MAX_SIZE, DEFAULT_SEED, DEFAULT_TABLE_SIZE_CAP, export_table, run_verify_all
+from .report import DEFAULT_MAX_SIZE, DEFAULT_SEED, export_table, run_verify_all
 from .search import SearchBudget, brute_force_f, max_independent_set, theoretical_f_value
 from .signed import signed_grid_matrix, write_matrix_market
 from .spectral import (
@@ -127,11 +127,7 @@ def cmd_f(args, parser) -> int:
         raise ValueError(f"the established value is for alpha + 1 vertices; --s {args.s} needs --brute")
     budget = _budget_from(args)  # refused before anything is built
     doc: dict = {"m": args.m, "k": args.k, "s": args.s}
-    g = mis = None
-    if args.brute:  # one certificate of alpha serves the theory row and the search
-        g = PathPower(args.m, args.k, size_cap=args.size_cap)
-        mis = max_independent_set(g)
-    theory = theoretical_f_value(args.m, args.k, mis)
+    theory = theoretical_f_value(args.m, args.k)
     doc["theory"] = {
         "kind": theory.kind,
         "value": theory.value,
@@ -141,7 +137,7 @@ def cmd_f(args, parser) -> int:
     }
     if args.brute:
         stop_at = theory.value if args.stop_at is None else args.stop_at  # a given stop_at runs the scan
-        res = brute_force_f(g, args.s, budget, stop_at=stop_at, mis=mis)
+        res = brute_force_f(PathPower(args.m, args.k, size_cap=args.size_cap), args.s, budget, stop_at=stop_at)
         doc["value"] = res.value
         doc["kind"] = res.kind
         doc["proof"] = res.proof
@@ -177,7 +173,6 @@ def cmd_export_table(args, parser) -> int:
         m_range=(args.m_min, args.m_max),
         k_range=(args.k_min, args.k_max),
         n_range=(args.n_min, args.n_max),
-        size_cap=args.size_cap,
     )
     if args.format == "json":
         _emit_json(rows, args.out)
@@ -271,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=4)
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--size-cap", type=int, default=DEFAULT_TABLE_SIZE_CAP)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_export_table)

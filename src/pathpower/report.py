@@ -50,7 +50,6 @@ from .spectral import (
 DEFAULT_SEED = 0x50335035  # the bytes "P3P5"
 DEFAULT_MAX_SIZE = 729
 CHAIN_TRIALS = 200  # random alpha + 1 subsets per degree-eigenvalue chain instance
-DEFAULT_TABLE_SIZE_CAP = 10**9  # rows past the grid size cap are closed forms, cheap up to here
 CHECKOUT_ROOT = Path(__file__).resolve().parents[2]  # the checkout's root, when run from src/
 
 ALPHA_GRID = (
@@ -352,7 +351,6 @@ def export_table(
     m_range: tuple[int, int] = (2, 7),
     k_range: tuple[int, int] = (1, 4),
     n_range: tuple[int, int] = (1, 8),
-    size_cap: int = DEFAULT_TABLE_SIZE_CAP,
 ) -> list[dict]:
     """Tabulate one of the supported quantities over a parameter grid.
 
@@ -361,7 +359,7 @@ def export_table(
     kind "bounds": f at alpha + 1 over the grid (theoretical_f_value): the
     certified floor, exact where a witness meets it, with the floor's
     source, the witness family and the paper's even-m floor paper_lower.
-    Rows whose graph would exceed size_cap are marked skipped.
+    Every row is a closed form, so no grid is built, whatever m^k.
     """
     rows: list[dict] = []
     if kind == "beta":
@@ -372,9 +370,6 @@ def export_table(
         raise ValueError(f"unknown table kind {kind!r}")
     for m in range(m_range[0], m_range[1] + 1):
         for k in range(k_range[0], k_range[1] + 1):
-            if m**k > size_cap:
-                rows.append({"m": m, "k": k, "skipped": True})
-                continue
             if kind == "alpha":
                 rows.append({"m": m, "k": k, "alpha": alpha_formula(m, k)})
             else:

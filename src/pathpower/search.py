@@ -7,17 +7,20 @@ The independence number of [m]^k needs no search: the alternating set is
 independent, and every second edge of the snake-order Hamiltonian path is
 a matching that bounds alpha from above; both are checked in linear time.
 
-degree_floor gives a lower bound on f from a checked certificate: 1 by
+degree_floor gives a lower bound on f from certificates checked on the
+path P_m and lifted to every k, so nothing of grid size is built: 1 by
 independence, 2 for m = 3 from the base certificate and interlacing, and
-ceil(sqrt(k)) for even m from the hypercube cells that tile [2n]^k and
-Huang's theorem (2019) inside each cell.  The last is a consequence of
-Huang's theorem, not a claim of the paper, whose own even-m floor
-ceil(sqrt(k beta_n)) (lower_bound_even) it dominates.  A floor holds for
-every s >= 1, since adding vertices cannot lower the induced maximum
-degree.  At s = 1 a witness family (xk for odd m, hk for even m) meets the
-floor, so brute_force_f with its defaults (no stop_at, s = 1, one worker)
-settles f with no scan at all.  A given stop_at or several workers run the
-scan: to that degree, or to the floor; stop_at=0 forces the enumeration.
+ceil(sqrt(k)) for even m from the pairs {2j, 2j + 1}, whose product tiles
+[2n]^k into hypercubes, and Huang's theorem (2019) inside each cell.  The
+last is a consequence of Huang's theorem, not a claim of the paper, whose
+own even-m floor ceil(sqrt(k beta_n)) (lower_bound_even) it dominates.  A
+floor holds for every s >= 1, since adding vertices cannot lower the
+induced maximum degree.  At s = 1 a witness family (xk for odd m, hk for
+even m) meets the floor.  theoretical_f_value checks it on P_m and lifts
+it, for any k; brute_force_f with its defaults (no stop_at, s = 1, one
+worker) builds it and measures it, and so settles f with no scan at all.
+A given stop_at or several workers run the scan: to that degree, or to
+the floor; stop_at=0 forces the enumeration.
 
 The scan visits subsets in lexicographic order and drops a partial subset
 once its induced degree reaches the incumbent.  While the incumbent is 1,
@@ -49,10 +52,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
-from .constructions import alternating_independent_set, hk_witness_set, is_independent, low_degree_witness_set
+from . import _kernels, constructions
+from .constructions import (
+    alpha_formula,
+    alternating_independent_set,
+    hk_witness_set,
+    is_independent,
+    low_degree_witness_set,
+)
 from .errors import CertificateError
-from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, digits, induced_max_degree, is_grid_edge
+from .grid import PathPower, VertexSet, check_grid, induced_max_degree, is_grid_edge
 from .signed import SignedMatrix
 from .spectral import DEFAULT_GROUP_TOL, base_certificate, g_roots_below, poly_g_roots, signed_spectra
 
@@ -180,40 +189,34 @@ class Floor(NamedTuple):
     inputs: dict
 
 
-def hypercube_cells(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cell, label) of every rank of [m]^k, m even: cell = the digits // 2
-    read as a base-m/2 number, label = the digits % 2 read as k bits.  Two
-    members of a cell whose labels differ in bit i differ by 1 in
-    coordinate i alone, so each cell spans a hypercube Q^k."""
-    if m % 2:
-        raise ValueError(f"hypercube cells tile [m]^k for even m only, got m = {m}")
-    axes = np.arange(k, dtype=np.int64)
-    d = digits(m, k)
-    return d // 2 @ (m // 2) ** axes, d % 2 @ (1 << axes)
+def _path_alpha_certified(m: int) -> bool:
+    """True iff the alpha certificate holds on P_m (alpha_certificate_holds
+    on its alternating set and snake order) and that set is a colour class:
+    its complement is independent too.
 
-
-def hypercube_cells_certificate_holds(g: PathPower, cells: np.ndarray, labels: np.ndarray, alpha: int) -> bool:
-    """True iff (cells, labels) prove f(g) >= ceil(sqrt(k)) at alpha + 1.
-
-    Checks, in linear time: every two cell-mates whose labels differ in one
-    bit are a grid edge, so each cell contains a hypercube Q^k (a (cell,
-    label) slot that no rank fills fails this, so the n ranks fill the n
-    slots once each and every cell has 2^k members); and the cells times
-    2^(k-1) make alpha.  Then alpha + 1 vertices put 2^(k-1) + 1
-    into one cell, and by Huang's theorem such a subset of Q^k induces a
-    degree of at least sqrt(k), which the grid's extra edges only raise.
+    Both lift to every k.  The alternating extension puts the set in the
+    odd blocks and its complement in the even ones, so it stays a colour
+    class, independent with ceil(m^k / 2) members; the snake order stays a
+    Hamiltonian path, whose matching bounds alpha from above.  So
+    alpha([m]^k) = ceil(m^k / 2).
     """
-    n, width = g.n_vertices, 1 << g.k
-    if g.m % 2 or n % width or cells.shape != (n,) or labels.shape != (n,):
-        return False
-    n_cells = n // width
-    if cells.min() < 0 or cells.max() >= n_cells or labels.min() < 0 or labels.max() >= width:
-        return False
-    member = np.full(n, -1, dtype=np.int64)  # a slot (cell, label) no rank fills keeps -1, which is no grid edge
-    member[cells * width + labels] = np.arange(n)
-    member = member.reshape(n_cells, 1, width)
-    flips = np.arange(width) ^ (1 << np.arange(g.k))[:, None]  # [i, label]: label with bit i flipped
-    return bool(is_grid_edge(g, member, member[:, 0, flips]).all()) and n_cells * (width // 2) == alpha
+    path, independent = PathPower(m, 1), alternating_independent_set(m, 1)
+    colour_class = is_independent(independent.complement(), path)
+    return colour_class and alpha_certificate_holds(path, independent, _snake_order(m, 1))
+
+
+def _cell_pairs(m: int) -> np.ndarray:
+    """The pairs {2j, 2j + 1} of P_m's vertices, m even, one row each."""
+    return np.arange(m).reshape(-1, 2)
+
+
+def _cells_tile(m: int) -> bool:
+    """True iff _cell_pairs(m) is a perfect matching of P_m: every vertex
+    once, and each pair a path edge.  The product of k such matchings tiles
+    [m]^k into (m/2)^k cells, each spanning a hypercube Q^k."""
+    pairs = _cell_pairs(m)
+    cover = np.array_equal(np.sort(pairs, axis=None), np.arange(m))
+    return cover and bool(is_grid_edge(PathPower(m, 1), pairs[:, 0], pairs[:, 1]).all())
 
 
 @functools.cache  # a fixed check of the level-1 and level-2 tables: once per process
@@ -221,8 +224,9 @@ def _base_certified(m: int) -> bool:
     return base_certificate(m)
 
 
-def _odd3_floor_inputs(g: PathPower, alpha: int) -> dict | None:
-    """The inputs of the m = 3 spectral floor 2 when they hold, else None.
+def _odd3_floor_inputs(n: int, alpha: int) -> dict | None:
+    """The inputs of the m = 3 spectral floor 2 on n = 3^k vertices when
+    they hold, else None.
 
     base_certificate(3) proves that B^2 has eigenvalues 0 once and 2 twice
     and that A_k^2 has the sums of k of them, so A_k has 0 once and no
@@ -232,7 +236,7 @@ def _odd3_floor_inputs(g: PathPower, alpha: int) -> dict | None:
     eigenvalue is at most the induced maximum degree, as every entry is
     +-1 on a grid edge.  No dense solve is needed.
     """
-    nonpositive = (g.n_vertices + 1) // 2
+    nonpositive = (n + 1) // 2
     if not (_base_certified(3) and alpha + 1 > nonpositive):
         return None
     return {"alpha": alpha, "rows": alpha + 1, "nonpositive": nonpositive}
@@ -241,28 +245,35 @@ def _odd3_floor_inputs(g: PathPower, alpha: int) -> dict | None:
 def degree_floor(g: PathPower, mis: MisResult | None = None) -> Floor:
     """The best certified lower bound on f(g) at alpha + s, any s >= 1.
 
-    independence: 1, as alpha + 1 vertices hold an edge (alpha proved by
-    max_independent_set; pass its result as mis to reuse it).
+    Every source is checked on the path P_m or in closed form, so nothing
+    of grid size is built, and g may lie past the grid size cap.
+    independence: 1, as alpha + 1 vertices hold an edge.  alpha is
+    ceil(m^k / 2) by _path_alpha_certified; a given mis (a
+    max_independent_set result) is used instead, and an unproven one leaves
+    the trivial floor 0.
     odd3-spectral: 2 for m = 3 (_odd3_floor_inputs).
-    hypercube-cells: ceil(sqrt(k)) for even m (hypercube_cells and its
-    certificate; Huang's one spectral input, A_k^2 = kI on the hypercube,
-    is base_certificate(2)).
-    A certificate that fails leaves the next weaker floor; an unproven
-    alpha leaves the trivial floor 0.
+    hypercube-cells: ceil(sqrt(k)) for even m.  The pairs {2j, 2j + 1}
+    tile [m]^k into (m/2)^k hypercubes Q^k (_cells_tile), and 2 alpha = m^k,
+    so alpha + 1 vertices put 2^(k-1) + 1 into one cell; by Huang's theorem
+    such a subset of Q^k induces a degree of at least sqrt(k), which the
+    grid's extra edges only raise.  Huang's one spectral input, A_k^2 = kI
+    on the hypercube, is base_certificate(2).
+    A certificate that fails leaves the next weaker floor.
     """
-    mis = max_independent_set(g) if mis is None else mis
-    if not mis.proven:
+    n = g.n_vertices
+    if mis is None:
+        proven, alpha = _path_alpha_certified(g.m), (n + 1) // 2
+    else:
+        proven, alpha = mis.proven, mis.size
+    if not proven:
         return Floor(0, "none", {})
-    alpha = mis.size
     if g.m == 3:
-        inputs = _odd3_floor_inputs(g, alpha)
+        inputs = _odd3_floor_inputs(n, alpha)
         if inputs is not None:
             return Floor(2, "odd3-spectral", inputs)
-    elif g.m % 2 == 0:
-        cells, labels = hypercube_cells(g.m, g.k)
-        if _base_certified(2) and hypercube_cells_certificate_holds(g, cells, labels, alpha):
-            inputs = {"alpha": alpha, "cells": g.n_vertices >> g.k, "cell_size": 1 << g.k}
-            return Floor(math.isqrt(g.k - 1) + 1, "hypercube-cells", inputs)
+    elif g.m % 2 == 0 and _base_certified(2) and _cells_tile(g.m) and 2 * alpha == n:
+        inputs = {"alpha": alpha, "cells": n >> g.k, "cell_size": 1 << g.k}
+        return Floor(math.isqrt(g.k - 1) + 1, "hypercube-cells", inputs)
     return Floor(1, "independence", {"alpha": alpha})
 
 
@@ -432,11 +443,11 @@ def lower_bound_even(n: int, k: int) -> int:
 class FValue:
     """Established value of f at alpha + 1.
 
-    kind "exact" when the certified floor is met by a witness checked with
-    induced_max_degree, else "lower" (the floor alone).  source names the
-    floor's certificate and witness the family that meets it (None when
-    lower).  paper_lower is the paper's own even-m floor ceil(sqrt(k
-    beta_n)) (None for odd m).
+    kind "exact" when the certified floor is met by a witness family whose
+    size and degree are checked on P_m and lifted to every k, else "lower"
+    (the floor alone).  source names the floor's certificate and witness
+    the family that meets it (None when lower).  paper_lower is the paper's
+    own even-m floor ceil(sqrt(k beta_n)) (None for odd m).
     """
 
     kind: str  # "exact" or "lower"
@@ -446,30 +457,50 @@ class FValue:
     paper_lower: int | None
 
 
-def theoretical_f_value(m: int, k: int, mis: MisResult | None = None) -> FValue:
-    """Established value of the minimum induced maximum degree at alpha + 1.
+def _lifted_witness(m: int, k: int, floor: int) -> str | None:
+    """The witness family whose alpha + 1 members on [m]^k induce a maximum
+    degree of at most floor, checked on P_m and lifted to every k; None when
+    a check fails.
 
-    Up to the 65,536-vertex size cap it is degree_floor's value, exact once
-    floor_witness meets it: 2 for m = 3, 1 for odd m >= 5 and ceil(sqrt(k))
-    for even m.  Beyond the cap no grid-sized certificate or witness is run,
-    and the row is a lower bound: the odd3 floor 2 for m = 3 (its base
-    certificate is 3 x 3), the paper's ceil(sqrt(k beta_n)) for even m and
-    the independence floor 1 for odd m >= 5.  Pass max_independent_set's
-    result for [m]^k as mis to reuse it.
+    xk (odd m): the seed S = low_degree_witness_set(m, 1) must have
+    alpha(P_m) + 1 members.  The alternating extension puts S and its
+    complement in alternate blocks, so a member's copies in the blocks
+    beside its own are non-members: no edge crosses blocks, the size stays
+    alpha + 1, and the degree is d, that of S on P_m, at k = 1, and
+    max(d, d_c), with d_c that of the complement, at every k >= 2.
+    hk (even m): the blocks of sqrt_blocks(k) must partition 0..k-1.  Then
+    |H| - |H^c| = 2 (-1)^(number of blocks), so the larger side has
+    m^k / 2 + 1 = alpha + 1 members (Chung, Furedi, Graham and Seymour
+    1988), and its degree is at most the sensitivity of the AND of ORs, at
+    most max(number of blocks, largest block) = ceil(sqrt(k)).
     """
-    n = check_grid(m, k, math.inf)  # past the grid size cap the row is a closed form
+    if m % 2:
+        path, seed = PathPower(m, 1), low_degree_witness_set(m, 1)
+        if len(seed) != alpha_formula(m, 1) + 1:
+            return None
+        degree = induced_max_degree(seed, path)
+        rest = seed.complement()
+        if k > 1 and len(rest):  # an empty complement fills no block
+            degree = max(degree, induced_max_degree(rest, path))
+        return "xk" if degree <= floor else None
+    blocks = constructions.sqrt_blocks(k)  # through the module, where a test can replace it
+    if not (all(blocks) and np.array_equal(np.sort(np.concatenate(blocks)), np.arange(k))):
+        return None
+    return "hk" if max(len(blocks), *map(len, blocks)) <= floor else None
+
+
+def theoretical_f_value(m: int, k: int) -> FValue:
+    """Established value of the minimum induced maximum degree at alpha + 1,
+    for any (m, k) with m within the grid size cap.
+
+    It is degree_floor's value, exact once _lifted_witness meets it: 2 for
+    m = 3, 1 for odd m >= 5 and ceil(sqrt(k)) for even m.  Every floor and
+    witness is checked on the path P_m and lifted to [m]^k by a theorem, so
+    nothing of grid size is built; brute_force_f and verify-all build the
+    witness and measure it, as the cross-check.
+    """
+    n = check_grid(m, k, math.inf)  # the row is a closed form, past the grid size cap too
+    floor = degree_floor(PathPower(m, k, size_cap=n))
+    family = _lifted_witness(m, k, floor.value)
     paper = lower_bound_even(m // 2, k) if m % 2 == 0 else None
-    if n > DEFAULT_SIZE_CAP:
-        if m == 3 and _base_certified(3):
-            # alpha + 1 exceeds (3^k + 1) / 2, the alternating set's size: the odd3 floor needs no grid
-            return FValue("lower", 2, "odd3-spectral", None, None)
-        if paper is None:
-            return FValue("lower", 1, "independence", None, None)
-        return FValue("lower", paper, "paper-spectral", None, paper)
-    g = PathPower(m, k)
-    mis = max_independent_set(g) if mis is None else mis
-    floor = degree_floor(g, mis)
-    met = _witness_meets(g, floor, mis.size + 1)
-    if met is None:
-        return FValue("lower", floor.value, floor.source, None, paper)
-    return FValue("exact", floor.value, floor.source, met[0], paper)
+    return FValue("lower" if family is None else "exact", floor.value, floor.source, family, paper)

@@ -18,10 +18,15 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+_SEARCH = "src/pathpower/search.py"
 _SIGNED = "src/pathpower/signed.py"
 _SPECTRAL = "src/pathpower/spectral.py"
 _LEMMA_CONTROLS = ("tests/test_spectral.py::test_each_clause_of_the_lemma_has_a_negative_control",)
 _DET_ORACLE = ("tests/test_spectral.py::test_the_det_clause_holds_exactly_when_the_determinant_is_the_target",)
+_ALPHA_CONTROLS = ("tests/test_search.py::test_a_tampered_level_1_alpha_certificate_leaves_the_trivial_floor",)
+_PAIRING_CONTROLS = ("tests/test_search.py::test_hypercube_cells_negative_controls",)
+_XK_CONTROLS = ("tests/test_search.py::test_a_tampered_xk_seed_leaves_the_row_lower",)
+_HK_CONTROLS = ("tests/test_search.py::test_hk_blocks_that_miss_the_floor_leave_the_row_lower",)
 
 MUTANTS = [
     Mutant(
@@ -113,5 +118,82 @@ MUTANTS = [
         "and c[i - 1] * c[i] == 1",
         "",
         _DET_ORACLE,
+    ),
+    Mutant(
+        "level-1-alpha-clause",
+        _SEARCH,
+        "return colour_class and alpha_certificate_holds(path, independent, _snake_order(m, 1))",
+        "return colour_class",
+        _ALPHA_CONTROLS,
+    ),
+    Mutant(
+        "level-1-colour-class-clause",
+        _SEARCH,
+        "colour_class = is_independent(independent.complement(), path)",
+        "colour_class = True",
+        _ALPHA_CONTROLS,
+    ),
+    Mutant(
+        "cell-pairing-cover-clause",
+        _SEARCH,
+        "cover = np.array_equal(np.sort(pairs, axis=None), np.arange(m))",
+        "cover = True",
+        _PAIRING_CONTROLS,
+    ),
+    Mutant(
+        "cell-pairing-edge-clause",
+        _SEARCH,
+        "return cover and bool(is_grid_edge(PathPower(m, 1), pairs[:, 0], pairs[:, 1]).all())",
+        "return cover",
+        _PAIRING_CONTROLS,
+    ),
+    Mutant(
+        "cell-half-alpha-clause",
+        _SEARCH,
+        " and 2 * alpha == n:",
+        ":",
+        ("tests/test_search.py::test_hypercube_cells_certificate",),
+    ),
+    Mutant(
+        "xk-size-clause",
+        _SEARCH,
+        "        if len(seed) != alpha_formula(m, 1) + 1:\n            return None\n",
+        "",
+        _XK_CONTROLS,
+    ),
+    Mutant(
+        "xk-max-lift-clause",
+        _SEARCH,
+        "degree = max(degree, induced_max_degree(rest, path))",
+        "pass",
+        ("tests/test_search.py::test_the_xk_lift_reads_the_complement_from_k_2",),
+    ),
+    Mutant(
+        "hk-partition-clause",
+        _SEARCH,
+        "np.array_equal(np.sort(np.concatenate(blocks)), np.arange(k))",
+        "True",
+        _HK_CONTROLS,
+    ),
+    Mutant(
+        "hk-nonempty-blocks-clause",
+        _SEARCH,
+        "if not (all(blocks) and ",
+        "if not (",
+        _HK_CONTROLS,
+    ),
+    Mutant(
+        "hk-sensitivity-clause",
+        _SEARCH,
+        "max(len(blocks), *map(len, blocks))",
+        "len(blocks)",
+        _HK_CONTROLS,
+    ),
+    Mutant(
+        "hk-sensitivity-block-count-clause",
+        _SEARCH,
+        "max(len(blocks), *map(len, blocks))",
+        "max(map(len, blocks))",
+        _HK_CONTROLS,
     ),
 ]

@@ -185,7 +185,18 @@ def test_f_command_theory_and_brute(capsys):
 def test_f_command_beyond_the_cap(capsys):
     assert run_cli("f", "--m", "3", "--k", "11") == 0
     doc = json.loads(capsys.readouterr().out)
-    assert (doc["kind"], doc["value"], doc["theory"]["floor_source"]) == ("lower", 2, "odd3-spectral")
+    assert (doc["kind"], doc["value"], doc["theory"]["floor_source"]) == ("exact", 2, "odd3-spectral")
+    # ceil(sqrt(9)) = 3 from the cells and the hk witness, above the paper's own floor 2
+    assert run_cli("f", "--m", "4", "--k", "9") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["kind"], doc["value"]) == ("exact", 3)
+    assert doc["theory"] == {
+        "kind": "exact",
+        "value": 3,
+        "floor_source": "hypercube-cells",
+        "witness": "hk",
+        "paper_lower": 2,
+    }
 
 
 def test_f_command_paper_floor_at_large_n(capsys):
@@ -204,7 +215,7 @@ def test_f_brute_certifies_alpha_once_in_the_search(capsys, monkeypatch):
     assert run_cli("f", "--m", "4", "--k", "2", "--brute") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["stop_reason"] == "floor-reached" and doc["subsets_examined"] > 0
-    assert len(calls) == 1  # one certificate serves the theory row and the search
+    assert len(calls) == 1  # the search's; the theory row certifies alpha on the path P_m
 
 
 def test_f_brute_records_the_scan(capsys):
@@ -219,7 +230,7 @@ def test_f_brute_records_the_scan(capsys):
 def test_f_brute_prints_null_rates_when_no_scan_ran(capsys, monkeypatch):
     # f --brute always passes a stop_at, so only a search that settles by
     # certificate, as brute_force_f does by default, reaches this path.
-    monkeypatch.setattr(cli, "brute_force_f", lambda g, s, budget, stop_at, mis: search.brute_force_f(g, s, mis=mis))
+    monkeypatch.setattr(cli, "brute_force_f", lambda g, s, budget, stop_at: search.brute_force_f(g, s))
     assert run_cli("f", "--m", "4", "--k", "2", "--brute") == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["stop_reason"], doc["subsets_examined"], doc["value"]) == ("certificate", 0, 2)
@@ -247,23 +258,25 @@ def test_export_table_bounds_and_beta(capsys, tmp_path):
     assert first == 1.0
 
 
-def test_export_table_alpha_skips_beyond_cap(capsys):
-    assert run_cli(
-        "export-table", "--kind", "alpha", "--m-max", "4", "--k-max", "9", "--size-cap", "100"
-    ) == 0
+def test_export_table_alpha_skips_no_row(capsys):
+    assert run_cli("export-table", "--kind", "alpha", "--m-max", "4", "--k-max", "30") == 0
     rows = json.loads(capsys.readouterr().out)
-    assert any(r.get("skipped") for r in rows)
-    assert {"m": 3, "k": 2, "alpha": 5} in rows
+    assert len(rows) == 3 * 30 and {"m": 3, "k": 2, "alpha": 5} in rows
+    assert {"m": 4, "k": 30, "alpha": 4**30 // 2} in rows
+    with pytest.raises(SystemExit):  # the size knob is gone
+        run_cli("export-table", "--kind", "alpha", "--size-cap", "100")
+    capsys.readouterr()
 
 
-def test_export_table_default_cap_is_the_library_default(capsys):
-    # [3]^11 lies beyond the grid size cap: its bounds row is the odd3 floor, not skipped
-    want = {"m": 3, "k": 11, "kind": "lower", "value": 2}
-    (row,) = export_table("bounds", (3, 3), (11, 11))
-    assert row.items() >= want.items()
-    argv = ["export-table", "--kind", "bounds", "--m-min", "3", "--m-max", "3", "--k-min", "11", "--k-max", "11"]
+def test_export_table_bounds_past_the_grid_cap_are_exact(capsys):
+    # [3]^11 and [6]^7 lie beyond the grid size cap: their rows are lifted from the path
+    rows = export_table("bounds", (3, 6), (7, 11))
+    assert all(r["kind"] == "exact" for r in rows) and len(rows) == 4 * 5
+    assert {"m": 3, "k": 11, "kind": "exact", "value": 2, "floor_source": "odd3-spectral"}.items() <= rows[4].items()
+    assert (rows[15]["m"], rows[15]["k"], rows[15]["value"], rows[15]["witness"]) == (6, 7, 3, "hk")
+    argv = ["export-table", "--kind", "bounds", "--m-min", "3", "--m-max", "6", "--k-min", "7", "--k-max", "11"]
     assert run_cli(*argv) == 0
-    assert json.loads(capsys.readouterr().out) == [row]
+    assert json.loads(capsys.readouterr().out) == rows
 
 
 def test_verify_all_cli_quick(capsys, tmp_path):

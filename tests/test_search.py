@@ -1,5 +1,6 @@
 """The exact oracles: independence number and the induced-degree minimum."""
 
+import contextlib
 import math
 import random
 import time
@@ -26,14 +27,8 @@ from pathpower import (
     theoretical_f_value,
 )
 from pathpower import _kernels, constructions, hk_witness_set, search
-from pathpower.grid import is_grid_edge
-from pathpower.search import (
-    _snake_order,
-    alpha_certificate_holds,
-    degree_floor,
-    hypercube_cells,
-    hypercube_cells_certificate_holds,
-)
+from pathpower.grid import digits, is_grid_edge
+from pathpower.search import _snake_order, alpha_certificate_holds, degree_floor
 
 compiled = pytest.mark.skipif(not _kernels.HAVE_SPEEDUPS, reason=_kernels.BACKEND_REASON)
 
@@ -57,7 +52,7 @@ def test_grid_edge_from_digits_matches_neighbor_ranks(m, k):
     u, v = np.divmod(np.arange(g.n_vertices**2, dtype=np.int64), g.n_vertices)
     want = np.array([int(b) in g.neighbor_ranks(int(a)) for a, b in zip(u, v)])
     assert np.array_equal(is_grid_edge(g, u, v), want)
-    # -1, the empty slot of the hypercube-cell certificate, is no one's neighbour
+    # -1, the empty slot of the cell tiling oracle (_cell_tiling_holds), is no one's neighbour
     assert not is_grid_edge(g, np.full(g.n_vertices + 1, -1), np.arange(-1, g.n_vertices)).any()
 
 
@@ -384,9 +379,11 @@ def test_lower_bound_even_large_n_matches_mpmath(n):
         (3, 4, "exact", 2),
         (2, 9, "exact", 3),
         (7, 2, "exact", 1),
-        (2, 17, "lower", 5),
-        (3, 11, "lower", 2),
-        (5, 7, "lower", 1),
+        (2, 17, "exact", 5),
+        (3, 11, "exact", 2),
+        (5, 7, "exact", 1),
+        (4, 9, "exact", 3),
+        (6, 7, "exact", 3),
     ],
 )
 def test_theoretical_f_value(m, k, kind, value):
@@ -396,10 +393,20 @@ def test_theoretical_f_value(m, k, kind, value):
 
 def test_odd3_floor_beyond_the_cap_needs_its_base_certificate(monkeypatch):
     fv = theoretical_f_value(3, 11)
-    assert (fv.source, fv.witness, fv.paper_lower) == ("odd3-spectral", None, None)
+    assert (fv.kind, fv.source, fv.witness, fv.paper_lower) == ("exact", "odd3-spectral", "xk", None)
     monkeypatch.setattr(search, "_base_certified", lambda m: False)
     fv = theoretical_f_value(3, 11)
-    assert (fv.kind, fv.value, fv.source) == ("lower", 1, "independence")
+    assert (fv.kind, fv.value, fv.source, fv.witness) == ("lower", 1, "independence", None)
+
+
+@pytest.mark.parametrize(
+    "m,value,source,witness", [(2, 1000, "hypercube-cells", "hk"), (3, 2, "odd3-spectral", "xk")], ids=["2", "3"]
+)
+def test_the_lifted_row_at_a_million_coordinates(m, value, source, witness):
+    started = time.perf_counter()
+    fv = theoretical_f_value(m, 10**6)
+    assert time.perf_counter() - started < 1.0
+    assert (fv.kind, fv.value, fv.source, fv.witness) == ("exact", value, source, witness)
 
 
 def test_even_searches_respect_floor():
@@ -508,7 +515,8 @@ def test_a_given_alpha_certificate_is_reused(monkeypatch):
     mis = max_independent_set(g)
     monkeypatch.setattr(search, "max_independent_set", lambda g: pytest.fail("alpha certified again"))
     assert brute_force_f(g, stop_at=2, mis=mis).value == 2
-    assert theoretical_f_value(4, 2, mis).value == 2
+    assert degree_floor(g, mis).value == 2
+    assert theoretical_f_value(4, 2).value == 2  # certifies alpha on the path P_4, not on the grid
 
 
 def test_floor_inputs_are_computed_values():
@@ -525,7 +533,7 @@ def test_witness_above_the_floor_falls_back_to_the_scan(monkeypatch):
     assert res.subsets_examined == brute_force_f(g, stop_at=2).subsets_examined > 0  # the scan to the floor
     assert res.stop_reason == "floor-reached"
     assert (res.value, res.kind, res.proof) == (2, "exact", "floor:hypercube-cells+scan")
-    assert theoretical_f_value(4, 2).kind == "lower"
+    assert theoretical_f_value(4, 2).kind == "exact"  # the lifted row builds no witness
 
 
 def test_dropped_variable_witness_fails_the_size_check(monkeypatch):
@@ -546,53 +554,130 @@ def test_dropped_variable_witness_fails_the_size_check(monkeypatch):
     assert res.subsets_examined > 0 and res.stop_reason != "certificate"
 
 
+def _cell_tiling_holds(g, alpha):
+    """The hypercube-cell floor checked on the built grid, the oracle of its
+    lift: cell = the digits // 2 and label = the digits % 2 of every rank;
+    every two cell-mates whose labels differ in one bit are a grid edge (a
+    (cell, label) slot that no rank fills holds -1, which is no grid edge),
+    and the cells times 2^(k-1) make alpha."""
+    axes = np.arange(g.k, dtype=np.int64)
+    d = digits(g.m, g.k)
+    cells, labels = d // 2 @ (g.m // 2) ** axes, d % 2 @ (1 << axes)
+    n, width = g.n_vertices, 1 << g.k
+    member = np.full(n, -1, dtype=np.int64)
+    member[cells * width + labels] = np.arange(n)
+    member = member.reshape(n // width, 1, width)
+    flips = np.arange(width) ^ (1 << axes)[:, None]  # [i, label]: label with bit i flipped
+    return bool(is_grid_edge(g, member, member[:, 0, flips]).all()) and n // width * (width // 2) == alpha
+
+
 @pytest.mark.parametrize("m,k", [(2, 1), (2, 5), (2, 9), (4, 1), (4, 3), (6, 2), (8, 2), (10, 1)])
 def test_hypercube_cells_certificate(m, k):
     g = PathPower(m, k)
-    cells, labels = hypercube_cells(m, k)
-    alpha = max_independent_set(g).size
-    assert hypercube_cells_certificate_holds(g, cells, labels, alpha)
+    mis = max_independent_set(g)
+    assert _cell_tiling_holds(g, mis.size) and not _cell_tiling_holds(g, mis.size + 1)
     floor = degree_floor(g)
     assert (floor.value, floor.source) == (math.isqrt(k - 1) + 1, "hypercube-cells")
-    assert floor.inputs["cells"] == (m // 2) ** k and floor.inputs["cell_size"] == 2**k
-    assert not hypercube_cells_certificate_holds(g, cells, labels, alpha + 1)
+    assert floor.inputs == {"alpha": mis.size, "cells": (m // 2) ** k, "cell_size": 2**k}
+    # a given alpha with 2 alpha != m^k leaves the cells unfilled
+    wrong = search.MisResult(mis.size + 1, mis.witness, proven=True, nodes_examined=0)
+    assert degree_floor(g, wrong)[:2] == (1, "independence")
 
 
-def test_hypercube_cells_negative_controls():
-    g = PathPower(4, 2)
-    cells, labels = hypercube_cells(4, 2)
-    alpha = max_independent_set(g).size
-    digits = np.arange(16)[:, None] // 4 ** np.arange(2) % 4
-    # the pairing {2j-1, 2j} shifted by one leaves singleton cells at both ends
-    shifted = ((digits + 1) // 2 * 3 ** np.arange(2)).sum(axis=1)
-    assert not hypercube_cells_certificate_holds(g, shifted, labels, alpha)
-    # two cells merged into one of 2^(k+1) members
-    assert not hypercube_cells_certificate_holds(g, np.where(cells == 3, 2, cells), labels, alpha)
-    # two cell-mates with one label: the other label's slot stays empty
-    doubled = labels.copy()
-    doubled[0] = doubled[1]
-    assert not hypercube_cells_certificate_holds(g, cells, doubled, alpha)
-    # labels of two cell-mates swapped: a label flip then is no grid edge
-    swapped = labels.copy()
-    swapped[[0, 1]] = swapped[[1, 0]]
-    assert not hypercube_cells_certificate_holds(g, cells, swapped, alpha)
-    # odd m: the pairs do not tile a path of odd length
-    g3 = PathPower(3, 2)
-    odd = (np.arange(9)[:, None] // 3 ** np.arange(2) % 3 // 2 * 2 ** np.arange(2)).sum(axis=1)
-    odd_labels = (np.arange(9)[:, None] // 3 ** np.arange(2) % 3 % 2 * 2 ** np.arange(2)).sum(axis=1)
-    assert not hypercube_cells_certificate_holds(g3, odd, odd_labels, 5)
-    with pytest.raises(ValueError):
-        hypercube_cells(3, 2)
+def test_hypercube_cells_negative_controls(monkeypatch):
+    # a pairing of P_6 that is not a perfect matching of its edges
+    pairings = {
+        "non-edge": [[0, 2], [1, 3], [4, 5]],
+        "repeated vertex": [[0, 1], [1, 2], [4, 5]],
+        "shifted": [[1, 2], [3, 4]],
+        "shifted with wrap": [[1, 2], [3, 4], [5, 0]],
+    }
+    assert degree_floor(PathPower(6, 2))[:2] == (2, "hypercube-cells")
+    for name, pairs in pairings.items():
+        monkeypatch.setattr(search, "_cell_pairs", lambda m, pairs=pairs: np.array(pairs))
+        assert degree_floor(PathPower(6, 2))[:2] == (1, "independence"), name
+        fv = theoretical_f_value(6, 7)
+        assert (fv.kind, fv.value, fv.source) == ("lower", 1, "independence"), name
 
 
 def test_failed_certificates_leave_a_weaker_floor(monkeypatch):
-    cells, labels = hypercube_cells(4, 2)
-    monkeypatch.setattr(search, "hypercube_cells", lambda m, k: (np.where(cells == 3, 2, cells), labels))
+    monkeypatch.setattr(search, "_cell_pairs", lambda m: np.array([[0, 2], [1, 3]]))
     assert degree_floor(PathPower(4, 2))[:2] == (1, "independence")
     monkeypatch.undo()
     monkeypatch.setattr(search, "_base_certified", lambda m: False)
     assert degree_floor(PathPower(3, 3))[:2] == (1, "independence")
     assert degree_floor(PathPower(2, 4))[:2] == (1, "independence")
+
+
+_IN_CAP = [(m, k) for m in range(2, 17) for k in range(1, 17) if m**k <= 65536]
+
+
+@pytest.mark.parametrize("m,k", _IN_CAP)
+def test_lifted_row_matches_the_built_witness(m, k):
+    g = PathPower(m, k)
+    fv, floor, mis = theoretical_f_value(m, k), degree_floor(g), max_independent_set(g)
+    family, witness = search.floor_witness(g)
+    assert floor == degree_floor(g, mis)  # the lifted alpha is the built one
+    assert fv.kind == "exact" and (fv.value, fv.source, fv.witness) == (floor.value, floor.source, family)
+    assert len(witness) == mis.size + 1 and induced_max_degree(witness, g) == fv.value
+    assert m % 2 or _cell_tiling_holds(g, mis.size)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [("alternating_independent_set", [0]), ("alternating_independent_set", [0, 1])]
+    + [("alternating_independent_set", [0, 3]), ("_snake_order", [0, 2, 1, 3])],
+    ids=["set-too-small", "set-not-independent", "set-not-a-colour-class", "snake-crossed"],
+)
+def test_a_tampered_level_1_alpha_certificate_leaves_the_trivial_floor(monkeypatch, tamper):
+    name, ranks = tamper
+    build = getattr(search, name)
+    level_1 = VertexSet(4, 1, ranks=ranks) if name == "alternating_independent_set" else np.array(ranks)
+    monkeypatch.setattr(search, name, lambda m, k, **kw: level_1 if k == 1 else build(m, k, **kw))
+    g = PathPower(4, 3)
+    assert degree_floor(g)[:2] == (0, "none")
+    fv = theoretical_f_value(4, 3)
+    assert (fv.kind, fv.value, fv.source) == ("lower", 0, "none")
+    assert degree_floor(g, max_independent_set(g))[:2] == (2, "hypercube-cells")  # a given alpha is read instead
+
+
+def _replace_xk_seed(monkeypatch, seed):
+    build = search.low_degree_witness_set
+    monkeypatch.setattr(search, "low_degree_witness_set", lambda m, k, **kw: seed if k == 1 else build(m, k, **kw))
+
+
+@pytest.mark.parametrize("ranks", [[0, 1, 3], [0, 1, 2, 4]], ids=["missing-endpoint", "degree-2"])
+def test_a_tampered_xk_seed_leaves_the_row_lower(monkeypatch, ranks):
+    _replace_xk_seed(monkeypatch, VertexSet(5, 1, ranks=ranks))
+    for k in (1, 3):
+        fv = theoretical_f_value(5, k)
+        assert (fv.kind, fv.value, fv.witness) == ("lower", 1, None)
+
+
+def test_the_xk_lift_reads_the_complement_from_k_2(monkeypatch):
+    # degree 1 on P_13, but the complement holds the path 2-3-4: from k = 2 on,
+    # its blocks give the extension degree 2
+    seed = VertexSet(13, 1, ranks=[0, 1, 5, 6, 8, 9, 11, 12])
+    _replace_xk_seed(monkeypatch, seed)
+    assert theoretical_f_value(13, 1).witness == "xk"
+    fv = theoretical_f_value(13, 2)
+    assert (fv.kind, fv.value, fv.witness) == ("lower", 1, None)
+    assert induced_max_degree(constructions._alternating_extension(seed)) == 2
+
+
+@pytest.mark.parametrize(
+    "k,blocks",
+    [(4, [[0, 1, 2, 3]]), (4, [[0], [1], [2], [3]]), (5, [[0, 1, 2], [3, 4], []])]
+    + [(4, [[0, 1], [1, 2, 3]]), (4, [[2], [1, 3]])],
+    ids=["one-block", "singletons", "empty-block", "repeated-coordinate", "dropped-coordinate"],
+)
+def test_hk_blocks_that_miss_the_floor_leave_the_row_lower(monkeypatch, k, blocks):
+    monkeypatch.setattr(constructions, "sqrt_blocks", lambda k: blocks)
+    fv = theoretical_f_value(4, k)
+    assert (fv.kind, fv.value, fv.witness) == ("lower", math.isqrt(k - 1) + 1, None)
+    # the built set agrees: it misses alpha + 1 (CertificateError) or the floor
+    with contextlib.suppress(CertificateError):
+        assert induced_max_degree(hk_witness_set(4, k)) > fv.value
 
 
 def test_unproven_alpha_leaves_the_trivial_floor(monkeypatch):
