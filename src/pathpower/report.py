@@ -35,12 +35,12 @@ from .search import (
     max_independent_set,
     theoretical_f_value,
 )
-from .signed import check_support, signed_grid_matrix, square_identity_check
+from .signed import check_support, signed_grid_matrix, square_identity_holds
 from .spectral import (
     DEFAULT_GROUP_TOL,
     base_certificate,
     beta,
-    fg_identity_failures,
+    fg_identity_check,
     interlacing_holds,
     odd3_spectrum_check,
     signed_spectra,
@@ -194,9 +194,8 @@ def _check_polynomials(cfg: dict) -> tuple[bool, dict]:
     details["beta_3"] = b3
     details["beta_3_gap"] = abs(b3 - closed)
     ok = ok and abs(b3 - closed) <= 1e-10
-    fg_bad = fg_identity_failures(50)
-    details["fg_identity_failures"] = fg_bad
-    ok = ok and not fg_bad
+    fg = details["fg_identity"] = fg_identity_check(1)  # every n, from the seeds n = 1 and 2
+    ok = ok and fg
     certificates = [[m, base_certificate(m)] for m in (3, *range(2, 17, 2))]
     details["base_certificate"] = certificates
     ok = ok and all(holds for _, holds in certificates)
@@ -213,10 +212,11 @@ def _check_integer_structure(cfg: dict) -> tuple[bool, dict]:
     """The table certificate, once per built grid: every [2|4|6]^k for k
     <= 3 and [3]^k for k <= 5, within max_size."""
     grids = [(m, k) for m in (2, 3, 4, 6) for k in range(1, 6 if m == 3 else 4) if m**k <= cfg["max_size"]]
-    square_rows = [[m, k, square_identity_check(m, k)] for m, k in grids if k > 1]
-    support_rows = []
+    square_rows, support_rows = [], []
     for m, k in grids:
         a, g = signed_grid_matrix(m, k), PathPower(m, k)
+        if k > 1:
+            square_rows.append([m, k, square_identity_holds(a)])
         support_rows.append([m, k, check_support(a, g) and a.nnz == 2 * g.edge_count])
     ok = all(row[-1] for row in square_rows + support_rows)
     return ok and bool(support_rows), {"square_identity": square_rows, "support": support_rows}

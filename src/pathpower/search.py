@@ -5,7 +5,11 @@ meets it, else by budgeted search.
 
 The independence number of [m]^k needs no search: the alternating set is
 independent, and every second edge of the snake-order Hamiltonian path is
-a matching that bounds alpha from above; both are checked in linear time.
+a matching that bounds alpha from above.  Checked on the path P_m, with
+the set a colour class, this proves alpha([m]^k) = ceil(m^k / 2) for every
+k, and degree_floor, brute_force_f and theoretical_f_value read alpha from
+that level-1 certificate.  max_independent_set checks the same
+certificate on a built grid, in linear time, as their cross-check.
 
 degree_floor gives a lower bound on f from certificates checked on the
 path P_m and lifted to every k, so nothing of grid size is built: 1 by
@@ -61,7 +65,7 @@ from .constructions import (
     low_degree_witness_set,
 )
 from .errors import CertificateError
-from .grid import PathPower, VertexSet, check_grid, induced_max_degree, is_grid_edge
+from .grid import PathPower, VertexSet, induced_max_degree, is_grid_edge
 from .signed import SignedMatrix
 from .spectral import DEFAULT_GROUP_TOL, base_certificate, g_roots_below, poly_g_roots, signed_spectra
 
@@ -224,34 +228,22 @@ def _base_certified(m: int) -> bool:
     return base_certificate(m)
 
 
-def _odd3_floor_inputs(n: int, alpha: int) -> dict | None:
-    """The inputs of the m = 3 spectral floor 2 on n = 3^k vertices when
-    they hold, else None.
-
-    base_certificate(3) proves that B^2 has eigenvalues 0 once and 2 twice
-    and that A_k^2 has the sums of k of them, so A_k has 0 once and no
-    positive eigenvalue below sqrt(2); its spectrum is symmetric, so
-    (3^k + 1) / 2 eigenvalues are <= 0.  A principal submatrix on more rows
-    than that has, by interlacing, a top eigenvalue >= sqrt(2), and that
-    eigenvalue is at most the induced maximum degree, as every entry is
-    +-1 on a grid edge.  No dense solve is needed.
-    """
-    nonpositive = (n + 1) // 2
-    if not (_base_certified(3) and alpha + 1 > nonpositive):
-        return None
-    return {"alpha": alpha, "rows": alpha + 1, "nonpositive": nonpositive}
-
-
-def degree_floor(g: PathPower, mis: MisResult | None = None) -> Floor:
+def degree_floor(g: PathPower) -> Floor:
     """The best certified lower bound on f(g) at alpha + s, any s >= 1.
 
     Every source is checked on the path P_m or in closed form, so nothing
     of grid size is built, and g may lie past the grid size cap.
     independence: 1, as alpha + 1 vertices hold an edge.  alpha is
-    ceil(m^k / 2) by _path_alpha_certified; a given mis (a
-    max_independent_set result) is used instead, and an unproven one leaves
-    the trivial floor 0.
-    odd3-spectral: 2 for m = 3 (_odd3_floor_inputs).
+    ceil(m^k / 2) by _path_alpha_certified; when that fails, the floor is
+    the trivial 0.
+    odd3-spectral: 2 for m = 3.  base_certificate(3) proves that B^2 has
+    eigenvalues 0 once and 2 twice and that A_k^2 has the sums of k of
+    them, so A_k has 0 once and no positive eigenvalue below sqrt(2); its
+    spectrum is symmetric, so (3^k + 1) / 2 = alpha eigenvalues are <= 0.
+    A principal submatrix on alpha + 1 rows has, by interlacing, a top
+    eigenvalue >= sqrt(2), and that eigenvalue is at most the induced
+    maximum degree, as every entry is +-1 on a grid edge.  No dense solve
+    is needed.
     hypercube-cells: ceil(sqrt(k)) for even m.  The pairs {2j, 2j + 1}
     tile [m]^k into (m/2)^k hypercubes Q^k (_cells_tile), and 2 alpha = m^k,
     so alpha + 1 vertices put 2^(k-1) + 1 into one cell; by Huang's theorem
@@ -261,17 +253,12 @@ def degree_floor(g: PathPower, mis: MisResult | None = None) -> Floor:
     A certificate that fails leaves the next weaker floor.
     """
     n = g.n_vertices
-    if mis is None:
-        proven, alpha = _path_alpha_certified(g.m), (n + 1) // 2
-    else:
-        proven, alpha = mis.proven, mis.size
-    if not proven:
+    alpha = (n + 1) // 2
+    if not _path_alpha_certified(g.m):
         return Floor(0, "none", {})
-    if g.m == 3:
-        inputs = _odd3_floor_inputs(n, alpha)
-        if inputs is not None:
-            return Floor(2, "odd3-spectral", inputs)
-    elif g.m % 2 == 0 and _base_certified(2) and _cells_tile(g.m) and 2 * alpha == n:
+    if g.m == 3 and _base_certified(3):
+        return Floor(2, "odd3-spectral", {"alpha": alpha, "rows": alpha + 1, "nonpositive": alpha})
+    if g.m % 2 == 0 and _base_certified(2) and _cells_tile(g.m):
         inputs = {"alpha": alpha, "cells": n >> g.k, "cell_size": 1 << g.k}
         return Floor(math.isqrt(g.k - 1) + 1, "hypercube-cells", inputs)
     return Floor(1, "independence", {"alpha": alpha})
@@ -303,15 +290,14 @@ def brute_force_f(
     s: int = 1,
     budget: SearchBudget = DEFAULT_BUDGET,
     stop_at: int | None = None,
-    mis: MisResult | None = None,
 ) -> FSearchResult:
     """Exact minimum of the induced maximum degree over subsets of size
     alpha(g) + s, with an achieving witness.
 
-    The independence number comes from the certificate of
-    max_independent_set (pass its result for g as mis to reuse it) and the
-    floor from degree_floor; both count against the deadline, except a
-    floor needed only to judge an early stop and a given mis.  The
+    alpha is ceil(m^k / 2), as degree_floor certifies on the path P_m
+    (should that fail, its floor is 0 and only an enumeration is exact), so
+    nothing is certified on the grid itself.  The floor counts against the
+    deadline unless it is needed only to judge an early stop.  The
     defaults (stop_at None, s = 1, one worker) settle by certificate:
     floor_witness builds the witness, and when its size is alpha + 1 and
     its induced maximum degree equals the floor, that is the value
@@ -342,13 +328,12 @@ def brute_force_f(
     if stop_at is not None and not isinstance(stop_at, numbers.Integral):
         raise ValueError(f"stop_at must be an integer or None, got {stop_at!r}")
     deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
-    mis = max_independent_set(g) if mis is None else mis
-    target = mis.size + s
+    target = (g.n_vertices + 1) // 2 + s
     if target > g.n_vertices:
         raise ValueError(f"alpha + s = {target} exceeds {g.n_vertices} vertices")
     floor = None  # computed when needed: for the default stop_at, or to judge an early stop
     if stop_at is None:
-        floor = degree_floor(g, mis)
+        floor = degree_floor(g)
         stop_at = floor.value
         if s == 1 and budget.workers == 1:
             if deadline is not None and time.monotonic() >= deadline:
@@ -397,7 +382,7 @@ def brute_force_f(
     if reason == "exhausted":
         proof = "enumeration"
     else:
-        floor = degree_floor(g, mis) if floor is None else floor
+        floor = degree_floor(g) if floor is None else floor
         proof = f"floor:{floor.source}+scan" if best <= floor.value else None
     kind = "upper-unproven" if proof is None else "exact"
     return FSearchResult(best, VertexSet(g.m, g.k, bits=mask), kind, nodes, proof, reason, *record)
@@ -499,8 +484,7 @@ def theoretical_f_value(m: int, k: int) -> FValue:
     nothing of grid size is built; brute_force_f and verify-all build the
     witness and measure it, as the cross-check.
     """
-    n = check_grid(m, k, math.inf)  # the row is a closed form, past the grid size cap too
-    floor = degree_floor(PathPower(m, k, size_cap=n))
+    floor = degree_floor(PathPower(m, k, size_cap=math.inf))  # a closed form, past the grid size cap too
     family = _lifted_witness(m, k, floor.value)
     paper = lower_bound_even(m // 2, k) if m % 2 == 0 else None
     return FValue("lower" if family is None else "exact", floor.value, floor.source, family, paper)

@@ -1,10 +1,13 @@
 """Integer polynomial recurrences, root isolation, and spectral verifiers.
 
 Exact layer: the polynomial family p_j = (x - 2) p_(j-1) - p_(j-2) with two
-seed choices (poly_f, poly_g).  Every certificate reads poly_g only through
-that recurrence, and builds none of its coefficients.  det(xI - B) of a
-signed path B is poly_g(n)(x^2) when the continuant of its links follows
-poly_g's recurrence two steps at a time, term by term (_det_clause).
+seed choices (poly_f, poly_g).  The identity poly_g(n) = poly_f(n) +
+poly_f(n - 1) holds for every n because both sides follow the recurrence
+and agree at n = 1 and 2, the only terms fg_identity_check builds.  The
+other certificates read poly_g only through the recurrence, and build none
+of its coefficients.  det(xI - B) of a signed path B is poly_g(n)(x^2) when
+the continuant of its links follows poly_g's recurrence two steps at a
+time, term by term (_det_clause).
 
 Root isolation: poly_g(n) is the characteristic polynomial of a
 tridiagonal matrix, so one exact Sturm count (g_roots_below) says how many
@@ -53,7 +56,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 from math import factorial, frexp, inf, ldexp, nextafter, pi, sin, sqrt
 from typing import Iterator, NamedTuple, Sequence
 
@@ -129,17 +132,12 @@ _F_SEED = (-2, 1)  # poly_f(1) = x - 2
 _G_SEED = (-1, 1)  # poly_g(1) = x - 1
 
 
-def _recurrence_terms(seed1: tuple[int, ...]) -> Iterator[IntPolynomial]:
-    """p_0 = 1, p_1 = seed1, then p_j = (x - 2) p_(j-1) - p_(j-2), without end."""
-    p_prev, p = IntPolynomial((1,)), IntPolynomial(seed1)
-    yield p_prev
-    while True:
-        yield p
-        p_prev, p = p, _X_MINUS_2 * p - p_prev
-
-
 def _recurrence(n: int, seed1: tuple[int, ...]) -> IntPolynomial:
-    return next(islice(_recurrence_terms(seed1), n, None))
+    """p_n for p_0 = 1, p_1 = seed1 and p_j = (x - 2) p_(j-1) - p_(j-2)."""
+    p, p_next = IntPolynomial((1,)), IntPolynomial(seed1)
+    for _ in range(n):
+        p, p_next = p_next, _X_MINUS_2 * p_next - p
+    return p
 
 
 def poly_f(n: int) -> IntPolynomial:
@@ -158,25 +156,18 @@ def poly_g(n: int) -> IntPolynomial:
 
 
 def fg_identity_check(n: int) -> bool:
-    """Coefficientwise check that poly_g(n) = poly_f(n) + poly_f(n-1)."""
+    """poly_g(n) = poly_f(n) + poly_f(n - 1), proved for every n >= 1 at
+    once, so the answer does not depend on n.
+
+    Both sides follow p_j = (x - 2) p_(j-1) - p_(j-2): poly_g and poly_f
+    are _recurrence with the shared _X_MINUS_2, and a sum of two solutions
+    of a linear recurrence is one too (the right side from n = 3 on).  Two
+    solutions that agree at two consecutive n agree at every later n, so
+    the two seed comparisons, n = 1 and n = 2, prove the identity.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return poly_g(n) == poly_f(n) + poly_f(n - 1)
-
-
-def fg_identity_failures(n_max: int) -> list[int]:
-    """The n in 1..n_max where fg_identity_check(n) fails, from one walk of
-    both recurrences instead of rebuilding them for each n."""
-    f_terms, g_terms = _recurrence_terms(_F_SEED), _recurrence_terms(_G_SEED)
-    f_prev = next(f_terms)
-    next(g_terms)
-    failures = []
-    for n in range(1, n_max + 1):
-        f, g = next(f_terms), next(g_terms)
-        if g != f + f_prev:
-            failures.append(n)
-        f_prev = f
-    return failures
+    return poly_g(1) == poly_f(1) + poly_f(0) and poly_g(2) == poly_f(2) + poly_f(1)
 
 
 # ----------------------------- root isolation ------------------------------

@@ -27,6 +27,8 @@ _ALPHA_CONTROLS = ("tests/test_search.py::test_a_tampered_level_1_alpha_certific
 _PAIRING_CONTROLS = ("tests/test_search.py::test_hypercube_cells_negative_controls",)
 _XK_CONTROLS = ("tests/test_search.py::test_a_tampered_xk_seed_leaves_the_row_lower",)
 _HK_CONTROLS = ("tests/test_search.py::test_hk_blocks_that_miss_the_floor_leave_the_row_lower",)
+_FG_CONTROLS = ("tests/test_spectral.py::test_fg_identity_from_its_two_seeds",)
+_ALPHA_TAMPERS = ("tests/test_search.py::test_alpha_certificate_rejects_tampered_inputs",)
 
 MUTANTS = [
     Mutant(
@@ -120,6 +122,72 @@ MUTANTS = [
         _DET_ORACLE,
     ),
     Mutant(
+        "support-values-clause",
+        _SIGNED,
+        "np.array_equal(np.abs(a.sign), present)",
+        "np.array_equal(a.sign != 0, present)",
+        ("tests/test_signed.py::test_support_rejects_tampered_arrays",),
+    ),
+    Mutant(
+        "support-mirror-clause",
+        _SIGNED,
+        "        return False\n    return _mirrored(a)\n",
+        "        return False\n    return True\n",
+        (
+            "tests/test_signed.py::test_support_rejects_tampered_arrays",
+            "tests/test_signed.py::test_support_mirror_clause_covers_every_axis",
+        ),
+    ),
+    Mutant(
+        "fg-seed-1-clause",
+        _SPECTRAL,
+        "poly_g(1) == poly_f(1) + poly_f(0) and ",
+        "",
+        _FG_CONTROLS,
+    ),
+    Mutant(
+        "fg-seed-2-clause",
+        _SPECTRAL,
+        " and poly_g(2) == poly_f(2) + poly_f(1)",
+        "",
+        _FG_CONTROLS,
+    ),
+    Mutant(
+        "alpha-independence-clause",
+        _SEARCH,
+        "        is_independent(independent, g)\n        and ",
+        "        ",
+        _ALPHA_TAMPERS,
+    ),
+    Mutant(
+        "alpha-permutation-clause",
+        _SEARCH,
+        "        and np.array_equal(np.sort(path), np.arange(n))\n",
+        "",
+        _ALPHA_TAMPERS,
+    ),
+    Mutant(
+        "alpha-matching-clause",
+        _SEARCH,
+        "        and bool(is_grid_edge(g, path[0 : 2 * pairs : 2], path[1 : 2 * pairs : 2]).all())\n",
+        "",
+        _ALPHA_TAMPERS,
+    ),
+    Mutant(
+        "alpha-size-clause",
+        _SEARCH,
+        "        and len(independent) == n - pairs\n",
+        "",
+        _ALPHA_TAMPERS,
+    ),
+    Mutant(
+        "witness-degree-clause",
+        _SEARCH,
+        "if len(witness) == target and induced_max_degree(witness, g) == floor.value:",
+        "if len(witness) == target:",
+        ("tests/test_search.py::test_witness_above_the_floor_falls_back_to_the_scan",),
+    ),
+    Mutant(
         "level-1-alpha-clause",
         _SEARCH,
         "return colour_class and alpha_certificate_holds(path, independent, _snake_order(m, 1))",
@@ -146,13 +214,6 @@ MUTANTS = [
         "return cover and bool(is_grid_edge(PathPower(m, 1), pairs[:, 0], pairs[:, 1]).all())",
         "return cover",
         _PAIRING_CONTROLS,
-    ),
-    Mutant(
-        "cell-half-alpha-clause",
-        _SEARCH,
-        " and 2 * alpha == n:",
-        ":",
-        ("tests/test_search.py::test_hypercube_cells_certificate",),
     ),
     Mutant(
         "xk-size-clause",

@@ -2,7 +2,6 @@
 
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from pathpower import (
     signed_grid_matrix,
     theoretical_f_value,
 )
+from pathpower import constructions, grid
 from pathpower.grid import check_grid, digits, present_slots, slot_steps
 
 G32 = PathPower(3, 2)
@@ -75,13 +75,16 @@ def test_every_builder_validates_the_grid_by_check_grid(build):
             build(0, 2)
 
 
-@pytest.mark.parametrize("value", [alpha_formula, theoretical_f_value], ids=["alpha", "f"])
-def test_closed_forms_validate_by_check_grid_with_no_cap(monkeypatch, value):
-    module = sys.modules[value.__module__]
-    caps = []
-    monkeypatch.setattr(module, "check_grid", lambda m, k, cap: caps.append(cap) or check_grid(m, k, cap))
+@pytest.mark.parametrize(
+    "value,module", [(alpha_formula, constructions), (theoretical_f_value, grid)], ids=["alpha", "f"]
+)
+def test_closed_forms_validate_by_check_grid_with_no_cap(monkeypatch, value, module):
+    # theoretical_f_value validates through its one grid's own check_grid;
+    # the paths P_m that its level-1 certificates build are checked at k = 1
+    calls = []
+    monkeypatch.setattr(module, "check_grid", lambda m, k, cap: calls.append((k, cap)) or check_grid(m, k, cap))
     value(3, 11)  # 177,147 vertices, past the grid size cap
-    assert caps == [math.inf]
+    assert [cap for k, cap in calls if k == 11] == [math.inf]
     with pytest.raises(ValueError, match="k >= 1"):
         value(3, 0)
     with pytest.raises(ValueError, match="m >= 2"):

@@ -303,7 +303,8 @@ def test_brute_force_refuses_a_non_integral_s_or_stop_at(monkeypatch, backend, n
     _on_backend(monkeypatch, backend)
     g = PathPower(3, 2)
     with monkeypatch.context() as patch:
-        patch.setattr(search, "max_independent_set", lambda *args: pytest.fail("built before the refusal"))
+        for owner, built in ((search, "degree_floor"), (PathPower, "adjacency_masks")):
+            patch.setattr(owner, built, lambda *args: pytest.fail("built before the refusal"))
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
             brute_force_f(g, **{name: value})
     assert brute_force_f(g, np.int64(1), stop_at=np.int64(0)).value == 2
@@ -511,12 +512,14 @@ def test_search_records_time_the_scan_only():
 
 
 def test_a_given_alpha_certificate_is_reused(monkeypatch):
+    # every f path reads alpha from the level-1 certificate on P_4, never from the grid
     g = PathPower(4, 2)
-    mis = max_independent_set(g)
-    monkeypatch.setattr(search, "max_independent_set", lambda g: pytest.fail("alpha certified again"))
-    assert brute_force_f(g, stop_at=2, mis=mis).value == 2
-    assert degree_floor(g, mis).value == 2
-    assert theoretical_f_value(4, 2).value == 2  # certifies alpha on the path P_4, not on the grid
+    holds = search.alpha_certificate_holds
+    monkeypatch.setattr(search, "max_independent_set", lambda g: pytest.fail("alpha certified on the grid"))
+    monkeypatch.setattr(search, "alpha_certificate_holds", lambda g, *args: g.k == 1 and holds(g, *args))
+    assert brute_force_f(g, stop_at=2).value == brute_force_f(g).value == 2
+    assert degree_floor(g).value == 2
+    assert theoretical_f_value(4, 2).value == 2
 
 
 def test_floor_inputs_are_computed_values():
@@ -579,9 +582,6 @@ def test_hypercube_cells_certificate(m, k):
     floor = degree_floor(g)
     assert (floor.value, floor.source) == (math.isqrt(k - 1) + 1, "hypercube-cells")
     assert floor.inputs == {"alpha": mis.size, "cells": (m // 2) ** k, "cell_size": 2**k}
-    # a given alpha with 2 alpha != m^k leaves the cells unfilled
-    wrong = search.MisResult(mis.size + 1, mis.witness, proven=True, nodes_examined=0)
-    assert degree_floor(g, wrong)[:2] == (1, "independence")
 
 
 def test_hypercube_cells_negative_controls(monkeypatch):
@@ -617,7 +617,7 @@ def test_lifted_row_matches_the_built_witness(m, k):
     g = PathPower(m, k)
     fv, floor, mis = theoretical_f_value(m, k), degree_floor(g), max_independent_set(g)
     family, witness = search.floor_witness(g)
-    assert floor == degree_floor(g, mis)  # the lifted alpha is the built one
+    assert mis.proven and floor.inputs["alpha"] == mis.size  # the lifted alpha is the built one
     assert fv.kind == "exact" and (fv.value, fv.source, fv.witness) == (floor.value, floor.source, family)
     assert len(witness) == mis.size + 1 and induced_max_degree(witness, g) == fv.value
     assert m % 2 or _cell_tiling_holds(g, mis.size)
@@ -638,7 +638,8 @@ def test_a_tampered_level_1_alpha_certificate_leaves_the_trivial_floor(monkeypat
     assert degree_floor(g)[:2] == (0, "none")
     fv = theoretical_f_value(4, 3)
     assert (fv.kind, fv.value, fv.source) == ("lower", 0, "none")
-    assert degree_floor(g, max_independent_set(g))[:2] == (2, "hypercube-cells")  # a given alpha is read instead
+    res = brute_force_f(PathPower(4, 2))  # no floor to meet: the full enumeration
+    assert (res.value, res.kind, res.proof, res.stop_reason) == (2, "exact", "enumeration", "exhausted")
 
 
 def _replace_xk_seed(monkeypatch, seed):
@@ -682,10 +683,13 @@ def test_hk_blocks_that_miss_the_floor_leave_the_row_lower(monkeypatch, k, block
 
 def test_unproven_alpha_leaves_the_trivial_floor(monkeypatch):
     g = PathPower(2, 3)
-    mis = max_independent_set(g)
-    unproven = search.MisResult(mis.size, mis.witness, proven=False, nodes_examined=0)
-    assert degree_floor(g, unproven)[:2] == (0, "none")
-    monkeypatch.setattr(search, "max_independent_set", lambda g: unproven)
+    build = search.alternating_independent_set
+
+    def replaced(m, k, **kw):
+        return VertexSet(2, 1, ranks=[0, 1]) if k == 1 else build(m, k, **kw)  # P_2 whole: not independent
+
+    monkeypatch.setattr(search, "alternating_independent_set", replaced)
+    assert degree_floor(g)[:2] == (0, "none")
     res = brute_force_f(g)  # no floor to meet: the full enumeration
     assert (res.value, res.proof, res.stop_reason) == (2, "enumeration", "exhausted")
 

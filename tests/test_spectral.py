@@ -89,12 +89,37 @@ def test_fg_identity(n):
     assert fg_identity_check(n)
 
 
-def test_fg_identity_failures_walks_each_n(monkeypatch):
-    assert spectral.fg_identity_failures(50) == [n for n in range(1, 51) if not fg_identity_check(n)] == []
-    assert spectral.fg_identity_failures(0) == []
+def _fg_walk_failures(n_max):
+    """The oracle: the n in 1..n_max where the identity fails, coefficient by
+    coefficient, from one walk of both families."""
+    f = [spectral.poly_f(n) for n in range(n_max + 1)]
+    return [n for n in range(1, n_max + 1) if spectral.poly_g(n) != f[n] + f[n - 1]]
+
+
+def test_fg_identity_from_its_two_seeds(monkeypatch):
+    assert _fg_walk_failures(50) == [] and all(fg_identity_check(n) for n in range(1, 51))
+    with pytest.raises(ValueError):
+        fg_identity_check(0)
     # negative control: with poly_g seeded like poly_f the identity fails everywhere
     monkeypatch.setattr(spectral, "_G_SEED", spectral._F_SEED)
-    assert spectral.fg_identity_failures(50) == list(range(1, 51))
+    assert _fg_walk_failures(50) == list(range(1, 51)) and not fg_identity_check(7)
+    # seeds scaled by 2 fail at n = 1 and agree at n = 2
+    monkeypatch.setattr(spectral, "_G_SEED", (-2, 2))
+    monkeypatch.setattr(spectral, "_F_SEED", (-4, 2))
+    assert _fg_walk_failures(3) == [1, 3] and not fg_identity_check(7)
+    monkeypatch.undo()
+    # a poly_f on the step x - 1 agrees at n = 1 and fails at n = 2: the seeds
+    # prove the identity only for two solutions of the one recurrence
+    other = spectral.IntPolynomial((-1, 1))
+
+    def poly_f(n):
+        p, p_next = spectral.IntPolynomial((1,)), spectral.IntPolynomial(spectral._F_SEED)
+        for _ in range(n):
+            p, p_next = p_next, other * p_next - p
+        return p
+
+    monkeypatch.setattr(spectral, "poly_f", poly_f)
+    assert _fg_walk_failures(3) == [2, 3] and not fg_identity_check(7)
 
 
 def test_beta_one_is_exact():
