@@ -17,10 +17,6 @@ class DimensionMismatchError(PathPowerError, ValueError):
     """Operands describe graphs or matrices of different dimensions."""
 
 
-class BracketingError(PathPowerError, RuntimeError):
-    """Root isolation failed to bracket the expected number of roots."""
-
-
 class EigenSolveError(PathPowerError, RuntimeError):
     """Symmetric eigensolve did not meet its residual contract."""
 

@@ -40,6 +40,7 @@ from .spectral import (
     DEFAULT_GROUP_TOL,
     base_certificate,
     beta,
+    chebyshev_identity_check,
     fg_identity_check,
     interlacing_holds,
     odd3_spectrum_check,
@@ -180,22 +181,15 @@ def _check_odd3_spectra(cfg: dict) -> tuple[bool, dict]:
 
 
 def _check_polynomials(cfg: dict) -> tuple[bool, dict]:
-    details: dict = {}
-    b1 = beta(1)
-    details["beta_1"] = b1
-    ok = b1 == 1.0
-    b2 = beta(2)
-    closed = (3.0 - math.sqrt(5.0)) / 2.0
-    details["beta_2"] = b2
-    details["beta_2_gap"] = abs(b2 - closed)
-    ok = ok and abs(b2 - closed) <= 1e-10
-    b3 = beta(3)
-    closed = 4.0 * math.sin(math.pi / 14.0) ** 2
-    details["beta_3"] = b3
-    details["beta_3_gap"] = abs(b3 - closed)
-    ok = ok and abs(b3 - closed) <= 1e-10
+    details: dict = {"beta_1": beta(1)}
+    ok = details["beta_1"] == 1.0
+    for n, closed in [(2, (3.0 - math.sqrt(5.0)) / 2.0), (3, 4.0 * math.sin(math.pi / 14.0) ** 2)]:
+        details[f"beta_{n}"] = beta(n)
+        gap = details[f"beta_{n}_gap"] = abs(details[f"beta_{n}"] - closed)
+        ok = ok and gap <= 1e-10
     fg = details["fg_identity"] = fg_identity_check(1)  # every n, from the seeds n = 1 and 2
-    ok = ok and fg
+    chebyshev = details["chebyshev_identity"] = chebyshev_identity_check()  # every n, from two seeds and the step
+    ok = ok and fg and chebyshev
     certificates = [[m, base_certificate(m)] for m in (3, *range(2, 17, 2))]
     details["base_certificate"] = certificates
     ok = ok and all(holds for _, holds in certificates)

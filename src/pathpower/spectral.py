@@ -9,12 +9,14 @@ of its coefficients.  det(xI - B) of a signed path B is poly_g(n)(x^2) when
 the continuant of its links follows poly_g's recurrence two steps at a
 time, term by term (_det_clause).
 
-Root isolation: poly_g(n) is the characteristic polynomial of a
-tridiagonal matrix, so one exact Sturm count (g_roots_below) says how many
-of its roots lie below a rational q.  The closed-form roots place dyadic
-cuts between them; counts 0, 1, ..., n at the cuts prove one root per
-interval.  beta is the closed-form least root, moved to the double nearest
-the root and proven so by two counts at the midpoints to its neighbours.
+The roots in closed form: c poly_g(n)(4 - 4c^2) = (-1)^n T_(2n+1)(c), the
+Chebyshev polynomial, for every n, because both sides follow one
+recurrence and chebyshev_identity_check compares their seeds and steps.
+So the roots of poly_g(n) are 4 sin^2((2j - 1) pi / (4n + 2)), each
+simple, with no count.  _beta_bracket encloses the least, beta_n, in
+Python-integer fixed point (Machin's pi, the sine series, each with a
+proven radius), and beta and lower_bound_even refine it until it decides
+their answer.
 
 Numerical layer: one dense solver, signed_spectra.  The grid is bipartite
 by digit-sum parity, so a signed matrix is [[0, C], [C^T, 0]] after a
@@ -43,9 +45,9 @@ level-2 table, A_k^2 = I ⊗ A_(k-1)^2 + B^2 ⊗ I for every k.  So
 closed_form_spectrum lists the spectrum with no solve, and spectrum_check
 certifies the paper's facts, the zero multiplicity and the least positive
 eigenvalue, for any k, with no table of level k, no solve and no expansion
-of the closed form: the lemma's clauses and, for even m, beta's Sturm
-count.  odd3_spectrum_check, min_positive_eig_even and
-nonsingularity_check_even read it.  square_compose_check is the one
+of the closed form: the lemma's clauses and, for even m, beta's bracket.
+odd3_spectrum_check, min_positive_eig_even and nonsingularity_check_even
+read it.  square_compose_check is the one
 comparison of a solve with the closed form, within DEFAULT_GROUP_TOL; the
 squares of the solved spectrum are the spectrum of A^2 = C C^T + C^T C (a
 direct sum under the parity permutation), so A^2 needs no solve of its own.
@@ -53,16 +55,16 @@ direct sum under the parity permutation), so A^2 needs no solve of its own.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import factorial, frexp, inf, ldexp, nextafter, pi, sin, sqrt
+from itertools import combinations_with_replacement, count
+from math import factorial, pi, sin, sqrt
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BracketingError, CertificateError, DimensionMismatchError, EigenSolveError, SizeCapError
+from .errors import CertificateError, DimensionMismatchError, EigenSolveError, SizeCapError
 from .grid import DEFAULT_SIZE_CAP, VertexSet, digits, slot_steps
 from .signed import SignedMatrix, check_signed_params, check_support, signed_grid_matrix
 
@@ -95,8 +97,8 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
+    def __add__(self, other: "IntPolynomial | int") -> "IntPolynomial":
+        a, b = self.coeffs, other.coeffs if isinstance(other, IntPolynomial) else (other,)
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -119,8 +121,12 @@ class IntPolynomial:
                     out[i + j] += u * v
         return IntPolynomial(tuple(out))
 
+    def __rmul__(self, other: int) -> "IntPolynomial":
+        return self * IntPolynomial((other,))
+
     def evaluate(self, x):
-        """Horner evaluation; works for int, float, or Fraction arguments."""
+        """Horner evaluation; works for int, float, Fraction or IntPolynomial
+        arguments, the last giving the composition self(x)."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -170,90 +176,131 @@ def fg_identity_check(n: int) -> bool:
     return poly_g(1) == poly_f(1) + poly_f(0) and poly_g(2) == poly_f(2) + poly_f(1)
 
 
-# ----------------------------- root isolation ------------------------------
+# ------------------------- the roots in closed form ------------------------
+
+# T_1, T_2 and T_3, the Chebyshev polynomials T_j(cos t) = cos(j t), in c.
+_T1, _T2, _T3 = IntPolynomial((0, 1)), IntPolynomial((-1, 0, 2)), IntPolynomial((0, -3, 0, 4))
 
 
-def g_roots_below(n: int, q: Fraction | int) -> tuple[int, bool]:
-    """(number of roots of poly_g(n) below q, whether q is a root), exactly.
+def chebyshev_identity_check() -> bool:
+    """c poly_g(n)(4 - 4c^2) = (-1)^n T_(2n+1)(c) for every n >= 0, proved
+    by three comparisons of integer polynomials in c.
 
-    poly_g(n) = det(xI - T_n) for the tridiagonal T_n with off-diagonal 1
-    and diagonal (1, 2, ..., 2), read off its recurrence, so its leading
-    minors p_j form a Sturm sequence (Golub & Van Loan, Matrix Computations,
-    8.4).  With q = a / d, P_j = d^j p_j(q) follows P_j = (a - 2d) P_(j-1) -
-    d^2 P_(j-2) in Python integers, and each consecutive pair that agrees in
-    sign marks one root below q.  An interior zero takes its predecessor's
-    sign; P_n = 0 means q is a root.
+    The left side follows p_j = (x - 2) p_(j-1) - p_(j-2) at x = 4 - 4c^2,
+    as poly_g is _recurrence with _X_MINUS_2.  The right side follows p_j =
+    -2 T_2 p_(j-1) - p_(j-2), since T_(a+2) + T_(a-2) = 2 T_2 T_a (Rivlin,
+    Chebyshev Polynomials, ch. 1).  So the seeds n = 0 (c = T_1) and n = 1
+    (c poly_g(1)(4 - 4c^2) = -T_3) and the step (_X_MINUS_2 at 4 - 4c^2 is
+    -2 T_2) prove the identity for every n.
+
+    The roots of T_(2n+1) are c_j = cos((2j - 1) pi / (4n + 2)) for j =
+    1..2n + 1: c = 0 at j = n + 1, the others in pairs +-c_j.  So 4 - 4c_j^2
+    = 4 sin^2((2j - 1) pi / (4n + 2)), j = 1..n, are n distinct roots of
+    poly_g(n), which has degree n: all of its roots, each simple, and the
+    least of them is beta_n.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    q = Fraction(q)
-    a, d = q.numerator, q.denominator
-    step, d2 = _X_MINUS_2.coeffs[0] * d + _X_MINUS_2.coeffs[1] * a, d * d
-    prev, cur = 1, _G_SEED[0] * d + _G_SEED[1] * a  # P_0, P_1
-    below, positive = 0, True  # the sign P_0 = 1 sets
-    for j in range(1, n + 1):
-        if cur == 0 and j == n:
-            return below, True
-        if cur == 0 or (cur > 0) == positive:
-            below += 1  # an agreement; a zero keeps its predecessor's sign
-        else:
-            positive = not positive
-        prev, cur = cur, step * cur - d2 * prev
-    return below, False
+    x = IntPolynomial((4, 0, -4))
+    return (
+        _T1 * poly_g(0).evaluate(x) == _T1
+        and _T1 * poly_g(1).evaluate(x) == -1 * _T3
+        and _X_MINUS_2.evaluate(x) == -2 * _T2
+    )
+
+
+@functools.cache  # a fixed check of the seeds and the step: once per process
+def _identity_certified() -> bool:
+    return chebyshev_identity_check()
 
 
 def poly_g_roots(n: int) -> list[float]:
-    """The n roots of poly_g(n) in closed form, ascending, as floats.
-
-    The signed base path on 2n vertices has the spectrum of the plain path,
-    2 cos(j pi / (2n + 1)), so the roots of poly_g(n), the squared
-    eigenvalues, are 4 sin^2((2j - 1) pi / (4n + 2)) for j = 1..n.
-    """
+    """The n roots of poly_g(n), 4 sin^2((2j - 1) pi / (4n + 2)) for
+    j = 1..n (chebyshev_identity_check), ascending, as floats."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return [4.0 * sin((2 * j - 1) * pi / (4 * n + 2)) ** 2 for j in range(1, n + 1)]
 
 
-def _bracket_g_roots(n: int) -> list[float]:
-    """The closed-form roots of poly_g(n), once the counts at the cuts 0,
-    near the midpoint of each two neighbouring roots, and 4 are (i, False)
-    for i = 0..n: one root per interval, which places all n; else
-    BracketingError.  Each inner cut is its midpoint rounded to a dyadic
-    grid of step at most a quarter of the least gap between neighbours of
-    0, the roots and 4, so it stays between its two roots and its
-    denominator, which sizes every integer of the count, is small."""
-    roots = poly_g_roots(n)
-    least_gap = min(b - a for a, b in zip([0.0, *roots], [*roots, 4.0]))
-    e = 1 - frexp(least_gap / 4)[1]  # 2^-e <= least_gap / 4
-    inner = [Fraction(round(ldexp((a + b) / 2, e)), 1 << e) for a, b in zip(roots, roots[1:])]
-    counts = [g_roots_below(n, c) for c in [Fraction(0), *inner, Fraction(4)]]
-    if counts != [(i, False) for i in range(n + 1)]:
-        raise BracketingError(f"poly_g({n}) does not hold one root per closed-form interval: counts {counts}")
-    return roots
+def _atan_inv(x: int, p: int) -> tuple[int, int]:
+    """Integers lo < atan(1 / x) 2^p < hi, for an integer x >= 2.
+
+    The alternating series of atan(1 / x) 2^p, whose terms are 2^p / (j
+    x^j) for odd j, summed until a term's floor is 0.  Each term is taken
+    as floor(floor(2^p / x^j) / j), a floor of floors, which is the floor
+    of the term: less than 1 ulp (2^-p) low.  The terms fall, so the tail
+    is below its first dropped term, itself below 1 ulp.  With J terms
+    kept, the sum is within J + 1 ulps.
+    """
+    s, power, j = 0, (1 << p) // x, 1  # power = floor(2^p / x^j)
+    while power:
+        s += power // j if j % 4 == 1 else -(power // j)
+        power //= x * x
+        j += 2
+    return s - (j // 2 + 1), s + (j // 2 + 1)
+
+
+def _sin(a: int, p: int) -> tuple[int, int]:
+    """Integers lo < sin(a / 2^p) 2^p < hi, for 0 <= a < 2^p.
+
+    The alternating series of sin(t) 2^p, t = a / 2^p, whose terms are t^j
+    2^p / j! for odd j, summed until a term's floor is 0.  The first term,
+    a, is exact; each later one is the floor of the one before times t^2 /
+    ((j + 1)(j + 2)) < 1/6 (a floor of floors, which is that floor), so it
+    is low by less than 1 ulp plus a sixth of the error before: less than
+    6/5 ulps.  The terms fall, so the tail is below its first dropped term,
+    itself below 6/5 ulps.  With J terms kept, the sum is within 2 (J + 1)
+    ulps.
+    """
+    s, term, j, a2 = 0, a, 1, a * a
+    while term:
+        s += term if j % 4 == 1 else -term
+        term = (term * a2 >> 2 * p) // ((j + 1) * (j + 2))
+        j += 2
+    return s - (j + 1), s + (j + 1)
+
+
+def _beta_bracket(n: int, p: int) -> tuple[int, int]:
+    """Integers lo <= beta_n 2^p <= hi for beta_n, the least root of
+    poly_g(n), which is 4 sin^2(pi / (4n + 2)) by chebyshev_identity_check
+    (run once per process; CertificateError if it fails).
+
+    In fixed point on Python integers, at the ulp 2^-p: pi = 16 atan(1/5)
+    - 4 atan(1/239) (Machin's formula), between 16 lo_5 - 4 hi_239 and 16
+    hi_5 - 4 lo_239 from the brackets of _atan_inv; theta = pi / (4n + 2)
+    between the floor of pi's low end and the ceiling of its high end, each
+    divided by 4n + 2; sin(theta) between the low end of _sin's bracket at
+    theta's low end and the high end at its high end, as sin increases on
+    [0, 1], which holds them; and 4 sin^2, floored at the low end and
+    ceiled at the high end.  For n = 1 the bracket is exact, (2^p, 2^p): beta_1 = 1 is the
+    root of poly_g(1) = x - 1, read off _G_SEED.  For n >= 2, beta_n = 2 -
+    2 cos(pi / (2n + 1)) is irrational, so a loop that raises p until the
+    bracket settles a comparison of beta_n with a rational ends.
+    """
+    if not _identity_certified():
+        raise CertificateError("c poly_g(n)(4 - 4c^2) = (-1)^n T_(2n+1)(c) fails at a seed or the step")
+    if n == 1:
+        return -_G_SEED[0] << p, -_G_SEED[0] << p
+    (lo5, hi5), (lo239, hi239) = _atan_inv(5, p), _atan_inv(239, p)
+    pi_lo, pi_hi = 16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239
+    s_lo = max(_sin(pi_lo // (4 * n + 2), p)[0], 0)
+    s_hi = _sin(-(-pi_hi // (4 * n + 2)), p)[1]
+    return (4 * s_lo * s_lo) >> p, -((-4 * s_hi * s_hi) >> p)
 
 
 def beta(n: int) -> float:
-    """Smallest root of poly_g(n), correctly rounded to a double.
+    """The least root of poly_g(n), correctly rounded to a double.
 
-    Certificate: a candidate x, first the closed form, is returned once x >
-    0 and g_roots_below(n, .) is (0, False) at lo and (1, False) at hi, the
-    exact midpoints between x and its neighbouring doubles.  The least root
-    then lies strictly between them, so it rounds to x, and no root is at
-    or below 0.  A count of 0 at hi moves x one double up, any other
-    failure one down, and the eighth failed candidate raises
-    BracketingError.  A root of the monic integer poly_g(n) in (0, 4) is 1,
-    2 or 3, never such a midpoint.  At most 16 counts.
+    lo <= beta_n 2^p <= hi (_beta_bracket) at p = 64, 128, 256, ... until
+    lo / 2^p and hi / 2^p round to one double, which beta_n then rounds to
+    as well: int / int true division is correctly rounded, and rounding is
+    monotone.  beta_1 = 1 has an exact bracket, and beta_n is irrational
+    for n >= 2, so the loop ends.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    x = poly_g_roots(n)[0]
-    for _ in range(8):
-        lo, hi = ((Fraction(x) + Fraction(nextafter(x, end))) / 2 for end in (-inf, inf))
-        below_lo, below_hi = g_roots_below(n, lo), g_roots_below(n, hi)
-        if x > 0 and below_lo == (0, False) and below_hi == (1, False):
-            return x
-        x = nextafter(x, inf if below_hi[0] == 0 else -inf)
-    raise BracketingError(f"poly_g({n}) has no least root in (0, 4) that rounds to a double near {x!r}")
+    for p in (64 << i for i in count()):  # 64, 128, 256, ...
+        lo, hi = _beta_bracket(n, p)
+        if lo / (1 << p) == hi / (1 << p):
+            return lo / (1 << p)
 
 
 # ------------------------ exact characteristic polys -----------------------
@@ -270,7 +317,7 @@ def _det_clause(c: Sequence) -> bool:
     q_(2j-4) with q_2 = x^2 - c_0, which is poly_g's recurrence in y = x^2
     term by term when c_0 = 1 and, for j = 2..m / 2, c_(2j-3) + c_(2j-2) =
     2 and c_(2j-4) c_(2j-3) = 1.  Those constants are read from _G_SEED and
-    _X_MINUS_2, as g_roots_below reads them.  B is symmetric with a zero
+    _X_MINUS_2, as poly_g reads them.  B is symmetric with a zero
     diagonal, so det(yI - B^2) is then y (y - 2)^2 or poly_g(m / 2)^2, with
     no square formed.
     """
@@ -763,14 +810,13 @@ def closed_form_spectrum(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Sp
     By base_certificate, A_k^2 has the sums of k eigenvalues of B^2: j_i
     copies of its distinct value mu_i, of multiplicity c_i, give sum j_i mu_i
     k! / prod j_i! * prod c_i^j_i times.  B^2 has 0 once and 2 twice for
-    m = 3, and each root of poly_g(m / 2) twice for even m: the closed-form
-    roots, each placed by exact Sturm counts (_bracket_g_roots, else
-    BracketingError).  The support is bipartite (check_support), so each
-    s > 0 splits evenly into +-sqrt(s).  SizeCapError above size_cap, before
-    any value is expanded.
+    m = 3, and each root of poly_g(m / 2) twice for even m, in the closed
+    form that chebyshev_identity_check proves (poly_g_roots).  The support
+    is bipartite (check_support), so each s > 0 splits evenly into
+    +-sqrt(s).  SizeCapError above size_cap, before any value is expanded.
     """
     check_signed_params(m, k, size_cap)
-    base = [(0.0, 1), (2.0, 2)] if m == 3 else [(root, 2) for root in _bracket_g_roots(m // 2)]
+    base = [(0.0, 1), (2.0, 2)] if m == 3 else [(root, 2) for root in poly_g_roots(m // 2)]
     values: list[float] = []
     for pick in combinations_with_replacement(range(len(base)), k):
         mult = factorial(k)
@@ -847,10 +893,10 @@ def spectrum_check(m: int, k: int) -> SpectrumCheck:
     Analysis, 4.4).  A_k shares its kernel with A_k^2, and it anticommutes
     with the digit-sum parity signing, as B does and D is diagonal, so its
     spectrum is symmetric.  For k = 1, A_1 = B, and only the clauses of B
-    are read, so the level-2 table is not built.  For even m, beta(m / 2)'s
-    two Sturm counts then say that poly_g(m / 2) has no root at or below 0
-    and that beta is its least root, correctly rounded (else
-    BracketingError).
+    are read, so the level-2 table is not built.  For even m, the roots of
+    poly_g(m / 2) are 4 sin^2((2j - 1) pi / (2m + 2)), all positive
+    (chebyshev_identity_check, else CertificateError), and beta(m / 2) is
+    the least of them, correctly rounded from an exact bracket.
 
     Counting the sums gives, for m = 3, the eigenvalue 0 once (every pick
     0) and sqrt(2) as the least positive one; for even m, no zero
@@ -868,7 +914,7 @@ def spectrum_check(m: int, k: int) -> SpectrumCheck:
     if m == 3:
         return SpectrumCheck(m, k, 1, sqrt(2.0), True, "; ".join(checks))
     least = beta(m // 2)
-    checks.append(f"beta({m // 2}) Sturm certificate")
+    checks.append(f"beta({m // 2}) Chebyshev identity and bracket")
     return SpectrumCheck(m, k, 0, sqrt(k * least), True, "; ".join(checks))
 
 

@@ -29,6 +29,8 @@ _XK_CONTROLS = ("tests/test_search.py::test_a_tampered_xk_seed_leaves_the_row_lo
 _HK_CONTROLS = ("tests/test_search.py::test_hk_blocks_that_miss_the_floor_leave_the_row_lower",)
 _FG_CONTROLS = ("tests/test_spectral.py::test_fg_identity_from_its_two_seeds",)
 _ALPHA_TAMPERS = ("tests/test_search.py::test_alpha_certificate_rejects_tampered_inputs",)
+_CHEBYSHEV_CONTROLS = ("tests/test_spectral.py::test_each_clause_of_the_chebyshev_identity_has_a_negative_control",)
+_BRACKET_ORACLE = ("tests/test_spectral.py::test_the_beta_bracket_holds_the_mpmath_root",)
 
 MUTANTS = [
     Mutant(
@@ -256,5 +258,74 @@ MUTANTS = [
         "max(len(blocks), *map(len, blocks))",
         "max(map(len, blocks))",
         _HK_CONTROLS,
+    ),
+    Mutant(
+        "chebyshev-seed-0-clause",
+        _SPECTRAL,
+        "        _T1 * poly_g(0).evaluate(x) == _T1\n        and ",
+        "        ",
+        _CHEBYSHEV_CONTROLS,
+    ),
+    Mutant(
+        "chebyshev-seed-1-clause",
+        _SPECTRAL,
+        "        and _T1 * poly_g(1).evaluate(x) == -1 * _T3\n",
+        "",
+        _CHEBYSHEV_CONTROLS,
+    ),
+    Mutant(
+        "chebyshev-step-clause",
+        _SPECTRAL,
+        "        and _X_MINUS_2.evaluate(x) == -2 * _T2\n",
+        "",
+        _CHEBYSHEV_CONTROLS,
+    ),
+    Mutant(
+        "bracket-atan-radius",
+        _SPECTRAL,
+        "    return s - (j // 2 + 1), s + (j // 2 + 1)\n",
+        "    return s, s\n",
+        _BRACKET_ORACLE,
+    ),
+    Mutant(
+        "bracket-sin-radius",
+        _SPECTRAL,
+        "    return s - (j + 1), s + (j + 1)\n",
+        "    return s, s\n",
+        _BRACKET_ORACLE,
+    ),
+    Mutant(
+        "svd-contract-rows-once-clause",
+        _SPECTRAL,
+        "if not np.array_equal(np.sort(rows), np.arange(g * p)):",
+        "if False:",
+        ("tests/test_spectral.py::test_the_components_must_hold_each_row_once",),
+    ),
+    Mutant(
+        "svd-contract-residual-clause",
+        _SPECTRAL,
+        "if not np.all(worst <= DEFAULT_RESIDUAL_TOL * fro):",
+        "if False:",
+        (
+            "tests/test_spectral.py::test_signed_spectra_contract_negative_controls",
+            "tests/test_spectral.py::test_the_left_residual_counts_the_rows_outside_a_component",
+        ),
+    ),
+    Mutant(
+        "svd-contract-reconstruction-clause",
+        _SPECTRAL,
+        "if not np.all(recon <= DEFAULT_RECON_TOL * fro):",
+        "if False:",
+        ("tests/test_spectral.py::test_a_live_column_left_out_fails_the_reconstruction",),
+    ),
+    Mutant(
+        "svd-contract-orthonormality-clause",
+        _SPECTRAL,
+        "if not np.all(ortho <= DEFAULT_RECON_TOL):",
+        "if False:",
+        (
+            "tests/test_spectral.py::test_right_vectors_must_be_orthonormal",
+            "tests/test_spectral.py::test_right_vectors_must_be_orthonormal_in_a_split_solve",
+        ),
     ),
 ]

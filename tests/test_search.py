@@ -353,9 +353,9 @@ def test_lower_bound_even_values():
 
 @mpmath.workdps(50)
 def test_lower_bound_even_matches_mpmath():
-    for n in range(1, 13):
+    for n in range(1, 65):
         beta_n = 4 * mpmath.sin(mpmath.pi / (4 * n + 2)) ** 2
-        for k in range(1, 101):
+        for k in range(1, 201):
             root = mpmath.sqrt(k * beta_n)
             nearest = mpmath.nint(root)
             exact_square = abs(root - nearest) < mpmath.mpf(10) ** -40  # only n = 1, k a square

@@ -1,4 +1,4 @@
-"""Polynomial recurrences, root isolation, and the spectral verifiers."""
+"""Polynomial recurrences, the roots in closed form, and the spectral verifiers."""
 
 import math
 import time
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import pathpower.spectral as spectral
 from pathpower import (
-    BracketingError,
     CertificateError,
     DimensionMismatchError,
     EigenSolveError,
@@ -27,6 +26,7 @@ from pathpower import (
     base_certificate,
     beta,
     charpoly_base_square_check,
+    chebyshev_identity_check,
     check_support,
     closed_form_spectrum,
     composed_square_spectrum,
@@ -46,10 +46,11 @@ from pathpower import (
     spectrum_report,
     square_compose_check,
     symmetry_check,
+    theoretical_f_value,
 )
 from pathpower.grid import slot_steps
 from pathpower.signed import square_identity_holds
-from pathpower.spectral import base_certificate_holds, g_roots_below
+from pathpower.spectral import base_certificate_holds
 
 SQRT2 = math.sqrt(2.0)
 
@@ -162,11 +163,31 @@ def test_beta_three_matches_bisection_oracle():
     assert abs(beta(3) - oracle) <= 1e-10
 
 
-@pytest.mark.parametrize("n", [*range(1, 65), 128, 512, 1024])
+@pytest.mark.parametrize("n", [*range(1, 257), 512, 1024, 2048])
 def test_beta_is_the_correctly_rounded_root(n):
-    # the closed form at 40 digits, rounded once to the nearest double
-    with mpmath.workdps(40):
+    # the closed form at 60 digits, rounded once to the nearest double
+    with mpmath.workdps(60):
         assert beta(n) == float(4 * mpmath.sin(mpmath.pi / (4 * n + 2)) ** 2)
+
+
+@mpmath.workdps(60)
+def test_the_beta_bracket_holds_the_mpmath_root():
+    for p in (64, 128):
+        scale = mpmath.mpf(2) ** p
+        # each series within its bracket: Machin's two arctangents, and sin at the ends of theta
+        for x in (5, 239):
+            lo, hi = spectral._atan_inv(x, p)
+            assert lo < mpmath.atan(mpmath.mpf(1) / x) * scale < hi, (x, p)
+        for n in range(1, 257):
+            theta = mpmath.pi / (4 * n + 2) * scale
+            for a in (int(mpmath.floor(theta)), int(mpmath.ceil(theta))):
+                lo, hi = spectral._sin(a, p)
+                assert lo < mpmath.sin(a / scale) * scale < hi, (n, p)
+            lo, hi = spectral._beta_bracket(n, p)
+            if n == 1:  # beta_1 = 1 exactly, where a 60-digit sine rounds either way
+                assert (lo, hi) == (1 << p, 1 << p)
+            else:
+                assert lo <= 4 * mpmath.sin(mpmath.pi / (4 * n + 2)) ** 2 * scale <= hi, (n, p)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -188,50 +209,80 @@ def test_beta_matches_squared_base_eigvalsh(n):
     assert abs(beta(n) - smallest) <= 1e-10
 
 
-def test_beta_sign_evaluation_count(monkeypatch):
+def _chebyshev_walk_failures(n_max):
+    """The oracle: the n in 0..n_max where c poly_g(n)(4 - 4c^2) is not
+    (-1)^n T_(2n+1)(c), each side expanded by sympy."""
+    c = sympy.Symbol("c")
+    return [
+        n
+        for n in range(n_max + 1)
+        if sympy.expand(c * sympy.Poly(spectral.poly_g(n).coeffs[::-1], c).as_expr().subs(c, 4 - 4 * c**2))
+        != sympy.expand((-1) ** n * sympy.chebyshevt(2 * n + 1, c))
+    ]
+
+
+def test_chebyshev_identity_from_its_seeds_and_step():
+    assert chebyshev_identity_check() and _chebyshev_walk_failures(12) == []
+
+
+def _recurrence_from(p0):
+    """_recurrence with p_0 = p0 in place of 1."""
+
+    def walk(n, seed1):
+        p, p_next = spectral.IntPolynomial(p0), spectral.IntPolynomial(seed1)
+        for _ in range(n):
+            p, p_next = p_next, spectral._X_MINUS_2 * p_next - p
+        return p
+
+    return walk
+
+
+@pytest.mark.parametrize(
+    "name,value,fails_at",
+    [
+        ("_recurrence", _recurrence_from((-1,)), [0, 2, 3]),  # the seed n = 0
+        ("_G_SEED", (-2, 1), [1, 2, 3]),  # the seed n = 1
+        ("_X_MINUS_2", spectral.IntPolynomial((-3, 1)), [2, 3]),  # the step
+    ],
+    ids=["seed-0", "seed-1", "step"],
+)
+def test_each_clause_of_the_chebyshev_identity_has_a_negative_control(monkeypatch, name, value, fails_at):
+    monkeypatch.setattr(spectral, name, value)
+    assert _chebyshev_walk_failures(3) == fails_at and not chebyshev_identity_check()
+    # beta and lower_bound_even read the check once per process: run it afresh
+    monkeypatch.setattr(spectral, "_identity_certified", spectral.chebyshev_identity_check)
+    for call in (lambda: beta(1), lambda: beta(3), lambda: lower_bound_even(1, 4), lambda: min_positive_eig_even(3, 1)):
+        with pytest.raises(CertificateError):
+            call()
+
+
+def test_the_chebyshev_identity_runs_once_per_process(monkeypatch):
     calls = []
-    exact_count = spectral.g_roots_below
-
-    def counting(n, q):
-        calls.append(q)
-        return exact_count(n, q)
-
-    monkeypatch.setattr(spectral, "g_roots_below", counting)
-    for n in (*range(1, 81), 512, 1024):
-        calls.clear()
-        beta(n)
-        assert len(calls) <= 16, (n, len(calls))
-
-
-def test_beta_rejects_tampered_certificate(monkeypatch):
-    true_roots = spectral.poly_g_roots
-
-    # shifted roots: the first interval then holds two roots, the last none
-    monkeypatch.setattr(spectral, "poly_g_roots", lambda n: true_roots(n)[1:] + [3.99])
-    with pytest.raises(BracketingError):
-        beta(3)
-    with pytest.raises(BracketingError):
-        closed_form_spectrum(6, 1)
-    # unsorted roots give overlapping intervals
-    monkeypatch.setattr(spectral, "poly_g_roots", lambda n: true_roots(n)[::-1])
-    with pytest.raises(BracketingError):
-        beta(3)
-    with pytest.raises(BracketingError):
-        closed_form_spectrum(6, 1)
-    # a closed form off by 1e-9 is thousands of doubles from the root, past beta's eight candidates
-    monkeypatch.setattr(spectral, "poly_g_roots", lambda n: [r + 1e-9 for r in true_roots(n)])
-    for n in (1, 3, 64):
-        with pytest.raises(BracketingError):
+    check = spectral.chebyshev_identity_check
+    monkeypatch.setattr(spectral, "chebyshev_identity_check", lambda: calls.append(1) or check())
+    spectral._identity_certified.cache_clear()
+    try:
+        for n in (1, 2, 3, 64, 32768):
             beta(n)
-    monkeypatch.setattr(spectral, "poly_g_roots", true_roots)
+            lower_bound_even(n, 7)
+        assert calls == [1]
+    finally:
+        spectral._identity_certified.cache_clear()
 
-    # poly_g(1) = x + 1: T_n's corner entry becomes -1, which puts a root below 0
-    monkeypatch.setattr(spectral, "_G_SEED", (1, 1))
-    assert spectral.g_roots_below(3, 0)[0] >= 1
-    with pytest.raises(BracketingError):
-        beta(3)
-    with pytest.raises(BracketingError):
-        closed_form_spectrum(6, 1)
+
+def test_beta_and_spectrum_check_at_the_cap_in_bounded_time():
+    # the largest even path within the grid cap: a root path that grows like n^2 fails the guard
+    start = time.perf_counter()
+    b = beta(32768)
+    assert time.perf_counter() - start < 2.0
+    start = time.perf_counter()
+    got = spectrum_check(65536, 1)
+    assert time.perf_counter() - start < 2.0
+    assert got.passed and got.min_positive == math.sqrt(b)
+    with mpmath.workdps(60):
+        beta_n = 4 * mpmath.sin(mpmath.pi / 131074) ** 2
+        assert b == float(beta_n)
+        assert theoretical_f_value(65536, 3).paper_lower == int(mpmath.ceil(mpmath.sqrt(3 * beta_n)))
 
 
 def test_root_isolation_builds_no_coefficients(monkeypatch):
@@ -257,37 +308,14 @@ def test_beta_validation():
         beta(2, 1e-12)
 
 
-def test_g_roots_below_exact_comparisons():
-    assert g_roots_below(1, Fraction(1)) == (0, True)
-    assert g_roots_below(1, Fraction(1, 2)) == (0, False)
-    assert g_roots_below(1, Fraction(3, 2)) == (1, False)
-    with pytest.raises(ValueError):
-        g_roots_below(-1, Fraction(1))
-
-
-def _count_oracle(n: int, q: Fraction) -> tuple[int, bool]:
-    """sympy's exact real-root count of poly_g(n) on (-oo, q], split at q."""
-    g = poly_g(n)
-    is_root = g.evaluate(q) == 0
-    up_to_q = sympy.Poly(g.coeffs[::-1], sympy.Symbol("x")).count_roots(None, sympy.Rational(str(q)))
-    return up_to_q - is_root, is_root
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=13),
-    st.fractions(min_value=-1, max_value=5, max_denominator=1000),
-)
-@example(2, Fraction(1))  # poly_g(j)(1) = 0 for every j = 1 (mod 3): interior zeros
-@example(4, Fraction(1))
-@example(5, Fraction(1))
-@example(7, Fraction(1))
-@example(7, Fraction(0))
-@example(13, Fraction(-1))
-@example(13, Fraction(4))
-@example(13, Fraction(5))
-def test_g_roots_below_matches_sympy(n, q):
-    assert g_roots_below(n, q) == _count_oracle(n, q)
+@pytest.mark.parametrize("n", range(1, 14))
+def test_every_root_of_poly_g_lies_at_its_closed_form(n):
+    # sympy's exact real-root count: n real roots, one within 1e-9 of each closed-form root
+    g = sympy.Poly(poly_g(n).coeffs[::-1], sympy.Symbol("x"))
+    assert g.count_roots() == n
+    for root in spectral.poly_g_roots(n):
+        q, eps = sympy.Rational(root), sympy.Rational(1, 10**9)
+        assert g.count_roots(q - eps, q + eps) == 1, (n, root)
 
 
 def test_smallest_roots_positive():
@@ -474,11 +502,12 @@ def test_spectrum_check_facts():
     lemma = "check_support; D^2 = I; DB + BD = 0; A_2 = D ⊗ B + B ⊗ I; det(xI - B) = x^3 - 2x"
     assert r.min_positive == SQRT2 and r.proof == lemma
     assert spectrum_check(3, 1).proof == "check_support; det(xI - B) = x^3 - 2x"
-    assert spectrum_check(4, 1).proof == "check_support; det(xI - B) = poly_g(2)(x^2); beta(2) Sturm certificate"
+    assert spectrum_check(4, 1).proof == "check_support; det(xI - B) = poly_g(2)(x^2); beta(2) Chebyshev identity and bracket"
     for m, k in [(2, 1), (4, 1), (6, 1), (4, 2), (2, 5)]:
         r = spectrum_check(m, k)
         assert r.passed and r.zero_multiplicity == 0, (m, k)
-        assert r.min_positive == math.sqrt(k * beta(m // 2)) and r.proof.endswith(f"beta({m // 2}) Sturm certificate")
+        assert r.min_positive == math.sqrt(k * beta(m // 2))
+        assert r.proof.endswith(f"beta({m // 2}) Chebyshev identity and bracket")
     assert odd3_spectrum_check(2) == spectrum_check(3, 2)
     for m, k in [(5, 2), (1, 1), (2, 0), (3, -1)]:
         with pytest.raises(ValueError):
