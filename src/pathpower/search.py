@@ -51,7 +51,6 @@ import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -67,7 +66,7 @@ from .constructions import (
 from .errors import CertificateError
 from .grid import PathPower, VertexSet, induced_max_degree, is_grid_edge
 from .signed import SignedMatrix
-from .spectral import DEFAULT_GROUP_TOL, _beta_bracket, base_certificate, signed_spectra
+from .spectral import DEFAULT_GROUP_TOL, base_certificate, lower_bound_even, signed_spectra
 
 
 @dataclass(frozen=True)
@@ -400,25 +399,6 @@ def degree_bound_check(a: SignedMatrix, s: VertexSet) -> bool:
     delta = induced_max_degree(s, a.graph())
     (sub,) = signed_spectra(a, [s])
     return degree_bound_holds(delta, sub.eigenvalues[-1])
-
-
-def lower_bound_even(n: int, k: int) -> int:
-    """Degree floor ceil(sqrt(k * beta_n)) for even path length 2n: the
-    least t >= 1 with k beta_n <= t^2, beta_n the least root of poly_g(n).
-
-    With lo <= beta_n 2^p <= hi (_beta_bracket), t is the least t with
-    t^2 2^p >= k hi, once also (t - 1)^2 2^p < k lo: then t reaches k
-    beta_n and t - 1 does not, so rounding can never put the floor off by
-    one.  Else p doubles, from 64.  beta_1 = 1 has an exact bracket, and k
-    beta_n is irrational for n >= 2, so the walk ends.
-    """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    for p in (64 << i for i in count()):  # 64, 128, 256, ...
-        lo, hi = _beta_bracket(n, p)
-        t = math.isqrt(-((-k * hi) >> p) - 1) + 1  # the least t with t^2 >= ceil(k hi / 2^p)
-        if ((t - 1) ** 2 << p) < k * lo:
-            return t
 
 
 @dataclass(frozen=True)

@@ -23,17 +23,17 @@ by digit-sum parity, so a signed matrix is [[0, C], [C^T, 0]] after a
 parity permutation, and its spectrum is +-sigma(C) plus a zero for each row
 C has beyond its column count.  A symmetric eigensolve of the exact Gram
 matrix K = C C^T of the half-size block C, held to a residual contract,
-solves a signed matrix or any of its principal submatrices.  The zero
-pattern of K is summed exactly from the sparse entries of C, and K is
-solved one component of that pattern at a time, batched by shape: A_k^2 =
-I ⊗ A_(k-1)^2 + B^2 ⊗ I, and B^2 on a path joins only digits of one
-parity, so K of A(m, k) splits into blocks of at most ceil(m / 2)^k rows.
-Each component c has rows R_c, the columns S_c they touch and the rows
-N_c that touch S_c; its block of K, its factors and every clause of the
-contract are products of C[R_c, S_c] or C[N_c, S_c], so none is sized by
-the whole matrix but V^T V, the one dense product left.  The left
-residual runs over all of N_c, so a labelling that cuts a component
-still fails.  Each matrix is solved once: every eigenvector x of a
+solves a signed matrix or a stack of its principal submatrices, batched by
+shape.  A submatrix of a stack is one component.  A whole matrix is solved
+one component of K's zero pattern at a time, the pattern summed exactly
+from the sparse entries of C: A_k^2 = I ⊗ A_(k-1)^2 + B^2 ⊗ I, and B^2 on
+a path joins only digits of one parity, so K of A(m, k) splits into blocks
+of at most ceil(m / 2)^k rows.  Each component c has rows R_c, the columns
+S_c they touch and the rows N_c that touch S_c; its block of K, its factors
+and every clause of the contract are products of C[R_c, S_c] or C[N_c,
+S_c], so none is sized by the whole matrix but V^T V, the one dense product
+left.  The left residual runs over all of N_c, so a labelling that cuts a
+component still fails.  Each matrix is solved once: every eigenvector x of a
 component is one column, with sigma = ||C[R_c, S_c]^T x||, and a dead
 column (sigma <= DEFAULT_GROUP_TOL) has v = 0.  The contract's
 reconstruction and the orthonormality of V's live columns bound every
@@ -59,7 +59,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, count
-from math import factorial, pi, sin, sqrt
+from math import factorial, isqrt, pi, sin, sqrt
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -286,21 +286,46 @@ def _beta_bracket(n: int, p: int) -> tuple[int, int]:
     return (4 * s_lo * s_lo) >> p, -((-4 * s_hi * s_hi) >> p)
 
 
+def _brackets(n: int) -> Iterator[tuple[int, int, int]]:
+    """(p, lo, hi) with lo <= beta_n 2^p <= hi (_beta_bracket) at p = 128,
+    256, 512, ...: the one schedule of beta and lower_bound_even.  p = 128
+    settles beta(n) for every n <= 256; p = 64 settles 15 of n = 2..256."""
+    for p in (128 << i for i in count()):
+        yield (p, *_beta_bracket(n, p))
+
+
 def beta(n: int) -> float:
     """The least root of poly_g(n), correctly rounded to a double.
 
-    lo <= beta_n 2^p <= hi (_beta_bracket) at p = 64, 128, 256, ... until
-    lo / 2^p and hi / 2^p round to one double, which beta_n then rounds to
-    as well: int / int true division is correctly rounded, and rounding is
-    monotone.  beta_1 = 1 has an exact bracket, and beta_n is irrational
-    for n >= 2, so the loop ends.
+    lo <= beta_n 2^p <= hi (_brackets) until lo / 2^p and hi / 2^p round
+    to one double, which beta_n then rounds to as well: int / int true
+    division is correctly rounded, and rounding is monotone.  beta_1 = 1
+    has an exact bracket, and beta_n is irrational for n >= 2, so the loop
+    ends.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    for p in (64 << i for i in count()):  # 64, 128, 256, ...
-        lo, hi = _beta_bracket(n, p)
+    for p, lo, hi in _brackets(n):
         if lo / (1 << p) == hi / (1 << p):
             return lo / (1 << p)
+
+
+def lower_bound_even(n: int, k: int) -> int:
+    """Degree floor ceil(sqrt(k * beta_n)) for even path length 2n: the
+    least t >= 1 with k beta_n <= t^2, beta_n the least root of poly_g(n).
+
+    With lo <= beta_n 2^p <= hi (_brackets), t is the least t with t^2 2^p
+    >= k hi, once also (t - 1)^2 2^p < k lo: then t reaches k beta_n and t
+    - 1 does not, so rounding can never put the floor off by one.  Else p
+    doubles.  beta_1 = 1 has an exact bracket, and k beta_n is irrational
+    for n >= 2, so the walk ends.
+    """
+    if n < 1 or k < 1:
+        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    for p, lo, hi in _brackets(n):
+        t = isqrt(-((-k * hi) >> p) - 1) + 1  # the least t with t^2 >= ceil(k hi / 2^p)
+        if ((t - 1) ** 2 << p) < k * lo:
+            return t
 
 
 # ------------------------ exact characteristic polys -----------------------
@@ -353,8 +378,10 @@ class SpectrumReport:
 
 
 def _spectrum_reports(values: np.ndarray) -> list[SpectrumReport]:
-    """spectrum_report of every row of the (g, n) array values, bit for bit,
-    from one stable sort of the whole array."""
+    """The SpectrumReport of every row of the (g, n) array values, from one
+    stable sort of the whole array: the row ascending, the count of values
+    within DEFAULT_GROUP_TOL of 0, the least value at or above it, and the
+    largest |v_i + v_(n-1-i)|."""
     vals = np.sort(values, axis=1, kind="stable")
     zero_mult = np.count_nonzero(np.abs(vals) < DEFAULT_GROUP_TOL, axis=1)
     min_pos = np.min(np.where(vals >= DEFAULT_GROUP_TOL, vals, np.inf), axis=1, initial=np.inf)
@@ -366,20 +393,9 @@ def _spectrum_reports(values: np.ndarray) -> list[SpectrumReport]:
 
 
 def spectrum_report(values) -> SpectrumReport:
-    vals = sorted(float(v) for v in values)
-    zero_mult = sum(1 for v in vals if abs(v) < DEFAULT_GROUP_TOL)
-    positives = [v for v in vals if v >= DEFAULT_GROUP_TOL]
-    min_pos = positives[0] if positives else None
-    defect = 0.0
-    n = len(vals)
-    for i in range(n):
-        defect = max(defect, abs(vals[i] + vals[n - 1 - i]))
-    return SpectrumReport(
-        eigenvalues=tuple(vals),
-        zero_multiplicity=zero_mult,
-        min_positive=min_pos,
-        symmetry_defect=defect,
-    )
+    """_spectrum_reports of the one row values."""
+    (rep,) = _spectrum_reports(np.asarray(values, dtype=float).reshape(1, -1))
+    return rep
 
 
 # perfbench/spans.py still resolves these names when it installs its tracer.
@@ -391,16 +407,15 @@ def charpoly_exact(*args, **kwargs):
     raise NotImplementedError("a signed path's characteristic polynomial is certified term by term by _det_clause")
 
 
-def _gram_components(label: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Component label of every node: nodes that share a label start
-    joined, each node i[t] is joined to j[t], and each node ends labelled by
-    the smallest node of its component.  Every label must be a node that
-    labels itself.
+def _gram_components(nodes: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Component label of each of nodes nodes, each starting alone, once
+    every node i[t] is joined to j[t]: the smallest node of its component.
 
     Union-find on the pairs only: each round hooks the larger root of every
     pair that still joins two roots to the smaller, then jumps pointers
     until every node points at its root.
     """
+    label = np.arange(nodes)
     while len(i):
         li, lj = label[i], label[j]
         apart = li != lj
@@ -450,49 +465,38 @@ def _runs(keys: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return start, np.bincount(np.cumsum(new) - 1, minlength=len(start))
 
 
-def _gram_parts(block, i, j, v, g: int, p: int, q: int, split: bool) -> list[_Part]:
-    """The components of the Gram matrices of a stack of g blocks C (p x q)
-    whose entries are v at (block, i, j), grouped by shape (r, s, n), the
-    shapes ascending and the components of one shape by their smallest row.
+def _gram_parts(i, j, v, p: int, q: int) -> list[_Part]:
+    """The components of the Gram matrix K = C C^T of one block C (p x q)
+    whose entries are v at (i, j), grouped by shape (r, s, n), the shapes
+    ascending and the components of one shape by their smallest row.
 
-    With split, the components are those of K's nonzero pattern
-    (_gram_components).  That pattern is summed exactly, in integers, from
-    the products of every two entries of one column of C, so no dense K is
-    formed and no p^2 entries are swept.  Without, each block is one
-    component with S_c = all q columns and N_c = all p rows, so a column
-    that no row touches is in S_c too.
+    The components are those of K's nonzero pattern (_gram_components).
+    That pattern is summed exactly, in integers, from the products of every
+    two entries of one column of C, so no dense K is formed and no p^2
+    entries are swept.
     """
-    nodes = g * p
-    node, col = block * p + i, block * q + j
-    order = np.argsort(col)  # C by columns
-    node, col, v = node[order], col[order], v[order]
-    indptr = np.searchsorted(col, np.arange(g * q + 1))
-    if split:
-        count = indptr[col + 1] - indptr[col]
-        pos = _run_positions(indptr[col], count)  # the partners of each entry in its column
-        # Each product +-1 keyed by its entry of K, the sign in the lowest bit: one
-        # sort puts each entry's -1 products before its +1 products.
-        packed = np.sort((np.repeat(node, count) * nodes + node[pos]) * 2 + (np.repeat(v, count) == v[pos]))
-        keys = packed >> 1
-        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        ones = np.add.reduceat(packed & 1, first)
-        a, b = np.divmod(keys[first][2 * ones != np.diff(first, append=len(keys))], nodes)  # the nonzeros of K
-        label = _gram_components(np.arange(nodes), a[a != b], b[a != b])
-    else:  # each block one component, with no pairs to join
-        label = _gram_components(np.arange(nodes) // p * p, node[:0], node[:0])
-    by_comp = np.argsort(label * nodes + np.arange(nodes))  # the rows R_c of each component in turn, ascending
+    order = np.argsort(j)  # C by columns
+    node, col, v = i[order], j[order], v[order]
+    indptr = np.searchsorted(col, np.arange(q + 1))
+    count = indptr[col + 1] - indptr[col]
+    pos = _run_positions(indptr[col], count)  # the partners of each entry in its column
+    # Each product +-1 keyed by its entry of K, the sign in the lowest bit: one
+    # sort puts each entry's -1 products before its +1 products.
+    packed = np.sort((np.repeat(node, count) * p + node[pos]) * 2 + (np.repeat(v, count) == v[pos]))
+    keys = packed >> 1
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    ones = np.add.reduceat(packed & 1, first)
+    a, b = np.divmod(keys[first][2 * ones != np.diff(first, append=len(keys))], p)  # the nonzeros of K
+    label = _gram_components(p, a[a != b], b[a != b])
+    by_comp = np.argsort(label * p + np.arange(p))  # the rows R_c of each component in turn, ascending
     comp_start, size = _runs(label, by_comp)
-    comp, row_pos = np.empty(nodes, dtype=np.int64), np.empty(nodes, dtype=np.int64)
+    comp, row_pos = np.empty(p, dtype=np.int64), np.empty(p, dtype=np.int64)
     comp[by_comp] = np.repeat(np.arange(len(size)), size)
-    row_pos[by_comp] = np.arange(nodes) - np.repeat(comp_start, size)
-    comp_block = by_comp[comp_start] // p
+    row_pos[by_comp] = np.arange(p) - np.repeat(comp_start, size)
 
-    if split:
-        s_keys = np.sort(comp[node] * (g * q) + col)
-        s_keys = s_keys[np.concatenate(([True], s_keys[1:] != s_keys[:-1]))[: len(s_keys)]]  # distinct
-    else:
-        s_keys = ((np.arange(len(size)) * (g * q) + comp_block * q)[:, None] + np.arange(q)).ravel()
-    s_comp, s_col = np.divmod(s_keys, g * q)
+    s_keys = np.sort(comp[node] * q + col)
+    s_keys = s_keys[np.concatenate(([True], s_keys[1:] != s_keys[:-1]))[: len(s_keys)]]  # distinct
+    s_comp, s_col = np.divmod(s_keys, q)
     s_size = np.bincount(s_comp, minlength=len(size))
     s_start = np.cumsum(s_size) - s_size
     s_pos = np.arange(len(s_keys)) - np.repeat(s_start, s_size)
@@ -503,7 +507,7 @@ def _gram_parts(block, i, j, v, g: int, p: int, q: int, split: bool) -> list[_Pa
     e_comp, e_node, e_col, e_val = np.repeat(s_comp, count), node[pos], np.repeat(s_pos, count), v[pos]
     e_row = row_pos[e_node]
     out = np.flatnonzero(comp[e_node] != e_comp)
-    out_keys = e_comp[out] * nodes + e_node[out]
+    out_keys = e_comp[out] * p + e_node[out]
     out_order = np.argsort(out_keys)
     out_start, out_size = _runs(out_keys, out_order)
     out_comp = e_comp[out[out_order[out_start]]]  # of each distinct row beyond R_c
@@ -525,9 +529,9 @@ def _gram_parts(block, i, j, v, g: int, p: int, q: int, split: bool) -> list[_Pa
         mine = by_kind[kind_start[t] : kind_start[t] + kind_size[t]]
         sel = e_kind == t
         entries = (at[e_comp[sel]], e_row[sel], e_col[sel], e_val[sel])
-        rows = by_comp[comp_start[mine][:, None] + np.arange(r)] % p
-        cols = s_col[s_start[mine][:, None] + np.arange(s)] % q
-        parts.append(_Part(comp_block[mine], rows, cols, r, r + o, entries))
+        rows = by_comp[comp_start[mine][:, None] + np.arange(r)]
+        cols = s_col[s_start[mine][:, None] + np.arange(s)]
+        parts.append(_Part(np.zeros(len(mine), dtype=np.int64), rows, cols, r, r + o, entries))
     return parts
 
 
@@ -665,19 +669,17 @@ def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> 
     q = 0 is the zero matrix: p zeros, no solve.
 
     Blocks of one shape (p, q) are solved together, one component of their
-    Gram matrices K = C C^T at a time (_gram_parts): K, its zero pattern
-    and the blocks C[R_c, S_c] and C[N_c, S_c] come from the sparse
-    entries, one batched eigh per component shape gives the factors
-    (_gram_svd), and they must meet _check_svd_contract, else
-    EigenSolveError.  Without sets, K is split into the components of its
-    computed zero pattern, never of the parity classes that predict them,
-    so a matrix signed otherwise than the builder's still gets its own
-    spectrum.  A stack of submatrices is not split: each block is one
-    component, R = N = all rows and S = all columns; the chain's have at
-    most 8 rows in a default verify-all.  Each matrix is solved once: a
-    block's p columns, one per row of C, carry the q largest sigma as its
-    singular values, and a dead column (sigma <= DEFAULT_GROUP_TOL) needs
-    no kernel vector of C, as the contract's reconstruction and
+    Gram matrices K = C C^T at a time: one batched eigh per component shape
+    gives the factors (_gram_svd), and they must meet _check_svd_contract,
+    else EigenSolveError.  A whole matrix is split into the components of
+    K's computed zero pattern (_gram_parts), never of the parity classes
+    that predict them, so a matrix signed otherwise than the builder's
+    still gets its own spectrum.  Each block of a stack of submatrices is
+    one component, R = N = all p rows and S = all q columns; the chain's
+    have at most 8 rows in a default verify-all.  Each matrix is solved
+    once: a block's p columns, one per row of C, carry the q largest sigma
+    as its singular values, and a dead column (sigma <= DEFAULT_GROUP_TOL)
+    needs no kernel vector of C, as the contract's reconstruction and
     orthonormality bound every singular value of C by Mirsky's theorem.
     """
     sizes = np.array([a.dim] if sets is None else [len(s) for s in sets], dtype=np.int64)
@@ -728,19 +730,24 @@ def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> 
     spectra: list = [None] * len(sizes)
     for gp, gq in dict.fromkeys(zip(p.tolist(), q.tolist())):
         group = np.flatnonzero((p == gp) & (q == gq))
-        sv = np.zeros((len(group), gp))  # each block's sigma by column, a column being a row of C
+        g = len(group)
+        sv = np.zeros((g, gp))  # each block's sigma by column, a column being a row of C
         if gq:
             slot = np.full(len(sizes), -1)
-            slot[group] = np.arange(len(group))
+            slot[group] = np.arange(g)
             mine = slot[owner[src]] >= 0
             entries = (slot[owner[src[mine]]], local[src[mine]], local[dst[mine]], entry_vals[mine])
-            parts = _gram_parts(*entries, len(group), gp, gq, split=sets is None)
+            if sets is None:
+                parts = _gram_parts(*entries[1:], gp, gq)
+            else:  # each block one component: all its rows and columns
+                rows, cols = np.tile(np.arange(gp), (g, 1)), np.tile(np.arange(gq), (g, 1))
+                parts = [_Part(np.arange(g), rows, cols, gp, gp, entries)]
             factors = _gram_svd(parts)
-            _check_svd_contract(parts, factors, len(group), gp, gq)
+            _check_svd_contract(parts, factors, g, gp, gq)
             for part, f in zip(parts, factors):
                 sv[part.block[:, None], part.rows] = f.sv
         top = np.sort(sv, axis=1)[:, gp - gq :]  # the q largest
-        values = np.concatenate((top, -top, np.zeros((len(group), gp - gq))), axis=1)
+        values = np.concatenate((top, -top, np.zeros((g, gp - gq))), axis=1)
         for i, rep in zip(group.tolist(), _spectrum_reports(values)):
             spectra[i] = rep
     return spectra

@@ -295,6 +295,16 @@ MUTANTS = [
         _BRACKET_ORACLE,
     ),
     Mutant(
+        "lower-bound-even-acceptance",
+        _SPECTRAL,
+        "if ((t - 1) ** 2 << p) < k * lo:",
+        "if True:",
+        (
+            "tests/test_search.py::test_a_bracket_that_straddles_a_square_is_refined",
+            "tests/test_search.py::test_lower_bound_even_matches_mpmath",
+        ),
+    ),
+    Mutant(
         "svd-contract-rows-once-clause",
         _SPECTRAL,
         "if not np.array_equal(np.sort(rows), np.arange(g * p)):",

@@ -26,7 +26,7 @@ from pathpower import (
     signed_grid_matrix,
     theoretical_f_value,
 )
-from pathpower import _kernels, constructions, hk_witness_set, search
+from pathpower import _kernels, constructions, hk_witness_set, search, spectral
 from pathpower.grid import digits, is_grid_edge
 from pathpower.search import _snake_order, alpha_certificate_holds, degree_floor
 
@@ -361,6 +361,30 @@ def test_lower_bound_even_matches_mpmath():
             exact_square = abs(root - nearest) < mpmath.mpf(10) ** -40  # only n = 1, k a square
             want = int(nearest) if exact_square else int(mpmath.ceil(root))
             assert lower_bound_even(n, k) == want, (n, k)
+
+
+def test_a_bracket_that_straddles_a_square_is_refined(monkeypatch):
+    # the first bracket of beta_n widened until k lo < t^2 2^p < k hi for the
+    # floor t: the walk must not return there, and still returns the mpmath value
+    n, k = 5, 40
+    with mpmath.workdps(50):
+        want = int(mpmath.ceil(mpmath.sqrt(k * 4 * mpmath.sin(mpmath.pi / (4 * n + 2)) ** 2)))
+    bracket, calls = spectral._beta_bracket, []
+
+    def widened(n, p):
+        lo, hi = bracket(n, p)
+        if not calls:
+            w = 1
+            while k * (hi + w) <= want * want << p:
+                w *= 2
+            lo, hi = lo - w, hi + w
+            assert k * lo < want * want << p < k * hi
+        calls.append(p)
+        return lo, hi
+
+    monkeypatch.setattr(spectral, "_beta_bracket", widened)
+    assert lower_bound_even(n, k) == want == 2
+    assert calls == [128, 256]
 
 
 @pytest.mark.parametrize("n", [64, 256, 1000])

@@ -369,13 +369,25 @@ _VALUE = st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1e-8, 0.5, -0.5, 2.0, -2.0]) |
 _ROWS = st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(_VALUE, min_size=n, max_size=n), min_size=1))
 
 
+def _plain_spectrum_report(values):
+    """The summary in plain Python, one value at a time: the oracle of _spectrum_reports."""
+    vals = sorted(float(v) for v in values)
+    positives = [v for v in vals if v >= spectral.DEFAULT_GROUP_TOL]
+    defect = 0.0
+    for i in range(len(vals)):
+        defect = max(defect, abs(vals[i] + vals[len(vals) - 1 - i]))
+    zero_mult = sum(1 for v in vals if abs(v) < spectral.DEFAULT_GROUP_TOL)
+    return spectral.SpectrumReport(tuple(vals), zero_mult, positives[0] if positives else None, defect)
+
+
 @settings(max_examples=60)
 @given(_ROWS)
 def test_spectrum_reports_of_an_array_are_spectrum_report_bit_for_bit(rows):
-    for got, row in zip(spectral._spectrum_reports(np.array(rows)), rows):
-        want = spectrum_report(row)
-        assert got == want
-        assert [math.copysign(1, v) for v in got.eigenvalues] == [math.copysign(1, v) for v in want.eigenvalues]
+    for got, one, row in zip(spectral._spectrum_reports(np.array(rows)), map(spectrum_report, rows), rows):
+        want = _plain_spectrum_report(row)
+        assert got == one == want
+        for rep in (got, one):
+            assert [math.copysign(1, v) for v in rep.eigenvalues] == [math.copysign(1, v) for v in want.eigenvalues]
 
 
 def test_kron_sum_spectrum():
@@ -1217,6 +1229,7 @@ def test_a_labelling_that_cuts_a_component_fails_the_contract(monkeypatch):
     monkeypatch.setattr(spectral, "_gram_components", cut)
     with pytest.raises(EigenSolveError):
         signed_spectra(a)
+    _svd_tampered_by(monkeypatch, _cut_in_half)  # a stack's blocks are each one component
     with pytest.raises(EigenSolveError):
         signed_spectra(a, [VertexSet(3, 3, ranks=range(27)), VertexSet(3, 3, ranks=range(9))])
 
@@ -1229,6 +1242,22 @@ def _svd_tampered_by(monkeypatch, tamper):
         return tamper([spectral._Factors(*(f.copy() for f in part)) for part in solve(parts)], parts)
 
     monkeypatch.setattr(spectral, "_gram_svd", gram_svd)
+
+
+_GRAM_SVD = spectral._gram_svd  # the unpatched solve, for tampers that solve anew
+
+
+def _cut_in_half(factors, parts):
+    """Each stack block's one component cut into its first half of rows and
+    the rest, every column kept (N_c = all rows, R_c first), and solved anew."""
+    (part,) = parts
+    comp, i, j, v = part.entries
+    p, half = part.r, part.r // 2
+    parts[:] = [
+        spectral._Part(part.block, part.rows[:, lo:hi], part.cols, hi - lo, p, (comp, (i - lo) % p, j, v))
+        for lo, hi in ((0, half), (half, p))
+    ]
+    return _GRAM_SVD(parts)
 
 
 def _column(factors, largest):
@@ -1317,8 +1346,32 @@ def test_the_components_must_hold_each_row_once(monkeypatch):
     monkeypatch.setattr(spectral, "_gram_parts", repeated)
     with pytest.raises(EigenSolveError, match="each row"):
         signed_spectra(a)
+    _svd_tampered_by(monkeypatch, _repeat_a_row)  # a stack never enters _gram_parts
     with pytest.raises(EigenSolveError, match="each row"):
         signed_spectra(a, [VertexSet(3, 3, ranks=range(27)), VertexSet(3, 3, ranks=range(9))])
+
+
+def _repeat_a_row(factors, parts):
+    (part,) = parts  # the stack's blocks of one shape, each one component of all p rows
+    part.rows[0, 1] = part.rows[0, 0]
+    return factors
+
+
+def test_only_a_whole_matrix_is_split_into_components(monkeypatch):
+    # a stack's blocks are each one component, so only a whole matrix enters
+    # _gram_parts, once; both are solved by _gram_svd
+    calls, split, solve = [], spectral._gram_parts, spectral._gram_svd
+    monkeypatch.setattr(spectral, "_gram_parts", lambda *args: calls.append("parts") or split(*args))
+    monkeypatch.setattr(spectral, "_gram_svd", lambda parts: calls.append(len(parts)) or solve(parts))
+    a = signed_grid_matrix(4, 2)
+    sets = [VertexSet(4, 2, ranks=range(16)), VertexSet(4, 2, ranks=[0, 1, 5]), VertexSet(4, 2, ranks=[2, 3, 6])]
+    stacked = signed_spectra(a, sets)
+    assert calls == [1, 1]  # (p, q) = (8, 8) and (2, 1), one part each
+    calls.clear()
+    (whole,) = signed_spectra(a)
+    assert calls[0] == "parts" and len(calls) == 2
+    for rep, s in zip([whole, *stacked], [sets[0], *sets]):
+        assert multiset_distance(rep.eigenvalues, _eigvalsh(principal_submatrix(a, s)).eigenvalues) <= 1e-12
 
 
 def test_the_left_residual_counts_the_rows_outside_a_component(monkeypatch):
