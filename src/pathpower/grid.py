@@ -14,7 +14,8 @@ computed on the whole bitset at once: on axis i the neighbour above a rank r
 is r + m^i, so one shift by m^i, masked to the ranks whose coordinate i can
 still grow, marks every member with a member above it.  The 2k such masks
 are added in a bit-sliced counter, so a query costs O(k) big-int operations
-of m^k bits each instead of one shift per neighbour.
+of m^k bits each instead of one shift per neighbour.  induced_max_degrees
+runs the counter once for many sets, laid side by side in lanes of m^k bits.
 
 Array code lays the neighbours out in the slot table, m^k rows by 2k
 slots: slot c of row r is the neighbour r + steps[c], where the steps
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -275,24 +276,23 @@ def _up_masks(m: int, k: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def induced_max_degree(s: VertexSet, g: PathPower | None = None) -> int:
-    """Maximum degree of the subgraph induced by s; 0 for an independent set.
+def bit_rows(values: Sequence[int], n: int) -> np.ndarray:
+    """The (len(values), n) bool matrix whose row t holds bits 0 to n - 1 of
+    values[t], from one unpackbits over their little-endian bytes."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in values), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(values), width), axis=1, count=n, bitorder="little").view(bool)
 
-    Raises ValueError on an empty set (the induced graph has no vertices).
-    Each axis contributes two masks, the members with a member above and the
-    members with a member below; their per-rank sum is kept bit-sliced in
-    planes (plane j holds bit j of every member's count).
-    """
-    if len(s) == 0:
-        raise ValueError("induced_max_degree of an empty vertex set")
-    if g is None:
-        g = PathPower(s.m, s.k)
-    elif (g.m, g.k) != (s.m, s.k):
-        raise DimensionMismatchError(f"set over [{s.m}]^{s.k} vs graph [{g.m}]^{g.k}")
-    bits = s.bits
+
+def _degree_planes(bits: int, ups: Iterable[int], m: int) -> list[int]:
+    """The bit-sliced induced degree of every member of bits: plane j holds
+    bit j of each member's count.  ups holds the up mask of each axis in
+    turn (_up_masks); each axis contributes two masks, the members with a
+    member above and the members with a member below, each added by ripple
+    carry."""
     planes: list[int] = []
     w = 1
-    for up in _up_masks(g.m, g.k):
+    for up in ups:
         for hits in (bits & (bits >> w) & up, bits & (bits << w) & (up << w)):
             for j, plane in enumerate(planes):  # ripple-carry add of one bit per rank
                 planes[j], hits = plane ^ hits, plane & hits
@@ -300,12 +300,60 @@ def induced_max_degree(s: VertexSet, g: PathPower | None = None) -> int:
                     break
             if hits:
                 planes.append(hits)
-        w *= g.m
+        w *= m
+    return planes
+
+
+def _checked_graph(s: VertexSet, g: PathPower | None) -> PathPower:
+    """g, or the graph of s if g is None, once s is a nonempty set over it."""
+    if len(s) == 0:
+        raise ValueError("induced_max_degree of an empty vertex set")
+    if g is None:
+        return PathPower(s.m, s.k)
+    if (g.m, g.k) != (s.m, s.k):
+        raise DimensionMismatchError(f"set over [{s.m}]^{s.k} vs graph [{g.m}]^{g.k}")
+    return g
+
+
+def induced_max_degree(s: VertexSet, g: PathPower | None = None) -> int:
+    """Maximum degree of the subgraph induced by s; 0 for an independent set.
+
+    Raises ValueError on an empty set (the induced graph has no vertices).
+    The largest count is read from the planes top down, one big-int AND
+    per plane.
+    """
+    g = _checked_graph(s, g)
+    bits = s.bits
     best = 0
     candidates = bits
+    planes = _degree_planes(bits, _up_masks(g.m, g.k), g.m)
     for j in range(len(planes) - 1, -1, -1):  # largest count: fix its bits top down
         top = candidates & planes[j]
         if top:
             candidates = top
             best |= 1 << j
     return best
+
+
+def induced_max_degrees(sets: Sequence[VertexSet], g: PathPower | None = None) -> np.ndarray:
+    """induced_max_degree of each of sets, as an int64 array, from one run
+    of the plane adder over all of them.
+
+    The sets lie side by side in one int, set t in lane t, bits t n to
+    (t + 1) n - 1 for n = m^k.  Each up mask is tiled by the lane repunit,
+    so a rank whose coordinate i is m - 1 has no up neighbour and no count
+    carries from one lane into the next; each lane's maximum is read from
+    the planes with numpy.
+    """
+    if not sets:
+        return np.zeros(0, dtype=np.int64)
+    for s in sets:
+        g = _checked_graph(s, g)
+    n, lanes = g.n_vertices, len(sets)
+    packed = 0
+    for s in reversed(sets):
+        packed = packed << n | s.bits
+    repunit = ((1 << (lanes * n)) - 1) // ((1 << n) - 1)  # bit t n for each lane t
+    planes = _degree_planes(packed, [up * repunit for up in _up_masks(g.m, g.k)], g.m)
+    counts = (bit_rows(planes, lanes * n).astype(np.int64) << np.arange(len(planes))[:, None]).sum(axis=0)
+    return counts.reshape(lanes, n).max(axis=1)

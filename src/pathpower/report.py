@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__ as _version
 from . import _kernels
 from .constructions import alpha_formula
-from .grid import PathPower, VertexSet, induced_max_degree
+from .grid import PathPower, VertexSet, induced_max_degree, induced_max_degrees
 from .search import (
     SearchBudget,
     brute_force_f,
@@ -216,21 +216,33 @@ def _check_integer_structure(cfg: dict) -> tuple[bool, dict]:
     return ok and bool(support_rows), {"square_identity": square_rows, "support": support_rows}
 
 
+def chain_sets(m: int, k: int, seed: int) -> list[VertexSet]:
+    """The CHAIN_TRIALS random sets of alpha + 1 vertices of [m]^k that the
+    degree-eigenvalue chain checks under seed: each set draws one uint64 key
+    per rank from random.Random(subseed("chain:m:k", seed)).randbytes, and
+    holds the ranks of its alpha + 1 smallest keys, a tie going to the lower
+    rank."""
+    n = m**k
+    rng = random.Random(subseed(f"chain:{m}:{k}", seed))
+    keys = np.frombuffer(rng.randbytes(8 * CHAIN_TRIALS * n), dtype="<u8").reshape(CHAIN_TRIALS, n)
+    members = np.zeros((CHAIN_TRIALS, n), dtype=bool)
+    np.put_along_axis(members, np.argsort(keys, axis=1, kind="stable")[:, : alpha_formula(m, k) + 1], True, axis=1)
+    width = (n + 7) // 8
+    raw = np.packbits(members, axis=1, bitorder="little").tobytes()
+    return [VertexSet(m, k, bits=int.from_bytes(raw[t : t + width], "little")) for t in range(0, len(raw), width)]
+
+
 def _check_degree_eigenvalue_chain(cfg: dict) -> tuple[bool, dict]:
     ok = True
     rows = []
     for m, k in [(3, 2), (4, 2), (2, 4)]:
         if m**k > cfg["max_size"]:
             continue
-        g = PathPower(m, k)
-        a = signed_grid_matrix(m, k)
-        target = alpha_formula(m, k) + 1
-        rng = random.Random(subseed(f"chain:{m}:{k}", cfg["seed"]))
-        sets = [VertexSet(m, k, ranks=rng.sample(range(g.n_vertices), target)) for _ in range(CHAIN_TRIALS)]
-        (host,) = signed_spectra(a)
-        subs = np.array([sub.eigenvalues for sub in signed_spectra(a, sets)])  # one ascending row per set
-        degrees = np.array([induced_max_degree(s, g) for s in sets])
-        bound_fail = int(np.count_nonzero(~degree_bound_holds(degrees, subs[:, -1])))
+        sets = chain_sets(m, k, cfg["seed"])
+        full = VertexSet(m, k, bits=(1 << m**k) - 1)  # the host, solved in the same call
+        host, *subs = signed_spectra(signed_grid_matrix(m, k), [full, *sets])
+        subs = np.array([sub.eigenvalues for sub in subs])  # one ascending row per set
+        bound_fail = int(np.count_nonzero(~degree_bound_holds(induced_max_degrees(sets), subs[:, -1])))
         inter_fail = int(np.count_nonzero(~interlacing_holds(np.array(host.eigenvalues), subs)))
         rows.append([m, k, CHAIN_TRIALS, bound_fail, inter_fail])
         ok = ok and bound_fail == 0 and inter_fail == 0

@@ -24,7 +24,8 @@ parity permutation, and its spectrum is +-sigma(C) plus a zero for each row
 C has beyond its column count.  A symmetric eigensolve of the exact Gram
 matrix K = C C^T of the half-size block C, held to a residual contract,
 solves a signed matrix or a stack of its principal submatrices, batched by
-shape.  A submatrix of a stack is one component.  A whole matrix is solved
+size.  A submatrix of a stack is one component, padded with zero rows and
+columns to the largest of its size.  A whole matrix is solved
 one component of K's zero pattern at a time, the pattern summed exactly
 from the sparse entries of C: A_k^2 = I ⊗ A_(k-1)^2 + B^2 ⊗ I, and B^2 on
 a path joins only digits of one parity, so K of A(m, k) splits into blocks
@@ -65,7 +66,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CertificateError, DimensionMismatchError, EigenSolveError, SizeCapError
-from .grid import DEFAULT_SIZE_CAP, VertexSet, digits, slot_steps
+from .grid import DEFAULT_SIZE_CAP, VertexSet, bit_rows, digits, slot_steps
 from .signed import SignedMatrix, check_signed_params, check_support, signed_grid_matrix
 
 # The thresholds of every spectral verdict, fixed so that no caller can loosen one.
@@ -665,18 +666,26 @@ def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> 
     each matrix, C holds the entries from its larger colour class (p rows,
     by rank) to its smaller (q columns), built straight from the stored
     entries, so no n x n matrix is formed.  Its spectrum is +-sigma(C) and
-    p - q zeros, summarised from one sorted array per shape.  A block with
-    q = 0 is the zero matrix: p zeros, no solve.
+    p - q zeros, summarised from one sorted array per size.  A size whose
+    blocks all have q = 0 holds zero matrices: p zeros each, no solve.
 
-    Blocks of one shape (p, q) are solved together, one component of their
+    The blocks of one size are solved together, one component of their
     Gram matrices K = C C^T at a time: one batched eigh per component shape
     gives the factors (_gram_svd), and they must meet _check_svd_contract,
     else EigenSolveError.  A whole matrix is split into the components of
     K's computed zero pattern (_gram_parts), never of the parity classes
     that predict them, so a matrix signed otherwise than the builder's
-    still gets its own spectrum.  Each block of a stack of submatrices is
-    one component, R = N = all p rows and S = all q columns; the chain's
-    have at most 8 rows in a default verify-all.  Each matrix is solved
+    still gets its own spectrum.  A stack's ranks come from one unpackbits
+    over its sets' bits (grid.bit_rows), and each of its blocks is one
+    component, R = N = all rows and S = all columns, padded with zero rows
+    and columns to the largest (p, q) of its size; the chain's have at
+    most 8 rows in a default verify-all.  A zero row or column adds only
+    zero singular values, and the contract runs on the padded C, so the
+    argument below bounds the padded spectrum; a block keeps its own q
+    largest sigma, and the rest are zeros, as its rank is at most q.
+    Within one size p is at least half the size, so padding at most
+    doubles a block's rows; no block is padded to another size, where one
+    large set would inflate every small block.  Each matrix is solved
     once: a block's p columns, one per row of C, carry the q largest sigma
     as its singular values, and a dead column (sigma <= DEFAULT_GROUP_TOL)
     needs no kernel vector of C, as the contract's reconstruction and
@@ -697,7 +706,7 @@ def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> 
         for s in sets:
             if (s.m, s.k) != (a.m, a.k):
                 raise DimensionMismatchError(f"set over [{s.m}]^{s.k} vs matrix of [{a.m}]^{a.k}")
-        ranks = np.array([r for s in sets for r in s.ranks()], dtype=np.int64)
+        ranks = np.nonzero(bit_rows([s.bits for s in sets], a.dim))[1]  # each set's ranks in turn, ascending
     colour = digits(a.m, a.k).sum(axis=1) % 2
     owner = np.repeat(np.arange(len(sizes)), sizes)  # the matrix of each member
 
@@ -728,9 +737,9 @@ def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> 
     src, dst, entry_vals = src[inside], hit[inside], table[at, slot][inside].astype(np.int64)
 
     spectra: list = [None] * len(sizes)
-    for gp, gq in dict.fromkeys(zip(p.tolist(), q.tolist())):
-        group = np.flatnonzero((p == gp) & (q == gq))
-        g = len(group)
+    for size in dict.fromkeys(sizes.tolist()):
+        group = np.flatnonzero(sizes == size)
+        g, gp, gq = len(group), int(p[group].max()), int(q[group].max())  # each block padded to (gp, gq)
         sv = np.zeros((g, gp))  # each block's sigma by column, a column being a row of C
         if gq:
             slot = np.full(len(sizes), -1)
@@ -746,8 +755,9 @@ def signed_spectra(a: SignedMatrix, sets: Sequence[VertexSet] | None = None) -> 
             _check_svd_contract(parts, factors, g, gp, gq)
             for part, f in zip(parts, factors):
                 sv[part.block[:, None], part.rows] = f.sv
-        top = np.sort(sv, axis=1)[:, gp - gq :]  # the q largest
-        values = np.concatenate((top, -top, np.zeros((g, gp - gq))), axis=1)
+        top = np.sort(sv, axis=1)[:, gp - gq :]  # the gq largest
+        top[np.arange(gq) < gq - q[group][:, None]] = 0.0  # each block keeps its own q largest
+        values = np.concatenate((top, -top, np.zeros((g, size - 2 * gq))), axis=1)
         for i, rep in zip(group.tolist(), _spectrum_reports(values)):
             spectra[i] = rep
     return spectra

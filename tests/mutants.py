@@ -31,6 +31,9 @@ _FG_CONTROLS = ("tests/test_spectral.py::test_fg_identity_from_its_two_seeds",)
 _ALPHA_TAMPERS = ("tests/test_search.py::test_alpha_certificate_rejects_tampered_inputs",)
 _CHEBYSHEV_CONTROLS = ("tests/test_spectral.py::test_each_clause_of_the_chebyshev_identity_has_a_negative_control",)
 _BRACKET_ORACLE = ("tests/test_spectral.py::test_the_beta_bracket_holds_the_mpmath_root",)
+_MM_HEADER = ("tests/test_signed.py::test_matrix_market_refuses_a_header_or_edge_count_the_writer_never_writes",)
+_MATCHING_PIN = ("tests/test_kernels.py::test_full_enumeration_of_7x7_on_each_backend",)
+_LANES = ("tests/test_grid.py::test_no_count_carries_from_one_lane_into_the_next",)
 
 MUTANTS = [
     Mutant(
@@ -337,5 +340,61 @@ MUTANTS = [
             "tests/test_spectral.py::test_right_vectors_must_be_orthonormal",
             "tests/test_spectral.py::test_right_vectors_must_be_orthonormal_in_a_split_solve",
         ),
+    ),
+    Mutant(
+        "read-mm-banner-refusal",
+        _SIGNED,
+        "    if text.splitlines()[:1] != [_MM_BANNER]:\n",
+        "    if False:\n",
+        _MM_HEADER,
+    ),
+    Mutant(
+        "read-mm-square-size-refusal",
+        _SIGNED,
+        "    if cols != dim:\n",
+        "    if False:\n",
+        _MM_HEADER,
+    ),
+    Mutant(
+        "read-mm-entry-count-refusal",
+        _SIGNED,
+        "    if len(lines) - 1 != count:\n",
+        "    if False:\n",
+        ("tests/test_signed.py::test_matrix_market_rejects_a_truncated_file", *_MM_HEADER),
+    ),
+    Mutant(
+        "matching-bound-pure",
+        "src/pathpower/_kernels_py.py",
+        "if best == 1 and level + free[v] < target:",
+        "if False:",
+        _MATCHING_PIN,
+    ),
+    Mutant(
+        "matching-bound-compiled",
+        "src/pathpower/_scan.c",
+        "if (best == 1 && level + free_blocks[v] < target)",
+        "if (0)",
+        _MATCHING_PIN,
+    ),
+    Mutant(
+        "stack-padded-sigma-kept",
+        _SPECTRAL,
+        "top[np.arange(gq) < gq - q[group][:, None]] = 0.0",
+        "top[np.arange(gq) < 0] = 0.0",
+        ("tests/test_spectral.py::test_padded_stacks_match_eigvalsh_of_each_submatrix",),
+    ),
+    Mutant(
+        "lane-up-mask-untiled",
+        "src/pathpower/grid.py",
+        "[up * repunit for up in",
+        "[up for up in",
+        _LANES,
+    ),
+    Mutant(
+        "lane-up-mask-top-rank",
+        "src/pathpower/grid.py",
+        "[up * repunit for up in",
+        "[(up | 1 << n - 1) * repunit for up in",
+        _LANES,
     ),
 ]

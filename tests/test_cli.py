@@ -3,14 +3,16 @@
 import copy
 import gc
 import json
+import random
 
 import mpmath
 import numpy as np
 import pytest
 
-from pathpower import SignedMatrix, VertexSet, _kernels, cli, read_matrix_market, report, search
+from pathpower import SignedMatrix, VertexSet, _kernels, alpha_formula, cli, read_matrix_market, report, search
 from pathpower.cli import main
-from pathpower.report import export_table, run_verify_all, subseed
+from pathpower.grid import digits
+from pathpower.report import DEFAULT_SEED, chain_sets, export_table, run_verify_all, subseed
 
 
 def run_cli(*argv):
@@ -314,14 +316,21 @@ def test_verify_all_dense_solve_count(monkeypatch):
     assert report.passed
     assert not [call for call in calls if call[0] == "qr"]  # no kernel of C is completed
     solves = [(n, rows) for _, n, rows in calls]
-    # Each matrix is solved once: every row of the Gram matrices of its 603
-    # matrices (the chain's 600 submatrices and 3 hosts; the spectral facts
-    # are certified with no solve) lies in exactly one solved block.  A whole
-    # matrix splits into the components of its Gram matrix, 612 blocks at the
-    # default seed.
-    assert sum(n * rows for n, rows in solves) == 2885
-    assert 0 < sum(n for n, _ in solves) <= 612
-    assert 0 < len(solves) <= 15  # LAPACK calls: the chain's 600 submatrices share a few batched solves
+    # Each matrix is solved once (the spectral facts are certified with no
+    # solve): the chain's 600 submatrices and 3 hosts, each Gram matrix one
+    # block of p rows, p the larger colour class.  A host is solved alone; a
+    # grid's 200 sets, all of one size, as one stack padded to their largest p.
+    want, real = [], 0
+    for m, k in [(3, 2), (4, 2), (2, 4)]:
+        colour = digits(m, k).sum(axis=1) % 2
+        members = [list(range(m**k))] + [s.ranks() for s in chain_sets(m, k, DEFAULT_SEED)]
+        rows = [max(int(colour[r].sum()), len(r) - int(colour[r].sum())) for r in members]
+        want += [(1, rows[0]), (len(rows) - 1, max(rows[1:]))]
+        real += sum(rows)
+    assert sorted(solves) == sorted(want)
+    assert sum(n for n, _ in solves) == 603 and real == 2867  # the rows of the 603 Gram matrices
+    assert sum(n * rows for n, rows in solves) == 4021  # with the stacks' zero rows
+    assert len(solves) == 6  # LAPACK calls: two per grid
 
 
 def test_report_flags_a_witness_that_misses_the_floor(monkeypatch):
@@ -377,6 +386,28 @@ def test_report_negative_control(monkeypatch):
     details = failed[0].details
     assert "error" not in details
     assert [row[2] for row in details["support"]] == [False] + [True] * (len(details["support"]) - 1)
+
+
+def test_chain_sets_are_the_smallest_keys_of_their_grids_stream():
+    # Each set holds the alpha + 1 ranks of smallest key, one little-endian
+    # uint64 key per rank from its grid's own randbytes stream, ties to the lower rank.
+    trials = report.CHAIN_TRIALS
+    for m, k in [(3, 2), (4, 2), (2, 4)]:
+        n, target = m**k, alpha_formula(m, k) + 1
+        sets = report.chain_sets(m, k, DEFAULT_SEED)
+        assert sets == report.chain_sets(m, k, DEFAULT_SEED) != report.chain_sets(m, k, DEFAULT_SEED + 1)
+        stream = random.Random(subseed(f"chain:{m}:{k}", DEFAULT_SEED)).randbytes(8 * trials * n)
+        keys = [int.from_bytes(stream[8 * i : 8 * i + 8], "little") for i in range(trials * n)]
+        assert len(sets) == trials
+        for t, s in enumerate(sets):
+            row = keys[t * n : (t + 1) * n]
+            assert len(s) == target and (s.m, s.k) == (m, k)
+            assert s.ranks() == sorted(sorted(range(n), key=lambda r: (row[r], r))[:target])
+    # [4]^2 and [2]^4 both draw 9 of 16 ranks, each from its own stream
+    assert alpha_formula(4, 2) == alpha_formula(2, 4) == 8
+    assert [s.ranks() for s in report.chain_sets(4, 2, DEFAULT_SEED)] != [
+        s.ranks() for s in report.chain_sets(2, 4, DEFAULT_SEED)
+    ]
 
 
 def test_subseed_stability():

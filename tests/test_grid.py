@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathpower import (
+    DimensionMismatchError,
     InvalidVertexError,
     PathPower,
     SizeCapError,
@@ -194,6 +195,52 @@ def test_induced_max_degree_matches_naive_count(case):
         assert induced_max_degree(s, g) == 0
     if len(s) == g.n_vertices:
         assert induced_max_degree(s, g) == (2 * k if m >= 3 else k)
+
+
+@st.composite
+def _grid_and_stack(draw):
+    m, k, first = draw(_grid_and_set())
+    rest = draw(st.lists(st.sets(st.integers(0, m**k - 1), min_size=1), max_size=8))
+    return m, k, [first, *rest]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_and_stack())
+def test_lane_degrees_match_each_set(case):
+    m, k, rank_sets = case
+    g = PathPower(m, k)
+    sets = [VertexSet(m, k, ranks=r) for r in rank_sets]
+    degrees = grid.induced_max_degrees(sets, g)
+    assert degrees.dtype == np.int64
+    assert degrees.tolist() == grid.induced_max_degrees(sets).tolist() == [induced_max_degree(s, g) for s in sets]
+
+
+@pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (2, 4), (3, 2), (4, 2), (3, 3), (7, 2)])
+def test_no_count_carries_from_one_lane_into_the_next(m, k):
+    # Rank n - 1 has every coordinate at m - 1, so no up neighbour.  Lanes
+    # lie n bits apart, so on axis i a count that crossed the lane boundary
+    # would join rank n - 1 of one lane to rank m^i - 1 of the next.
+    n = m**k
+    g = PathPower(m, k)
+    top = VertexSet(m, k, ranks=[n - 1])
+    lows = VertexSet(m, k, ranks=[m**i - 1 for i in range(k)])
+    both = VertexSet(m, k, ranks=[n - 1, *lows])
+    full = VertexSet(m, k, ranks=range(n))
+    for stack in ([top, lows] * 3, [both] * 4, [full] * 3, [lows, top, full, top]):
+        assert grid.induced_max_degrees(stack, g).tolist() == [induced_max_degree(s, g) for s in stack]
+    assert grid.induced_max_degrees([top, lows, top], g)[::2].tolist() == [0, 0]
+
+
+def test_lane_degrees_refuse_what_induced_max_degree_refuses():
+    assert grid.induced_max_degrees([]).tolist() == []
+    with pytest.raises(ValueError):
+        grid.induced_max_degrees([VertexSet(3, 2, ranks=[0]), VertexSet(3, 2)])
+    with pytest.raises(DimensionMismatchError):
+        grid.induced_max_degrees([VertexSet(3, 2, ranks=[0]), VertexSet(2, 3, ranks=[0])])
+    with pytest.raises(DimensionMismatchError):
+        grid.induced_max_degrees([VertexSet(3, 2, ranks=[0])], PathPower(4, 2))
+    with pytest.raises(SizeCapError):
+        grid.induced_max_degrees([VertexSet(2, 17, ranks=[0])])
 
 
 def test_vertex_set_basics():

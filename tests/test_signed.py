@@ -362,9 +362,9 @@ def test_matrix_market_rejects_a_truncated_file():
     write_matrix_market(signed_grid_matrix(4, 2), buf)
     lines = buf.getvalue().splitlines(keepends=True)
     assert read_matrix_market(io.StringIO("".join(lines))).nnz == 48
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="19 entry lines, but the size line counts 24"):
         read_matrix_market(io.StringIO("".join(lines[:-5])))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="25 entry lines, but the size line counts 24"):
         read_matrix_market(io.StringIO("".join(lines + ["1 2 1\n"])))
 
 
@@ -443,9 +443,10 @@ _MM_EDGES_2_2 = "2 1 1\n3 1 1\n4 2 1\n4 3 -1\n"  # the four edges of [2]^2
         ("%%MatrixMarket matrix coordinate real general\n" + _MM_PARAMS_2_2 + "4 4 4\n" + _MM_EDGES_2_2, "banner"),
         (_MM_PARAMS_2_2 + "4 4 4\n" + _MM_EDGES_2_2, "banner"),
         (_MM_BANNER + _MM_PARAMS_2_2 + "4 7 4\n" + _MM_EDGES_2_2, "4 rows but 7 columns"),
+        (_MM_BANNER + _MM_PARAMS_2_2 + "4 4 5\n" + _MM_EDGES_2_2, "4 entry lines, but the size line counts 5"),
         (_MM_BANNER + _MM_PARAMS_2_2 + "4 4 3\n2 1 1\n3 1 1\n4 3 -1\n", r"3 entries, but \[2\]\^2 has 4 edges"),
     ],
-    ids=["real-general-banner", "no-banner", "non-square-size", "missing-edge"],
+    ids=["real-general-banner", "no-banner", "non-square-size", "miscounted-size", "missing-edge"],
 )
 def test_matrix_market_refuses_a_header_or_edge_count_the_writer_never_writes(text, refusal):
     written = _MM_BANNER + _MM_PARAMS_2_2 + "4 4 4\n" + _MM_EDGES_2_2

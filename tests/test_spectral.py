@@ -986,6 +986,50 @@ def test_signed_spectra_of_principal_submatrices(case):
         assert np.max(np.abs(np.array(rep.eigenvalues) - want)) <= 1e-12 * fro
 
 
+@st.composite
+def _grid_and_mixed_stack(draw):
+    """A stack of sets of a few sizes from 1 to 20, so that each size group
+    holds blocks of several shapes (p, q), padded to the group's largest."""
+    m, k = draw(st.sampled_from([(3, 2), (4, 2), (2, 4), (3, 3), (2, 6), (4, 3)]))
+    n = m**k
+    sizes = draw(st.lists(st.integers(1, min(20, n)), min_size=1, max_size=3))
+    one_set = st.sampled_from(sizes).flatmap(lambda s: st.sets(st.integers(0, n - 1), min_size=s, max_size=s))
+    return m, k, draw(st.lists(one_set, min_size=1, max_size=24))
+
+
+@settings(max_examples=80)
+@given(_grid_and_mixed_stack())
+@example((2, 4, [{0, 1, 3, 7}, {1, 2, 3, 7}]))  # size 4 as (p, q) = (2, 2) and (3, 1)
+def test_padded_stacks_match_eigvalsh_of_each_submatrix(case):
+    m, k, rank_sets = case
+    a = signed_grid_matrix(m, k)
+    sets = [VertexSet(m, k, ranks=r) for r in rank_sets]
+    for s, rep in zip(sets, signed_spectra(a, sets), strict=True):
+        want = np.linalg.eigvalsh(principal_submatrix(a, s).astype(float))
+        assert rep.dim == len(s)
+        assert np.max(np.abs(np.array(rep.eigenvalues) - want)) <= 1e-12
+        assert rep.zero_multiplicity == np.count_nonzero(np.abs(want) < spectral.DEFAULT_GROUP_TOL)
+        # +-sigma of the block's own q columns, and its p - q zeros exactly:
+        # a padded row or column adds no sigma of its own
+        ones = sum(_colour(m, r) for r in s)
+        assert rep.eigenvalues.count(0.0) >= abs(len(s) - 2 * ones)
+
+
+def test_a_stack_is_solved_once_per_size(monkeypatch):
+    # [3]^2: ranks 0, 2, 4, 6, 8 have even digit sums, 1, 3, 5, 7 odd.  The
+    # three sets of size 4 have (p, q) = (2, 2), (3, 1) and (4, 0), and are
+    # padded to (4, 2) for one solve; the singleton needs none.
+    a = signed_grid_matrix(3, 2)
+    rank_sets = [[0, 1, 3, 4], [4], [0, 1, 2, 4], [1, 3, 4, 5, 7], [0, 2, 4, 6]]
+    shapes = _eigh_blocks(monkeypatch)
+    reps = signed_spectra(a, [VertexSet(3, 2, ranks=r) for r in rank_sets])
+    assert shapes == [(3, 4, 4), (1, 4, 4)]
+    for r, rep in zip(rank_sets, reps):
+        want = np.linalg.eigvalsh(principal_submatrix(a, VertexSet(3, 2, ranks=r)).astype(float))
+        assert np.max(np.abs(np.array(rep.eigenvalues) - want)) <= 1e-12
+    assert reps[4].eigenvalues == (0.0,) * 4 and reps[1].eigenvalues == (0.0,)
+
+
 @pytest.mark.parametrize("n", [32, 64, 256])
 def test_spectrum_check_of_long_even_paths_matches_eigvalsh(n):
     # the smallest singular value of the path on 2n vertices falls to 6e-3 at n = 256
@@ -1366,7 +1410,7 @@ def test_only_a_whole_matrix_is_split_into_components(monkeypatch):
     a = signed_grid_matrix(4, 2)
     sets = [VertexSet(4, 2, ranks=range(16)), VertexSet(4, 2, ranks=[0, 1, 5]), VertexSet(4, 2, ranks=[2, 3, 6])]
     stacked = signed_spectra(a, sets)
-    assert calls == [1, 1]  # (p, q) = (8, 8) and (2, 1), one part each
+    assert calls == [1, 1]  # sizes 16 and 3, one part each
     calls.clear()
     (whole,) = signed_spectra(a)
     assert calls[0] == "parts" and len(calls) == 2
