@@ -16,10 +16,10 @@ import sys
 
 from . import __version__
 from .constructions import CONSTRUCTION_KINDS, alpha_formula, build_construction
-from .grid import DEFAULT_SIZE_CAP, PathPower
+from .grid import PathPower
 from .report import DEFAULT_MAX_SIZE, DEFAULT_SEED, export_table, run_verify_all
 from .search import SearchBudget, brute_force_f, max_independent_set, theoretical_f_value
-from .signed import signed_grid_matrix, write_matrix_market
+from .signed import check_signed_params, signed_grid_matrix, write_matrix_market
 from .spectral import (
     DEFAULT_EIG_DIM_CAP,
     DEFAULT_GROUP_TOL,
@@ -67,14 +67,14 @@ def _parity_to_m(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_construct(args, parser) -> int:
-    s = build_construction(args.kind, args.m, args.k, size_cap=args.size_cap)
+    s = build_construction(args.kind, args.m, args.k)
     _emit_json(s.to_dict(), args.out)
     return 0
 
 
 def cmd_matrix(args, parser) -> int:
     m = _parity_to_m(args, parser)
-    a = signed_grid_matrix(m, args.k, size_cap=args.size_cap)
+    a = signed_grid_matrix(m, args.k)
     if args.out:
         write_matrix_market(a, args.out)
     else:
@@ -89,10 +89,10 @@ def cmd_spectrum(args, parser) -> int:
     doc: dict = {"parity": args.parity, "n": args.n, "k": args.k, "group_tol": DEFAULT_GROUP_TOL}
     dense_rep = composed_rep = None
     if args.dense or not args.compose:
-        a = signed_grid_matrix(m, args.k, size_cap=min(args.size_cap, DEFAULT_EIG_DIM_CAP))
-        (dense_rep,) = signed_spectra(a)
+        check_signed_params(m, args.k, DEFAULT_EIG_DIM_CAP)  # refused before the table is built
+        (dense_rep,) = signed_spectra(signed_grid_matrix(m, args.k))
     if args.compose:
-        composed_rep = closed_form_spectrum(m, args.k, size_cap=args.size_cap)
+        composed_rep = closed_form_spectrum(m, args.k)
     primary = dense_rep or composed_rep
     doc["eigenvalues"] = list(primary.eigenvalues)
     doc["min_positive"] = primary.min_positive
@@ -112,7 +112,7 @@ def cmd_beta(args, parser) -> int:
 def cmd_alpha(args, parser) -> int:
     doc = {"m": args.m, "k": args.k, "alpha": alpha_formula(args.m, args.k)}
     if args.brute:
-        g = PathPower(args.m, args.k, size_cap=args.size_cap)
+        g = PathPower(args.m, args.k)
         res = max_independent_set(g)
         doc["brute"] = res.size
         doc["proven"] = res.proven
@@ -137,7 +137,7 @@ def cmd_f(args, parser) -> int:
     }
     if args.brute:
         stop_at = theory.value if args.stop_at is None else args.stop_at  # a given stop_at runs the scan
-        res = brute_force_f(PathPower(args.m, args.k, size_cap=args.size_cap), args.s, budget, stop_at=stop_at)
+        res = brute_force_f(PathPower(args.m, args.k), args.s, budget, stop_at=stop_at)
         doc["value"] = res.value
         doc["kind"] = res.kind
         doc["proof"] = res.proof
@@ -203,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=CONSTRUCTION_KINDS)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_construct)
 
@@ -211,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parity", required=True, choices=["odd3", "even"])
     p.add_argument("--n", type=int, default=None, help="half path length for --parity even")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_matrix)
 
@@ -221,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--compose", action="store_true", help="the closed form instead of a dense solve")
     p.add_argument("--dense", action="store_true", help="with --compose: also solve densely and compare")
-    p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spectrum)
 
@@ -234,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--brute", action="store_true", help="check the alternating set and snake matching certificate")
-    p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_alpha)
 
@@ -246,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stop-at", type=int, default=None, help="stop the scan at this degree (default: the floor); 0 scans all"
     )
-    p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
     _add_budget_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_f)

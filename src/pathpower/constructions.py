@@ -52,20 +52,20 @@ def _alternating_extension(base: VertexSet) -> VertexSet:
     return VertexSet(m, base.k + 1, bits=out_bits)
 
 
-def alternating_independent_set(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> VertexSet:
+def alternating_independent_set(m: int, k: int) -> VertexSet:
     """Maximum independent set of [m]^k of size ceil(m^k / 2).
 
     Seed: odd coordinates of the path.  Each extension places the previous
     set in odd last-coordinate blocks and its complement in even ones.
     """
-    check_grid(m, k, size_cap)
+    check_grid(m, k, DEFAULT_SIZE_CAP)
     s = VertexSet(m, 1, ranks=[c - 1 for c in range(1, m + 1) if c % 2 == 1])
     for _ in range(k - 1):
         s = _alternating_extension(s)
     return s
 
 
-def low_degree_witness_set(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> VertexSet:
+def low_degree_witness_set(m: int, k: int) -> VertexSet:
     """Witness set of size alpha + 1 with minimal induced degree; odd m only.
 
     Seed over the path: the even coordinates plus both endpoints.  The same
@@ -73,7 +73,7 @@ def low_degree_witness_set(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> 
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"witness sets are defined for odd m >= 3, got m = {m}")
-    check_grid(m, k, size_cap)
+    check_grid(m, k, DEFAULT_SIZE_CAP)
     seed = {c for c in range(2, m, 2)} | {1, m}
     s = VertexSet(m, 1, ranks=[c - 1 for c in seed])
     for _ in range(k - 1):
@@ -88,7 +88,7 @@ def sqrt_blocks(k: int) -> list[list[int]]:
     return [list(range(i, k, a)) for i in range(a)]
 
 
-def hk_witness_set(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> VertexSet:
+def hk_witness_set(m: int, k: int) -> VertexSet:
     """Witness set of size alpha + 1 with induced maximum degree at most
     ceil(sqrt(k)); even m only.  g is the AND over the blocks of
     sqrt_blocks(k) of the OR within each block: every block has at most
@@ -111,7 +111,7 @@ def hk_witness_set(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> VertexSe
     """
     if m % 2:
         raise ValueError(f"the folded witness is defined for even m, got m = {m}")
-    n = check_grid(m, k, size_cap)
+    n = check_grid(m, k, DEFAULT_SIZE_CAP)
     d = digits(m, k)
     g = np.ones(n, dtype=bool)
     for block in sqrt_blocks(k):
@@ -137,7 +137,7 @@ def is_independent(s: VertexSet, g: PathPower | None = None) -> bool:
     return induced_max_degree(s, g) == 0
 
 
-def build_construction(kind: str, m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> VertexSet:
+def build_construction(kind: str, m: int, k: int) -> VertexSet:
     """Build one of the named set families.
 
     kind: "vk" alternating independent set, "vkc" its complement,
@@ -147,9 +147,9 @@ def build_construction(kind: str, m: int, k: int, size_cap: int = DEFAULT_SIZE_C
     if kind not in CONSTRUCTION_KINDS:
         raise ValueError(f"unknown construction kind {kind!r}")
     if kind == "hk":
-        return hk_witness_set(m, k, size_cap)
+        return hk_witness_set(m, k)
     if kind.startswith("v"):
-        s = alternating_independent_set(m, k, size_cap)
+        s = alternating_independent_set(m, k)
     else:
-        s = low_degree_witness_set(m, k, size_cap)
+        s = low_degree_witness_set(m, k)
     return s.complement() if kind.endswith("c") else s

@@ -10,7 +10,7 @@ class InvalidVertexError(PathPowerError, ValueError):
 
 
 class SizeCapError(PathPowerError, ValueError):
-    """Requested object exceeds a configured size cap."""
+    """Requested object exceeds a fixed size cap."""
 
 
 class DimensionMismatchError(PathPowerError, ValueError):

@@ -26,7 +26,8 @@ taken row-major, are the edges sorted by (row, column).
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -34,19 +35,26 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidVertexError, SizeCapError
 
-DEFAULT_SIZE_CAP = 65536
+DEFAULT_SIZE_CAP = 65536  # vertices of every grid-sized object, fixed so that no caller can raise it
 
 Vertex = tuple[int, ...]
 
 
 def check_grid(m: int, k: int, size_cap: int | float) -> int:
     """m^k, the vertex count of [m]^k; ValueError unless m >= 2 and k >= 1,
-    SizeCapError when m^k exceeds size_cap (math.inf for no cap)."""
+    SizeCapError when m^k exceeds size_cap (math.inf for no cap).
+
+    A finite cap c is decided without forming a large m^k.  With b the bit
+    length of c, n is m^k, at most c^(b - 1), when m <= c and k < b.
+    Otherwise m^k > c (as m > c, or m^k >= 2^k >= 2^b > c), and n is c + 1,
+    which stands for it.  The message names [m]^k, by bit lengths past 64
+    bits."""
     if m < 2 or k < 1:
         raise ValueError(f"need m >= 2 and k >= 1, got m={m}, k={k}")
-    n = m**k
+    n = m**k if size_cap == math.inf or (m <= size_cap and k < size_cap.bit_length()) else size_cap + 1
     if n > size_cap:
-        raise SizeCapError(f"m^k = {n} exceeds the size cap {size_cap}")
+        grid = f"[{m}]^{k}" if max(m, k) < 2**64 else f"[m]^k (m, k of {m.bit_length()}, {k.bit_length()} bits)"
+        raise SizeCapError(f"{grid} has more than {size_cap} vertices, the size cap")
     return n
 
 
@@ -92,10 +100,9 @@ class PathPower:
     m: int
     k: int
     n_vertices: int = field(init=False, compare=False)
-    size_cap: InitVar[int] = DEFAULT_SIZE_CAP
 
-    def __post_init__(self, size_cap: int) -> None:
-        object.__setattr__(self, "n_vertices", check_grid(self.m, self.k, size_cap))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n_vertices", check_grid(self.m, self.k, DEFAULT_SIZE_CAP))
 
     @property
     def edge_count(self) -> int:
@@ -257,7 +264,12 @@ class VertexSet:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "VertexSet":
-        return cls(int(doc["m"]), int(doc["k"]), ranks=[int(r) for r in doc["ranks"]])
+        """The set of a to_dict document; ValueError unless its grid is one
+        PathPower accepts (SizeCapError above DEFAULT_SIZE_CAP), checked
+        before any rank is read."""
+        m, k = int(doc["m"]), int(doc["k"])
+        check_grid(m, k, DEFAULT_SIZE_CAP)
+        return cls(m, k, ranks=[int(r) for r in doc["ranks"]])
 
 
 @lru_cache(maxsize=8)

@@ -64,7 +64,7 @@ from .constructions import (
     low_degree_witness_set,
 )
 from .errors import CertificateError
-from .grid import PathPower, VertexSet, induced_max_degree, is_grid_edge
+from .grid import PathPower, VertexSet, check_grid, induced_max_degree, is_grid_edge
 from .signed import SignedMatrix
 from .spectral import DEFAULT_GROUP_TOL, base_certificate, lower_bound_even, signed_spectra
 
@@ -177,7 +177,7 @@ def max_independent_set(g: PathPower) -> MisResult:
     matching that bounds alpha from above (see alpha_certificate_holds).
     Linear in the vertex count, and no adjacency masks are built.
     """
-    witness = alternating_independent_set(g.m, g.k, size_cap=g.n_vertices)
+    witness = alternating_independent_set(g.m, g.k)
     proven = alpha_certificate_holds(g, witness, _snake_order(g.m, g.k))
     return MisResult(size=len(witness), witness=witness, proven=proven, nodes_examined=0)
 
@@ -228,10 +228,16 @@ def _base_certified(m: int) -> bool:
 
 
 def degree_floor(g: PathPower) -> Floor:
-    """The best certified lower bound on f(g) at alpha + s, any s >= 1.
+    """The best certified lower bound on f(g) at alpha + s, any s >= 1,
+    read from (m, k) alone (_degree_floor)."""
+    return _degree_floor(g.m, g.k)
+
+
+def _degree_floor(m: int, k: int) -> Floor:
+    """degree_floor of [m]^k, for any k >= 1: past the grid size cap too.
 
     Every source is checked on the path P_m or in closed form, so nothing
-    of grid size is built, and g may lie past the grid size cap.
+    of grid size is built.
     independence: 1, as alpha + 1 vertices hold an edge.  alpha is
     ceil(m^k / 2) by _path_alpha_certified; when that fails, the floor is
     the trivial 0.
@@ -251,15 +257,15 @@ def degree_floor(g: PathPower) -> Floor:
     on the hypercube, is base_certificate(2).
     A certificate that fails leaves the next weaker floor.
     """
-    n = g.n_vertices
+    n = check_grid(m, k, math.inf)
     alpha = (n + 1) // 2
-    if not _path_alpha_certified(g.m):
+    if not _path_alpha_certified(m):
         return Floor(0, "none", {})
-    if g.m == 3 and _base_certified(3):
+    if m == 3 and _base_certified(3):
         return Floor(2, "odd3-spectral", {"alpha": alpha, "rows": alpha + 1, "nonpositive": alpha})
-    if g.m % 2 == 0 and _base_certified(2) and _cells_tile(g.m):
-        inputs = {"alpha": alpha, "cells": n >> g.k, "cell_size": 1 << g.k}
-        return Floor(math.isqrt(g.k - 1) + 1, "hypercube-cells", inputs)
+    if m % 2 == 0 and _base_certified(2) and _cells_tile(m):
+        inputs = {"alpha": alpha, "cells": n >> k, "cell_size": 1 << k}
+        return Floor(math.isqrt(k - 1) + 1, "hypercube-cells", inputs)
     return Floor(1, "independence", {"alpha": alpha})
 
 
@@ -267,8 +273,8 @@ def floor_witness(g: PathPower) -> tuple[str, VertexSet]:
     """(family, set) of the witness built to meet degree_floor at alpha + 1:
     xk (low_degree_witness_set) for odd m, hk (hk_witness_set) for even m."""
     if g.m % 2:
-        return "xk", low_degree_witness_set(g.m, g.k, size_cap=g.n_vertices)
-    return "hk", hk_witness_set(g.m, g.k, size_cap=g.n_vertices)
+        return "xk", low_degree_witness_set(g.m, g.k)
+    return "hk", hk_witness_set(g.m, g.k)
 
 
 def _witness_meets(g: PathPower, floor: Floor, target: int) -> tuple[str, VertexSet] | None:
@@ -453,15 +459,16 @@ def _lifted_witness(m: int, k: int, floor: int) -> str | None:
 
 def theoretical_f_value(m: int, k: int) -> FValue:
     """Established value of the minimum induced maximum degree at alpha + 1,
-    for any (m, k) with m within the grid size cap.
+    for any k >= 1 and any m up to DEFAULT_SIZE_CAP, where P_m is built.
 
-    It is degree_floor's value, exact once _lifted_witness meets it: 2 for
-    m = 3, 1 for odd m >= 5 and ceil(sqrt(k)) for even m.  Every floor and
-    witness is checked on the path P_m and lifted to [m]^k by a theorem, so
-    nothing of grid size is built; brute_force_f and verify-all build the
-    witness and measure it, as the cross-check.
+    It is degree_floor's value, read from (m, k) by _degree_floor, exact
+    once _lifted_witness meets it: 2 for m = 3, 1 for odd m >= 5 and
+    ceil(sqrt(k)) for even m.  Every floor and witness is checked on the
+    path P_m and lifted to [m]^k by a theorem, so nothing of grid size is
+    built; brute_force_f and verify-all build the witness and measure it,
+    as the cross-check.
     """
-    floor = degree_floor(PathPower(m, k, size_cap=math.inf))  # a closed form, past the grid size cap too
+    floor = _degree_floor(m, k)
     family = _lifted_witness(m, k, floor.value)
     paper = lower_bound_even(m // 2, k) if m % 2 == 0 else None
     return FValue("lower" if family is None else "exact", floor.value, floor.source, family, paper)

@@ -25,7 +25,7 @@ Callers densify only for numerical spectra.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
@@ -38,20 +38,24 @@ from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, is_grid_ed
 class SignedMatrix:
     """Symmetric sparse matrix with entries in {-1, +1} and zero diagonal.
 
-    sign is the (m^k, 2k) int8 slot table: sign[r, c] is the entry at
-    (r, r + steps[c]), 0 where slot c has no neighbour.  parity_tag is
-    "odd3" (m = 3) or "even2n" (m = 2n); n and k record the parameters the
-    matrix was built from, which fix m and dim = m^k.
+    sign is the (m^k, 2k) int8 slot table of [m]^k: sign[r, c] is the entry
+    at (r, r + steps[c]), 0 where slot c has no neighbour.  Two matrices are
+    equal when m, k and the table are.
     """
 
     sign: np.ndarray
-    parity_tag: str
-    n: int
+    m: int
     k: int
-    m: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.m = 3 if self.parity_tag == "odd3" else 2 * self.n
+    @property
+    def parity_tag(self) -> str:
+        """The tag of m's family: odd3 for m = 3, even2n for even m = 2n."""
+        return "odd3" if self.m == 3 else "even2n"
+
+    @property
+    def n(self) -> int:
+        """m // 2, the n of an even m = 2n."""
+        return self.m // 2
 
     @property
     def dim(self) -> int:
@@ -60,8 +64,7 @@ class SignedMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignedMatrix):
             return NotImplemented
-        params = (self.parity_tag, self.n, self.k) == (other.parity_tag, other.n, other.k)
-        return params and np.array_equal(self.sign, other.sign)
+        return (self.m, self.k) == (other.m, other.k) and np.array_equal(self.sign, other.sign)
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """int64 (rows, cols, vals) of the set slots, row-major: sorted by
@@ -86,8 +89,8 @@ class SignedMatrix:
         return int(np.count_nonzero(self.sign))
 
     def graph(self) -> PathPower:
-        """The grid [m]^k of the matrix, capped at the matrix's own dim."""
-        return PathPower(self.m, self.k, size_cap=self.dim)
+        """The grid [m]^k of the matrix."""
+        return PathPower(self.m, self.k)
 
     def to_dense(self) -> np.ndarray:
         rows, cols, vals = self.entries()
@@ -96,14 +99,15 @@ class SignedMatrix:
         return a
 
 
-def check_signed_params(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> None:
-    """ValueError unless a signed matrix of [m]^k exists; SizeCapError above size_cap."""
+def check_signed_params(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> int:
+    """m^k, the dimension of the signed matrix of [m]^k; ValueError unless
+    one exists, SizeCapError above size_cap (check_grid)."""
     if m != 3 and m % 2 == 1:
         raise ValueError(f"signed matrices exist for m = 3 or even m, got m = {m}")
-    check_grid(m, k, size_cap)
+    return check_grid(m, k, size_cap)
 
 
-def signed_grid_matrix(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> SignedMatrix:
+def signed_grid_matrix(m: int, k: int) -> SignedMatrix:
     """Recursive signed matrix of [m]^k for m = 3 or even m.
 
     The recursion runs on the slot table (module docstring): sign[r, c] is
@@ -111,9 +115,10 @@ def signed_grid_matrix(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Sign
     A(j) fills the inner 2j slots of the first m^j rows.  Level j + 1 copies
     them into blocks 1..m-1 times (-1)^a (D ⊗ A(j)) and sets the two slots
     of axis j, a link of sign (-1)^a between blocks a and a + 1 (B ⊗ I).
+    ValueError unless m = 3 or m is even and k >= 1; SizeCapError above
+    DEFAULT_SIZE_CAP, before the table is allocated.
     """
-    check_signed_params(m, k, size_cap)
-    dim, width = m**k, 2 * k
+    dim, width = check_signed_params(m, k), 2 * k
     sign = np.zeros((dim, width), dtype=np.int8)
     links = np.ones(m - 1, dtype=np.int8)
     links[1::2] = -1  # links[a] = (-1)^a joins blocks a and a + 1
@@ -128,7 +133,7 @@ def signed_grid_matrix(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Sign
         blocks[1:, :, k - 1 - j] = links[:, None]
         blocks[:-1, :, k + j] = links[:, None]
         size *= m
-    return SignedMatrix(sign, "odd3" if m == 3 else "even2n", m // 2, k)
+    return SignedMatrix(sign, m, k)
 
 
 def check_support(a: SignedMatrix, g: PathPower) -> bool:
@@ -260,17 +265,18 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
     """Read back a matrix written by write_matrix_market (round-trip aid).
 
     Entry (i, j, v) sets the up slot of j and the down slot of i along the
-    edge's axis.  SizeCapError above DEFAULT_SIZE_CAP.  ValueError when the
-    first line is not the writer's banner, when the m, k and parity line is
-    missing or disagrees with the dimension, when the size line's two
-    dimensions differ, when the entry lines are more or fewer than the size
-    line counts or one does not hold exactly three integers, on an entry
-    that the table cannot hold or the writer would not write (an index
-    outside 1..dim, as an index array would wrap a 0 to the last row; a
-    value other than +-1, checked before the int8 narrowing; entries out of
-    the writer's order, each edge once, as (i, j) with i > j, by row, then
-    column, so no self-loop; a pair that is not a grid edge), and when the
-    entries are not all k(m - 1)m^(k - 1) edges of the grid.
+    edge's axis.  SizeCapError above DEFAULT_SIZE_CAP, decided from m and k
+    alone.  ValueError when the first line is not the writer's banner, when
+    the m, k and parity line is missing or disagrees with the dimension,
+    when the size line's two dimensions differ, when the entry lines are
+    more or fewer than the size line counts or one does not hold exactly
+    three integers, on an entry that the table cannot hold or the writer
+    would not write (an index outside 1..dim, as an index array would wrap a
+    0 to the last row; a value other than +-1, checked before the int8
+    narrowing; entries out of the writer's order, each edge once, as (i, j)
+    with i > j, by row, then column, so no self-loop; a pair that is not a
+    grid edge), and when the entries are not all k(m - 1)m^(k - 1) edges of
+    the grid.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -289,10 +295,10 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
     dim, cols, count = (int(t) for t in lines[0].split())
     if cols != dim:
         raise ValueError(f"the size line has {dim} rows but {cols} columns")
-    m_fits_tag = m == 3 if tag == "odd3" else m >= 2 and m % 2 == 0
-    if not m_fits_tag or not 1 <= k <= dim.bit_length() or dim != m**k:
+    # the cap is decided from (m, k) alone, before m^k is formed or a table allocated
+    if dim != check_signed_params(m, k) or tag != ("odd3" if m == 3 else "even2n"):
         raise ValueError(f"parameters m={m} k={k} parity={tag} do not fit dimension {dim}")
-    g = PathPower(m, k)  # SizeCapError before the table is allocated
+    g = PathPower(m, k)
     if len(lines) - 1 != count:
         raise ValueError(f"{len(lines) - 1} entry lines, but the size line counts {count}")
     entries = [ln.split() for ln in lines[1:]]
@@ -317,4 +323,4 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
     sign = np.zeros((dim, 2 * k), dtype=np.int8)
     sign[j, k + axis] = v
     sign[i, k - 1 - axis] = v
-    return SignedMatrix(sign, tag, m // 2, k)
+    return SignedMatrix(sign, m, k)

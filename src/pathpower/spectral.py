@@ -66,14 +66,14 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CertificateError, DimensionMismatchError, EigenSolveError, SizeCapError
-from .grid import DEFAULT_SIZE_CAP, VertexSet, bit_rows, digits, slot_steps
+from .grid import VertexSet, bit_rows, digits, slot_steps
 from .signed import SignedMatrix, check_signed_params, check_support, signed_grid_matrix
 
 # The thresholds of every spectral verdict, fixed so that no caller can loosen one.
 DEFAULT_RESIDUAL_TOL = 1e-10  # eigenpair residual, relative to ||A||_F
 DEFAULT_RECON_TOL = 1e-9  # reconstruction defect, relative to ||A||_F
 DEFAULT_GROUP_TOL = 1e-8  # zero grouping, symmetry, interlacing and the degree bound
-DEFAULT_EIG_DIM_CAP = 4096
+DEFAULT_EIG_DIM_CAP = 4096  # rows of a dense solve
 
 
 # -------------------------- exact polynomials ------------------------------
@@ -821,7 +821,7 @@ def base_certificate(m: int) -> bool:
     return base_certificate_holds(signed_grid_matrix(m, 1), signed_grid_matrix(m, 2))
 
 
-def closed_form_spectrum(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> SpectrumReport:
+def closed_form_spectrum(m: int, k: int) -> SpectrumReport:
     """Spectrum of the level-k signed matrix of [m]^k, with no eigensolve.
 
     By base_certificate, A_k^2 has the sums of k eigenvalues of B^2: j_i
@@ -830,9 +830,10 @@ def closed_form_spectrum(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Sp
     m = 3, and each root of poly_g(m / 2) twice for even m, in the closed
     form that chebyshev_identity_check proves (poly_g_roots).  The support
     is bipartite (check_support), so each s > 0 splits evenly into
-    +-sqrt(s).  SizeCapError above size_cap, before any value is expanded.
+    +-sqrt(s).  SizeCapError above DEFAULT_SIZE_CAP, before any value is
+    expanded.
     """
-    check_signed_params(m, k, size_cap)
+    check_signed_params(m, k)
     base = [(0.0, 1), (2.0, 2)] if m == 3 else [(root, 2) for root in poly_g_roots(m // 2)]
     values: list[float] = []
     for pick in combinations_with_replacement(range(len(base)), k):
@@ -972,6 +973,7 @@ def square_compose_check(m: int, k: int) -> tuple[bool, float]:
     rho^2 <= k lambda_max(B^2) < 16, so squares move by at most 2 rho
     1e-8.  SizeCapError above DEFAULT_EIG_DIM_CAP, before the matrix is
     built."""
-    (rep,) = signed_spectra(signed_grid_matrix(m, k, DEFAULT_EIG_DIM_CAP))
+    check_signed_params(m, k, DEFAULT_EIG_DIM_CAP)
+    (rep,) = signed_spectra(signed_grid_matrix(m, k))
     dist = multiset_distance(rep.eigenvalues, closed_form_spectrum(m, k).eigenvalues)
     return dist <= DEFAULT_GROUP_TOL, dist

@@ -397,4 +397,14 @@ MUTANTS = [
         "[(up | 1 << n - 1) * repunit for up in",
         _LANES,
     ),
+    Mutant(
+        "grid-size-cap-off-by-one",
+        "src/pathpower/grid.py",
+        "    if n > size_cap:\n",
+        "    if n > size_cap + 1:\n",
+        (
+            "tests/test_grid.py::test_constructor_validation",
+            "tests/test_grid.py::test_every_builder_validates_the_grid_by_check_grid",
+        ),
+    ),
 ]

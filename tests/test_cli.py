@@ -41,6 +41,34 @@ def test_construct_usage_errors():
     assert exc.value.code == 2
 
 
+def test_construct_refuses_a_grid_over_the_cap_in_one_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("construct", "--kind", "vk", "--m", "3", "--k", "100000")  # 3^100000 has 47,713 digits
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == ["pathpower: error: [3]^100000 has more than 65536 vertices, the size cap"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--kind", "vk", "--m", "3", "--k", "2"),
+        ("matrix", "--parity", "odd3", "--k", "2"),
+        ("spectrum", "--parity", "odd3", "--k", "2"),
+        ("alpha", "--m", "3", "--k", "2"),
+        ("f", "--m", "3", "--k", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_subcommand_takes_a_size_cap(argv, capsys):
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--size-cap", "100000")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --size-cap" in capsys.readouterr().err
+
+
 def test_matrix_roundtrip(tmp_path):
     out = tmp_path / "a.mtx"
     assert run_cli("matrix", "--parity", "even", "--n", "2", "--k", "2", "--out", str(out)) == 0

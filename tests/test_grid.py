@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,14 +17,15 @@ from pathpower import (
     VertexSet,
     alpha_formula,
     alternating_independent_set,
+    closed_form_spectrum,
     hk_witness_set,
     induced_max_degree,
     low_degree_witness_set,
     signed_grid_matrix,
     theoretical_f_value,
 )
-from pathpower import constructions, grid
-from pathpower.grid import check_grid, digits, present_slots, slot_steps
+from pathpower import constructions, grid, search
+from pathpower.grid import DEFAULT_SIZE_CAP, check_grid, digits, present_slots, slot_steps
 
 G32 = PathPower(3, 2)
 
@@ -50,37 +52,54 @@ def test_rank_rejects_bad_vertices():
         G32.unrank(-1)
 
 
+AT_CAP = [(2, 16), (4, 8), (16, 4), (256, 2)]  # exactly DEFAULT_SIZE_CAP = 65,536 vertices
+OVER_CAP = [(2, 17), (3, 11), (4, 9), (65537, 1)]  # just over it; 65,537 is prime, so only [65537]^1 has 65,537
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         PathPower(1, 2)
     with pytest.raises(ValueError):
         PathPower(3, 0)
-    with pytest.raises(SizeCapError):
-        PathPower(10, 6, size_cap=65536)
+    for m, k in OVER_CAP:
+        with pytest.raises(SizeCapError, match=rf"\[{m}\]\^{k} has more than 65536 vertices"):
+            PathPower(m, k)
+    for m, k in AT_CAP:
+        assert PathPower(m, k).n_vertices == DEFAULT_SIZE_CAP
 
 
 @pytest.mark.parametrize(
-    "build",
-    [PathPower, alternating_independent_set, low_degree_witness_set, hk_witness_set, signed_grid_matrix],
+    "build,over,at",
+    [
+        (PathPower, OVER_CAP, AT_CAP),
+        (alternating_independent_set, OVER_CAP, AT_CAP),
+        (low_degree_witness_set, [(3, 11), (65537, 1)], [(3, 10), (65535, 1)]),  # odd m never meets the cap exactly
+        (hk_witness_set, [(2, 17), (4, 9)], AT_CAP),  # even m only
+        (signed_grid_matrix, [(2, 17), (3, 11), (4, 9)], AT_CAP),  # m = 3 or even m
+    ],
     ids=["grid", "vk", "xk", "hk", "signed"],
 )
-def test_every_builder_validates_the_grid_by_check_grid(build):
+def test_every_builder_validates_the_grid_by_check_grid(build, over, at):
     m = 3 if build is low_degree_witness_set else 2
     assert check_grid(m, 4, m**4) == m**4
     with pytest.raises(ValueError, match="k >= 1"):
         build(m, 0)
-    with pytest.raises(SizeCapError, match=f"m\\^k = {m**4} exceeds the size cap {m**4 - 1}"):
-        build(m, 4, size_cap=m**4 - 1)
+    for m, k in over:
+        with pytest.raises(SizeCapError, match=rf"^\[{m}\]\^{k} has more than 65536 vertices, the size cap$"):
+            build(m, k)
+    for m, k in at:
+        built = build(m, k)
+        assert (built.m, built.k) == (m, k)
     if build is not low_degree_witness_set:  # which refuses m < 3 by its parity rule
         with pytest.raises(ValueError, match="m >= 2"):
             build(0, 2)
 
 
 @pytest.mark.parametrize(
-    "value,module", [(alpha_formula, constructions), (theoretical_f_value, grid)], ids=["alpha", "f"]
+    "value,module", [(alpha_formula, constructions), (theoretical_f_value, search)], ids=["alpha", "f"]
 )
 def test_closed_forms_validate_by_check_grid_with_no_cap(monkeypatch, value, module):
-    # theoretical_f_value validates through its one grid's own check_grid;
+    # theoretical_f_value reads its floor from (m, k), checked with no cap;
     # the paths P_m that its level-1 certificates build are checked at k = 1
     calls = []
     monkeypatch.setattr(module, "check_grid", lambda m, k, cap: calls.append((k, cap)) or check_grid(m, k, cap))
@@ -90,6 +109,60 @@ def test_closed_forms_validate_by_check_grid_with_no_cap(monkeypatch, value, mod
         value(3, 0)
     with pytest.raises(ValueError, match="m >= 2"):
         value(1, 2)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7, 8, 9, 4096, 65535, 65536, 65537, 2**40])
+def test_check_grid_refuses_exactly_the_grids_over_a_finite_cap(cap):
+    for m in range(2, 70):
+        for k in range(1, 45):
+            if m**k <= cap:
+                assert check_grid(m, k, cap) == m**k
+            else:
+                with pytest.raises(SizeCapError):
+                    check_grid(m, k, cap)
+    assert check_grid(cap + 1, 1, math.inf) == cap + 1
+    with pytest.raises(SizeCapError):
+        check_grid(cap + 1, 1, cap)
+
+
+@pytest.mark.parametrize(
+    "build,m,k",
+    [(PathPower, 3, 10**5), (PathPower, 2, 10**6), (signed_grid_matrix, 2, 10**6), (closed_form_spectrum, 3, 10**5)],
+)
+def test_a_refusal_never_forms_m_to_the_k(build, m, k):
+    # m^k has over 4,300 digits, the longest int that str() prints: a message
+    # that printed it would raise a plain ValueError, and forming it takes time
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(SizeCapError) as exc:
+            build(m, k)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.01
+    assert len(str(exc.value)) < 100 and f"[{m}]^{k}" in str(exc.value)
+
+
+def test_a_refusal_names_a_huge_grid_by_bit_lengths():
+    with pytest.raises(SizeCapError, match=r"^\[m\]\^k \(m, k of 13288, 14 bits\) has more than 65536 vertices"):
+        PathPower(10**4000, 10**4)
+    with pytest.raises(SizeCapError, match=r"^\[3\]\^18446744073709551615 has more than"):
+        PathPower(3, 2**64 - 1)
+
+
+def test_from_dict_checks_the_grid_before_any_rank():
+    doc = VertexSet(3, 2, ranks=[0, 4]).to_dict()
+    assert VertexSet.from_dict(json.loads(json.dumps(doc))) == VertexSet(3, 2, ranks=[0, 4])
+    with pytest.raises(ValueError, match="m >= 2"):
+        VertexSet.from_dict({"m": 1, "k": 3, "ranks": [0]})
+    with pytest.raises(ValueError, match="k >= 1"):
+        VertexSet.from_dict({"m": 3, "k": 0, "ranks": []})
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError):
+        VertexSet.from_dict({"m": 10, "k": 10**7, "ranks": [0]})
+    assert time.perf_counter() - start < 0.01
+    with pytest.raises(SizeCapError):
+        VertexSet.from_dict({"m": 2, "k": 17, "ranks": [0]})
+    assert len(VertexSet.from_dict({"m": 2, "k": 16, "ranks": [65535]})) == 1
 
 
 def test_adjacency_examples():

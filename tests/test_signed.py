@@ -1,6 +1,7 @@
 """Structure of the recursive signed matrices."""
 
 import io
+import time
 
 import numpy as np
 import pytest
@@ -53,8 +54,12 @@ def test_odd_five_rejected():
 
 
 def test_size_cap_enforced():
-    with pytest.raises(SizeCapError):
-        signed_grid_matrix(3, 4, size_cap=27)
+    for m, k in [(2, 17), (3, 11), (4, 9)]:  # just over the fixed cap of 65,536 rows
+        with pytest.raises(SizeCapError):
+            signed_grid_matrix(m, k)
+    for m, k in [(2, 16), (4, 8), (16, 4), (256, 2)]:  # exactly at it
+        a = signed_grid_matrix(m, k)
+        assert a.dim == 65536 and a.graph() == PathPower(m, k)
 
 
 def test_block_structure_three_squared():
@@ -214,7 +219,7 @@ def _edge_resigned(a: SignedMatrix, edges: set[int]) -> SignedMatrix:
     rows, axes = rows[pick], axes[pick]
     sign[rows, k + axes] *= -1
     sign[rows + m**axes, k - 1 - axes] *= -1
-    return SignedMatrix(sign, a.parity_tag, a.n, k)
+    return SignedMatrix(sign, a.m, k)
 
 
 def _vertex_resigned(a: SignedMatrix, vertices: set[int]) -> SignedMatrix:
@@ -222,12 +227,12 @@ def _vertex_resigned(a: SignedMatrix, vertices: set[int]) -> SignedMatrix:
     m, k = a.m, a.k
     s = np.where(np.isin(np.arange(a.dim), list(vertices)), -1, 1).astype(np.int8)
     ends = np.where(present_slots(m, k), np.arange(a.dim)[:, None] + slot_steps(m, k), 0)
-    return SignedMatrix(a.sign * s[:, None] * s[ends], a.parity_tag, a.n, k)
+    return SignedMatrix(a.sign * s[:, None] * s[ends], a.m, k)
 
 
 def _level(a: SignedMatrix, j: int) -> SignedMatrix:
     """Level j of a's table: its first m^j rows and inner 2j slots."""
-    return SignedMatrix(a.sign[: a.m**j, a.k - j : a.k + j], a.parity_tag, a.n, j)
+    return SignedMatrix(a.sign[: a.m**j, a.k - j : a.k + j], a.m, j)
 
 
 def _identity_levels(a: SignedMatrix) -> list[bool]:
@@ -343,6 +348,17 @@ def test_matrix_market_roundtrip_keeps_parameters(m, k):
     g = back.graph()
     assert (g.m, g.k) == (m, k)
     assert check_support(back, g)
+
+
+def test_a_signed_matrix_is_its_table_with_m_and_k():
+    a = signed_grid_matrix(3, 2)
+    assert SignedMatrix(a.sign.copy(), 3, 2) == a  # equal m, k and entries: equal matrices
+    assert SignedMatrix(a.sign, 3, 1) != a
+    b = signed_grid_matrix(6, 2)
+    assert (a.parity_tag, b.parity_tag, b.n) == ("odd3", "even2n", 3)  # both follow from m
+    for name in ("parity_tag", "n"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 7)
 
 
 def test_matrix_market_rejects_missing_or_wrong_parameters():
@@ -461,6 +477,16 @@ def test_matrix_market_refuses_a_grid_over_the_size_cap_or_no_size_line():
         read_matrix_market(io.StringIO(text + f"{2**40} {2**40} 0\n"))
     with pytest.raises(ValueError, match="no size line"):
         read_matrix_market(io.StringIO(text))
+
+
+def test_matrix_market_decides_the_cap_from_m_and_k_alone():
+    # the header's m^k would have 56,000,001 digits; nothing of it is formed
+    text = _MM_BANNER + f"% pathpower m={10**4000} k=14000 parity=even2n\n{2**14000} {2**14000} 0\n"
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError) as exc:
+        read_matrix_market(io.StringIO(text))
+    assert time.perf_counter() - start < 0.1
+    assert str(exc.value) == "[m]^k (m, k of 13288, 14 bits) has more than 65536 vertices, the size cap"
 
 
 @st.composite

@@ -678,7 +678,7 @@ def _flip_entry(a, r, s, mirror=True):
 
 def _level(a, j):
     """Level j of a's table: its first m^j rows and inner 2j slots."""
-    return SignedMatrix(a.sign[: a.m**j, a.k - j : a.k + j], a.parity_tag, a.n, j)
+    return SignedMatrix(a.sign[: a.m**j, a.k - j : a.k + j], a.m, j)
 
 
 # (m, k, row, level): row m^(j-1) is the first of block 1 at level j and
@@ -903,11 +903,11 @@ def test_closed_form_odd3_multiplicities_without_a_solve(monkeypatch):
 
 
 def test_closed_form_size_cap_and_parameters():
-    with pytest.raises(SizeCapError):
-        closed_form_spectrum(2, 17)
-    with pytest.raises(SizeCapError):
-        closed_form_spectrum(4, 3, size_cap=63)
-    assert closed_form_spectrum(4, 3, size_cap=64).dim == 64
+    for m, k in [(2, 17), (3, 11), (4, 9)]:  # just over the fixed cap of 65,536 vertices
+        with pytest.raises(SizeCapError):
+            closed_form_spectrum(m, k)
+    for m, k in [(2, 16), (4, 8), (16, 4), (256, 2)]:  # exactly at it
+        assert closed_form_spectrum(m, k).dim == 65536
     for m, k in [(5, 2), (1, 2), (3, 0)]:
         with pytest.raises(ValueError):
             closed_form_spectrum(m, k)
@@ -1119,7 +1119,7 @@ def test_signed_matrices_are_never_solved_by_eigh(monkeypatch):
 
 
 def _tampered(a, sign):
-    return SignedMatrix(sign, a.parity_tag, a.n, a.k)
+    return SignedMatrix(sign, a.m, a.k)
 
 
 def _resigned(a, vals):
