@@ -56,16 +56,6 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-seconds", type=float, default=None, help="search deadline in seconds")
 
 
-def _parity_to_m(args, parser: argparse.ArgumentParser) -> int:
-    if args.parity == "odd3":
-        if args.n is not None:
-            parser.error("--n applies only to --parity even")
-        return 3
-    if args.n is None:
-        parser.error("--parity even requires --n")
-    return 2 * args.n
-
-
 def cmd_construct(args, parser) -> int:
     s = build_construction(args.kind, args.m, args.k)
     _emit_json(s.to_dict(), args.out)
@@ -73,33 +63,26 @@ def cmd_construct(args, parser) -> int:
 
 
 def cmd_matrix(args, parser) -> int:
-    m = _parity_to_m(args, parser)
-    a = signed_grid_matrix(m, args.k)
-    if args.out:
-        write_matrix_market(a, args.out)
-    else:
-        buf = io.StringIO()
-        write_matrix_market(a, buf)
-        sys.stdout.write(buf.getvalue())
+    buf = io.StringIO()
+    write_matrix_market(signed_grid_matrix(args.m, args.k), buf)
+    _emit(buf.getvalue(), args.out)
     return 0
 
 
 def cmd_spectrum(args, parser) -> int:
-    m = _parity_to_m(args, parser)
-    doc: dict = {"parity": args.parity, "n": args.n, "k": args.k, "group_tol": DEFAULT_GROUP_TOL}
-    dense_rep = composed_rep = None
-    if args.dense or not args.compose:
-        check_signed_params(m, args.k, DEFAULT_EIG_DIM_CAP)  # refused before the table is built
-        (dense_rep,) = signed_spectra(signed_grid_matrix(m, args.k))
-    if args.compose:
-        composed_rep = closed_form_spectrum(m, args.k)
-    primary = dense_rep or composed_rep
+    doc: dict = {"m": args.m, "k": args.k, "group_tol": DEFAULT_GROUP_TOL}
+    dense = None
+    if not args.compose:
+        check_signed_params(args.m, args.k, DEFAULT_EIG_DIM_CAP)  # refused before the table is built
+        (dense,) = signed_spectra(signed_grid_matrix(args.m, args.k))
+    composed = closed_form_spectrum(args.m, args.k)
+    primary = dense or composed
     doc["eigenvalues"] = list(primary.eigenvalues)
     doc["min_positive"] = primary.min_positive
     doc["zero_multiplicity"] = primary.zero_multiplicity
-    if dense_rep and composed_rep:
-        doc["composed_eigenvalues"] = list(composed_rep.eigenvalues)
-        doc["multiset_distance"] = multiset_distance(dense_rep.eigenvalues, composed_rep.eigenvalues)
+    if dense:
+        doc["composed_eigenvalues"] = list(composed.eigenvalues)
+        doc["multiset_distance"] = multiset_distance(dense.eigenvalues, composed.eigenvalues)
     _emit_json(doc, args.out)
     return 0
 
@@ -125,16 +108,12 @@ def cmd_alpha(args, parser) -> int:
 def cmd_f(args, parser) -> int:
     if args.s != 1 and not args.brute:
         raise ValueError(f"the established value is for alpha + 1 vertices; --s {args.s} needs --brute")
+    if args.stop_at is not None and not args.brute:
+        raise ValueError("--stop-at stops a scan; it needs --brute")
     budget = _budget_from(args)  # refused before anything is built
     doc: dict = {"m": args.m, "k": args.k, "s": args.s}
     theory = theoretical_f_value(args.m, args.k)
-    doc["theory"] = {
-        "kind": theory.kind,
-        "value": theory.value,
-        "floor_source": theory.source,
-        "witness": theory.witness,
-        "paper_lower": theory.paper_lower,
-    }
+    doc["theory"] = theory.row()
     if args.brute:
         stop_at = theory.value if args.stop_at is None else args.stop_at  # a given stop_at runs the scan
         res = brute_force_f(PathPower(args.m, args.k), args.s, budget, stop_at=stop_at)
@@ -206,19 +185,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("matrix", help="write a signed matrix in Matrix Market format")
-    p.add_argument("--parity", required=True, choices=["odd3", "even"])
-    p.add_argument("--n", type=int, default=None, help="half path length for --parity even")
+    p = sub.add_parser("matrix", help="write the signed matrix of [m]^k (m = 3 or even) in Matrix Market format")
+    p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("spectrum", help="eigenvalues of a signed matrix")
-    p.add_argument("--parity", required=True, choices=["odd3", "even"])
-    p.add_argument("--n", type=int, default=None)
+    p = sub.add_parser("spectrum", help="eigenvalues of the signed matrix of [m]^k, solved beside the closed form")
+    p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--compose", action="store_true", help="the closed form instead of a dense solve")
-    p.add_argument("--dense", action="store_true", help="with --compose: also solve densely and compare")
+    p.add_argument("--compose", action="store_true", help="the closed form alone, with no dense solve")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spectrum)
 

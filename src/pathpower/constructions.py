@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import CertificateError
-from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, digits, induced_max_degree
+from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, digits, induced_max_degree, int_label
 
 CONSTRUCTION_KINDS = ("vk", "vkc", "xk", "xkc", "hk")
 
@@ -72,7 +72,7 @@ def low_degree_witness_set(m: int, k: int) -> VertexSet:
     alternating block extension preserves the induced maximum degree.
     """
     if m < 3 or m % 2 == 0:
-        raise ValueError(f"witness sets are defined for odd m >= 3, got m = {m}")
+        raise ValueError(f"witness sets are defined for odd m >= 3, got m = {int_label(m)}")
     check_grid(m, k, DEFAULT_SIZE_CAP)
     seed = {c for c in range(2, m, 2)} | {1, m}
     s = VertexSet(m, 1, ranks=[c - 1 for c in seed])
@@ -110,7 +110,7 @@ def hk_witness_set(m: int, k: int) -> VertexSet:
     vertices.
     """
     if m % 2:
-        raise ValueError(f"the folded witness is defined for even m, got m = {m}")
+        raise ValueError(f"the folded witness is defined for even m, got m = {int_label(m)}")
     n = check_grid(m, k, DEFAULT_SIZE_CAP)
     d = digits(m, k)
     g = np.ones(n, dtype=bool)

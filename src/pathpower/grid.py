@@ -40,6 +40,13 @@ DEFAULT_SIZE_CAP = 65536  # vertices of every grid-sized object, fixed so that n
 Vertex = tuple[int, ...]
 
 
+def int_label(v: int) -> str:
+    """v in decimal while |v| < 2^64, else by its bit length, as in
+    <13288-bit int>: str() refuses an int of over 4,300 digits, so a
+    refusal that printed one would raise that error instead of its own."""
+    return str(v) if abs(v) < 2**64 else f"<{'negative ' if v < 0 else ''}{abs(v).bit_length()}-bit int>"
+
+
 def check_grid(m: int, k: int, size_cap: int | float) -> int:
     """m^k, the vertex count of [m]^k; ValueError unless m >= 2 and k >= 1,
     SizeCapError when m^k exceeds size_cap (math.inf for no cap).
@@ -47,14 +54,12 @@ def check_grid(m: int, k: int, size_cap: int | float) -> int:
     A finite cap c is decided without forming a large m^k.  With b the bit
     length of c, n is m^k, at most c^(b - 1), when m <= c and k < b.
     Otherwise m^k > c (as m > c, or m^k >= 2^k >= 2^b > c), and n is c + 1,
-    which stands for it.  The message names [m]^k, by bit lengths past 64
-    bits."""
+    which stands for it.  Messages name m and k by int_label."""
     if m < 2 or k < 1:
-        raise ValueError(f"need m >= 2 and k >= 1, got m={m}, k={k}")
+        raise ValueError(f"need m >= 2 and k >= 1, got m={int_label(m)}, k={int_label(k)}")
     n = m**k if size_cap == math.inf or (m <= size_cap and k < size_cap.bit_length()) else size_cap + 1
     if n > size_cap:
-        grid = f"[{m}]^{k}" if max(m, k) < 2**64 else f"[m]^k (m, k of {m.bit_length()}, {k.bit_length()} bits)"
-        raise SizeCapError(f"{grid} has more than {size_cap} vertices, the size cap")
+        raise SizeCapError(f"[{int_label(m)}]^{int_label(k)} has more than {size_cap} vertices, the size cap")
     return n
 
 
@@ -190,7 +195,9 @@ class VertexSet:
     """A subset of the vertices of [m]^k, stored as a rank-indexed bitset.
 
     Mutable; do not share a VertexSet being mutated across workers.
-    Serializes to {"m": int, "k": int, "ranks": [sorted ints]}.
+    Serializes to {"m": int, "k": int, "ranks": [sorted ints]}.  The grid
+    is checked as PathPower checks it (check_grid, DEFAULT_SIZE_CAP)
+    before any rank is read.
     """
 
     __slots__ = ("m", "k", "n_vertices", "_bits", "_size")
@@ -198,7 +205,7 @@ class VertexSet:
     def __init__(self, m: int, k: int, ranks: Iterable[int] = (), bits: int = 0):
         self.m = m
         self.k = k
-        self.n_vertices = m**k
+        self.n_vertices = check_grid(m, k, DEFAULT_SIZE_CAP)
         self._bits = bits
         for r in ranks:
             self._check_rank(r)
@@ -264,12 +271,9 @@ class VertexSet:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "VertexSet":
-        """The set of a to_dict document; ValueError unless its grid is one
-        PathPower accepts (SizeCapError above DEFAULT_SIZE_CAP), checked
-        before any rank is read."""
-        m, k = int(doc["m"]), int(doc["k"])
-        check_grid(m, k, DEFAULT_SIZE_CAP)
-        return cls(m, k, ranks=[int(r) for r in doc["ranks"]])
+        """The set of a to_dict document.  The ranks are read lazily, so the
+        constructor checks the grid before any of them."""
+        return cls(int(doc["m"]), int(doc["k"]), ranks=(int(r) for r in doc["ranks"]))
 
 
 @lru_cache(maxsize=8)

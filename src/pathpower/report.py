@@ -379,16 +379,5 @@ def export_table(
             if kind == "alpha":
                 rows.append({"m": m, "k": k, "alpha": alpha_formula(m, k)})
             else:
-                fv = theoretical_f_value(m, k)
-                rows.append(
-                    {
-                        "m": m,
-                        "k": k,
-                        "kind": fv.kind,
-                        "value": fv.value,
-                        "floor_source": fv.source,
-                        "witness": fv.witness,
-                        "paper_lower": fv.paper_lower,
-                    }
-                )
+                rows.append({"m": m, "k": k, **theoretical_f_value(m, k).row()})
     return rows

@@ -424,6 +424,17 @@ class FValue:
     witness: str | None
     paper_lower: int | None
 
+    def row(self) -> dict:
+        """The fields as one row, source keyed floor_source: the theory block
+        of the CLI's f and each row of export_table("bounds")."""
+        return {
+            "kind": self.kind,
+            "value": self.value,
+            "floor_source": self.source,
+            "witness": self.witness,
+            "paper_lower": self.paper_lower,
+        }
+
 
 def _lifted_witness(m: int, k: int, floor: int) -> str | None:
     """The witness family whose alpha + 1 members on [m]^k induce a maximum

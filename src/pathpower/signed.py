@@ -25,13 +25,13 @@ Callers densify only for numerical spectra.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, is_grid_edge, present_slots, slot_steps
+from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, int_label, is_grid_edge, present_slots, slot_steps
 
 
 @dataclass
@@ -40,26 +40,27 @@ class SignedMatrix:
 
     sign is the (m^k, 2k) int8 slot table of [m]^k: sign[r, c] is the entry
     at (r, r + steps[c]), 0 where slot c has no neighbour.  Two matrices are
-    equal when m, k and the table are.
+    equal when m, k and the table are.  dim, m^k, comes from check_grid
+    with DEFAULT_SIZE_CAP, as a PathPower's vertex count does.
     """
 
     sign: np.ndarray
     m: int
     k: int
+    dim: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.dim = check_grid(self.m, self.k, DEFAULT_SIZE_CAP)
 
     @property
     def parity_tag(self) -> str:
-        """The tag of m's family: odd3 for m = 3, even2n for even m = 2n."""
-        return "odd3" if self.m == 3 else "even2n"
+        """The tag of m's family (signed_family)."""
+        return signed_family(self.m)
 
     @property
     def n(self) -> int:
         """m // 2, the n of an even m = 2n."""
         return self.m // 2
-
-    @property
-    def dim(self) -> int:
-        return self.m**self.k
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignedMatrix):
@@ -99,11 +100,18 @@ class SignedMatrix:
         return a
 
 
+def signed_family(m: int) -> str:
+    """The tag of m's family of signed matrices: odd3 for m = 3, even2n for
+    even m = 2n; ValueError for any other odd m."""
+    if m != 3 and m % 2 == 1:
+        raise ValueError(f"signed matrices exist for m = 3 or even m, got m = {int_label(m)}")
+    return "odd3" if m == 3 else "even2n"
+
+
 def check_signed_params(m: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> int:
     """m^k, the dimension of the signed matrix of [m]^k; ValueError unless
-    one exists, SizeCapError above size_cap (check_grid)."""
-    if m != 3 and m % 2 == 1:
-        raise ValueError(f"signed matrices exist for m = 3 or even m, got m = {m}")
+    one exists (signed_family, then check_grid), SizeCapError above size_cap."""
+    signed_family(m)
     return check_grid(m, k, size_cap)
 
 
@@ -245,6 +253,7 @@ def write_matrix_market(a: SignedMatrix, target: str | IO[str]) -> None:
     1-based indices, integer values, symmetric header; one entry per edge
     (lower triangle).  A comment line records m, k and the parity tag, which
     the dimension m^k alone does not determine (64 = 2^6 = 4^3 = 8^2).
+    ValueError, before anything is written, unless m has a signed family.
     """
     rows, cols, vals = a.entries()
     lower = rows > cols  # the down slots, sorted by (i, j)
@@ -296,7 +305,7 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
     if cols != dim:
         raise ValueError(f"the size line has {dim} rows but {cols} columns")
     # the cap is decided from (m, k) alone, before m^k is formed or a table allocated
-    if dim != check_signed_params(m, k) or tag != ("odd3" if m == 3 else "even2n"):
+    if dim != check_signed_params(m, k) or tag != signed_family(m):
         raise ValueError(f"parameters m={m} k={k} parity={tag} do not fit dimension {dim}")
     g = PathPower(m, k)
     if len(lines) - 1 != count:

@@ -34,6 +34,7 @@ _BRACKET_ORACLE = ("tests/test_spectral.py::test_the_beta_bracket_holds_the_mpma
 _MM_HEADER = ("tests/test_signed.py::test_matrix_market_refuses_a_header_or_edge_count_the_writer_never_writes",)
 _MATCHING_PIN = ("tests/test_kernels.py::test_full_enumeration_of_7x7_on_each_backend",)
 _LANES = ("tests/test_grid.py::test_no_count_carries_from_one_lane_into_the_next",)
+_REFUSALS = ("tests/test_grid.py::test_every_entry_point_refuses_a_bad_grid_at_once_in_a_short_message",)
 
 MUTANTS = [
     Mutant(
@@ -406,5 +407,26 @@ MUTANTS = [
             "tests/test_grid.py::test_constructor_validation",
             "tests/test_grid.py::test_every_builder_validates_the_grid_by_check_grid",
         ),
+    ),
+    Mutant(
+        "vertex-set-unchecked-grid",
+        "src/pathpower/grid.py",
+        "        self.n_vertices = check_grid(m, k, DEFAULT_SIZE_CAP)\n",
+        "        self.n_vertices = m**k\n",
+        _REFUSALS,
+    ),
+    Mutant(
+        "signed-matrix-unchecked-grid",
+        _SIGNED,
+        "        self.dim = check_grid(self.m, self.k, DEFAULT_SIZE_CAP)\n",
+        "        self.dim = self.m**self.k\n",
+        _REFUSALS,
+    ),
+    Mutant(
+        "int-label-full-value",
+        "src/pathpower/grid.py",
+        "return str(v) if abs(v) < 2**64 else",
+        "return str(v) if True else",
+        (*_REFUSALS, "tests/test_grid.py::test_int_label_names_a_value_of_64_bits_or_more_by_its_bit_length"),
     ),
 ]

@@ -53,8 +53,8 @@ def test_construct_refuses_a_grid_over_the_cap_in_one_line(capsys):
     "argv",
     [
         ("construct", "--kind", "vk", "--m", "3", "--k", "2"),
-        ("matrix", "--parity", "odd3", "--k", "2"),
-        ("spectrum", "--parity", "odd3", "--k", "2"),
+        ("matrix", "--m", "3", "--k", "2"),
+        ("spectrum", "--m", "3", "--k", "2"),
         ("alpha", "--m", "3", "--k", "2"),
         ("f", "--m", "3", "--k", "2"),
     ],
@@ -71,19 +71,35 @@ def test_no_subcommand_takes_a_size_cap(argv, capsys):
 
 def test_matrix_roundtrip(tmp_path):
     out = tmp_path / "a.mtx"
-    assert run_cli("matrix", "--parity", "even", "--n", "2", "--k", "2", "--out", str(out)) == 0
+    assert run_cli("matrix", "--m", "4", "--k", "2", "--out", str(out)) == 0
     back = read_matrix_market(str(out))
     assert back.dim == 16
     assert back.nnz == 48
 
 
-def test_matrix_parity_flag_validation():
+def test_matrix_parity_flag_validation(capsys):
+    # matrix and spectrum name the grid by --m, as every other subcommand does
+    for argv in (
+        ("matrix", "--m", "3", "--parity", "odd3", "--k", "2"),
+        ("matrix", "--m", "4", "--n", "2", "--k", "2"),
+        ("spectrum", "--m", "4", "--parity", "even", "--k", "2"),
+        ("spectrum", "--m", "4", "--n", "2", "--k", "2"),
+        ("spectrum", "--m", "3", "--k", "2", "--dense"),  # a dense solve is the default
+        ("spectrum", "--m", "3", "--k", "2", "--compose", "--dense"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("matrix",), ("spectrum",), ("spectrum", "--compose")], ids=" ".join)
+def test_matrix_and_spectrum_refuse_an_m_without_a_signed_family(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        run_cli("matrix", "--parity", "odd3", "--n", "1", "--k", "2")
+        run_cli(*argv, "--m", "5", "--k", "2")
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run_cli("matrix", "--parity", "even", "--k", "2")
-    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == ["pathpower: error: signed matrices exist for m = 3 or even m, got m = 5"]
 
 
 def test_unknown_flag_and_command_exit_2(capsys):
@@ -105,14 +121,17 @@ def test_unknown_flag_and_command_exit_2(capsys):
         ["f", "--m", "1", "--k", "2"],
         ["alpha", "--m", "1", "--k", "2"],
         ["f", "--m", "2", "--k", "17", "--brute"],  # over the size cap
-        ["spectrum", "--parity", "odd3", "--k", "0"],
-        ["spectrum", "--parity", "odd3", "--k", "0", "--compose"],
+        ["spectrum", "--m", "3", "--k", "0"],
+        ["spectrum", "--m", "3", "--k", "0", "--compose"],
+        ["spectrum", "--m", "1", "--k", "2"],
+        ["matrix", "--m", "3", "--k", "0"],
+        ["f", "--m", "3", "--k", "2", "--stop-at", "0"],  # a stop without a scan
         ["f", "--m", "3", "--k", "2", "--brute", "--max-seconds", "nan"],  # NaN > 0 is false, like 0
         ["f", "--m", "3", "--k", "2", "--max-seconds", "nan"],
         ["f", "--m", "3", "--k", "2", "--seed", "1"],  # f is deterministic: no seed
         ["verify-all", "--tol", "1"],  # check thresholds are fixed, not flags
         ["verify-all", "--chain-trials", "0"],
-        ["spectrum", "--parity", "odd3", "--k", "2", "--tol", "1"],
+        ["spectrum", "--m", "3", "--k", "2", "--tol", "1"],
         ["beta", "--n", "3", "--tol", "1e-12"],  # beta is correctly rounded: no precision flag
         ["export-table", "--kind", "beta", "--tol", "1e-12"],
     ],
@@ -132,28 +151,37 @@ def test_beta_command(tmp_path, capsys):
 
 
 def test_spectrum_dense_and_composed(capsys):
-    assert run_cli("spectrum", "--parity", "odd3", "--k", "2", "--compose", "--dense") == 0
+    assert run_cli("spectrum", "--m", "3", "--k", "2") == 0
     doc = json.loads(capsys.readouterr().out)
-    assert len(doc["eigenvalues"]) == 9
+    assert (doc["m"], doc["k"]) == (3, 2) and "parity" not in doc and "n" not in doc
+    assert len(doc["eigenvalues"]) == 9 and len(doc["composed_eigenvalues"]) == 9
     assert doc["zero_multiplicity"] == 1
     assert doc["min_positive"] == pytest.approx(2**0.5, abs=1e-8)
     assert doc["multiset_distance"] < 1e-7
 
 
 def test_spectrum_compose_only(capsys):
-    assert run_cli("spectrum", "--parity", "even", "--n", "1", "--k", "3", "--compose") == 0
+    assert run_cli("spectrum", "--m", "2", "--k", "3", "--compose") == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["eigenvalues"]) == 8
     assert doc["zero_multiplicity"] == 0
     assert doc["min_positive"] == pytest.approx(3**0.5, abs=1e-8)
-    assert "multiset_distance" not in doc
+    assert "multiset_distance" not in doc and "composed_eigenvalues" not in doc
 
 
 def test_matrix_to_stdout(capsys):
-    assert run_cli("matrix", "--parity", "odd3", "--k", "1") == 0
+    assert run_cli("matrix", "--m", "3", "--k", "1") == 0
     out = capsys.readouterr().out
     assert out.startswith("%%MatrixMarket matrix coordinate integer symmetric")
     assert out.splitlines()[1:3] == ["% pathpower m=3 k=1 parity=odd3", "3 3 2"]
+
+
+def test_matrix_writes_the_same_text_to_stdout_and_to_a_file(capsys, tmp_path):
+    out = tmp_path / "a.mtx"
+    assert run_cli("matrix", "--m", "4", "--k", "2", "--out", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert run_cli("matrix", "--m", "4", "--k", "2") == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
 
 def test_alpha_command_brute_match(capsys):

@@ -13,6 +13,7 @@ from pathpower import (
     DimensionMismatchError,
     InvalidVertexError,
     PathPower,
+    SignedMatrix,
     SizeCapError,
     VertexSet,
     alpha_formula,
@@ -22,6 +23,7 @@ from pathpower import (
     induced_max_degree,
     low_degree_witness_set,
     signed_grid_matrix,
+    signed_spectra,
     theoretical_f_value,
 )
 from pathpower import constructions, grid, search
@@ -143,10 +145,12 @@ def test_a_refusal_never_forms_m_to_the_k(build, m, k):
 
 
 def test_a_refusal_names_a_huge_grid_by_bit_lengths():
-    with pytest.raises(SizeCapError, match=r"^\[m\]\^k \(m, k of 13288, 14 bits\) has more than 65536 vertices"):
+    with pytest.raises(SizeCapError, match=r"^\[<13288-bit int>\]\^10000 has more than 65536 vertices, the size cap$"):
         PathPower(10**4000, 10**4)
     with pytest.raises(SizeCapError, match=r"^\[3\]\^18446744073709551615 has more than"):
         PathPower(3, 2**64 - 1)
+    with pytest.raises(SizeCapError, match=r"^\[3\]\^<65-bit int> has more than"):
+        PathPower(3, 2**64)
 
 
 def test_from_dict_checks_the_grid_before_any_rank():
@@ -163,6 +167,68 @@ def test_from_dict_checks_the_grid_before_any_rank():
     with pytest.raises(SizeCapError):
         VertexSet.from_dict({"m": 2, "k": 17, "ranks": [0]})
     assert len(VertexSet.from_dict({"m": 2, "k": 16, "ranks": [65535]})) == 1
+
+
+def _no_rank_read():
+    raise AssertionError("a rank was read before the grid was checked")
+    yield
+
+
+def _table(m, k):
+    return SignedMatrix(np.zeros((1, 2), dtype=np.int8), m, k)
+
+
+REFUSING = {
+    "PathPower": PathPower,
+    "VertexSet": VertexSet,
+    "VertexSet.from_dict": lambda m, k: VertexSet.from_dict({"m": m, "k": k, "ranks": _no_rank_read()}),
+    "SignedMatrix": _table,
+    "signed_grid_matrix": signed_grid_matrix,
+    "low_degree_witness_set": low_degree_witness_set,
+    "hk_witness_set": hk_witness_set,
+    "closed_form_spectrum": closed_form_spectrum,
+    "signed_spectra": lambda m, k: signed_spectra(_table(m, k)),
+}
+BAD_GRIDS = {
+    "1,3": (1, 3),
+    "-4,2": (-4, 2),
+    "3,0": (3, 0),
+    "10^5000": (10**5000, 1),
+    "-10^5000": (-(10**5000), 1),
+    "10^5000+1": (10**5000 + 1, 1),
+    "-10^5000-1": (-(10**5000) - 1, 1),
+    "10,10^7": (10, 10**7),
+}
+
+
+@pytest.mark.parametrize("grid_mk", BAD_GRIDS.values(), ids=BAD_GRIDS.keys())
+@pytest.mark.parametrize("entry", REFUSING.values(), ids=REFUSING.keys())
+def test_every_entry_point_refuses_a_bad_grid_at_once_in_a_short_message(entry, grid_mk):
+    # an m of 16,610 bits has over 4,300 digits, the longest int that str()
+    # prints: a message that printed it would raise the interpreter's own
+    # ValueError, whose text is longer than 100 characters
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:  # SizeCapError is a ValueError too
+            entry(*grid_mk)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.01
+    assert len(str(exc.value)) < 100
+
+
+@pytest.mark.parametrize(
+    "v,label",
+    [
+        (0, "0"),
+        (-5, "-5"),
+        (2**64 - 1, "18446744073709551615"),
+        (2**64, "<65-bit int>"),
+        (-(2**64), "<negative 65-bit int>"),
+    ],
+)
+def test_int_label_names_a_value_of_64_bits_or_more_by_its_bit_length(v, label):
+    assert grid.int_label(v) == label
 
 
 def test_adjacency_examples():

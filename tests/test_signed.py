@@ -486,7 +486,23 @@ def test_matrix_market_decides_the_cap_from_m_and_k_alone():
     with pytest.raises(SizeCapError) as exc:
         read_matrix_market(io.StringIO(text))
     assert time.perf_counter() - start < 0.1
-    assert str(exc.value) == "[m]^k (m, k of 13288, 14 bits) has more than 65536 vertices, the size cap"
+    assert str(exc.value) == "[<13288-bit int>]^14000 has more than 65536 vertices, the size cap"
+
+
+_NO_FAMILY = r"^signed matrices exist for m = 3 or even m, got m = 5$"
+
+
+def test_matrix_market_refuses_an_m_without_a_signed_family_on_write_and_read():
+    a = SignedMatrix(present_slots(5, 1).astype(np.int8), 5, 1)  # the path P_5, every entry +1
+    assert a.dim == 5 and check_support(a, a.graph())
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=_NO_FAMILY):
+        write_matrix_market(a, buf)
+    assert buf.getvalue() == ""  # refused before anything is written
+    for tag in ("even2n", "odd3"):
+        text = _MM_BANNER + f"% pathpower m=5 k=1 parity={tag}\n5 5 4\n2 1 1\n3 2 1\n4 3 1\n5 4 1\n"
+        with pytest.raises(ValueError, match=_NO_FAMILY):
+            read_matrix_market(io.StringIO(text))
 
 
 @st.composite

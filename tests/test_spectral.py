@@ -929,7 +929,7 @@ def test_size_caps_refuse_before_densifying(monkeypatch):
         with pytest.raises(SizeCapError):
             call()
     with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--parity", "even", "--n", "1", "--k", "13"])
+        main(["spectrum", "--m", "2", "--k", "13"])
     assert exc.value.code == 2
 
 
