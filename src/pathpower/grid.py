@@ -47,6 +47,22 @@ def int_label(v: int) -> str:
     return str(v) if abs(v) < 2**64 else f"<{'negative ' if v < 0 else ''}{abs(v).bit_length()}-bit int>"
 
 
+def parse_int(token, what: str) -> int:
+    """int(token) for a value read from outside input.  A str longer than
+    the 4,300 digits int() reads by default is refused with a short
+    ValueError before int() sees it, as int()'s own refusal is a long
+    message; no valid m, k, rank or count comes near that length."""
+    if isinstance(token, str) and len(token) > 4300:
+        raise ValueError(f"{what} has {len(token)} characters, too many for any valid value")
+    return int(token)
+
+
+def check_rank(r: int, n: int) -> None:
+    """InvalidVertexError unless 0 <= r < n, naming r by int_label."""
+    if not 0 <= r < n:
+        raise InvalidVertexError(f"rank {int_label(r)} outside 0..{n - 1}")
+
+
 def check_grid(m: int, k: int, size_cap: int | float) -> int:
     """m^k, the vertex count of [m]^k; ValueError unless m >= 2 and k >= 1,
     SizeCapError when m^k exceeds size_cap (math.inf for no cap).
@@ -132,8 +148,7 @@ class PathPower:
 
     def unrank(self, r: int) -> Vertex:
         """Inverse of rank."""
-        if not 0 <= r < self.n_vertices:
-            raise InvalidVertexError(f"rank {r} outside 0..{self.n_vertices - 1}")
+        check_rank(r, self.n_vertices)
         coords = []
         for _ in range(self.k):
             coords.append(r % self.m + 1)
@@ -160,8 +175,7 @@ class PathPower:
 
     def neighbor_ranks(self, r: int) -> list[int]:
         """Ranks of the neighbors of the vertex with rank r, ascending."""
-        if not 0 <= r < self.n_vertices:
-            raise InvalidVertexError(f"rank {r} outside 0..{self.n_vertices - 1}")
+        check_rank(r, self.n_vertices)
         out = []
         weight = 1
         rr = r
@@ -208,27 +222,23 @@ class VertexSet:
         self.n_vertices = check_grid(m, k, DEFAULT_SIZE_CAP)
         self._bits = bits
         for r in ranks:
-            self._check_rank(r)
+            check_rank(r, self.n_vertices)
             self._bits |= 1 << r
         if bits and bits >> self.n_vertices:
             raise InvalidVertexError("bit set beyond m^k - 1")
         self._size: int | None = None
-
-    def _check_rank(self, r: int) -> None:
-        if not 0 <= r < self.n_vertices:
-            raise InvalidVertexError(f"rank {r} outside 0..{self.n_vertices - 1}")
 
     @property
     def bits(self) -> int:
         return self._bits
 
     def add(self, r: int) -> None:
-        self._check_rank(r)
+        check_rank(r, self.n_vertices)
         self._bits |= 1 << r
         self._size = None
 
     def discard(self, r: int) -> None:
-        self._check_rank(r)
+        check_rank(r, self.n_vertices)
         self._bits &= ~(1 << r)
         self._size = None
 
@@ -273,7 +283,8 @@ class VertexSet:
     def from_dict(cls, doc: dict) -> "VertexSet":
         """The set of a to_dict document.  The ranks are read lazily, so the
         constructor checks the grid before any of them."""
-        return cls(int(doc["m"]), int(doc["k"]), ranks=(int(r) for r in doc["ranks"]))
+        ranks = (parse_int(r, "a rank") for r in doc["ranks"])
+        return cls(parse_int(doc["m"], "m"), parse_int(doc["k"], "k"), ranks=ranks)
 
 
 @lru_cache(maxsize=8)

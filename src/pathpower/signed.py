@@ -31,7 +31,17 @@ from typing import IO
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .grid import DEFAULT_SIZE_CAP, PathPower, VertexSet, check_grid, int_label, is_grid_edge, present_slots, slot_steps
+from .grid import (
+    DEFAULT_SIZE_CAP,
+    PathPower,
+    VertexSet,
+    check_grid,
+    int_label,
+    is_grid_edge,
+    parse_int,
+    present_slots,
+    slot_steps,
+)
 
 
 @dataclass
@@ -275,17 +285,19 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
 
     Entry (i, j, v) sets the up slot of j and the down slot of i along the
     edge's axis.  SizeCapError above DEFAULT_SIZE_CAP, decided from m and k
-    alone.  ValueError when the first line is not the writer's banner, when
-    the m, k and parity line is missing or disagrees with the dimension,
-    when the size line's two dimensions differ, when the entry lines are
-    more or fewer than the size line counts or one does not hold exactly
-    three integers, on an entry that the table cannot hold or the writer
-    would not write (an index outside 1..dim, as an index array would wrap a
-    0 to the last row; a value other than +-1, checked before the int8
-    narrowing; entries out of the writer's order, each edge once, as (i, j)
-    with i > j, by row, then column, so no self-loop; a pair that is not a
-    grid edge), and when the entries are not all k(m - 1)m^(k - 1) edges of
-    the grid.
+    alone.  ValueError on an m, k or size-line value of over 4,300
+    characters (see grid.parse_int), when the first line is not the
+    writer's banner, when the m, k and parity line is missing or disagrees
+    with the dimension, when the size line's two dimensions differ, when the
+    entry lines are more or fewer than the size line counts or one does not
+    hold exactly three integers, on an entry that is not an integer or that
+    the table cannot hold or the writer would not write (an index outside
+    1..dim, as an index array would wrap a 0 to the last row; a value other
+    than +-1, checked before the int8 narrowing; entries out of the writer's
+    order, each edge once, as (i, j) with i > j, by row, then column, so no
+    self-loop; a pair that is not a grid edge), and when the entries are not
+    all k(m - 1)m^(k - 1) edges of the grid.  Refusals name a value of 2^64
+    or more by its bit length (grid.int_label).
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -297,19 +309,19 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
     params = next((p for p in map(_MM_PARAMS.fullmatch, text.splitlines()) if p), None)
     if params is None:
         raise ValueError("no '% pathpower m=.. k=.. parity=..' line: the dimension alone does not fix m and k")
-    m, k, tag = int(params[1]), int(params[2]), params[3]
+    m, k, tag = parse_int(params[1], "m"), parse_int(params[2], "k"), params[3]
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("%")]
     if not lines:
         raise ValueError("no size line")
-    dim, cols, count = (int(t) for t in lines[0].split())
+    dim, cols, count = (parse_int(t, "a size-line value") for t in lines[0].split())
     if cols != dim:
-        raise ValueError(f"the size line has {dim} rows but {cols} columns")
+        raise ValueError(f"the size line has {int_label(dim)} rows but {int_label(cols)} columns")
     # the cap is decided from (m, k) alone, before m^k is formed or a table allocated
     if dim != check_signed_params(m, k) or tag != signed_family(m):
-        raise ValueError(f"parameters m={m} k={k} parity={tag} do not fit dimension {dim}")
+        raise ValueError(f"parameters m={m} k={k} parity={tag} do not fit dimension {int_label(dim)}")
     g = PathPower(m, k)
     if len(lines) - 1 != count:
-        raise ValueError(f"{len(lines) - 1} entry lines, but the size line counts {count}")
+        raise ValueError(f"{len(lines) - 1} entry lines, but the size line counts {int_label(count)}")
     entries = [ln.split() for ln in lines[1:]]
     if any(len(e) != 3 for e in entries):
         raise ValueError("an entry line does not hold exactly three integers")
@@ -317,6 +329,8 @@ def read_matrix_market(source: str | IO[str]) -> SignedMatrix:
         ijv = np.array([[int(t) for t in e] for e in entries], dtype=np.int64).reshape(-1, 3)
     except OverflowError:
         raise ValueError("an entry holds an integer beyond int64") from None
+    except ValueError:  # not an integer, or one of over 4,300 digits: int()'s own message could be that long
+        raise ValueError("an entry holds a token that is not an integer of int64") from None
     if np.any((ijv[:, :2] < 1) | (ijv[:, :2] > dim)):
         raise ValueError(f"an entry index lies outside 1..{dim}")
     i, j, v = ijv[:, 0] - 1, ijv[:, 1] - 1, ijv[:, 2]

@@ -33,6 +33,11 @@ _CHEBYSHEV_CONTROLS = ("tests/test_spectral.py::test_each_clause_of_the_chebyshe
 _BRACKET_ORACLE = ("tests/test_spectral.py::test_the_beta_bracket_holds_the_mpmath_root",)
 _MM_HEADER = ("tests/test_signed.py::test_matrix_market_refuses_a_header_or_edge_count_the_writer_never_writes",)
 _MATCHING_PIN = ("tests/test_kernels.py::test_full_enumeration_of_7x7_on_each_backend",)
+_SCAN = "src/pathpower/_scan.c"
+_SCAN_PARITY = (
+    "tests/test_kernels.py::test_compiled_full_enumeration_node_counts",
+    "tests/test_kernels.py::test_scan_parity_at_the_one_word_bound",
+)
 _LANES = ("tests/test_grid.py::test_no_count_carries_from_one_lane_into_the_next",)
 _REFUSALS = ("tests/test_grid.py::test_every_entry_point_refuses_a_bad_grid_at_once_in_a_short_message",)
 
@@ -372,10 +377,41 @@ MUTANTS = [
     ),
     Mutant(
         "matching-bound-compiled",
-        "src/pathpower/_scan.c",
+        _SCAN,
         "if (best == 1 && level + free_blocks[v] < target)",
         "if (0)",
         _MATCHING_PIN,
+    ),
+    Mutant(
+        "scan-sat-not-rebuilt",
+        _SCAN,
+        "    memset(sat, 0, sizeof *sat * (size_t)words);\n"
+        "    for (int l = 0; l < level; l++)\n"
+        "        if (deg[path[l]] >= best - 1)\n"
+        "            sat[word_of(path[l], words)] |= BIT(path[l]);\n",
+        "",
+        _SCAN_PARITY,
+    ),
+    Mutant(
+        "scan-sat-kept-on-backtrack",
+        _SCAN,
+        "                if (--deg[64 * w + x] < best - 1)\n                    sat[w] &= ~BIT(x);\n",
+        "                --deg[64 * w + x];\n",
+        _SCAN_PARITY,
+    ),
+    Mutant(
+        "scan-own-sat-bit-kept-on-backtrack",
+        _SCAN,
+        "        sat[word_of(u, words)] &= ~BIT(u);\n",
+        "",
+        _SCAN_PARITY,
+    ),
+    Mutant(
+        "scan-one-word-bound-65",
+        _SCAN,
+        "if (n <= 64) {",
+        "if (n <= 65) {",
+        ("tests/test_kernels.py::test_scan_parity_across_word_boundaries",),
     ),
     Mutant(
         "stack-padded-sigma-kept",

@@ -134,6 +134,8 @@ def test_unknown_flag_and_command_exit_2(capsys):
         ["spectrum", "--m", "3", "--k", "2", "--tol", "1"],
         ["beta", "--n", "3", "--tol", "1e-12"],  # beta is correctly rounded: no precision flag
         ["export-table", "--kind", "beta", "--tol", "1e-12"],
+        ["f", "--m", "9" * 5000, "--k", "2"],  # more digits than int() reads
+        ["matrix", "--m", "4", "--k", "9" * 5000],
     ],
 )
 def test_invalid_input_is_a_usage_error(capsys, argv):

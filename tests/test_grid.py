@@ -169,6 +169,37 @@ def test_from_dict_checks_the_grid_before_any_rank():
     assert len(VertexSet.from_dict({"m": 2, "k": 16, "ranks": [65535]})) == 1
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"m": "9" * 5000, "k": 2, "ranks": []}, {"m": 3, "k": "9" * 5000, "ranks": []}, {"m": 3, "k": 2, "ranks": ["9" * 5000]}],
+    ids=["m", "k", "rank"],
+)
+def test_from_dict_refuses_a_number_too_long_for_int_in_a_short_message(doc):
+    # int() of a str of over 4,300 digits raises the interpreter's own
+    # 140-character message
+    with pytest.raises(ValueError, match=r"^(m|k|a rank) has 5000 characters, too many for any valid value$"):
+        VertexSet.from_dict(doc)
+    with pytest.raises(SizeCapError, match=r"^\[<14285-bit int>\]\^1 has more than"):
+        VertexSet.from_dict({"m": "9" * 4300, "k": 1, "ranks": []})  # int() reads it, and the cap refuses it
+
+
+_HUGE_RANK = 10**5000
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: VertexSet(3, 2, ranks=[_HUGE_RANK]),
+        lambda: PathPower(3, 2).unrank(_HUGE_RANK),
+        lambda: PathPower(3, 2).neighbor_ranks(-_HUGE_RANK),
+    ],
+    ids=["VertexSet", "unrank", "neighbor_ranks"],
+)
+def test_a_rank_refusal_names_a_huge_rank_by_its_bit_length(call):
+    with pytest.raises(InvalidVertexError, match=r"^rank <(negative )?16610-bit int> outside 0\.\.8$"):
+        call()
+
+
 def _no_rank_read():
     raise AssertionError("a rank was read before the grid was checked")
     yield

@@ -11,6 +11,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,10 @@ def _both(adj, target, stop, max_nodes=-1, time_limit=0.0, lead=0):
     return run(_kernels_py.scan_min_induced_degree), run(_kernels._scan_compiled)
 
 
+# grids on both sides of the compiled scan's one-word path (n <= 64)
+_BOUNDARY_GRIDS = [(2, 6), (4, 3), (3, 4), (5, 3)]
+
+
 def _kernels_to_test():
     kernels = [_kernels_py.scan_min_induced_degree]
     return kernels + [_kernels._scan_compiled] if _kernels.HAVE_SPEEDUPS else kernels
@@ -64,9 +69,10 @@ def _kernels_to_test():
         (3, 3, 0, -1),
         # two to four mask words, capped
         (9, 2, 0, 200_000),
-        (3, 4, 0, 200_000),
         (2, 7, 0, 200_000),
         (4, 4, 0, 200_000),
+        # 64 vertices, the widest one-word scan, and 81 and 125, capped
+        *[(m, k, 0, 200_000) for m, k in _BOUNDARY_GRIDS],
     ],
 )
 def test_scan_parity(m, k, stop, max_nodes):
@@ -128,6 +134,68 @@ def test_scan_parity_on_random_graphs():
         if alpha + 1 <= len(adj):
             pure, fast = _both(adj, alpha + 1, -1)
             assert pure == fast, adj
+
+
+def _boundary_case(seed):
+    """A seeded random scan on 11 to 140 vertices, on either side of the
+    one-word path: (adj, target, stop_at, max_nodes, lead)."""
+    rng = random.Random(seed)
+    n = rng.randint(11, 140)
+    adj = _random_graph(rng, n, rng.uniform(0.02, 0.4))
+    target = rng.randint(1, n)
+    return adj, target, rng.randint(-1, 2), rng.randint(0, 20_000), rng.randint(0, n - target + 1)
+
+
+_BOUNDARY_SEEDS = range(40)
+
+
+def _boundary_cases():
+    """Every scan of the parity tests at the one-word bound."""
+    for seed in _BOUNDARY_SEEDS:
+        yield _boundary_case(seed)
+    for m, k in _BOUNDARY_GRIDS:
+        yield _grid_adj(m, k), alpha_formula(m, k) + 1, 0, 200_000, 0
+
+
+@compiled
+@pytest.mark.parametrize("seed", _BOUNDARY_SEEDS)
+def test_scan_parity_at_the_one_word_bound(seed):
+    adj, target, stop, max_nodes, lead = _boundary_case(seed)
+    pure, fast = _both(adj, target, stop, max_nodes, lead=lead)
+    assert pure == fast
+
+
+def test_boundary_cases_cover_both_paths():
+    sizes = [len(_boundary_case(seed)[0]) for seed in _BOUNDARY_SEEDS] + [m**k for m, k in _BOUNDARY_GRIDS]
+    assert min(sizes) <= 64 < max(sizes)
+    assert sum(n <= 64 for n in sizes) >= 10 and sum(n > 64 for n in sizes) >= 10
+
+
+@has_compiler
+def test_scan_parity_under_the_undefined_behaviour_sanitizer(tmp_path):
+    # the kernel built with -fsanitize=undefined aborts at the first
+    # undefined operation; it runs in a subprocess, so an abort fails this
+    # test and nothing else
+    script = "\n".join(
+        [
+            "import sys",
+            "from pathlib import Path",
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+            "import test_kernels as t",
+            't._kernels._CFLAGS += ("-fsanitize=undefined", "-fno-sanitize-recover=all")',
+            f"lib, why = t._kernels._load(Path({str(tmp_path)!r}))",
+            "assert lib is not None, why",
+            "t._kernels._lib = lib",
+            "for adj, target, stop, max_nodes, lead in t._boundary_cases():",
+            "    pure, fast = t._both(adj, target, stop, max_nodes, lead=lead)",
+            "    assert pure == fast, (len(adj), target, stop, max_nodes, lead)",
+            "print(why)",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pathpower.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr[-3000:]
+    assert out.stdout.startswith("compiled: built")
 
 
 @compiled

@@ -489,6 +489,23 @@ def test_matrix_market_decides_the_cap_from_m_and_k_alone():
     assert str(exc.value) == "[<13288-bit int>]^14000 has more than 65536 vertices, the size cap"
 
 
+@pytest.mark.parametrize(
+    "old,new",
+    [("m=2", "m=9{}"), ("k=2", "k=9{}"), ("4 4 4\n", "4 4 9{}\n"), ("4 4 4\n", "9{0} 9{0} 4\n"), ("4 3 -1\n", "4 3 -9{}\n")],
+    ids=["m", "k", "size-line-count", "size-line-dimensions", "entry"],
+)
+@pytest.mark.parametrize("digits", [4300, 5000])
+def test_matrix_market_refuses_a_number_too_long_for_int_in_a_short_message(old, new, digits):
+    # int() of a str of over 4,300 digits raises the interpreter's own
+    # 140-character message, and a refusal that printed a 4,300-digit value
+    # would be as long
+    text = _written(signed_grid_matrix(2, 2))
+    assert text.count(old) == 1
+    with pytest.raises(ValueError) as exc:
+        read_matrix_market(io.StringIO(text.replace(old, new.format("9" * (digits - 1)))))
+    assert len(str(exc.value)) < 100
+
+
 _NO_FAMILY = r"^signed matrices exist for m = 3 or even m, got m = 5$"
 
 
